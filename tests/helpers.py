@@ -1,7 +1,10 @@
 """Shared instance builders for tests: random skeletons, families, witness systems."""
 
+import contextlib
+import io
 import random
 
+from lamsys.cli import dispatch
 from lamsys.core import make_family, make_skeleton
 from lamsys.whitehead import WhiteheadSystem
 
@@ -73,3 +76,20 @@ def random_coloring(rng: random.Random, ws: WhiteheadSystem, bound: int = 6):
         z: [rng.randint(-bound, bound) for _ in range(ws.m_range)]
         for z in ws.finals()
     }
+
+
+def run_dispatch(argv):
+    """Run the CLI in-process; returns (exit code, stdout text).
+
+    An exception that escapes `dispatch` is reported as exit 1, the status
+    a command-line run ends with on an uncaught exception.
+    """
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = 1
+    return code, buf.getvalue()
