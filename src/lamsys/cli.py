@@ -17,7 +17,6 @@ from .abelian import (
     build_chain_group,
     divisibility_evidence,
     invariant_factors,
-    is_free,
     rank,
 )
 from .core import (
@@ -135,15 +134,19 @@ def cmd_reshuffle(args) -> tuple[dict, int]:
     return payload, 1
 
 
-def cmd_build_group(args) -> tuple[dict, int]:
-    spec = jsonio.chain_spec_from_doc(_load(args.spec))
-    pres = build_chain_group(spec)
-    payload = {
+def _presentation_payload(pres) -> dict:
+    factors = invariant_factors(pres)
+    return {
         "presentation": jsonio.presentation_to_doc(pres),
-        "invariant_factors": list(invariant_factors(pres)),
-        "free": is_free(pres),
+        "invariant_factors": list(factors),
+        "free": all(d == 1 for d in factors),
         "rank": rank(pres),
     }
+
+
+def cmd_build_group(args) -> tuple[dict, int]:
+    spec = jsonio.chain_spec_from_doc(_load(args.spec))
+    payload = _presentation_payload(build_chain_group(spec))
     if args.m_max is not None:
         report = divisibility_evidence(spec, args.m_max)
         payload["divisibility"] = {
@@ -171,13 +174,7 @@ def cmd_build_g(args) -> tuple[dict, int]:
     violations = validate_whitehead(ws)
     if violations:
         return {"violations": [v.to_jsonable() for v in violations]}, 1
-    pres = build_witness_group(ws)
-    return {
-        "presentation": jsonio.presentation_to_doc(pres),
-        "invariant_factors": list(invariant_factors(pres)),
-        "free": is_free(pres),
-        "rank": rank(pres),
-    }, 0
+    return _presentation_payload(build_witness_group(ws)), 0
 
 
 def cmd_solve_witness(args) -> tuple[dict, int]:
@@ -354,10 +351,7 @@ def dispatch(argv) -> int:
     }
     try:
         payload, code = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = {"manifest": _manifest(args.subcommand, inputs, params), **payload}

@@ -19,6 +19,7 @@ survives the JSON round-trip in `jsonio`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Node = tuple[int, ...]
@@ -118,10 +119,12 @@ class SystemSkeleton:
             key=lex_key,
         )
 
+    @cached_property
+    def _parents(self) -> frozenset[Node]:
+        return frozenset(n[:-1] for n in self.nodes if n)
+
     def is_final(self, node: Node) -> bool:
-        return not any(
-            len(n) == len(node) + 1 and n[: len(node)] == node for n in self.nodes
-        )
+        return node not in self._parents
 
     def finals(self) -> list[Node]:
         return sorted((n for n in self.nodes if self.is_final(n)), key=lex_key)
@@ -239,25 +242,27 @@ def height(sys_: SystemSkeleton) -> int | None:
     return None
 
 
-def restrict_to_height(sys_: SystemSkeleton, n: int) -> SystemSkeleton:
-    """Keep only nodes below some final of length n, pruning E and B."""
-    keep_finals = [f for f in sys_.finals() if len(f) == n]
-    keep: set[Node] = set()
-    for f in keep_finals:
-        for m in range(len(f) + 1):
-            keep.add(f[:m])
-    new_e = {}
-    for node in keep:
-        if node in sys_.E:
-            pruned = frozenset(b for b in sys_.E[node] if node + (b,) in keep)
-            if pruned:
-                new_e[node] = pruned
+def restrict_to_nodes(sys_: SystemSkeleton, keep: Iterable[Node]) -> SystemSkeleton:
+    """Keep only the given nodes, pruning E to kept children and dropping empty E."""
+    keep = frozenset(keep)
+    new_e = {
+        node: frozenset(b for b in sys_.E[node] if node + (b,) in keep)
+        for node in keep
+        if node in sys_.E
+    }
     return SystemSkeleton(
-        nodes=frozenset(keep),
+        nodes=keep,
         level={k: v for k, v in sys_.level.items() if k in keep},
-        E=new_e,
+        E={node: e for node, e in new_e.items() if e},
         B={k: v for k, v in sys_.B.items() if k in keep},
         largeness=sys_.largeness,
+    )
+
+
+def restrict_to_height(sys_: SystemSkeleton, n: int) -> SystemSkeleton:
+    """Keep only nodes below some final of length n, pruning E and B."""
+    return restrict_to_nodes(
+        sys_, {f[:m] for f in sys_.finals() if len(f) == n for m in range(n + 1)}
     )
 
 

@@ -52,26 +52,38 @@ def _normalize(family) -> list[frozenset]:
 
 
 def _max_matching(sets: list[frozenset]):
-    """Deterministic augmenting-path matching; returns (match_of_set, match_of_atom)."""
-    atoms = sorted({a for s in sets for a in s}, key=atom_sort_key)
-    adj = [[a for a in atoms if a in s] for s in sets]
+    """Deterministic augmenting-path matching; returns (match_of_set, match_of_atom).
+
+    Each augmenting search is a depth-first search over an explicit stack, so
+    path length is not bounded by the recursion limit.
+    """
+    adj = [sorted(s, key=atom_sort_key) for s in sets]
     match_of_atom: dict[Atom, int] = {}
     match_of_set: dict[int, Atom] = {}
 
-    def augment(i: int, seen: set) -> bool:
-        for a in adj[i]:
-            if a in seen:
+    def augment(root: int) -> None:
+        seen: set = set()
+        stack = [(root, iter(adj[root]))]
+        path: list[Atom] = []  # path[k]: the atom tried from the set stack[k][0]
+        while stack:
+            a = next((x for x in stack[-1][1] if x not in seen), None)
+            if a is None:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen.add(a)
+            path.append(a)
             j = match_of_atom.get(a)
-            if j is None or augment(j, seen):
-                match_of_atom[a] = i
-                match_of_set[i] = a
-                return True
-        return False
+            if j is None:
+                for (i, _), b in zip(stack, path):
+                    match_of_atom[b] = i
+                    match_of_set[i] = b
+                return
+            stack.append((j, iter(adj[j])))
 
     for i in range(len(sets)):
-        augment(i, set())
+        augment(i)
     return match_of_set, match_of_atom
 
 

@@ -221,16 +221,6 @@ def chain_spec_from_doc(doc: Mapping) -> NonfreeSpec:
     )
 
 
-def chain_spec_to_doc(spec: NonfreeSpec) -> dict:
-    return {
-        "schema": SCHEMA,
-        "r": spec.r,
-        "q": list(spec.q),
-        "d": [list(row) for row in spec.d],
-        "J": spec.j_trunc,
-    }
-
-
 # --- certificates -------------------------------------------------------------
 
 
@@ -255,10 +245,6 @@ def hall_certificate_from_doc(doc: Mapping) -> HallCertificate:
 
 def transversal_from_doc(doc: Mapping) -> Transversal:
     return Transversal({int(i): atom_from_jsonable(a) for i, a in doc["assignment"].items()})
-
-
-def infeasibility_from_doc(doc: Mapping) -> InfeasibilityCertificate:
-    return InfeasibilityCertificate(tuple(Fraction(s) for s in doc["y"]))
 
 
 # --- ladder instances ---------------------------------------------------------

@@ -37,7 +37,7 @@ from .abelian import (
     in_lattice,
     invariant_factors,
     is_prime,
-    matrix_rank,
+    rank,
     solve_z,
 )
 from .core import (
@@ -50,6 +50,7 @@ from .core import (
     atom_sort_key,
     lex_key,
     node_key,
+    restrict_to_nodes,
     validate_family,
     validate_system,
 )
@@ -119,10 +120,17 @@ def validate_whitehead(ws: WhiteheadSystem) -> list[Violation]:
     return out
 
 
-def generator_names(ws: WhiteheadSystem) -> tuple[list[str], dict[str, int]]:
-    """Atoms of the family union first, then per-final z generators."""
-    names = [atom_name(a) for a in sorted(ws.family.union_s(), key=atom_sort_key)]
-    for z in ws.finals():
+def _atoms_of(ws: WhiteheadSystem, finals: Sequence[Node]) -> set:
+    return set().union(*(ws.family.s(z) for z in finals))
+
+
+def generator_names(
+    ws: WhiteheadSystem, finals: Sequence[Node] | None = None
+) -> tuple[list[str], dict[str, int]]:
+    """Atoms of the finals' sets first, then per-final z generators (default: all finals)."""
+    finals = ws.finals() if finals is None else finals
+    names = [atom_name(a) for a in sorted(_atoms_of(ws, finals), key=atom_sort_key)]
+    for z in finals:
         names += [z_name(z, j) for j in range(ws.j_trunc)]
     return names, {g: i for i, g in enumerate(names)}
 
@@ -179,36 +187,24 @@ def verify_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]], w: Witn
 
 
 def solve_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]]):
-    """Witness solving as one integer linear system over {f(x)} and {a(z, j)}."""
-    atoms = sorted(ws.family.union_s(), key=atom_sort_key)
-    unknowns: list = [("f", a) for a in atoms]
-    for z in ws.finals():
-        unknowns += [("a", z, j) for j in range(ws.j_trunc)]
-    col = {u: i for i, u in enumerate(unknowns)}
-    rows, rhs = [], []
-    for z in ws.finals():
-        for m in range(ws.m_range):
-            row = [0] * len(unknowns)
-            row[col[("a", z, m + ws.r + 1)]] += ws.q[z][m]
-            row[col[("a", z, m + ws.r)]] -= 1
-            for l in range(ws.r):
-                row[col[("a", z, l)]] -= ws.d[z][m][l]
-            for k in ws.levels(z):
-                row[col[("f", ws.family.phi[(z, k)][m])]] -= 1
-            rows.append(row)
-            rhs.append(c[z][m])
-    res = solve_z(IntMatrix.from_rows(rows), rhs)
+    """Witness solving as one integer linear system over {f(x)} and {a(z, j)}.
+
+    The unknowns are the generators of `build_witness_group` in order, so the
+    system is its relation matrix against the coloring flattened row by row.
+    """
+    pres = build_witness_group(ws)
+    rhs = [c[z][m] for z in ws.finals() for m in range(ws.m_range)]
+    # a matrix without rows has no width, so solve_z cannot size the zero solution
+    res = solve_z(pres.relations, rhs) if rhs else (0,) * len(pres.generators)
     if isinstance(res, InfeasibilityCertificate):
         return res
-    f = {a: res[col[("f", a)]] for a in atoms}
-    a_map = {
-        (z, j): res[col[("a", z, j)]]
-        for z in ws.finals()
-        for j in range(ws.j_trunc)
-    }
+    values = iter(res)
+    f = {a: next(values) for a in sorted(ws.family.union_s(), key=atom_sort_key)}
+    a_map = {(z, j): next(values) for z in ws.finals() for j in range(ws.j_trunc)}
     w = Witness(f, a_map)
-    ok, _ = verify_witness(ws, c, w)
-    assert ok, "solver output failed re-verification"
+    ok, where = verify_witness(ws, c, w)
+    if not ok:
+        raise RuntimeError(f"solver output fails the witness equation at {where}")
     return w
 
 
@@ -233,25 +229,6 @@ def transformed_system(ws: WhiteheadSystem, result: TransformResult) -> Whitehea
         j_trunc=ws.j_trunc,
         strong_order=ws.strong_order,
     )
-
-
-def theta_extends(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]], w: Witness) -> bool:
-    """The homomorphism (atoms -> f, z -> a) takes each relation row to c exactly."""
-    pres = build_witness_group(ws)
-    names, index = generator_names(ws)
-    vec = [0] * len(names)
-    for a, v in w.f.items():
-        vec[index[atom_name(a)]] = v
-    for (z, j), v in w.a.items():
-        vec[index[z_name(z, j)]] = v
-    i = 0
-    for z in ws.finals():
-        for m in range(ws.m_range):
-            image = sum(pres.relations.entries[i][t] * vec[t] for t in range(len(names)))
-            if image != c[z][m]:
-                return False
-            i += 1
-    return True
 
 
 # --- quotient bases ---------------------------------------------------------
@@ -325,28 +302,9 @@ def quotient_presentation(ws: WhiteheadSystem, alpha: int, beta: int) -> Present
     """
     in_i = [z for z in ws.finals() if z[0] < beta]
     low = [z for z in in_i if z[0] <= alpha]
-    atoms: set = set()
-    for z in in_i:
-        atoms |= ws.family.s(z)
-    low_atoms: set = set()
-    for z in low:
-        low_atoms |= ws.family.s(z)
-    names = [atom_name(a) for a in sorted(atoms, key=atom_sort_key)]
-    for z in in_i:
-        names += [z_name(z, j) for j in range(ws.j_trunc)]
-    index = {g: i for i, g in enumerate(names)}
-    rows = []
-    for z in in_i:
-        for m in range(ws.m_range):
-            row = [0] * len(names)
-            row[index[z_name(z, m + ws.r + 1)]] += ws.q[z][m]
-            row[index[z_name(z, m + ws.r)]] -= 1
-            for l in range(ws.r):
-                row[index[z_name(z, l)]] -= ws.d[z][m][l]
-            for k in ws.levels(z):
-                row[index[atom_name(ws.family.phi[(z, k)][m])]] -= 1
-            rows.append(row)
-    killed = [atom_name(a) for a in sorted(low_atoms, key=atom_sort_key)]
+    names, index = generator_names(ws, in_i)
+    rows = [_relation_row(ws, index, z, m) for z in in_i for m in range(ws.m_range)]
+    killed = [atom_name(a) for a in sorted(_atoms_of(ws, low), key=atom_sort_key)]
     killed += [z_name(z, j) for z in low for j in range(ws.j_trunc)]
     for g in killed:
         row = [0] * len(names)
@@ -401,7 +359,7 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
 
     factors = invariant_factors(pres)
     unit = all(d == 1 for d in factors)
-    free_rank = n - matrix_rank(pres.relations) if pres.relations.rows else n
+    free_rank = rank(pres)
     stacked = IntMatrix.from_rows(list(pres.relations.entries) + cand_rows)
     h, _ = hnf(stacked)
     failing = []
@@ -429,19 +387,7 @@ def variant_filter(ws: WhiteheadSystem, allowed_first: frozenset[int]) -> Whiteh
     keep_nodes = frozenset(
         n for n in ws.system.nodes if n == () or n[0] in allowed_first
     )
-    new_e = {}
-    for node in keep_nodes:
-        if node in ws.system.E:
-            pruned = frozenset(b for b in ws.system.E[node] if node + (b,) in keep_nodes)
-            if pruned:
-                new_e[node] = pruned
-    sys_ = SystemSkeleton(
-        nodes=keep_nodes,
-        level={k: v for k, v in ws.system.level.items() if k in keep_nodes},
-        E=new_e,
-        B={k: v for k, v in ws.system.B.items() if k in keep_nodes},
-        largeness=ws.system.largeness,
-    )
+    sys_ = restrict_to_nodes(ws.system, keep_nodes)
     finals = tuple(z for z in ws.family.finals if z in keep_nodes)
     fam = BasedFamily(
         system=sys_,

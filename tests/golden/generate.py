@@ -46,20 +46,20 @@ def flat_family(sets_by_first):
     return system_to_doc(sys_, make_family(sys_, phi, truncation=trunc))
 
 
-def single_final_system(trunc, r=0, q_val=2, j_trunc=None, atoms=None):
-    atoms = atoms if atoms is not None else [f"x{m}" for m in range(trunc)]
+def single_final_system(trunc, r=0, j_trunc=None):
+    atoms = [f"x{m}" for m in range(trunc)]
     sys_ = make_skeleton(
         nodes=[(), (0,)],
         level={(): 1, (0,): 0},
         e_map={(): [0]},
         b_map={(): [], (0,): atoms or ["b0"]},
     )
-    fam = make_family(sys_, {((0,), 1): atoms[:trunc]}, truncation=trunc)
+    fam = make_family(sys_, {((0,), 1): atoms}, truncation=trunc)
     return WhiteheadSystem(
         system=sys_,
         family=fam,
         r=r,
-        q={(0,): tuple(q_val for _ in range(trunc))},
+        q={(0,): tuple(2 for _ in range(trunc))},
         d={(0,): tuple(tuple(1 for _ in range(r)) for _ in range(trunc))},
         j_trunc=trunc + r + 2 if j_trunc is None else j_trunc,
     )

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import traceback
 
 from lamsys.cli import dispatch
 from lamsys.core import make_family, make_skeleton
@@ -82,7 +83,8 @@ def run_dispatch(argv):
     """Run the CLI in-process; returns (exit code, stdout text).
 
     An exception that escapes `dispatch` is reported as exit 1, the status
-    a command-line run ends with on an uncaught exception.
+    a command-line run ends with on an uncaught exception; its traceback goes
+    to stderr.
     """
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -91,5 +93,6 @@ def run_dispatch(argv):
         except SystemExit as exc:
             code = exc.code
         except Exception:
+            traceback.print_exc()
             code = 1
     return code, buf.getvalue()

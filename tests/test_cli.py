@@ -301,3 +301,30 @@ def test_solve_witness_coloring_shape_checked(tmp_path, capsys):
     code, _, err = run(capsys, ["solve-witness", "--system", path, "--c", c_path])
     assert code == 2
     assert "coloring" in err
+
+
+def test_solve_witness_without_relation_rows(tmp_path, capsys):
+    # truncation 0 leaves no witness equation: every value is zero
+    path = write(tmp_path, "ws.json", witness_doc(trunc=0))
+    code, out, _ = run(capsys, ["validate", path])
+    assert code == 0
+    c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": []}})
+    code, out, _ = run(capsys, ["solve-witness", "--system", path, "--c", c_path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "witness"
+    assert doc["witness"]["a"] == {"0:0": 0, "0:1": 0}
+
+
+def test_solve_witness_rejects_short_j(tmp_path, capsys):
+    doc = witness_doc(trunc=2)
+    doc["J"] = 1
+    path = write(tmp_path, "ws.json", doc)
+    code, out, _ = run(capsys, ["validate", path])
+    assert code == 1
+    assert [v["clause"] for v in json.loads(out)["violations"]] == ["j-trunc"]
+    c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": []}})
+    code, out, err = run(capsys, ["solve-witness", "--system", path, "--c", c_path])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "j_trunc" in err

@@ -35,6 +35,15 @@ def test_twins_certificate():
     assert cert.violator == frozenset({0, 1})
 
 
+@pytest.mark.parametrize("n", [1_500, 10_000])
+def test_long_augmenting_paths(n):
+    # {0} takes atom 0 last, so its augmenting path runs through all n sets
+    family = [{i, i + 1} for i in range(n)] + [{0}]
+    t = find_transversal(family)
+    assert isinstance(t, Transversal)
+    assert t.verify([frozenset(s) for s in family])
+
+
 def test_simple_transversal():
     t = find_transversal([{"a", "b"}, {"b", "c"}])
     assert isinstance(t, Transversal)

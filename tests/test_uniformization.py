@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -10,6 +11,7 @@ from lamsys.uniformization import (
     LadderInstance,
     LadderLevel,
     ShiftDisjointError,
+    _interval_shift_disjoint,
     max_magnitude_bound,
     power_table,
     prime_table,
@@ -80,6 +82,32 @@ def test_shift_disjoint_warning_and_error():
         assert b == 2
     with pytest.raises(ShiftDisjointError):
         shift_disjoint({0, 1, 2}, range(4), 4)
+
+
+def test_interval_shift_matches_set_reference():
+    # the interval path the table builders use against the set-based search
+    rng = random.Random(21)
+    for _ in range(300):
+        p, k_max = rng.choice(((2, 6), (3, 4), (5, 3), (7, 3)))
+        modulus = p ** rng.randint(1, k_max)
+        raw = []
+        for _ in range(rng.randint(1, 4)):
+            lo = rng.randint(-modulus, modulus)
+            raw.append((lo, lo + rng.randint(0, modulus // 4)))
+        y = IntervalSet.from_raw(raw, modulus)
+        for stride in (1, p):
+            candidates = range(0, modulus, stride)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    expected = shift_disjoint(set(y.residues()), candidates, modulus)
+                except ShiftDisjointError:
+                    expected = None
+            try:
+                got = _interval_shift_disjoint(y, stride)
+            except ShiftDisjointError:
+                got = None
+            assert got == expected, (raw, modulus, stride)
 
 
 # --- prime tables ------------------------------------------------------------

@@ -21,7 +21,6 @@ from lamsys.whitehead import (
     enumerate_basis,
     quotient_presentation,
     solve_witness,
-    theta_extends,
     transformed_system,
     transport_witness,
     validate_whitehead,
@@ -151,7 +150,7 @@ def test_solver_roundtrip_random():
         c = random_coloring(rng, ws)
         w = solve_witness(ws, c)
         assert isinstance(w, Witness)
-        assert theta_extends(ws, c, w)
+        assert verify_witness(ws, c, w)[0]
 
 
 def test_infeasible_two_equation_instance():
