@@ -6,6 +6,24 @@ solving with dual infeasibility certificates, and presentations given by a
 generator list plus an integer relation matrix.  All functions are pure and
 all results carry enough data to be re-verified by direct multiplication.
 
+One exact solver serves `solve_z`, `kernel_basis` and `integer_solutions`:
+a single row Hermite form H = U * A^T, with U^-1 tracked in the same
+elimination.  Forward substitution along the pivots of H gives a particular
+solution of A x = b or an infeasibility certificate; the rows of U against
+the zero rows of H are the kernel basis K.  Before returning, four exact,
+determinant-free checks certify the result and raise CertificateError if
+one fails (they are not asserts, so they run under `python -O` too):
+
+1. U * A^T = H, multiplied over the nonzeros of the sparse A, with H in
+   row echelon form, so its r pivots prove rank A >= r;
+2. A x = b, or the certificate y has y A integral and y b not;
+3. A K^T = 0, the zero rows of check 1;
+4. K L = I for L the matching columns of U^-1, so K spans every integer
+   vector of its rational span; with check 1 that span is all of ker A,
+   and K is a basis of its integer points.
+
+`snf` is kept for invariant factors; its self-check still uses determinants.
+
 Pivoting is deterministic (smallest absolute value, lexicographic
 tie-break), so every normal form and certificate is reproducible bit for
 bit.
@@ -15,11 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionError(ValueError):
     """Raised when matrix/vector shapes do not line up."""
+
+
+class CertificateError(RuntimeError):
+    """A computed result failed its own exact re-verification."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +62,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        zero = (0,) * n
+        return cls(tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -109,22 +133,33 @@ def _pivot_candidate(m: list[list[int]], start_row: int, start_col: int, rows: i
     return best
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
     """Row-style Hermite normal form.
 
     Returns (H, U) with H = U * a, U unimodular, pivots positive with
     increasing column indices, and entries above each pivot reduced into
-    [0, pivot).
+    [0, pivot).  With inverse=True returns (H, U, U^-1), the inverse built
+    by the inverse of each row operation in the same elimination.
     """
     rows, cols = a.rows, a.cols
     h = [list(row) for row in a.entries]
     u = [list(row) for row in IntMatrix.identity(rows).entries]
+    # rows of the transposed inverse: U <- E*U makes U^-1 <- U^-1 * E^-1,
+    # a column operation on U^-1 and so a row operation here
+    vt = [list(row) for row in IntMatrix.identity(rows).entries] if inverse else None
+    tracked = (h, u, vt) if inverse else (h, u)
 
     def row_sub(i: int, j: int, q: int) -> None:
         if q == 0:
             return
         h[i] = [x - q * y for x, y in zip(h[i], h[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        if vt is not None:
+            vt[j] = [x + q * y for x, y in zip(vt[j], vt[i])]
+
+    def swap(i: int, j: int) -> None:
+        for m in tracked:
+            m[i], m[j] = m[j], m[i]
 
     pr = 0
     for c in range(cols):
@@ -137,8 +172,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if best is None:
                 break
             if best != pr:
-                h[pr], h[best] = h[best], h[pr]
-                u[pr], u[best] = u[best], u[pr]
+                swap(pr, best)
             done = True
             for i in range(pr + 1, rows):
                 if h[i][c] != 0:
@@ -149,14 +183,16 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 break
         if pr < rows and h[pr][c] != 0:
             if h[pr][c] < 0:
-                h[pr] = [-x for x in h[pr]]
-                u[pr] = [-x for x in u[pr]]
+                for m in tracked:
+                    m[pr] = [-x for x in m[pr]]
             for i in range(pr):
                 row_sub(i, pr, h[i][c] // h[pr][c])
             pr += 1
             if pr == rows:
                 break
-    return IntMatrix.from_rows(h), IntMatrix.from_rows(u)
+    # every entry is already an int, so skip the conversion in from_rows
+    out = IntMatrix(tuple(map(tuple, h))), IntMatrix(tuple(map(tuple, u)))
+    return out if vt is None else (*out, IntMatrix(tuple(zip(*vt))))
 
 
 @dataclass(frozen=True)
@@ -270,7 +306,8 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         s += 1
 
     result = SmithDecomposition(IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v))
-    assert result.verify(a), "smith decomposition failed self-check"
+    if not result.verify(a):
+        raise CertificateError("Smith decomposition fails its self-check")
     return result
 
 
@@ -289,49 +326,172 @@ class InfeasibilityCertificate:
         return sum(self.y[i] * b[i] for i in range(a.rows)).denominator != 1
 
 
+@dataclass(frozen=True)
+class IntegerSolutions:
+    """Every integer solution of a*x = b, with the echelon data that proves it.
+
+    `hermite` = `transform` * a^T is a row echelon form whose first `rank`
+    rows are nonzero; the other rows of `transform` form `kernel`, and
+    `dual` has one row per kernel row with kernel * dual^T = I.  The integer
+    solutions are exactly `solution` plus the integer combinations of the
+    kernel rows, or there are none and `solution` is an
+    InfeasibilityCertificate.
+    """
+
+    solution: tuple[int, ...] | InfeasibilityCertificate
+    hermite: IntMatrix
+    transform: IntMatrix
+    dual: IntMatrix
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for row in self.hermite.entries if any(row))
+
+    @property
+    def kernel(self) -> IntMatrix:
+        return IntMatrix(self.transform.entries[self.rank:])
+
+    def check(self, a: IntMatrix, b: Sequence[int]) -> None:
+        """Re-verify every claim exactly; raise CertificateError on the first that fails.
+
+        1. transform * a^T = hermite, computed over the nonzeros of a, and
+           hermite is a row echelon form, so rank(a) >= `rank`;
+        2. a * solution = b, or the infeasibility certificate verifies;
+        3. a * kernel^T = 0, which is the zero rows of (1);
+        4. kernel * dual^T = I: the kernel rows are independent and every
+           integer vector in their rational span is an integer combination
+           of them.  By (1) and (3) they span the kernel of a over the
+           rationals, so they are a basis of its integer points.
+        """
+        n, m = a.cols, a.rows
+        h, u, d = self.hermite.entries, self.transform.entries, self.dual.entries
+        r = self.rank
+        if len(h) != n or len(u) != n or any(len(row) != m for row in h) or any(len(row) != n for row in u):
+            raise CertificateError("transform or Hermite form has the wrong shape")
+        pivots = [next(_nonzero(row), m) for row in h]
+        if any(p >= m for p in pivots[:r]) or any(p < m for p in pivots[r:]) or any(
+            p >= q for p, q in zip(pivots[: r - 1], pivots[1:r])
+        ):
+            raise CertificateError("Hermite form is not in row echelon form")
+        # every matrix here is sparse: multiply nonzeros only
+        a_cols = _sparse_columns(a.entries, n)
+        for urow, hrow in zip(u, h):
+            if tuple(_sparse_row_times(urow, a_cols, m)) != hrow:
+                raise CertificateError("transform * a^T differs from the Hermite form")
+        if len(d) != n - r or any(len(row) != n for row in d):
+            raise CertificateError("dual of the kernel has the wrong shape")
+        d_cols = _sparse_columns(d, n)
+        for i, krow in enumerate(u[r:]):
+            out = _sparse_row_times(krow, d_cols, n - r)
+            out[i] -= 1
+            if any(out):
+                raise CertificateError("kernel rows do not span the integer kernel")
+        if isinstance(self.solution, InfeasibilityCertificate):
+            if not self.solution.verify(a, b):
+                raise CertificateError("infeasibility certificate does not verify")
+        elif len(self.solution) != n or _sparse_row_times(self.solution, a_cols, m) != [int(t) for t in b]:
+            raise CertificateError("solution does not satisfy a*x = b")
+
+
+def _nonzero(row: Sequence[int]) -> Iterator[int]:
+    """Indices of the nonzero entries of row, in order."""
+    return compress(range(len(row)), row)
+
+
+def _sparse_columns(rows: Sequence[Sequence[int]], width: int) -> list[list[tuple[int, int]]]:
+    """For each column t, the (row index, value) pairs of its nonzero entries."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        for t in _nonzero(row):
+            cols[t].append((i, row[t]))
+    return cols
+
+
+def _sparse_row_times(row: Sequence[int], cols: list[list[tuple[int, int]]], width: int) -> list[int]:
+    """row * M for M given by `_sparse_columns(M^T)`, touching nonzero products only."""
+    out = [0] * width
+    for t in _nonzero(row):
+        x = row[t]
+        for j, v in cols[t]:
+            out[j] += x * v
+    return out
+
+
+def _certificate(
+    h: tuple[tuple[int, ...], ...], pivots: list[int], m: int, target: Sequence[int], free: int | None = None, denom: int = 1
+) -> InfeasibilityCertificate:
+    """y / denom, where y is 1 at column `free` and s on the pivot columns.
+
+    s solves sum_k h[l][pivots[k]] * s[k] = target[l] for every pivot row
+    l; the pivot columns of an echelon form are upper triangular, so this is
+    back substitution.
+    """
+    s = [Fraction(0)] * len(pivots)
+    for k in reversed(range(len(pivots))):
+        row = h[k]
+        rest = Fraction(target[k]) - sum((row[pivots[l]] * s[l] for l in range(k + 1, len(pivots))), Fraction(0))
+        s[k] = rest / row[pivots[k]]
+    y = [Fraction(0)] * m
+    for k, p in enumerate(pivots):
+        y[p] = s[k] / denom
+    if free is not None:
+        y[free] = Fraction(1, denom)
+    return InfeasibilityCertificate(tuple(y))
+
+
+def integer_solutions(a: IntMatrix, b: Sequence[int]) -> IntegerSolutions:
+    """All integer solutions of a*x = b from one Hermite form of a^T, checked before returning.
+
+    With H = U * a^T, the equation x^T a^T = b^T becomes y^T H = b^T for
+    x^T = y^T U, which forward substitution along the pivots of H solves or
+    refutes: a pivot that does not divide, or a nonzero remainder off the
+    pivot columns.  The rows of U against the zero rows of H span the kernel.
+    """
+    if len(b) != a.rows:
+        raise DimensionError(f"matrix has {a.rows} rows, rhs has {len(b)}")
+    n = a.cols
+    h, u, u_inv = hnf(a.transpose(), inverse=True)
+    pivots = [next(_nonzero(row)) for row in h.entries if any(row)]
+    rest = [int(t) for t in b]
+    x = [0] * n
+    solution = None
+    for i, p in enumerate(pivots):
+        q, rem = divmod(rest[p], h.entries[i][p])
+        if rem:
+            # H y = e_i, so y a is integral, while y b = rest[p] / pivot is not
+            solution = _certificate(h.entries, pivots, a.rows, [int(l == i) for l in range(len(pivots))])
+            break
+        if q:
+            rest = [v - q * w for v, w in zip(rest, h.entries[i])]
+            urow = u.entries[i]
+            for t in _nonzero(urow):
+                x[t] += q * urow[t]
+    else:
+        j = next(_nonzero(rest), None)
+        if j is None:
+            solution = tuple(x)
+        else:
+            # H y = 0, so y a = 0, while y b = rest[j] / (|rest[j]| + 1)
+            target = [-h.entries[l][j] for l in range(len(pivots))]
+            solution = _certificate(h.entries, pivots, a.rows, target, free=j, denom=abs(rest[j]) + 1)
+    dual = IntMatrix(tuple(zip(*u_inv.entries))[len(pivots):])
+    result = IntegerSolutions(solution, h, u, dual)
+    result.check(a, b)
+    return result
+
+
 def solve_z(a: IntMatrix, b: Sequence[int]):
     """Solve a*x = b over the integers.
 
     Returns a solution tuple, or an InfeasibilityCertificate whose dot
     products prove no integer solution exists.
     """
-    if len(b) != a.rows:
-        raise DimensionError(f"matrix has {a.rows} rows, rhs has {len(b)}")
-    if a.rows == 0:
-        return tuple(0 for _ in range(a.cols))
-    dec = snf(a)
-    c = dec.u.mul_vec(b)
-    diag = dec.diagonal
-    y = [0] * a.cols
-    for i in range(a.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i] != 0:
-                denom = abs(c[i]) + 1
-                cert = InfeasibilityCertificate(tuple(Fraction(x, denom) for x in dec.u.row(i)))
-                assert cert.verify(a, b)
-                return cert
-        else:
-            if c[i] % di != 0:
-                cert = InfeasibilityCertificate(tuple(Fraction(x, di) for x in dec.u.row(i)))
-                assert cert.verify(a, b)
-                return cert
-            if i < a.cols:
-                y[i] = c[i] // di
-    x = tuple(sum(dec.v.entries[r][k] * y[k] for k in range(a.cols)) for r in range(a.cols))
-    assert a.mul_vec(x) == tuple(int(t) for t in b)
-    return x
+    return integer_solutions(a, b).solution
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Rows form a basis of the integer kernel {x : a*x = 0}."""
-    if a.rows == 0:
-        return IntMatrix.identity(a.cols)
-    dec = snf(a)
-    diag = dec.diagonal
-    free = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
-    rows = [tuple(dec.v.entries[r][j] for r in range(a.cols)) for j in free]
-    return IntMatrix.from_rows(rows)
+    return integer_solutions(a, (0,) * a.rows).kernel
 
 
 def express_in_lattice(a: IntMatrix, v: Sequence[int]):
@@ -350,7 +510,7 @@ def reduce_mod_lattice(v: Sequence[int], h: IntMatrix, balanced: bool = False) -
     """
     x = list(int(t) for t in v)
     for row in h.entries:
-        j = next((k for k, val in enumerate(row) if val != 0), None)
+        j = next(_nonzero(row), None)
         if j is None:
             continue
         p = row[j]

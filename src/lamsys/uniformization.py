@@ -38,10 +38,9 @@ from .abelian import (
     InfeasibilityCertificate,
     IntMatrix,
     hnf,
+    integer_solutions,
     is_prime,
-    kernel_basis,
     reduce_mod_lattice,
-    solve_z,
 )
 
 
@@ -446,7 +445,6 @@ class ChainState:
     generators: tuple[str, ...]
     relations: IntMatrix
     shift_coefficients: tuple[int, ...]   # e-coefficient removed from each primed relation
-    section: Mapping[str, str]            # psi: generator -> primed generator
     splitting: Mapping[str, int]          # c_x with rho(x) = x' + c_x * e
 
 
@@ -535,12 +533,11 @@ def simulate(inst: LadderInstance) -> SimulationReport:
             shifts.append(shift)
 
     w = IntMatrix.from_rows(rows)
-    res = solve_z(w, [-s for s in shifts])
-    if isinstance(res, InfeasibilityCertificate):
-        raise SplittingError(res)
-    kern = kernel_basis(w)
-    kh, _ = hnf(kern)
-    c_vec = reduce_mod_lattice(res, kh, balanced=True)
+    sols = integer_solutions(w, [-s for s in shifts])
+    if isinstance(sols.solution, InfeasibilityCertificate):
+        raise SplittingError(sols.solution)
+    kh, _ = hnf(sols.kernel)
+    c_vec = reduce_mod_lattice(sols.solution, kh, balanced=True)
     splitting_ok = w.mul_vec(c_vec) == tuple(-s for s in shifts)
 
     # kernel-of-projection check: no primed relation collapses onto the
@@ -634,7 +631,6 @@ def simulate(inst: LadderInstance) -> SimulationReport:
         generators=tuple(names),
         relations=w,
         shift_coefficients=tuple(shifts),
-        section={g: g + "'" for g in names},
         splitting={g: c_vec[index[g]] for g in names},
     )
     checks = {

@@ -1,22 +1,30 @@
 """Exact linear algebra: normal forms, integer solving, chain-group diagnostics."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamsys.abelian import (
+    CertificateError,
     DivisibilityReport,
     InfeasibilityCertificate,
     IntMatrix,
     NonfreeSpec,
     Presentation,
+    SmithDecomposition,
     build_chain_group,
     divisibility_evidence,
     express_in_lattice,
     hnf,
     in_lattice,
+    integer_solutions,
     invariant_factors,
     is_free,
     is_prime,
@@ -73,6 +81,9 @@ def test_hnf_properties(a):
     h, u = hnf(a)
     assert abs(u.det()) == 1
     assert u.mul(a).entries == h.entries
+    h2, u2, u_inv = hnf(a, inverse=True)
+    assert (h2, u2) == (h, u)
+    assert u.mul(u_inv).entries == IntMatrix.identity(a.rows).entries
     # pivots strictly move right and are positive, entries above lie in [0, pivot)
     last = -1
     for row in h.entries:
@@ -138,6 +149,146 @@ def test_kernel_basis_annihilates(a):
     for row in k.entries:
         assert a.mul_vec(row) == tuple(0 for _ in range(a.rows))
     assert k.rows == a.cols - matrix_rank(a)
+    # primitive: all invariant factors 1, so the rows span every integer
+    # kernel vector, not a sublattice of index > 1
+    assert k.rows == 0 or snf(k).diagonal == (1,) * k.rows
+
+
+def _snf_path(a, b):
+    """(solution or certificate, kernel basis) read off snf(a): the solver that integer_solutions replaced."""
+    dec = snf(a)
+    diag = dec.diagonal
+    c = dec.u.mul_vec(b) if a.rows else ()
+    y = [0] * a.cols
+    solution = None
+    for i in range(a.rows):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0 and c[i] != 0:
+            solution = InfeasibilityCertificate(tuple(Fraction(x, abs(c[i]) + 1) for x in dec.u.row(i)))
+            break
+        if di != 0 and c[i] % di != 0:
+            solution = InfeasibilityCertificate(tuple(Fraction(x, di) for x in dec.u.row(i)))
+            break
+        if di != 0:
+            y[i] = c[i] // di
+    if solution is None:
+        solution = dec.v.mul_vec(y) if a.cols else ()
+    free = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
+    kernel = IntMatrix.from_rows([[dec.v.entries[r][j] for r in range(a.cols)] for j in free])
+    return solution, kernel
+
+
+def _sympy_row_hnf(k):
+    """Our row HNF of k, computed by sympy's column HNF (pivots bottom-right) on reversed coordinates."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    s = hermite_normal_form(Matrix([row[::-1] for row in k.entries]).T)
+    return tuple(tuple(int(x) for x in s.col(c))[::-1] for c in reversed(range(s.cols)))
+
+
+def _edge_matrices():
+    rng = random.Random(41)
+    yield IntMatrix.from_rows([])                        # 0 x 0
+    yield IntMatrix(((), (), ()))                        # 3 x 0
+    yield IntMatrix.zeros(2, 4)
+    yield IntMatrix.from_rows([[0, 0, 0], [2, 0, 4], [0, 0, 0]])
+    yield IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [-1, -2, -3]])
+    yield IntMatrix.from_rows([[6, 0], [0, 0], [0, 10]])
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        m = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.4:  # rank-deficient: one row a combination of two others
+            m.append([rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(m[0], m[-1])])
+        yield IntMatrix.from_rows(m)
+
+
+def test_integer_solutions_agree_with_snf_path():
+    try:
+        import sympy  # noqa: F401
+    except ImportError:
+        sympy = None
+    rng = random.Random(43)
+    for a in _edge_matrices():
+        planted = [rng.randint(-4, 4) for _ in range(a.cols)]
+        for b in (list(a.mul_vec(planted)), [rng.randint(-9, 9) for _ in range(a.rows)]):
+            sols = integer_solutions(a, b)
+            old_solution, old_kernel = _snf_path(a, b)
+            for solution in (sols.solution, old_solution):
+                if isinstance(solution, InfeasibilityCertificate):
+                    assert solution.verify(a, b)
+                else:
+                    assert a.mul_vec(solution) == tuple(b)
+            assert isinstance(sols.solution, InfeasibilityCertificate) == isinstance(
+                old_solution, InfeasibilityCertificate
+            )
+            assert sols.kernel.rows == old_kernel.rows
+            assert hnf(sols.kernel)[0] == hnf(old_kernel)[0]
+            if sympy is not None and sols.kernel.rows:
+                assert _sympy_row_hnf(sols.kernel) == hnf(sols.kernel)[0].entries
+            assert kernel_basis(a) == sols.kernel
+            assert solve_z(a, b) == sols.solution
+
+
+def corrupted_checks_missed() -> list[str]:
+    """Corruptions of a certified solution set that `check` failed to reject.
+
+    Written without `assert` so that it means the same under `python -O`.
+    """
+    a = IntMatrix.from_rows([[2, 1, 0, 3], [0, 1, 1, 1]])
+    b = [5, 2]
+    good = integer_solutions(a, b)
+    u = [list(row) for row in good.transform.entries]
+    r = good.rank
+    u[0][1] += 1
+    bad_transform = IntMatrix.from_rows(u)
+    u = [list(row) for row in good.transform.entries]
+    u[r] = [2 * x for x in u[r]]  # still in the kernel, but of index 2
+    doubled_kernel = IntMatrix.from_rows(u)
+    cases = {
+        "corrupted transform": dataclasses.replace(good, transform=bad_transform),
+        "non-primitive kernel": dataclasses.replace(good, transform=doubled_kernel),
+        "wrong solution": dataclasses.replace(good, solution=(0, 0, 0, 0)),
+        "wrong certificate": dataclasses.replace(good, solution=InfeasibilityCertificate((Fraction(1, 2), 0))),
+    }
+    missed = []
+    for name, sols in cases.items():
+        try:
+            sols.check(a, b)
+        except CertificateError:
+            continue
+        missed.append(name)
+    try:
+        good.check(a, b)
+    except CertificateError:
+        missed.append("rejected the uncorrupted solution set")
+    verify = SmithDecomposition.verify
+    SmithDecomposition.verify = lambda self, a: False  # a Smith form that fails its self-check
+    try:
+        snf(a)
+        missed.append("Smith form self-check")
+    except CertificateError:
+        pass
+    finally:
+        SmithDecomposition.verify = verify
+    return missed
+
+
+def test_certificate_checks_raise():
+    assert corrupted_checks_missed() == []
+
+
+def test_certificate_checks_raise_under_optimize():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = (
+        "import sys, test_abelian\n"
+        "if __debug__: sys.exit('assertions are still on')\n"
+        "missed = test_abelian.corrupted_checks_missed()\n"
+        "sys.exit(repr(missed) if missed else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lattice_membership_roundtrip():

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_coloring, random_whitehead_system
 
@@ -151,6 +152,36 @@ def test_solver_roundtrip_random():
         w = solve_witness(ws, c)
         assert isinstance(w, Witness)
         assert verify_witness(ws, c, w)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1, 2)),
+    st.integers(0, 2),
+    st.integers(1, 4),
+    st.booleans(),
+    st.data(),
+)
+def test_every_coloring_has_a_witness(seed, n, r, truncation, cross, data):
+    ws = random_whitehead_system(random.Random(seed), n=n, r=r, truncation=truncation, cross_level_atoms=cross)
+    c = {
+        z: data.draw(st.lists(st.integers(-10**6, 10**6), min_size=ws.m_range, max_size=ws.m_range))
+        for z in ws.finals()
+    }
+    # why: row (z, m) has -1 on a(z, m+r) and q on a(z, m+r+1), so the
+    # columns a(z, r..r+m_range-1) hold an upper bidiagonal block with -1 on
+    # its diagonal; the block is unimodular and W x = c always solves
+    pres = build_witness_group(ws)
+    col = {g: i for i, g in enumerate(pres.generators)}
+    for i, (z, m) in enumerate((z, m) for z in ws.finals() for m in range(ws.m_range)):
+        for z2 in ws.finals():
+            for m2 in range(ws.m_range):
+                entry = pres.relations.entries[i][col[z_name(z2, m2 + r)]]
+                assert entry == (-1 if (z2, m2) == (z, m) else 0) or (z2 == z and m2 == m + 1)
+    w = solve_witness(ws, c)
+    assert isinstance(w, Witness)
+    assert verify_witness(ws, c, w)[0]
 
 
 def test_infeasible_two_equation_instance():
