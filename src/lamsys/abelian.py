@@ -22,7 +22,15 @@ one fails (they are not asserts, so they run under `python -O` too):
    vector of its rational span; with check 1 that span is all of ker A,
    and K is a basis of its integer points.
 
-`snf` is kept for invariant factors; its self-check still uses determinants.
+A presentation's invariant factors and rank come from one row Hermite form
+H = U * A of its relation matrix, again with U^-1 from the same elimination
+(`HermiteForm`).  Three determinant-free checks certify it: H is in row
+echelon form, U * A = H over the nonzeros of A, and U * U^-1 = I, so U is
+unimodular and A has the rank and the Smith form of H.  Each pivot 1 of H
+sits in a unit-vector column, checked too, and splits off a factor 1; `snf`
+runs only on the rows with larger pivots, restricted to the other columns.
+That block is small, and its self-check is the only place a determinant is
+still computed (Bareiss, `IntMatrix.det`).
 
 Pivoting is deterministic (smallest absolute value, lexicographic
 tie-break), so every normal form and certificate is reproducible bit for
@@ -368,11 +376,7 @@ class IntegerSolutions:
         r = self.rank
         if len(h) != n or len(u) != n or any(len(row) != m for row in h) or any(len(row) != n for row in u):
             raise CertificateError("transform or Hermite form has the wrong shape")
-        pivots = [next(_nonzero(row), m) for row in h]
-        if any(p >= m for p in pivots[:r]) or any(p < m for p in pivots[r:]) or any(
-            p >= q for p, q in zip(pivots[: r - 1], pivots[1:r])
-        ):
-            raise CertificateError("Hermite form is not in row echelon form")
+        _echelon_pivots(h, m)
         # every matrix here is sparse: multiply nonzeros only
         a_cols = _sparse_columns(a.entries, n)
         for urow, hrow in zip(u, h):
@@ -398,6 +402,20 @@ def _nonzero(row: Sequence[int]) -> Iterator[int]:
     return compress(range(len(row)), row)
 
 
+def _echelon_pivots(h: Sequence[Sequence[int]], width: int) -> list[int]:
+    """Pivot columns of the nonzero rows of h; CertificateError unless h is in row echelon form."""
+    pivots = [next(_nonzero(row), width) for row in h]
+    r = sum(1 for p in pivots if p < width)
+    if any(p < width for p in pivots[r:]) or any(p >= q for p, q in zip(pivots[: r - 1], pivots[1:r])):
+        raise CertificateError("Hermite form is not in row echelon form")
+    return pivots[:r]
+
+
+def _sparse_rows(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """For each row, the (column index, value) pairs of its nonzero entries."""
+    return [[(j, row[j]) for j in _nonzero(row)] for row in rows]
+
+
 def _sparse_columns(rows: Sequence[Sequence[int]], width: int) -> list[list[tuple[int, int]]]:
     """For each column t, the (row index, value) pairs of its nonzero entries."""
     cols: list[list[tuple[int, int]]] = [[] for _ in range(width)]
@@ -408,7 +426,7 @@ def _sparse_columns(rows: Sequence[Sequence[int]], width: int) -> list[list[tupl
 
 
 def _sparse_row_times(row: Sequence[int], cols: list[list[tuple[int, int]]], width: int) -> list[int]:
-    """row * M for M given by `_sparse_columns(M^T)`, touching nonzero products only."""
+    """row * M for M given by `_sparse_rows(M)` or `_sparse_columns(M^T)`, touching nonzero products only."""
     out = [0] * width
     for t in _nonzero(row):
         x = row[t]
@@ -572,14 +590,88 @@ class Presentation:
             raise ValueError("duplicate generator names")
 
 
+@dataclass(frozen=True)
+class HermiteForm:
+    """`hermite` = `transform` * a in row echelon form, with `inverse` = `transform`^-1.
+
+    These are the three matrices of `hnf(a, inverse=True)`.  Once `check(a)`
+    has passed, `rank` is the rank of a and the Smith forms of a and
+    `hermite` agree.
+    """
+
+    hermite: IntMatrix
+    transform: IntMatrix
+    inverse: IntMatrix
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for row in self.hermite.entries if any(row))
+
+    def check(self, a: IntMatrix) -> None:
+        """Re-verify the form exactly; raise CertificateError on the first claim that fails.
+
+        1. hermite is in row echelon form, so its `rank` nonzero rows are
+           independent and every other row is zero;
+        2. transform * a = hermite, computed over the nonzeros of a;
+        3. transform * inverse = I, so transform is invertible over the
+           integers and a has the rank and the Smith form of hermite.
+        """
+        m, n = a.rows, a.cols
+        h, u, v = self.hermite.entries, self.transform.entries, self.inverse.entries
+        if (
+            len(h) != m or len(u) != m or len(v) != m
+            or any(len(row) != n for row in h) or any(len(row) != m for row in u + v)
+        ):
+            raise CertificateError("Hermite form or its transforms have the wrong shape")
+        _echelon_pivots(h, n)
+        a_rows, v_rows = _sparse_rows(a.entries), _sparse_rows(v)
+        for i, (urow, hrow) in enumerate(zip(u, h)):
+            if tuple(_sparse_row_times(urow, a_rows, n)) != hrow:
+                raise CertificateError("transform * a differs from the Hermite form")
+            out = _sparse_row_times(urow, v_rows, m)
+            out[i] -= 1
+            if any(out):
+                raise CertificateError("transform * inverse differs from the identity")
+
+    def unit_split(self) -> tuple[int, IntMatrix]:
+        """Smith form of hermite as I_k (+) B: the count k of pivots equal to 1 and the block B.
+
+        A pivot 1 whose column is otherwise zero, as in a Hermite form, lets
+        column operations clear the rest of its row without touching any
+        other row, so it splits off an invariant factor 1.  B is what is
+        left: the rows with pivots above 1, without the columns of unit
+        pivots.  Raises CertificateError if a unit pivot's column is not a
+        unit vector.
+        """
+        h = self.hermite.entries
+        pivots = _echelon_pivots(h, self.hermite.cols)
+        units = [(i, p) for i, p in enumerate(pivots) if h[i][p] == 1]
+        for i, p in units:
+            if any(row[p] for l, row in enumerate(h) if l != i):
+                raise CertificateError("a unit pivot's column is not a unit vector")
+        unit_cols = {p for _, p in units}
+        keep = [j for j in range(self.hermite.cols) if j not in unit_cols]
+        block = tuple(tuple(h[i][j] for j in keep) for i, p in enumerate(pivots) if h[i][p] != 1)
+        return len(units), IntMatrix(block)
+
+
+def _hermite_form(a: IntMatrix) -> HermiteForm:
+    form = HermiteForm(*hnf(a, inverse=True))
+    form.check(a)
+    return form
+
+
 def invariant_factors(p: Presentation) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form of the relation matrix, each > 0."""
-    if p.relations.rows == 0:
-        return ()
-    rel = IntMatrix.from_rows([r for r in p.relations.entries if any(r)] or [[0] * len(p.generators)])
-    if p.relations.cols == 0:
-        return ()
-    return tuple(d for d in snf(rel).diagonal if d != 0)
+    """Nonzero invariant factors of the relation matrix, each > 0, from its checked Hermite form.
+
+    A factor 1 for each unit pivot, then the Smith form of the block that
+    is left, which runs with its own self-check.  There is one factor per
+    nonzero row of the Hermite form, so the free rank of the group is
+    `len(p.generators) - len(invariant_factors(p))`.
+    """
+    units, block = _hermite_form(p.relations).unit_split()
+    # the block's rows are in echelon form, so its Smith diagonal has no zero
+    return (1,) * units + (snf(block).diagonal if block.rows else ())
 
 
 def is_free(p: Presentation) -> bool:
@@ -587,7 +679,8 @@ def is_free(p: Presentation) -> bool:
 
 
 def rank(p: Presentation) -> int:
-    return len(p.generators) - matrix_rank(p.relations) if p.relations.rows else len(p.generators)
+    """Free rank: generators minus the rank of the relation matrix, from its checked Hermite form."""
+    return len(p.generators) - _hermite_form(p.relations).rank
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Command-line entry point: every operation behind stable JSON on stdout.
 
 Exit codes: 0 success or pass, 1 checked failure carrying a certificate,
-2 malformed input or usage.  Diagnostics go to stderr only; stdout carries a
-single JSON document embedding the manifest that produced it.  Identical
-inputs produce identical bytes.
+2 malformed input or usage, 3 internal error: a computed result failed its
+own exact re-verification (CertificateError).  Diagnostics go to stderr
+only; stdout carries a single JSON document embedding the manifest that
+produced it.  Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import sys
 
 from . import jsonio
 from .abelian import (
+    CertificateError,
     build_chain_group,
     divisibility_evidence,
     invariant_factors,
-    rank,
 )
 from .core import (
     check_structure,
@@ -140,7 +141,8 @@ def _presentation_payload(pres) -> dict:
         "presentation": jsonio.presentation_to_doc(pres),
         "invariant_factors": list(factors),
         "free": all(d == 1 for d in factors),
-        "rank": rank(pres),
+        # one factor per independent relation
+        "rank": len(pres.generators) - len(factors),
     }
 
 
@@ -177,8 +179,22 @@ def cmd_build_g(args) -> tuple[dict, int]:
     return _presentation_payload(build_witness_group(ws)), 0
 
 
+# violations that leave a witness system too short to index its relation rows
+_SHAPE_CLAUSES = frozenset({"j-trunc", "qd-range", "d-width", "phi-missing", "phi-length"})
+
+
+def _indexable_system(path: str):
+    """The witness system at path; InputError if a relation row would index past its data."""
+    ws = jsonio.whitehead_from_doc(_load(path))
+    for v in validate_whitehead(ws):
+        if v.clause in _SHAPE_CLAUSES:
+            where = "" if v.node is None else f" at final {node_key(v.node)!r}"
+            raise InputError(f"{v.clause}{where}: {v.detail}")
+    return ws
+
+
 def cmd_solve_witness(args) -> tuple[dict, int]:
-    ws = jsonio.whitehead_from_doc(_load(args.system))
+    ws = _indexable_system(args.system)
     c = jsonio.coloring_from_doc(_load(args.c))
     for z in ws.finals():
         if z not in c or len(c[z]) < ws.m_range:
@@ -190,7 +206,7 @@ def cmd_solve_witness(args) -> tuple[dict, int]:
 
 
 def cmd_basis(args) -> tuple[dict, int]:
-    ws = jsonio.whitehead_from_doc(_load(args.system))
+    ws = _indexable_system(args.system)
     window = [z for z in ws.finals() if z[0] < args.beta]
     attached = ws.strong_order
     if (
@@ -354,6 +370,9 @@ def dispatch(argv) -> int:
     except ValueError as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     doc = {"manifest": _manifest(args.subcommand, inputs, params), **payload}
     sys.stdout.write(dump(doc))
     return code

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .abelian import CertificateError
 from .core import Atom, BasedFamily, Node, atom_sort_key, lex_key, node_key
 
 
@@ -113,11 +114,13 @@ def find_transversal(family):
     match_of_set, match_of_atom = _max_matching(sets)
     if len(match_of_set) == len(sets):
         t = Transversal(dict(sorted(match_of_set.items())))
-        assert t.verify(sets)
+        if not t.verify(sets):
+            raise CertificateError("transversal fails its own check")
         return t
     unmatched = min(i for i in range(len(sets)) if i not in match_of_set)
     cert = HallCertificate(_reachable_violator(sets, match_of_set, match_of_atom, unmatched))
-    assert cert.verify(sets)
+    if not cert.verify(sets):
+        raise CertificateError("Hall certificate fails its own check")
     return cert
 
 
@@ -142,7 +145,8 @@ def k_free_check(family, k: int):
             best = HallCertificate(violator)
     if best is None or len(best.violator) >= k:
         return "pass"
-    assert best.verify(sets)
+    if not best.verify(sets):
+        raise CertificateError("Hall certificate fails its own check")
     return best
 
 
@@ -243,7 +247,8 @@ def find_reshuffling(
         g = greedy()
         if g is not None:
             order = ReshufflingOrder(tuple(g), alpha, theta_fresh)
-            assert order.verify(fam)
+            if not order.verify(fam):
+                raise CertificateError("greedy reshuffling order fails its own check")
             return ReshufflingResult("found", order, visited)
         res = backtrack(low, high, set(), [], budget)
         if res == "budget":
@@ -253,5 +258,6 @@ def find_reshuffling(
     if res is None:
         return ReshufflingResult("none", None, visited)
     order = ReshufflingOrder(tuple(res), alpha, theta_fresh)
-    assert order.verify(fam)
+    if not order.verify(fam):
+        raise CertificateError("reshuffling order fails its own check")
     return ReshufflingResult("found", order, visited)

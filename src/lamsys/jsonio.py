@@ -58,6 +58,41 @@ def _check_schema(doc: Mapping, context: str) -> None:
         raise InputError(f"{context}: schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
 
 
+# The helpers below take the field name and the keys that lead to the value
+# as `where`, and format them only on failure: documents carry thousands of
+# values, and a message built per value would double the load time.
+
+
+def _malformed(expected: str, v, field: str, keys) -> InputError:
+    path = "".join(f" {k!r}" for k in keys)
+    return InputError(f"{field}{path}: expected {expected}, got {v!r}")
+
+
+def _int(v, field: str, *keys) -> int:
+    """A JSON integer; bools, floats, strings and null are malformed."""
+    if type(v) is int:  # bool is a subclass of int, so isinstance would let it through
+        return v
+    raise _malformed("an integer", v, field, keys)
+
+
+def _ints(v, field: str, *keys) -> tuple[int, ...]:
+    if isinstance(v, list) and all(type(x) is int for x in v):
+        return tuple(v)
+    raise _malformed("a list of integers", v, field, keys)
+
+
+def _int_rows(v, field: str, *keys) -> tuple[tuple[int, ...], ...]:
+    if isinstance(v, list):
+        return tuple(_ints(row, field, *keys) for row in v)
+    raise _malformed("a list of integer lists", v, field, keys)
+
+
+def _object(v, field: str) -> dict:
+    if isinstance(v, dict):
+        return v
+    raise _malformed("a JSON object", v, field, ())
+
+
 def atom_to_jsonable(a: Atom):
     if isinstance(a, tuple):
         return [atom_to_jsonable(x) for x in a]
@@ -121,8 +156,8 @@ def system_from_doc(doc: Mapping) -> SystemSkeleton:
     nodes = frozenset(parse_node_key(k) for k in doc["nodes"])
     return SystemSkeleton(
         nodes=nodes,
-        level={parse_node_key(k): int(v) for k, v in doc["level"].items()},
-        E={parse_node_key(k): frozenset(int(i) for i in v) for k, v in doc["E"].items()},
+        level={parse_node_key(k): _int(v, "level", k) for k, v in _object(doc["level"], "level").items()},
+        E={parse_node_key(k): frozenset(_ints(v, "E", k)) for k, v in _object(doc["E"], "E").items()},
         B={
             parse_node_key(k): frozenset(atom_from_jsonable(a) for a in v)
             for k, v in doc["B"].items()
@@ -144,7 +179,7 @@ def family_from_doc(doc: Mapping) -> BasedFamily:
         system=sys_,
         finals=tuple(sys_.finals()),
         phi=phi,
-        truncation=int(doc["truncation"]),
+        truncation=_int(doc["truncation"], "truncation"),
     )
 
 
@@ -159,19 +194,21 @@ def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
         _require_keys(s, {"order", "alpha", "theta_fresh"}, set(), "strong order")
         strong = ReshufflingOrder(
             order=tuple(parse_node_key(k) for k in s["order"]),
-            alpha=int(s["alpha"]),
-            theta_fresh=int(s["theta_fresh"]),
+            alpha=_int(s["alpha"], "strong", "alpha"),
+            theta_fresh=_int(s["theta_fresh"], "strong", "theta_fresh"),
         )
+    q = {parse_node_key(k): _ints(v, "q", k) for k, v in _object(doc["q"], "q").items()}
+    d = {parse_node_key(k): _int_rows(v, "d", k) for k, v in _object(doc["d"], "d").items()}
+    for z in fam.finals:
+        if z not in q or z not in d:
+            raise InputError(f"q and d need an entry for every final; final {node_key(z)!r} has none")
     return WhiteheadSystem(
         system=fam.system,
         family=fam,
-        r=int(doc["r"]),
-        q={parse_node_key(k): tuple(int(x) for x in v) for k, v in doc["q"].items()},
-        d={
-            parse_node_key(k): tuple(tuple(int(x) for x in row) for row in v)
-            for k, v in doc["d"].items()
-        },
-        j_trunc=int(doc["J"]),
+        r=_int(doc["r"], "r"),
+        q=q,
+        d=d,
+        j_trunc=_int(doc["J"], "J"),
         strong_order=strong,
     )
 
@@ -179,7 +216,7 @@ def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
 def coloring_from_doc(doc: Mapping) -> dict[Node, list[int]]:
     _check_schema(doc, "coloring document")
     _require_keys(doc, {"schema", "c"}, set(), "coloring document")
-    return {parse_node_key(k): [int(x) for x in v] for k, v in doc["c"].items()}
+    return {parse_node_key(k): list(_ints(v, "c", k)) for k, v in _object(doc["c"], "c").items()}
 
 
 def witness_to_doc(w: Witness) -> dict:
@@ -214,10 +251,10 @@ def chain_spec_from_doc(doc: Mapping) -> NonfreeSpec:
     _check_schema(doc, "chain spec")
     _require_keys(doc, _CHAIN_REQUIRED, set(), "chain spec")
     return NonfreeSpec(
-        r=int(doc["r"]),
-        q=tuple(int(x) for x in doc["q"]),
-        d=tuple(tuple(int(x) for x in row) for row in doc["d"]),
-        j_trunc=int(doc["J"]),
+        r=_int(doc["r"], "r"),
+        q=_ints(doc["q"], "q"),
+        d=_int_rows(doc["d"], "d"),
+        j_trunc=_int(doc["J"], "J"),
     )
 
 
@@ -264,19 +301,19 @@ def instance_from_doc(doc: Mapping) -> LadderInstance:
         levels.append(
             LadderLevel(
                 alpha=int(alpha_key),
-                ladder=tuple(int(x) for x in lv["ladder"]),
-                colors=tuple(int(x) for x in lv["colors"]),
+                ladder=_ints(lv["ladder"], "levels", alpha_key, "ladder"),
+                colors=_ints(lv["colors"], "levels", alpha_key, "colors"),
                 g_labels=tuple(str(x) for x in lv["g"]),
-                mu=tuple(tuple(int(x) for x in row) for row in lv.get("mu", [])),
-                primes=tuple(int(x) for x in lv["primes"]) if "primes" in lv else None,
+                mu=_int_rows(lv.get("mu", []), "levels", alpha_key, "mu"),
+                primes=_ints(lv["primes"], "levels", alpha_key, "primes") if "primes" in lv else None,
             )
         )
     return LadderInstance(
         subcase=str(doc["subcase"]),
-        r=int(doc["r"]),
+        r=_int(doc["r"], "r"),
         levels=tuple(levels),
-        p=int(doc["p"]) if "p" in doc else None,
-        i_max=int(doc["i_max"]) if "i_max" in doc else None,
+        p=_int(doc["p"], "p") if "p" in doc else None,
+        i_max=_int(doc["i_max"], "i_max") if "i_max" in doc else None,
     )
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .abelian import (
+    CertificateError,
     InfeasibilityCertificate,
     IntMatrix,
     hnf,
@@ -153,7 +154,8 @@ def shift_disjoint(y, y_prime, modulus: int) -> int:
             "but a valid shift exists anyway",
             stacklevel=2,
         )
-    assert y_set.isdisjoint({(b + v) % modulus for v in y_set})
+    if not y_set.isdisjoint({(b + v) % modulus for v in y_set}):
+        raise CertificateError(f"shift {b} does not make the set disjoint from its translate")
     return b
 
 
@@ -222,7 +224,8 @@ def prime_table(p: int, mu: Sequence[int] = ()) -> PrimeTable:
     y = IntervalSet.from_raw([(c - t, c + t) for c in centers], p)
     b = _interval_shift_disjoint(y, 1)
     one = y.shift(b)
-    assert y.disjoint_from(one)
+    if not y.disjoint_from(one):
+        raise CertificateError(f"prime table mod {p}: the two classes overlap")
     table = PrimeTable(p=p, r=r, mu=key[1], t_bound=t, shift=(0, b), zero_class=y, one_class=one)
     _prime_cache[key] = table
     return table
@@ -309,14 +312,15 @@ def power_table(
     y = IntervalSet.from_raw([(c - big_p, c + 2 * big_p - 1) for c in centers], modulus)
     b = _interval_shift_disjoint(y, big_p)
     one = y.shift(b)
-    assert y.disjoint_from(one)
-    assert b % big_p == 0
+    if not y.disjoint_from(one) or b % big_p:
+        raise CertificateError(f"power table mod {p}^{t_cur}: shift {b} is not a disjoint multiple of {p}^{t_prev}")
     v = b // big_p
     digits1 = []
     for _ in range(t_cur - t_prev):
         digits1.append(v % p)
         v //= p
-    assert v == 0
+    if v:
+        raise CertificateError(f"power table mod {p}^{t_cur}: shift {b} has more than {t_cur - t_prev} digits")
     table = PowerTable(
         p=p,
         r=r,

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .abelian import (
+    CertificateError,
     InfeasibilityCertificate,
     IntMatrix,
     Presentation,
@@ -37,7 +38,6 @@ from .abelian import (
     in_lattice,
     invariant_factors,
     is_prime,
-    rank,
     solve_z,
 )
 from .core import (
@@ -204,7 +204,7 @@ def solve_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]]):
     w = Witness(f, a_map)
     ok, where = verify_witness(ws, c, w)
     if not ok:
-        raise RuntimeError(f"solver output fails the witness equation at {where}")
+        raise CertificateError(f"solver output fails the witness equation at {where}")
     return w
 
 
@@ -359,7 +359,8 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
 
     factors = invariant_factors(pres)
     unit = all(d == 1 for d in factors)
-    free_rank = rank(pres)
+    # one factor per independent relation
+    free_rank = n - len(factors)
     stacked = IntMatrix.from_rows(list(pres.relations.entries) + cand_rows)
     h, _ = hnf(stacked)
     failing = []

@@ -5,7 +5,12 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/generate.py
 
 Every input is hand-written or drawn from a fixed seed through
-`tests/helpers.py`, so the inputs are the same bytes on every run.  Each case
+`tests/helpers.py`, so the inputs are the same bytes on every run.  The one
+exception is `inputs/ws-basis-stall.json`, committed once and never
+rewritten here: the witness system that
+`witness_system(random.Random("basis-search/8"), 2, 2, 6, 6, False)` in
+`perfbench/workloads.py` draws, on which `basis --alpha 7 --beta 12` once
+stalled in a dense Smith form.  Each case
 runs in-process through `lamsys.cli.dispatch` with the working directory set
 to this folder, so the input paths in the manifests are relative.
 `tests/test_golden.py` replays the cases and compares bytes; it never
@@ -233,6 +238,11 @@ def corpus():
             "basis",
             ["basis", "--system", "inputs/ws-basis.json", "--alpha", "-1", "--beta", str(basis_beta)],
             {"ws-basis.json": ws_doc(ws_basis)},
+        ),
+        (
+            "basis-stall",
+            ["basis", "--system", "inputs/ws-basis-stall.json", "--alpha", "7", "--beta", "12"],
+            {},
         ),
         (
             "basis-strong-order",

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from lamsys.abelian import (
     CertificateError,
     DivisibilityReport,
+    HermiteForm,
     InfeasibilityCertificate,
     IntMatrix,
     NonfreeSpec,
@@ -262,6 +263,7 @@ def corrupted_checks_missed() -> list[str]:
         good.check(a, b)
     except CertificateError:
         missed.append("rejected the uncorrupted solution set")
+    missed += _corrupted_hermite_missed()
     verify = SmithDecomposition.verify
     SmithDecomposition.verify = lambda self, a: False  # a Smith form that fails its self-check
     try:
@@ -271,6 +273,60 @@ def corrupted_checks_missed() -> list[str]:
         pass
     finally:
         SmithDecomposition.verify = verify
+    return missed
+
+
+def _corrupted_hermite_missed() -> list[str]:
+    """Corruptions of a Hermite form with transforms that `check` or `unit_split` failed to reject."""
+    a = IntMatrix.from_rows([[2, 4, 1, 0], [0, 6, 3, 2], [4, 2, 5, 6]])
+    good = HermiteForm(*hnf(a, inverse=True))
+
+    def bumped(m, i, j):
+        rows = [list(row) for row in m.entries]
+        rows[i][j] += 1
+        return IntMatrix.from_rows(rows)
+
+    def swapped_rows(m):
+        return IntMatrix((m.entries[1], m.entries[0]) + m.entries[2:])
+
+    # swapping two rows of U and H together keeps U a = H; swapping the
+    # matching columns of U^-1 keeps U U^-1 = I, so only the echelon order fails
+    out_of_order = HermiteForm(
+        swapped_rows(good.hermite), swapped_rows(good.transform), swapped_rows(good.inverse.transpose()).transpose()
+    )
+    cases = {
+        "corrupted transform": dataclasses.replace(good, transform=bumped(good.transform, 0, 1)),
+        "corrupted inverse": dataclasses.replace(good, inverse=bumped(good.inverse, 1, 0)),
+        "corrupted Hermite form": dataclasses.replace(good, hermite=bumped(good.hermite, 2, 3)),
+        "Hermite form out of echelon order": out_of_order,
+        "inverse without its last row": dataclasses.replace(good, inverse=IntMatrix(good.inverse.entries[:-1])),
+    }
+    missed = []
+    for name, form in cases.items():
+        try:
+            form.check(a)
+        except CertificateError:
+            continue
+        missed.append(name)
+    try:
+        good.check(a)
+        good.unit_split()
+    except CertificateError:
+        missed.append("rejected the uncorrupted Hermite form")
+    # an echelon form that is its own Hermite form as far as the products go,
+    # but leaves a 1 above its unit pivot in column 1
+    unreduced = IntMatrix.from_rows([[2, 1, 0], [0, 1, 5]])
+    eye = IntMatrix.identity(2)
+    form = HermiteForm(unreduced, eye, eye)
+    try:
+        form.check(unreduced)
+    except CertificateError:
+        missed.append("rejected the unreduced echelon form before the split")
+    try:
+        form.unit_split()
+        missed.append("corrupted unit-pivot column")
+    except CertificateError:
+        pass
     return missed
 
 
@@ -376,3 +432,61 @@ def test_chain_truncations_always_free(qs, r, coeff):
     d = tuple(tuple(coeff for _ in range(r)) for _ in qs)
     spec = NonfreeSpec(r=r, q=tuple(qs), d=d, j_trunc=len(qs) + r + 1)
     assert is_free(build_chain_group(spec))
+
+
+def _old_invariant_factors(p):
+    """The Smith-form reference that the checked Hermite path replaced."""
+    if p.relations.rows == 0 or p.relations.cols == 0:
+        return ()
+    rel = IntMatrix.from_rows([r for r in p.relations.entries if any(r)] or [[0] * len(p.generators)])
+    return tuple(d for d in snf(rel).diagonal if d != 0)
+
+
+def _torsion_presentations():
+    rng = random.Random(47)
+    yield Presentation(("a", "b", "c"), IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 0]]))
+    yield Presentation(("a", "b"), IntMatrix.from_rows([]))  # 0 x n
+    yield Presentation((), IntMatrix(((), ())))  # n x 0
+    yield Presentation(("a", "b", "c"), IntMatrix.zeros(3, 3))
+    yield Presentation(("a", "b", "c", "d"), IntMatrix.from_rows([[0, 4, 0, 6], [0, 0, 0, 0], [0, 6, 0, 9]]))
+    for spec in (
+        NonfreeSpec(r=0, q=(2, 2, 2, 2), d=((), (), (), ()), j_trunc=5),
+        NonfreeSpec(r=1, q=(3, 5, 7), d=((1,), (-2,), (1,)), j_trunc=5),
+    ):
+        chain = build_chain_group(spec)
+        yield chain
+        # the quotient by the head z_0..z_{r-1} and the anchor z_r is a divisibility chain
+        kill = [[int(j == k) for j in range(spec.j_trunc)] for k in range(spec.r + 1)]
+        yield Presentation(chain.generators, IntMatrix.from_rows(list(chain.relations.entries) + kill))
+    for _ in range(120):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-6, 6) if rng.random() < 0.5 else 0 for _ in range(cols)] for _ in range(rows)]
+        for row in m:
+            if rng.random() < 0.4:  # a scaled row forces a pivot above 1
+                row[:] = [rng.choice((2, 3, 4, 6)) * x for x in row]
+        if rng.random() < 0.3:
+            m.append([0] * cols)
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        yield Presentation(tuple(f"g{j}" for j in range(cols)), IntMatrix.from_rows(m))
+
+
+def test_invariant_factors_agree_with_snf_path():
+    try:
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import smith_normal_form
+    except ImportError:
+        smith_normal_form = None
+    non_unit = 0
+    for p in _torsion_presentations():
+        factors = invariant_factors(p)
+        assert factors == _old_invariant_factors(p)
+        assert rank(p) == len(p.generators) - matrix_rank(p.relations) == len(p.generators) - len(factors)
+        assert is_free(p) == all(d == 1 for d in factors)
+        non_unit += any(d != 1 for d in factors)
+        if smith_normal_form is not None and p.relations.rows and p.relations.cols:
+            s = smith_normal_form(Matrix(p.relations.entries), domain=ZZ)
+            assert sorted(factors) == sorted(abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i] != 0)
+    assert non_unit > 40  # the Smith block after the unit split is exercised

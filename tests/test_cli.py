@@ -328,3 +328,51 @@ def test_solve_witness_rejects_short_j(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "j_trunc" in err
+
+
+_MALFORMED_WITNESS_INPUTS = [
+    # (system fields to replace, coloring values)
+    pytest.param({"q": {}}, [3, 1], id="q-empty"),
+    pytest.param({"d": {}}, [3, 1], id="d-empty"),
+    pytest.param({"q": {"0": [2, True]}}, [3, 1], id="q-bool"),
+    pytest.param({"q": {"0": ["2", 2]}}, [3, 1], id="q-string"),
+    pytest.param({"q": [[2, 2]]}, [3, 1], id="q-not-object"),
+    pytest.param({"q": {"0": [2]}}, [3, 1], id="q-short"),
+    pytest.param({"r": 1, "J": 5}, [3, 1], id="d-narrow"),
+    pytest.param({}, [3, None], id="color-null"),
+    pytest.param({}, [True, 1], id="color-bool"),
+]
+
+
+@pytest.mark.parametrize("changes,colors", _MALFORMED_WITNESS_INPUTS)
+def test_malformed_witness_inputs_exit_2(tmp_path, capsys, changes, colors):
+    from helpers import run_dispatch
+
+    path = write(tmp_path, "ws.json", {**witness_doc(), **changes})
+    c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": colors}})
+    argvs = [["solve-witness", "--system", path, "--c", c_path]]
+    if changes:  # basis reads no coloring
+        argvs.append(["basis", "--system", path, "--alpha", "-1", "--beta", "1"])
+    for argv in argvs:
+        code, out = run_dispatch(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_certificate_error_exits_3(tmp_path, capsys, monkeypatch):
+    from lamsys import abelian, freeness
+
+    def broken(self, a):
+        raise abelian.CertificateError("transform * a differs from the Hermite form")
+
+    monkeypatch.setattr(abelian.HermiteForm, "check", broken)
+    path = write(tmp_path, "ws.json", witness_doc())
+    code, out, err = run(capsys, ["build-G", "--system", path])
+    assert (code, out) == (3, "")
+    assert err == "internal error: transform * a differs from the Hermite form\n"
+    monkeypatch.setattr(freeness.Transversal, "verify", lambda self, sets: False)
+    path = write(tmp_path, "fam.json", family_doc({0: ["a", "b"], 1: ["b", "c"]}))
+    code, out, err = run(capsys, ["check-free", path])
+    assert (code, out) == (3, "")
+    assert err == "internal error: transversal fails its own check\n"
