@@ -117,6 +117,40 @@ def shared_ladder(seed, levels, m):
     return doc
 
 
+def greedy_family():
+    """16 finals, each with a private atom and up to four of twelve shared ones."""
+    rng = random.Random("golden/greedy")
+    shared = [f"s{i}" for i in range(12)]
+    return flat_family({i: rng.sample(shared, rng.randint(0, 4)) + [f"p{i}"] for i in range(16)})
+
+
+def dense_structure_family():
+    """Height-2 family that breaks all three structure properties.
+
+    Carriers overlap across levels and across mids, slices draw from one
+    cross-level pool (one slice repeats a value), and phi carries a key
+    past a final's length and a key at a non-final node.
+    """
+    rng = random.Random("golden/structure-dense")
+    pool1 = [f"u{i}" for i in range(6)]
+    pool2 = [f"v{i}" for i in range(6)] + pool1[:3]
+    mids = [(0,), (1,), (2,)]
+    e_map = {(): [0, 1, 2], (0,): [0, 1], (1,): [0, 1, 2], (2,): [1]}
+    finals = [m + (j,) for m in mids for j in e_map[m]]
+    sys_ = make_skeleton(
+        nodes=[()] + mids + finals,
+        level={(): 2, **{m: 1 for m in mids}, **{f: 0 for f in finals}},
+        e_map=e_map,
+        b_map={(): [], **{m: pool1 for m in mids}, **{f: pool2 for f in finals}},
+    )
+    phi = {(z, k): rng.sample(pool1 if k == 1 else pool2, 3) for z in finals for k in (1, 2)}
+    phi[((1, 2), 2)] = [phi[((1, 2), 2)][0]] * 2 + [phi[((1, 2), 2)][1]]
+    doc = system_to_doc(sys_, make_family(sys_, phi, truncation=3))
+    doc["phi"]["0.0"]["3"] = ["u0", "u1", "u2"]
+    doc["phi"]["1"] = {"1": ["u3", "u4", "u5"]}
+    return doc
+
+
 def corpus():
     """(name, argv, {input file name: document}) for every case."""
     minimal = system_to_doc(
@@ -186,6 +220,11 @@ def corpus():
         ("validate-family", ["validate", "inputs/random-family.json"], {"random-family.json": random_fam}),
         ("validate-structure", ["validate", "inputs/ws-h2.json", "--structure"], {"ws-h2.json": ws_doc(ws_h2)}),
         ("validate-structure-flat", ["validate", "inputs/free-family.json", "--structure"], {"free-family.json": free_fam}),
+        (
+            "validate-structure-dense",
+            ["validate", "inputs/structure-dense.json", "--structure"],
+            {"structure-dense.json": dense_structure_family()},
+        ),
         ("validate-trunc0", ["validate", "inputs/trunc0.json"], {"trunc0.json": ws_doc(trunc0)}),
         ("validate-low-j", ["validate", "inputs/low-j.json"], {"low-j.json": ws_doc(low_j)}),
         ("check-free-transversal", ["check-free", "inputs/free-family.json"], {}),
@@ -195,6 +234,11 @@ def corpus():
         ("check-free-k-fail", ["check-free", "inputs/twins.json", "--k", "3"], {}),
         ("reshuffle-found", ["reshuffle", "inputs/free-family.json", "--alpha", "0", "--fresh", "1"], {}),
         ("reshuffle-none", ["reshuffle", "inputs/twins.json"], {}),
+        (
+            "reshuffle-greedy",
+            ["reshuffle", "inputs/greedy-family.json", "--alpha", "7"],
+            {"greedy-family.json": greedy_family()},
+        ),
         ("build-group", ["build-group", "--spec", "inputs/spec-r0.json"], {"spec-r0.json": spec0}),
         ("build-group-m-max", ["build-group", "--spec", "inputs/spec-r0.json", "--m-max", "3"], {}),
         ("build-group-r1-m-max", ["build-group", "--spec", "inputs/spec-r1.json", "--m-max", "2"], {"spec-r1.json": spec1}),
