@@ -409,61 +409,94 @@ class StructureReport:
         return not (self.sibling_overlap or self.slice_alignment or self.enumeration_tree)
 
 
-def check_structure(sys_: SystemSkeleton, fam: BasedFamily) -> StructureReport:
-    """Check the three finite structure properties, returning witnesses for failures."""
-    overlap = []
-    nodes = sys_.sorted_nodes()
-    for i, n1 in enumerate(nodes):
-        for n2 in nodes[i + 1:]:
-            shared = sys_.B.get(n1, frozenset()) & sys_.B.get(n2, frozenset())
-            if shared and (len(n1) != len(n2) or n1[:-1] != n2[:-1] or n1 == ROOT or n2 == ROOT):
-                overlap.append(
-                    {"nodes": (node_key(n1), node_key(n2)), "atom": sorted_atoms(shared)[0]}
-                )
+def _cross_class_pairs(holder_lists: Iterable[list], class_of: Callable) -> set[tuple]:
+    """Every pair (h1, h2), h1 < h2, of holders of one atom that lie in different classes."""
+    pairs = set()
+    for holders in holder_lists:
+        groups: dict = {}
+        for h in holders:
+            groups.setdefault(class_of(h), []).append(h)
+        if len(groups) < 2:
+            continue
+        parts = list(groups.values())
+        for x, part in enumerate(parts):
+            for other in parts[x + 1:]:
+                pairs.update((a, b) if a < b else (b, a) for a in part for b in other)
+    return pairs
 
-    alignment = []
+
+def check_structure(sys_: SystemSkeleton, fam: BasedFamily) -> StructureReport:
+    """Check the three finite structure properties, returning witnesses for failures.
+
+    Candidates come from indices of atoms to the carriers and slices holding
+    them, so the cost follows the incidences and the witnesses rather than
+    all pairs of nodes or finals.  Each witness list is sorted into the order
+    of a scan over all pairs.
+    """
+    nodes = sys_.sorted_nodes()
+    carriers = [sys_.B.get(n, frozenset()) for n in nodes]
+    carrier_holders: dict[Atom, list[int]] = {}
+    for i, carrier in enumerate(carriers):
+        for a in carrier:
+            carrier_holders.setdefault(a, []).append(i)
+    # carriers may meet only between siblings, so the class of a node is its
+    # parent; the root is alone in its class
+    overlap = [
+        {
+            "nodes": (node_key(nodes[i]), node_key(nodes[j])),
+            "atom": min(carriers[i] & carriers[j], key=atom_sort_key),
+        }
+        for i, j in sorted(
+            _cross_class_pairs(carrier_holders.values(), lambda i: nodes[i][:-1] if nodes[i] else None)
+        )
+    ]
+
     finals = list(fam.finals)
-    for zi, z in enumerate(finals):
-        for v in finals[zi:]:
-            for k in range(1, len(z) + 1):
-                for i in range(1, len(v) + 1):
-                    if z == v and k == i:
-                        continue
-                    shared = fam.slice_atoms(z, k) & fam.slice_atoms(v, i)
-                    if not shared:
-                        continue
-                    bad = (
-                        k != i
-                        or len(z) != len(v)
-                        or any(z[j] != v[j] for j in range(len(z)) if j != k - 1)
-                    )
-                    if bad:
-                        alignment.append(
-                            {
-                                "finals": (node_key(z), node_key(v)),
-                                "levels": (k, i),
-                                "atom": sorted_atoms(shared)[0],
-                            }
-                        )
+    keys = [node_key(z) for z in finals]
+    slices = {
+        (zi, k): fam.slice_atoms(z, k) for zi, z in enumerate(finals) for k in range(1, len(z) + 1)
+    }
+    slice_holders: dict[Atom, list[tuple[int, int]]] = {}
+    level_holders: dict[tuple[int, Atom], list[int]] = {}
+    for (zi, k), atoms in slices.items():
+        for a in atoms:
+            slice_holders.setdefault(a, []).append((zi, k))
+            level_holders.setdefault((k, a), []).append(zi)
+
+    def aligned_class(zi_k):
+        # slices may share a value only at one level, between finals of one
+        # length that differ at most at that level's branching coordinate
+        zi, k = zi_k
+        z = finals[zi]
+        return k, z[: k - 1], z[k:]
+
+    quads = set()
+    for (zi, k), (vi, i) in _cross_class_pairs(slice_holders.values(), aligned_class):
+        quads.add((zi, vi, k, i))
+        if zi == vi:
+            quads.add((zi, vi, i, k))
+    alignment = [
+        {
+            "finals": (keys[zi], keys[vi]),
+            "levels": (k, i),
+            "atom": min(slices[zi, k] & slices[vi, i], key=atom_sort_key),
+        }
+        for zi, vi, k, i in sorted(quads)
+    ]
 
     tree = []
-    for z in finals:
+    for zi, z in enumerate(finals):
         for k in range(1, len(z) + 1):
             vals = fam.phi.get((z, k), ())
-            for v in finals:
-                if len(v) < k:
-                    continue
-                other = fam.slice_atoms(v, k)
-                for m in range(len(vals) - 1):
-                    if vals[m + 1] in other and vals[m] not in other:
-                        tree.append(
-                            {
-                                "final": node_key(z),
-                                "level": k,
-                                "position": m + 1,
-                                "other": node_key(v),
-                            }
-                        )
+            found = []
+            for m in range(len(vals) - 1):
+                for vi in level_holders.get((k, vals[m + 1]), ()):
+                    if vals[m] not in slices[vi, k]:
+                        found.append((vi, m))
+            tree.extend(
+                {"final": keys[zi], "level": k, "position": m + 1, "other": keys[vi]}
+                for vi, m in sorted(found)
+            )
     return StructureReport(tuple(overlap), tuple(alignment), tuple(tree))
 
 
@@ -519,10 +552,14 @@ def transform_tree(sys_: SystemSkeleton, fam: BasedFamily) -> TransformResult:
         seqs = tuple(tuple(vals[: m + 1]) for m in range(len(vals)))
         new_phi[(z, k)] = seqs
         used.update(seqs)
+    # a tuple can fit a carrier only if its last value does
+    by_last: dict[Atom, list[tuple]] = {}
+    for t in used:
+        by_last.setdefault(t[-1], []).append(t)
     new_b = {}
     for n in sys_.nodes:
         carrier = sys_.B.get(n, frozenset())
-        new_b[n] = frozenset(t for t in used if set(t) <= carrier) if carrier else frozenset()
+        new_b[n] = frozenset(t for a in carrier for t in by_last.get(a, ()) if carrier.issuperset(t))
     old_of_new = {t: t[-1] for t in used}
     new_sys = SystemSkeleton(sys_.nodes, dict(sys_.level), dict(sys_.E), new_b, sys_.largeness)
     new_fam = BasedFamily(new_sys, fam.finals, new_phi, fam.truncation)

@@ -8,7 +8,8 @@ smaller than itself, which by Hall's theorem is the exact dual witness.
 the deficiency structure of one maximum matching instead of enumerating
 subsets.  `find_reshuffling` searches for a well-order of the finals that
 keeps every set "fresh" relative to its predecessors and respects a cutoff
-on the first coordinate.
+on the first coordinate; on large index sets its greedy pass runs in
+O(sum |S| * log N) time over N finals once the sets are indexed by atom.
 
 Vertex orders are fixed (index order on sets, canonical order on atoms), so
 results are deterministic.
@@ -16,6 +17,7 @@ results are deterministic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -158,15 +160,16 @@ class ReshufflingOrder:
 
     def verify(self, fam: BasedFamily) -> bool:
         seen: set = set()
+        past_cutoff = False  # a final above alpha has been placed
         for z in self.order:
-            fresh = fam.s(z) - seen
-            if len(fresh) < self.theta_fresh:
+            atoms = fam.s(z)
+            if len(atoms - seen) < self.theta_fresh:
                 return False
-            seen |= fam.s(z)
-        for i, tau in enumerate(self.order):
-            for z in self.order[i + 1:]:
-                if z[0] <= self.alpha < tau[0]:
-                    return False
+            seen |= atoms
+            if z[0] > self.alpha:
+                past_cutoff = True
+            elif past_cutoff:
+                return False
         return True
 
     def to_jsonable(self) -> dict:
@@ -184,6 +187,55 @@ class ReshufflingResult:
     nodes_visited: int
 
 
+def _greedy(index: Sequence[Node], sets: Mapping[Node, frozenset], alpha: int, theta_fresh: int):
+    """Greedy reshuffling order of `index`, or None when it gets stuck.
+
+    Places the finals at or below alpha first, then the rest; within a pool
+    the most constrained final goes first: fewest fresh atoms, then
+    canonical order, which is the order of `index`.  Each pool keeps a heap
+    of (fresh count, rank in `index`) entries, and an entry is stale once
+    its final's count has fallen since it was pushed.  Counts only fall, so
+    when the smallest live entry of the current pool is short of
+    theta_fresh, that final can never be placed and the pass fails.
+    """
+    fresh = [len(sets[z]) for z in index]
+    is_low = [z[0] <= alpha for z in index]
+    holders: dict[Atom, list[int]] = {}
+    for rank, z in enumerate(index):
+        for a in sets[z]:
+            holders.setdefault(a, []).append(rank)
+    heaps = ([], [])  # high, low
+    for rank, count in enumerate(fresh):
+        heaps[is_low[rank]].append((count, rank))
+    for heap in heaps:
+        heapq.heapify(heap)
+    placed = [False] * len(index)
+    union: set = set()
+    acc = []
+    left_low = sum(is_low)
+    for _ in index:
+        heap = heaps[left_low > 0]
+        while True:
+            count, rank = heap[0]
+            if not placed[rank] and count == fresh[rank]:
+                break
+            heapq.heappop(heap)
+        if count < theta_fresh:
+            return None
+        heapq.heappop(heap)
+        placed[rank] = True
+        left_low -= is_low[rank]
+        z = index[rank]
+        acc.append(z)
+        for a in sets[z] - union:
+            union.add(a)
+            for w in holders[a]:
+                if not placed[w]:
+                    fresh[w] -= 1
+                    heapq.heappush(heaps[is_low[w]], (fresh[w], w))
+    return acc
+
+
 def find_reshuffling(
     fam: BasedFamily,
     finals: Sequence[Node] | None = None,
@@ -198,7 +250,9 @@ def find_reshuffling(
     pass runs first and its failure falls back to backtracking capped by
     `budget` visited nodes, reporting "unknown" when the cap is hit.  The
     freshness requirement is monotone (prefix unions only grow), so any
-    currently failing candidate prunes the whole branch.
+    currently failing candidate prunes the whole branch.  The greedy pass
+    indexes the finals by atom and keeps their fresh-atom counts in heaps,
+    so it costs O(sum |S| * log N) for N finals, not N^2 set differences.
     """
     index = sorted(finals if finals is not None else fam.finals, key=lex_key)
     if not index:
@@ -227,24 +281,8 @@ def find_reshuffling(
                 return res
         return None
 
-    def greedy():
-        union: set = set()
-        acc = []
-        rem_low, rem_high = list(low), list(high)
-        while rem_low or rem_high:
-            pool = rem_low if rem_low else rem_high
-            candidates = [z for z in pool if len(sets[z] - union) >= theta_fresh]
-            if not candidates:
-                return None
-            # most constrained first: fewest fresh atoms, then canonical order
-            z = min(candidates, key=lambda w: (len(sets[w] - union), lex_key(w)))
-            acc.append(z)
-            union |= sets[z]
-            (rem_low if rem_low else rem_high).remove(z)
-        return acc
-
     if len(index) > exact_limit:
-        g = greedy()
+        g = _greedy(index, sets, alpha, theta_fresh)
         if g is not None:
             order = ReshufflingOrder(tuple(g), alpha, theta_fresh)
             if not order.verify(fam):

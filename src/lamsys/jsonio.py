@@ -87,10 +87,22 @@ def _int_rows(v, field: str, *keys) -> tuple[tuple[int, ...], ...]:
     raise _malformed("a list of integer lists", v, field, keys)
 
 
-def _object(v, field: str) -> dict:
+def _object(v, field: str, *keys) -> dict:
     if isinstance(v, dict):
         return v
-    raise _malformed("a JSON object", v, field, ())
+    raise _malformed("a JSON object", v, field, keys)
+
+
+def _list(v, field: str, *keys) -> list:
+    if isinstance(v, list):
+        return v
+    raise _malformed("a list", v, field, keys)
+
+
+def _strs(v, field: str) -> list[str]:
+    if isinstance(v, list) and all(type(x) is str for x in v):
+        return v
+    raise _malformed("a list of strings", v, field, ())
 
 
 def atom_to_jsonable(a: Atom):
@@ -153,16 +165,19 @@ def system_to_doc(
 def system_from_doc(doc: Mapping) -> SystemSkeleton:
     _check_schema(doc, "system document")
     _require_keys(doc, _SYSTEM_REQUIRED, _SYSTEM_OPTIONAL, "system document")
-    nodes = frozenset(parse_node_key(k) for k in doc["nodes"])
+    nodes = frozenset(parse_node_key(k) for k in _strs(doc["nodes"], "nodes"))
+    largeness = doc.get("largeness", "nonempty")
+    if type(largeness) is not str:
+        raise _malformed("a string", largeness, "largeness", ())
     return SystemSkeleton(
         nodes=nodes,
         level={parse_node_key(k): _int(v, "level", k) for k, v in _object(doc["level"], "level").items()},
         E={parse_node_key(k): frozenset(_ints(v, "E", k)) for k, v in _object(doc["E"], "E").items()},
         B={
-            parse_node_key(k): frozenset(atom_from_jsonable(a) for a in v)
-            for k, v in doc["B"].items()
+            parse_node_key(k): frozenset(atom_from_jsonable(a) for a in _list(v, "B", k))
+            for k, v in _object(doc["B"], "B").items()
         },
-        largeness=doc.get("largeness", "nonempty"),
+        largeness=largeness,
     )
 
 
@@ -171,10 +186,10 @@ def family_from_doc(doc: Mapping) -> BasedFamily:
     if "phi" not in doc or "truncation" not in doc:
         raise InputError("document carries no family (phi and truncation required)")
     phi = {}
-    for zk, per_level in doc["phi"].items():
+    for zk, per_level in _object(doc["phi"], "phi").items():
         z = parse_node_key(zk)
-        for k, vals in per_level.items():
-            phi[(z, int(k))] = tuple(atom_from_jsonable(a) for a in vals)
+        for k, vals in _object(per_level, "phi", zk).items():
+            phi[(z, int(k))] = tuple(atom_from_jsonable(a) for a in _list(vals, "phi", zk, k))
     return BasedFamily(
         system=sys_,
         finals=tuple(sys_.finals()),

@@ -103,6 +103,12 @@ def self_checks_missed() -> list[str]:
             _patched(freeness.ReshufflingOrder, "verify", never),
             lambda: freeness.find_reshuffling(_flat_family(12)),
         ),
+        "reshuffling cutoff": (
+            # every final keeps a private atom, so only the cutoff test can
+            # reject this order: the finals above alpha = 5 come first
+            _patched(freeness, "_greedy", lambda index, sets, alpha, theta: list(reversed(index))),
+            lambda: freeness.find_reshuffling(_flat_family(12), alpha=5),
+        ),
         "set shift": (
             # a shift search that returns 0 leaves the set on top of itself
             _patched(uniformization, "next", lambda it, default: 0),

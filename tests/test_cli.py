@@ -339,6 +339,8 @@ _MALFORMED_WITNESS_INPUTS = [
     pytest.param({"q": [[2, 2]]}, [3, 1], id="q-not-object"),
     pytest.param({"q": {"0": [2]}}, [3, 1], id="q-short"),
     pytest.param({"r": 1, "J": 5}, [3, 1], id="d-narrow"),
+    pytest.param({"phi": {"0": [["x0", "x1"]]}}, [3, 1], id="phi-final-list"),
+    pytest.param({"nodes": 3}, [3, 1], id="nodes-int"),
     pytest.param({}, [3, None], id="color-null"),
     pytest.param({}, [True, 1], id="color-bool"),
 ]
@@ -354,6 +356,38 @@ def test_malformed_witness_inputs_exit_2(tmp_path, capsys, changes, colors):
     if changes:  # basis reads no coloring
         argvs.append(["basis", "--system", path, "--alpha", "-1", "--beta", "1"])
     for argv in argvs:
+        code, out = run_dispatch(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err and err.count("\n") == 1 and err.startswith("error: ")
+
+
+_MALFORMED_FAMILY_INPUTS = [
+    # (top-level fields to replace, phi fields to replace)
+    pytest.param({"nodes": 3}, {}, id="nodes-int"),
+    pytest.param({"nodes": "0"}, {}, id="nodes-string"),
+    pytest.param({"nodes": ["", 0]}, {}, id="node-int"),
+    pytest.param({"B": [["a"]]}, {}, id="B-not-object"),
+    pytest.param({"B": {"": [], "0": 7, "1": ["b", "c"]}}, {}, id="B-value-int"),
+    pytest.param({"B": {"": [], "0": "ab", "1": ["b", "c"]}}, {}, id="B-value-string"),
+    pytest.param({"phi": [["a", "b"]]}, {}, id="phi-not-object"),
+    pytest.param({}, {"0": [["a", "b"]]}, id="phi-final-list"),
+    pytest.param({}, {"0": {"1": 5}}, id="phi-slice-int"),
+    pytest.param({}, {"0": {"1": {"a": 1}}}, id="phi-slice-object"),
+    pytest.param({"largeness": ["half"]}, {}, id="largeness-list"),
+]
+
+
+@pytest.mark.parametrize("changes,phi_changes", _MALFORMED_FAMILY_INPUTS)
+def test_malformed_family_inputs_exit_2(tmp_path, capsys, changes, phi_changes):
+    from helpers import run_dispatch
+
+    doc = family_doc({0: ["a", "b"], 1: ["b", "c"]})
+    doc.update(changes)
+    if phi_changes:
+        doc["phi"] = {**doc["phi"], **phi_changes}
+    path = write(tmp_path, "fam.json", doc)
+    for argv in (["validate", path, "--structure"], ["check-free", path], ["reshuffle", path], ["transform", path, "--kind", "tree"]):
         code, out = run_dispatch(argv)
         err = capsys.readouterr().err
         assert (code, out) == (2, "")

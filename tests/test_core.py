@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
+import reference
 from lamsys.core import (
     ROOT,
     DerivedSystemError,
@@ -308,3 +310,56 @@ def test_transform_tree_on_longer_slices():
     res = transform_tree(sys_, fam)
     assert check_structure(res.system, res.family).enumeration_tree == ()
     assert res.family.phi[((0,), 1)] == (("a",), ("a", "b"))
+
+
+ATOMS = ("a", "b", "c", "d", 0, 1, ("t", 0))
+
+
+@st.composite
+def structured_families(draw):
+    """Random skeleton of height up to 3 with random carriers and slices.
+
+    Slices may repeat a value, and phi may carry keys outside its domain:
+    level 0, a level past the final's length, or a non-final node.
+    """
+    nodes = {ROOT}
+    frontier = [ROOT]
+    while frontier:
+        node = frontier.pop()
+        if len(node) == 3 or (node != ROOT and draw(st.booleans())):
+            continue
+        for i in draw(st.sets(st.integers(0, 3), min_size=1, max_size=3)):
+            nodes.add(node + (i,))
+            frontier.append(node + (i,))
+    atoms = st.sampled_from(ATOMS)
+    b_map = {n: draw(st.sets(atoms, max_size=4)) for n in nodes}
+    sys_ = make_skeleton(nodes=nodes, level={n: 0 for n in nodes}, e_map={}, b_map=b_map)
+    finals = sys_.finals()
+    phi = {(z, k): draw(st.lists(atoms, max_size=4)) for z in finals for k in range(1, len(z) + 1)}
+    inner = sorted(nodes - set(finals), key=lex_key)
+    strays = [(z, 0) for z in finals] + [(z, len(z) + 1) for z in finals] + [(n, 1) for n in inner]
+    for key in draw(st.lists(st.sampled_from(strays), max_size=3)):
+        phi[key] = draw(st.lists(atoms, max_size=4))
+    return sys_, make_family(sys_, phi, truncation=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_families())
+def test_structure_agrees_with_quadratic_reference(case):
+    sys_, fam = case
+    report = check_structure(sys_, fam)
+    got = (report.sibling_overlap, report.slice_alignment, report.enumeration_tree)
+    assert got == reference.check_structure(sys_, fam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_families())
+def test_tree_carriers_agree_with_quadratic_reference(case):
+    sys_, fam = case
+    assert transform_tree(sys_, fam).system.B == reference.tree_carriers(sys_, fam)
+
+
+def test_structure_strategy_reaches_every_witness_kind():
+    # find raises NoSuchExample when no drawn case has all three kinds
+    quick = settings(database=None, phases=[Phase.generate])
+    find(structured_families(), lambda case: all(reference.check_structure(*case)), settings=quick)

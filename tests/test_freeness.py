@@ -1,4 +1,4 @@
-"""Transversal search against exhaustive oracles, plus reshuffling orders."""
+"""Transversal search against exhaustive oracles, plus reshuffling orders against the quadratic reference."""
 
 import itertools
 import random
@@ -6,11 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamsys.core import make_family, make_skeleton
+import reference
+from lamsys.core import lex_key, make_family, make_skeleton, node_key
 from lamsys.freeness import (
     HallCertificate,
     ReshufflingOrder,
     Transversal,
+    _greedy,
     find_reshuffling,
     find_transversal,
     k_free_check,
@@ -225,3 +227,80 @@ def test_reshuffle_agrees_with_permutation_enumeration():
         assert (res.status == "found") == any_valid
         if res.order:
             assert order_ok(res.order.order)
+
+
+def random_reshuffling_case(rng):
+    """A family of 11-60 finals of height 1 or 2, an alpha and a theta_fresh.
+
+    About half the families give every final theta_fresh or more private
+    atoms, so the greedy pass succeeds; the others draw from one pool, from
+    tight (the greedy pass gets stuck and the backtracking search runs) to
+    roomy.  Alpha lies below every final, splits them, or lies above them
+    all.
+    """
+    n = rng.randint(11, 60)
+    if rng.random() < 0.5:
+        finals = [(i,) for i in sorted(rng.sample(range(3 * n), n))]
+    else:
+        finals, first = [], 0
+        while len(finals) < n:
+            finals += [(first, j) for j in sorted(rng.sample(range(6), rng.randint(1, 4)))]
+            first += rng.randint(1, 3)
+        finals = finals[:n]
+    nodes = {z[:m] for z in finals for m in range(len(z) + 1)}
+    sys_ = make_skeleton(nodes=nodes, level={z: 0 for z in nodes}, e_map={}, b_map={})
+    theta = rng.randint(1, 3)
+    pool = list(range(rng.randint(n // 2, 3 * n)))
+    private = rng.random() < 0.5
+    short = rng.random() < 0.1  # some finals may hold fewer than theta atoms
+    phi = {}
+    for z in finals:
+        for k in range(1, len(z)):
+            phi[(z, k)] = rng.sample(pool, rng.randint(0, 3))
+        own = rng.randint(theta - short, theta + 2)
+        if private:
+            phi[(z, len(z))] = rng.sample(pool, rng.randint(0, 3)) + [f"p{node_key(z)}/{t}" for t in range(own)]
+        else:
+            phi[(z, len(z))] = rng.sample(pool, own)
+    firsts = sorted({z[0] for z in finals})
+    alpha = rng.choice((firsts[0] - 1 - rng.randint(0, 2), rng.choice(firsts[:-1]), firsts[-1]))
+    return make_family(sys_, phi, truncation=0), alpha, theta
+
+
+def test_reshuffling_agrees_with_quadratic_reference():
+    rng = random.Random("reshuffle-differential")
+    outcomes = {"greedy": 0, "fallback": 0}
+    for _ in range(1_000):
+        fam, alpha, theta = random_reshuffling_case(rng)
+        index = sorted(fam.finals, key=lex_key)
+        sets = {z: fam.s(z) for z in index}
+        greedy = _greedy(index, sets, alpha, theta)
+        assert greedy == reference.greedy(index, sets, alpha, theta)
+        got = find_reshuffling(fam, alpha=alpha, theta_fresh=theta, budget=200)
+        assert got == reference.find_reshuffling(fam, alpha=alpha, theta_fresh=theta, budget=200)
+        outcomes["greedy" if greedy is not None else "fallback"] += 1
+        assert (got.nodes_visited > 0) == (greedy is None)
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_order_check_agrees_with_quadratic_reference():
+    rng = random.Random("reshuffle-verify")
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        fam, alpha, theta = random_reshuffling_case(rng)
+        finals = list(fam.finals)
+        for _ in range(4):
+            rng.shuffle(finals)
+            # theta 0 isolates the cutoff test; the rest also test freshness
+            for t in (0, theta):
+                order = ReshufflingOrder(tuple(finals), alpha, t)
+                verdict = order.verify(fam)
+                assert verdict == reference.verify_order(order, fam)
+                verdicts[verdict] += 1
+        # a low final moved right behind the first high one
+        low = sorted((z for z in finals if z[0] <= alpha), key=lex_key)
+        high = sorted((z for z in finals if z[0] > alpha), key=lex_key)
+        if low and high:
+            swapped = ReshufflingOrder(tuple(low[:-1] + high[:1] + low[-1:] + high[1:]), alpha, 0)
+            assert not swapped.verify(fam) and not reference.verify_order(swapped, fam)
+    assert min(verdicts.values()) >= 200, verdicts
