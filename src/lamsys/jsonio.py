@@ -99,10 +99,10 @@ def _list(v, field: str, *keys) -> list:
     raise _malformed("a list", v, field, keys)
 
 
-def _strs(v, field: str) -> list[str]:
+def _strs(v, field: str, *keys) -> list[str]:
     if isinstance(v, list) and all(type(x) is str for x in v):
         return v
-    raise _malformed("a list of strings", v, field, ())
+    raise _malformed("a list of strings", v, field, keys)
 
 
 def atom_to_jsonable(a: Atom):
@@ -205,10 +205,10 @@ def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
             raise InputError(f"witness system document needs field {key!r}")
     strong = None
     if "strong" in doc:
-        s = doc["strong"]
+        s = _object(doc["strong"], "strong")
         _require_keys(s, {"order", "alpha", "theta_fresh"}, set(), "strong order")
         strong = ReshufflingOrder(
-            order=tuple(parse_node_key(k) for k in s["order"]),
+            order=tuple(parse_node_key(k) for k in _strs(s["order"], "strong", "order")),
             alpha=_int(s["alpha"], "strong", "alpha"),
             theta_fresh=_int(s["theta_fresh"], "strong", "theta_fresh"),
         )

@@ -341,6 +341,8 @@ _MALFORMED_WITNESS_INPUTS = [
     pytest.param({"r": 1, "J": 5}, [3, 1], id="d-narrow"),
     pytest.param({"phi": {"0": [["x0", "x1"]]}}, [3, 1], id="phi-final-list"),
     pytest.param({"nodes": 3}, [3, 1], id="nodes-int"),
+    pytest.param({"strong": 5}, [3, 1], id="strong-int"),
+    pytest.param({"strong": {"order": "0", "alpha": -1, "theta_fresh": 1}}, [3, 1], id="strong-order-string"),
     pytest.param({}, [3, None], id="color-null"),
     pytest.param({}, [True, 1], id="color-bool"),
 ]
