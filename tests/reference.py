@@ -1,13 +1,12 @@
 """Quadratic reference implementations that the indexed searches replaced.
 
-Each function here is the straightforward scan over all pairs that the
-library used before it indexed atoms; the differential tests run both and
-require identical results.  Nothing under `src/` imports this module.
+Each function here is the quadratic scan that the library ran before it
+indexed atoms; the differential tests run both and require identical
+results.  Nothing under `src/` imports this module.
 """
 
-from lamsys.abelian import CertificateError
 from lamsys.core import ROOT, lex_key, node_key, sorted_atoms
-from lamsys.freeness import ReshufflingOrder, ReshufflingResult
+from lamsys.freeness import ReshufflingOrder
 
 
 def verify_order(order: ReshufflingOrder, fam) -> bool:
@@ -42,55 +41,6 @@ def greedy(index, sets, alpha, theta_fresh):
         union |= sets[z]
         (rem_low if rem_low else rem_high).remove(z)
     return acc
-
-
-def find_reshuffling(fam, finals=None, alpha=-1, theta_fresh=1, budget=200_000, exact_limit=10):
-    """find_reshuffling built on the quadratic greedy pass and order check."""
-    index = sorted(finals if finals is not None else fam.finals, key=lex_key)
-    if not index:
-        raise ValueError("empty index set")
-    sets = {z: fam.s(z) for z in index}
-    low = [z for z in index if z[0] <= alpha]
-    high = [z for z in index if z[0] > alpha]
-    visited = 0
-
-    def backtrack(remaining_low, remaining_high, union, acc, cap):
-        nonlocal visited
-        visited += 1
-        if cap is not None and visited > cap:
-            return "budget"
-        if not remaining_low and not remaining_high:
-            return list(acc)
-        pool = remaining_low if remaining_low else remaining_high
-        for z in remaining_low + remaining_high:
-            if len(sets[z] - union) < theta_fresh:
-                return None  # it can only get worse later
-        for z in pool:
-            rest_low = [w for w in remaining_low if w != z] if remaining_low else []
-            rest_high = remaining_high if remaining_low else [w for w in remaining_high if w != z]
-            res = backtrack(rest_low, rest_high, union | sets[z], acc + [z], cap)
-            if res is not None:
-                return res
-        return None
-
-    if len(index) > exact_limit:
-        g = greedy(index, sets, alpha, theta_fresh)
-        if g is not None:
-            order = ReshufflingOrder(tuple(g), alpha, theta_fresh)
-            if not verify_order(order, fam):
-                raise CertificateError("greedy reshuffling order fails its own check")
-            return ReshufflingResult("found", order, visited)
-        res = backtrack(low, high, set(), [], budget)
-        if res == "budget":
-            return ReshufflingResult("unknown", None, visited)
-    else:
-        res = backtrack(low, high, set(), [], None)
-    if res is None:
-        return ReshufflingResult("none", None, visited)
-    order = ReshufflingOrder(tuple(res), alpha, theta_fresh)
-    if not verify_order(order, fam):
-        raise CertificateError("reshuffling order fails its own check")
-    return ReshufflingResult("found", order, visited)
 
 
 def check_structure(sys_, fam):
