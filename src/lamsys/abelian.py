@@ -28,9 +28,10 @@ H = U * A of its relation matrix, again with U^-1 from the same elimination
 echelon form, U * A = H over the nonzeros of A, and U * U^-1 = I, so U is
 unimodular and A has the rank and the Smith form of H.  Each pivot 1 of H
 sits in a unit-vector column, checked too, and splits off a factor 1; `snf`
-runs only on the rows with larger pivots, restricted to the other columns.
-That block is small, and its self-check is the only place a determinant is
-still computed (Bareiss, `IntMatrix.det`).
+runs only on the rows with larger pivots, restricted to the columns where
+they have entries.  `snf` tracks U^-1 and V^-1 in its own elimination and
+certifies D = U * A * V the same way, by U * U^-1 = I and V * V^-1 = I.
+Unimodularity is never proved by a determinant.
 
 Pivoting is deterministic (smallest absolute value, lexicographic
 tie-break), so every normal form and certificate is reproducible bit for
@@ -104,30 +105,6 @@ class IntMatrix:
         if self.cols != len(v):
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
         return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self.entries)
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
 
 def _pivot_candidate(m: list[list[int]], start_row: int, start_col: int, rows: int, cols: int):
@@ -205,49 +182,46 @@ def hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """D = U * A * V with U, V unimodular and nonnegative divisibility-chained diagonal."""
+    """D = U * A * V with nonnegative divisibility-chained diagonal; U * u_inv = I and V * v_inv = I."""
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))
 
     def verify(self, a: IntMatrix) -> bool:
+        if not (_is_inverse(self.u.entries, self.u_inv.entries) and _is_inverse(self.v.entries, self.v_inv.entries)):
+            return False
         if self.u.mul(a).mul(self.v).entries != self.d.entries:
             return False
-        if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
+        if any(x for i, row in enumerate(self.d.entries) for j, x in enumerate(row) if i != j):
             return False
+        # nonnegative, each factor dividing the next, and only zeros after a zero
         diag = self.diagonal
-        for i in range(self.d.rows):
-            for j in range(self.d.cols):
-                if i != j and self.d.entries[i][j] != 0:
-                    return False
-        for i in range(len(diag) - 1):
-            if diag[i] < 0:
-                return False
-            nxt = diag[i + 1]
-            if diag[i] == 0:
-                if nxt != 0:
-                    return False
-            elif nxt % diag[i] != 0:
-                return False
-        return True
+        return all(x >= 0 for x in diag) and all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with recorded transforms, verified before returning."""
+    """Smith normal form with recorded transforms and their inverses, verified before returning."""
     rows, cols = a.rows, a.cols
     d = [list(row) for row in a.entries]
     u = [list(row) for row in IntMatrix.identity(rows).entries]
     v = [list(row) for row in IntMatrix.identity(cols).entries]
+    # as in `hnf`, U <- E*U is a column operation on U^-1, kept as a row
+    # operation on its transpose; V <- V*F is a row operation on V^-1
+    ut = [list(row) for row in IntMatrix.identity(rows).entries]
+    v_inv = [list(row) for row in IntMatrix.identity(cols).entries]
 
     def row_sub(i, j, q):
         if q:
             d[i] = [x - q * y for x, y in zip(d[i], d[j])]
             u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+            ut[j] = [x + q * y for x, y in zip(ut[j], ut[i])]
 
     def col_sub(i, j, q):
         if q:
@@ -255,18 +229,18 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                 d[r][i] -= q * d[r][j]
             for r in range(cols):
                 v[r][i] -= q * v[r][j]
+            v_inv[j] = [x + q * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
+        for m in (d, u, ut):
+            m[i], m[j] = m[j], m[i]
 
     def swap_cols(i, j):
-        if i != j:
-            for r in range(rows):
-                d[r][i], d[r][j] = d[r][j], d[r][i]
-            for r in range(cols):
-                v[r][i], v[r][j] = v[r][j], v[r][i]
+        for r in range(rows):
+            d[r][i], d[r][j] = d[r][j], d[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     s = 0
     while s < min(rows, cols):
@@ -305,15 +279,16 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                     break
             if offender is None:
                 break
-            row_add = offender
-            d[s] = [x + y for x, y in zip(d[s], d[row_add])]
-            u[s] = [x + y for x, y in zip(u[s], u[row_add])]
+            row_sub(s, offender, -1)
         if d[s][s] < 0:
-            d[s] = [-x for x in d[s]]
-            u[s] = [-x for x in u[s]]
+            for m in (d, u, ut):
+                m[s] = [-x for x in m[s]]
         s += 1
 
-    result = SmithDecomposition(IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v))
+    result = SmithDecomposition(
+        IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v),
+        IntMatrix.from_rows(zip(*ut)), IntMatrix.from_rows(v_inv),
+    )
     if not result.verify(a):
         raise CertificateError("Smith decomposition fails its self-check")
     return result
@@ -382,14 +357,8 @@ class IntegerSolutions:
         for urow, hrow in zip(u, h):
             if tuple(_sparse_row_times(urow, a_cols, m)) != hrow:
                 raise CertificateError("transform * a^T differs from the Hermite form")
-        if len(d) != n - r or any(len(row) != n for row in d):
-            raise CertificateError("dual of the kernel has the wrong shape")
-        d_cols = _sparse_columns(d, n)
-        for i, krow in enumerate(u[r:]):
-            out = _sparse_row_times(krow, d_cols, n - r)
-            out[i] -= 1
-            if any(out):
-                raise CertificateError("kernel rows do not span the integer kernel")
+        if not _is_inverse(u[r:], tuple(zip(*d))):
+            raise CertificateError("kernel rows do not span the integer kernel")
         if isinstance(self.solution, InfeasibilityCertificate):
             if not self.solution.verify(a, b):
                 raise CertificateError("infeasibility certificate does not verify")
@@ -433,6 +402,23 @@ def _sparse_row_times(row: Sequence[int], cols: list[list[tuple[int, int]]], wid
         for j, v in cols[t]:
             out[j] += x * v
     return out
+
+
+def _is_inverse(t: Sequence[Sequence[int]], t_inv: Sequence[Sequence[int]]) -> bool:
+    """Whether t * t_inv = I for t of k rows and t_inv of k columns, multiplied over nonzeros.
+
+    For a square t this proves t unimodular.
+    """
+    k, n = len(t), len(t_inv)
+    if any(len(row) != n for row in t) or any(len(row) != k for row in t_inv):
+        return False
+    inv_rows = _sparse_rows(t_inv)
+    for i, row in enumerate(t):
+        out = _sparse_row_times(row, inv_rows, k)
+        out[i] -= 1
+        if any(out):
+            return False
+    return True
 
 
 def _certificate(
@@ -543,11 +529,6 @@ def in_lattice(h: IntMatrix, v: Sequence[int]) -> bool:
     return all(t == 0 for t in reduce_mod_lattice(v, h))
 
 
-def matrix_rank(a: IntMatrix) -> int:
-    h, _ = hnf(a)
-    return sum(1 for row in h.entries if any(row))
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for anything this library will see."""
     if n < 2:
@@ -618,20 +599,15 @@ class HermiteForm:
         """
         m, n = a.rows, a.cols
         h, u, v = self.hermite.entries, self.transform.entries, self.inverse.entries
-        if (
-            len(h) != m or len(u) != m or len(v) != m
-            or any(len(row) != n for row in h) or any(len(row) != m for row in u + v)
-        ):
-            raise CertificateError("Hermite form or its transforms have the wrong shape")
+        if len(h) != m or len(u) != m or any(len(row) != n for row in h) or any(len(row) != m for row in u):
+            raise CertificateError("Hermite form or its transform has the wrong shape")
         _echelon_pivots(h, n)
-        a_rows, v_rows = _sparse_rows(a.entries), _sparse_rows(v)
-        for i, (urow, hrow) in enumerate(zip(u, h)):
+        a_rows = _sparse_rows(a.entries)
+        for urow, hrow in zip(u, h):
             if tuple(_sparse_row_times(urow, a_rows, n)) != hrow:
                 raise CertificateError("transform * a differs from the Hermite form")
-            out = _sparse_row_times(urow, v_rows, m)
-            out[i] -= 1
-            if any(out):
-                raise CertificateError("transform * inverse differs from the identity")
+        if not _is_inverse(u, v):
+            raise CertificateError("transform * inverse differs from the identity")
 
     def unit_split(self) -> tuple[int, IntMatrix]:
         """Smith form of hermite as I_k (+) B: the count k of pivots equal to 1 and the block B.
@@ -640,8 +616,9 @@ class HermiteForm:
         column operations clear the rest of its row without touching any
         other row, so it splits off an invariant factor 1.  B is what is
         left: the rows with pivots above 1, without the columns of unit
-        pivots.  Raises CertificateError if a unit pivot's column is not a
-        unit vector.
+        pivots and the columns that are zero in all of those rows, which
+        only add free rank.  Raises CertificateError if a unit pivot's
+        column is not a unit vector.
         """
         h = self.hermite.entries
         pivots = _echelon_pivots(h, self.hermite.cols)
@@ -650,9 +627,9 @@ class HermiteForm:
             if any(row[p] for l, row in enumerate(h) if l != i):
                 raise CertificateError("a unit pivot's column is not a unit vector")
         unit_cols = {p for _, p in units}
-        keep = [j for j in range(self.hermite.cols) if j not in unit_cols]
-        block = tuple(tuple(h[i][j] for j in keep) for i, p in enumerate(pivots) if h[i][p] != 1)
-        return len(units), IntMatrix(block)
+        rest = [h[i] for i, p in enumerate(pivots) if h[i][p] != 1]
+        keep = [j for j in range(self.hermite.cols) if j not in unit_cols and any(row[j] for row in rest)]
+        return len(units), IntMatrix(tuple(tuple(row[j] for j in keep) for row in rest))
 
 
 def _hermite_form(a: IntMatrix) -> HermiteForm:
@@ -757,7 +734,8 @@ def divisibility_evidence(spec: NonfreeSpec, m_max: int) -> DivisibilityReport:
 
     For each m <= m_max exhibits integer coefficients expressing
     z_r - (q_0*...*q_m) * z_{m+r+1} as a combination of relation rows and the
-    head generators z_0..z_{r-1}, then re-verifies the combination exactly.
+    head generators z_0..z_{r-1}.  The solver has checked the combination
+    exactly (`IntegerSolutions.check`), so a step is verified when one exists.
     """
     if m_max > spec.relation_count - 1:
         raise ValueError(
@@ -774,50 +752,16 @@ def divisibility_evidence(spec: NonfreeSpec, m_max: int) -> DivisibilityReport:
         target = [0] * j
         target[spec.r] = 1
         target[m + spec.r + 1] -= product
-        coeffs = express_in_lattice(stacked, target)
-        ok = False
-        rel_part: tuple[int, ...] = ()
-        head_part: tuple[int, ...] = ()
-        if coeffs is not None:
-            rel_part = coeffs[: pres.relations.rows]
-            head_part = coeffs[pres.relations.rows:]
-            recombined = [0] * j
-            for t, row in zip(coeffs, stacked.entries):
-                for k in range(j):
-                    recombined[k] += t * row[k]
-            ok = recombined == target
+        coeffs = express_in_lattice(stacked, target) or ()
         steps.append(
             DivisibilityStep(
                 m=m,
                 product=product,
                 witness_index=m + spec.r + 1,
-                combination=rel_part,
-                head_coefficients=head_part,
-                verified=ok,
+                combination=coeffs[: pres.relations.rows],
+                head_coefficients=coeffs[pres.relations.rows:],
+                verified=bool(coeffs),
             )
         )
     return DivisibilityReport(tuple(steps))
 
-
-def purity_evidence(spec: NonfreeSpec, box: int = 2, k_max: int = 4):
-    """Brute-force check that the head subgroup is pure in the truncated chain group.
-
-    Searches coefficient vectors x with |entries| <= box and multipliers
-    2 <= k <= k_max; whenever k*x lands in <z_0..z_{r-1}> modulo relations, x
-    itself must.  Returns (True, None) or (False, counterexample vector).
-    """
-    from itertools import product as iproduct
-
-    pres = build_chain_group(spec)
-    j = spec.j_trunc
-    head = [tuple(1 if k == l else 0 for k in range(j)) for l in range(spec.r)]
-    lattice = IntMatrix.from_rows(list(pres.relations.entries) + head)
-    h, _ = hnf(lattice)
-    for x in iproduct(range(-box, box + 1), repeat=j):
-        if all(v == 0 for v in x):
-            continue
-        for k in range(2, k_max + 1):
-            kx = [k * v for v in x]
-            if in_lattice(h, kx) and not in_lattice(h, x):
-                return False, tuple(x)
-    return True, None

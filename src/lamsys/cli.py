@@ -76,18 +76,21 @@ def _manifest(subcommand: str, inputs: dict, params: dict) -> dict:
 
 def cmd_validate(args) -> tuple[dict, int]:
     doc = _load(args.file)
-    sys_ = jsonio.system_from_doc(doc)
-    violations = validate_system(sys_)
-    payload: dict = {}
+    # parse once, as the richest kind the keys name; every parser starts with
+    # system_from_doc, so a skeleton error is still the one reported first
     fam = None
-    if "phi" in doc:
-        fam = jsonio.family_from_doc(doc)
-        violations += validate_family(fam)
     if "r" in doc:
         ws = jsonio.whitehead_from_doc(doc)
+        sys_, fam = ws.system, ws.family
         violations = validate_whitehead(ws)
-    payload["violations"] = [v.to_jsonable() for v in violations]
-    payload["largeness"] = sys_.largeness
+    elif "phi" in doc:
+        fam = jsonio.family_from_doc(doc)
+        sys_ = fam.system
+        violations = validate_system(sys_) + validate_family(fam)
+    else:
+        sys_ = jsonio.system_from_doc(doc)
+        violations = validate_system(sys_)
+    payload: dict = {"violations": [v.to_jsonable() for v in violations], "largeness": sys_.largeness}
     if args.structure and fam is not None:
         rep = check_structure(sys_, fam)
         payload["structure"] = {

@@ -1,12 +1,69 @@
-"""Quadratic reference implementations that the indexed searches replaced.
+"""Reference implementations that only the tests use.
 
-Each function here is the quadratic scan that the library ran before it
-indexed atoms; the differential tests run both and require identical
-results.  Nothing under `src/` imports this module.
+The quadratic scans are what the library ran before it indexed atoms; the
+differential tests run both and require identical results.  The linear
+algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
+brute-force purity search) give the tests an independent second answer.
+Nothing under `src/` imports this module.
 """
 
+from itertools import product
+
+from lamsys.abelian import DimensionError, IntMatrix, NonfreeSpec, build_chain_group, hnf, in_lattice
 from lamsys.core import ROOT, lex_key, node_key, sorted_atoms
 from lamsys.freeness import ReshufflingOrder
+
+
+def det(a: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise DimensionError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def matrix_rank(a: IntMatrix) -> int:
+    h, _ = hnf(a)
+    return sum(1 for row in h.entries if any(row))
+
+
+def purity_evidence(spec: NonfreeSpec, box: int = 2, k_max: int = 4):
+    """Brute-force check that the head subgroup is pure in the truncated chain group.
+
+    Searches coefficient vectors x with |entries| <= box and multipliers
+    2 <= k <= k_max; whenever k*x lands in <z_0..z_{r-1}> modulo relations, x
+    itself must.  Returns (True, None) or (False, counterexample vector).
+    """
+    pres = build_chain_group(spec)
+    j = spec.j_trunc
+    head = [tuple(1 if k == l else 0 for k in range(j)) for l in range(spec.r)]
+    lattice = IntMatrix.from_rows(list(pres.relations.entries) + head)
+    h, _ = hnf(lattice)
+    for x in product(range(-box, box + 1), repeat=j):
+        if all(v == 0 for v in x):
+            continue
+        for k in range(2, k_max + 1):
+            kx = [k * v for v in x]
+            if in_lattice(h, kx) and not in_lattice(h, x):
+                return False, tuple(x)
+    return True, None
 
 
 def verify_order(order: ReshufflingOrder, fam) -> bool:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamsys import abelian
 from lamsys.abelian import (
     CertificateError,
     DivisibilityReport,
@@ -30,12 +31,11 @@ from lamsys.abelian import (
     is_free,
     is_prime,
     kernel_basis,
-    matrix_rank,
-    purity_evidence,
     rank,
     snf,
     solve_z,
 )
+from reference import det, matrix_rank, purity_evidence
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -73,6 +73,7 @@ def test_snf_2x2_dense():
 def test_snf_properties(a):
     dec = snf(a)
     assert dec.verify(a)
+    assert abs(det(dec.u)) == abs(det(dec.v)) == 1
     assert dec.u.mul(a).mul(dec.v).entries == dec.d.entries
 
 
@@ -80,7 +81,7 @@ def test_snf_properties(a):
 @given(small_matrices)
 def test_hnf_properties(a):
     h, u = hnf(a)
-    assert abs(u.det()) == 1
+    assert abs(det(u)) == 1
     assert u.mul(a).entries == h.entries
     h2, u2, u_inv = hnf(a, inverse=True)
     assert (h2, u2) == (h, u)
@@ -273,6 +274,45 @@ def corrupted_checks_missed() -> list[str]:
         pass
     finally:
         SmithDecomposition.verify = verify
+    missed += _corrupted_smith_missed(a)
+    return missed
+
+
+def _corrupted_smith_missed(a) -> list[str]:
+    """Corruptions of the decomposition `snf` builds that its self-check failed to reject."""
+    good = snf(a)
+    u_inv = [list(row) for row in good.u_inv.entries]
+    u_inv[0][1] += 1
+    eye1, eye2 = IntMatrix.identity(1), IntMatrix.identity(2)
+    # in each case U * A * V = D holds and only the named claim fails
+    cases = {
+        "Smith transform V not unimodular": (IntMatrix.from_rows([[0]]), {"v": IntMatrix.from_rows([[2]])}),
+        "wrong Smith inverse of U": (a, {"u_inv": IntMatrix.from_rows(u_inv)}),
+        "Smith form off the diagonal": (
+            IntMatrix.from_rows([[1, 1]]), {"d": IntMatrix.from_rows([[1, 1]]), "v": eye2, "v_inv": eye2}
+        ),
+        "negative Smith factor": (IntMatrix.from_rows([[-2]]), {"u": eye1, "u_inv": eye1, "d": IntMatrix.from_rows([[-2]])}),
+        "Smith factors out of divisibility order": (
+            IntMatrix.from_rows([[2, 0], [0, 3]]),
+            {"u": eye2, "u_inv": eye2, "d": IntMatrix.from_rows([[2, 0], [0, 3]]), "v": eye2, "v_inv": eye2},
+        ),
+        "Smith factor after a zero": (
+            IntMatrix.from_rows([[0, 0], [0, 1]]),
+            {"u": eye2, "u_inv": eye2, "d": IntMatrix.from_rows([[0, 0], [0, 1]]), "v": eye2, "v_inv": eye2},
+        ),
+    }
+    missed = []
+    for name, (m, fields) in cases.items():
+        abelian.SmithDecomposition = lambda *parts, fields=fields: dataclasses.replace(
+            SmithDecomposition(*parts), **fields
+        )
+        try:
+            snf(m)
+            missed.append(name)
+        except CertificateError:
+            pass
+        finally:
+            abelian.SmithDecomposition = SmithDecomposition
     return missed
 
 
@@ -370,6 +410,15 @@ def test_presentation_free_rank():
     assert rank(torsion) == 0
 
 
+def test_unit_split_keeps_only_columns_with_entries():
+    # no unit pivot; column 3 is zero in both rows and leaves the block, while
+    # column 1 is off the pivots but carries an entry and stays
+    a = IntMatrix.from_rows([[2, 1, 0, 0], [0, 0, 3, 0]])
+    units, block = HermiteForm(*hnf(a, inverse=True)).unit_split()
+    assert (units, block.entries) == (0, ((2, 1, 0), (0, 0, 3)))
+    assert invariant_factors(Presentation(("a", "b", "c", "d"), a)) == (1, 3)
+
+
 def test_is_prime_small():
     primes = [p for p in range(2, 60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -449,6 +498,8 @@ def _torsion_presentations():
     yield Presentation((), IntMatrix(((), ())))  # n x 0
     yield Presentation(("a", "b", "c"), IntMatrix.zeros(3, 3))
     yield Presentation(("a", "b", "c", "d"), IntMatrix.from_rows([[0, 4, 0, 6], [0, 0, 0, 0], [0, 6, 0, 9]]))
+    # factors (1, 3): the entry 1 off the pivot columns must stay in the Smith block
+    yield Presentation(("a", "b", "c", "d"), IntMatrix.from_rows([[2, 1, 0, 0], [0, 0, 3, 0]]))
     for spec in (
         NonfreeSpec(r=0, q=(2, 2, 2, 2), d=((), (), (), ()), j_trunc=5),
         NonfreeSpec(r=1, q=(3, 5, 7), d=((1,), (-2,), (1,)), j_trunc=5),

@@ -234,7 +234,7 @@ def test_unif_sim_cli(tmp_path, capsys):
     level = doc["report"]["levels"][0]
     assert level["n0"] == 0
     assert all(q["match"] for q in level["queries"])
-    assert doc["report"]["checks"]["kernel_is_integer_copy"] is True
+    assert doc["report"]["checks"] == {"projection_splitting_identity": True, "derivation_identity": True}
 
 
 def test_unif_sim_certificate_reverifies_from_json(tmp_path, capsys):
