@@ -29,13 +29,14 @@ echelon form, U * A = H over the nonzeros of A, and U * U^-1 = I, so U is
 unimodular and A has the rank and the Smith form of H.  Each pivot 1 of H
 sits in a unit-vector column, checked too, and splits off a factor 1; `snf`
 runs only on the rows with larger pivots, restricted to the columns where
-they have entries.  `snf` tracks U^-1 and V^-1 in its own elimination and
+they have entries.  `snf` alternates row Hermite forms of D and of D^T
+until D is diagonal, composing their transforms and inverses, and
 certifies D = U * A * V the same way, by U * U^-1 = I and V * V^-1 = I.
 Unimodularity is never proved by a determinant.
 
-Pivoting is deterministic (smallest absolute value, lexicographic
-tie-break), so every normal form and certificate is reproducible bit for
-bit.
+`hnf` is the only elimination loop.  Its pivoting is deterministic (the
+smallest absolute value in the column, the first such row on ties), so
+every normal form and certificate is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -105,17 +106,6 @@ class IntMatrix:
         if self.cols != len(v):
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
         return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self.entries)
-
-
-def _pivot_candidate(m: list[list[int]], start_row: int, start_col: int, rows: int, cols: int):
-    """Smallest-|value| nonzero entry in the trailing block, lexicographic tie-break."""
-    best = None
-    for i in range(start_row, rows):
-        for j in range(start_col, cols):
-            v = m[i][j]
-            if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
 
 
 def hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
@@ -199,7 +189,7 @@ class SmithDecomposition:
             return False
         if self.u.mul(a).mul(self.v).entries != self.d.entries:
             return False
-        if any(x for i, row in enumerate(self.d.entries) for j, x in enumerate(row) if i != j):
+        if not _is_diagonal(self.d.entries):
             return False
         # nonnegative, each factor dividing the next, and only zeros after a zero
         diag = self.diagonal
@@ -207,91 +197,53 @@ class SmithDecomposition:
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with recorded transforms and their inverses, verified before returning."""
-    rows, cols = a.rows, a.cols
-    d = [list(row) for row in a.entries]
-    u = [list(row) for row in IntMatrix.identity(rows).entries]
-    v = [list(row) for row in IntMatrix.identity(cols).entries]
-    # as in `hnf`, U <- E*U is a column operation on U^-1, kept as a row
-    # operation on its transpose; V <- V*F is a row operation on V^-1
-    ut = [list(row) for row in IntMatrix.identity(rows).entries]
-    v_inv = [list(row) for row in IntMatrix.identity(cols).entries]
+    """Smith normal form by alternating row and column Hermite forms, verified before returning.
 
-    def row_sub(i, j, q):
-        if q:
-            d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-            ut[j] = [x + q * y for x, y in zip(ut[j], ut[i])]
-
-    def col_sub(i, j, q):
-        if q:
-            for r in range(rows):
-                d[r][i] -= q * d[r][j]
-            for r in range(cols):
-                v[r][i] -= q * v[r][j]
-            v_inv[j] = [x + q * y for x, y in zip(v_inv[j], v_inv[i])]
-
-    def swap_rows(i, j):
-        for m in (d, u, ut):
-            m[i], m[j] = m[j], m[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    s = 0
-    while s < min(rows, cols):
-        piv = _pivot_candidate(d, s, s, rows, cols)
-        if piv is None:
+    D starts as a; a row Hermite form of D, then one of D^T, until D is
+    diagonal (Kannan and Bachem 1979; Cohen, Alg. 2.4.14).  Each `hnf`
+    brings its transform and that transform's inverse, composed into U, U^-1,
+    V and V^-1 over the nonzeros.  A diagonal in Hermite form is positive,
+    then zero.  Where d_i does not divide d_j (i < j, i the first such),
+    adding column j to column i puts d_j below d_i, and the next row Hermite
+    form puts gcd(d_i, d_j) at (i, i).  Every earlier factor divides the
+    whole block after it, so each repair lowers d_i to a proper divisor and
+    the loop ends.  (Adding row j to row i instead puts d_j above the pivot
+    d_j, which the Hermite form reduces straight back to zero.)
+    """
+    d = a
+    u = u_inv = IntMatrix.identity(a.rows).entries
+    v = v_inv = IntMatrix.identity(a.cols).entries
+    while True:
+        d, t, t_inv = hnf(d, inverse=True)  # D <- T D
+        u, u_inv = _times(t.entries, u), _times(u_inv, t_inv.entries)
+        if not _is_diagonal(d.entries):
+            d, t, t_inv = hnf(d.transpose(), inverse=True)  # D <- D T^T
+            d = d.transpose()
+            v, v_inv = _times(v, t.transpose().entries), _times(t_inv.transpose().entries, v_inv)
+            if not _is_diagonal(d.entries):
+                continue
+        diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+        pair = next(((i, j) for i, x in enumerate(diag) for j in range(i + 1, len(diag)) if x and diag[j] % x), None)
+        if pair is None:
             break
-        swap_rows(s, piv[0])
-        swap_cols(s, piv[1])
-        while True:
-            # clear the pivot's column and row by repeated division
-            redo = False
-            for i in range(s + 1, rows):
-                if d[i][s] != 0:
-                    row_sub(i, s, d[i][s] // d[s][s])
-                    if d[i][s] != 0:
-                        swap_rows(s, i)
-                        redo = True
-            if redo:
-                continue
-            for j in range(s + 1, cols):
-                if d[s][j] != 0:
-                    col_sub(j, s, d[s][j] // d[s][s])
-                    if d[s][j] != 0:
-                        swap_cols(s, j)
-                        redo = True
-            if redo:
-                continue
-            # enforce divisibility of the trailing block by the pivot
-            offender = None
-            for i in range(s + 1, rows):
-                for j in range(s + 1, cols):
-                    if d[i][j] % d[s][s] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(s, offender, -1)
-        if d[s][s] < 0:
-            for m in (d, u, ut):
-                m[s] = [-x for x in m[s]]
-        s += 1
-
-    result = SmithDecomposition(
-        IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v),
-        IntMatrix.from_rows(zip(*ut)), IntMatrix.from_rows(v_inv),
-    )
+        i, j = pair
+        # D <- D E and V <- V E for E = I + e_j e_i^T, so V^-1 <- (I - e_j e_i^T) V^-1
+        d = IntMatrix(_add_column(d.entries, i, j))
+        v = _add_column(v, i, j)
+        v_inv = v_inv[:j] + (tuple(x - y for x, y in zip(v_inv[j], v_inv[i])),) + v_inv[j + 1:]
+    result = SmithDecomposition(IntMatrix(u), d, IntMatrix(v), IntMatrix(u_inv), IntMatrix(v_inv))
     if not result.verify(a):
         raise CertificateError("Smith decomposition fails its self-check")
     return result
+
+
+def _add_column(rows: Sequence[tuple[int, ...]], i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """rows with column j added to column i."""
+    return tuple(row[:i] + (row[i] + row[j],) + row[i + 1:] for row in rows)
+
+
+def _is_diagonal(rows: Sequence[Sequence[int]]) -> bool:
+    return not any(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
 
 
 @dataclass(frozen=True)
@@ -347,17 +299,10 @@ class IntegerSolutions:
            rationals, so they are a basis of its integer points.
         """
         n, m = a.cols, a.rows
-        h, u, d = self.hermite.entries, self.transform.entries, self.dual.entries
-        r = self.rank
-        if len(h) != n or len(u) != n or any(len(row) != m for row in h) or any(len(row) != n for row in u):
-            raise CertificateError("transform or Hermite form has the wrong shape")
-        _echelon_pivots(h, m)
         # every matrix here is sparse: multiply nonzeros only
         a_cols = _sparse_columns(a.entries, n)
-        for urow, hrow in zip(u, h):
-            if tuple(_sparse_row_times(urow, a_cols, m)) != hrow:
-                raise CertificateError("transform * a^T differs from the Hermite form")
-        if not _is_inverse(u[r:], tuple(zip(*d))):
+        _check_hermite(self.hermite.entries, self.transform.entries, a_cols, m, "a^T")
+        if not _is_inverse(self.transform.entries[self.rank:], tuple(zip(*self.dual.entries))):
             raise CertificateError("kernel rows do not span the integer kernel")
         if isinstance(self.solution, InfeasibilityCertificate):
             if not self.solution.verify(a, b):
@@ -378,6 +323,22 @@ def _echelon_pivots(h: Sequence[Sequence[int]], width: int) -> list[int]:
     if any(p < width for p in pivots[r:]) or any(p >= q for p, q in zip(pivots[: r - 1], pivots[1:r])):
         raise CertificateError("Hermite form is not in row echelon form")
     return pivots[:r]
+
+
+def _check_hermite(
+    h: Sequence[Sequence[int]], u: Sequence[Sequence[int]], m_rows: list[list[tuple[int, int]]], width: int, name: str
+) -> None:
+    """CertificateError unless h = u * M in row echelon form, for M given by its sparse rows `m_rows`.
+
+    u is square with one row per row of M, and h has `width` columns.
+    """
+    k = len(m_rows)
+    if len(h) != k or len(u) != k or any(len(row) != width for row in h) or any(len(row) != k for row in u):
+        raise CertificateError("Hermite form or its transform has the wrong shape")
+    _echelon_pivots(h, width)
+    for urow, hrow in zip(u, h):
+        if tuple(_sparse_row_times(urow, m_rows, width)) != hrow:
+            raise CertificateError(f"transform * {name} differs from the Hermite form")
 
 
 def _sparse_rows(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
@@ -419,6 +380,12 @@ def _is_inverse(t: Sequence[Sequence[int]], t_inv: Sequence[Sequence[int]]) -> b
         if any(out):
             return False
     return True
+
+
+def _times(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """left * right for a square right, multiplied over nonzeros."""
+    right_rows = _sparse_rows(right)
+    return tuple(tuple(_sparse_row_times(row, right_rows, len(right))) for row in left)
 
 
 def _certificate(
@@ -597,16 +564,8 @@ class HermiteForm:
         3. transform * inverse = I, so transform is invertible over the
            integers and a has the rank and the Smith form of hermite.
         """
-        m, n = a.rows, a.cols
-        h, u, v = self.hermite.entries, self.transform.entries, self.inverse.entries
-        if len(h) != m or len(u) != m or any(len(row) != n for row in h) or any(len(row) != m for row in u):
-            raise CertificateError("Hermite form or its transform has the wrong shape")
-        _echelon_pivots(h, n)
-        a_rows = _sparse_rows(a.entries)
-        for urow, hrow in zip(u, h):
-            if tuple(_sparse_row_times(urow, a_rows, n)) != hrow:
-                raise CertificateError("transform * a differs from the Hermite form")
-        if not _is_inverse(u, v):
+        _check_hermite(self.hermite.entries, self.transform.entries, _sparse_rows(a.entries), a.cols, "a")
+        if not _is_inverse(self.transform.entries, self.inverse.entries):
             raise CertificateError("transform * inverse differs from the identity")
 
     def unit_split(self) -> tuple[int, IntMatrix]:
@@ -684,7 +643,8 @@ class NonfreeSpec:
         if len(self.d) < need:
             raise ValueError(f"need {need} coefficient rows, got {len(self.d)}")
         for m in range(need):
-            if not is_prime(self.q[m]):
+            # a repeated modulus was already tested at its first index
+            if self.q[m] not in self.q[:m] and not is_prime(self.q[m]):
                 raise ValueError(f"q[{m}] = {self.q[m]} is not prime")
             if len(self.d[m]) != self.r:
                 raise ValueError(f"coefficient row {m} has length {len(self.d[m])}, expected r = {self.r}")

@@ -6,10 +6,11 @@ index sets E, and a monotone chain of carrier sets B along siblings.  A
 BasedFamily attaches to each final node a family of per-level enumerations
 whose ranges live inside the carriers on the path to that node.
 
-"Largeness" of the index sets is a named pluggable predicate; there is no
-pretense that any finite predicate models stationarity.  All values are
-immutable after construction and every operation is a pure function, so
-concurrent use needs no synchronization.
+"Largeness" of the index sets is one of the fixed predicates named in
+`LARGENESS` (`nonempty`, `half`); there is no pretense that any finite
+predicate models stationarity.  All values are immutable after
+construction and every operation is a pure function, so concurrent use
+needs no synchronization.
 
 Atoms are ints, strings, or (recursively) tuples of atoms; tuples are what
 the two normalizing transforms below produce.  Equality is structural and
@@ -82,10 +83,6 @@ LARGENESS: dict[str, Callable[[int, frozenset], bool]] = {
 }
 
 
-def register_largeness(name: str, predicate: Callable[[int, frozenset], bool]) -> None:
-    LARGENESS[name] = predicate
-
-
 @dataclass(frozen=True)
 class Violation:
     clause: str
@@ -128,13 +125,6 @@ class SystemSkeleton:
 
     def finals(self) -> list[Node]:
         return sorted((n for n in self.nodes if self.is_final(n)), key=lex_key)
-
-    def bar_b(self, node: Node) -> frozenset[Atom]:
-        """Union of carriers along the path from the root to `node` inclusive."""
-        out: set[Atom] = set()
-        for m in range(len(node) + 1):
-            out |= self.B.get(node[:m], frozenset())
-        return frozenset(out)
 
 
 def make_skeleton(

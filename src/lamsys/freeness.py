@@ -24,6 +24,9 @@ from typing import Mapping, Sequence
 from .abelian import CertificateError
 from .core import Atom, BasedFamily, Node, atom_sort_key, lex_key, node_key
 
+# index sets up to this size are searched by exact, unbudgeted backtracking
+EXACT_LIMIT = 10
+
 
 @dataclass(frozen=True)
 class Transversal:
@@ -242,11 +245,10 @@ def find_reshuffling(
     alpha: int = -1,
     theta_fresh: int = 1,
     budget: int = 200_000,
-    exact_limit: int = 10,
 ) -> ReshufflingResult:
     """Search for an order with the freshness and cutoff-split properties.
 
-    Exact backtracking for small index sets; above `exact_limit` a greedy
+    Exact backtracking for small index sets; above `EXACT_LIMIT` a greedy
     pass runs first and its failure falls back to backtracking capped by
     `budget` visited nodes, reporting "unknown" when the cap is hit.  The
     freshness requirement is monotone (prefix unions only grow), so any
@@ -281,7 +283,7 @@ def find_reshuffling(
                 return res
         return None
 
-    if len(index) > exact_limit:
+    if len(index) > EXACT_LIMIT:
         g = _greedy(index, sets, alpha, theta_fresh)
         if g is not None:
             order = ReshufflingOrder(tuple(g), alpha, theta_fresh)

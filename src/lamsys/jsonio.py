@@ -11,6 +11,8 @@ outgrow native word sizes.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -433,6 +435,24 @@ def basis_to_doc(cand: BasisCandidate) -> dict:
     }
 
 
+_DIGITS_LOCK = threading.Lock()
+
+
 def dump(doc: Mapping) -> str:
-    """Canonical byte-stable rendering."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical byte-stable rendering, with ints of any length.
+
+    Python (3.10.7 on) refuses to write an int of more than 4,300 digits as
+    text, a guard for parsing untrusted input; results such as the products
+    of `build-group --m-max` outgrow it.  The limit is lifted for this call
+    only and put back afterwards; it is interpreter-wide, so concurrent
+    calls take turns.
+    """
+    with _DIGITS_LOCK:
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lamsys import abelian
 from lamsys.abelian import (
@@ -68,13 +68,37 @@ def test_snf_2x2_dense():
     assert dec.verify(a)
 
 
+# adding row j to row i, not column j to column i, never leaves diag(1, 2, 1, 0)
+HANG = IntMatrix.from_rows([[0, 0, 6, -1], [-1, 0, 2, 0], [4, 0, 0, 1], [0, 0, 6, 0]])
+# Hermite form on both sides already, but 2 does not divide 1
+DIAG_2_1 = IntMatrix.from_rows([[2, 0], [0, 1]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
+@example(HANG)
+@example(DIAG_2_1)
 def test_snf_properties(a):
     dec = snf(a)
     assert dec.verify(a)
     assert abs(det(dec.u)) == abs(det(dec.v)) == 1
     assert dec.u.mul(a).mul(dec.v).entries == dec.d.entries
+
+
+def test_snf_diagonal_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    # the edge shapes (n x 0, zero rows and columns) and relation matrices with factors above 1
+    for a in (HANG, DIAG_2_1, *_edge_matrices(), *(p.relations for p in _torsion_presentations())):
+        dec = snf(a)
+        size = min(a.rows, a.cols)
+        if size == 0:
+            assert dec.diagonal == ()
+            continue
+        s = smith_normal_form(sympy.Matrix(a.entries), domain=sympy.ZZ)
+        factors = sorted(abs(int(s[i, i])) for i in range(size) if s[i, i] != 0)
+        assert dec.diagonal == tuple(factors) + (0,) * (size - len(factors))
 
 
 @settings(max_examples=150, deadline=None)

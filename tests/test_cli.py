@@ -159,6 +159,18 @@ def test_build_group_cli(tmp_path, capsys):
     assert doc["divisibility"]["steps"][-1]["product"] == 16
 
 
+def test_build_group_cli_writes_products_past_the_str_digit_limit(tmp_path, capsys):
+    # the product of seven copies of the prime 2^2203 - 1 has 4,643 digits
+    spec = {"schema": "lamsys/1", "r": 0, "q": [2 ** 2203 - 1] * 8, "d": [[]] * 8, "J": 9}
+    path = write(tmp_path, "spec.json", spec)
+    code, out, err = run(capsys, ["build-group", "--spec", path, "--m-max", "6"])
+    assert (code, err) == (0, "")
+    # parse_int keeps each number as its digits, so reading back needs no limit either
+    steps = json.loads(out, parse_int=str)["divisibility"]["steps"]
+    assert all(s["verified"] for s in steps)
+    assert len(steps[-1]["product"]) == 4643
+
+
 def test_build_g_and_solve_witness(tmp_path, capsys):
     path = write(tmp_path, "ws.json", witness_doc())
     code, out, _ = run(capsys, ["build-G", "--system", path])

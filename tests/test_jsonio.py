@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -102,3 +103,13 @@ def test_instance_strict_fields():
     }
     with pytest.raises(InputError):
         jsonio.instance_from_doc(doc)
+
+
+def test_dump_writes_ints_past_the_str_digit_limit():
+    # 10^4999 + 7 has 5,000 digits, above Python's default limit of 4,300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert jsonio.dump({"n": 10 ** 4999 + 7}) == '{\n  "n": 1' + "0" * 4998 + '7\n}\n'
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    with pytest.raises(TypeError):
+        jsonio.dump({"n": object()})
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
