@@ -31,7 +31,7 @@ sys.path.insert(0, str(HERE.parent))
 
 from helpers import random_coloring, random_whitehead_system, run_dispatch  # noqa: E402
 
-from lamsys.core import make_family, make_skeleton, node_key  # noqa: E402
+from lamsys.core import make_family, make_skeleton, node_key, sorted_atoms  # noqa: E402
 from lamsys.jsonio import SCHEMA, system_to_doc  # noqa: E402
 from lamsys.whitehead import WhiteheadSystem  # noqa: E402
 
@@ -39,7 +39,7 @@ from lamsys.whitehead import WhiteheadSystem  # noqa: E402
 def flat_family(sets_by_first):
     """Height-1 family document with one final per key."""
     finals = [(i,) for i in sorted(sets_by_first)]
-    atoms = sorted({a for s in sets_by_first.values() for a in s})
+    atoms = sorted_atoms({a for s in sets_by_first.values() for a in s})
     sys_ = make_skeleton(
         nodes=[()] + finals,
         level={(): 1, **{f: 0 for f in finals}},
@@ -47,8 +47,20 @@ def flat_family(sets_by_first):
         b_map={(): [], **{f: atoms for f in finals}},
     )
     trunc = max(len(s) for s in sets_by_first.values())
-    phi = {(f, 1): sorted(sets_by_first[f[0]]) for f in finals}
+    phi = {(f, 1): sorted_atoms(sets_by_first[f[0]]) for f in finals}
     return system_to_doc(sys_, make_family(sys_, phi, truncation=trunc))
+
+
+def escaping_family():
+    """Free family whose string atoms JSON must escape, next to plain ints."""
+    return flat_family(
+        {
+            0: ["é", "☃", 1],
+            1: ['a"b', "back\\slash", "𝔸"],
+            2: ["tab\t", "\u0001", 2],
+            3: [1, 'a"b', "tab\t"],
+        }
+    )
 
 
 def single_final_system(trunc, r=0, j_trunc=None):
@@ -302,6 +314,8 @@ def corpus():
         ("unif-sim-subcase-ii", ["unif-sim", "--instance", "inputs/ladder-ii.json"], {"ladder-ii.json": sub_ii}),
         ("transform-disjoint", ["transform", "inputs/ws-h2.json", "--kind", "disjoint"], {}),
         ("transform-tree", ["transform", "inputs/random-family.json", "--kind", "tree"], {}),
+        ("check-free-escaping", ["check-free", "inputs/escaping.json"], {"escaping.json": escaping_family()}),
+        ("transform-tree-escaping", ["transform", "inputs/escaping.json", "--kind", "tree"], {}),
     ]
 
 
