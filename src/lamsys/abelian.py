@@ -41,6 +41,7 @@ every normal form and certificate is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -496,11 +497,23 @@ def in_lattice(h: IntMatrix, v: Sequence[int]) -> bool:
     return all(t == 0 for t in reduce_mod_lattice(v, h))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (psi_13); below it they decide primality
+_PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for anything this library will see."""
+    """Miller-Rabin to the bases 2..41, then a strong Lucas test from psi_13 on.
+
+    Below psi_13 = 3317044064679887385961981 the thirteen bases decide
+    primality exactly.  From psi_13 on, the answer is the Baillie-PSW test
+    (strong base-2 Miller-Rabin and a strong Lucas test, here with twelve
+    more bases): no composite is known to pass it, but that is not a proof,
+    so a True there means a BPSW probable prime.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -508,8 +521,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # exact for n < 3.3 * 10^24 with these witnesses
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for base in _MR_BASES:
         x = pow(base, d, n)
         if x in (1, n - 1):
             continue
@@ -519,7 +531,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (D, P, Q) = (D, 1, (1 - D)/4), for odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1.
+    With n + 1 = d * 2^s, n passes when U_d = 0 or V_(d*2^r) = 0 for some
+    0 <= r < s (mod n).  A square n has no such D and is composite.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:  # D shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:  # x / 2 mod n, n odd
+        return (x + n if x % 2 else x) // 2 % n
+
+    u, v, qk = 1, 1, q % n  # U_1, V_1 and Q^1 with P = 1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n  # index k -> 2k
+        if bit == "1":  # 2k -> 2k + 1
+            u, v, qk = half(u + v), half(D * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -449,6 +449,37 @@ def test_is_prime_small():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
 
 
+# psi_12 and psi_13: the least strong pseudoprimes to all prime bases up to 37 and up to 41
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes_psi_12_and_psi_13():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
+
+
+def test_strong_lucas_test_agrees_with_sympy():
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    from lamsys.abelian import _strong_lucas_probable_prime
+
+    # the composites that pass are the strong Lucas pseudoprimes 5459, 5777, 10877, ...
+    for n in range(3, 30_000, 2):
+        assert _strong_lucas_probable_prime(n) == primetest.is_strong_lucas_prp(n), n
+
+
+def test_is_prime_agrees_with_sympy_past_psi_13():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    cases = [PSI_13 + k for k in range(-40, 200)]
+    cases += [rng.getrandbits(bits) | 1 for bits in (82, 90, 128, 256) for _ in range(60)]
+    cases += [2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1, (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_chain_group_rank_one():
     # q_m = 2 throughout, four relations: 2 z1 = z0, ..., 2 z4 = z3
     spec = NonfreeSpec(r=0, q=(2, 2, 2, 2), d=((), (), (), ()), j_trunc=5)
