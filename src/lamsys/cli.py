@@ -76,8 +76,8 @@ def _manifest(subcommand: str, inputs: dict, params: dict) -> dict:
 
 def cmd_validate(args) -> tuple[dict, int]:
     doc = _load(args.file)
-    # parse once, as the richest kind the keys name; every parser starts with
-    # system_from_doc, so a skeleton error is still the one reported first
+    # parse once, as the richest kind the keys name; every parser reads the
+    # skeleton first, so a skeleton error is still the one reported first
     fam = None
     if "r" in doc:
         ws = jsonio.whitehead_from_doc(doc)

@@ -6,6 +6,16 @@ map to JSON as int | str | list (lists become tuples on load); node keys
 are dot-joined digit strings with the empty string for the root.  Residue
 tables serialize residues and moduli as decimal strings since the moduli
 outgrow native word sizes.
+
+`dump` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
+indent=2) + "\n"`.  The standard library writes indented JSON with its
+pure-Python encoder; `dump` instead hands each flat container (one whose
+values are all strings, numbers, bools or null) whole to the C encoder,
+with the item separator set to a line break and that container's indent,
+and adds the line breaks around its brackets itself; only containers that
+hold other containers are walked in Python.  Integers of any length are
+written: every int-to-decimal conversion here lifts Python's 4,300-digit
+limit (`_unlimited_digits`).
 """
 
 from __future__ import annotations
@@ -13,8 +23,11 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Mapping
+from functools import cache
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from typing import Any, Callable, Mapping
 
 from .abelian import InfeasibilityCertificate, IntMatrix, NonfreeSpec, Presentation
 from .core import (
@@ -22,9 +35,9 @@ from .core import (
     BasedFamily,
     Node,
     SystemSkeleton,
+    atom_sort_key,
     node_key,
     parse_node_key,
-    sorted_atoms,
 )
 from .freeness import HallCertificate, ReshufflingOrder, Transversal
 from .uniformization import (
@@ -41,6 +54,31 @@ SCHEMA = "lamsys/1"
 
 class InputError(ValueError):
     """Malformed document: wrong schema, unknown field, or bad shape."""
+
+
+_DIGITS_LOCK = threading.RLock()
+
+
+@contextmanager
+def _unlimited_digits():
+    """Write ints of any length as decimal text while the block runs.
+
+    Python (3.10.7 on) refuses to write an int of more than 4,300 digits as
+    text, a guard for parsing untrusted input; results such as the products
+    of `build-group --m-max` or the moduli of `unif-table` outgrow it.  The
+    limit is lifted for the block only and put back afterwards; it is
+    interpreter-wide, so concurrent blocks take turns (a nested block finds
+    it lifted already and leaves it alone).
+    """
+    with _DIGITS_LOCK:
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def _require_keys(doc: Mapping, required: set[str], optional: set[str], context: str) -> None:
@@ -123,6 +161,24 @@ def atom_from_jsonable(v) -> Atom:
     raise InputError(f"not an atom: {v!r}")
 
 
+_PLAIN_ATOMS = frozenset({int, str})
+
+
+def _atoms(v, field: str, *keys):
+    """The atoms of a B list or phi slice; a list of plain ints and strings is taken as is."""
+    v = _list(v, field, *keys)
+    # exact types: a bool is an int subclass, so it still reaches atom_from_jsonable and is refused
+    return v if _PLAIN_ATOMS.issuperset(map(type, v)) else map(atom_from_jsonable, v)
+
+
+class _NodeKeys(dict):
+    """Node-key string -> node, each distinct string parsed once per document."""
+
+    def __missing__(self, key: str) -> Node:
+        node = self[key] = parse_node_key(key)
+        return node
+
+
 # --- skeleton / family / witness system --------------------------------------
 
 _SYSTEM_REQUIRED = {"schema", "nodes", "level", "E", "B"}
@@ -134,30 +190,45 @@ def system_to_doc(
     fam: BasedFamily | None = None,
     ws: WhiteheadSystem | None = None,
 ) -> dict:
+    nodes = sys_.sorted_nodes()
+    keys = {n: node_key(n) for n in nodes}
+
+    def key(n: Node) -> str:
+        # a final the skeleton does not list is keyed on its own; the root's "" is falsy but the same
+        return keys.get(n) or node_key(n)
+
+    carriers = [sys_.B.get(n, frozenset()) for n in nodes]
+    slices = {}
+    if fam is not None:
+        slices = {key(z): {str(k): fam.phi.get((z, k), ()) for k in range(1, len(z) + 1)} for z in fam.finals}
+    # sort keys and JSON forms once per distinct atom, not once per occurrence
+    carrier_atoms = set().union(*carriers)
+    sort_key = {a: atom_sort_key(a) for a in carrier_atoms}
+    as_json = {
+        a: atom_to_jsonable(a)
+        for a in carrier_atoms.union(*(vals for per_level in slices.values() for vals in per_level.values()))
+    }
     doc: dict[str, Any] = {
         "schema": SCHEMA,
-        "nodes": [node_key(n) for n in sys_.sorted_nodes()],
-        "level": {node_key(n): sys_.level[n] for n in sys_.sorted_nodes()},
-        "E": {node_key(n): sorted(sys_.E[n]) for n in sys_.sorted_nodes() if n in sys_.E},
+        "nodes": list(keys.values()),
+        "level": {k: sys_.level[n] for n, k in keys.items()},
+        "E": {k: sorted(sys_.E[n]) for n, k in keys.items() if n in sys_.E},
         "B": {
-            node_key(n): [atom_to_jsonable(a) for a in sorted_atoms(sys_.B.get(n, frozenset()))]
-            for n in sys_.sorted_nodes()
+            k: [as_json[a] for a in sorted(carrier, key=sort_key.__getitem__)]
+            for k, carrier in zip(keys.values(), carriers)
         },
         "largeness": sys_.largeness,
     }
     if fam is not None:
-        phi: dict[str, dict[str, list]] = {}
-        for z in fam.finals:
-            per_level = {}
-            for k in range(1, len(z) + 1):
-                per_level[str(k)] = [atom_to_jsonable(a) for a in fam.phi.get((z, k), ())]
-            phi[node_key(z)] = per_level
-        doc["phi"] = phi
+        doc["phi"] = {
+            zk: {k: [as_json[a] for a in vals] for k, vals in per_level.items()}
+            for zk, per_level in slices.items()
+        }
         doc["truncation"] = fam.truncation
     if ws is not None:
         doc["r"] = ws.r
-        doc["q"] = {node_key(z): list(ws.q[z]) for z in ws.finals()}
-        doc["d"] = {node_key(z): [list(row) for row in ws.d[z]] for z in ws.finals()}
+        doc["q"] = {key(z): list(ws.q[z]) for z in ws.finals()}
+        doc["d"] = {key(z): [list(row) for row in ws.d[z]] for z in ws.finals()}
         doc["J"] = ws.j_trunc
         if ws.strong_order is not None:
             doc["strong"] = ws.strong_order.to_jsonable()
@@ -165,43 +236,52 @@ def system_to_doc(
 
 
 def system_from_doc(doc: Mapping) -> SystemSkeleton:
+    return _system(doc)[0]
+
+
+def _system(doc: Mapping) -> tuple[SystemSkeleton, _NodeKeys]:
+    """The skeleton, and the node keys parsed on the way for the rest of the document."""
     _check_schema(doc, "system document")
     _require_keys(doc, _SYSTEM_REQUIRED, _SYSTEM_OPTIONAL, "system document")
-    nodes = frozenset(parse_node_key(k) for k in _strs(doc["nodes"], "nodes"))
+    node = _NodeKeys()
+    nodes = frozenset(node[k] for k in _strs(doc["nodes"], "nodes"))
     largeness = doc.get("largeness", "nonempty")
     if type(largeness) is not str:
         raise _malformed("a string", largeness, "largeness", ())
-    return SystemSkeleton(
+    sys_ = SystemSkeleton(
         nodes=nodes,
-        level={parse_node_key(k): _int(v, "level", k) for k, v in _object(doc["level"], "level").items()},
-        E={parse_node_key(k): frozenset(_ints(v, "E", k)) for k, v in _object(doc["E"], "E").items()},
-        B={
-            parse_node_key(k): frozenset(atom_from_jsonable(a) for a in _list(v, "B", k))
-            for k, v in _object(doc["B"], "B").items()
-        },
+        level={node[k]: _int(v, "level", k) for k, v in _object(doc["level"], "level").items()},
+        E={node[k]: frozenset(_ints(v, "E", k)) for k, v in _object(doc["E"], "E").items()},
+        B={node[k]: frozenset(_atoms(v, "B", k)) for k, v in _object(doc["B"], "B").items()},
         largeness=largeness,
     )
+    return sys_, node
 
 
 def family_from_doc(doc: Mapping) -> BasedFamily:
-    sys_ = system_from_doc(doc)
+    return _family(doc)[0]
+
+
+def _family(doc: Mapping) -> tuple[BasedFamily, _NodeKeys]:
+    sys_, node = _system(doc)
     if "phi" not in doc or "truncation" not in doc:
         raise InputError("document carries no family (phi and truncation required)")
     phi = {}
     for zk, per_level in _object(doc["phi"], "phi").items():
-        z = parse_node_key(zk)
+        z = node[zk]
         for k, vals in _object(per_level, "phi", zk).items():
-            phi[(z, int(k))] = tuple(atom_from_jsonable(a) for a in _list(vals, "phi", zk, k))
-    return BasedFamily(
+            phi[(z, int(k))] = tuple(_atoms(vals, "phi", zk, k))
+    fam = BasedFamily(
         system=sys_,
         finals=tuple(sys_.finals()),
         phi=phi,
         truncation=_int(doc["truncation"], "truncation"),
     )
+    return fam, node
 
 
 def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
-    fam = family_from_doc(doc)
+    fam, node = _family(doc)
     for key in ("r", "q", "d", "J"):
         if key not in doc:
             raise InputError(f"witness system document needs field {key!r}")
@@ -210,12 +290,12 @@ def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
         s = _object(doc["strong"], "strong")
         _require_keys(s, {"order", "alpha", "theta_fresh"}, set(), "strong order")
         strong = ReshufflingOrder(
-            order=tuple(parse_node_key(k) for k in _strs(s["order"], "strong", "order")),
+            order=tuple(node[k] for k in _strs(s["order"], "strong", "order")),
             alpha=_int(s["alpha"], "strong", "alpha"),
             theta_fresh=_int(s["theta_fresh"], "strong", "theta_fresh"),
         )
-    q = {parse_node_key(k): _ints(v, "q", k) for k, v in _object(doc["q"], "q").items()}
-    d = {parse_node_key(k): _int_rows(v, "d", k) for k, v in _object(doc["d"], "d").items()}
+    q = {node[k]: _ints(v, "q", k) for k, v in _object(doc["q"], "q").items()}
+    d = {node[k]: _int_rows(v, "d", k) for k, v in _object(doc["d"], "d").items()}
     for z in fam.finals:
         if z not in q or z not in d:
             raise InputError(f"q and d need an entry for every final; final {node_key(z)!r} has none")
@@ -278,6 +358,7 @@ def chain_spec_from_doc(doc: Mapping) -> NonfreeSpec:
 # --- certificates -------------------------------------------------------------
 
 
+@_unlimited_digits()
 def certificate_to_doc(obj) -> dict:
     if isinstance(obj, Transversal):
         return {
@@ -366,6 +447,7 @@ def _intervals_to_doc(segments) -> list[list[str]]:
     return [[str(lo), str(hi)] for lo, hi in segments]
 
 
+@_unlimited_digits()
 def table_to_doc(tab) -> dict:
     if isinstance(tab, PrimeTable):
         doc = {
@@ -404,6 +486,7 @@ def table_to_doc(tab) -> dict:
     raise TypeError(f"no JSON form for {type(tab).__name__}")
 
 
+@_unlimited_digits()
 def simulation_to_doc(report: SimulationReport) -> dict:
     return {
         "subcase": report.subcase,
@@ -435,24 +518,73 @@ def basis_to_doc(cand: BasisCandidate) -> dict:
     }
 
 
-_DIGITS_LOCK = threading.Lock()
+# --- rendering ----------------------------------------------------------------
+
+_SCALARS = frozenset({str, int, bool, float, type(None)})
 
 
+@cache
+def _layout(level: int) -> tuple[Callable[[Any], str], str, str, str]:
+    """(encode, first, sep, last) for a container nested `level` deep.
+
+    `encode` writes compact JSON whose items are separated by `sep`, a line
+    break and `level + 1` indents, so a flat container comes out as
+    `json.dumps(indent=2)` writes it, short of `first` after its opening and
+    `last` before its closing bracket.
+    """
+    first = "\n" + "  " * (level + 1)
+    sep, last = "," + first, "\n" + "  " * level
+    public = JSONEncoder(sort_keys=True, separators=(sep, ": "))
+    if c_make_encoder is None:  # no _json accelerator: the same text, from a new encoder per call
+        return public.encode, first, sep, last
+    c_encode = c_make_encoder(None, public.default, encode_basestring_ascii, None, ": ", sep, True, False, True)
+    return (lambda o: "".join(c_encode(o, 0))), first, sep, last
+
+
+def _key(k, level: int) -> str:
+    """A dict key that is not a string, as `json` writes it: an int, float, bool or null as its quoted text."""
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _layout(level)[0](k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _render(o, level: int, out: list[str]) -> None:
+    """Append the `json.dumps(o, sort_keys=True, indent=2)` text of `o`, nested `level` deep."""
+    encode, first, sep, last = _layout(level)
+    if isinstance(o, dict):
+        values, close = o.values(), "}"
+    elif isinstance(o, (list, tuple)):
+        values, close = o, "]"
+    else:  # a scalar, or a value the encoder refuses with json's own TypeError
+        out.append(encode(o))
+        return
+    if _SCALARS.issuperset(map(type, values)):
+        text = encode(o)
+        out += (text[0], first, text[1:-1], last, close) if o else (text,)
+        return
+    if close == "]":
+        out.append("[")
+        for v in o:
+            out.append(first)
+            _render(v, level + 1, out)
+            first = sep
+    else:
+        out.append("{")
+        for k, v in sorted(o.items()):
+            out += (first, encode_basestring_ascii(k) if isinstance(k, str) else _key(k, level), ": ")
+            _render(v, level + 1, out)
+            first = sep
+    out += (last, close)
+
+
+@_unlimited_digits()
 def dump(doc: Mapping) -> str:
     """Canonical byte-stable rendering, with ints of any length.
 
-    Python (3.10.7 on) refuses to write an int of more than 4,300 digits as
-    text, a guard for parsing untrusted input; results such as the products
-    of `build-group --m-max` outgrow it.  The limit is lifted for this call
-    only and put back afterwards; it is interpreter-wide, so concurrent
-    calls take turns.
+    The text is `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte
+    for byte, written as the module docstring describes.
     """
-    with _DIGITS_LOCK:
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        if limit:
-            sys.set_int_max_str_digits(0)
-        try:
-            return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+    out: list[str] = []
+    _render(doc, 0, out)
+    out.append("\n")
+    return "".join(out)

@@ -1,7 +1,9 @@
 """Reference implementations that only the tests use.
 
-The quadratic scans are what the library ran before it indexed atoms; the
-differential tests run both and require identical results.  The linear
+The quadratic scans are what the library ran before it indexed atoms, and
+`system_to_doc` is the document builder that converted every atom of every
+carrier on its own; the differential tests run both and require identical
+results.  The linear
 algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
 brute-force purity search) give the tests an independent second answer.
 Nothing under `src/` imports this module.
@@ -12,6 +14,7 @@ from itertools import product
 from lamsys.abelian import DimensionError, IntMatrix, NonfreeSpec, build_chain_group, hnf, in_lattice
 from lamsys.core import ROOT, lex_key, node_key, sorted_atoms
 from lamsys.freeness import ReshufflingOrder
+from lamsys.jsonio import SCHEMA, atom_to_jsonable
 
 
 def det(a: IntMatrix) -> int:
@@ -170,3 +173,35 @@ def tree_carriers(sys_, fam):
         carrier = sys_.B.get(n, frozenset())
         out[n] = frozenset(t for t in used if set(t) <= carrier) if carrier else frozenset()
     return out
+
+
+def system_to_doc(sys_, fam=None, ws=None) -> dict:
+    """jsonio.system_to_doc, sorting and converting every atom where it occurs."""
+    doc = {
+        "schema": SCHEMA,
+        "nodes": [node_key(n) for n in sys_.sorted_nodes()],
+        "level": {node_key(n): sys_.level[n] for n in sys_.sorted_nodes()},
+        "E": {node_key(n): sorted(sys_.E[n]) for n in sys_.sorted_nodes() if n in sys_.E},
+        "B": {
+            node_key(n): [atom_to_jsonable(a) for a in sorted_atoms(sys_.B.get(n, frozenset()))]
+            for n in sys_.sorted_nodes()
+        },
+        "largeness": sys_.largeness,
+    }
+    if fam is not None:
+        phi = {}
+        for z in fam.finals:
+            per_level = {}
+            for k in range(1, len(z) + 1):
+                per_level[str(k)] = [atom_to_jsonable(a) for a in fam.phi.get((z, k), ())]
+            phi[node_key(z)] = per_level
+        doc["phi"] = phi
+        doc["truncation"] = fam.truncation
+    if ws is not None:
+        doc["r"] = ws.r
+        doc["q"] = {node_key(z): list(ws.q[z]) for z in ws.finals()}
+        doc["d"] = {node_key(z): [list(row) for row in ws.d[z]] for z in ws.finals()}
+        doc["J"] = ws.j_trunc
+        if ws.strong_order is not None:
+            doc["strong"] = ws.strong_order.to_jsonable()
+    return doc

@@ -171,6 +171,33 @@ def test_build_group_cli_writes_products_past_the_str_digit_limit(tmp_path, caps
     assert len(steps[-1]["product"]) == 4643
 
 
+@pytest.mark.parametrize(
+    "q0",
+    [318665857834031151167461, 3317044064679887385961981],
+    ids=["psi-12", "psi-13"],
+)
+def test_build_group_cli_rejects_strong_pseudoprimes(tmp_path, capsys, q0):
+    # the least strong pseudoprimes to all prime bases up to 37 and up to 41
+    spec = {"schema": "lamsys/1", "r": 0, "q": [q0], "d": [[]], "J": 2}
+    path = write(tmp_path, "spec.json", spec)
+    code, out, err = run(capsys, ["build-group", "--spec", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: q[0] = {q0} is not prime\n"
+
+
+def test_unif_table_writes_moduli_past_the_str_digit_limit(capsys):
+    from lamsys.uniformization import power_table, threshold_exponents
+
+    # block 6 at p = 2 has modulus 2^14843, a 4,469-digit number
+    code, out, err = run(capsys, ["unif-table", "--p", "2", "--i", "6"])
+    assert (code, err) == (0, "")
+    modulus = json.loads(out)["table"]["modulus"]
+    assert len(modulus) == 4469
+    tab = power_table(2, 6, threshold_exponents(2, 0, 6), [])
+    with jsonio._unlimited_digits():
+        assert int(modulus) == tab.modulus
+
+
 def test_build_g_and_solve_witness(tmp_path, capsys):
     path = write(tmp_path, "ws.json", witness_doc())
     code, out, _ = run(capsys, ["build-G", "--system", path])
@@ -384,10 +411,12 @@ _MALFORMED_FAMILY_INPUTS = [
     pytest.param({"B": [["a"]]}, {}, id="B-not-object"),
     pytest.param({"B": {"": [], "0": 7, "1": ["b", "c"]}}, {}, id="B-value-int"),
     pytest.param({"B": {"": [], "0": "ab", "1": ["b", "c"]}}, {}, id="B-value-string"),
+    pytest.param({"B": {"": [], "0": ["a", True, "b", "c"], "1": ["a", "b", "c"]}}, {}, id="B-value-bool"),
     pytest.param({"phi": [["a", "b"]]}, {}, id="phi-not-object"),
     pytest.param({}, {"0": [["a", "b"]]}, id="phi-final-list"),
     pytest.param({}, {"0": {"1": 5}}, id="phi-slice-int"),
     pytest.param({}, {"0": {"1": {"a": 1}}}, id="phi-slice-object"),
+    pytest.param({}, {"0": {"1": ["a", True]}}, id="phi-slice-bool"),
     pytest.param({"largeness": ["half"]}, {}, id="largeness-list"),
 ]
 
