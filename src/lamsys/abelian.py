@@ -720,6 +720,14 @@ class NonfreeSpec:
         return self.j_trunc - self.r - 1
 
 
+def chain_row(r: int, q: Sequence[int], d: Sequence[Sequence[int]], m: int) -> tuple[tuple[int, int], ...]:
+    """Relation m of the chain, q[m]*z_{m+r+1} - z_{m+r} - sum_{l<r} d[m][l]*z_l, as (z index, coefficient).
+
+    The indices are distinct: the head indices l < r sit below m + r.
+    """
+    return ((m + r + 1, q[m]), (m + r, -1), *((l, -d[m][l]) for l in range(r)))
+
+
 def build_chain_group(spec: NonfreeSpec) -> Presentation:
     """Presentation of the truncated divisibility-chain group."""
     j = spec.j_trunc
@@ -727,10 +735,8 @@ def build_chain_group(spec: NonfreeSpec) -> Presentation:
     rows = []
     for m in range(spec.relation_count):
         row = [0] * j
-        row[m + spec.r + 1] = spec.q[m]
-        row[m + spec.r] -= 1
-        for l in range(spec.r):
-            row[l] -= spec.d[m][l]
+        for i, coeff in chain_row(spec.r, spec.q, spec.d, m):
+            row[i] = coeff
         rows.append(row)
     return Presentation(gens, IntMatrix.from_rows(rows))
 

@@ -35,7 +35,7 @@ from .freeness import (
     find_transversal,
     k_free_check,
 )
-from .jsonio import InputError, SCHEMA, dump
+from .jsonio import InputError, SCHEMA, _int_rows, _ints, dump
 from .uniformization import (
     SplittingError,
     power_table,
@@ -245,15 +245,13 @@ def cmd_basis(args) -> tuple[dict, int]:
 
 def cmd_unif_table(args) -> tuple[dict, int]:
     mu = json.loads(args.mu) if args.mu else []
-    if not isinstance(mu, list):
-        raise InputError("--mu must be a JSON list")
     if args.i is None:
-        flat = [int(x) for x in mu]
+        flat = _ints(mu, "--mu")
         if len(flat) != args.r:
             raise InputError(f"subcase needs {args.r} mu entries, got {len(flat)}")
         tab = prime_table(args.p, flat)
         return {"table": jsonio.table_to_doc(tab)}, 0
-    rows = [[int(x) for x in row] for row in mu]
+    rows = _int_rows(mu, "--mu")
     if len(rows) != args.r:
         raise InputError(f"need {args.r} mu rows, got {len(rows)}")
     thresholds = threshold_exponents(args.p, args.r, args.i)

@@ -115,6 +115,12 @@ def _int(v, field: str, *keys) -> int:
     raise _malformed("an integer", v, field, keys)
 
 
+def _str(v, field: str, *keys) -> str:
+    if type(v) is str:
+        return v
+    raise _malformed("a string", v, field, keys)
+
+
 def _ints(v, field: str, *keys) -> tuple[int, ...]:
     if isinstance(v, list) and all(type(x) is int for x in v):
         return tuple(v)
@@ -394,20 +400,20 @@ def instance_from_doc(doc: Mapping) -> LadderInstance:
     _check_schema(doc, "ladder instance")
     _require_keys(doc, _INSTANCE_REQUIRED, _INSTANCE_OPTIONAL, "ladder instance")
     levels = []
-    for alpha_key, lv in sorted(doc["levels"].items(), key=lambda kv: int(kv[0])):
-        _require_keys(lv, _LEVEL_REQUIRED, _LEVEL_OPTIONAL, f"level {alpha_key}")
+    for alpha_key, lv in sorted(_object(doc["levels"], "levels").items(), key=lambda kv: int(kv[0])):
+        _require_keys(_object(lv, "levels", alpha_key), _LEVEL_REQUIRED, _LEVEL_OPTIONAL, f"level {alpha_key}")
         levels.append(
             LadderLevel(
                 alpha=int(alpha_key),
                 ladder=_ints(lv["ladder"], "levels", alpha_key, "ladder"),
                 colors=_ints(lv["colors"], "levels", alpha_key, "colors"),
-                g_labels=tuple(str(x) for x in lv["g"]),
+                g_labels=tuple(_strs(lv["g"], "levels", alpha_key, "g")),
                 mu=_int_rows(lv.get("mu", []), "levels", alpha_key, "mu"),
                 primes=_ints(lv["primes"], "levels", alpha_key, "primes") if "primes" in lv else None,
             )
         )
     return LadderInstance(
-        subcase=str(doc["subcase"]),
+        subcase=_str(doc["subcase"], "subcase"),
         r=_int(doc["r"], "r"),
         levels=tuple(levels),
         p=_int(doc["p"], "p") if "p" in doc else None,

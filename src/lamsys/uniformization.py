@@ -500,6 +500,13 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     integer solution (checked by `IntegerSolutions.check`), hence every
     integer y with y W = 0 has y s = -(y W) c = 0, and no row (0, ..., 0, k)
     with k != 0 lies in the row lattice of [W | -s].
+
+    W c = -s is also the only identity checked after the solve.  With
+    delta = -c its row n reads delta(g_n) = delta(y_0) + sum_k mu_k(n)
+    delta(z_k) + s_n - p_n delta(y_{n+1}) in subcase i, the identity behind
+    query n.  In subcase ii (y_n for y_0, p for p_n) the rows n < t_i summed
+    with weights p^n telescope to the block identity for sum_n p^n delta(g_n)
+    plus -p^{t_i} delta(y_{t_i}), which is 0 mod p^{t_i}.
     """
     problems = validate_instance(inst)
     if problems:
@@ -516,7 +523,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     names = _gen_names(inst, n_rel_of)
     index = {g: i for i, g in enumerate(names)}
     levels = sorted(inst.levels, key=lambda l: l.alpha)
-    tables = {}
+    row_tables = []  # the table of each row, read again by that row's query
     rows: list[list[int]] = []
     shifts: list[int] = []
     for lv in levels:
@@ -527,8 +534,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
                 prime = lv.primes[n]
                 row[index[f"y:{lv.alpha}:{n + 1}"]] += prime
                 row[index[f"y:{lv.alpha}:0"]] -= 1
-                mu_now = tuple(lv.mu[k][n] for k in range(inst.r))
-                tab = prime_table(prime, mu_now)
+                tab = prime_table(prime, tuple(lv.mu[k][n] for k in range(inst.r)))
                 shift = tab.shift[lv.colors[n]]
             else:
                 row[index[f"y:{lv.alpha}:{n + 1}"]] += inst.p
@@ -536,7 +542,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
                 block = block_of[n]
                 tab = power_table(inst.p, block, thresholds, lv.mu)
                 shift = tab.digits[lv.colors[block - 1]][n - thresholds[block - 1]]
-            tables[tab.key] = tab
+            row_tables.append(tab)
             for k in range(inst.r):
                 row[index[f"z:{lv.alpha}:{k + 1}"]] -= lv.mu[k][n]
             row[index[f"g:{lv.g_labels[n]}"]] += 1
@@ -553,58 +559,37 @@ def simulate(inst: LadderInstance) -> SimulationReport:
 
     delta = {g: -c_vec[index[g]] for g in names}
 
-    derivation_ok = True
     level_reports = []
     start = 0
     for lv in levels:
         n_rel = n_rel_of(lv)
-        lv_shifts = shifts[start:start + n_rel]
+        lv_tables = row_tables[start:start + n_rel]
         start += n_rel
         d_y0 = delta[f"y:{lv.alpha}:0"]
         d_z = tuple(delta[f"z:{lv.alpha}:{k + 1}"] for k in range(inst.r))
+        magnitude = max(map(abs, (d_y0, *d_z)))
         queries = []
         if inst.subcase == "i":
             oks = []
-            for n in range(n_rel):
-                prime = lv.primes[n]
-                mu_now = tuple(lv.mu[k][n] for k in range(inst.r))
-                tab = prime_table(prime, mu_now)
-                d_g = delta[f"g:{lv.g_labels[n]}"]
-                d_y_next = delta[f"y:{lv.alpha}:{n + 1}"]
-                lhs = d_g
-                rhs = d_y0 + sum(m * z for m, z in zip(mu_now, d_z)) + lv_shifts[n] - prime * d_y_next
-                if lhs != rhs:
-                    derivation_ok = False
-                h_bit = tab.value(d_g % prime)
-                oks.append(abs(d_y0) <= tab.t_bound and all(abs(z) <= tab.t_bound for z in d_z))
+            for n, tab in enumerate(lv_tables):
+                h_bit = tab.value(delta[f"g:{lv.g_labels[n]}"])
+                oks.append(magnitude <= tab.t_bound)
                 queries.append(
                     {
                         "n": n,
-                        "w": {"mu": list(mu_now), "p": prime, "g": lv.g_labels[n]},
+                        "w": {"mu": list(tab.mu), "p": tab.p, "g": lv.g_labels[n]},
                         "H": h_bit,
                         "c": lv.colors[n],
                         "match": h_bit == lv.colors[n],
                     }
                 )
-            n0 = n_rel
-            for n in range(n_rel - 1, -1, -1):
-                if not oks[n]:
-                    break
-                n0 = n
         else:
-            # exact telescoped identity for each block, then the block lookups
+            # each block reads its table at the block sum of delta over its g labels
             for i_blk in range(1, inst.i_max + 1):
                 t_i = thresholds[i_blk]
-                mod = inst.p ** t_i
-                tab = power_table(inst.p, i_blk, thresholds, lv.mu)
-                lhs = sum(inst.p ** n * delta[f"g:{lv.g_labels[n]}"] for n in range(t_i))
-                rhs = d_y0
-                for k in range(inst.r):
-                    rhs += sum(inst.p ** n * lv.mu[k][n] for n in range(t_i)) * d_z[k]
-                a_sum = sum(inst.p ** n * lv_shifts[n] for n in range(t_i))
-                if (lhs - rhs - a_sum) % mod != 0:
-                    derivation_ok = False
-                h_bit = tab.value(lhs % mod)
+                block_sum = sum(inst.p ** n * delta[f"g:{lv.g_labels[n]}"] for n in range(t_i))
+                # row t_i - 1 is the last of block i_blk
+                h_bit = lv_tables[t_i - 1].value(block_sum)
                 queries.append(
                     {
                         "n": i_blk - 1,
@@ -617,13 +602,11 @@ def simulate(inst: LadderInstance) -> SimulationReport:
                         "match": h_bit == lv.colors[i_blk - 1],
                     }
                 )
-            mags = [abs(d_y0)] + [abs(z) for z in d_z]
-            oks = [max(mags) <= inst.p ** thresholds[m] for m in range(inst.i_max)]
-            n0 = inst.i_max
-            for m in range(inst.i_max - 1, -1, -1):
-                if not oks[m]:
-                    break
-                n0 = m
+            oks = [magnitude <= inst.p ** thresholds[m] for m in range(inst.i_max)]
+        # n0: the start of the final run of queries whose magnitudes are in bounds
+        n0 = len(oks)
+        while n0 and oks[n0 - 1]:
+            n0 -= 1
         level_reports.append(
             LevelReport(alpha=lv.alpha, n0=n0, queries=tuple(queries), delta_y0=d_y0, delta_z=d_z)
         )
@@ -634,15 +617,10 @@ def simulate(inst: LadderInstance) -> SimulationReport:
         shift_coefficients=tuple(shifts),
         splitting={g: c_vec[index[g]] for g in names},
     )
-    checks = {
-        "projection_splitting_identity": splitting_ok,
-        "derivation_identity": derivation_ok,
-    }
-    report = SimulationReport(
+    return SimulationReport(
         subcase=inst.subcase,
         levels=tuple(level_reports),
         chain=chain,
-        checks=checks,
-        table_keys=tuple(sorted(tables.keys())),
+        checks={"projection_splitting_identity": splitting_ok},
+        table_keys=tuple(sorted({tab.key for tab in row_tables})),
     )
-    return report

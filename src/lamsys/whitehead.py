@@ -4,7 +4,11 @@ A WhiteheadSystem attaches to every final node a prime sequence q and
 integer coefficient rows d.  Its group is presented on the family's atoms
 together with per-final generators z, modulo one relation per (final, m):
 
-    q[m] * z[m+r+1] - z[m+r] - sum_{l<r} d[m][l] * z[l] - sum_k phi_k(m).
+    q[m] * z[m+r+1] - z[m+r] - sum_{l<r} d[m][l] * z[l] - sum_k phi_k(m),
+
+the chain row `abelian.chain_row` (the one `build_chain_group` presents)
+less the final's level atoms.  The group, the quotient presentations and
+`verify_witness` all read it from there.
 
 A coloring c of the finals is "witnessed" by integers f on the atoms and a
 on the z's satisfying, for every final and m,
@@ -34,6 +38,7 @@ from .abelian import (
     InfeasibilityCertificate,
     IntMatrix,
     Presentation,
+    chain_row,
     hnf,
     in_lattice,
     invariant_factors,
@@ -98,6 +103,7 @@ def validate_whitehead(ws: WhiteheadSystem) -> list[Violation]:
     if ws.j_trunc < ws.r + 2:
         out.append(Violation("j-trunc", None, f"need j_trunc >= r+2 = {ws.r + 2}"))
         return out
+    prime: dict[int, bool] = {}  # finals repeat moduli, and a large one is slow to test
     for z in ws.finals():
         qs = ws.q.get(z, ())
         ds = ws.d.get(z, ())
@@ -105,7 +111,9 @@ def validate_whitehead(ws: WhiteheadSystem) -> list[Violation]:
             out.append(Violation("qd-range", z, f"need {ws.m_range} primes and coefficient rows"))
             continue
         for m in range(ws.m_range):
-            if not is_prime(qs[m]):
+            if qs[m] not in prime:
+                prime[qs[m]] = is_prime(qs[m])
+            if not prime[qs[m]]:
                 out.append(Violation("q-prime", z, f"q[{m}] = {qs[m]} is not prime"))
             if len(ds[m]) != ws.r:
                 out.append(Violation("d-width", z, f"d[{m}] has width {len(ds[m])}, expected {ws.r}"))
@@ -136,11 +144,12 @@ def generator_names(
 
 
 def _relation_row(ws: WhiteheadSystem, index: dict[str, int], z: Node, m: int) -> list[int]:
+    """The chain row of (z, m) in z's block of columns, less one per level atom."""
     row = [0] * len(index)
-    row[index[z_name(z, m + ws.r + 1)]] += ws.q[z][m]
-    row[index[z_name(z, m + ws.r)]] -= 1
-    for l in range(ws.r):
-        row[index[z_name(z, l)]] -= ws.d[z][m][l]
+    # generator_names lists a final's z generators in one run of columns
+    z_column = index[z_name(z, 0)]
+    for j, coeff in chain_row(ws.r, ws.q[z], ws.d[z], m):
+        row[z_column + j] = coeff
     for k in ws.levels(z):
         row[index[atom_name(ws.family.phi[(z, k)][m])]] -= 1
     return row
@@ -173,9 +182,7 @@ def verify_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]], w: Witn
     """Check the witness equation exactly; returns (ok, first failing (final, m))."""
     for z in ws.finals():
         for m in range(ws.m_range):
-            total = ws.q[z][m] * w.a[(z, m + ws.r + 1)] - w.a[(z, m + ws.r)]
-            for l in range(ws.r):
-                total -= ws.d[z][m][l] * w.a[(z, l)]
+            total = sum(coeff * w.a[(z, j)] for j, coeff in chain_row(ws.r, ws.q[z], ws.d[z], m))
             for k in ws.levels(z):
                 x = ws.family.phi[(z, k)][m]
                 if x not in w.f:

@@ -273,7 +273,7 @@ def test_unif_sim_cli(tmp_path, capsys):
     level = doc["report"]["levels"][0]
     assert level["n0"] == 0
     assert all(q["match"] for q in level["queries"])
-    assert doc["report"]["checks"] == {"projection_splitting_identity": True, "derivation_identity": True}
+    assert doc["report"]["checks"] == {"projection_splitting_identity": True}
 
 
 def test_unif_sim_certificate_reverifies_from_json(tmp_path, capsys):
@@ -435,6 +435,51 @@ def test_malformed_family_inputs_exit_2(tmp_path, capsys, changes, phi_changes):
         err = capsys.readouterr().err
         assert (code, out) == (2, "")
         assert "Traceback" not in err and err.count("\n") == 1 and err.startswith("error: ")
+
+
+_MALFORMED_LADDER_INPUTS = [
+    # (top-level fields to replace, fields of level "40" to replace, start of the message)
+    pytest.param({"levels": [{"ladder": [3], "colors": [1], "g": ["a0"], "primes": [11]}]}, None, "levels:", id="levels-list"),
+    pytest.param({"levels": {"40": 3}}, None, "levels '40':", id="level-int"),
+    pytest.param({"levels": {"40": ["ladder", "colors", "g"]}}, None, "levels '40':", id="level-list"),
+    pytest.param({}, {"g": [0, 1, 2]}, "levels '40' 'g':", id="g-ints"),
+    pytest.param({}, {"g": "abc"}, "levels '40' 'g':", id="g-string"),
+    pytest.param({"subcase": 1}, {}, "subcase:", id="subcase-int"),
+    pytest.param({"subcase": ["i"]}, {}, "subcase:", id="subcase-list"),
+]
+
+
+@pytest.mark.parametrize("changes,level_changes,message", _MALFORMED_LADDER_INPUTS)
+def test_malformed_ladder_inputs_exit_2(tmp_path, capsys, changes, level_changes, message):
+    from helpers import run_dispatch
+
+    level = {"ladder": [3, 8, 15], "colors": [1, 0, 1], "g": ["a0", "a1", "a2"], "primes": [31, 37, 41]}
+    inst = {"schema": "lamsys/1", "subcase": "i", "r": 0, "levels": {"40": {**level, **(level_changes or {})}}}
+    inst.update(changes)
+    code, out = run_dispatch(["unif-sim", "--instance", write(tmp_path, "inst.json", inst)])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {message} expected ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--r", "1", "--mu", "[1.7]"], id="float"),
+        pytest.param(["--r", "1", "--mu", "[true]"], id="bool"),
+        pytest.param(["--r", "1", "--mu", '["1"]'], id="string"),
+        pytest.param(["--r", "1", "--mu", '{"0": 1}'], id="object"),
+        pytest.param(["--r", "1", "--i", "1", "--mu", "[3]"], id="power-row-int"),
+        pytest.param(["--r", "1", "--i", "1", "--mu", "[[1.0, 0, 0, 0, 0]]"], id="power-row-float"),
+    ],
+)
+def test_unif_table_mu_takes_only_integers(capsys, argv):
+    from helpers import run_dispatch
+
+    code, out = run_dispatch(["unif-table", "--p", "11"] + argv)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: --mu: expected a list of integers, got ")
 
 
 def test_certificate_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -307,6 +307,34 @@ def test_simulate_case_i_spec_example():
         assert (d_g - d_y0 - tab.shift[colors[n]]) % p == 0
 
 
+def test_simulate_reports_a_splitting_off_the_solution(monkeypatch, tmp_path, capsys):
+    import json
+
+    from lamsys import uniformization
+    from lamsys.cli import dispatch
+    from lamsys.jsonio import instance_to_doc
+
+    inst = spec_case_i_instance()
+    assert simulate(inst).checks == {"projection_splitting_identity": True}
+    reduce = uniformization.reduce_mod_lattice
+
+    def off_kernel(v, h, balanced=False):
+        # add e_0, the y_0 column, which every row of W has as -1
+        c = reduce(v, h, balanced)
+        return (c[0] + 1,) + c[1:]
+
+    monkeypatch.setattr(uniformization, "reduce_mod_lattice", off_kernel)
+    report = simulate(inst)
+    assert report.chain.generators[0] == "y:40:0"
+    assert report.checks == {"projection_splitting_identity": False}
+    assert not report.ok
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_doc(inst)))
+    assert dispatch(["unif-sim", "--instance", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["report"]["checks"] == {"projection_splitting_identity": False}
+
+
 def test_simulate_case_i_zero_colors():
     inst = LadderInstance(
         subcase="i",
@@ -345,7 +373,7 @@ def test_simulate_case_i_general_r():
         ),
     )
     report = simulate(inst)
-    assert report.checks["derivation_identity"]
+    assert report.checks == {"projection_splitting_identity": True}
     assert report.ok
     assert report.levels[0].matches_from_n0
 

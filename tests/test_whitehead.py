@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_coloring, random_whitehead_system
 
-from lamsys.abelian import InfeasibilityCertificate, IntMatrix, is_free, rank, solve_z
+from lamsys.abelian import InfeasibilityCertificate, IntMatrix, is_free, is_prime, rank, solve_z
 from lamsys.core import make_family, make_skeleton, transform_disjoint, transform_tree
 from lamsys.freeness import ReshufflingOrder, find_reshuffling
 from lamsys.whitehead import (
@@ -115,6 +116,46 @@ def test_verify_witness_detects_flip():
     w = Witness(f=f, a={((0,), j): 0 for j in range(ws.j_trunc)})
     ok, where = verify_witness(ws, c, w)
     assert not ok and where == ((0,), 1)
+
+
+def test_verify_witness_checks_the_chain_row():
+    # r = 1 and head coefficients d[m][0] = 0, 0, 3: row m reads a[m+2],
+    # a[m+1] and, through d, the head value a[0]
+    ws = replace(single_final_system(trunc=3, r=1), d={(0,): ((0,), (0,), (3,))})
+    c = {(0,): [5, -2, 7]}
+    good = Witness(f={f"x{m}": -c[(0,)][m] for m in range(3)}, a={((0,), j): 0 for j in range(ws.j_trunc)})
+    assert verify_witness(ws, c, good) == (True, None)
+    # a[3] first appears as q[1] * a[3] in row 1
+    bad_a = Witness(f=good.f, a={**good.a, ((0,), 3): 1})
+    assert verify_witness(ws, c, bad_a) == (False, ((0,), 1))
+    # the head value a[0] enters only row 2, where d is nonzero
+    bad_head = Witness(f=good.f, a={**good.a, ((0,), 0): 1})
+    assert verify_witness(ws, c, bad_head) == (False, ((0,), 2))
+
+
+def test_validate_whitehead_tests_each_modulus_once(monkeypatch):
+    from lamsys import whitehead
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(whitehead, "is_prime", counting)
+    ws = random_whitehead_system(random.Random(5), n=2, truncation=4)
+    assert validate_whitehead(ws) == []
+    moduli = [q for z in ws.finals() for q in ws.q[z][: ws.m_range]]
+    assert len(moduli) > len(set(moduli))
+    assert sorted(calls) == sorted(set(moduli))
+    # a repeated composite is tested once and reported at every index
+    calls.clear()
+    ws = replace(single_final_system(trunc=3), q={(0,): (4, 4, 3)})
+    assert [(v.clause, v.detail) for v in validate_whitehead(ws)] == [
+        ("q-prime", "q[0] = 4 is not prime"),
+        ("q-prime", "q[1] = 4 is not prime"),
+    ]
+    assert calls == [4, 3]
 
 
 def test_verify_witness_missing_value():
