@@ -38,6 +38,7 @@ from .core import (
 )
 from .freeness import (
     HallCertificate,
+    ReshufflingObstruction,
     ReshufflingOrder,
     ReshufflingResult,
     Transversal,

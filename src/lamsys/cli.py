@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import jsonio
 from .abelian import (
@@ -37,14 +38,12 @@ from .freeness import (
 )
 from .jsonio import InputError, SCHEMA, _int_rows, _ints, dump
 from .uniformization import (
-    SplittingError,
     power_table,
     prime_table,
     simulate,
     threshold_exponents,
 )
 from .whitehead import (
-    Witness,
     build_witness_group,
     enumerate_basis,
     solve_witness,
@@ -128,13 +127,12 @@ def cmd_check_free(args) -> tuple[dict, int]:
 
 def cmd_reshuffle(args) -> tuple[dict, int]:
     fam = jsonio.family_from_doc(_load(args.file))
-    res = find_reshuffling(
-        fam, alpha=args.alpha, theta_fresh=args.fresh, budget=args.budget
-    )
+    res = find_reshuffling(fam, alpha=args.alpha, theta_fresh=args.fresh)
     payload = {"status": res.status, "nodes_visited": res.nodes_visited, "theta_fresh": args.fresh}
     if res.order is not None:
         payload["certificate"] = jsonio.certificate_to_doc(res.order)
         return payload, 0
+    payload["certificate"] = jsonio.certificate_to_doc(res.obstruction)
     return payload, 1
 
 
@@ -202,10 +200,7 @@ def cmd_solve_witness(args) -> tuple[dict, int]:
     for z in ws.finals():
         if z not in c or len(c[z]) < ws.m_range:
             raise InputError(f"coloring must supply {ws.m_range} values for final {node_key(z)!r}")
-    res = solve_witness(ws, c)
-    if isinstance(res, Witness):
-        return {"status": "witness", "witness": jsonio.witness_to_doc(res)}, 0
-    return {"status": "infeasible", "certificate": jsonio.certificate_to_doc(res)}, 1
+    return {"status": "witness", "witness": jsonio.witness_to_doc(solve_witness(ws, c))}, 0
 
 
 def cmd_basis(args) -> tuple[dict, int]:
@@ -220,8 +215,12 @@ def cmd_basis(args) -> tuple[dict, int]:
         order = attached
     elif window:
         res = find_reshuffling(ws.family, finals=window, alpha=args.alpha, theta_fresh=args.fresh)
-        if res.status != "found":
-            return {"status": res.status, "detail": "no reshuffling order found for the window"}, 1
+        if res.order is None:
+            return {
+                "status": res.status,
+                "detail": "no reshuffling order exists for the window",
+                "certificate": jsonio.certificate_to_doc(res.obstruction),
+            }, 1
         order = res.order
     else:
         order = ReshufflingOrder((), args.alpha, args.fresh)
@@ -264,13 +263,7 @@ def cmd_unif_table(args) -> tuple[dict, int]:
 
 def cmd_unif_sim(args) -> tuple[dict, int]:
     inst = jsonio.instance_from_doc(_load(args.instance))
-    try:
-        report = simulate(inst)
-    except SplittingError as exc:
-        return {
-            "status": "splitting-infeasible",
-            "certificate": jsonio.certificate_to_doc(exc.certificate),
-        }, 1
+    report = simulate(inst)
     return {"report": jsonio.simulation_to_doc(report)}, 0 if report.ok else 1
 
 
@@ -288,7 +281,9 @@ def cmd_transform(args) -> tuple[dict, int]:
     }, 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="lamsys",
         description="finite-scale systems, freeness certificates, witness equations, uniformization tables",
@@ -309,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--alpha", type=int, default=-1)
     p.add_argument("--fresh", type=int, default=1)
-    p.add_argument("--budget", type=int, default=200_000)
     p.set_defaults(func=cmd_reshuffle)
 
     p = sub.add_parser("build-group", help="chain-group presentation and diagnostics")
@@ -363,7 +357,7 @@ def dispatch(argv) -> int:
     }
     params = {
         key: getattr(args, key)
-        for key in ("k", "alpha", "beta", "fresh", "budget", "m_max", "variant", "p", "r", "i", "mu", "kind", "structure")
+        for key in ("k", "alpha", "beta", "fresh", "m_max", "variant", "p", "r", "i", "mu", "kind", "structure")
         if hasattr(args, key)
     }
     try:

@@ -6,10 +6,14 @@ matching and, on failure, extracts a violating index set whose union is
 smaller than itself, which by Hall's theorem is the exact dual witness.
 `k_free_check` asks the same of every subfamily below a size bound, using
 the deficiency structure of one maximum matching instead of enumerating
-subsets.  `find_reshuffling` searches for a well-order of the finals that
-keeps every set "fresh" relative to its predecessors and respects a cutoff
-on the first coordinate; on large index sets its greedy pass runs in
-O(sum |S| * log N) time over N finals once the sets are indexed by atom.
+subsets.  `find_reshuffling` decides whether the finals have a well-order
+that keeps every set "fresh" relative to its predecessors and puts the
+finals at or below a cutoff on the first coordinate first.  It peels the
+order off from its end, as in the core peeling of a hypergraph whose
+vertices are atoms and whose edges are finals (Molloy, "Cores in random
+hypergraphs and Boolean formulas", Random Struct. Algorithms 27 (2005)
+124-135), in O(sum |S| + N log N) time over N finals; when peeling gets
+stuck, the finals left are the certificate that no order exists.
 
 Vertex orders are fixed (index order on sets, canonical order on atoms), so
 results are deterministic.
@@ -18,14 +22,12 @@ results are deterministic.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .abelian import CertificateError
 from .core import Atom, BasedFamily, Node, atom_sort_key, lex_key, node_key
-
-# index sets up to this size are searched by exact, unbudgeted backtracking
-EXACT_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -184,59 +186,42 @@ class ReshufflingOrder:
 
 
 @dataclass(frozen=True)
-class ReshufflingResult:
-    status: str  # "found" | "none" | "unknown"
-    order: ReshufflingOrder | None
-    nodes_visited: int
+class ReshufflingObstruction:
+    """Finals that no reshuffling order can end, so that no order exists.
 
-
-def _greedy(index: Sequence[Node], sets: Mapping[Node, frozenset], alpha: int, theta_fresh: int):
-    """Greedy reshuffling order of `index`, or None when it gets stuck.
-
-    Places the finals at or below alpha first, then the rest; within a pool
-    the most constrained final goes first: fewest fresh atoms, then
-    canonical order, which is the order of `index`.  Each pool keeps a heap
-    of (fresh count, rank in `index`) entries, and an entry is stale once
-    its final's count has fallen since it was pushed.  Counts only fall, so
-    when the smallest live entry of the current pool is short of
-    theta_fresh, that final can never be placed and the pass fails.
+    The pool of `remaining` is its finals above alpha, or all of it when
+    none is above.  Every pool final holds fewer than theta_fresh atoms
+    that no other remaining final holds.  A valid order of the searched
+    finals would restrict to a valid order of `remaining`, and the last
+    final of that is a pool final with theta_fresh such atoms.
     """
-    fresh = [len(sets[z]) for z in index]
-    is_low = [z[0] <= alpha for z in index]
-    holders: dict[Atom, list[int]] = {}
-    for rank, z in enumerate(index):
-        for a in sets[z]:
-            holders.setdefault(a, []).append(rank)
-    heaps = ([], [])  # high, low
-    for rank, count in enumerate(fresh):
-        heaps[is_low[rank]].append((count, rank))
-    for heap in heaps:
-        heapq.heapify(heap)
-    placed = [False] * len(index)
-    union: set = set()
-    acc = []
-    left_low = sum(is_low)
-    for _ in index:
-        heap = heaps[left_low > 0]
-        while True:
-            count, rank = heap[0]
-            if not placed[rank] and count == fresh[rank]:
-                break
-            heapq.heappop(heap)
-        if count < theta_fresh:
-            return None
-        heapq.heappop(heap)
-        placed[rank] = True
-        left_low -= is_low[rank]
-        z = index[rank]
-        acc.append(z)
-        for a in sets[z] - union:
-            union.add(a)
-            for w in holders[a]:
-                if not placed[w]:
-                    fresh[w] -= 1
-                    heapq.heappush(heaps[is_low[w]], (fresh[w], w))
-    return acc
+
+    remaining: tuple[Node, ...]
+    alpha: int
+    theta_fresh: int
+
+    def verify(self, fam: BasedFamily, index: Sequence[Node]) -> bool:
+        remaining = set(self.remaining)
+        if not remaining or len(remaining) != len(self.remaining) or not remaining <= set(index):
+            return False
+        holders = Counter(a for z in remaining for a in fam.s(z))
+        pool = [z for z in self.remaining if z[0] > self.alpha] or self.remaining
+        return all(sum(holders[a] == 1 for a in fam.s(z)) < self.theta_fresh for z in pool)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "remaining": [node_key(z) for z in self.remaining],
+            "alpha": self.alpha,
+            "theta_fresh": self.theta_fresh,
+        }
+
+
+@dataclass(frozen=True)
+class ReshufflingResult:
+    status: str  # "found" | "none"
+    order: ReshufflingOrder | None
+    nodes_visited: int  # finals peeled
+    obstruction: ReshufflingObstruction | None = None
 
 
 def find_reshuffling(
@@ -244,60 +229,68 @@ def find_reshuffling(
     finals: Sequence[Node] | None = None,
     alpha: int = -1,
     theta_fresh: int = 1,
-    budget: int = 200_000,
 ) -> ReshufflingResult:
-    """Search for an order with the freshness and cutoff-split properties.
+    """A verified reshuffling order, or a verified obstruction when none exists.
 
-    Exact backtracking for small index sets; above `EXACT_LIMIT` a greedy
-    pass runs first and its failure falls back to backtracking capped by
-    `budget` visited nodes, reporting "unknown" when the cap is hit.  The
-    freshness requirement is monotone (prefix unions only grow), so any
-    currently failing candidate prunes the whole branch.  The greedy pass
-    indexes the finals by atom and keeps their fresh-atom counts in heaps,
-    so it costs O(sum |S| * log N) for N finals, not N^2 set differences.
+    Reverse peeling fixes the order from its end.  Let R be the finals not
+    yet peeled, and its pool the finals of R above alpha, or all of R when
+    none is above.  A pool final Z with at least theta_fresh atoms that no
+    other final of R holds can go last among R: its predecessors hold
+    exactly the atoms of R minus Z.  Conversely, the last final of R in any
+    valid order is such a Z.  So peeling either places every final or gets
+    stuck at an R that is a `ReshufflingObstruction`.
+
+    Each atom keeps the number of remaining finals that hold it and the sum
+    of their ranks in canonical order; when the number drops to 1 the sum
+    is the rank of the last holder, which gains a private atom.  Private
+    counts only grow, so a final is pushed onto its pool's heap once, when
+    it becomes eligible.  The eligible final that sorts last is peeled, so
+    the canonical order comes out whenever it is valid.  The cost is
+    O(sum |S| + N log N) for N finals.
     """
     index = sorted(finals if finals is not None else fam.finals, key=lex_key)
     if not index:
         raise ValueError("empty index set")
-    sets = {z: fam.s(z) for z in index}
-    low = [z for z in index if z[0] <= alpha]
-    high = [z for z in index if z[0] > alpha]
-    visited = 0
-
-    def backtrack(remaining_low, remaining_high, union, acc, cap):
-        nonlocal visited
-        visited += 1
-        if cap is not None and visited > cap:
-            return "budget"
-        if not remaining_low and not remaining_high:
-            return list(acc)
-        pool = remaining_low if remaining_low else remaining_high
-        for z in remaining_low + remaining_high:
-            if len(sets[z] - union) < theta_fresh:
-                return None  # it can only get worse later
-        for z in pool:
-            rest_low = [w for w in remaining_low if w != z] if remaining_low else []
-            rest_high = remaining_high if remaining_low else [w for w in remaining_high if w != z]
-            res = backtrack(rest_low, rest_high, union | sets[z], acc + [z], cap)
-            if res is not None:
-                return res
-        return None
-
-    if len(index) > EXACT_LIMIT:
-        g = _greedy(index, sets, alpha, theta_fresh)
-        if g is not None:
-            order = ReshufflingOrder(tuple(g), alpha, theta_fresh)
-            if not order.verify(fam):
-                raise CertificateError("greedy reshuffling order fails its own check")
-            return ReshufflingResult("found", order, visited)
-        res = backtrack(low, high, set(), [], budget)
-        if res == "budget":
-            return ReshufflingResult("unknown", None, visited)
-    else:
-        res = backtrack(low, high, set(), [], None)
-    if res is None:
-        return ReshufflingResult("none", None, visited)
-    order = ReshufflingOrder(tuple(res), alpha, theta_fresh)
+    sets = [fam.s(z) for z in index]
+    holders: dict[Atom, int] = {}
+    rank_sum: dict[Atom, int] = {}
+    for rank, atoms in enumerate(sets):
+        for a in atoms:
+            holders[a] = holders.get(a, 0) + 1
+            rank_sum[a] = rank_sum.get(a, 0) + rank
+    private = [0] * len(index)
+    for a, count in holders.items():
+        if count == 1:
+            private[rank_sum[a]] += 1
+    is_high = [z[0] > alpha for z in index]
+    heaps: tuple[list[int], list[int]] = ([], [])  # low, high: negated ranks of eligible finals
+    for rank, count in enumerate(private):
+        if count >= theta_fresh:
+            heaps[is_high[rank]].append(-rank)
+    for heap in heaps:
+        heapq.heapify(heap)
+    high_left = sum(is_high)
+    peeled: list[int] = []
+    while len(peeled) < len(index):
+        heap = heaps[high_left > 0]
+        if not heap:
+            left = set(range(len(index))).difference(peeled)
+            obstruction = ReshufflingObstruction(tuple(index[r] for r in sorted(left)), alpha, theta_fresh)
+            if not obstruction.verify(fam, index):
+                raise CertificateError("reshuffling obstruction fails its own check")
+            return ReshufflingResult("none", None, len(peeled), obstruction)
+        rank = -heapq.heappop(heap)
+        peeled.append(rank)
+        high_left -= is_high[rank]
+        for a in sets[rank]:
+            holders[a] -= 1
+            rank_sum[a] -= rank
+            if holders[a] == 1:
+                last = rank_sum[a]
+                private[last] += 1
+                if private[last] == theta_fresh:
+                    heapq.heappush(heaps[is_high[last]], -last)
+    order = ReshufflingOrder(tuple(index[r] for r in reversed(peeled)), alpha, theta_fresh)
     if not order.verify(fam):
         raise CertificateError("reshuffling order fails its own check")
-    return ReshufflingResult("found", order, visited)
+    return ReshufflingResult("found", order, len(peeled))

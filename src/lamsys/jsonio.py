@@ -24,12 +24,11 @@ import json
 import sys
 import threading
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import cache
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Mapping
 
-from .abelian import InfeasibilityCertificate, IntMatrix, NonfreeSpec, Presentation
+from .abelian import IntMatrix, NonfreeSpec, Presentation
 from .core import (
     Atom,
     BasedFamily,
@@ -39,7 +38,7 @@ from .core import (
     node_key,
     parse_node_key,
 )
-from .freeness import HallCertificate, ReshufflingOrder, Transversal
+from .freeness import HallCertificate, ReshufflingObstruction, ReshufflingOrder, Transversal
 from .uniformization import (
     LadderInstance,
     LadderLevel,
@@ -364,7 +363,6 @@ def chain_spec_from_doc(doc: Mapping) -> NonfreeSpec:
 # --- certificates -------------------------------------------------------------
 
 
-@_unlimited_digits()
 def certificate_to_doc(obj) -> dict:
     if isinstance(obj, Transversal):
         return {
@@ -373,10 +371,10 @@ def certificate_to_doc(obj) -> dict:
         }
     if isinstance(obj, HallCertificate):
         return {"type": "hall-certificate", "violator": sorted(obj.violator)}
-    if isinstance(obj, InfeasibilityCertificate):
-        return {"type": "infeasibility", "y": [str(Fraction(v)) for v in obj.y]}
     if isinstance(obj, ReshufflingOrder):
         return {"type": "reshuffling-order", **obj.to_jsonable()}
+    if isinstance(obj, ReshufflingObstruction):
+        return {"type": "reshuffling-obstruction", **obj.to_jsonable()}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 

@@ -436,12 +436,6 @@ def validate_instance(inst: LadderInstance) -> list[str]:
     return out
 
 
-class SplittingError(RuntimeError):
-    def __init__(self, certificate: InfeasibilityCertificate):
-        super().__init__("no homomorphic splitting over the truncation; kernel is not a copy of the integers")
-        self.certificate = certificate
-
-
 @dataclass(frozen=True)
 class ChainState:
     """Presentation data for the chain stage and its primed extension."""
@@ -507,6 +501,15 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     query n.  In subcase ii (y_n for y_0, p for p_n) the rows n < t_i summed
     with weights p^n telescope to the block identity for sum_n p^n delta(g_n)
     plus -p^{t_i} delta(y_{t_i}), which is 0 mod p^{t_i}.
+
+    W c = -s always has an integer solution, even with every z and g
+    coordinate 0, because each level solves its own rows on its own y
+    columns.  In subcase i, row n reads p_n y_{n+1} - y_0 = -s_n, so y_0
+    must be s_n mod p_n for every n; the level's primes are distinct, so
+    the Chinese remainder theorem gives such a y_0, and then every y_{n+1}.
+    In subcase ii, row n reads p y_{n+1} - y_n = -s_n, and the -1 on y_n
+    with p on y_{n+1} form a unimodular upper bidiagonal block.  An
+    infeasibility answer from the solver is therefore a CertificateError.
     """
     problems = validate_instance(inst)
     if problems:
@@ -552,7 +555,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     w = IntMatrix.from_rows(rows)
     sols = integer_solutions(w, [-s for s in shifts])
     if isinstance(sols.solution, InfeasibilityCertificate):
-        raise SplittingError(sols.solution)
+        raise CertificateError("the solver reports W c = -s infeasible, yet every level solves its own rows")
     kh, _ = hnf(sols.kernel)
     c_vec = reduce_mod_lattice(sols.solution, kh, balanced=True)
     splitting_ok = w.mul_vec(c_vec) == tuple(-s for s in shifts)

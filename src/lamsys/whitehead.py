@@ -18,8 +18,8 @@ on the z's satisfying, for every final and m,
 which is exactly the condition for the homomorphism sending atoms to f and
 z's to a to take the relation rows to c.  `solve_witness` assembles this as
 one integer linear system (atoms shared between finals couple the
-equations) and hands it to the exact solver, returning either a verified
-witness or the solver's duality certificate.
+equations) and hands it to the exact solver, returning a verified witness;
+every coloring has one.
 
 `enumerate_basis` and `verify_basis` realize the quotient-basis
 construction: a reshuffling order picks the "fresh" generators, and the
@@ -198,13 +198,20 @@ def solve_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]]):
 
     The unknowns are the generators of `build_witness_group` in order, so the
     system is its relation matrix against the coloring flattened row by row.
+
+    Every coloring has a witness.  Row (z, m) has -1 on a(z, m+r) and q[m]
+    on a(z, m+r+1), so the columns a(z, r), ..., a(z, r+M-1) of each final
+    (M rows) hold an upper bidiagonal block with -1 on its diagonal.  The
+    blocks are unimodular and no two finals share columns, so with every
+    other unknown 0 they solve for any right-hand side.  An infeasibility
+    answer from the solver is therefore a CertificateError.
     """
     pres = build_witness_group(ws)
     rhs = [c[z][m] for z in ws.finals() for m in range(ws.m_range)]
     # a matrix without rows has no width, so solve_z cannot size the zero solution
     res = solve_z(pres.relations, rhs) if rhs else (0,) * len(pres.generators)
     if isinstance(res, InfeasibilityCertificate):
-        return res
+        raise CertificateError("the solver reports a witness system infeasible, yet its unit blocks solve it")
     values = iter(res)
     f = {a: next(values) for a in sorted(ws.family.union_s(), key=atom_sort_key)}
     a_map = {(z, j): next(values) for z in ws.finals() for j in range(ws.j_trunc)}

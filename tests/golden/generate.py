@@ -301,6 +301,12 @@ def corpus():
             {},
         ),
         (
+            "basis-no-order",
+            # both finals hold x and nothing else, so neither can go last
+            ["basis", "--system", "inputs/coupled.json", "--alpha", "-1", "--beta", "2"],
+            {},
+        ),
+        (
             "basis-strong-order",
             ["basis", "--system", "inputs/strong.json", "--alpha", "-1", "--beta", "1"],
             {"strong.json": strong},

@@ -12,7 +12,7 @@ Nothing under `src/` imports this module.
 from itertools import product
 
 from lamsys.abelian import DimensionError, IntMatrix, NonfreeSpec, build_chain_group, hnf, in_lattice
-from lamsys.core import ROOT, lex_key, node_key, sorted_atoms
+from lamsys.core import ROOT, node_key, sorted_atoms
 from lamsys.freeness import ReshufflingOrder
 from lamsys.jsonio import SCHEMA, atom_to_jsonable
 
@@ -84,23 +84,17 @@ def verify_order(order: ReshufflingOrder, fam) -> bool:
     return True
 
 
-def greedy(index, sets, alpha, theta_fresh):
-    """The greedy pass that rescans every remaining final at every step."""
-    union: set = set()
-    acc = []
-    rem_low = [z for z in index if z[0] <= alpha]
-    rem_high = [z for z in index if z[0] > alpha]
-    while rem_low or rem_high:
-        pool = rem_low if rem_low else rem_high
-        candidates = [z for z in pool if len(sets[z] - union) >= theta_fresh]
-        if not candidates:
-            return None
-        # most constrained first: fewest fresh atoms, then canonical order
-        z = min(candidates, key=lambda w: (len(sets[w] - union), lex_key(w)))
-        acc.append(z)
-        union |= sets[z]
-        (rem_low if rem_low else rem_high).remove(z)
-    return acc
+def verify_obstruction(obstruction, fam, index) -> bool:
+    """ReshufflingObstruction.verify with each pool final's private atoms found by set differences."""
+    remaining = list(obstruction.remaining)
+    if not remaining or len(set(remaining)) != len(remaining) or any(z not in index for z in remaining):
+        return False
+    pool = [z for z in remaining if z[0] > obstruction.alpha] or remaining
+    for z in pool:
+        others = set().union(*(fam.s(w) for w in remaining if w != z))
+        if len(fam.s(z) - others) >= obstruction.theta_fresh:
+            return False
+    return True
 
 
 def check_structure(sys_, fam):

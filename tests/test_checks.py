@@ -95,19 +95,14 @@ def self_checks_missed() -> list[str]:
             _patched(freeness.HallCertificate, "verify", never),
             lambda: freeness.k_free_check([{"a"}, {"a"}], 3),
         ),
-        "exact reshuffling order": (
+        "reshuffling order": (
             _patched(freeness.ReshufflingOrder, "verify", never),
             lambda: freeness.find_reshuffling(_flat_family(3)),
         ),
-        "greedy reshuffling order": (
-            _patched(freeness.ReshufflingOrder, "verify", never),
-            lambda: freeness.find_reshuffling(_flat_family(12)),
-        ),
-        "reshuffling cutoff": (
-            # every final keeps a private atom, so only the cutoff test can
-            # reject this order: the finals above alpha = 5 come first
-            _patched(freeness, "_greedy", lambda index, sets, alpha, theta: list(reversed(index))),
-            lambda: freeness.find_reshuffling(_flat_family(12), alpha=5),
+        "reshuffling obstruction": (
+            # each final holds one private atom, so none can go last at theta 2
+            _patched(freeness.ReshufflingObstruction, "verify", never),
+            lambda: freeness.find_reshuffling(_flat_family(3), theta_fresh=2),
         ),
         "set shift": (
             # a shift search that returns 0 leaves the set on top of itself

@@ -1,6 +1,8 @@
 """CLI dispatch: exit codes, byte stability, certificate round-trips."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +148,37 @@ def test_reshuffle_cli(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "found"
     assert doc["certificate"]["order"] == ["0", "3"]
+
+
+def test_reshuffle_cli_prints_the_obstruction(tmp_path, capsys):
+    path = write(tmp_path, "fam.json", family_doc({0: ["a"], 1: ["a"], 2: ["b"]}))
+    code, out, _ = run(capsys, ["reshuffle", path])
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["status"], doc["nodes_visited"]) == ("none", 1)
+    assert doc["certificate"] == {
+        "type": "reshuffling-obstruction",
+        "remaining": ["0", "1"],
+        "alpha": -1,
+        "theta_fresh": 1,
+    }
+
+
+def test_reshuffle_has_no_budget_flag(tmp_path, capsys):
+    path = write(tmp_path, "fam.json", family_doc({0: ["a"]}))
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["reshuffle", path, "--budget", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    from lamsys.cli import build_parser
+
+    path = write(tmp_path, "fam.json", family_doc({0: ["a"]}))
+    first = run(capsys, ["reshuffle", path])
+    assert build_parser() is build_parser()
+    assert run(capsys, ["reshuffle", path]) == first
 
 
 def test_build_group_cli(tmp_path, capsys):
@@ -480,6 +513,35 @@ def test_unif_table_mu_takes_only_integers(capsys, argv):
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: --mu: expected a list of integers, got ")
+
+
+def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
+    # W c = -s and the witness equations always solve, so a solver that says otherwise is at fault
+    from lamsys import uniformization, whitehead
+    from lamsys.abelian import InfeasibilityCertificate, integer_solutions
+
+    infeasible = InfeasibilityCertificate((Fraction(1, 2),))
+    monkeypatch.setattr(
+        uniformization,
+        "integer_solutions",
+        lambda a, b: dataclasses.replace(integer_solutions(a, b), solution=infeasible),
+    )
+    inst = {
+        "schema": "lamsys/1",
+        "subcase": "i",
+        "r": 0,
+        "levels": {"40": {"ladder": [3, 8], "colors": [1, 0], "g": ["a0", "a1"], "primes": [31, 37]}},
+    }
+    path = write(tmp_path, "inst.json", inst)
+    code, out, err = run(capsys, ["unif-sim", "--instance", path])
+    assert (code, out) == (3, "")
+    assert err == "internal error: the solver reports W c = -s infeasible, yet every level solves its own rows\n"
+    monkeypatch.setattr(whitehead, "solve_z", lambda a, b: infeasible)
+    path = write(tmp_path, "ws.json", witness_doc())
+    c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}})
+    code, out, err = run(capsys, ["solve-witness", "--system", path, "--c", c_path])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: the solver reports a witness system infeasible")
 
 
 def test_certificate_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Transversal search against exhaustive oracles, plus reshuffling orders against the quadratic reference."""
+"""Transversal search against exhaustive oracles; reshuffling against permutation brute force and the quadratic reference."""
 
 import itertools
 import random
@@ -10,9 +10,9 @@ import reference
 from lamsys.core import lex_key, make_family, make_skeleton, node_key
 from lamsys.freeness import (
     HallCertificate,
+    ReshufflingObstruction,
     ReshufflingOrder,
     Transversal,
-    _greedy,
     find_reshuffling,
     find_transversal,
     k_free_check,
@@ -187,6 +187,42 @@ def test_reshuffle_none_after_exhaustive_search():
     _, fam = flat_family(sets)
     res = find_reshuffling(fam, alpha=-1, theta_fresh=1)
     assert res.status == "none"
+    assert res.obstruction == ReshufflingObstruction(((0,), (1,)), -1, 1)
+    assert res.nodes_visited == 0
+
+
+def test_reshuffle_obstruction_keeps_the_stuck_finals():
+    # (2,) holds b alone and is peeled; (0,) and (1,) share their one atom
+    _, fam = flat_family({0: ["a"], 1: ["a"], 2: ["b"]})
+    res = find_reshuffling(fam, alpha=-1, theta_fresh=1)
+    assert (res.status, res.order, res.nodes_visited) == ("none", None, 1)
+    assert res.obstruction.remaining == ((0,), (1,))
+
+
+def test_mutated_obstructions_are_rejected():
+    _, fam = flat_family({0: ["a"], 1: ["a"], 2: ["b"]})
+    index = fam.finals
+    good = ReshufflingObstruction(((0,), (1,)), -1, 1)
+    assert good.verify(fam, index)
+    mutations = {
+        # (0,) then holds a alone
+        "final removed": (ReshufflingObstruction(((0,),), -1, 1), index),
+        # (2,) holds b alone and is in the pool
+        "final with a private atom added": (ReshufflingObstruction(((0,), (1,), (2,)), -1, 1), index),
+        "final outside the searched ones": (good, index[1:]),
+        "final repeated": (ReshufflingObstruction(((0,), (0,), (1,)), -1, 1), index),
+        "no final": (ReshufflingObstruction((), -1, 1), index),
+    }
+    for name, (obstruction, searched) in mutations.items():
+        assert not obstruction.verify(fam, searched), name
+        assert not reference.verify_obstruction(obstruction, fam, searched), name
+    # at alpha 0 the pool is (1,) and (2,), which share a; (0,) holds b alone
+    _, fam = flat_family({0: ["a", "b"], 1: ["a"], 2: ["a"]})
+    res = find_reshuffling(fam, alpha=0, theta_fresh=1)
+    assert res.obstruction == ReshufflingObstruction(((0,), (1,), (2,)), 0, 1)
+    wrong_alpha = ReshufflingObstruction(res.obstruction.remaining, 2, 1)
+    assert not wrong_alpha.verify(fam, fam.finals)
+    assert not reference.verify_obstruction(wrong_alpha, fam, fam.finals)
 
 
 def test_reshuffle_large_instance_greedy():
@@ -233,10 +269,9 @@ def random_reshuffling_case(rng):
     """A family of 11-60 finals of height 1 or 2, an alpha and a theta_fresh.
 
     About half the families give every final theta_fresh or more private
-    atoms, so the greedy pass succeeds; the others draw from one pool, from
-    tight (the greedy pass gets stuck and the backtracking search runs) to
-    roomy.  Alpha lies below every final, splits them, or lies above them
-    all.
+    atoms, so an order exists; the others draw from one pool, from tight
+    (mostly no order) to roomy.  Alpha lies below every final, splits them,
+    or lies above them all.
     """
     n = rng.randint(11, 60)
     if rng.random() < 0.5:
@@ -269,21 +304,85 @@ def random_reshuffling_case(rng):
 
 def test_reshuffling_agrees_with_quadratic_reference():
     rng = random.Random("reshuffle-differential")
-    outcomes = {"greedy": 0, "fallback": 0}
+    outcomes = {"found": 0, "none": 0}
     for _ in range(1_000):
         fam, alpha, theta = random_reshuffling_case(rng)
-        index = sorted(fam.finals, key=lex_key)
-        sets = {z: fam.s(z) for z in index}
-        greedy = _greedy(index, sets, alpha, theta)
-        assert greedy == reference.greedy(index, sets, alpha, theta)
-        # the search returns the greedy order, or backtracks when there is none
-        got = find_reshuffling(fam, alpha=alpha, theta_fresh=theta, budget=200)
-        if greedy is not None:
-            assert (got.status, got.order.order, got.nodes_visited) == ("found", tuple(greedy), 0)
+        got = find_reshuffling(fam, alpha=alpha, theta_fresh=theta)
+        if got.status == "found":
+            assert reference.verify_order(got.order, fam)
+            assert got.nodes_visited == len(fam.finals)
         else:
-            assert got.nodes_visited > 0
-        outcomes["greedy" if greedy is not None else "fallback"] += 1
-    assert min(outcomes.values()) >= 200, outcomes
+            assert reference.verify_obstruction(got.obstruction, fam, fam.finals)
+            assert got.nodes_visited == len(fam.finals) - len(got.obstruction.remaining)
+        outcomes[got.status] += 1
+    assert outcomes == {"found": 503, "none": 497}
+
+
+def small_family(sets_by_final):
+    """Height-2 family: final (i, j) holds its atoms at level 2."""
+    finals = sorted(sets_by_final)
+    nodes = {z[:m] for z in finals for m in range(3)}
+    sys_ = make_skeleton(nodes=nodes, level={z: 0 for z in nodes}, e_map={}, b_map={})
+    phi = {(z, 1): [] for z in finals}
+    phi.update({(z, 2): sorted(atoms) for z, atoms in sets_by_final.items()})
+    return make_family(sys_, phi, truncation=0)
+
+
+def valid_by_brute_force(sets, alphas, thetas):
+    """The (alpha, theta) pairs for which some permutation of the finals is a reshuffling order."""
+    valid = set()
+    for perm in itertools.permutations(sets):
+        seen, least = frozenset(), thetas[-1]
+        for z in perm:
+            least = min(least, len(sets[z] - seen))
+            seen |= sets[z]
+        firsts = [z[0] for z in perm]
+        for alpha in alphas:
+            # the finals at or below alpha come first
+            low = [f <= alpha for f in firsts]
+            if low == sorted(low, reverse=True):
+                valid.update((alpha, theta) for theta in thetas if theta <= least)
+    return valid
+
+
+small_families = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    st.frozensets(st.sampled_from("abcdef"), max_size=3),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_families)
+def test_reshuffling_agrees_with_permutation_brute_force(sets):
+    fam = small_family(sets)
+    alphas = range(-1, max(z[0] for z in sets) + 1)
+    thetas = (0, 1, 2, 3)
+    valid = valid_by_brute_force(sets, alphas, thetas)
+    for alpha in alphas:
+        for theta in thetas:
+            got = find_reshuffling(fam, alpha=alpha, theta_fresh=theta)
+            assert (got.status == "found") == ((alpha, theta) in valid)
+            if got.order is not None:
+                assert reference.verify_order(got.order, fam)
+                continue
+            obstruction = got.obstruction
+            assert reference.verify_obstruction(obstruction, fam, fam.finals)
+            # a mutated obstruction passes exactly when the quadratic check passes it
+            remaining = obstruction.remaining
+            mutated = [
+                ReshufflingObstruction(r, alpha, theta)
+                for r in itertools.combinations(remaining, len(remaining) - 1)
+            ]
+            mutated += [
+                ReshufflingObstruction(remaining + (z,), alpha, theta)
+                for z in fam.finals
+                if z not in remaining
+            ]
+            mutated += [ReshufflingObstruction(remaining, a, theta) for a in alphas if a != alpha]
+            for m in mutated:
+                assert m.verify(fam, fam.finals) == reference.verify_obstruction(m, fam, fam.finals)
 
 
 def test_order_check_agrees_with_quadratic_reference():
