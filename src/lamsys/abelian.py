@@ -22,17 +22,18 @@ one fails (they are not asserts, so they run under `python -O` too):
    vector of its rational span; with check 1 that span is all of ker A,
    and K is a basis of its integer points.
 
-A presentation's invariant factors and rank come from one row Hermite form
-H = U * A of its relation matrix, again with U^-1 from the same elimination
-(`HermiteForm`).  Three determinant-free checks certify it: H is in row
-echelon form, U * A = H over the nonzeros of A, and U * U^-1 = I, so U is
-unimodular and A has the rank and the Smith form of H.  Each pivot 1 of H
-sits in a unit-vector column, checked too, and splits off a factor 1; `snf`
-runs only on the rows with larger pivots, restricted to the columns where
-they have entries.  `snf` alternates row Hermite forms of D and of D^T
-until D is diagonal, composing their transforms and inverses, and
-certifies D = U * A * V the same way, by U * U^-1 = I and V * V^-1 = I.
-Unimodularity is never proved by a determinant.
+A presentation's invariant factors come from unit peeling, the first step
+of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a
+row or column whose one nonzero entry left is +-1 splits off a factor 1 and
+leaves the original submatrix on the other rows and columns, so no
+transform is needed.  The pivot list is re-checked against the original
+rows before it is used.  Every relation matrix the CLI builds peels
+completely: each chain row has -1 on z_{m+r} and q_m on z_{m+r+1}, a unit
+staircase, and kill rows are unit vectors.  Whatever is left goes to `snf`,
+which alternates row Hermite forms of D and of D^T until D is diagonal,
+composing their transforms and inverses, and certifies D = U * A * V by
+U * U^-1 = I and V * V^-1 = I.  Unimodularity is never proved by a
+determinant.
 
 `hnf` is the only elimination loop.  Its pivoting is deterministic (the
 smallest absolute value in the column, the first such row on ties), so
@@ -42,6 +43,7 @@ every normal form and certificate is reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -302,8 +304,17 @@ class IntegerSolutions:
         n, m = a.cols, a.rows
         # every matrix here is sparse: multiply nonzeros only
         a_cols = _sparse_columns(a.entries, n)
-        _check_hermite(self.hermite.entries, self.transform.entries, a_cols, m, "a^T")
-        if not _is_inverse(self.transform.entries[self.rank:], tuple(zip(*self.dual.entries))):
+        h, u = self.hermite.entries, self.transform.entries
+        if len(h) != n or len(u) != n or any(len(row) != m for row in h) or any(len(row) != n for row in u):
+            raise CertificateError("Hermite form or its transform has the wrong shape")
+        pivots = [next(_nonzero(row), m) for row in h]
+        r = self.rank
+        if any(p < m for p in pivots[r:]) or any(p >= q for p, q in zip(pivots[: r - 1], pivots[1:r])):
+            raise CertificateError("Hermite form is not in row echelon form")
+        for urow, hrow in zip(u, h):
+            if tuple(_sparse_row_times(urow, a_cols, m)) != hrow:
+                raise CertificateError("transform * a^T differs from the Hermite form")
+        if not _is_inverse(u[r:], tuple(zip(*self.dual.entries))):
             raise CertificateError("kernel rows do not span the integer kernel")
         if isinstance(self.solution, InfeasibilityCertificate):
             if not self.solution.verify(a, b):
@@ -315,31 +326,6 @@ class IntegerSolutions:
 def _nonzero(row: Sequence[int]) -> Iterator[int]:
     """Indices of the nonzero entries of row, in order."""
     return compress(range(len(row)), row)
-
-
-def _echelon_pivots(h: Sequence[Sequence[int]], width: int) -> list[int]:
-    """Pivot columns of the nonzero rows of h; CertificateError unless h is in row echelon form."""
-    pivots = [next(_nonzero(row), width) for row in h]
-    r = sum(1 for p in pivots if p < width)
-    if any(p < width for p in pivots[r:]) or any(p >= q for p, q in zip(pivots[: r - 1], pivots[1:r])):
-        raise CertificateError("Hermite form is not in row echelon form")
-    return pivots[:r]
-
-
-def _check_hermite(
-    h: Sequence[Sequence[int]], u: Sequence[Sequence[int]], m_rows: list[list[tuple[int, int]]], width: int, name: str
-) -> None:
-    """CertificateError unless h = u * M in row echelon form, for M given by its sparse rows `m_rows`.
-
-    u is square with one row per row of M, and h has `width` columns.
-    """
-    k = len(m_rows)
-    if len(h) != k or len(u) != k or any(len(row) != width for row in h) or any(len(row) != k for row in u):
-        raise CertificateError("Hermite form or its transform has the wrong shape")
-    _echelon_pivots(h, width)
-    for urow, hrow in zip(u, h):
-        if tuple(_sparse_row_times(urow, m_rows, width)) != hrow:
-            raise CertificateError(f"transform * {name} differs from the Hermite form")
 
 
 def _sparse_rows(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
@@ -464,14 +450,6 @@ def solve_z(a: IntMatrix, b: Sequence[int]):
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Rows form a basis of the integer kernel {x : a*x = 0}."""
     return integer_solutions(a, (0,) * a.rows).kernel
-
-
-def express_in_lattice(a: IntMatrix, v: Sequence[int]):
-    """Integer coefficients t with t * a = v, or None when v is outside the row lattice."""
-    if len(v) != a.cols:
-        raise DimensionError(f"lattice ambient dimension {a.cols}, vector has {len(v)}")
-    res = solve_z(a.transpose(), v)
-    return None if isinstance(res, InfeasibilityCertificate) else res
 
 
 def reduce_mod_lattice(v: Sequence[int], h: IntMatrix, balanced: bool = False) -> tuple[int, ...]:
@@ -603,76 +581,78 @@ class Presentation:
             raise ValueError("duplicate generator names")
 
 
-@dataclass(frozen=True)
-class HermiteForm:
-    """`hermite` = `transform` * a in row echelon form, with `inverse` = `transform`^-1.
+def _unit_pivots(a: IntMatrix) -> list[tuple[int, int]]:
+    """(row, column) pivots of singleton +-1 rows and columns, peeled one after another.
 
-    These are the three matrices of `hnf(a, inverse=True)`.  Once `check(a)`
-    has passed, `rank` is the rank of a and the Smith forms of a and
-    `hermite` agree.
+    Rows and columns are the two sides of a bipartite graph whose edges are
+    the nonzero entries.  A line (row or column) with one edge left whose
+    entry is +-1 is peeled together with the line at the other end: a unit
+    row drops its column from every row, a unit column drops its row.  Each
+    peel lowers the edge counts of the lines next to it, and a count that
+    falls to 1 queues that line, so the whole costs O(nonzeros).
     """
-
-    hermite: IntMatrix
-    transform: IntMatrix
-    inverse: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for row in self.hermite.entries if any(row))
-
-    def check(self, a: IntMatrix) -> None:
-        """Re-verify the form exactly; raise CertificateError on the first claim that fails.
-
-        1. hermite is in row echelon form, so its `rank` nonzero rows are
-           independent and every other row is zero;
-        2. transform * a = hermite, computed over the nonzeros of a;
-        3. transform * inverse = I, so transform is invertible over the
-           integers and a has the rank and the Smith form of hermite.
-        """
-        _check_hermite(self.hermite.entries, self.transform.entries, _sparse_rows(a.entries), a.cols, "a")
-        if not _is_inverse(self.transform.entries, self.inverse.entries):
-            raise CertificateError("transform * inverse differs from the identity")
-
-    def unit_split(self) -> tuple[int, IntMatrix]:
-        """Smith form of hermite as I_k (+) B: the count k of pivots equal to 1 and the block B.
-
-        A pivot 1 whose column is otherwise zero, as in a Hermite form, lets
-        column operations clear the rest of its row without touching any
-        other row, so it splits off an invariant factor 1.  B is what is
-        left: the rows with pivots above 1, without the columns of unit
-        pivots and the columns that are zero in all of those rows, which
-        only add free rank.  Raises CertificateError if a unit pivot's
-        column is not a unit vector.
-        """
-        h = self.hermite.entries
-        pivots = _echelon_pivots(h, self.hermite.cols)
-        units = [(i, p) for i, p in enumerate(pivots) if h[i][p] == 1]
-        for i, p in units:
-            if any(row[p] for l, row in enumerate(h) if l != i):
-                raise CertificateError("a unit pivot's column is not a unit vector")
-        unit_cols = {p for _, p in units}
-        rest = [h[i] for i, p in enumerate(pivots) if h[i][p] != 1]
-        keep = [j for j in range(self.hermite.cols) if j not in unit_cols and any(row[j] for row in rest)]
-        return len(units), IntMatrix(tuple(tuple(row[j] for j in keep) for row in rest))
+    m = a.rows
+    lines = [[m + j for j in _nonzero(row)] for row in a.entries]
+    lines += [[i for i, _ in col] for col in _sparse_columns(a.entries, a.cols)]
+    left = [len(line) for line in lines]
+    done = [False] * len(lines)
+    queue = deque(k for k, n in enumerate(left) if n == 1)
+    pivots = []
+    while queue:
+        k = queue.popleft()
+        if done[k] or left[k] != 1:
+            continue
+        t = next(t for t in lines[k] if not done[t])
+        i, j = (k, t - m) if k < m else (t, k - m)
+        if abs(a.entries[i][j]) != 1:
+            continue
+        pivots.append((i, j))
+        done[k] = done[t] = True
+        for s in lines[k] + lines[t]:
+            if not done[s]:
+                left[s] -= 1
+                if left[s] == 1:
+                    queue.append(s)
+    return pivots
 
 
-def _hermite_form(a: IntMatrix) -> HermiteForm:
-    form = HermiteForm(*hnf(a, inverse=True))
-    form.check(a)
-    return form
+def _peeled_block(a: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The nonzero rows of a on the rows and columns that `pivots` leave, once they are re-checked.
+
+    Raises CertificateError unless every pivot, in order, is +-1 on a row
+    and a column not peeled before it, and is alone in its column among the
+    rows left or alone in its row among the columns left.  Clearing its
+    column by row operations, or its row by column operations, then touches
+    no other entry, so it splits off an invariant factor 1 and leaves the
+    original submatrix on the other rows and columns.
+    """
+    rows_left, cols_left = set(range(a.rows)), set(range(a.cols))
+    cols = _sparse_columns(a.entries, a.cols)
+    for i, j in pivots:
+        if i not in rows_left or j not in cols_left or abs(a.entries[i][j]) != 1:
+            raise CertificateError(f"pivot ({i}, {j}) is not a unit on a row and a column left")
+        rows_left.remove(i)
+        cols_left.remove(j)
+        if any(t in cols_left for t in _nonzero(a.entries[i])) and any(t in rows_left for t, _ in cols[j]):
+            raise CertificateError(f"pivot ({i}, {j}) is alone neither in its row nor in its column")
+    keep = sorted(cols_left)
+    block = (tuple(a.entries[i][j] for j in keep) for i in sorted(rows_left))
+    return tuple(row for row in block if any(row))
 
 
 def invariant_factors(p: Presentation) -> tuple[int, ...]:
-    """Nonzero invariant factors of the relation matrix, each > 0, from its checked Hermite form.
+    """Nonzero invariant factors of the relation matrix, each > 0, by unit peeling.
 
-    A factor 1 for each unit pivot, then the Smith form of the block that
-    is left, which runs with its own self-check.  There is one factor per
-    nonzero row of the Hermite form, so the free rank of the group is
-    `len(p.generators) - len(invariant_factors(p))`.
+    A factor 1 for each peeled unit pivot, checked by `_peeled_block`, then
+    the nonzero Smith diagonal of the block that is left, which `snf`
+    certifies itself.  There is one factor per independent relation, so the
+    free rank of the group is `len(p.generators) - len(invariant_factors(p))`.
     """
-    units, block = _hermite_form(p.relations).unit_split()
-    # the block's rows are in echelon form, so its Smith diagonal has no zero
-    return (1,) * units + (snf(block).diagonal if block.rows else ())
+    a = p.relations
+    pivots = _unit_pivots(a)
+    block = _peeled_block(a, pivots)
+    rest = tuple(d for d in snf(IntMatrix(block)).diagonal if d) if block else ()
+    return (1,) * len(pivots) + rest
 
 
 def is_free(p: Presentation) -> bool:
@@ -680,8 +660,8 @@ def is_free(p: Presentation) -> bool:
 
 
 def rank(p: Presentation) -> int:
-    """Free rank: generators minus the rank of the relation matrix, from its checked Hermite form."""
-    return len(p.generators) - _hermite_form(p.relations).rank
+    """Free rank: generators minus the number of nonzero invariant factors."""
+    return len(p.generators) - len(invariant_factors(p))
 
 
 @dataclass(frozen=True)
@@ -765,34 +745,46 @@ def divisibility_evidence(spec: NonfreeSpec, m_max: int) -> DivisibilityReport:
 
     For each m <= m_max exhibits integer coefficients expressing
     z_r - (q_0*...*q_m) * z_{m+r+1} as a combination of relation rows and the
-    head generators z_0..z_{r-1}.  The solver has checked the combination
-    exactly (`IntegerSolutions.check`), so a step is verified when one exists.
+    head generators z_0..z_{r-1}.  The combination telescopes: row k gets
+    -q_0*...*q_{k-1}, so its -z_{k+r} cancels the q_0*...*q_{k-1} * z_{k+r}
+    that row k - 1 leaves, and head l gets -sum_k q_0*...*q_{k-1} * d[k][l].
+    The relation rows and the head unit vectors are independent, so this is
+    the only combination.  Each step is multiplied out over `chain_row` and
+    raises CertificateError if it misses its target, so `verified` is True
+    on every step returned.
     """
     if m_max > spec.relation_count - 1:
         raise ValueError(
             f"m_max {m_max} exceeds truncation: need m_max <= {spec.relation_count - 1}"
         )
-    pres = build_chain_group(spec)
-    j = spec.j_trunc
-    head = [tuple(1 if k == l else 0 for k in range(j)) for l in range(spec.r)]
-    stacked = IntMatrix.from_rows(list(pres.relations.entries) + head)
+    r = spec.r
+    combination = [0] * spec.relation_count
+    head = [0] * r
     steps = []
     product = 1
     for m in range(m_max + 1):
+        combination[m] = -product
+        for l in range(r):
+            head[l] -= product * spec.d[m][l]
         product *= spec.q[m]
-        target = [0] * j
-        target[spec.r] = 1
-        target[m + spec.r + 1] -= product
-        coeffs = express_in_lattice(stacked, target) or ()
-        steps.append(
-            DivisibilityStep(
-                m=m,
-                product=product,
-                witness_index=m + spec.r + 1,
-                combination=coeffs[: pres.relations.rows],
-                head_coefficients=coeffs[pres.relations.rows:],
-                verified=bool(coeffs),
-            )
+        step = DivisibilityStep(
+            m=m,
+            product=product,
+            witness_index=m + r + 1,
+            combination=tuple(combination),
+            head_coefficients=tuple(head),
+            verified=True,
         )
+        total = [0] * spec.j_trunc
+        for k, t in enumerate(step.combination):
+            for i, coeff in chain_row(r, spec.q, spec.d, k):
+                total[i] += t * coeff
+        for l, t in enumerate(step.head_coefficients):
+            total[l] += t
+        target = [0] * spec.j_trunc
+        target[r] = 1
+        target[step.witness_index] -= step.product
+        if total != target:
+            raise CertificateError(f"the divisibility combination of step {m} does not multiply out to its target")
+        steps.append(step)
     return DivisibilityReport(tuple(steps))
-

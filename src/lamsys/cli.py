@@ -1,8 +1,10 @@
 """Command-line entry point: every operation behind stable JSON on stdout.
 
 Exit codes: 0 success or pass, 1 checked failure carrying a certificate,
-2 malformed input or usage, 3 internal error: a computed result failed its
-own exact re-verification (CertificateError).  Diagnostics go to stderr
+2 malformed input or usage (a ValueError), 3 internal error: a computed
+result failed its own exact re-verification (CertificateError), or any
+other exception, reported as one `internal error: <type>: <message>` line
+without a traceback.  Diagnostics go to stderr
 only; stdout carries a single JSON document embedding the manifest that
 produced it.  Identical inputs produce identical bytes.
 """
@@ -78,11 +80,12 @@ def cmd_validate(args) -> tuple[dict, int]:
     # parse once, as the richest kind the keys name; every parser reads the
     # skeleton first, so a skeleton error is still the one reported first
     fam = None
-    if "r" in doc:
+    keys = doc if isinstance(doc, dict) else {}  # system_from_doc rejects a non-object
+    if "r" in keys:
         ws = jsonio.whitehead_from_doc(doc)
         sys_, fam = ws.system, ws.family
         violations = validate_whitehead(ws)
-    elif "phi" in doc:
+    elif "phi" in keys:
         fam = jsonio.family_from_doc(doc)
         sys_ = fam.system
         violations = validate_system(sys_) + validate_family(fam)
@@ -367,6 +370,9 @@ def dispatch(argv) -> int:
         return 2
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     doc = {"manifest": _manifest(args.subcommand, inputs, params), **payload}
     sys.stdout.write(dump(doc))

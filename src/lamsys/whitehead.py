@@ -16,10 +16,11 @@ on the z's satisfying, for every final and m,
     c(m) = q[m]*a[m+r+1] - a[m+r] - sum_{l<r} d[m][l]*a[l] - sum_k f(phi_k(m)),
 
 which is exactly the condition for the homomorphism sending atoms to f and
-z's to a to take the relation rows to c.  `solve_witness` assembles this as
-one integer linear system (atoms shared between finals couple the
-equations) and hands it to the exact solver, returning a verified witness;
-every coloring has one.
+z's to a to take the relation rows to c.  Every coloring has one, with
+f = 0: the rows of a final have -1 on a[m+r] and q[m] on a[m+r+1], a unit
+staircase, so `solve_witness` sets the heads and tops to 0 and
+back-substitutes a[m+r] = q[m]*a[m+r+1] - c(m) from the top row down; no
+linear system is solved.
 
 `enumerate_basis` and `verify_basis` realize the quotient-basis
 construction: a reshuffling order picks the "fresh" generators, and the
@@ -35,7 +36,6 @@ from typing import Mapping, Sequence
 
 from .abelian import (
     CertificateError,
-    InfeasibilityCertificate,
     IntMatrix,
     Presentation,
     chain_row,
@@ -43,7 +43,6 @@ from .abelian import (
     in_lattice,
     invariant_factors,
     is_prime,
-    solve_z,
 )
 from .core import (
     Atom,
@@ -193,32 +192,27 @@ def verify_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]], w: Witn
     return True, None
 
 
-def solve_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]]):
-    """Witness solving as one integer linear system over {f(x)} and {a(z, j)}.
-
-    The unknowns are the generators of `build_witness_group` in order, so the
-    system is its relation matrix against the coloring flattened row by row.
+def solve_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]]) -> Witness:
+    """The back-substituted witness of a coloring, checked by `verify_witness`.
 
     Every coloring has a witness.  Row (z, m) has -1 on a(z, m+r) and q[m]
-    on a(z, m+r+1), so the columns a(z, r), ..., a(z, r+M-1) of each final
-    (M rows) hold an upper bidiagonal block with -1 on its diagonal.  The
-    blocks are unimodular and no two finals share columns, so with every
-    other unknown 0 they solve for any right-hand side.  An infeasibility
-    answer from the solver is therefore a CertificateError.
+    on a(z, m+r+1), so with f = 0 and the heads a(z, 0..r-1) and the tops
+    a(z, r+M..) 0 (M rows per final), the equation of row m reads
+    a(z, m+r) = q[m] * a(z, m+r+1) - c(m), which fixes a(z, m+r) for
+    m = M-1 down to 0.  The finals share no z column, so each is solved on
+    its own.  A witness that fails the equation is a CertificateError.
     """
-    pres = build_witness_group(ws)
-    rhs = [c[z][m] for z in ws.finals() for m in range(ws.m_range)]
-    # a matrix without rows has no width, so solve_z cannot size the zero solution
-    res = solve_z(pres.relations, rhs) if rhs else (0,) * len(pres.generators)
-    if isinstance(res, InfeasibilityCertificate):
-        raise CertificateError("the solver reports a witness system infeasible, yet its unit blocks solve it")
-    values = iter(res)
-    f = {a: next(values) for a in sorted(ws.family.union_s(), key=atom_sort_key)}
-    a_map = {(z, j): next(values) for z in ws.finals() for j in range(ws.j_trunc)}
-    w = Witness(f, a_map)
+    f = {x: 0 for x in sorted(ws.family.union_s(), key=atom_sort_key)}
+    a: dict[tuple[Node, int], int] = {}
+    for z in ws.finals():
+        values = [0] * ws.j_trunc
+        for m in reversed(range(ws.m_range)):
+            values[m + ws.r] = ws.q[z][m] * values[m + ws.r + 1] - c[z][m]
+        a.update(((z, j), v) for j, v in enumerate(values))
+    w = Witness(f, a)
     ok, where = verify_witness(ws, c, w)
     if not ok:
-        raise CertificateError(f"solver output fails the witness equation at {where}")
+        raise CertificateError(f"back-substituted witness fails the witness equation at {where}")
     return w
 
 

@@ -1,6 +1,8 @@
 """Exact linear algebra: normal forms, integer solving, chain-group diagnostics."""
 
 import dataclasses
+import itertools
+import json
 import os
 import random
 import subprocess
@@ -15,7 +17,7 @@ from lamsys import abelian
 from lamsys.abelian import (
     CertificateError,
     DivisibilityReport,
-    HermiteForm,
+    DivisibilityStep,
     InfeasibilityCertificate,
     IntMatrix,
     NonfreeSpec,
@@ -23,7 +25,6 @@ from lamsys.abelian import (
     SmithDecomposition,
     build_chain_group,
     divisibility_evidence,
-    express_in_lattice,
     hnf,
     in_lattice,
     integer_solutions,
@@ -271,7 +272,16 @@ def corrupted_checks_missed() -> list[str]:
     u = [list(row) for row in good.transform.entries]
     u[r] = [2 * x for x in u[r]]  # still in the kernel, but of index 2
     doubled_kernel = IntMatrix.from_rows(u)
+    # swapping two nonzero rows of H and of U together keeps U a^T = H and the
+    # kernel rows, so only the echelon order fails
+    swapped = (1, 0) + tuple(range(2, a.cols))
     cases = {
+        "Hermite form out of echelon order": dataclasses.replace(
+            good,
+            hermite=IntMatrix(tuple(good.hermite.entries[i] for i in swapped)),
+            transform=IntMatrix(tuple(good.transform.entries[i] for i in swapped)),
+        ),
+        "transform without its last row": dataclasses.replace(good, transform=IntMatrix(good.transform.entries[:-1])),
         "corrupted transform": dataclasses.replace(good, transform=bad_transform),
         "non-primitive kernel": dataclasses.replace(good, transform=doubled_kernel),
         "wrong solution": dataclasses.replace(good, solution=(0, 0, 0, 0)),
@@ -288,7 +298,8 @@ def corrupted_checks_missed() -> list[str]:
         good.check(a, b)
     except CertificateError:
         missed.append("rejected the uncorrupted solution set")
-    missed += _corrupted_hermite_missed()
+    missed += _corrupted_pivots_missed()
+    missed += _corrupted_divisibility_missed()
     verify = SmithDecomposition.verify
     SmithDecomposition.verify = lambda self, a: False  # a Smith form that fails its self-check
     try:
@@ -340,57 +351,57 @@ def _corrupted_smith_missed(a) -> list[str]:
     return missed
 
 
-def _corrupted_hermite_missed() -> list[str]:
-    """Corruptions of a Hermite form with transforms that `check` or `unit_split` failed to reject."""
-    a = IntMatrix.from_rows([[2, 4, 1, 0], [0, 6, 3, 2], [4, 2, 5, 6]])
-    good = HermiteForm(*hnf(a, inverse=True))
-
-    def bumped(m, i, j):
-        rows = [list(row) for row in m.entries]
-        rows[i][j] += 1
-        return IntMatrix.from_rows(rows)
-
-    def swapped_rows(m):
-        return IntMatrix((m.entries[1], m.entries[0]) + m.entries[2:])
-
-    # swapping two rows of U and H together keeps U a = H; swapping the
-    # matching columns of U^-1 keeps U U^-1 = I, so only the echelon order fails
-    out_of_order = HermiteForm(
-        swapped_rows(good.hermite), swapped_rows(good.transform), swapped_rows(good.inverse.transpose()).transpose()
-    )
+def _corrupted_pivots_missed() -> list[str]:
+    """Corrupted unit-pivot lists that the re-check in `invariant_factors` failed to reject."""
+    # column 3 is a unit column; the block it leaves has factors (1, 2)
+    a = IntMatrix.from_rows([[1, 0, 0, 1], [2, 1, 0, 0], [0, 3, 2, 0]])
     cases = {
-        "corrupted transform": dataclasses.replace(good, transform=bumped(good.transform, 0, 1)),
-        "corrupted inverse": dataclasses.replace(good, inverse=bumped(good.inverse, 1, 0)),
-        "corrupted Hermite form": dataclasses.replace(good, hermite=bumped(good.hermite, 2, 3)),
-        "Hermite form out of echelon order": out_of_order,
-        "inverse without its last row": dataclasses.replace(good, inverse=IntMatrix(good.inverse.entries[:-1])),
+        "non-unit pivot": [(2, 2)],
+        # row 1 keeps column 0 and column 1 keeps row 2
+        "pivot alone neither in its row nor in its column": [(1, 1)],
+        "repeated row": [(0, 3), (0, 0)],
     }
     missed = []
-    for name, form in cases.items():
+    peel = abelian._unit_pivots
+    try:
+        for name, pivots in cases.items():
+            abelian._unit_pivots = lambda m, pivots=pivots: pivots
+            try:
+                invariant_factors(Presentation(("a", "b", "c", "d"), a))
+                missed.append(name)
+            except CertificateError:
+                pass
+    finally:
+        abelian._unit_pivots = peel
+    if invariant_factors(Presentation(("a", "b", "c", "d"), a)) != (1, 1, 2):
+        missed.append("peeled the uncorrupted matrix wrongly")
+    return missed
+
+
+def _corrupted_divisibility_missed() -> list[str]:
+    """Corrupted telescoped combinations that `divisibility_evidence` failed to reject."""
+    spec = NonfreeSpec(r=1, q=(2, 3, 5, 7), d=((1,), (-2,), (1,), (3,)), j_trunc=6)
+
+    def bump_relation(step):
+        return dataclasses.replace(step, combination=(step.combination[0] + 1,) + step.combination[1:])
+
+    def bump_head(step):
+        return dataclasses.replace(step, head_coefficients=(step.head_coefficients[0] - 1,))
+
+    def bump_product(step):
+        return dataclasses.replace(step, product=step.product * 2)
+
+    cases = {"relation coefficient": bump_relation, "head coefficient": bump_head, "product": bump_product}
+    missed = []
+    for name, corrupt in cases.items():
+        abelian.DivisibilityStep = lambda *args, corrupt=corrupt, **kwargs: corrupt(DivisibilityStep(*args, **kwargs))
         try:
-            form.check(a)
+            divisibility_evidence(spec, 2)
+            missed.append(f"corrupted {name}")
         except CertificateError:
-            continue
-        missed.append(name)
-    try:
-        good.check(a)
-        good.unit_split()
-    except CertificateError:
-        missed.append("rejected the uncorrupted Hermite form")
-    # an echelon form that is its own Hermite form as far as the products go,
-    # but leaves a 1 above its unit pivot in column 1
-    unreduced = IntMatrix.from_rows([[2, 1, 0], [0, 1, 5]])
-    eye = IntMatrix.identity(2)
-    form = HermiteForm(unreduced, eye, eye)
-    try:
-        form.check(unreduced)
-    except CertificateError:
-        missed.append("rejected the unreduced echelon form before the split")
-    try:
-        form.unit_split()
-        missed.append("corrupted unit-pivot column")
-    except CertificateError:
-        pass
+            pass
+        finally:
+            abelian.DivisibilityStep = DivisibilityStep
     return missed
 
 
@@ -414,8 +425,9 @@ def test_certificate_checks_raise_under_optimize():
 def test_lattice_membership_roundtrip():
     a = IntMatrix.from_rows([[2, 0, 1], [0, 3, 1]])
     v = [4, 3, 3]  # 2*row0 + row1
-    coeffs = express_in_lattice(a, v)
-    assert coeffs is not None
+    # coefficients t with t a = v solve a^T t = v
+    coeffs = solve_z(a.transpose(), v)
+    assert coeffs == (2, 1)
     recombined = [
         sum(coeffs[i] * a.entries[i][j] for i in range(a.rows)) for j in range(a.cols)
     ]
@@ -434,13 +446,12 @@ def test_presentation_free_rank():
     assert rank(torsion) == 0
 
 
-def test_unit_split_keeps_only_columns_with_entries():
-    # no unit pivot; column 3 is zero in both rows and leaves the block, while
-    # column 1 is off the pivots but carries an entry and stays
+def test_invariant_factors_peel_a_unit_off_the_pivots():
+    # column 1 holds a lone 1 that is no Hermite pivot; peeling it leaves the block (3)
     a = IntMatrix.from_rows([[2, 1, 0, 0], [0, 0, 3, 0]])
-    units, block = HermiteForm(*hnf(a, inverse=True)).unit_split()
-    assert (units, block.entries) == (0, ((2, 1, 0), (0, 0, 3)))
+    assert abelian._unit_pivots(a) == [(0, 1)]
     assert invariant_factors(Presentation(("a", "b", "c", "d"), a)) == (1, 3)
+    assert rank(Presentation(("a", "b", "c", "d"), a)) == 2
 
 
 def test_is_prime_small():
@@ -538,12 +549,10 @@ def test_chain_truncations_always_free(qs, r, coeff):
     assert is_free(build_chain_group(spec))
 
 
-def _old_invariant_factors(p):
-    """The Smith-form reference that the checked Hermite path replaced."""
-    if p.relations.rows == 0 or p.relations.cols == 0:
-        return ()
-    rel = IntMatrix.from_rows([r for r in p.relations.entries if any(r)] or [[0] * len(p.generators)])
-    return tuple(d for d in snf(rel).diagonal if d != 0)
+def _full_snf_factors(p):
+    """The nonzero Smith diagonal of the whole relation matrix, without peeling."""
+    rows = [r for r in p.relations.entries if any(r)]
+    return tuple(d for d in snf(IntMatrix.from_rows(rows)).diagonal if d) if rows else ()
 
 
 def _torsion_presentations():
@@ -579,20 +588,128 @@ def _torsion_presentations():
         yield Presentation(tuple(f"g{j}" for j in range(cols)), IntMatrix.from_rows(m))
 
 
+def _mixed_presentations():
+    """Random torsion blocks hidden among unit rows, unit columns and unit staircases, rows and columns shuffled."""
+    rng = random.Random(53)
+    for _ in range(150):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 5)
+        m = [[rng.choice((0, 0, 2, 3, 4, -6, 9)) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("row", "column", "staircase"))
+            width = len(m[0]) if m else cols
+            if kind == "row":  # a unit row on a fresh column, with entries above and below in that column
+                for row in m:
+                    row.append(rng.choice((0, 1, -2, 5)))
+                m.append([0] * width + [rng.choice((1, -1))])
+            elif kind == "column":  # a unit column on a fresh row that also meets old columns
+                for row in m:
+                    row.append(0)
+                m.append([rng.randint(-4, 4) for _ in range(width)] + [rng.choice((1, -1))])
+            else:  # -1 on the diagonal and a prime just right of it, as in a chain
+                k = rng.randint(2, 3)
+                for row in m:
+                    row.extend(rng.choice((0, 0, 3)) for _ in range(k + 1))
+                for i in range(k):
+                    new = [rng.choice((0, 2)) for _ in range(width)] + [0] * (k + 1)
+                    new[width + i], new[width + i + 1] = -1, rng.choice((2, 3, 5))
+                    m.append(new)
+        rng.shuffle(m)
+        order = list(range(len(m[0])))
+        rng.shuffle(order)
+        m = [[row[j] for j in order] for row in m]
+        yield Presentation(tuple(f"g{j}" for j in range(len(order))), IntMatrix.from_rows(m))
+
+
+def _chain_presentations():
+    """Chain groups with r >= 1 and their quotients by the head and the anchor."""
+    rng = random.Random(59)
+    for _ in range(40):
+        r = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        q = tuple(rng.choice((2, 3, 5, 7)) for _ in range(n))
+        d = tuple(tuple(rng.randint(-4, 4) for _ in range(r)) for _ in range(n))
+        spec = NonfreeSpec(r=r, q=q, d=d, j_trunc=n + r + 1)
+        chain = build_chain_group(spec)
+        yield chain
+        kill = [[int(j == k) for j in range(spec.j_trunc)] for k in range(spec.r + 1)]
+        yield Presentation(chain.generators, IntMatrix.from_rows(list(chain.relations.entries) + kill))
+
+
+def _witness_presentations():
+    """Every build-G presentation, `--variant` system and basis slice window of the golden systems and random ones."""
+    from helpers import random_whitehead_system
+
+    from lamsys import jsonio
+    from lamsys.whitehead import build_witness_group, quotient_presentation, variant_filter
+
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    names = ("ws-h1", "ws-h2", "ws-basis", "ws-basis-stall", "coupled", "strong", "trunc0")
+    systems = [jsonio.whitehead_from_doc(json.loads((inputs / f"{name}.json").read_text())) for name in names]
+    rng = random.Random(61)
+    systems += [
+        random_whitehead_system(rng, n=rng.choice((1, 2)), r=rng.randint(0, 2), truncation=rng.randint(1, 3),
+                                cross_level_atoms=rng.random() < 0.5)
+        for _ in range(12)
+    ]
+    for ws in systems:
+        firsts = sorted({z[0] for z in ws.finals()})
+        yield build_witness_group(ws)
+        for k in range(1, len(firsts)):
+            for keep in itertools.combinations(firsts, k):
+                yield build_witness_group(variant_filter(ws, frozenset(keep)))
+        for beta in (x + 1 for x in firsts):
+            for alpha in [-1] + [x for x in firsts if x < beta]:
+                yield quotient_presentation(ws, alpha, beta)
+
+
 def test_invariant_factors_agree_with_snf_path():
     try:
         from sympy import ZZ, Matrix
         from sympy.matrices.normalforms import smith_normal_form
     except ImportError:
         smith_normal_form = None
-    non_unit = 0
-    for p in _torsion_presentations():
-        factors = invariant_factors(p)
-        assert factors == _old_invariant_factors(p)
-        assert rank(p) == len(p.generators) - matrix_rank(p.relations) == len(p.generators) - len(factors)
-        assert is_free(p) == all(d == 1 for d in factors)
-        non_unit += any(d != 1 for d in factors)
-        if smith_normal_form is not None and p.relations.rows and p.relations.cols:
-            s = smith_normal_form(Matrix(p.relations.entries), domain=ZZ)
-            assert sorted(factors) == sorted(abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i] != 0)
-    assert non_unit > 40  # the Smith block after the unit split is exercised
+    non_unit = peeled = witness = 0
+    for source in (_torsion_presentations(), _mixed_presentations(), _chain_presentations(), _witness_presentations()):
+        for p in source:
+            factors = invariant_factors(p)
+            assert factors == _full_snf_factors(p)
+            assert rank(p) == len(p.generators) - matrix_rank(p.relations) == len(p.generators) - len(factors)
+            assert is_free(p) == all(d == 1 for d in factors)
+            non_unit += any(d != 1 for d in factors)
+            peeled += bool(abelian._unit_pivots(p.relations))
+            witness += source.__name__ == "_witness_presentations"
+            if smith_normal_form is not None and p.relations.rows and p.relations.cols:
+                s = smith_normal_form(Matrix(p.relations.entries), domain=ZZ)
+                assert sorted(factors) == sorted(abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i] != 0)
+    assert non_unit > 80  # the Smith block left after peeling is exercised
+    assert peeled > 300
+    assert witness > 100
+
+
+def test_witness_presentations_peel_completely():
+    # the unit staircase of every final and the unit kill rows leave nothing for snf
+    for p in _witness_presentations():
+        a = p.relations
+        pivots = abelian._unit_pivots(a)
+        assert abelian._peeled_block(a, pivots) == ()
+        assert invariant_factors(p) == (1,) * len(pivots)
+
+
+def test_telescoped_combination_is_the_solvers():
+    rng = random.Random(67)
+    for _ in range(40):
+        r = rng.randint(0, 3)
+        n = rng.randint(1, 5)
+        q = tuple(rng.choice((2, 3, 5, 7, 11)) for _ in range(n))
+        d = tuple(tuple(rng.randint(-5, 5) for _ in range(r)) for _ in range(n))
+        spec = NonfreeSpec(r=r, q=q, d=d, j_trunc=n + r + 1)
+        j = spec.j_trunc
+        head = [[int(k == l) for k in range(j)] for l in range(r)]
+        stacked = IntMatrix.from_rows(list(build_chain_group(spec).relations.entries) + head)
+        report = divisibility_evidence(spec, n - 1)
+        assert report.ok
+        for step in report.steps:
+            target = [0] * j
+            target[r] += 1
+            target[step.witness_index] -= step.product
+            assert solve_z(stacked.transpose(), target) == step.combination + step.head_coefficients

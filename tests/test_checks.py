@@ -24,6 +24,30 @@ def test_no_assert_in_src():
     assert found == []
 
 
+# the witness side reads its answers off the unit staircase; `hnf` and
+# `in_lattice` stay for the generation check of `basis`
+_GENERIC_SOLVERS = frozenset(
+    {"solve_z", "integer_solutions", "kernel_basis", "express_in_lattice", "snf", "HermiteForm"}
+)
+
+
+def test_witness_side_names_no_generic_solver():
+    found = []
+    for name in ("whitehead.py", "cli.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{x}" for x in sorted(names & _GENERIC_SOLVERS)]
+    assert found == []
+
+
 @contextlib.contextmanager
 def _patched(owner, name, value):
     """Set owner.name for the duration; a builtin shadowed this way is unshadowed after."""

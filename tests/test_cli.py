@@ -516,7 +516,7 @@ def test_unif_table_mu_takes_only_integers(capsys, argv):
 
 
 def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
-    # W c = -s and the witness equations always solve, so a solver that says otherwise is at fault
+    # W c = -s and the witness equations always solve, so an answer that says otherwise is at fault
     from lamsys import uniformization, whitehead
     from lamsys.abelian import InfeasibilityCertificate, integer_solutions
 
@@ -536,27 +536,70 @@ def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["unif-sim", "--instance", path])
     assert (code, out) == (3, "")
     assert err == "internal error: the solver reports W c = -s infeasible, yet every level solves its own rows\n"
-    monkeypatch.setattr(whitehead, "solve_z", lambda a, b: infeasible)
+    monkeypatch.setattr(whitehead, "verify_witness", lambda ws, c, w: (False, ((0,), 1)))
     path = write(tmp_path, "ws.json", witness_doc())
     c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}})
     code, out, err = run(capsys, ["solve-witness", "--system", path, "--c", c_path])
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: the solver reports a witness system infeasible")
+    assert err == "internal error: back-substituted witness fails the witness equation at ((0,), 1)\n"
 
 
 def test_certificate_error_exits_3(tmp_path, capsys, monkeypatch):
     from lamsys import abelian, freeness
 
-    def broken(self, a):
-        raise abelian.CertificateError("transform * a differs from the Hermite form")
-
-    monkeypatch.setattr(abelian.HermiteForm, "check", broken)
+    # row 0 is 2 z_1 - z_0 - x_0 on the columns x_0, x_1, z_0, ..., so its pivot 2 on z_1 is no unit
+    monkeypatch.setattr(abelian, "_unit_pivots", lambda a: [(0, 3)])
     path = write(tmp_path, "ws.json", witness_doc())
     code, out, err = run(capsys, ["build-G", "--system", path])
     assert (code, out) == (3, "")
-    assert err == "internal error: transform * a differs from the Hermite form\n"
+    assert err == "internal error: pivot (0, 3) is not a unit on a row and a column left\n"
     monkeypatch.setattr(freeness.Transversal, "verify", lambda self, sets: False)
     path = write(tmp_path, "fam.json", family_doc({0: ["a", "b"], 1: ["b", "c"]}))
     code, out, err = run(capsys, ["check-free", path])
     assert (code, out) == (3, "")
     assert err == "internal error: transversal fails its own check\n"
+
+
+def test_other_exceptions_exit_3_without_traceback(tmp_path, capsys, monkeypatch):
+    from lamsys import cli
+
+    def lost(*args):
+        raise KeyError("z:0:7")
+
+    monkeypatch.setattr(cli, "solve_witness", lost)
+    path = write(tmp_path, "ws.json", witness_doc())
+    c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}})
+    code, out, err = run(capsys, ["solve-witness", "--system", path, "--c", c_path])
+    assert (code, out) == (3, "")
+    assert err == "internal error: KeyError: 'z:0:7'\n"
+
+
+# every subcommand input that names a file, with FILE in place of that file
+_FILE_INPUTS = [
+    pytest.param(["validate", "FILE"], id="validate"),
+    pytest.param(["check-free", "FILE"], id="check-free"),
+    pytest.param(["reshuffle", "FILE"], id="reshuffle"),
+    pytest.param(["transform", "FILE", "--kind", "tree"], id="transform"),
+    pytest.param(["build-group", "--spec", "FILE"], id="build-group"),
+    pytest.param(["build-G", "--system", "FILE"], id="build-G"),
+    pytest.param(["solve-witness", "--system", "FILE", "--c", "C"], id="solve-witness-system"),
+    pytest.param(["solve-witness", "--system", "WS", "--c", "FILE"], id="solve-witness-c"),
+    pytest.param(["basis", "--system", "FILE", "--alpha", "-1", "--beta", "1"], id="basis"),
+    pytest.param(["unif-sim", "--instance", "FILE"], id="unif-sim"),
+]
+
+
+@pytest.mark.parametrize("argv", _FILE_INPUTS)
+@pytest.mark.parametrize("doc", [5, None, True, "x", [1]], ids=["int", "null", "bool", "string", "list"])
+def test_non_object_documents_exit_2(tmp_path, capsys, argv, doc):
+    from helpers import run_dispatch
+
+    paths = {
+        "FILE": write(tmp_path, "doc.json", doc),
+        "WS": write(tmp_path, "ws.json", witness_doc()),
+        "C": write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}}),
+    }
+    code, out = run_dispatch([paths.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and "expected a JSON object" in err

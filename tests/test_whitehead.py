@@ -225,6 +225,23 @@ def test_every_coloring_has_a_witness(seed, n, r, truncation, cross, data):
     assert verify_witness(ws, c, w)[0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2)), st.integers(0, 3), st.integers(0, 4), st.booleans())
+def test_back_substituted_witness(seed, n, r, truncation, cross):
+    rng = random.Random(seed)
+    ws = random_whitehead_system(rng, n=n, r=r, truncation=truncation, cross_level_atoms=cross)
+    ws = replace(ws, j_trunc=ws.j_trunc + rng.randint(0, 2))  # tops above the relation rows
+    c = random_coloring(rng, ws, bound=10**6)
+    w = solve_witness(ws, c)
+    assert verify_witness(ws, c, w) == (True, None)
+    assert set(w.f) == ws.family.union_s() and not any(w.f.values())
+    for z in ws.finals():
+        assert not any(w.a[(z, j)] for j in range(ws.j_trunc) if not ws.r <= j < ws.r + ws.m_range)
+        # the top row fixes the highest unknown, each row below the next one down
+        for m in range(ws.m_range):
+            assert w.a[(z, m + ws.r)] == ws.q[z][m] * w.a[(z, m + ws.r + 1)] - c[z][m]
+
+
 def test_infeasible_two_equation_instance():
     # two coupled chains sharing all their atom unknowns with identical
     # multipliers but right-hand sides differing by one; forcing the two
