@@ -37,7 +37,12 @@ determinant.
 
 `hnf` is the only elimination loop.  Its pivoting is deterministic (the
 smallest absolute value in the column, the first such row on ties), so
-every normal form and certificate is reproducible bit for bit.
+every normal form and certificate is reproducible bit for bit.  On the CLI
+it now serves only two callers, both after unit peeling: the coupled core
+of a ladder system (`uniformization.simulate` peels and lifts every g
+column that a single row uses, so an independent ladder reaches no
+solver), and the fallback of `basis`'s generation check, when peeling the
+stacked rows finds fewer pivots than generators.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .abelian import (
     CertificateError,
     InfeasibilityCertificate,
     IntMatrix,
+    _sparse_rows,
     hnf,
     integer_solutions,
     is_prime,
@@ -486,6 +487,66 @@ def _gen_names(inst: LadderInstance, n_rel_of) -> list[str]:
     return names
 
 
+def _unit_columns(cols: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """(row, column) of the longest suffix of columns that are each one +-1 in a row of their own.
+
+    `cols` gives each column's (row, value) nonzeros; the suffix is walked
+    from the last column down.
+    """
+    peel: list[tuple[int, int]] = []
+    used: set[int] = set()
+    for j in reversed(range(len(cols))):
+        if len(cols[j]) != 1:
+            break
+        i, v = cols[j][0]
+        if abs(v) != 1 or i in used:
+            break
+        used.add(i)
+        peel.append((i, j))
+    return peel
+
+
+def _core(w: IntMatrix, cols: Sequence[Sequence[tuple[int, int]]], peel: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The rows that `peel` leaves and the number of columns it keeps, once the peel list is re-checked.
+
+    Raises CertificateError unless every peeled column is +-1 at its row and
+    zero in every other row, no two peeled columns share a row (so no column
+    is peeled twice), and every peeled column sorts after every kept one.
+    Then W is [[W_cc, 0], [W_pc, D]] up to the order of the rows, with D
+    diagonal +-1.
+    """
+    kept = w.cols - len(peel)
+    rows: set[int] = set()
+    for i, j in peel:
+        if abs(w.entries[i][j]) != 1:
+            raise CertificateError(f"peeled column {j} has {w.entries[i][j]}, not +-1, at row {i}")
+        if i in rows:
+            raise CertificateError(f"row {i} holds two peeled columns")
+        if len(cols[j]) != 1:
+            raise CertificateError(f"peeled column {j} has {len(cols[j])} nonzeros")
+        if j < kept:
+            raise CertificateError(f"peeled column {j} sorts before a kept column")
+        rows.add(i)
+    return [i for i in range(w.rows) if i not in rows], kept
+
+
+def _lift(c: list[int], peel: Sequence[tuple[int, int]], rows: Sequence[Sequence[tuple[int, int]]], shifts: Sequence[int]) -> None:
+    """Set each peeled coordinate c_j, for its row i, to (-s_i - W_i,core . c_core) * W_ij.
+
+    `rows` gives each row's (column, value) nonzeros.  Row i has no other
+    peeled column, so this makes row i of W c = -s hold; W_ij = +-1 is its
+    own inverse.
+    """
+    for i, j in peel:
+        total, unit = -shifts[i], 0
+        for t, v in rows[i]:
+            if t == j:
+                unit = v
+            else:
+                total -= v * c[t]
+        c[j] = total * unit
+
+
 def simulate(inst: LadderInstance) -> SimulationReport:
     """Build the chain stage, compute the canonical splitting, recover the colors.
 
@@ -510,6 +571,26 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     In subcase ii, row n reads p y_{n+1} - y_n = -s_n, and the -1 on y_n
     with p on y_{n+1} form a unimodular upper bidiagonal block.  An
     infeasibility answer from the solver is therefore a CertificateError.
+
+    Only the coupled core of W reaches the solver; the rest is peeled and
+    lifted, the first step of structured Gaussian elimination (LaMacchia
+    and Odlyzko, CRYPTO '90).  `_unit_columns` peels the longest suffix of
+    columns that are each one +-1 in a row of their own, and `_core`
+    re-checks it, so W = [[W_cc, 0], [W_pc, D]] with D diagonal +-1, the
+    peeled columns last.  A g column whose label only one row uses is such a
+    column, so every column of an independent ladder's g labels peels, and
+    so does every row.  The solutions of W c = -s are then the solutions
+    c_core of W_cc c_core = -s_core, each lifted by c_j = (-s_i - W_i,core .
+    c_core) * W_ij for the peeled (i, j), and the kernel lattice of W is the
+    lift of that of W_cc.  The lift is injective, and the peeled columns
+    sort after every kept one, so every pivot of the kernel's Hermite form
+    lies on a kept column, and the Hermite form of the kernel of W is the
+    lift of that of W_cc (both are unique).  The balanced reduction reads
+    and reduces only pivot coordinates, so it commutes with the lift: the
+    canonical splitting of W is the lift of that of W_cc.  With no core row
+    left, the kernel of W_cc is every vector, its Hermite form the identity,
+    and the reduction gives c_core = 0 with no solver run: every y and z
+    coordinate of an independent ladder's splitting is 0, and c(g_n) = -s_n.
     """
     problems = validate_instance(inst)
     if problems:
@@ -552,13 +633,25 @@ def simulate(inst: LadderInstance) -> SimulationReport:
             rows.append(row)
             shifts.append(shift)
 
-    w = IntMatrix.from_rows(rows)
-    sols = integer_solutions(w, [-s for s in shifts])
-    if isinstance(sols.solution, InfeasibilityCertificate):
-        raise CertificateError("the solver reports W c = -s infeasible, yet every level solves its own rows")
-    kh, _ = hnf(sols.kernel)
-    c_vec = reduce_mod_lattice(sols.solution, kh, balanced=True)
-    splitting_ok = w.mul_vec(c_vec) == tuple(-s for s in shifts)
+    # every entry is already an int, so skip the conversion in from_rows
+    w = IntMatrix(tuple(map(tuple, rows)))
+    w_rows = _sparse_rows(w.entries)
+    w_cols: list[list[tuple[int, int]]] = [[] for _ in names]
+    for i, row in enumerate(w_rows):
+        for j, v in row:
+            w_cols[j].append((i, v))
+    peel = _unit_columns(w_cols)
+    core_rows, kept = _core(w, w_cols, peel)
+    c_vec = [0] * w.cols
+    if core_rows:
+        core = IntMatrix(tuple(w.entries[i][:kept] for i in core_rows))
+        sols = integer_solutions(core, [-shifts[i] for i in core_rows])
+        if isinstance(sols.solution, InfeasibilityCertificate):
+            raise CertificateError("the solver reports W c = -s infeasible, yet every level solves its own rows")
+        kh, _ = hnf(sols.kernel)
+        c_vec[:kept] = reduce_mod_lattice(sols.solution, kh, balanced=True)
+    _lift(c_vec, peel, w_rows, shifts)
+    splitting_ok = all(sum(v * c_vec[t] for t, v in row) == -s for row, s in zip(w_rows, shifts))
 
     delta = {g: -c_vec[index[g]] for g in names}
 

@@ -38,6 +38,8 @@ from .abelian import (
     CertificateError,
     IntMatrix,
     Presentation,
+    _peeled_block,
+    _unit_pivots,
     chain_row,
     hnf,
     in_lattice,
@@ -339,10 +341,15 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
     """Generation and independence of the candidate in the truncated quotient.
 
     Generation: every generator lies in the lattice spanned by the relation
-    rows plus the candidate's unit vectors.  Independence: the quotient has
-    unit invariant factors with free rank equal to the candidate size, and a
-    surjection of a free group onto a free group of the same rank is an
-    isomorphism.
+    rows plus the candidate's unit vectors.  Unit peeling of those stacked
+    rows proves it without a normal form when it finds one checked pivot per
+    generator: each pivot is alone in its row or its column among what is
+    left, so expanding the determinant along it shows that the pivot rows
+    form a minor of determinant +-1, and they span Z^n.  Otherwise one
+    Hermite form of the stacked rows names the generators outside the
+    lattice.  Independence: the quotient has unit invariant factors with
+    free rank equal to the candidate size, and a surjection of a free group
+    onto a free group of the same rank is an isomorphism.
     """
     pres = quotient_presentation(ws, alpha, beta)
     index = {g: i for i, g in enumerate(pres.generators)}
@@ -363,20 +370,23 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
     for g in cand_names:
         row = [0] * n
         row[index[g]] = 1
-        cand_rows.append(row)
+        cand_rows.append(tuple(row))
 
     factors = invariant_factors(pres)
     unit = all(d == 1 for d in factors)
     # one factor per independent relation
     free_rank = n - len(factors)
-    stacked = IntMatrix.from_rows(list(pres.relations.entries) + cand_rows)
-    h, _ = hnf(stacked)
+    stacked = IntMatrix(pres.relations.entries + tuple(cand_rows))
+    pivots = _unit_pivots(stacked)
     failing = []
-    for g in pres.generators:
-        e = [0] * n
-        e[index[g]] = 1
-        if not in_lattice(h, e):
-            failing.append(g)
+    # n checked unit pivots leave nothing and prove that the rows span Z^n
+    if len(pivots) < n or _peeled_block(stacked, pivots):
+        h, _ = hnf(stacked)
+        for g in pres.generators:
+            e = [0] * n
+            e[index[g]] = 1
+            if not in_lattice(h, e):
+                failing.append(g)
     return BasisReport(
         generated=not failing,
         unit_factors=unit,

@@ -6,12 +6,24 @@ carrier on its own; the differential tests run both and require identical
 results.  The linear
 algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
 brute-force purity search) give the tests an independent second answer.
+`whole_splitting` and `basis_generation` are the generic paths that unit
+peeling replaced in `simulate` and `verify_basis`: one exact solve of the
+whole ladder system, and one Hermite form for every generation check.
 Nothing under `src/` imports this module.
 """
 
 from itertools import product
 
-from lamsys.abelian import DimensionError, IntMatrix, NonfreeSpec, build_chain_group, hnf, in_lattice
+from lamsys.abelian import (
+    DimensionError,
+    IntMatrix,
+    NonfreeSpec,
+    build_chain_group,
+    hnf,
+    in_lattice,
+    integer_solutions,
+    reduce_mod_lattice,
+)
 from lamsys.core import ROOT, node_key, sorted_atoms
 from lamsys.freeness import ReshufflingOrder
 from lamsys.jsonio import SCHEMA, atom_to_jsonable
@@ -45,6 +57,41 @@ def det(a: IntMatrix) -> int:
 def matrix_rank(a: IntMatrix) -> int:
     h, _ = hnf(a)
     return sum(1 for row in h.entries if any(row))
+
+
+def whole_splitting(w: IntMatrix, shifts) -> tuple[int, ...]:
+    """The canonical splitting of W c = -s from all of W.
+
+    `integer_solutions` of the whole system, the Hermite form of its kernel,
+    then the balanced reduction of the particular solution against it.
+    """
+    sols = integer_solutions(w, [-s for s in shifts])
+    kh, _ = hnf(sols.kernel)
+    return reduce_mod_lattice(sols.solution, kh, balanced=True)
+
+
+def basis_generation(pres, candidate_names) -> tuple[bool, tuple[str, ...]]:
+    """(generated, failing generators) of `verify_basis` from one Hermite form of the stacked rows.
+
+    Every generator's unit vector is reduced against the Hermite form of the
+    relation rows and the candidate's unit rows; the names must all be
+    generators of `pres`.
+    """
+    index = {g: i for i, g in enumerate(pres.generators)}
+    n = len(pres.generators)
+    rows = list(pres.relations.entries)
+    for g in candidate_names:
+        row = [0] * n
+        row[index[g]] = 1
+        rows.append(row)
+    h, _ = hnf(IntMatrix.from_rows(rows))
+    failing = []
+    for g in pres.generators:
+        e = [0] * n
+        e[index[g]] = 1
+        if not in_lattice(h, e):
+            failing.append(g)
+    return not failing, tuple(failing)
 
 
 def purity_evidence(spec: NonfreeSpec, box: int = 2, k_max: int = 4):

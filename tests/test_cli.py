@@ -526,11 +526,15 @@ def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
         "integer_solutions",
         lambda a, b: dataclasses.replace(integer_solutions(a, b), solution=infeasible),
     )
+    # the levels share the label a0, so its rows stay in the core that reaches the solver
     inst = {
         "schema": "lamsys/1",
         "subcase": "i",
         "r": 0,
-        "levels": {"40": {"ladder": [3, 8], "colors": [1, 0], "g": ["a0", "a1"], "primes": [31, 37]}},
+        "levels": {
+            "40": {"ladder": [3, 8], "colors": [1, 0], "g": ["a0", "a1"], "primes": [31, 37]},
+            "50": {"ladder": [4, 9], "colors": [1, 1], "g": ["a0", "b1"], "primes": [31, 41]},
+        },
     }
     path = write(tmp_path, "inst.json", inst)
     code, out, err = run(capsys, ["unif-sim", "--instance", path])

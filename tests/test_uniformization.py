@@ -5,6 +5,7 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamsys.uniformization import (
     IntervalSet,
@@ -307,7 +308,47 @@ def test_simulate_case_i_spec_example():
         assert (d_g - d_y0 - tab.shift[colors[n]]) % p == 0
 
 
+def shared_label_instance():
+    """Two levels that share the g label a0, so its column and both its rows stay in the core."""
+    return LadderInstance(
+        subcase="i",
+        r=0,
+        levels=(
+            LadderLevel(alpha=40, ladder=(3, 8), colors=(1, 0), g_labels=("a0", "a1"), primes=(31, 37)),
+            LadderLevel(alpha=50, ladder=(4, 9), colors=(1, 1), g_labels=("a0", "b1"), primes=(31, 41)),
+        ),
+    )
+
+
 def test_simulate_reports_a_splitting_off_the_solution(monkeypatch, tmp_path, capsys):
+    import json
+
+    from lamsys import uniformization
+    from lamsys.cli import dispatch
+    from lamsys.jsonio import instance_to_doc
+
+    inst = shared_label_instance()
+    assert simulate(inst).checks == {"projection_splitting_identity": True}
+    reduce = uniformization.reduce_mod_lattice
+
+    def off_kernel(v, h, balanced=False):
+        # add e_0, the y_0 column of level 40, which its core row a0 has as -1
+        c = reduce(v, h, balanced)
+        return (c[0] + 1,) + c[1:]
+
+    monkeypatch.setattr(uniformization, "reduce_mod_lattice", off_kernel)
+    report = simulate(inst)
+    assert report.chain.generators[0] == "y:40:0"
+    assert report.checks == {"projection_splitting_identity": False}
+    assert not report.ok
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_doc(inst)))
+    assert dispatch(["unif-sim", "--instance", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["report"]["checks"] == {"projection_splitting_identity": False}
+
+
+def test_simulate_reports_a_lifted_splitting_off_the_solution(monkeypatch, tmp_path, capsys):
     import json
 
     from lamsys import uniformization
@@ -316,16 +357,15 @@ def test_simulate_reports_a_splitting_off_the_solution(monkeypatch, tmp_path, ca
 
     inst = spec_case_i_instance()
     assert simulate(inst).checks == {"projection_splitting_identity": True}
-    reduce = uniformization.reduce_mod_lattice
+    lift = uniformization._lift
 
-    def off_kernel(v, h, balanced=False):
-        # add e_0, the y_0 column, which every row of W has as -1
-        c = reduce(v, h, balanced)
-        return (c[0] + 1,) + c[1:]
+    def off_by_one(c, peel, rows, shifts):
+        # every g column of the independent ladder is peeled; move the last one off its row
+        lift(c, peel, rows, shifts)
+        c[peel[0][1]] += 1
 
-    monkeypatch.setattr(uniformization, "reduce_mod_lattice", off_kernel)
+    monkeypatch.setattr(uniformization, "_lift", off_by_one)
     report = simulate(inst)
-    assert report.chain.generators[0] == "y:40:0"
     assert report.checks == {"projection_splitting_identity": False}
     assert not report.ok
     path = tmp_path / "inst.json"
@@ -479,3 +519,146 @@ def test_validate_instance_rejects_bad_ladders():
     assert any("pairwise distinct" in p for p in problems)
     with pytest.raises(ValueError):
         simulate(inst)
+
+
+# --- unit-column peeling against the whole-W path ----------------------------
+
+LADDER_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
+LABEL_POOL = ("a", "b", "c", "d", "e", "f")
+
+
+def _draw_ladder(draw_int, draw_sample, subcase, r, n_levels):
+    """A ladder instance whose g labels come from a small pool, so levels mix singleton and shared labels.
+
+    draw_int(lo, hi) and draw_sample(seq, k) supply the choices, from
+    random.Random or from hypothesis alike.
+    """
+    levels = []
+    if subcase == "ii":
+        i_max = draw_int(1, 2) if r == 0 else 1
+        n_rel = threshold_exponents(2, r, i_max)[-1]
+    for li in range(n_levels):
+        alpha = 10 * (li + 1)
+        if subcase == "i":
+            primes = tuple(draw_sample(LADDER_PRIMES, draw_int(1, 3)))
+            m = len(primes)
+        else:
+            primes, m = None, i_max
+        n_labels = m if subcase == "i" else n_rel
+        labels = tuple(LABEL_POOL[draw_int(0, len(LABEL_POOL) - 1)] + str(draw_int(0, 1)) for _ in range(n_labels))
+        levels.append(
+            LadderLevel(
+                alpha=alpha,
+                ladder=tuple(range(1, m + 1)),
+                colors=tuple(draw_int(0, 1) for _ in range(m)),
+                g_labels=labels,
+                mu=tuple(tuple(draw_int(-3, 3) for _ in range(n_labels)) for _ in range(r)),
+                primes=primes,
+            )
+        )
+    if subcase == "i":
+        return LadderInstance(subcase="i", r=r, levels=tuple(levels))
+    return LadderInstance(subcase="ii", r=r, p=2, i_max=i_max, levels=tuple(levels))
+
+
+def _splitting_agrees(inst):
+    from reference import whole_splitting
+
+    report = simulate(inst)
+    chain = report.chain
+    expected = whole_splitting(chain.relations, chain.shift_coefficients)
+    assert tuple(chain.splitting[g] for g in chain.generators) == expected
+    assert report.checks == {"projection_splitting_identity": True}
+
+
+def test_peeled_splitting_agrees_with_whole_solve_seeded():
+    rng = random.Random(1301)
+    for subcase in ("i", "ii"):
+        for r in (0, 1):
+            for _ in range(12):
+                inst = _draw_ladder(rng.randint, rng.sample, subcase, r, rng.randint(1, 3))
+                _splitting_agrees(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(("i", "ii")), st.integers(0, 1), st.integers(1, 3))
+def test_peeled_splitting_agrees_with_whole_solve(data, subcase, r, n_levels):
+    def draw_int(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    def draw_sample(seq, k):
+        return data.draw(st.permutations(seq))[:k]
+
+    _splitting_agrees(_draw_ladder(draw_int, draw_sample, subcase, r, n_levels))
+
+
+def test_singleton_label_before_a_shared_one_is_not_peeled():
+    from lamsys import uniformization
+
+    # b1 and c1 are singletons, but z9 is shared and sorts after both, so nothing peels
+    inst = LadderInstance(
+        subcase="i",
+        r=1,
+        levels=(
+            LadderLevel(alpha=10, ladder=(1, 2), colors=(1, 0), g_labels=("b1", "z9"), primes=(11, 13), mu=((1, -2),)),
+            LadderLevel(alpha=20, ladder=(1, 2), colors=(0, 1), g_labels=("c1", "z9"), primes=(17, 19), mu=((3, 0),)),
+        ),
+    )
+    peeled = []
+    unit_columns = uniformization._unit_columns
+
+    def recording(cols):
+        peeled.append(unit_columns(cols))
+        return peeled[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniformization, "_unit_columns", recording)
+        _splitting_agrees(inst)
+    assert peeled == [[]]
+    # with the shared label b1 first, the singleton columns after it, z9 and zz, peel
+    second = LadderLevel(alpha=20, ladder=(1, 2), colors=(0, 1), g_labels=("b1", "zz"), primes=(17, 19), mu=((3, 0),))
+    inst = LadderInstance(subcase="i", r=1, levels=(inst.levels[0], second))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniformization, "_unit_columns", recording)
+        _splitting_agrees(inst)
+    names = simulate(inst).chain.generators
+    assert [names[j] for _, j in peeled[-1]] == ["g:zz", "g:z9"]
+
+
+def _independent_ii():
+    ts = threshold_exponents(2, 1, 1)
+    return LadderInstance(
+        subcase="ii",
+        r=1,
+        p=2,
+        i_max=1,
+        levels=tuple(
+            LadderLevel(
+                alpha=alpha,
+                ladder=(5,),
+                colors=(alpha % 3 % 2,),
+                g_labels=tuple(f"l{alpha}g{n}" for n in range(ts[-1])),
+                mu=(tuple((n * alpha) % 5 - 2 for n in range(ts[-1])),),
+            )
+            for alpha in (30, 60)
+        ),
+    )
+
+
+def test_independent_ladders_run_no_solver(monkeypatch):
+    from lamsys import uniformization
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an independent ladder reached the solver")
+
+    for name in ("integer_solutions", "hnf", "reduce_mod_lattice"):
+        monkeypatch.setattr(uniformization, name, unreachable)
+    for inst in (spec_case_i_instance(), _independent_ii()):
+        report = simulate(inst)
+        assert report.ok
+        c = report.chain.splitting
+        # c(g_n) = -s_n, and 0 on every y and z column
+        g_rows = [g for lv in sorted(inst.levels, key=lambda l: l.alpha) for g in lv.g_labels]
+        assert [c[f"g:{g}"] for g in g_rows] == [-s for s in report.chain.shift_coefficients]
+        assert all(v == 0 for g, v in c.items() if not g.startswith("g:"))
+

@@ -460,3 +460,39 @@ def test_verify_basis_reports_stray_generator():
     report = verify_basis(ws, stray, alpha=-1, beta=1)
     assert not report.ok
     assert report.failing_generators
+
+
+def _candidates(ws, alpha, beta):
+    """The reshuffled candidate of the window, when an order exists, each of its one-short
+    versions, and the empty candidate."""
+    out = [BasisCandidate((), ())]
+    in_i = [z for z in ws.finals() if z[0] < beta]
+    res = find_reshuffling(ws.family, finals=in_i, alpha=alpha, theta_fresh=1)
+    if res.status == "found":
+        cand = enumerate_basis(ws, res.order, alpha=alpha, beta=beta)
+        out.append(cand)
+        out += [BasisCandidate(cand.z_part[:i] + cand.z_part[i + 1:], cand.atom_part) for i in range(len(cand.z_part))]
+        out += [BasisCandidate(cand.z_part, cand.atom_part[:i] + cand.atom_part[i + 1:]) for i in range(len(cand.atom_part))]
+    return out
+
+
+def test_basis_generation_by_peeling_agrees_with_hermite_form():
+    from reference import basis_generation
+
+    rng = random.Random(1302)
+    counts = [0, 0]
+    for _ in range(20):
+        ws = random_whitehead_system(
+            rng, n=rng.choice((1, 2)), r=rng.randint(0, 1), truncation=3, cross_level_atoms=rng.random() < 0.5
+        )
+        firsts = sorted({z[0] for z in ws.finals()})
+        for beta in [f + 1 for f in firsts]:
+            for alpha in [-1] + [f for f in firsts if f < beta]:
+                pres = quotient_presentation(ws, alpha, beta)
+                for cand in _candidates(ws, alpha, beta):
+                    names = [z_name(z, j) for z, j in cand.z_part] + [atom_name(a) for a in cand.atom_part]
+                    report = verify_basis(ws, cand, alpha, beta)
+                    assert (report.generated, report.failing_generators) == basis_generation(pres, names)
+                    counts[report.generated] += 1
+    # generating and non-generating candidates both occur
+    assert min(counts) > 50
