@@ -113,11 +113,11 @@ def seeded_ws(seed, **kw):
     return random_whitehead_system(random.Random(f"golden/{seed}"), **kw)
 
 
-def shared_ladder(seed, levels, m):
-    """Subcase i, every level on the same g labels; primes from 31..200."""
+def shared_ladder(seed, levels, m, r=0):
+    """Subcase i, every level on the same g labels; primes from 31..200, mu entries from -3..3."""
     rng = random.Random(f"golden-shared/{seed}")
     primes = [p for p in range(31, 200) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-    doc = {"schema": SCHEMA, "subcase": "i", "r": 0, "levels": {}}
+    doc = {"schema": SCHEMA, "subcase": "i", "r": r, "levels": {}}
     for li in range(levels):
         alpha = 100 * (li + 1)
         doc["levels"][str(alpha)] = {
@@ -125,6 +125,22 @@ def shared_ladder(seed, levels, m):
             "colors": [rng.randint(0, 1) for _ in range(m)],
             "g": [f"s{n}" for n in range(m)],
             "primes": rng.sample(primes, m),
+        }
+        if r:
+            doc["levels"][str(alpha)]["mu"] = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+    return doc
+
+
+def mixed_ladder():
+    """Two levels on the shared labels s0..s2 beside two levels with labels of their own, r = 1."""
+    doc = shared_ladder("mixed", 2, 3, r=1)
+    for alpha, primes, mu in ((300, [211, 223, 227], [1, 0, -1]), (400, [229, 233, 239], [2, -3, 1])):
+        doc["levels"][str(alpha)] = {
+            "ladder": [alpha // 4, alpha // 2, alpha - 1],
+            "colors": [alpha // 100 % 2, 1, 0],
+            "g": [f"i{alpha}:{n}" for n in range(3)],
+            "primes": primes,
+            "mu": [mu],
         }
     return doc
 
@@ -318,6 +334,12 @@ def corpus():
         ("unif-sim-independent", ["unif-sim", "--instance", "inputs/ladder-independent.json"], {"ladder-independent.json": indep}),
         ("unif-sim-shared", ["unif-sim", "--instance", "inputs/ladder-shared.json"], {"ladder-shared.json": shared_ladder(1, 2, 3)}),
         ("unif-sim-subcase-ii", ["unif-sim", "--instance", "inputs/ladder-ii.json"], {"ladder-ii.json": sub_ii}),
+        (
+            "unif-sim-shared-r1",
+            ["unif-sim", "--instance", "inputs/ladder-shared-r1.json"],
+            {"ladder-shared-r1.json": shared_ladder(2, 3, 3, r=1)},
+        ),
+        ("unif-sim-mixed", ["unif-sim", "--instance", "inputs/ladder-mixed.json"], {"ladder-mixed.json": mixed_ladder()}),
         ("transform-disjoint", ["transform", "inputs/ws-h2.json", "--kind", "disjoint"], {}),
         ("transform-tree", ["transform", "inputs/random-family.json", "--kind", "tree"], {}),
         ("check-free-escaping", ["check-free", "inputs/escaping.json"], {"escaping.json": escaping_family()}),
