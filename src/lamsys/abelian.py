@@ -39,10 +39,12 @@ determinant.
 smallest absolute value in the column, the first such row on ties), so
 every normal form and certificate is reproducible bit for bit.  On the CLI
 it now serves only two callers, both after unit peeling: the coupled core
-of a ladder system (`uniformization.simulate` peels and lifts every g
-column that a single row uses, so an independent ladder reaches no
-solver), and the fallback of `basis`'s generation check, when peeling the
-stacked rows finds fewer pivots than generators.
+of a ladder system (`uniformization.simulate` gives every g column a +-1
+pivot on the first row with its label and eliminates the column from the
+other rows, so an L x m ladder on shared labels leaves (L - 1) m core rows
+and an independent ladder reaches no solver), and the fallback of
+`basis`'s generation check, when peeling the stacked rows finds fewer
+pivots than generators.
 """
 
 from __future__ import annotations
@@ -488,6 +490,7 @@ _PSI_13 = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the bases 2..41, then a strong Lucas test from psi_13 on.
 
+    Trial division by the bases alone decides every n below 43^2 = 1849.
     Below psi_13 = 3317044064679887385961981 the thirteen bases decide
     primality exactly.  From psi_13 on, the answer is the Baillie-PSW test
     (strong base-2 Miller-Rabin and a strong Lucas test, here with twelve
@@ -499,6 +502,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # no prime factor up to 41, and a composite n has one up to sqrt(n)
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -487,47 +488,83 @@ def _gen_names(inst: LadderInstance, n_rel_of) -> list[str]:
     return names
 
 
-def _unit_columns(cols: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[int, int]]:
-    """(row, column) of the longest suffix of columns that are each one +-1 in a row of their own.
+def _trailing_pivots(rows: Sequence[Sequence[tuple[int, int]]], cols: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """(row, column) pivots of the longest suffix of columns that peel as trailing +-1 pivots.
 
-    `cols` gives each column's (row, value) nonzeros; the suffix is walked
-    from the last column down.
+    `rows` and `cols` give each row's (column, value) and each column's
+    (row, value) nonzeros.  Walking from the last column down, column j
+    peels when it is zero on every pivot row chosen so far and has a +-1 in
+    a row with no nonzero on a column peeled before; the first such row is
+    its pivot row.  The walk stops at the first column that does not peel.
     """
     peel: list[tuple[int, int]] = []
-    used: set[int] = set()
+    pivot_rows: set[int] = set()
+    touched: set[int] = set()  # rows with a nonzero on a peeled column
     for j in reversed(range(len(cols))):
-        if len(cols[j]) != 1:
+        if any(i in pivot_rows for i, _ in cols[j]):
             break
-        i, v = cols[j][0]
-        if abs(v) != 1 or i in used:
+        i = next((i for i, v in cols[j] if abs(v) == 1 and i not in touched), None)
+        if i is None:
             break
-        used.add(i)
+        pivot_rows.add(i)
+        touched.update(k for k, _ in cols[j])
         peel.append((i, j))
     return peel
 
 
-def _core(w: IntMatrix, cols: Sequence[Sequence[tuple[int, int]]], peel: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """The rows that `peel` leaves and the number of columns it keeps, once the peel list is re-checked.
+def _core(
+    rows: Sequence[Sequence[tuple[int, int]]], width: int, peel: Sequence[tuple[int, int]], shifts: Sequence[int]
+) -> tuple[list[dict[int, int]], list[int], list[int]]:
+    """The rows and shifts that eliminating the pivots of `peel` leaves, and the columns they use.
 
-    Raises CertificateError unless every peeled column is +-1 at its row and
-    zero in every other row, no two peeled columns share a row (so no column
-    is peeled twice), and every peeled column sorts after every kept one.
-    Then W is [[W_cc, 0], [W_pc, D]] up to the order of the rows, with D
-    diagonal +-1.
+    The peel list is re-checked first: CertificateError unless every pivot
+    is +-1, no two pivots share a row, no pivot row has a nonzero on another
+    pivot's column (so no column is peeled twice), and every peeled column
+    sorts after every kept one.  Then W is [[A, B], [C, D]] up to the order
+    of the rows, with the pivot rows below and the peeled columns right and
+    D diagonal +-1.  Every other row k subtracts W_kj * W_ij times the
+    pivot row i of each peeled column j it touches, which leaves it
+    A - B D C on the kept columns and its shift s_k - sum_j W_kj W_ij s_i.
+    Each core row is returned as {column: value} over its nonzeros; the
+    columns are those nonzero on some core row, in order.
     """
-    kept = w.cols - len(peel)
-    rows: set[int] = set()
+    kept = width - len(peel)
+    pivot_of: dict[int, tuple[int, int]] = {}  # peeled column -> (pivot row, W_ij)
+    pivot_rows: set[int] = set()
     for i, j in peel:
-        if abs(w.entries[i][j]) != 1:
-            raise CertificateError(f"peeled column {j} has {w.entries[i][j]}, not +-1, at row {i}")
-        if i in rows:
-            raise CertificateError(f"row {i} holds two peeled columns")
-        if len(cols[j]) != 1:
-            raise CertificateError(f"peeled column {j} has {len(cols[j])} nonzeros")
+        w_ij = dict(rows[i]).get(j, 0)
+        if abs(w_ij) != 1:
+            raise CertificateError(f"peeled column {j} has {w_ij}, not +-1, at row {i}")
+        if i in pivot_rows:
+            raise CertificateError(f"row {i} holds two pivots")
         if j < kept:
             raise CertificateError(f"peeled column {j} sorts before a kept column")
-        rows.add(i)
-    return [i for i in range(w.rows) if i not in rows], kept
+        pivot_rows.add(i)
+        pivot_of[j] = (i, w_ij)
+    peeled = Counter(j for _, j in peel)
+    for i, j in peel:
+        if sum(peeled[t] for t, _ in rows[i]) != 1:
+            raise CertificateError(f"pivot row {i} of column {j} has a nonzero on another pivot's column")
+    core: list[dict[int, int]] = []
+    core_shifts: list[int] = []
+    for k, row in enumerate(rows):
+        if k in pivot_rows:
+            continue
+        acc: dict[int, int] = {}
+        s = shifts[k]
+        for t, v in row:
+            if t not in pivot_of:
+                acc[t] = acc.get(t, 0) + v
+                continue
+            i, w_ij = pivot_of[t]
+            f = v * w_ij
+            s -= f * shifts[i]
+            for u, x in rows[i]:
+                if u != t:
+                    acc[u] = acc.get(u, 0) - f * x
+        core.append({t: v for t, v in acc.items() if v})
+        core_shifts.append(s)
+    return core, core_shifts, sorted({t for row in core for t in row})
 
 
 def _lift(c: list[int], peel: Sequence[tuple[int, int]], rows: Sequence[Sequence[tuple[int, int]]], shifts: Sequence[int]) -> None:
@@ -573,24 +610,37 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     infeasibility answer from the solver is therefore a CertificateError.
 
     Only the coupled core of W reaches the solver; the rest is peeled and
-    lifted, the first step of structured Gaussian elimination (LaMacchia
-    and Odlyzko, CRYPTO '90).  `_unit_columns` peels the longest suffix of
-    columns that are each one +-1 in a row of their own, and `_core`
-    re-checks it, so W = [[W_cc, 0], [W_pc, D]] with D diagonal +-1, the
-    peeled columns last.  A g column whose label only one row uses is such a
-    column, so every column of an independent ladder's g labels peels, and
-    so does every row.  The solutions of W c = -s are then the solutions
-    c_core of W_cc c_core = -s_core, each lifted by c_j = (-s_i - W_i,core .
-    c_core) * W_ij for the peeled (i, j), and the kernel lattice of W is the
-    lift of that of W_cc.  The lift is injective, and the peeled columns
-    sort after every kept one, so every pivot of the kernel's Hermite form
-    lies on a kept column, and the Hermite form of the kernel of W is the
-    lift of that of W_cc (both are unique).  The balanced reduction reads
-    and reduces only pivot coordinates, so it commutes with the lift: the
-    canonical splitting of W is the lift of that of W_cc.  With no core row
-    left, the kernel of W_cc is every vector, its Hermite form the identity,
-    and the reduction gives c_core = 0 with no solver run: every y and z
-    coordinate of an independent ladder's splitting is 0, and c(g_n) = -s_n.
+    lifted by structured Gaussian elimination (LaMacchia and Odlyzko,
+    CRYPTO '90).  `_trailing_pivots` walks the columns from the last one
+    down and gives each a +-1 pivot in a row that meets no column peeled
+    before, as long as the column is zero on every pivot row chosen so far;
+    `_core` re-checks the list and eliminates: each other row k subtracts
+    W_kj * W_ij times the pivot row i of every peeled column j it touches,
+    and its shift changes the same way.  So, with the pivot rows last, W =
+    [[A, B], [C, D]] with D diagonal +-1 on the peeled columns, which sort
+    last, and W c = -s holds exactly when (A - B D C) c_core = -(s_core -
+    B D s_piv) and c_j = (-s_i - W_i,core . c_core) * W_ij for each pivot
+    (i, j).  The g columns are the last ones, and each row has one +1 on its
+    label's column, so every label peels on its first row and every other
+    row with that label is eliminated: an L x m ladder whose levels share
+    their labels leaves (L - 1) m core rows, an independent ladder none.
+    The core also drops its zero columns, such as the y and z columns of
+    levels whose rows all became pivot rows.
+
+    The canonical splitting is the one the whole W gives.  The kernel
+    lattice of W is the lift of that of the core (the map c_core -> c is
+    injective), and the peeled columns sort after every kept one, so every
+    pivot of the kernel's Hermite form lies on a kept column and that form
+    is the lift of the core's (both are unique).  A column t that is zero on
+    every core row puts e_t in the core's kernel, so its Hermite form has
+    the unit row e_t and every other row 0 at t; without the row e_t and the
+    column t it is the form of the core without t, and the balanced
+    reduction sets c_t to 0.  The reduction reads and reduces only pivot
+    coordinates, so it also commutes with the lift.  With no
+    core row left, the kernel of the core is every vector, its Hermite form
+    the identity, and the reduction gives c_core = 0 with no solver run:
+    every y and z coordinate of an independent ladder's splitting is 0, and
+    c(g_n) = -s_n.
     """
     problems = validate_instance(inst)
     if problems:
@@ -640,16 +690,17 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     for i, row in enumerate(w_rows):
         for j, v in row:
             w_cols[j].append((i, v))
-    peel = _unit_columns(w_cols)
-    core_rows, kept = _core(w, w_cols, peel)
+    peel = _trailing_pivots(w_rows, w_cols)
+    core, core_shifts, core_cols = _core(w_rows, w.cols, peel, shifts)
     c_vec = [0] * w.cols
-    if core_rows:
-        core = IntMatrix(tuple(w.entries[i][:kept] for i in core_rows))
-        sols = integer_solutions(core, [-shifts[i] for i in core_rows])
+    if core:
+        a = IntMatrix(tuple(tuple(row.get(t, 0) for t in core_cols) for row in core))
+        sols = integer_solutions(a, [-s for s in core_shifts])
         if isinstance(sols.solution, InfeasibilityCertificate):
             raise CertificateError("the solver reports W c = -s infeasible, yet every level solves its own rows")
         kh, _ = hnf(sols.kernel)
-        c_vec[:kept] = reduce_mod_lattice(sols.solution, kh, balanced=True)
+        for t, v in zip(core_cols, reduce_mod_lattice(sols.solution, kh, balanced=True)):
+            c_vec[t] = v
     _lift(c_vec, peel, w_rows, shifts)
     splitting_ok = all(sum(v * c_vec[t] for t, v in row) == -s for row, s in zip(w_rows, shifts))
 

@@ -6,9 +6,10 @@ carrier on its own; the differential tests run both and require identical
 results.  The linear
 algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
 brute-force purity search) give the tests an independent second answer.
-`whole_splitting` and `basis_generation` are the generic paths that unit
-peeling replaced in `simulate` and `verify_basis`: one exact solve of the
-whole ladder system, and one Hermite form for every generation check.
+`whole_splitting` and `basis_generation` are the generic paths that
+peeling replaced in `simulate` (trailing-pivot elimination) and
+`verify_basis` (unit peeling): one exact solve of the whole ladder system,
+and one Hermite form for every generation check.
 Nothing under `src/` imports this module.
 """
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -458,6 +459,17 @@ def test_is_prime_small():
     primes = [p for p in range(2, 60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+
+def test_is_prime_agrees_with_a_sieve_below_10_5():
+    # covers the trial-division answer below 43^2 and the Miller-Rabin rounds above it
+    limit = 10 ** 5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
 
 
 # psi_12 and psi_13: the least strong pseudoprimes to all prime bases up to 37 and up to 41

@@ -309,7 +309,7 @@ def test_simulate_case_i_spec_example():
 
 
 def shared_label_instance():
-    """Two levels that share the g label a0, so its column and both its rows stay in the core."""
+    """Two levels that share the g label a0; its row in level 50, less its pivot row in level 40, is the core."""
     return LadderInstance(
         subcase="i",
         r=0,
@@ -332,7 +332,7 @@ def test_simulate_reports_a_splitting_off_the_solution(monkeypatch, tmp_path, ca
     reduce = uniformization.reduce_mod_lattice
 
     def off_kernel(v, h, balanced=False):
-        # add e_0, the y_0 column of level 40, which its core row a0 has as -1
+        # add e_0, the y_0 column of level 40, which the core row has as +1
         c = reduce(v, h, balanced)
         return (c[0] + 1,) + c[1:]
 
@@ -521,7 +521,7 @@ def test_validate_instance_rejects_bad_ladders():
         simulate(inst)
 
 
-# --- unit-column peeling against the whole-W path ----------------------------
+# --- trailing-pivot peeling against the whole-W path -------------------------
 
 LADDER_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
 LABEL_POOL = ("a", "b", "c", "d", "e", "f")
@@ -592,10 +592,27 @@ def test_peeled_splitting_agrees_with_whole_solve(data, subcase, r, n_levels):
     _splitting_agrees(_draw_ladder(draw_int, draw_sample, subcase, r, n_levels))
 
 
-def test_singleton_label_before_a_shared_one_is_not_peeled():
+def _recorded_peels(inst):
+    """The peel list of each `simulate` call while checking inst against the whole-W solve."""
     from lamsys import uniformization
 
-    # b1 and c1 are singletons, but z9 is shared and sorts after both, so nothing peels
+    peeled = []
+    trailing_pivots = uniformization._trailing_pivots
+
+    def recording(rows, cols):
+        peeled.append(trailing_pivots(rows, cols))
+        return peeled[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniformization, "_trailing_pivots", recording)
+        _splitting_agrees(inst)
+    names = simulate(inst).chain.generators
+    return [[(i, names[j]) for i, j in peel] for peel in peeled]
+
+
+def test_shared_label_gets_a_pivot_row_and_the_labels_before_it_peel():
+    # z9 is shared and sorts last: its first row (row 1, level 10) becomes
+    # its pivot row and row 3 is eliminated, then the singletons c1 and b1 peel
     inst = LadderInstance(
         subcase="i",
         r=1,
@@ -604,25 +621,89 @@ def test_singleton_label_before_a_shared_one_is_not_peeled():
             LadderLevel(alpha=20, ladder=(1, 2), colors=(0, 1), g_labels=("c1", "z9"), primes=(17, 19), mu=((3, 0),)),
         ),
     )
-    peeled = []
-    unit_columns = uniformization._unit_columns
-
-    def recording(cols):
-        peeled.append(unit_columns(cols))
-        return peeled[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(uniformization, "_unit_columns", recording)
-        _splitting_agrees(inst)
-    assert peeled == [[]]
-    # with the shared label b1 first, the singleton columns after it, z9 and zz, peel
+    assert _recorded_peels(inst) == [[(1, "g:z9"), (2, "g:c1"), (0, "g:b1")]]
+    # with the shared label b1 first, zz and z9 peel on their own rows, then b1 on row 0
     second = LadderLevel(alpha=20, ladder=(1, 2), colors=(0, 1), g_labels=("b1", "zz"), primes=(17, 19), mu=((3, 0),))
     inst = LadderInstance(subcase="i", r=1, levels=(inst.levels[0], second))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(uniformization, "_unit_columns", recording)
-        _splitting_agrees(inst)
-    names = simulate(inst).chain.generators
-    assert [names[j] for _, j in peeled[-1]] == ["g:zz", "g:z9"]
+    assert _recorded_peels(inst) == [[(3, "g:zz"), (1, "g:z9"), (0, "g:b1")]]
+
+
+def test_trailing_pivot_walk_on_small_matrices():
+    from lamsys.uniformization import _trailing_pivots
+
+    def walk(rows, width):
+        cols = [[] for _ in range(width)]
+        for i, row in enumerate(rows):
+            for j, v in row:
+                cols[j].append((i, v))
+        return _trailing_pivots(rows, cols)
+
+    # column 3 pivots on row 0, then column 2 on row 1; column 1 meets pivot row 0
+    assert walk([[(0, 5), (1, 1), (3, 1)], [(0, 1), (2, -1)]], 4) == [(0, 3), (1, 2)]
+    # column 2 has its +1 in row 1 too, but row 0 is the pivot row of column 3
+    assert walk([[(0, 5), (2, 1), (3, 1)], [(1, 3), (2, 1)]], 4) == [(0, 3)]
+    # row 1 meets the peeled column 3, so it cannot be the pivot row of column 2
+    assert walk([[(0, 5), (3, 1)], [(1, 3), (2, -1), (3, 1)]], 4) == [(0, 3)]
+    # a 2 is no pivot, the -1 below it is; the empty column 2 stops the walk
+    assert walk([[(0, 1), (3, 2)], [(1, 1), (3, -1)]], 4) == [(1, 3)]
+
+
+def _shared_ladder(rng, subcase, r, n_levels, m=None):
+    """Every level on the same g labels, so each label's column has one +1 per level."""
+    if subcase == "ii":
+        i_max = rng.randint(1, 2) if r == 0 else 1
+        n_rel = threshold_exponents(2, r, i_max)[-1]
+        m = i_max
+    levels = []
+    for li in range(n_levels):
+        n_labels = m if subcase == "i" else n_rel
+        levels.append(
+            LadderLevel(
+                alpha=10 * (li + 1),
+                ladder=tuple(range(1, m + 1)),
+                colors=tuple(rng.randint(0, 1) for _ in range(m)),
+                g_labels=tuple(f"s{n}" for n in range(n_labels)),
+                mu=tuple(tuple(rng.randint(-3, 3) for _ in range(n_labels)) for _ in range(r)),
+                primes=tuple(rng.sample(LADDER_PRIMES, m)) if subcase == "i" else None,
+            )
+        )
+    if subcase == "i":
+        return LadderInstance(subcase="i", r=r, levels=tuple(levels))
+    return LadderInstance(subcase="ii", r=r, p=2, i_max=i_max, levels=tuple(levels))
+
+
+SHARED_SHAPES = ((2, 4), (2, 5), (3, 3), (4, 4), (4, 6))
+
+
+def test_shared_ladder_splitting_agrees_with_whole_solve():
+    rng = random.Random(1401)
+    for r in (0, 1):
+        for n_levels, m in SHARED_SHAPES:
+            for _ in range(2):
+                _splitting_agrees(_shared_ladder(rng, "i", r, n_levels, m))
+        for n_levels in (2, 3):
+            _splitting_agrees(_shared_ladder(rng, "ii", r, n_levels))
+
+
+@pytest.mark.parametrize("r", (0, 1))
+def test_shared_ladder_core_drops_a_level_and_every_zero_column(monkeypatch, r):
+    from lamsys import uniformization
+
+    solve = uniformization.integer_solutions
+    cores = []
+
+    def recording(a, b):
+        cores.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(uniformization, "integer_solutions", recording)
+    rng = random.Random(f"core/{r}")
+    for n_levels, m in SHARED_SHAPES:
+        cores.clear()
+        assert simulate(_shared_ladder(rng, "i", r, n_levels, m)).ok
+        [core] = cores
+        assert core.rows == (n_levels - 1) * m
+        assert all(any(col) for col in zip(*core.entries))
 
 
 def _independent_ii():
