@@ -39,11 +39,11 @@ determinant.
 smallest absolute value in the column, the first such row on ties), so
 every normal form and certificate is reproducible bit for bit.  On the CLI
 it now serves only two callers, both after unit peeling: the coupled core
-of a ladder system (`uniformization.simulate` gives every g column a +-1
-pivot on the first row with its label and eliminates the column from the
-other rows, so an L x m ladder on shared labels leaves (L - 1) m core rows
-and an independent ladder reaches no solver), and the fallback of
-`basis`'s generation check, when peeling the stacked rows finds fewer
+of a ladder system (`uniformization.simulate` pivots every g column on the
++1 of the first row with its label and subtracts that row from every later
+row with the label, so an L x m ladder on shared labels leaves (L - 1) m
+core rows and an independent ladder reaches no solver), and the fallback
+of `basis`'s generation check, when peeling the stacked rows finds fewer
 pivots than generators.
 """
 
@@ -57,8 +57,12 @@ from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 
-class DimensionError(ValueError):
-    """Raised when matrix/vector shapes do not line up."""
+class DimensionError(RuntimeError):
+    """Matrix and vector shapes, or a presentation's generator names, do not line up.
+
+    The CLI builds every matrix and name list itself, so this is a fault of
+    the program, not of its input, and it is no ValueError.
+    """
 
 
 class CertificateError(RuntimeError):
@@ -588,7 +592,7 @@ class Presentation:
                 f"relation width {self.relations.cols} != generator count {len(self.generators)}"
             )
         if len(set(self.generators)) != len(self.generators):
-            raise ValueError("duplicate generator names")
+            raise DimensionError("duplicate generator names")
 
 
 def _unit_pivots(a: IntMatrix) -> list[tuple[int, int]]:

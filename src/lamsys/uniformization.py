@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -488,100 +487,14 @@ def _gen_names(inst: LadderInstance, n_rel_of) -> list[str]:
     return names
 
 
-def _trailing_pivots(rows: Sequence[Sequence[tuple[int, int]]], cols: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[int, int]]:
-    """(row, column) pivots of the longest suffix of columns that peel as trailing +-1 pivots.
+def _lift(c: list[int], pivot_of: Mapping[int, int], rows: Sequence[Sequence[tuple[int, int]]], shifts: Sequence[int]) -> None:
+    """Set each label coordinate c_g, for its pivot row i, to -s_i - sum_t W_it c_t over the row's y and z entries.
 
-    `rows` and `cols` give each row's (column, value) and each column's
-    (row, value) nonzeros.  Walking from the last column down, column j
-    peels when it is zero on every pivot row chosen so far and has a +-1 in
-    a row with no nonzero on a column peeled before; the first such row is
-    its pivot row.  The walk stops at the first column that does not peel.
+    `rows` gives each row's (column, value) nonzeros; the +1 on g is the
+    row's only label entry, so this makes row i of W c = -s hold.
     """
-    peel: list[tuple[int, int]] = []
-    pivot_rows: set[int] = set()
-    touched: set[int] = set()  # rows with a nonzero on a peeled column
-    for j in reversed(range(len(cols))):
-        if any(i in pivot_rows for i, _ in cols[j]):
-            break
-        i = next((i for i, v in cols[j] if abs(v) == 1 and i not in touched), None)
-        if i is None:
-            break
-        pivot_rows.add(i)
-        touched.update(k for k, _ in cols[j])
-        peel.append((i, j))
-    return peel
-
-
-def _core(
-    rows: Sequence[Sequence[tuple[int, int]]], width: int, peel: Sequence[tuple[int, int]], shifts: Sequence[int]
-) -> tuple[list[dict[int, int]], list[int], list[int]]:
-    """The rows and shifts that eliminating the pivots of `peel` leaves, and the columns they use.
-
-    The peel list is re-checked first: CertificateError unless every pivot
-    is +-1, no two pivots share a row, no pivot row has a nonzero on another
-    pivot's column (so no column is peeled twice), and every peeled column
-    sorts after every kept one.  Then W is [[A, B], [C, D]] up to the order
-    of the rows, with the pivot rows below and the peeled columns right and
-    D diagonal +-1.  Every other row k subtracts W_kj * W_ij times the
-    pivot row i of each peeled column j it touches, which leaves it
-    A - B D C on the kept columns and its shift s_k - sum_j W_kj W_ij s_i.
-    Each core row is returned as {column: value} over its nonzeros; the
-    columns are those nonzero on some core row, in order.
-    """
-    kept = width - len(peel)
-    pivot_of: dict[int, tuple[int, int]] = {}  # peeled column -> (pivot row, W_ij)
-    pivot_rows: set[int] = set()
-    for i, j in peel:
-        w_ij = dict(rows[i]).get(j, 0)
-        if abs(w_ij) != 1:
-            raise CertificateError(f"peeled column {j} has {w_ij}, not +-1, at row {i}")
-        if i in pivot_rows:
-            raise CertificateError(f"row {i} holds two pivots")
-        if j < kept:
-            raise CertificateError(f"peeled column {j} sorts before a kept column")
-        pivot_rows.add(i)
-        pivot_of[j] = (i, w_ij)
-    peeled = Counter(j for _, j in peel)
-    for i, j in peel:
-        if sum(peeled[t] for t, _ in rows[i]) != 1:
-            raise CertificateError(f"pivot row {i} of column {j} has a nonzero on another pivot's column")
-    core: list[dict[int, int]] = []
-    core_shifts: list[int] = []
-    for k, row in enumerate(rows):
-        if k in pivot_rows:
-            continue
-        acc: dict[int, int] = {}
-        s = shifts[k]
-        for t, v in row:
-            if t not in pivot_of:
-                acc[t] = acc.get(t, 0) + v
-                continue
-            i, w_ij = pivot_of[t]
-            f = v * w_ij
-            s -= f * shifts[i]
-            for u, x in rows[i]:
-                if u != t:
-                    acc[u] = acc.get(u, 0) - f * x
-        core.append({t: v for t, v in acc.items() if v})
-        core_shifts.append(s)
-    return core, core_shifts, sorted({t for row in core for t in row})
-
-
-def _lift(c: list[int], peel: Sequence[tuple[int, int]], rows: Sequence[Sequence[tuple[int, int]]], shifts: Sequence[int]) -> None:
-    """Set each peeled coordinate c_j, for its row i, to (-s_i - W_i,core . c_core) * W_ij.
-
-    `rows` gives each row's (column, value) nonzeros.  Row i has no other
-    peeled column, so this makes row i of W c = -s hold; W_ij = +-1 is its
-    own inverse.
-    """
-    for i, j in peel:
-        total, unit = -shifts[i], 0
-        for t, v in rows[i]:
-            if t == j:
-                unit = v
-            else:
-                total -= v * c[t]
-        c[j] = total * unit
+    for g, i in pivot_of.items():
+        c[g] = -shifts[i] - sum(v * c[t] for t, v in rows[i] if t != g)
 
 
 def simulate(inst: LadderInstance) -> SimulationReport:
@@ -609,37 +522,32 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     with p on y_{n+1} form a unimodular upper bidiagonal block.  An
     infeasibility answer from the solver is therefore a CertificateError.
 
-    Only the coupled core of W reaches the solver; the rest is peeled and
-    lifted by structured Gaussian elimination (LaMacchia and Odlyzko,
-    CRYPTO '90).  `_trailing_pivots` walks the columns from the last one
-    down and gives each a +-1 pivot in a row that meets no column peeled
-    before, as long as the column is zero on every pivot row chosen so far;
-    `_core` re-checks the list and eliminates: each other row k subtracts
-    W_kj * W_ij times the pivot row i of every peeled column j it touches,
-    and its shift changes the same way.  So, with the pivot rows last, W =
-    [[A, B], [C, D]] with D diagonal +-1 on the peeled columns, which sort
-    last, and W c = -s holds exactly when (A - B D C) c_core = -(s_core -
-    B D s_piv) and c_j = (-s_i - W_i,core . c_core) * W_ij for each pivot
-    (i, j).  The g columns are the last ones, and each row has one +1 on its
-    label's column, so every label peels on its first row and every other
-    row with that label is eliminated: an L x m ladder whose levels share
-    their labels leaves (L - 1) m core rows, an independent ladder none.
-    The core also drops its zero columns, such as the y and z columns of
-    levels whose rows all became pivot rows.
+    Only the coupled core of W reaches the solver: the label columns are
+    eliminated first and lifted after, the step of structured Gaussian
+    elimination (LaMacchia and Odlyzko, CRYPTO '90) that needs no pivot
+    search here, because each row has one +1 on its label's column and no
+    other label entry.  The first row i with label g is g's pivot row, and
+    every later row k with label g becomes the core row W_k - W_i, zero on
+    every label column, with shift s_k - s_i.  So W c = -s holds exactly
+    when the core rows hold on the y and z coordinates and c_g = -s_i -
+    sum_t W_it c_t over the y and z entries of each pivot row i.  An L x m
+    ladder whose levels share their labels leaves (L - 1) m core rows, an
+    independent ladder none.  The core also drops its zero columns, such as
+    the y and z columns of levels whose rows are all pivot rows.
 
     The canonical splitting is the one the whole W gives.  The kernel
     lattice of W is the lift of that of the core (the map c_core -> c is
-    injective), and the peeled columns sort after every kept one, so every
-    pivot of the kernel's Hermite form lies on a kept column and that form
-    is the lift of the core's (both are unique).  A column t that is zero on
-    every core row puts e_t in the core's kernel, so its Hermite form has
-    the unit row e_t and every other row 0 at t; without the row e_t and the
-    column t it is the form of the core without t, and the balanced
-    reduction sets c_t to 0.  The reduction reads and reduces only pivot
-    coordinates, so it also commutes with the lift.  With no
-    core row left, the kernel of the core is every vector, its Hermite form
-    the identity, and the reduction gives c_core = 0 with no solver run:
-    every y and z coordinate of an independent ladder's splitting is 0, and
+    injective), and the label columns sort after every y and z column, so
+    every pivot of the kernel's Hermite form lies on a y or z column and
+    that form is the lift of the core's (both are unique).  A column t that
+    is zero on every core row puts e_t in the core's kernel, so its Hermite
+    form has the unit row e_t and every other row 0 at t; without the row
+    e_t and the column t it is the form of the core without t, and the
+    balanced reduction sets c_t to 0.  The reduction reads and reduces only
+    pivot coordinates, so it also commutes with the lift.  With no core row
+    left, the kernel of the core is every vector, its Hermite form the
+    identity, and the reduction gives c_core = 0 with no solver run: every
+    y and z coordinate of an independent ladder's splitting is 0, and
     c(g_n) = -s_n.
     """
     problems = validate_instance(inst)
@@ -660,6 +568,9 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     row_tables = []  # the table of each row, read again by that row's query
     rows: list[list[int]] = []
     shifts: list[int] = []
+    pivot_of: dict[int, int] = {}  # label column -> its pivot row, the first row with that label
+    core: list[list[int]] = []  # each later row less its label's pivot row
+    core_shifts: list[int] = []
     for lv in levels:
         n_rel = n_rel_of(lv)
         for n in range(n_rel):
@@ -679,29 +590,29 @@ def simulate(inst: LadderInstance) -> SimulationReport:
             row_tables.append(tab)
             for k in range(inst.r):
                 row[index[f"z:{lv.alpha}:{k + 1}"]] -= lv.mu[k][n]
-            row[index[f"g:{lv.g_labels[n]}"]] += 1
+            g = index[f"g:{lv.g_labels[n]}"]
+            row[g] += 1
+            i = pivot_of.setdefault(g, len(rows))
+            if i < len(rows):
+                core.append([v - x for v, x in zip(row, rows[i])])
+                core_shifts.append(shift - shifts[i])
             rows.append(row)
             shifts.append(shift)
 
     # every entry is already an int, so skip the conversion in from_rows
     w = IntMatrix(tuple(map(tuple, rows)))
     w_rows = _sparse_rows(w.entries)
-    w_cols: list[list[tuple[int, int]]] = [[] for _ in names]
-    for i, row in enumerate(w_rows):
-        for j, v in row:
-            w_cols[j].append((i, v))
-    peel = _trailing_pivots(w_rows, w_cols)
-    core, core_shifts, core_cols = _core(w_rows, w.cols, peel, shifts)
+    core_cols = [t for t in range(w.cols) if any(row[t] for row in core)]
     c_vec = [0] * w.cols
     if core:
-        a = IntMatrix(tuple(tuple(row.get(t, 0) for t in core_cols) for row in core))
+        a = IntMatrix(tuple(tuple(row[t] for t in core_cols) for row in core))
         sols = integer_solutions(a, [-s for s in core_shifts])
         if isinstance(sols.solution, InfeasibilityCertificate):
             raise CertificateError("the solver reports W c = -s infeasible, yet every level solves its own rows")
         kh, _ = hnf(sols.kernel)
         for t, v in zip(core_cols, reduce_mod_lattice(sols.solution, kh, balanced=True)):
             c_vec[t] = v
-    _lift(c_vec, peel, w_rows, shifts)
+    _lift(c_vec, pivot_of, w_rows, shifts)
     splitting_ok = all(sum(v * c_vec[t] for t, v in row) == -s for row, s in zip(w_rows, shifts))
 
     delta = {g: -c_vec[index[g]] for g in names}

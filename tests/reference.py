@@ -7,9 +7,9 @@ results.  The linear
 algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
 brute-force purity search) give the tests an independent second answer.
 `whole_splitting` and `basis_generation` are the generic paths that
-peeling replaced in `simulate` (trailing-pivot elimination) and
-`verify_basis` (unit peeling): one exact solve of the whole ladder system,
-and one Hermite form for every generation check.
+`simulate` (label elimination) and `verify_basis` (unit peeling)
+replaced: one exact solve of the whole ladder system, and one Hermite form
+for every generation check.
 Nothing under `src/` imports this module.
 """
 

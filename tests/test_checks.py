@@ -93,23 +93,6 @@ def _witness_system():
     )
 
 
-def _peel_instance():
-    """Two levels sharing the g label a; the columns are y:40:0..2, y:50:0..2, g:a, g:b, g:c.
-
-    Rows 0 and 1 are level 40 (primes 2 and 3), rows 2 and 3 level 50; g:a
-    has +1 in rows 0 and 2, g:b in row 1 and g:c in row 3, so the true peel
-    list is [(3, 8), (1, 7), (0, 6)], and row 2 less row 0 is the core.
-    """
-    return uniformization.LadderInstance(
-        subcase="i",
-        r=0,
-        levels=(
-            uniformization.LadderLevel(alpha=40, ladder=(1, 2), colors=(0, 1), g_labels=("a", "b"), primes=(2, 3)),
-            uniformization.LadderLevel(alpha=50, ladder=(1, 2), colors=(1, 0), g_labels=("a", "c"), primes=(5, 7)),
-        ),
-    )
-
-
 def self_checks_missed() -> list[str]:
     """Self-checks that returned instead of raising CertificateError on a corrupted result.
 
@@ -162,25 +145,6 @@ def self_checks_missed() -> list[str]:
         "power table digits": (
             _patched(uniformization, "_interval_shift_disjoint", too_long_shift),
             lambda: uniformization.power_table(2, 1, uniformization.threshold_exponents(2, 0, 1), ()),
-        ),
-        "pivot row on another pivot's column": (
-            # g:a peeled twice, so pivot row 0 holds the column of the pivot on row 2
-            _patched(uniformization, "_trailing_pivots", lambda rows, cols: [(3, 8), (1, 7), (0, 6), (2, 6)]),
-            lambda: uniformization.simulate(_peel_instance()),
-        ),
-        "peeled pivot 2": (
-            # y:40:1 has the prime 2 in row 0
-            _patched(uniformization, "_trailing_pivots", lambda rows, cols: [(0, 1)]),
-            lambda: uniformization.simulate(_peel_instance()),
-        ),
-        "peeled row twice": (
-            # y:50:0 is -1 in row 3, the row of g:c
-            _patched(uniformization, "_trailing_pivots", lambda rows, cols: [(3, 8), (3, 3)]),
-            lambda: uniformization.simulate(_peel_instance()),
-        ),
-        "peeled column before a kept one": (
-            _patched(uniformization, "_trailing_pivots", lambda rows, cols: [(1, 7)]),
-            lambda: uniformization.simulate(_peel_instance()),
         ),
         "basis generation pivots": (
             # a pivot per generator, all on row 0, so every pivot after the first is on a row peeled before

@@ -578,6 +578,24 @@ def test_other_exceptions_exit_3_without_traceback(tmp_path, capsys, monkeypatch
     assert err == "internal error: KeyError: 'z:0:7'\n"
 
 
+def test_shape_faults_exit_3_not_2(tmp_path, capsys, monkeypatch):
+    # the CLI builds every matrix and name list itself, so a shape fault is the program's, not the input's
+    from lamsys import cli
+    from lamsys.abelian import IntMatrix, Presentation
+
+    builders = {
+        "ragged rows: widths [1, 2]": lambda spec: Presentation(("x", "y"), IntMatrix(((1,), (1, 2)))),
+        "duplicate generator names": lambda spec: Presentation(("x", "x"), IntMatrix(((1, 0),))),
+    }
+    spec = {"schema": "lamsys/1", "r": 0, "q": [2, 2, 2, 2], "d": [[], [], [], []], "J": 5}
+    path = write(tmp_path, "spec.json", spec)
+    for message, builder in builders.items():
+        monkeypatch.setattr(cli, "build_chain_group", builder)
+        code, out, err = run(capsys, ["build-group", "--spec", path])
+        assert (code, out) == (3, "")
+        assert err == f"internal error: DimensionError: {message}\n"
+
+
 # every subcommand input that names a file, with FILE in place of that file
 _FILE_INPUTS = [
     pytest.param(["validate", "FILE"], id="validate"),

@@ -1,5 +1,6 @@
 """Residue tables against brute-force enumeration; chain simulation end to end."""
 
+import dataclasses
 import itertools
 import random
 import warnings
@@ -359,10 +360,10 @@ def test_simulate_reports_a_lifted_splitting_off_the_solution(monkeypatch, tmp_p
     assert simulate(inst).checks == {"projection_splitting_identity": True}
     lift = uniformization._lift
 
-    def off_by_one(c, peel, rows, shifts):
-        # every g column of the independent ladder is peeled; move the last one off its row
-        lift(c, peel, rows, shifts)
-        c[peel[0][1]] += 1
+    def off_by_one(c, pivot_of, rows, shifts):
+        # every g coordinate is lifted from its pivot row; move the first label's off its row
+        lift(c, pivot_of, rows, shifts)
+        c[next(iter(pivot_of))] += 1
 
     monkeypatch.setattr(uniformization, "_lift", off_by_one)
     report = simulate(inst)
@@ -521,7 +522,7 @@ def test_validate_instance_rejects_bad_ladders():
         simulate(inst)
 
 
-# --- trailing-pivot peeling against the whole-W path -------------------------
+# --- label elimination against the whole-W path -----------------------------
 
 LADDER_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
 LABEL_POOL = ("a", "b", "c", "d", "e", "f")
@@ -592,62 +593,6 @@ def test_peeled_splitting_agrees_with_whole_solve(data, subcase, r, n_levels):
     _splitting_agrees(_draw_ladder(draw_int, draw_sample, subcase, r, n_levels))
 
 
-def _recorded_peels(inst):
-    """The peel list of each `simulate` call while checking inst against the whole-W solve."""
-    from lamsys import uniformization
-
-    peeled = []
-    trailing_pivots = uniformization._trailing_pivots
-
-    def recording(rows, cols):
-        peeled.append(trailing_pivots(rows, cols))
-        return peeled[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(uniformization, "_trailing_pivots", recording)
-        _splitting_agrees(inst)
-    names = simulate(inst).chain.generators
-    return [[(i, names[j]) for i, j in peel] for peel in peeled]
-
-
-def test_shared_label_gets_a_pivot_row_and_the_labels_before_it_peel():
-    # z9 is shared and sorts last: its first row (row 1, level 10) becomes
-    # its pivot row and row 3 is eliminated, then the singletons c1 and b1 peel
-    inst = LadderInstance(
-        subcase="i",
-        r=1,
-        levels=(
-            LadderLevel(alpha=10, ladder=(1, 2), colors=(1, 0), g_labels=("b1", "z9"), primes=(11, 13), mu=((1, -2),)),
-            LadderLevel(alpha=20, ladder=(1, 2), colors=(0, 1), g_labels=("c1", "z9"), primes=(17, 19), mu=((3, 0),)),
-        ),
-    )
-    assert _recorded_peels(inst) == [[(1, "g:z9"), (2, "g:c1"), (0, "g:b1")]]
-    # with the shared label b1 first, zz and z9 peel on their own rows, then b1 on row 0
-    second = LadderLevel(alpha=20, ladder=(1, 2), colors=(0, 1), g_labels=("b1", "zz"), primes=(17, 19), mu=((3, 0),))
-    inst = LadderInstance(subcase="i", r=1, levels=(inst.levels[0], second))
-    assert _recorded_peels(inst) == [[(3, "g:zz"), (1, "g:z9"), (0, "g:b1")]]
-
-
-def test_trailing_pivot_walk_on_small_matrices():
-    from lamsys.uniformization import _trailing_pivots
-
-    def walk(rows, width):
-        cols = [[] for _ in range(width)]
-        for i, row in enumerate(rows):
-            for j, v in row:
-                cols[j].append((i, v))
-        return _trailing_pivots(rows, cols)
-
-    # column 3 pivots on row 0, then column 2 on row 1; column 1 meets pivot row 0
-    assert walk([[(0, 5), (1, 1), (3, 1)], [(0, 1), (2, -1)]], 4) == [(0, 3), (1, 2)]
-    # column 2 has its +1 in row 1 too, but row 0 is the pivot row of column 3
-    assert walk([[(0, 5), (2, 1), (3, 1)], [(1, 3), (2, 1)]], 4) == [(0, 3)]
-    # row 1 meets the peeled column 3, so it cannot be the pivot row of column 2
-    assert walk([[(0, 5), (3, 1)], [(1, 3), (2, -1), (3, 1)]], 4) == [(0, 3)]
-    # a 2 is no pivot, the -1 below it is; the empty column 2 stops the walk
-    assert walk([[(0, 1), (3, 2)], [(1, 1), (3, -1)]], 4) == [(1, 3)]
-
-
 def _shared_ladder(rng, subcase, r, n_levels, m=None):
     """Every level on the same g labels, so each label's column has one +1 per level."""
     if subcase == "ii":
@@ -672,6 +617,19 @@ def _shared_ladder(rng, subcase, r, n_levels, m=None):
     return LadderInstance(subcase="ii", r=r, p=2, i_max=i_max, levels=tuple(levels))
 
 
+def _repeat_and_skip(inst):
+    """A three-level shared ladder relabelled: level 1 repeats its first label, and w ends levels 1 and 3 only."""
+    first, second, third = inst.levels
+    return dataclasses.replace(
+        inst,
+        levels=(
+            dataclasses.replace(first, g_labels=first.g_labels[:1] + first.g_labels[:-2] + ("w",)),
+            second,
+            dataclasses.replace(third, g_labels=third.g_labels[:-1] + ("w",)),
+        ),
+    )
+
+
 SHARED_SHAPES = ((2, 4), (2, 5), (3, 3), (4, 4), (4, 6))
 
 
@@ -683,6 +641,14 @@ def test_shared_ladder_splitting_agrees_with_whole_solve():
                 _splitting_agrees(_shared_ladder(rng, "i", r, n_levels, m))
         for n_levels in (2, 3):
             _splitting_agrees(_shared_ladder(rng, "ii", r, n_levels))
+    for subcase in ("i", "ii"):
+        for r in (0, 1):
+            _splitting_agrees(_repeat_and_skip(_shared_ladder(rng, subcase, r, 3, 4)))
+    # z9 is shared and sorts last, so level 10 holds its pivot row; then b1 is shared and sorts first
+    first = LadderLevel(alpha=10, ladder=(1, 2), colors=(1, 0), g_labels=("b1", "z9"), primes=(11, 13), mu=((1, -2),))
+    for labels in (("c1", "z9"), ("b1", "zz")):
+        second = LadderLevel(alpha=20, ladder=(1, 2), colors=(0, 1), g_labels=labels, primes=(17, 19), mu=((3, 0),))
+        _splitting_agrees(LadderInstance(subcase="i", r=1, levels=(first, second)))
 
 
 @pytest.mark.parametrize("r", (0, 1))
@@ -704,6 +670,18 @@ def test_shared_ladder_core_drops_a_level_and_every_zero_column(monkeypatch, r):
         [core] = cores
         assert core.rows == (n_levels - 1) * m
         assert all(any(col) for col in zip(*core.entries))
+    # on mixed labels every row but each label's first reaches the solver
+    for subcase in ("i", "ii"):
+        for _ in range(20):
+            cores.clear()
+            report = simulate(_draw_ladder(rng.randint, rng.sample, subcase, r, rng.randint(1, 3)))
+            assert report.ok
+            chain = report.chain
+            n_core = chain.relations.rows - sum(g.startswith("g:") for g in chain.generators)
+            assert len(cores) == (n_core > 0)
+            for core in cores:
+                assert core.rows == n_core
+                assert all(any(col) for col in zip(*core.entries))
 
 
 def _independent_ii():
