@@ -145,6 +145,30 @@ def mixed_ladder():
     return doc
 
 
+def shared_ladder_ii():
+    """Subcase ii at p = 2, r = 1, three levels on shared labels.
+
+    Level 100 holds the fresh label s1 on rows 1 and 2, so its core row
+    W_2 - W_1 has -(1 + p) on y:100:2; level 300 mixes shared labels with
+    labels of its own.
+    """
+    rng = random.Random("golden-shared-ii")
+    labels = {
+        100: ["s0", "s1", "s1", "s2", "s3", "s4", "s5"],
+        200: [f"s{n}" for n in range(7)],
+        300: ["t0", "s1", "t2", "s3", "t4", "s5", "s6"],
+    }
+    doc = {"schema": SCHEMA, "subcase": "ii", "r": 1, "p": 2, "i_max": 1, "levels": {}}
+    for alpha, g in labels.items():
+        doc["levels"][str(alpha)] = {
+            "ladder": [alpha // 2],
+            "colors": [rng.randint(0, 1)],
+            "g": g,
+            "mu": [[rng.randint(-3, 3) for _ in g]],
+        }
+    return doc
+
+
 def greedy_family():
     """16 finals, each with a private atom and up to four of twelve shared ones."""
     rng = random.Random("golden/greedy")
@@ -340,6 +364,16 @@ def corpus():
             {"ladder-shared-r1.json": shared_ladder(2, 3, 3, r=1)},
         ),
         ("unif-sim-mixed", ["unif-sim", "--instance", "inputs/ladder-mixed.json"], {"ladder-mixed.json": mixed_ladder()}),
+        (
+            "unif-sim-shared-8x8-r1",
+            ["unif-sim", "--instance", "inputs/ladder-shared-8x8-r1.json"],
+            {"ladder-shared-8x8-r1.json": shared_ladder("8x8", 8, 8, r=1)},
+        ),
+        (
+            "unif-sim-shared-ii",
+            ["unif-sim", "--instance", "inputs/ladder-shared-ii.json"],
+            {"ladder-shared-ii.json": shared_ladder_ii()},
+        ),
         ("transform-disjoint", ["transform", "inputs/ws-h2.json", "--kind", "disjoint"], {}),
         ("transform-tree", ["transform", "inputs/random-family.json", "--kind", "tree"], {}),
         ("check-free-escaping", ["check-free", "inputs/escaping.json"], {"escaping.json": escaping_family()}),
