@@ -38,13 +38,21 @@ determinant.
 `hnf` is the only elimination loop.  Its pivoting is deterministic (the
 smallest absolute value in the column, the first such row on ties), so
 every normal form and certificate is reproducible bit for bit.  On the CLI
-it now serves only two callers, both after unit peeling: the coupled core
-of a ladder system (`uniformization.simulate` pivots every g column on the
-+1 of the first row with its label and subtracts that row from every later
-row with the label, so an L x m ladder on shared labels leaves (L - 1) m
-core rows and an independent ladder reaches no solver), and the fallback
-of `basis`'s generation check, when peeling the stacked rows finds fewer
-pivots than generators.
+it serves two callers, both after structural elimination.  One is the
+kernel basis of a ladder system's coupled core: `uniformization.simulate`
+eliminates the label columns, reads the core's kernel off its congruence
+lattice, and takes the Hermite form of that basis, with no transform read
+and no solver run (an independent ladder reaches no `hnf` at all).  The
+other is the fallback of `basis`'s generation check, when peeling the
+stacked rows finds fewer pivots than generators.
+
+So `integer_solutions`, `solve_z`, `kernel_basis` and `snf` have no CLI
+caller left (`invariant_factors` hands `snf` only a block that peeling
+leaves, and every presentation the CLI builds peels completely).  They stay
+here for now, as library functions and as the oracle of the differential
+tests: the benchmark's tracer (`perfbench/tracing.py`) wraps them and
+`tests/test_tracing_targets.py` pins its targets, so they go together with
+a change to the benchmark.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ presentation A from the ladder relations, a primed copy A' whose relations
 add table shifts times a distinguished generator e, the canonical section
 psi (generator-wise priming), and a computed splitting rho with pi*rho = id.
 Writing rho(x) = x' + c_x*e reduces the splitting to one integer linear
-system W c = -a over the relation matrix W, solved exactly; the recovered
-bits H(w) then match the input coloring at every index past the reported
-magnitude threshold n0.
+system W c = -a over the relation matrix W.  Its solutions are read off its
+structure, with no general solver: a particular solution level by level,
+and the kernel of the coupled core as the graph of a congruence lattice,
+whose Hermite form picks the canonical splitting.  The recovered bits H(w)
+then match the input coloring at every index past the reported magnitude
+threshold n0.
 """
 
 from __future__ import annotations
@@ -36,11 +39,9 @@ from typing import Mapping, Sequence
 
 from .abelian import (
     CertificateError,
-    InfeasibilityCertificate,
     IntMatrix,
     _sparse_rows,
     hnf,
-    integer_solutions,
     is_prime,
     reduce_mod_lattice,
 )
@@ -497,14 +498,173 @@ def _lift(c: list[int], pivot_of: Mapping[int, int], rows: Sequence[Sequence[tup
         c[g] = -shifts[i] - sum(v * c[t] for t, v in rows[i] if t != g)
 
 
+def _particular(inst: LadderInstance, levels, index: Mapping[str, int], shifts: Sequence[int]) -> list[int]:
+    """A solution of W c = -s with every z and g coordinate 0, level by level on its own y columns.
+
+    Subcase i: y_0 is s_n mod p_n for every n (Chinese remainder theorem over
+    the level's distinct primes), then y_{n+1} = (y_0 - s_n) / p_n.
+    Subcase ii: y_top = 0, then y_n = p y_{n+1} + s_n from the top down.
+    """
+    c = [0] * len(index)
+    start = 0
+    for lv in levels:
+        y = [index[f"y:{lv.alpha}:{n}"] for n in range(len(lv.g_labels) + 1)]
+        s = shifts[start:start + len(lv.g_labels)]
+        start += len(s)
+        if inst.subcase == "i":
+            y0, modulus = 0, 1
+            for p, sn in zip(lv.primes, s):
+                y0 += modulus * ((sn - y0) * pow(modulus, -1, p) % p)
+                modulus *= p
+            c[y[0]] = y0
+            for n, (p, sn) in enumerate(zip(lv.primes, s)):
+                c[y[n + 1]] = (y0 - sn) // p
+        else:
+            for n in reversed(range(len(s))):
+                c[y[n]] = inst.p * c[y[n + 1]] + s[n]
+    return c
+
+
+def _lattice_index(rows: Sequence[Sequence[tuple[int, int]]], decided: Sequence[int]) -> int:
+    """[Z^F : L] for L the projection of the kernel of `rows` on the F columns no row decides.
+
+    Row j decides column decided[j].  Raises CertificateError unless the
+    decided block is unit triangular (each decided entry +-1 and zero on
+    every earlier row), where every x on the other columns lifts and L =
+    Z^F, or diagonal (each decided column zero on every other row), where L
+    = {x : row_j . x = 0 mod p_j} for p_j the prime row j holds on its
+    decided column.  For each prime p, L contains p Z^F on the rows with
+    that prime, with quotient the null space mod p of their forms, so the
+    index is the product over p of p^(rank mod p of those forms).
+    """
+    holders: dict[int, list[int]] = {}
+    for j, row in enumerate(rows):
+        for t, _ in row:
+            holders.setdefault(t, []).append(j)
+    entries = [dict(row)[t] for row, t in zip(rows, decided)]
+    if all(abs(a) == 1 and holders[t][0] == j for j, (a, t) in enumerate(zip(entries, decided))):
+        return 1
+    if any(holders[t] != [j] for j, t in enumerate(decided)):
+        raise CertificateError("the decided block of the ladder core is neither unit triangular nor diagonal")
+    forms: dict[int, list[dict[int, int]]] = {}
+    for row, a, t in zip(rows, entries, decided):
+        p = abs(a)
+        forms.setdefault(p, []).append({c: v % p for c, v in row if c != t and v % p})
+    index = 1
+    for p, fs in forms.items():
+        reduced: dict[int, dict[int, int]] = {}  # pivot column -> a form that is 1 there and 0 left of it
+        for f in fs:
+            while f:
+                c = min(f)
+                if c not in reduced:
+                    inv = pow(f[c], -1, p)
+                    reduced[c] = {k: v * inv % p for k, v in f.items()}
+                    break
+                x = f[c]
+                for k, v in reduced[c].items():
+                    f[k] = (f.get(k, 0) - x * v) % p
+                    if not f[k]:
+                        del f[k]
+        index *= p ** len(reduced)
+    return index
+
+
+def _lattice_basis(forms: Sequence[tuple[Mapping[int, int], int]], size: int) -> list[list[int]]:
+    """Upper triangular basis of L = {x in Z^size : f . x = 0 mod p for every (f, p) in forms}.
+
+    One step per form, each of index p or 1: the pivot is the last basis
+    vector whose value f . b is nonzero mod p; the earlier vectors lose
+    their values by subtracting multiples of it, and it is multiplied by p.
+    Only earlier vectors change, by a multiple of a later one, so the basis
+    stays upper triangular, and each pivot step multiplies one diagonal
+    entry by p.
+    """
+    basis = [[int(i == k) for i in range(size)] for k in range(size)]
+    for form, p in forms:
+        values = [sum(v * b[i] for i, v in form.items()) % p for b in basis]
+        piv = next((k for k in reversed(range(size)) if values[k]), None)
+        if piv is None:
+            continue
+        inv = pow(values[piv], -1, p)
+        bp = basis[piv]
+        for k in range(piv):
+            if values[k]:
+                q = values[k] * inv % p
+                basis[k] = [x - q * y for x, y in zip(basis[k], bp)]
+        basis[piv] = [p * y for y in bp]
+    return basis
+
+
+def _graph(
+    basis: Sequence[Sequence[int]], free: Sequence[int], rows: Sequence[Sequence[tuple[int, int]]], decided: Sequence[int], width: int
+) -> list[list[int]]:
+    """Each basis vector on the free columns, with the decided coordinates that make every row vanish.
+
+    Rows are taken in order, each dividing the rest of its dot product by
+    its decided entry; that is exact when the basis lies in the lattice.
+    """
+    entries = [dict(row)[t] for row, t in zip(rows, decided)]
+    out = []
+    for b in basis:
+        x = [0] * width
+        for t, v in zip(free, b):
+            x[t] = v
+        for row, t, a in zip(rows, decided, entries):
+            x[t] = -sum(v * x[c] for c, v in row) // a
+        out.append(x)
+    return out
+
+
+def _canonical_solution(
+    rows: Sequence[Sequence[tuple[int, int]]], decided: Sequence[int], shifts: Sequence[int], particular: Sequence[int]
+) -> tuple[int, ...]:
+    """The balanced representative of the solutions x of row_j . x = -s_j, from the kernel's lattice.
+
+    `rows` hold (column, value) pairs over `len(particular)` columns, row j
+    decides column decided[j] (see `_lattice_index`), and `particular` is
+    one solution.  The kernel is the graph of the lattice L on the other
+    columns; its basis is `_lattice_basis` lifted by `_graph`, and its
+    Hermite form reduces `particular`.  Raises CertificateError unless the
+    lifted rows are in the kernel, their free part B is upper triangular
+    with a positive diagonal whose product is [Z^F : L], and `particular`
+    solves every row.
+    """
+    width = len(particular)
+    decided_set = set(decided)
+    free = [t for t in range(width) if t not in decided_set]
+    position = {t: k for k, t in enumerate(free)}
+    forms = []
+    for row, t in zip(rows, decided):
+        p = abs(dict(row)[t])
+        if p > 1:
+            forms.append(({position[c]: v for c, v in row if c in position}, p))
+    kernel = _graph(_lattice_basis(forms, len(free)), free, rows, decided, width)
+    for k, x in enumerate(kernel):
+        if any(sum(v * x[c] for c, v in row) for row in rows):
+            raise CertificateError(f"lifted lattice basis row {k} is not in the kernel of the ladder core")
+    diagonal = 1
+    for k, x in enumerate(kernel):
+        if x[free[k]] <= 0 or any(x[t] for t in free[:k]):
+            raise CertificateError("the lattice basis is not upper triangular with a positive diagonal")
+        diagonal *= x[free[k]]
+    index = _lattice_index(rows, decided)
+    if diagonal != index:
+        raise CertificateError(f"the lattice basis has index {diagonal}, the congruences {index}")
+    for j, (row, s) in enumerate(zip(rows, shifts)):
+        if sum(v * particular[c] for c, v in row) != -s:
+            raise CertificateError(f"the particular solution fails ladder core row {j}")
+    h, _ = hnf(IntMatrix(tuple(map(tuple, kernel))))
+    return reduce_mod_lattice(particular, h, balanced=True)
+
+
 def simulate(inst: LadderInstance) -> SimulationReport:
     """Build the chain stage, compute the canonical splitting, recover the colors.
 
     The kernel of the projection A' -> A is a single integer copy <e> as soon
     as the splitting exists, so it needs no check of its own: W c = -s has an
-    integer solution (checked by `IntegerSolutions.check`), hence every
-    integer y with y W = 0 has y s = -(y W) c = 0, and no row (0, ..., 0, k)
-    with k != 0 lies in the row lattice of [W | -s].
+    integer solution (built below and checked), hence every integer y with
+    y W = 0 has y s = -(y W) c = 0, and no row (0, ..., 0, k) with k != 0
+    lies in the row lattice of [W | -s].
 
     W c = -s is also the only identity checked after the solve.  With
     delta = -c its row n reads delta(g_n) = delta(y_0) + sum_k mu_k(n)
@@ -517,37 +677,70 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     coordinate 0, because each level solves its own rows on its own y
     columns.  In subcase i, row n reads p_n y_{n+1} - y_0 = -s_n, so y_0
     must be s_n mod p_n for every n; the level's primes are distinct, so
-    the Chinese remainder theorem gives such a y_0, and then every y_{n+1}.
-    In subcase ii, row n reads p y_{n+1} - y_n = -s_n, and the -1 on y_n
-    with p on y_{n+1} form a unimodular upper bidiagonal block.  An
-    infeasibility answer from the solver is therefore a CertificateError.
+    the Chinese remainder theorem gives such a y_0, and then every y_{n+1}
+    by exact division.  In subcase ii, row n reads p y_{n+1} - y_n = -s_n:
+    with y_top = 0, back substitution gives every y_n.  `_particular` builds
+    this solution, so no solver is asked whether one exists.
 
-    Only the coupled core of W reaches the solver: the label columns are
-    eliminated first and lifted after, the step of structured Gaussian
-    elimination (LaMacchia and Odlyzko, CRYPTO '90) that needs no pivot
-    search here, because each row has one +1 on its label's column and no
-    other label entry.  The first row i with label g is g's pivot row, and
-    every later row k with label g becomes the core row W_k - W_i, zero on
-    every label column, with shift s_k - s_i.  So W c = -s holds exactly
-    when the core rows hold on the y and z coordinates and c_g = -s_i -
-    sum_t W_it c_t over the y and z entries of each pivot row i.  An L x m
-    ladder whose levels share their labels leaves (L - 1) m core rows, an
-    independent ladder none.  The core also drops its zero columns, such as
-    the y and z columns of levels whose rows are all pivot rows.
+    Only the coupled core of W is solved: the label columns are eliminated
+    first and lifted after, the step of structured Gaussian elimination
+    (LaMacchia and Odlyzko, CRYPTO '90) that needs no pivot search here,
+    because each row has one +1 on its label's column and no other label
+    entry.  The first row i with label g is g's pivot row, and every later
+    row k with label g becomes the core row W_k - W_i, zero on every label
+    column, with shift s_k - s_i.  So W c = -s holds exactly when the core
+    rows hold on the y and z coordinates and c_g = -s_i - sum_t W_it c_t
+    over the y and z entries of each pivot row i.  An L x m ladder whose
+    levels share their labels leaves (L - 1) m core rows, an independent
+    ladder none.  The core also drops its zero columns, such as the y and z
+    columns of levels whose rows are all pivot rows.
+
+    Each core row decides one column of its own, so the core's kernel is
+    the graph of a lattice and needs no general solver either (Cohen, GTM
+    138, 2.4, for Hermite forms of Z-modules).  In subcase i the core row
+    W_k - W_i holds p_k on the top column y_{n+1} of row k, which no other
+    row of W holds, since a core row is never a pivot row.  The kernel is
+    then the graph of L = {x : row_j . x = 0 mod p_j} on the F other
+    columns: each x in L takes one integer value on the decided columns.
+    `_lattice_basis` builds an upper triangular basis B of L by one index-p
+    step per core row, and `_graph` lifts it by exact division.  In subcase
+    ii a core row can hold -(1 + p) on y_n, when the label's pivot row is
+    the row just below it, so there the label columns are eliminated only
+    where no other row holds them.  The rows whose label another row shares
+    are solved as they stand, each level's top row first, each deciding its
+    y_n by the -1 there; their decided block is unit triangular, so L = Z^F
+    and B = I.  Solving all of W instead would carry every label that only
+    one row holds into the kernel basis and its Hermite form.
+
+    The lifted rows K span the whole kernel, which `_canonical_solution`
+    certifies before it uses them (each check raises CertificateError, also
+    under `python -O`).  Every row of K is in the kernel (core K^T = 0), so
+    B lies in L.  B is upper triangular with a positive diagonal, so its
+    rows are independent and span a sublattice of index prod diag(B) in
+    Z^F.  That product equals [Z^F : L], which `_lattice_index` computes
+    from ranks mod each prime (or as 1 for a unit block) after checking
+    that the decided block is diagonal or unit triangular; so B spans L.
+    The kernel projects onto the free columns injectively with image L, so
+    K spans the kernel.  The particular solution is checked against the
+    core rows.  `hnf` of K is the kernel's Hermite form, and the balanced
+    reduction of the particular solution against it is the core's
+    canonical solution.
 
     The canonical splitting is the one the whole W gives.  The kernel
-    lattice of W is the lift of that of the core (the map c_core -> c is
-    injective), and the label columns sort after every y and z column, so
-    every pivot of the kernel's Hermite form lies on a y or z column and
-    that form is the lift of the core's (both are unique).  A column t that
-    is zero on every core row puts e_t in the core's kernel, so its Hermite
-    form has the unit row e_t and every other row 0 at t; without the row
-    e_t and the column t it is the form of the core without t, and the
-    balanced reduction sets c_t to 0.  The reduction reads and reduces only
-    pivot coordinates, so it also commutes with the lift.  With no core row
-    left, the kernel of the core is every vector, its Hermite form the
-    identity, and the reduction gives c_core = 0 with no solver run: every
-    y and z coordinate of an independent ladder's splitting is 0, and
+    lattice of W is the lift of that of the core: the map c_core -> c is
+    injective, and each eliminated label coordinate is a combination of y
+    and z coordinates, which sort before every label column.  So a lifted
+    vector's first nonzero is its core vector's, the lift of the core
+    kernel's Hermite form is in Hermite form with its pivots on core
+    columns, and it is the kernel's form (both are unique).  A column t
+    that is zero on every core row puts e_t in the core's kernel, so its
+    Hermite form has the unit row e_t and every other row 0 at t; without
+    the row e_t and the column t it is the form of the core without t, and
+    the balanced reduction sets c_t to 0.  The reduction reads and reduces
+    only pivot coordinates, so it also commutes with the lift.  With no
+    core row left, the kernel of the core is every vector, its Hermite form
+    the identity, and the reduction gives c_core = 0 with nothing solved:
+    every y and z coordinate of an independent ladder's splitting is 0, and
     c(g_n) = -s_n.
     """
     problems = validate_instance(inst)
@@ -568,22 +761,25 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     row_tables = []  # the table of each row, read again by that row's query
     rows: list[list[int]] = []
     shifts: list[int] = []
+    decides: list[int] = []  # the y column each row decides: p_n on y_{n+1} in subcase i, -1 on y_n in ii
+    labels: list[int] = []
     pivot_of: dict[int, int] = {}  # label column -> its pivot row, the first row with that label
-    core: list[list[int]] = []  # each later row less its label's pivot row
-    core_shifts: list[int] = []
+    core: list[tuple[list[int], int, int]] = []  # (row, shift, decided column): each later row less its label's pivot row
     for lv in levels:
         n_rel = n_rel_of(lv)
         for n in range(n_rel):
             row = [0] * len(names)
             if inst.subcase == "i":
                 prime = lv.primes[n]
-                row[index[f"y:{lv.alpha}:{n + 1}"]] += prime
+                decides.append(index[f"y:{lv.alpha}:{n + 1}"])
+                row[decides[-1]] += prime
                 row[index[f"y:{lv.alpha}:0"]] -= 1
                 tab = prime_table(prime, tuple(lv.mu[k][n] for k in range(inst.r)))
                 shift = tab.shift[lv.colors[n]]
             else:
                 row[index[f"y:{lv.alpha}:{n + 1}"]] += inst.p
-                row[index[f"y:{lv.alpha}:{n}"]] -= 1
+                decides.append(index[f"y:{lv.alpha}:{n}"])
+                row[decides[-1]] -= 1
                 block = block_of[n]
                 tab = power_table(inst.p, block, thresholds, lv.mu)
                 shift = tab.digits[lv.colors[block - 1]][n - thresholds[block - 1]]
@@ -592,25 +788,33 @@ def simulate(inst: LadderInstance) -> SimulationReport:
                 row[index[f"z:{lv.alpha}:{k + 1}"]] -= lv.mu[k][n]
             g = index[f"g:{lv.g_labels[n]}"]
             row[g] += 1
+            labels.append(g)
             i = pivot_of.setdefault(g, len(rows))
             if i < len(rows):
-                core.append([v - x for v, x in zip(row, rows[i])])
-                core_shifts.append(shift - shifts[i])
+                core.append(([v - x for v, x in zip(row, rows[i])], shift - shifts[i], decides[-1]))
             rows.append(row)
             shifts.append(shift)
 
     # every entry is already an int, so skip the conversion in from_rows
     w = IntMatrix(tuple(map(tuple, rows)))
     w_rows = _sparse_rows(w.entries)
-    core_cols = [t for t in range(w.cols) if any(row[t] for row in core)]
+    if core and inst.subcase == "ii":
+        # every row whose label another row shares, each level's top row first
+        shared = {g for k, g in enumerate(labels) if pivot_of[g] != k}
+        core = [(rows[k], shifts[k], decides[k]) for k in reversed(range(len(rows))) if labels[k] in shared]
     c_vec = [0] * w.cols
     if core:
-        a = IntMatrix(tuple(tuple(row[t] for t in core_cols) for row in core))
-        sols = integer_solutions(a, [-s for s in core_shifts])
-        if isinstance(sols.solution, InfeasibilityCertificate):
-            raise CertificateError("the solver reports W c = -s infeasible, yet every level solves its own rows")
-        kh, _ = hnf(sols.kernel)
-        for t, v in zip(core_cols, reduce_mod_lattice(sols.solution, kh, balanced=True)):
+        sparse = _sparse_rows([row for row, _, _ in core])
+        cols = sorted({t for row in sparse for t, _ in row})
+        position = {t: j for j, t in enumerate(cols)}
+        particular = _particular(inst, levels, index, shifts)
+        solution = _canonical_solution(
+            [[(position[t], v) for t, v in row] for row in sparse],
+            [position[t] for _, _, t in core],
+            [s for _, s, _ in core],
+            [particular[t] for t in cols],
+        )
+        for t, v in zip(cols, solution):
             c_vec[t] = v
     _lift(c_vec, pivot_of, w_rows, shifts)
     splitting_ok = all(sum(v * c_vec[t] for t, v in row) == -s for row, s in zip(w_rows, shifts))

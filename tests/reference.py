@@ -6,10 +6,12 @@ carrier on its own; the differential tests run both and require identical
 results.  The linear
 algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
 brute-force purity search) give the tests an independent second answer.
-`whole_splitting` and `basis_generation` are the generic paths that
-`simulate` (label elimination) and `verify_basis` (unit peeling)
-replaced: one exact solve of the whole ladder system, and one Hermite form
-for every generation check.
+`whole_splitting`, `core_splitting` and `basis_generation` are the
+generic paths that `simulate` and `verify_basis` replaced: one exact solve
+of the whole ladder system (before label elimination), one exact solve of
+its coupled core (before the core's kernel was read off its congruence
+lattice), and one Hermite form for every generation check (before unit
+peeling).
 Nothing under `src/` imports this module.
 """
 
@@ -60,15 +62,20 @@ def matrix_rank(a: IntMatrix) -> int:
     return sum(1 for row in h.entries if any(row))
 
 
-def whole_splitting(w: IntMatrix, shifts) -> tuple[int, ...]:
-    """The canonical splitting of W c = -s from all of W.
+def core_splitting(a: IntMatrix, shifts) -> tuple[IntMatrix, tuple[int, ...]]:
+    """The Hermite form of the kernel of a and the balanced solution of a x = -s.
 
-    `integer_solutions` of the whole system, the Hermite form of its kernel,
-    then the balanced reduction of the particular solution against it.
+    `integer_solutions` of the system, `hnf` of its kernel, then the
+    balanced reduction of the particular solution against that form.
     """
-    sols = integer_solutions(w, [-s for s in shifts])
+    sols = integer_solutions(a, [-s for s in shifts])
     kh, _ = hnf(sols.kernel)
-    return reduce_mod_lattice(sols.solution, kh, balanced=True)
+    return kh, reduce_mod_lattice(sols.solution, kh, balanced=True)
+
+
+def whole_splitting(w: IntMatrix, shifts) -> tuple[int, ...]:
+    """The canonical splitting of W c = -s from all of W."""
+    return core_splitting(w, shifts)[1]
 
 
 def basis_generation(pres, candidate_names) -> tuple[bool, tuple[str, ...]]:

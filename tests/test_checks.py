@@ -24,17 +24,26 @@ def test_no_assert_in_src():
     assert found == []
 
 
-# the witness side reads its answers off the unit staircase; `hnf` and
-# `in_lattice` stay for the generation check of `basis` where unit peeling
-# does not settle it
+# the witness side reads its answers off the unit staircase and the ladder
+# side off its congruence lattice; `hnf` and `in_lattice` stay for the
+# generation check of `basis` where unit peeling does not settle it, and
+# `hnf` for the Hermite form of a ladder core's kernel
 _GENERIC_SOLVERS = frozenset(
-    {"solve_z", "integer_solutions", "kernel_basis", "express_in_lattice", "snf", "HermiteForm"}
+    {
+        "solve_z",
+        "integer_solutions",
+        "kernel_basis",
+        "express_in_lattice",
+        "snf",
+        "HermiteForm",
+        "InfeasibilityCertificate",
+    }
 )
 
 
 def test_witness_side_names_no_generic_solver():
     found = []
-    for name in ("whitehead.py", "cli.py"):
+    for name in ("whitehead.py", "cli.py", "uniformization.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -93,6 +102,19 @@ def _witness_system():
     )
 
 
+def _shared_ladder():
+    """Two levels sharing the label a0, so one core row reaches the lattice solve."""
+    level = uniformization.LadderLevel
+    return uniformization.LadderInstance(
+        subcase="i",
+        r=0,
+        levels=(
+            level(alpha=40, ladder=(3, 8), colors=(1, 0), g_labels=("a0", "a1"), primes=(31, 37)),
+            level(alpha=50, ladder=(4, 9), colors=(1, 1), g_labels=("a0", "b1"), primes=(31, 41)),
+        ),
+    )
+
+
 def self_checks_missed() -> list[str]:
     """Self-checks that returned instead of raising CertificateError on a corrupted result.
 
@@ -106,6 +128,26 @@ def self_checks_missed() -> list[str]:
     def too_long_shift(y, stride):
         # one full modulus more is the same shift, but it needs an extra digit
         return power_shift(y, stride) + y.modulus
+
+    lattice_basis = uniformization._lattice_basis
+    graph = uniformization._graph
+    particular = uniformization._particular
+
+    def half_index_basis(forms, size):
+        # twice the last row spans a sublattice: still triangular, inside the lattice, of twice the index
+        basis = lattice_basis(forms, size)
+        return basis[:-1] + [[2 * x for x in basis[-1]]]
+
+    def off_kernel_graph(basis, free, rows, decided, width):
+        kernel = graph(basis, free, rows, decided, width)
+        kernel[0][decided[0]] += 1
+        return kernel
+
+    def off_particular(*args):
+        # y:40:0 holds +1 on the core row, so this moves its value
+        c = particular(*args)
+        c[0] += 1
+        return c
 
     cases = {
         "transversal": (
@@ -150,6 +192,22 @@ def self_checks_missed() -> list[str]:
             # a pivot per generator, all on row 0, so every pivot after the first is on a row peeled before
             _patched(whitehead, "_unit_pivots", lambda a: [(0, j) for j in range(a.cols)]),
             lambda: whitehead.verify_basis(_witness_system(), whitehead.BasisCandidate((), ()), -1, 1),
+        ),
+        "lattice basis triangular": (
+            _patched(uniformization, "_lattice_basis", lambda forms, size: lattice_basis(forms, size)[::-1]),
+            lambda: uniformization.simulate(_shared_ladder()),
+        ),
+        "lattice basis index": (
+            _patched(uniformization, "_lattice_basis", half_index_basis),
+            lambda: uniformization.simulate(_shared_ladder()),
+        ),
+        "lifted lattice basis": (
+            _patched(uniformization, "_graph", off_kernel_graph),
+            lambda: uniformization.simulate(_shared_ladder()),
+        ),
+        "particular solution": (
+            _patched(uniformization, "_particular", off_particular),
+            lambda: uniformization.simulate(_shared_ladder()),
         ),
         "witness equation": (
             _patched(whitehead, "verify_witness", lambda ws, c, w: (False, ((0,), 0))),

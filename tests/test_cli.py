@@ -1,8 +1,6 @@
 """CLI dispatch: exit codes, byte stability, certificate round-trips."""
 
-import dataclasses
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -518,15 +516,10 @@ def test_unif_table_mu_takes_only_integers(capsys, argv):
 def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
     # W c = -s and the witness equations always solve, so an answer that says otherwise is at fault
     from lamsys import uniformization, whitehead
-    from lamsys.abelian import InfeasibilityCertificate, integer_solutions
 
-    infeasible = InfeasibilityCertificate((Fraction(1, 2),))
-    monkeypatch.setattr(
-        uniformization,
-        "integer_solutions",
-        lambda a, b: dataclasses.replace(integer_solutions(a, b), solution=infeasible),
-    )
-    # the levels share the label a0, so its rows stay in the core that reaches the solver
+    # a lattice basis that skips every index-p step does not lift into the kernel
+    monkeypatch.setattr(uniformization, "_lattice_basis", lambda forms, size: [[int(i == k) for i in range(size)] for k in range(size)])
+    # the levels share the label a0, so its rows stay in the core that reaches the lattice solve
     inst = {
         "schema": "lamsys/1",
         "subcase": "i",
@@ -539,7 +532,7 @@ def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "inst.json", inst)
     code, out, err = run(capsys, ["unif-sim", "--instance", path])
     assert (code, out) == (3, "")
-    assert err == "internal error: the solver reports W c = -s infeasible, yet every level solves its own rows\n"
+    assert err == "internal error: lifted lattice basis row 0 is not in the kernel of the ladder core\n"
     monkeypatch.setattr(whitehead, "verify_witness", lambda ws, c, w: (False, ((0,), 1)))
     path = write(tmp_path, "ws.json", witness_doc())
     c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}})

@@ -651,37 +651,95 @@ def test_shared_ladder_splitting_agrees_with_whole_solve():
         _splitting_agrees(LadderInstance(subcase="i", r=1, levels=(first, second)))
 
 
-@pytest.mark.parametrize("r", (0, 1))
-def test_shared_ladder_core_drops_a_level_and_every_zero_column(monkeypatch, r):
+def _recording(monkeypatch):
+    """Record the (rows, decided, shifts, particular) of every `_canonical_solution` call."""
     from lamsys import uniformization
 
-    solve = uniformization.integer_solutions
-    cores = []
+    solve = uniformization._canonical_solution
+    calls = []
 
-    def recording(a, b):
-        cores.append(a)
-        return solve(a, b)
+    def recording(rows, decided, shifts, particular):
+        calls.append((rows, decided, shifts, particular))
+        return solve(rows, decided, shifts, particular)
 
-    monkeypatch.setattr(uniformization, "integer_solutions", recording)
+    monkeypatch.setattr(uniformization, "_canonical_solution", recording)
+    return calls
+
+
+def _shared_rows(chain):
+    """Rows of W whose label column holds a +1 on some other row too."""
+    w = chain.relations.entries
+    shared = {t for t, g in enumerate(chain.generators) if g.startswith("g:") and sum(1 for row in w if row[t]) > 1}
+    return sum(1 for row in w if any(row[t] for t in shared))
+
+
+@pytest.mark.parametrize("r", (0, 1))
+def test_shared_ladder_core_drops_a_level_and_every_zero_column(monkeypatch, r):
+    calls = _recording(monkeypatch)
     rng = random.Random(f"core/{r}")
     for n_levels, m in SHARED_SHAPES:
-        cores.clear()
+        calls.clear()
         assert simulate(_shared_ladder(rng, "i", r, n_levels, m)).ok
-        [core] = cores
-        assert core.rows == (n_levels - 1) * m
-        assert all(any(col) for col in zip(*core.entries))
-    # on mixed labels every row but each label's first reaches the solver
+        [(rows, _, _, particular)] = calls
+        assert len(rows) == (n_levels - 1) * m
+        assert {t for row in rows for t, _ in row} == set(range(len(particular)))
+    # on mixed labels every row but each label's first reaches the solve in
+    # subcase i, and in subcase ii every row whose label another row shares
     for subcase in ("i", "ii"):
         for _ in range(20):
-            cores.clear()
+            calls.clear()
             report = simulate(_draw_ladder(rng.randint, rng.sample, subcase, r, rng.randint(1, 3)))
             assert report.ok
             chain = report.chain
             n_core = chain.relations.rows - sum(g.startswith("g:") for g in chain.generators)
-            assert len(cores) == (n_core > 0)
-            for core in cores:
-                assert core.rows == n_core
-                assert all(any(col) for col in zip(*core.entries))
+            assert len(calls) == (n_core > 0)
+            for rows, _, _, particular in calls:
+                assert len(rows) == (n_core if subcase == "i" else _shared_rows(chain))
+                assert {t for row in rows for t, _ in row} == set(range(len(particular)))
+
+
+def _kernel_agrees(monkeypatch, inst):
+    """The core's kernel Hermite form and balanced solution equal `integer_solutions` and `hnf` of its kernel."""
+    from reference import core_splitting
+
+    from lamsys import uniformization
+    from lamsys.abelian import IntMatrix
+
+    calls = _recording(monkeypatch)
+    hnf = uniformization.hnf
+    forms = []
+    monkeypatch.setattr(uniformization, "hnf", lambda a: forms.append(hnf(a)) or forms[-1])
+    report = simulate(inst)
+    monkeypatch.undo()
+    assert report.ok
+    [(rows, decided, shifts, particular)] = calls
+    [(h, _)] = forms
+    a = IntMatrix(tuple(tuple(dict(row).get(t, 0) for t in range(len(particular))) for row in rows))
+    kh, expected = core_splitting(a, shifts)
+    assert h == kh
+    assert uniformization._canonical_solution(rows, decided, shifts, particular) == expected
+
+
+def test_core_kernel_agrees_with_the_generic_solve(monkeypatch):
+    rng = random.Random(1601)
+    for r in (0, 1):
+        for n_levels, m in SHARED_SHAPES:
+            _kernel_agrees(monkeypatch, _shared_ladder(rng, "i", r, n_levels, m))
+        for n_levels in (2, 3):
+            _kernel_agrees(monkeypatch, _shared_ladder(rng, "ii", r, n_levels))
+        for subcase in ("i", "ii"):
+            _kernel_agrees(monkeypatch, _repeat_and_skip(_shared_ladder(rng, subcase, r, 3, 4)))
+            drawn = 0
+            while drawn < 6:
+                inst = _draw_ladder(rng.randint, rng.sample, subcase, r, 3)
+                labels = [g for lv in inst.levels for g in lv.g_labels]
+                if len(set(labels)) < len(labels):
+                    _kernel_agrees(monkeypatch, inst)
+                    drawn += 1
+
+
+def test_shared_32x8_ladder_splits():
+    assert simulate(_shared_ladder(random.Random("scale/32x8"), "i", 0, 32, 8)).ok
 
 
 def _independent_ii():
@@ -710,7 +768,7 @@ def test_independent_ladders_run_no_solver(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("an independent ladder reached the solver")
 
-    for name in ("integer_solutions", "hnf", "reduce_mod_lattice"):
+    for name in ("_canonical_solution", "hnf", "reduce_mod_lattice"):
         monkeypatch.setattr(uniformization, name, unreachable)
     for inst in (spec_case_i_instance(), _independent_ii()):
         report = simulate(inst)
