@@ -596,7 +596,11 @@ def _lattice_basis(forms: Sequence[tuple[Mapping[int, int], int]], size: int) ->
 
 
 def _graph(
-    basis: Sequence[Sequence[int]], free: Sequence[int], rows: Sequence[Sequence[tuple[int, int]]], decided: Sequence[int], width: int
+    basis: Sequence[Sequence[int]],
+    free: Sequence[int],
+    rows: Sequence[Sequence[tuple[int, int]]],
+    decided: Sequence[int],
+    width: int,
 ) -> list[list[int]]:
     """Each basis vector on the free columns, with the decided coordinates that make every row vanish.
 
@@ -764,7 +768,6 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     decides: list[int] = []  # the y column each row decides: p_n on y_{n+1} in subcase i, -1 on y_n in ii
     labels: list[int] = []
     pivot_of: dict[int, int] = {}  # label column -> its pivot row, the first row with that label
-    core: list[tuple[list[int], int, int]] = []  # (row, shift, decided column): each later row less its label's pivot row
     for lv in levels:
         n_rel = n_rel_of(lv)
         for n in range(n_rel):
@@ -789,18 +792,20 @@ def simulate(inst: LadderInstance) -> SimulationReport:
             g = index[f"g:{lv.g_labels[n]}"]
             row[g] += 1
             labels.append(g)
-            i = pivot_of.setdefault(g, len(rows))
-            if i < len(rows):
-                core.append(([v - x for v, x in zip(row, rows[i])], shift - shifts[i], decides[-1]))
+            pivot_of.setdefault(g, len(rows))
             rows.append(row)
             shifts.append(shift)
 
     # every entry is already an int, so skip the conversion in from_rows
     w = IntMatrix(tuple(map(tuple, rows)))
     w_rows = _sparse_rows(w.entries)
-    if core and inst.subcase == "ii":
+    later = [(k, pivot_of[g]) for k, g in enumerate(labels) if pivot_of[g] != k]
+    if inst.subcase == "i":
+        # (row, shift, decided column) of each later row less its label's pivot row
+        core = [([v - x for v, x in zip(rows[k], rows[i])], shifts[k] - shifts[i], decides[k]) for k, i in later]
+    else:
         # every row whose label another row shares, each level's top row first
-        shared = {g for k, g in enumerate(labels) if pivot_of[g] != k}
+        shared = {labels[k] for k, _ in later}
         core = [(rows[k], shifts[k], decides[k]) for k in reversed(range(len(rows))) if labels[k] in shared]
     c_vec = [0] * w.cols
     if core:

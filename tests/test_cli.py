@@ -518,7 +518,10 @@ def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
     from lamsys import uniformization, whitehead
 
     # a lattice basis that skips every index-p step does not lift into the kernel
-    monkeypatch.setattr(uniformization, "_lattice_basis", lambda forms, size: [[int(i == k) for i in range(size)] for k in range(size)])
+    def identity(forms, size):
+        return [[int(i == k) for i in range(size)] for k in range(size)]
+
+    monkeypatch.setattr(uniformization, "_lattice_basis", identity)
     # the levels share the label a0, so its rows stay in the core that reaches the lattice solve
     inst = {
         "schema": "lamsys/1",
