@@ -471,11 +471,13 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return integer_solutions(a, (0,) * a.rows).kernel
 
 
-def reduce_mod_lattice(v: Sequence[int], h: IntMatrix, balanced: bool = False) -> tuple[int, ...]:
-    """Canonical representative of v modulo the row lattice of an HNF matrix h.
+def reduce_mod_lattice(v: Sequence[int], h: IntMatrix) -> tuple[int, ...]:
+    """Balanced representative of v modulo the row lattice of an HNF matrix h.
 
-    With balanced=True residues at pivot coordinates land in (-p/2, p/2],
-    otherwise in [0, p).
+    Rows are taken in order, and each moves the coordinate at its pivot p
+    into [-(p // 2), p - 1 - p // 2], that is [-p/2, p/2).  The result is 0
+    exactly when v is in the lattice: a member stays a member and holds a
+    multiple of p at each pivot in turn, and a non-member stays outside.
     """
     x = list(int(t) for t in v)
     for row in h.entries:
@@ -483,7 +485,7 @@ def reduce_mod_lattice(v: Sequence[int], h: IntMatrix, balanced: bool = False) -
         if j is None:
             continue
         p = row[j]
-        q = (x[j] + (p // 2 if balanced else 0)) // p if p > 0 else 0
+        q = (x[j] + p // 2) // p if p > 0 else 0
         if q:
             x = [xi - q * ri for xi, ri in zip(x, row)]
     return tuple(x)

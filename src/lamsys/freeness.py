@@ -132,12 +132,17 @@ def find_transversal(family):
 
 
 def k_free_check(family, k: int):
-    """'pass' when every subfamily of size < k has a transversal.
+    """The smallest alternating closure of size < k as a Hall certificate, else 'pass'.
 
-    Otherwise returns the smallest Hall certificate of size < k.  Minimum
-    violators contain an unmatched index of any maximum matching and are
-    closed under alternating reachability, so it is enough to minimize the
-    closures over unmatched indices.
+    It takes one maximum matching and, for each index the matching leaves
+    unmatched, the indices reachable from it by alternating paths.  Each
+    such closure is a Hall violator, so a returned certificate is a true
+    violator of size < k, and it is verified before it is returned.  A
+    'pass' can be wrong: a minimum violator need not be one of these
+    closures.  In [{a}, {a, b}, {b}, {b}] the violator {2, 3} has size 2,
+    but the matching 0-a, 1-b leaves the closures {0, 1, 2} and {0, 1, 3},
+    so k = 3 gives 'pass'.  An exact search for a minimum violator is still
+    to be written.
     """
     sets = _normalize(family)
     if not (0 <= k <= len(sets) + 1):

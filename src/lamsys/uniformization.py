@@ -23,11 +23,12 @@ add table shifts times a distinguished generator e, the canonical section
 psi (generator-wise priming), and a computed splitting rho with pi*rho = id.
 Writing rho(x) = x' + c_x*e reduces the splitting to one integer linear
 system W c = -a over the relation matrix W.  Its solutions are read off its
-structure, with no general solver: a particular solution level by level,
-and the kernel of the coupled core as the graph of a congruence lattice,
-whose Hermite form picks the canonical splitting.  The recovered bits H(w)
-then match the input coloring at every index past the reported magnitude
-threshold n0.
+structure, with no general solver: each row decides one column; the
+particular solution, the kernel lift and the label lift are substitution
+along those columns.  The kernel of the coupled core is the graph of a
+congruence lattice, whose Hermite form picks the canonical splitting.  The
+recovered bits H(w) then match the input coloring at every index past the
+reported magnitude threshold n0.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from typing import Mapping, Sequence
 from .abelian import (
     CertificateError,
     IntMatrix,
-    _sparse_rows,
     hnf,
     is_prime,
     reduce_mod_lattice,
@@ -400,8 +400,15 @@ def validate_instance(inst: LadderInstance) -> list[str]:
             out.append("subcase ii needs i_max >= 1")
         if out:
             return out
-        thresholds = threshold_exponents(inst.p, inst.r, inst.i_max)
-        n_rel = thresholds[-1]
+        # t_i grows about fivefold a step, and each step costs more than all
+        # before it, so stop at the first t_i above every level's label count:
+        # then every level lacks labels, whatever t_{i_max} is
+        longest = max((len(lv.g_labels) for lv in inst.levels), default=0)
+        for i in range(1, inst.i_max + 1):
+            n_rel = threshold_exponents(inst.p, inst.r, i)[-1]
+            if n_rel > longest:
+                break
+        need = str(n_rel) if i == inst.i_max else f"at least {n_rel}"
     alphas = [lv.alpha for lv in inst.levels]
     if len(set(alphas)) != len(alphas):
         out.append("duplicate limit levels")
@@ -430,11 +437,11 @@ def validate_instance(inst: LadderInstance) -> list[str]:
                 out.append(f"{tag}: mu rows shorter than the prime list")
         else:
             if len(lv.g_labels) != n_rel:
-                out.append(f"{tag}: needs {n_rel} base elements, got {len(lv.g_labels)}")
+                out.append(f"{tag}: needs {need} base elements, got {len(lv.g_labels)}")
             if len(lv.ladder) != inst.i_max or len(lv.colors) != inst.i_max:
                 out.append(f"{tag}: ladder and colors must have length i_max = {inst.i_max}")
             if any(len(row) < n_rel for row in lv.mu):
-                out.append(f"{tag}: mu rows must supply {n_rel} values")
+                out.append(f"{tag}: mu rows must supply {need} values")
     return out
 
 
@@ -488,44 +495,41 @@ def _gen_names(inst: LadderInstance, n_rel_of) -> list[str]:
     return names
 
 
-def _lift(c: list[int], pivot_of: Mapping[int, int], rows: Sequence[Sequence[tuple[int, int]]], shifts: Sequence[int]) -> None:
-    """Set each label coordinate c_g, for its pivot row i, to -s_i - sum_t W_it c_t over the row's y and z entries.
+def _substitute(x: list[int], rows: Sequence[Mapping[int, int]], decided: Sequence[int], rhs: Sequence[int]) -> None:
+    """Set x[t] = (b - sum of v x[c] over the row's other entries v at c) // row[t], row by row in order.
 
-    `rows` gives each row's (column, value) nonzeros; the +1 on g is the
-    row's only label entry, so this makes row i of W c = -s hold.
+    Row j decides column t = decided[j] with right side b = rhs[j].  The
+    division is exact when row j . x = b has an integer solution in x[t];
+    the callers check what they solve, so nothing is checked here.
     """
-    for g, i in pivot_of.items():
-        c[g] = -shifts[i] - sum(v * c[t] for t, v in rows[i] if t != g)
+    for row, t, b in zip(rows, decided, rhs):
+        x[t] = (b - sum(v * x[c] for c, v in row.items() if c != t)) // row[t]
 
 
-def _particular(inst: LadderInstance, levels, index: Mapping[str, int], shifts: Sequence[int]) -> list[int]:
-    """A solution of W c = -s with every z and g coordinate 0, level by level on its own y columns.
+def _particular(inst: LadderInstance, levels, index: Mapping[str, int], rows, decided, shifts: Sequence[int]) -> list[int]:
+    """A solution of W c = -s with every z and g coordinate 0, by substitution along each row's decided y column.
 
     Subcase i: y_0 is s_n mod p_n for every n (Chinese remainder theorem over
-    the level's distinct primes), then y_{n+1} = (y_0 - s_n) / p_n.
-    Subcase ii: y_top = 0, then y_n = p y_{n+1} + s_n from the top down.
+    the level's distinct primes), then row n decides y_{n+1} = (y_0 - s_n) / p_n.
+    Subcase ii: y_top = 0, then the rows from the top down decide
+    y_n = p y_{n+1} + s_n.
     """
     c = [0] * len(index)
-    start = 0
-    for lv in levels:
-        y = [index[f"y:{lv.alpha}:{n}"] for n in range(len(lv.g_labels) + 1)]
-        s = shifts[start:start + len(lv.g_labels)]
-        start += len(s)
-        if inst.subcase == "i":
+    step, start = -1, 0  # subcase ii substitutes from the top row down
+    if inst.subcase == "i":
+        step = 1
+        for lv in levels:
             y0, modulus = 0, 1
-            for p, sn in zip(lv.primes, s):
+            for p, sn in zip(lv.primes, shifts[start:start + len(lv.primes)]):
                 y0 += modulus * ((sn - y0) * pow(modulus, -1, p) % p)
                 modulus *= p
-            c[y[0]] = y0
-            for n, (p, sn) in enumerate(zip(lv.primes, s)):
-                c[y[n + 1]] = (y0 - sn) // p
-        else:
-            for n in reversed(range(len(s))):
-                c[y[n]] = inst.p * c[y[n + 1]] + s[n]
+            c[index[f"y:{lv.alpha}:0"]] = y0
+            start += len(lv.primes)
+    _substitute(c, rows[::step], decided[::step], [-s for s in shifts[::step]])
     return c
 
 
-def _lattice_index(rows: Sequence[Sequence[tuple[int, int]]], decided: Sequence[int]) -> int:
+def _lattice_index(rows: Sequence[Mapping[int, int]], decided: Sequence[int]) -> int:
     """[Z^F : L] for L the projection of the kernel of `rows` on the F columns no row decides.
 
     Row j decides column decided[j].  Raises CertificateError unless the
@@ -539,17 +543,16 @@ def _lattice_index(rows: Sequence[Sequence[tuple[int, int]]], decided: Sequence[
     """
     holders: dict[int, list[int]] = {}
     for j, row in enumerate(rows):
-        for t, _ in row:
+        for t in row:
             holders.setdefault(t, []).append(j)
-    entries = [dict(row)[t] for row, t in zip(rows, decided)]
-    if all(abs(a) == 1 and holders[t][0] == j for j, (a, t) in enumerate(zip(entries, decided))):
+    if all(abs(row[t]) == 1 and holders[t][0] == j for j, (row, t) in enumerate(zip(rows, decided))):
         return 1
     if any(holders[t] != [j] for j, t in enumerate(decided)):
         raise CertificateError("the decided block of the ladder core is neither unit triangular nor diagonal")
     forms: dict[int, list[dict[int, int]]] = {}
-    for row, a, t in zip(rows, entries, decided):
-        p = abs(a)
-        forms.setdefault(p, []).append({c: v % p for c, v in row if c != t and v % p})
+    for row, t in zip(rows, decided):
+        p = abs(row[t])
+        forms.setdefault(p, []).append({c: v % p for c, v in row.items() if c != t and v % p})
     index = 1
     for p, fs in forms.items():
         reduced: dict[int, dict[int, int]] = {}  # pivot column -> a form that is 1 there and 0 left of it
@@ -595,41 +598,18 @@ def _lattice_basis(forms: Sequence[tuple[Mapping[int, int], int]], size: int) ->
     return basis
 
 
-def _graph(
-    basis: Sequence[Sequence[int]],
-    free: Sequence[int],
-    rows: Sequence[Sequence[tuple[int, int]]],
-    decided: Sequence[int],
-    width: int,
-) -> list[list[int]]:
-    """Each basis vector on the free columns, with the decided coordinates that make every row vanish.
-
-    Rows are taken in order, each dividing the rest of its dot product by
-    its decided entry; that is exact when the basis lies in the lattice.
-    """
-    entries = [dict(row)[t] for row, t in zip(rows, decided)]
-    out = []
-    for b in basis:
-        x = [0] * width
-        for t, v in zip(free, b):
-            x[t] = v
-        for row, t, a in zip(rows, decided, entries):
-            x[t] = -sum(v * x[c] for c, v in row) // a
-        out.append(x)
-    return out
-
-
 def _canonical_solution(
-    rows: Sequence[Sequence[tuple[int, int]]], decided: Sequence[int], shifts: Sequence[int], particular: Sequence[int]
+    rows: Sequence[Mapping[int, int]], decided: Sequence[int], shifts: Sequence[int], particular: Sequence[int]
 ) -> tuple[int, ...]:
     """The balanced representative of the solutions x of row_j . x = -s_j, from the kernel's lattice.
 
-    `rows` hold (column, value) pairs over `len(particular)` columns, row j
-    decides column decided[j] (see `_lattice_index`), and `particular` is
+    `rows` map columns below `len(particular)` to their nonzero entries, row
+    j decides column decided[j] (see `_lattice_index`), and `particular` is
     one solution.  The kernel is the graph of the lattice L on the other
-    columns; its basis is `_lattice_basis` lifted by `_graph`, and its
-    Hermite form reduces `particular`.  Raises CertificateError unless the
-    lifted rows are in the kernel, their free part B is upper triangular
+    columns: each vector of `_lattice_basis`, set on those columns, gets its
+    decided coordinates by substitution with right side 0, and the Hermite
+    form of these rows reduces `particular`.  Raises CertificateError unless
+    the lifted rows are in the kernel, their free part B is upper triangular
     with a positive diagonal whose product is [Z^F : L], and `particular`
     solves every row.
     """
@@ -637,28 +617,30 @@ def _canonical_solution(
     decided_set = set(decided)
     free = [t for t in range(width) if t not in decided_set]
     position = {t: k for k, t in enumerate(free)}
-    forms = []
-    for row, t in zip(rows, decided):
-        p = abs(dict(row)[t])
-        if p > 1:
-            forms.append(({position[c]: v for c, v in row if c in position}, p))
-    kernel = _graph(_lattice_basis(forms, len(free)), free, rows, decided, width)
-    for k, x in enumerate(kernel):
-        if any(sum(v * x[c] for c, v in row) for row in rows):
-            raise CertificateError(f"lifted lattice basis row {k} is not in the kernel of the ladder core")
+    forms = [({position[c]: v for c, v in row.items() if c in position}, abs(row[t])) for row, t in zip(rows, decided)]
+    forms = [(f, p) for f, p in forms if p > 1]
+    zeros = [0] * len(rows)
+    kernel = []
     diagonal = 1
-    for k, x in enumerate(kernel):
-        if x[free[k]] <= 0 or any(x[t] for t in free[:k]):
+    for k, b in enumerate(_lattice_basis(forms, len(free))):
+        x = [0] * width
+        for t, v in zip(free, b):
+            x[t] = v
+        _substitute(x, rows, decided, zeros)
+        if any(sum(v * x[c] for c, v in row.items()) for row in rows):
+            raise CertificateError(f"lifted lattice basis row {k} is not in the kernel of the ladder core")
+        if b[k] <= 0 or any(b[:k]):
             raise CertificateError("the lattice basis is not upper triangular with a positive diagonal")
-        diagonal *= x[free[k]]
+        diagonal *= b[k]
+        kernel.append(x)
     index = _lattice_index(rows, decided)
     if diagonal != index:
         raise CertificateError(f"the lattice basis has index {diagonal}, the congruences {index}")
     for j, (row, s) in enumerate(zip(rows, shifts)):
-        if sum(v * particular[c] for c, v in row) != -s:
+        if sum(v * particular[c] for c, v in row.items()) != -s:
             raise CertificateError(f"the particular solution fails ladder core row {j}")
     h, _ = hnf(IntMatrix(tuple(map(tuple, kernel))))
-    return reduce_mod_lattice(particular, h, balanced=True)
+    return reduce_mod_lattice(particular, h)
 
 
 def simulate(inst: LadderInstance) -> SimulationReport:
@@ -677,14 +659,22 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     with weights p^n telescope to the block identity for sum_n p^n delta(g_n)
     plus -p^{t_i} delta(y_{t_i}), which is 0 mod p^{t_i}.
 
+    Each row decides one column: in subcase i row n holds p_n on its top
+    column y_{n+1}, which no other row holds; in subcase ii it holds -1 on
+    y_n; and each label's pivot row (below) holds +1 on its label column.
+    The particular solution, the kernel lift and the label lift are
+    substitution along those columns: `_substitute` takes rows in order and
+    sets each one's decided coordinate from the others by one division.
+
     W c = -s always has an integer solution, even with every z and g
     coordinate 0, because each level solves its own rows on its own y
     columns.  In subcase i, row n reads p_n y_{n+1} - y_0 = -s_n, so y_0
     must be s_n mod p_n for every n; the level's primes are distinct, so
-    the Chinese remainder theorem gives such a y_0, and then every y_{n+1}
-    by exact division.  In subcase ii, row n reads p y_{n+1} - y_n = -s_n:
-    with y_top = 0, back substitution gives every y_n.  `_particular` builds
-    this solution, so no solver is asked whether one exists.
+    the Chinese remainder theorem gives such a y_0, and substitution every
+    y_{n+1}.  In subcase ii, row n reads p y_{n+1} - y_n = -s_n: with
+    y_top = 0, substitution from the top row down gives every y_n.
+    `_particular` builds this solution, so no solver is asked whether one
+    exists.
 
     Only the coupled core of W is solved: the label columns are eliminated
     first and lifted after, the step of structured Gaussian elimination
@@ -693,28 +683,29 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     entry.  The first row i with label g is g's pivot row, and every later
     row k with label g becomes the core row W_k - W_i, zero on every label
     column, with shift s_k - s_i.  So W c = -s holds exactly when the core
-    rows hold on the y and z coordinates and c_g = -s_i - sum_t W_it c_t
-    over the y and z entries of each pivot row i.  An L x m ladder whose
-    levels share their labels leaves (L - 1) m core rows, an independent
-    ladder none.  The core also drops its zero columns, such as the y and z
-    columns of levels whose rows are all pivot rows.
+    rows hold on the y and z coordinates and each pivot row i then decides
+    c_g = -s_i - sum_t W_it c_t over its y and z entries.  An L x m ladder
+    whose levels share their labels leaves (L - 1) m core rows, an
+    independent ladder none.  The core also drops its zero columns, such as
+    the y and z columns of levels whose rows are all pivot rows.
 
-    Each core row decides one column of its own, so the core's kernel is
-    the graph of a lattice and needs no general solver either (Cohen, GTM
-    138, 2.4, for Hermite forms of Z-modules).  In subcase i the core row
-    W_k - W_i holds p_k on the top column y_{n+1} of row k, which no other
-    row of W holds, since a core row is never a pivot row.  The kernel is
-    then the graph of L = {x : row_j . x = 0 mod p_j} on the F other
-    columns: each x in L takes one integer value on the decided columns.
-    `_lattice_basis` builds an upper triangular basis B of L by one index-p
-    step per core row, and `_graph` lifts it by exact division.  In subcase
-    ii a core row can hold -(1 + p) on y_n, when the label's pivot row is
-    the row just below it, so there the label columns are eliminated only
-    where no other row holds them.  The rows whose label another row shares
-    are solved as they stand, each level's top row first, each deciding its
-    y_n by the -1 there; their decided block is unit triangular, so L = Z^F
-    and B = I.  Solving all of W instead would carry every label that only
-    one row holds into the kernel basis and its Hermite form.
+    Each core row decides one column of its own too, so the core's kernel
+    is the graph of a lattice and needs no general solver either (Cohen,
+    GTM 138, 2.4, for Hermite forms of Z-modules).  In subcase i the core
+    row W_k - W_i still decides the top column y_{n+1} of row k, which no
+    other row of W holds, since a core row is never a pivot row.  The
+    kernel is then the graph of L = {x : row_j . x = 0 mod p_j} on the F
+    other columns: each x in L takes one integer value on the decided
+    columns.  `_lattice_basis` builds an upper triangular basis B of L by
+    one index-p step per core row, and substitution with right side 0
+    lifts it.  In subcase ii a core row can hold -(1 + p) on y_n, when the
+    label's pivot row is the row just below it, so there the label columns
+    are eliminated only where no other row holds them.  The rows whose label
+    another row shares are solved as they stand, each level's top row
+    first, each deciding its y_n by the -1 there; their decided block is
+    unit triangular, so L = Z^F and B = I.  Solving all of W instead would
+    carry every label that only one row holds into the kernel basis and its
+    Hermite form.
 
     The lifted rows K span the whole kernel, which `_canonical_solution`
     certifies before it uses them (each check raises CertificateError, also
@@ -752,10 +743,12 @@ def simulate(inst: LadderInstance) -> SimulationReport:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
     if inst.subcase == "ii":
-        thresholds = threshold_exponents(inst.p, inst.r, inst.i_max)
+        # each level holds t_{i_max} labels, which bounds this work; with no
+        # level nothing reads the thresholds, and t_{i_max} can be out of reach
+        thresholds = threshold_exponents(inst.p, inst.r, inst.i_max if inst.levels else 0)
         n_rel_of = lambda lv: thresholds[-1]
         # block_of[n]: the power block i with t_{i-1} <= n < t_i
-        block_of = [i for i in range(1, inst.i_max + 1) for _ in range(thresholds[i - 1], thresholds[i])]
+        block_of = [i for i in range(1, len(thresholds)) for _ in range(thresholds[i - 1], thresholds[i])]
     else:
         n_rel_of = lambda lv: len(lv.primes)
 
@@ -763,7 +756,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     index = {g: i for i, g in enumerate(names)}
     levels = sorted(inst.levels, key=lambda l: l.alpha)
     row_tables = []  # the table of each row, read again by that row's query
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []  # each row's nonzero entries by column
     shifts: list[int] = []
     decides: list[int] = []  # the y column each row decides: p_n on y_{n+1} in subcase i, -1 on y_n in ii
     labels: list[int] = []
@@ -771,58 +764,57 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     for lv in levels:
         n_rel = n_rel_of(lv)
         for n in range(n_rel):
-            row = [0] * len(names)
             if inst.subcase == "i":
                 prime = lv.primes[n]
                 decides.append(index[f"y:{lv.alpha}:{n + 1}"])
-                row[decides[-1]] += prime
-                row[index[f"y:{lv.alpha}:0"]] -= 1
+                row = {decides[-1]: prime, index[f"y:{lv.alpha}:0"]: -1}
                 tab = prime_table(prime, tuple(lv.mu[k][n] for k in range(inst.r)))
                 shift = tab.shift[lv.colors[n]]
             else:
-                row[index[f"y:{lv.alpha}:{n + 1}"]] += inst.p
                 decides.append(index[f"y:{lv.alpha}:{n}"])
-                row[decides[-1]] -= 1
+                row = {index[f"y:{lv.alpha}:{n + 1}"]: inst.p, decides[-1]: -1}
                 block = block_of[n]
                 tab = power_table(inst.p, block, thresholds, lv.mu)
                 shift = tab.digits[lv.colors[block - 1]][n - thresholds[block - 1]]
             row_tables.append(tab)
             for k in range(inst.r):
-                row[index[f"z:{lv.alpha}:{k + 1}"]] -= lv.mu[k][n]
+                if lv.mu[k][n]:
+                    row[index[f"z:{lv.alpha}:{k + 1}"]] = -lv.mu[k][n]
             g = index[f"g:{lv.g_labels[n]}"]
-            row[g] += 1
+            row[g] = 1
             labels.append(g)
             pivot_of.setdefault(g, len(rows))
             rows.append(row)
             shifts.append(shift)
 
-    # every entry is already an int, so skip the conversion in from_rows
-    w = IntMatrix(tuple(map(tuple, rows)))
-    w_rows = _sparse_rows(w.entries)
     later = [(k, pivot_of[g]) for k, g in enumerate(labels) if pivot_of[g] != k]
     if inst.subcase == "i":
-        # (row, shift, decided column) of each later row less its label's pivot row
-        core = [([v - x for v, x in zip(rows[k], rows[i])], shifts[k] - shifts[i], decides[k]) for k, i in later]
+        # (row, shift, decided column) of each later row less its label's pivot row, zeros dropped
+        core = []
+        for k, i in later:
+            row = {t: rows[k].get(t, 0) - rows[i].get(t, 0) for t in rows[k].keys() | rows[i].keys()}
+            core.append(({t: v for t, v in row.items() if v}, shifts[k] - shifts[i], decides[k]))
     else:
         # every row whose label another row shares, each level's top row first
         shared = {labels[k] for k, _ in later}
         core = [(rows[k], shifts[k], decides[k]) for k in reversed(range(len(rows))) if labels[k] in shared]
-    c_vec = [0] * w.cols
+    c_vec = [0] * len(index)
     if core:
-        sparse = _sparse_rows([row for row, _, _ in core])
-        cols = sorted({t for row in sparse for t, _ in row})
+        cols = sorted({t for row, _, _ in core for t in row})
         position = {t: j for j, t in enumerate(cols)}
-        particular = _particular(inst, levels, index, shifts)
+        particular = _particular(inst, levels, index, rows, decides, shifts)
         solution = _canonical_solution(
-            [[(position[t], v) for t, v in row] for row in sparse],
+            [{position[t]: v for t, v in row.items()} for row, _, _ in core],
             [position[t] for _, _, t in core],
             [s for _, s, _ in core],
             [particular[t] for t in cols],
         )
         for t, v in zip(cols, solution):
             c_vec[t] = v
-    _lift(c_vec, pivot_of, w_rows, shifts)
-    splitting_ok = all(sum(v * c_vec[t] for t, v in row) == -s for row, s in zip(w_rows, shifts))
+    # each label's pivot row decides its label column by the +1 there
+    pivots = list(pivot_of.values())
+    _substitute(c_vec, [rows[i] for i in pivots], list(pivot_of), [-shifts[i] for i in pivots])
+    splitting_ok = all(sum(v * c_vec[t] for t, v in row.items()) == -s for row, s in zip(rows, shifts))
 
     delta = {g: -c_vec[index[g]] for g in names}
 
@@ -878,9 +870,14 @@ def simulate(inst: LadderInstance) -> SimulationReport:
             LevelReport(alpha=lv.alpha, n0=n0, queries=tuple(queries), delta_y0=d_y0, delta_z=d_z)
         )
 
+    dense = [[0] * len(index) for _ in rows]
+    for out, row in zip(dense, rows):
+        for t, v in row.items():
+            out[t] = v
     chain = ChainState(
         generators=tuple(names),
-        relations=w,
+        # every entry is already an int, so skip the conversion in from_rows
+        relations=IntMatrix(tuple(map(tuple, dense))),
         shift_coefficients=tuple(shifts),
         splitting={g: c_vec[index[g]] for g in names},
     )

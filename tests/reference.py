@@ -70,7 +70,7 @@ def core_splitting(a: IntMatrix, shifts) -> tuple[IntMatrix, tuple[int, ...]]:
     """
     sols = integer_solutions(a, [-s for s in shifts])
     kh, _ = hnf(sols.kernel)
-    return kh, reduce_mod_lattice(sols.solution, kh, balanced=True)
+    return kh, reduce_mod_lattice(sols.solution, kh)
 
 
 def whole_splitting(w: IntMatrix, shifts) -> tuple[int, ...]:

@@ -1,6 +1,10 @@
 """CLI dispatch: exit codes, byte stability, certificate round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +309,34 @@ def test_unif_sim_cli(tmp_path, capsys):
     assert level["n0"] == 0
     assert all(q["match"] for q in level["queries"])
     assert doc["report"]["checks"] == {"projection_splitting_identity": True}
+
+
+@pytest.mark.parametrize(
+    "levels,code",
+    [
+        pytest.param({"40": {"ladder": [3], "colors": [1], "g": ["a0"]}}, 2, id="one-label"),
+        pytest.param({}, 0, id="no-level"),
+    ],
+)
+def test_unif_sim_answers_before_an_unreachable_threshold(tmp_path, levels, code):
+    # t_8 at p = 2 is out of reach (t_7 = 74218, and t_i grows about fivefold
+    # a step), so the run must decide without it: one label is short of t_1
+    # already, and no level reads the thresholds at all
+    inst = {"schema": "lamsys/1", "subcase": "ii", "r": 0, "p": 2, "i_max": 8, "levels": levels}
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lamsys.cli", "unif-sim", "--instance", write(tmp_path, "inst.json", inst)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "needs at least 4 base elements, got 1" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["report"]["levels"] == []
 
 
 def test_unif_sim_certificate_reverifies_from_json(tmp_path, capsys):

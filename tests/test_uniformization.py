@@ -332,9 +332,9 @@ def test_simulate_reports_a_splitting_off_the_solution(monkeypatch, tmp_path, ca
     assert simulate(inst).checks == {"projection_splitting_identity": True}
     reduce = uniformization.reduce_mod_lattice
 
-    def off_kernel(v, h, balanced=False):
+    def off_kernel(v, h):
         # add e_0, the y_0 column of level 40, which the core row has as +1
-        c = reduce(v, h, balanced)
+        c = reduce(v, h)
         return (c[0] + 1,) + c[1:]
 
     monkeypatch.setattr(uniformization, "reduce_mod_lattice", off_kernel)
@@ -358,15 +358,20 @@ def test_simulate_reports_a_lifted_splitting_off_the_solution(monkeypatch, tmp_p
 
     inst = spec_case_i_instance()
     assert simulate(inst).checks == {"projection_splitting_identity": True}
-    lift = uniformization._lift
+    substitute = uniformization._substitute
+    lifted = []
 
-    def off_by_one(c, pivot_of, rows, shifts):
-        # every g coordinate is lifted from its pivot row; move the first label's off its row
-        lift(c, pivot_of, rows, shifts)
-        c[next(iter(pivot_of))] += 1
+    def off_by_one(x, rows, decided, rhs):
+        # an independent ladder substitutes only to lift each label from its
+        # pivot row; move the first label's coordinate off its row
+        substitute(x, rows, decided, rhs)
+        x[decided[0]] += 1
+        lifted.append(decided)
 
-    monkeypatch.setattr(uniformization, "_lift", off_by_one)
+    monkeypatch.setattr(uniformization, "_substitute", off_by_one)
     report = simulate(inst)
+    [decided] = lifted
+    assert all(report.chain.generators[t].startswith("g:") for t in decided)
     assert report.checks == {"projection_splitting_identity": False}
     assert not report.ok
     path = tmp_path / "inst.json"
@@ -682,7 +687,7 @@ def test_shared_ladder_core_drops_a_level_and_every_zero_column(monkeypatch, r):
         assert simulate(_shared_ladder(rng, "i", r, n_levels, m)).ok
         [(rows, _, _, particular)] = calls
         assert len(rows) == (n_levels - 1) * m
-        assert {t for row in rows for t, _ in row} == set(range(len(particular)))
+        assert {t for row in rows for t in row} == set(range(len(particular)))
     # on mixed labels every row but each label's first reaches the solve in
     # subcase i, and in subcase ii every row whose label another row shares
     for subcase in ("i", "ii"):
@@ -695,7 +700,7 @@ def test_shared_ladder_core_drops_a_level_and_every_zero_column(monkeypatch, r):
             assert len(calls) == (n_core > 0)
             for rows, _, _, particular in calls:
                 assert len(rows) == (n_core if subcase == "i" else _shared_rows(chain))
-                assert {t for row in rows for t, _ in row} == set(range(len(particular)))
+                assert {t for row in rows for t in row} == set(range(len(particular)))
 
 
 def _kernel_agrees(monkeypatch, inst):
@@ -714,7 +719,7 @@ def _kernel_agrees(monkeypatch, inst):
     assert report.ok
     [(rows, decided, shifts, particular)] = calls
     [(h, _)] = forms
-    a = IntMatrix(tuple(tuple(dict(row).get(t, 0) for t in range(len(particular))) for row in rows))
+    a = IntMatrix(tuple(tuple(row.get(t, 0) for t in range(len(particular))) for row in rows))
     kh, expected = core_splitting(a, shifts)
     assert h == kh
     assert uniformization._canonical_solution(rows, decided, shifts, particular) == expected
@@ -736,6 +741,30 @@ def test_core_kernel_agrees_with_the_generic_solve(monkeypatch):
                 if len(set(labels)) < len(labels):
                     _kernel_agrees(monkeypatch, inst)
                     drawn += 1
+
+
+@pytest.mark.parametrize("subcase", ("i", "ii"))
+@pytest.mark.parametrize("r", (0, 1))
+def test_particular_solution_satisfies_every_row_of_w(subcase, r):
+    """`_particular` solves all of W c = -s; the solve checks it on the core rows only."""
+    from lamsys import uniformization
+
+    shared = _shared_ladder(random.Random(f"particular/{subcase}/{r}"), subcase, r, 3, 4)
+    independent = dataclasses.replace(
+        shared,
+        levels=tuple(dataclasses.replace(lv, g_labels=tuple(f"{lv.alpha}{g}" for g in lv.g_labels)) for lv in shared.levels),
+    )
+    for inst in (independent, shared, _repeat_and_skip(shared)):
+        chain = simulate(inst).chain
+        names = chain.generators
+        rows = [{t: v for t, v in enumerate(row) if v} for row in chain.relations.entries]
+        # the y column each row decides: p_n on y_{n+1} in subcase i, -1 on y_n in subcase ii
+        decided = [next(t for t, v in row.items() if names[t].startswith("y:") and (v == -1) == (subcase == "ii")) for row in rows]
+        levels = sorted(inst.levels, key=lambda lv: lv.alpha)
+        index = {g: t for t, g in enumerate(names)}
+        c = uniformization._particular(inst, levels, index, rows, decided, chain.shift_coefficients)
+        assert [sum(v * c[t] for t, v in row.items()) for row in rows] == [-s for s in chain.shift_coefficients]
+        assert all(c[t] == 0 for t, g in enumerate(names) if not g.startswith("y:"))
 
 
 def test_shared_32x8_ladder_splits():
