@@ -4,12 +4,11 @@ A family is free when it has a transversal (an injective choice of one
 element per set).  `find_transversal` decides this by augmenting-path
 matching and, on failure, extracts a violating index set whose union is
 smaller than itself, which by Hall's theorem is the exact dual witness.
-`k_free_check` asks the same of every subfamily below a size bound: it
-finds a smallest violator by an exact search over small atom sets, confined
-to the deficient part of one maximum matching.  `find_reshuffling` decides
-whether the finals have a well-order that keeps every set "fresh" relative
-to its predecessors and puts the finals at or below a cutoff on the first
-coordinate first.  It peels the
+`k_free_check` asks the same of every subfamily below a size bound, using
+the deficiency structure of one maximum matching instead of enumerating
+subsets.  `find_reshuffling` decides whether the finals have a well-order
+that keeps every set "fresh" relative to its predecessors and puts the
+finals at or below a cutoff on the first coordinate first.  It peels the
 order off from its end, as in the core peeling of a hypergraph whose
 vertices are atoms and whose edges are finals (Molloy, "Cores in random
 hypergraphs and Boolean formulas", Random Struct. Algorithms 27 (2005)
@@ -96,14 +95,14 @@ def _max_matching(sets: list[frozenset]):
     return match_of_set, match_of_atom
 
 
-def _reachable_violator(sets, match_of_set, match_of_atom, starts) -> frozenset[int]:
-    """Alternating-reachability closure of unmatched set indices.
+def _reachable_violator(sets, match_of_set, match_of_atom, start: int) -> frozenset[int]:
+    """Alternating-reachability closure of an unmatched set index.
 
     Every atom adjacent to the closure is matched into it, so the closure has
-    as many more sets than its union has atoms as it has starts.
+    exactly one more set than its union has atoms.
     """
-    frontier = list(starts)
-    reached = set(frontier)
+    frontier = [start]
+    reached = {start}
     while frontier:
         nxt = []
         for i in frontier:
@@ -116,39 +115,6 @@ def _reachable_violator(sets, match_of_set, match_of_atom, starts) -> frozenset[
     return frozenset(reached)
 
 
-def _smallest_violator(sets, indices, bound: int) -> frozenset[int] | None:
-    """The first |U| + 1 of `indices` inside a least atom set U that holds more
-    than |U| of them, searched up to |U| <= bound; None if there is none.
-
-    A least U is the union of the sets inside it, and connected: its
-    components split the count, so one of them would hold more sets than
-    atoms.  So U is reached by growing a union from one set, adding a set
-    that meets it, without passing the bound, which drops below each U found.
-    """
-    candidates = [i for i in sorted(indices) if len(sets[i]) <= bound]
-    holders: dict[Atom, list[int]] = {}
-    for i in candidates:
-        for a in sets[i]:
-            holders.setdefault(a, []).append(i)
-    best: frozenset[int] | None = None
-    seen: set[frozenset] = set()
-    for i in candidates:
-        stack = [sets[i]]
-        while stack:
-            union = stack.pop()
-            if union in seen or len(union) > bound:
-                continue
-            seen.add(union)
-            meeting = sorted({j for a in union for j in holders[a]})
-            inside = [j for j in meeting if sets[j] <= union]
-            if len(inside) > len(union):
-                best = frozenset(inside[: len(union) + 1])
-                bound = len(union) - 1
-                continue
-            stack.extend(grown for j in meeting if len(grown := union | sets[j]) <= bound)
-    return best
-
-
 def find_transversal(family):
     """A verified Transversal, or a verified HallCertificate when none exists."""
     sets = _normalize(family)
@@ -159,41 +125,41 @@ def find_transversal(family):
             raise CertificateError("transversal fails its own check")
         return t
     unmatched = min(i for i in range(len(sets)) if i not in match_of_set)
-    cert = HallCertificate(_reachable_violator(sets, match_of_set, match_of_atom, [unmatched]))
+    cert = HallCertificate(_reachable_violator(sets, match_of_set, match_of_atom, unmatched))
     if not cert.verify(sets):
         raise CertificateError("Hall certificate fails its own check")
     return cert
 
 
 def k_free_check(family, k: int):
-    """A smallest Hall violator as a certificate when it has size < k, else 'pass'.
+    """The smallest alternating closure of size < k as a Hall certificate, else 'pass'.
 
-    A violator of m sets has a union of at most m - 1 atoms, so the smallest
-    violator size is 1 + the least |U| over atom sets U that hold more than
-    |U| sets, and |U| + 1 of those sets form a smallest violator.  Only the
-    alternating closure D of the sets one maximum matching leaves unmatched
-    is searched: the sets outside D are matched to atoms no set of D holds,
-    so a violator keeps its violation when cut down to D.  The search over U
-    is exact, and its cost can grow exponentially in k; no polynomial method
-    is known for a smallest Hall violator.  A returned certificate is
-    verified before it is returned.
+    It takes one maximum matching and, for each index the matching leaves
+    unmatched, the indices reachable from it by alternating paths.  Each
+    such closure is a Hall violator, so a returned certificate is a true
+    violator of size < k, and it is verified before it is returned.  A
+    'pass' can be wrong: a minimum violator need not be one of these
+    closures.  In [{a}, {a, b}, {b}, {b}] the violator {2, 3} has size 2,
+    but the matching 0-a, 1-b leaves the closures {0, 1, 2} and {0, 1, 3},
+    so k = 3 gives 'pass'.  An exact search for a minimum violator is still
+    to be written.
     """
     sets = _normalize(family)
     if not (0 <= k <= len(sets) + 1):
         raise ValueError(f"k must be at most family size + 1 = {len(sets) + 1}")
     match_of_set, match_of_atom = _max_matching(sets)
-    unmatched = [i for i in range(len(sets)) if i not in match_of_set]
-    if not unmatched or k < 2:
+    best: HallCertificate | None = None
+    for i in range(len(sets)):
+        if i in match_of_set:
+            continue
+        violator = _reachable_violator(sets, match_of_set, match_of_atom, i)
+        if best is None or len(violator) < len(best.violator):
+            best = HallCertificate(violator)
+    if best is None or len(best.violator) >= k:
         return "pass"
-    deficient = _reachable_violator(sets, match_of_set, match_of_atom, unmatched)
-    empty = [i for i in sorted(deficient) if not sets[i]]
-    violator = frozenset(empty[:1]) if empty else _smallest_violator(sets, deficient, k - 2)
-    if violator is None:
-        return "pass"
-    cert = HallCertificate(violator)
-    if not cert.verify(sets) or len(violator) >= k:
+    if not best.verify(sets):
         raise CertificateError("Hall certificate fails its own check")
-    return cert
+    return best
 
 
 @dataclass(frozen=True)
