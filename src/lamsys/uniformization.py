@@ -388,6 +388,17 @@ class LadderInstance:
     i_max: int | None = None
 
 
+def _reachable_thresholds(inst: LadderInstance) -> tuple[int, ...]:
+    """t_0, ..., t_{i_max}, cut after the first t_i above every level's label count (t_0 alone with no level)."""
+    # each level needs t_{i_max} labels, so a cut instance is invalid; t_i
+    # grows about fivefold a step, so this stays near the labels supplied
+    longest = max((len(lv.g_labels) for lv in inst.levels), default=-1)
+    thresholds = (0,)
+    while len(thresholds) <= inst.i_max and thresholds[-1] <= longest:
+        thresholds = threshold_exponents(inst.p, inst.r, len(thresholds))
+    return thresholds
+
+
 def validate_instance(inst: LadderInstance) -> list[str]:
     out = []
     if inst.subcase not in ("i", "ii"):
@@ -400,15 +411,9 @@ def validate_instance(inst: LadderInstance) -> list[str]:
             out.append("subcase ii needs i_max >= 1")
         if out:
             return out
-        # t_i grows about fivefold a step, and each step costs more than all
-        # before it, so stop at the first t_i above every level's label count:
-        # then every level lacks labels, whatever t_{i_max} is
-        longest = max((len(lv.g_labels) for lv in inst.levels), default=0)
-        for i in range(1, inst.i_max + 1):
-            n_rel = threshold_exponents(inst.p, inst.r, i)[-1]
-            if n_rel > longest:
-                break
-        need = str(n_rel) if i == inst.i_max else f"at least {n_rel}"
+        thresholds = _reachable_thresholds(inst)
+        n_rel = thresholds[-1]
+        need = str(n_rel) if len(thresholds) > inst.i_max else f"at least {n_rel}"
     alphas = [lv.alpha for lv in inst.levels]
     if len(set(alphas)) != len(alphas):
         out.append("duplicate limit levels")
@@ -515,17 +520,16 @@ def _particular(inst: LadderInstance, levels, index: Mapping[str, int], rows, de
     y_n = p y_{n+1} + s_n.
     """
     c = [0] * len(index)
-    step, start = -1, 0  # subcase ii substitutes from the top row down
+    order = slice(None) if inst.subcase == "i" else slice(None, None, -1)  # subcase ii: from the top row down
     if inst.subcase == "i":
-        step = 1
+        rest = iter(shifts)  # zip takes one shift per prime, so each level takes its own rows' shifts
         for lv in levels:
             y0, modulus = 0, 1
-            for p, sn in zip(lv.primes, shifts[start:start + len(lv.primes)]):
+            for p, sn in zip(lv.primes, rest):
                 y0 += modulus * ((sn - y0) * pow(modulus, -1, p) % p)
                 modulus *= p
             c[index[f"y:{lv.alpha}:0"]] = y0
-            start += len(lv.primes)
-    _substitute(c, rows[::step], decided[::step], [-s for s in shifts[::step]])
+    _substitute(c, rows[order], decided[order], [-s for s in shifts[order]])
     return c
 
 
@@ -743,9 +747,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
     if inst.subcase == "ii":
-        # each level holds t_{i_max} labels, which bounds this work; with no
-        # level nothing reads the thresholds, and t_{i_max} can be out of reach
-        thresholds = threshold_exponents(inst.p, inst.r, inst.i_max if inst.levels else 0)
+        thresholds = _reachable_thresholds(inst)
         n_rel_of = lambda lv: thresholds[-1]
         # block_of[n]: the power block i with t_{i-1} <= n < t_i
         block_of = [i for i in range(1, len(thresholds)) for _ in range(thresholds[i - 1], thresholds[i])]
