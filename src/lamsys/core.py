@@ -37,7 +37,7 @@ def node_key(node: Node) -> str:
 def parse_node_key(key: str) -> Node:
     if key == "":
         return ROOT
-    return tuple(int(part) for part in key.split("."))
+    return tuple(map(int, key.split(".")))
 
 
 def is_prefix(a: Node, b: Node) -> bool:
@@ -45,18 +45,17 @@ def is_prefix(a: Node, b: Node) -> bool:
 
 
 def lex_compare(a: Node, b: Node) -> int:
-    """-1, 0, or 1: proper prefixes come first, then first-disagreement order."""
+    """-1, 0, or 1: proper prefixes come first, then first-disagreement order.
+
+    This is Python's own comparison of int tuples, so nodes are sorted with
+    plain `sorted`; this function is the definition that tests compare with.
+    """
     for x, y in zip(a, b):
         if x != y:
             return -1 if x < y else 1
     if len(a) == len(b):
         return 0
     return -1 if len(a) < len(b) else 1
-
-
-def lex_key(node: Node):
-    # proper prefixes sort first; at a disagreement the coordinate decides
-    return tuple((0, v) for v in node) + ((-1, 0),)
 
 
 def atom_sort_key(a: Atom):
@@ -108,13 +107,7 @@ class SystemSkeleton:
     largeness: str = "nonempty"
 
     def sorted_nodes(self) -> list[Node]:
-        return sorted(self.nodes, key=lex_key)
-
-    def children(self, node: Node) -> list[Node]:
-        return sorted(
-            (n for n in self.nodes if len(n) == len(node) + 1 and n[: len(node)] == node),
-            key=lex_key,
-        )
+        return sorted(self.nodes)
 
     @cached_property
     def _parents(self) -> frozenset[Node]:
@@ -124,7 +117,7 @@ class SystemSkeleton:
         return node not in self._parents
 
     def finals(self) -> list[Node]:
-        return sorted((n for n in self.nodes if self.is_final(n)), key=lex_key)
+        return sorted(self.nodes - self._parents)
 
 
 def make_skeleton(
@@ -150,7 +143,8 @@ def validate_system(sys_: SystemSkeleton) -> list[Violation]:
     if ROOT not in nodes:
         out.append(Violation("root-missing", None, "the empty sequence must be a node"))
         return out
-    for n in sorted(nodes, key=lex_key):
+    ordered = sorted(nodes)
+    for n in ordered:
         if n != ROOT and n[:-1] not in nodes:
             out.append(Violation("prefix-closed", n, "parent node missing"))
         if n not in sys_.level:
@@ -159,10 +153,9 @@ def validate_system(sys_: SystemSkeleton) -> list[Violation]:
         return out
 
     root_level = sys_.level[ROOT]
-    finals = [n for n in nodes if sys_.is_final(n)]
     if not any(sys_.level[n] == 0 for n in nodes):
         out.append(Violation("no-final-node", ROOT, "no final node reachable (no node at level 0)"))
-    for n in sorted(nodes, key=lex_key):
+    for n in ordered:
         lv = sys_.level[n]
         if lv > root_level:
             out.append(Violation("root-level-max", n, f"level {lv} exceeds root level {root_level}"))
@@ -184,7 +177,7 @@ def validate_system(sys_: SystemSkeleton) -> list[Violation]:
     pred = LARGENESS.get(sys_.largeness)
     if pred is None:
         out.append(Violation("largeness-unknown", None, f"no predicate named {sys_.largeness!r}"))
-    for n in sorted(nodes, key=lex_key):
+    for n in ordered:
         final = sys_.is_final(n)
         e = sys_.E.get(n)
         if final:
@@ -202,10 +195,10 @@ def validate_system(sys_: SystemSkeleton) -> list[Violation]:
 
     if sys_.B.get(ROOT, frozenset()):
         out.append(Violation("B-root-empty", ROOT, "carrier at the root must be empty"))
-    for n in sorted(nodes, key=lex_key):
+    for n in ordered:
         if n not in sys_.B:
             out.append(Violation("B-missing", n, "no carrier set assigned"))
-    for n in sorted(nodes, key=lex_key):
+    for n in ordered:
         if sys_.is_final(n):
             continue
         kids = [b for b in sorted(sys_.E.get(n, frozenset())) if n + (b,) in nodes]
@@ -282,10 +275,7 @@ class BasedFamily:
         return frozenset(self.phi.get((final, k), ()))
 
     def s(self, final: Node) -> frozenset[Atom]:
-        out: set[Atom] = set()
-        for k in range(1, len(final) + 1):
-            out |= self.slice_atoms(final, k)
-        return frozenset(out)
+        return frozenset().union(*(self.phi.get((final, k), ()) for k in range(1, len(final) + 1)))
 
     def union_s(self) -> frozenset[Atom]:
         out: set[Atom] = set()
@@ -367,7 +357,7 @@ def derived_system(sys_: SystemSkeleton, fam: BasedFamily, node: Node) -> tuple[
         new_finals.append(nz)
         for k in range(ln + 1, len(z) + 1):
             new_phi[(nz, k - ln)] = fam.phi[(z, k)]
-    new_fam = BasedFamily(new_sys, tuple(sorted(new_finals, key=lex_key)), new_phi, fam.truncation)
+    new_fam = BasedFamily(new_sys, tuple(sorted(new_finals)), new_phi, fam.truncation)
     return new_sys, new_fam
 
 

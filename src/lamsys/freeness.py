@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .abelian import CertificateError
-from .core import Atom, BasedFamily, Node, atom_sort_key, lex_key, node_key
+from .core import Atom, BasedFamily, Node, atom_sort_key, node_key
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ def find_reshuffling(
     the canonical order comes out whenever it is valid.  The cost is
     O(sum |S| + N log N) for N finals.
     """
-    index = sorted(finals if finals is not None else fam.finals, key=lex_key)
+    index = sorted(finals if finals is not None else fam.finals)
     if not index:
         raise ValueError("empty index set")
     sets = [fam.s(z) for z in index]

@@ -206,9 +206,11 @@ def system_to_doc(
     slices = {}
     if fam is not None:
         slices = {key(z): {str(k): fam.phi.get((z, k), ()) for k in range(1, len(z) + 1)} for z in fam.finals}
-    # sort keys and JSON forms once per distinct atom, not once per occurrence
+    # rank and JSON form once per distinct atom, not once per occurrence;
+    # atom_sort_key gives distinct atoms distinct keys, so sorting by rank
+    # is sorting by atom_sort_key
     carrier_atoms = set().union(*carriers)
-    sort_key = {a: atom_sort_key(a) for a in carrier_atoms}
+    rank = {a: i for i, a in enumerate(sorted(carrier_atoms, key=atom_sort_key))}
     as_json = {
         a: atom_to_jsonable(a)
         for a in carrier_atoms.union(*(vals for per_level in slices.values() for vals in per_level.values()))
@@ -219,7 +221,7 @@ def system_to_doc(
         "level": {k: sys_.level[n] for n, k in keys.items()},
         "E": {k: sorted(sys_.E[n]) for n, k in keys.items() if n in sys_.E},
         "B": {
-            k: [as_json[a] for a in sorted(carrier, key=sort_key.__getitem__)]
+            k: [as_json[a] for a in sorted(carrier, key=rank.__getitem__)]
             for k, carrier in zip(keys.values(), carriers)
         },
         "largeness": sys_.largeness,

@@ -34,6 +34,7 @@ reported magnitude threshold n0.
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -245,9 +246,15 @@ def threshold_exponents(p: int, r: int, i_max: int) -> tuple[int, ...]:
     for _ in range(i_max):
         prev = ts[-1]
         lhs = (2 * p ** prev + 1) ** (2 * r + 2) * p ** (2 * prev)
-        d = 1
-        while p ** d <= lhs:
+        # start near log_p(lhs), then step by exact comparisons to the least d
+        d = max(1, int((lhs.bit_length() - 1) / math.log2(p)))
+        power = p ** d
+        while power <= lhs:
+            power *= p
             d += 1
+        while d > 1 and power // p > lhs:
+            power //= p
+            d -= 1
         ts.append(prev + d)
     return tuple(ts)
 
@@ -411,9 +418,14 @@ def validate_instance(inst: LadderInstance) -> list[str]:
             out.append("subcase ii needs i_max >= 1")
         if out:
             return out
-        thresholds = _reachable_thresholds(inst)
-        n_rel = thresholds[-1]
-        need = str(n_rel) if len(thresholds) > inst.i_max else f"at least {n_rel}"
+        # t_1 alone grows with r, so no threshold is computed for an r that
+        # some level does not back with its mu rows
+        if all(len(lv.mu) == inst.r for lv in inst.levels):
+            thresholds = _reachable_thresholds(inst)
+            n_rel = thresholds[-1]
+            need = str(n_rel) if len(thresholds) > inst.i_max else f"at least {n_rel}"
+        else:
+            n_rel = None
     alphas = [lv.alpha for lv in inst.levels]
     if len(set(alphas)) != len(alphas):
         out.append("duplicate limit levels")
@@ -441,11 +453,11 @@ def validate_instance(inst: LadderInstance) -> list[str]:
             if any(len(row) < m for row in lv.mu):
                 out.append(f"{tag}: mu rows shorter than the prime list")
         else:
-            if len(lv.g_labels) != n_rel:
+            if n_rel is not None and len(lv.g_labels) != n_rel:
                 out.append(f"{tag}: needs {need} base elements, got {len(lv.g_labels)}")
             if len(lv.ladder) != inst.i_max or len(lv.colors) != inst.i_max:
                 out.append(f"{tag}: ladder and colors must have length i_max = {inst.i_max}")
-            if any(len(row) < n_rel for row in lv.mu):
+            if n_rel is not None and any(len(row) < n_rel for row in lv.mu):
                 out.append(f"{tag}: mu rows must supply {need} values")
     return out
 

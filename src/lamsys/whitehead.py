@@ -54,7 +54,6 @@ from .core import (
     TransformResult,
     Violation,
     atom_sort_key,
-    lex_key,
     node_key,
     restrict_to_nodes,
     validate_family,
@@ -277,14 +276,14 @@ def enumerate_basis(ws: WhiteheadSystem, order: ReshufflingOrder, alpha: int, be
     """
     window = [z for z in ws.finals() if alpha < z[0] < beta]
     in_i = [z for z in ws.finals() if z[0] < beta]
-    if sorted(order.order, key=lex_key) != sorted(in_i, key=lex_key):
+    if sorted(order.order) != sorted(in_i):
         raise MissingOrderError(
             "order must cover exactly the finals with first coordinate below beta"
         )
     pos = {z: i for i, z in enumerate(order.order)}
     z_part = []
     atom_part: set = set()
-    for z in sorted(window, key=lex_key):
+    for z in sorted(window):
         fresh = {}
         for k in ws.levels(z):
             before = _predecessor_slices(ws, order.order, pos[z], k)

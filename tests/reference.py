@@ -2,8 +2,9 @@
 
 The quadratic scans are what the library ran before it indexed atoms, and
 `system_to_doc` is the document builder that converted every atom of every
-carrier on its own; the differential tests run both and require identical
-results.  The linear
+carrier on its own and orders nodes by `lex_compare` itself; the
+differential tests run both and require identical results.
+`threshold_exponents` is the step loop that tried every d in turn.  The linear
 algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
 brute-force purity search) give the tests an independent second answer.
 `whole_splitting`, `core_splitting` and `basis_generation` are the
@@ -15,6 +16,7 @@ peeling).
 Nothing under `src/` imports this module.
 """
 
+from functools import cmp_to_key
 from itertools import product
 
 from lamsys.abelian import (
@@ -27,7 +29,7 @@ from lamsys.abelian import (
     integer_solutions,
     reduce_mod_lattice,
 )
-from lamsys.core import ROOT, node_key, sorted_atoms
+from lamsys.core import ROOT, lex_compare, node_key, sorted_atoms
 from lamsys.freeness import ReshufflingOrder
 from lamsys.jsonio import SCHEMA, atom_to_jsonable
 
@@ -226,14 +228,15 @@ def tree_carriers(sys_, fam):
 
 def system_to_doc(sys_, fam=None, ws=None) -> dict:
     """jsonio.system_to_doc, sorting and converting every atom where it occurs."""
+    nodes = sorted(sys_.nodes, key=cmp_to_key(lex_compare))
     doc = {
         "schema": SCHEMA,
-        "nodes": [node_key(n) for n in sys_.sorted_nodes()],
-        "level": {node_key(n): sys_.level[n] for n in sys_.sorted_nodes()},
-        "E": {node_key(n): sorted(sys_.E[n]) for n in sys_.sorted_nodes() if n in sys_.E},
+        "nodes": [node_key(n) for n in nodes],
+        "level": {node_key(n): sys_.level[n] for n in nodes},
+        "E": {node_key(n): sorted(sys_.E[n]) for n in nodes if n in sys_.E},
         "B": {
             node_key(n): [atom_to_jsonable(a) for a in sorted_atoms(sys_.B.get(n, frozenset()))]
-            for n in sys_.sorted_nodes()
+            for n in nodes
         },
         "largeness": sys_.largeness,
     }
@@ -254,3 +257,16 @@ def system_to_doc(sys_, fam=None, ws=None) -> dict:
         if ws.strong_order is not None:
             doc["strong"] = ws.strong_order.to_jsonable()
     return doc
+
+
+def threshold_exponents(p: int, r: int, i_max: int) -> tuple[int, ...]:
+    """uniformization.threshold_exponents, trying every d from 1 up."""
+    ts = [0]
+    for _ in range(i_max):
+        prev = ts[-1]
+        lhs = (2 * p ** prev + 1) ** (2 * r + 2) * p ** (2 * prev)
+        d = 1
+        while p ** d <= lhs:
+            d += 1
+        ts.append(prev + d)
+    return tuple(ts)

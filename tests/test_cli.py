@@ -311,6 +311,18 @@ def test_unif_sim_cli(tmp_path, capsys):
     assert doc["report"]["checks"] == {"projection_splitting_identity": True}
 
 
+def run_cli_process(argv):
+    """The CLI in its own process, so that a hang fails the test after 20 s."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "lamsys.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+
+
 @pytest.mark.parametrize(
     "levels,code",
     [
@@ -323,20 +335,31 @@ def test_unif_sim_answers_before_an_unreachable_threshold(tmp_path, levels, code
     # a step), so the run must decide without it: one label is short of t_1
     # already, and no level reads the thresholds at all
     inst = {"schema": "lamsys/1", "subcase": "ii", "r": 0, "p": 2, "i_max": 8, "levels": levels}
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "lamsys.cli", "unif-sim", "--instance", write(tmp_path, "inst.json", inst)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=20,
-    )
+    proc = run_cli_process(["unif-sim", "--instance", write(tmp_path, "inst.json", inst)])
     assert proc.returncode == code, proc.stderr
     if code == 2:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "needs at least 4 base elements, got 1" in proc.stderr
     else:
         assert json.loads(proc.stdout)["report"]["levels"] == []
+
+
+def test_unif_sim_counts_mu_rows_before_any_threshold(tmp_path):
+    # t_1 grows with r, so it must not be computed for an r of 40,000 that
+    # the document backs with no mu row
+    level = {"ladder": [3], "colors": [1], "g": ["a0"]}
+    inst = {"schema": "lamsys/1", "subcase": "ii", "r": 40000, "p": 2, "i_max": 1, "levels": {"40": level}}
+    proc = run_cli_process(["unif-sim", "--instance", write(tmp_path, "inst.json", inst)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: invalid instance: level 40: need 40000 mu rows, got 0\n"
+
+
+def test_unif_table_reaches_t_8():
+    # t_8 = 371093 at p = 2; the table is about 7 MB of JSON
+    proc = run_cli_process(["unif-table", "--p", "2", "--r", "0", "--i", "8"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["thresholds"][-1] == 371093
 
 
 def test_unif_sim_certificate_reverifies_from_json(tmp_path, capsys):

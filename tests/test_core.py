@@ -1,5 +1,6 @@
 """Skeleton validation, heights, derived systems, ordering, and transforms."""
 
+import functools
 import itertools
 
 import pytest
@@ -14,7 +15,6 @@ from lamsys.core import (
     derived_system,
     height,
     lex_compare,
-    lex_key,
     make_family,
     make_skeleton,
     node_key,
@@ -184,13 +184,27 @@ def test_lex_compare_examples():
 
 def test_lex_total_order_bruteforce():
     nodes = [(), (0,), (1,), (0, 0), (0, 2), (1, 1), (2,)]
-    by_key = sorted(nodes, key=lex_key)
+    by_key = sorted(nodes)
     for a, b in itertools.combinations(nodes, 2):
         assert lex_compare(a, b) == -lex_compare(b, a)
         assert (by_key.index(a) < by_key.index(b)) == (lex_compare(a, b) == -1)
     for a, b, c in itertools.permutations(nodes, 3):
         if lex_compare(a, b) == -1 and lex_compare(b, c) == -1:
             assert lex_compare(a, c) == -1
+
+
+@st.composite
+def _node_lists(draw):
+    """Int tuples that share prefixes, with negative coordinates and repeats."""
+    nodes = draw(st.lists(st.lists(st.integers(-3, 3), max_size=4).map(tuple), max_size=12))
+    extended = draw(st.lists(st.sampled_from(nodes), max_size=6)) if nodes else []
+    return nodes + [n[: len(n) // 2] for n in extended] + [n + (draw(st.integers(-3, 3)),) for n in extended]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_lists())
+def test_tuple_order_is_lex_compare(nodes):
+    assert sorted(nodes) == sorted(nodes, key=functools.cmp_to_key(lex_compare))
 
 
 def test_structure_disjoint_carriers_pass():
@@ -336,7 +350,7 @@ def structured_families(draw):
     sys_ = make_skeleton(nodes=nodes, level={n: 0 for n in nodes}, e_map={}, b_map=b_map)
     finals = sys_.finals()
     phi = {(z, k): draw(st.lists(atoms, max_size=4)) for z in finals for k in range(1, len(z) + 1)}
-    inner = sorted(nodes - set(finals), key=lex_key)
+    inner = sorted(nodes - set(finals))
     strays = [(z, 0) for z in finals] + [(z, len(z) + 1) for z in finals] + [(n, 1) for n in inner]
     for key in draw(st.lists(st.sampled_from(strays), max_size=3)):
         phi[key] = draw(st.lists(atoms, max_size=4))

@@ -8,6 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from lamsys.uniformization import (
     IntervalSet,
     LadderInstance,
@@ -176,6 +177,16 @@ def test_threshold_exponents_general_r():
     prev = ts[1]
     lhs = (2 * 2 ** prev + 1) ** 4 * 2 ** (2 * prev)
     assert 2 ** (ts[2] - prev) > lhs >= 2 ** (ts[2] - prev - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_threshold_exponents_agree_with_the_step_loop(p):
+    # from r = 2 on, t_5 runs past 20,000 and the reference's loop, quadratic
+    # in d, past seconds
+    for r in range(4):
+        i_max = 5 if r <= 1 else 4
+        assert threshold_exponents(p, r, i_max) == reference.threshold_exponents(p, r, i_max)
+    assert threshold_exponents(p, 5000, 1) == reference.threshold_exponents(p, 5000, 1)
 
 
 # --- power tables ------------------------------------------------------------
