@@ -59,10 +59,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
+
+from .record import record
 
 
 class DimensionError(RuntimeError):
@@ -77,7 +78,7 @@ class CertificateError(RuntimeError):
     """A computed result failed its own exact re-verification."""
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable dense integer matrix, row major."""
 
@@ -192,7 +193,7 @@ def hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
     return out if vt is None else (*out, IntMatrix(tuple(zip(*vt))))
 
 
-@dataclass(frozen=True)
+@record
 class SmithDecomposition:
     """D = U * A * V with nonnegative divisibility-chained diagonal; U * u_inv = I and V * v_inv = I."""
 
@@ -268,7 +269,7 @@ def _is_diagonal(rows: Sequence[Sequence[int]]) -> bool:
     return not any(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
 
 
-@dataclass(frozen=True)
+@record
 class InfeasibilityCertificate:
     """Rational row vector y with y*A integral but y*b non-integral."""
 
@@ -283,7 +284,7 @@ class InfeasibilityCertificate:
         return sum(self.y[i] * b[i] for i in range(a.rows)).denominator != 1
 
 
-@dataclass(frozen=True)
+@record
 class IntegerSolutions:
     """Every integer solution of a*x = b, with the echelon data that proves it.
 
@@ -589,7 +590,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """Finitely generated abelian group given by named generators and relation rows."""
 
@@ -688,7 +689,7 @@ def rank(p: Presentation) -> int:
     return len(p.generators) - len(invariant_factors(p))
 
 
-@dataclass(frozen=True)
+@record
 class NonfreeSpec:
     """Data for a divisibility-chain group on generators z_0..z_{j_trunc-1}.
 
@@ -745,7 +746,7 @@ def build_chain_group(spec: NonfreeSpec) -> Presentation:
     return Presentation(gens, IntMatrix.from_rows(rows))
 
 
-@dataclass(frozen=True)
+@record
 class DivisibilityStep:
     m: int
     product: int
@@ -755,7 +756,7 @@ class DivisibilityStep:
     verified: bool
 
 
-@dataclass(frozen=True)
+@record
 class DivisibilityReport:
     steps: tuple[DivisibilityStep, ...]
 

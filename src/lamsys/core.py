@@ -19,9 +19,10 @@ survives the JSON round-trip in `jsonio`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+from .record import record
 
 Node = tuple[int, ...]
 Atom = Union[int, str, tuple]
@@ -82,7 +83,7 @@ LARGENESS: dict[str, Callable[[int, frozenset], bool]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     clause: str
     node: Node | None
@@ -96,7 +97,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SystemSkeleton:
     """Prefix-closed node set with levels, child index sets, and carriers."""
 
@@ -262,7 +263,7 @@ def candidate_heights(sys_: SystemSkeleton) -> list[int]:
     return good
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class BasedFamily:
     """Per-final enumerations phi[(final, k)] with ranges inside B(final[:k])."""
 
@@ -361,7 +362,7 @@ def derived_system(sys_: SystemSkeleton, fam: BasedFamily, node: Node) -> tuple[
     return new_sys, new_fam
 
 
-@dataclass(frozen=True)
+@record
 class StructureReport:
     """Witness lists for the three checkable structure properties.
 
@@ -480,7 +481,7 @@ def check_structure(sys_: SystemSkeleton, fam: BasedFamily) -> StructureReport:
     return StructureReport(tuple(overlap), tuple(alignment), tuple(tree))
 
 
-@dataclass(frozen=True)
+@record
 class TransformResult:
     """Transformed skeleton and family plus the map back to original atoms.
 

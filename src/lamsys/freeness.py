@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .abelian import CertificateError
 from .core import Atom, BasedFamily, Node, atom_sort_key, node_key
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Transversal:
     assignment: Mapping[int, Atom]
 
@@ -42,7 +42,7 @@ class Transversal:
         return all(self.assignment[i] in family[i] for i in range(len(family)))
 
 
-@dataclass(frozen=True)
+@record
 class HallCertificate:
     violator: frozenset[int]
 
@@ -65,7 +65,10 @@ def _max_matching(sets: list[frozenset]):
     Each augmenting search is a depth-first search over an explicit stack, so
     path length is not bounded by the recursion limit.
     """
-    adj = [sorted(s, key=atom_sort_key) for s in sets]
+    # rank each distinct atom once; atom_sort_key gives distinct atoms
+    # distinct keys, so sorting by rank is sorting by atom_sort_key
+    rank = {a: i for i, a in enumerate(sorted(set().union(*sets), key=atom_sort_key))}
+    adj = [sorted(s, key=rank.__getitem__) for s in sets]
     match_of_atom: dict[Atom, int] = {}
     match_of_set: dict[int, Atom] = {}
 
@@ -99,14 +102,15 @@ def _reachable_violator(sets, match_of_set, match_of_atom, start: int) -> frozen
     """Alternating-reachability closure of an unmatched set index.
 
     Every atom adjacent to the closure is matched into it, so the closure has
-    exactly one more set than its union has atoms.
+    exactly one more set than its union has atoms.  The closure is a set,
+    so the order in which atoms are visited does not change it.
     """
     frontier = [start]
     reached = {start}
     while frontier:
         nxt = []
         for i in frontier:
-            for a in sorted(sets[i], key=atom_sort_key):
+            for a in sets[i]:
                 j = match_of_atom.get(a)
                 if j is not None and j not in reached:
                     reached.add(j)
@@ -162,7 +166,7 @@ def k_free_check(family, k: int):
     return best
 
 
-@dataclass(frozen=True)
+@record
 class ReshufflingOrder:
     order: tuple[Node, ...]
     alpha: int
@@ -190,7 +194,7 @@ class ReshufflingOrder:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ReshufflingObstruction:
     """Finals that no reshuffling order can end, so that no order exists.
 
@@ -221,7 +225,7 @@ class ReshufflingObstruction:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ReshufflingResult:
     status: str  # "found" | "none"
     order: ReshufflingOrder | None

@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .abelian import (
@@ -46,6 +45,7 @@ from .abelian import (
     is_prime,
     reduce_mod_lattice,
 )
+from .record import record
 
 
 class ShiftDisjointError(ValueError):
@@ -56,7 +56,7 @@ class TableError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class IntervalSet:
     """Disjoint sorted inclusive segments of residues mod `modulus`."""
 
@@ -181,7 +181,7 @@ def max_magnitude_bound(p: int, r: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
+@record
 class PrimeTable:
     """Two-class residue table mod a prime; class l is shift[l] + Y."""
 
@@ -259,7 +259,7 @@ def threshold_exponents(p: int, r: int, i_max: int) -> tuple[int, ...]:
     return tuple(ts)
 
 
-@dataclass(frozen=True)
+@record
 class PowerTable:
     """Two-class residue table mod p^{t_i}; class-1 shift has digits in [t_{i-1}, t_i)."""
 
@@ -376,7 +376,7 @@ def recode_ladder(alpha: int, values: Sequence[int], ladder: Sequence[int], base
 # --- chain simulation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LadderLevel:
     alpha: int
     ladder: tuple[int, ...]
@@ -386,7 +386,7 @@ class LadderLevel:
     primes: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class LadderInstance:
     subcase: str  # "i" (distinct primes) or "ii" (fixed prime power blocks)
     r: int
@@ -462,7 +462,7 @@ def validate_instance(inst: LadderInstance) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ChainState:
     """Presentation data for the chain stage and its primed extension."""
 
@@ -472,7 +472,7 @@ class ChainState:
     splitting: Mapping[str, int]          # c_x with rho(x) = x' + c_x * e
 
 
-@dataclass(frozen=True)
+@record
 class LevelReport:
     alpha: int
     n0: int
@@ -485,7 +485,7 @@ class LevelReport:
         return all(q["match"] for q in self.queries if q["n"] >= self.n0)
 
 
-@dataclass(frozen=True)
+@record
 class SimulationReport:
     subcase: str
     levels: tuple[LevelReport, ...]

@@ -31,7 +31,6 @@ quotient presentation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .abelian import (
@@ -60,6 +59,7 @@ from .core import (
     validate_system,
 )
 from .freeness import ReshufflingOrder
+from .record import record
 
 
 def atom_name(a: Atom) -> str:
@@ -75,7 +75,7 @@ def z_name(final: Node, j: int) -> str:
     return f"z:{node_key(final)}:{j}"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class WhiteheadSystem:
     system: SystemSkeleton
     family: BasedFamily
@@ -168,7 +168,7 @@ def build_witness_group(ws: WhiteheadSystem) -> Presentation:
     return Presentation(tuple(names), IntMatrix.from_rows(rows))
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     f: Mapping[Atom, int]
     a: Mapping[tuple[Node, int], int]
@@ -243,7 +243,7 @@ def transformed_system(ws: WhiteheadSystem, result: TransformResult) -> Whitehea
 # --- quotient bases ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BasisCandidate:
     z_part: tuple[tuple[Node, int], ...]
     atom_part: tuple[Atom, ...]
@@ -322,7 +322,7 @@ def quotient_presentation(ws: WhiteheadSystem, alpha: int, beta: int) -> Present
     return Presentation(tuple(names), IntMatrix.from_rows(rows))
 
 
-@dataclass(frozen=True)
+@record
 class BasisReport:
     generated: bool
     unit_factors: bool

@@ -1,6 +1,5 @@
 """Exact linear algebra: normal forms, integer solving, chain-group diagnostics."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -37,6 +36,7 @@ from lamsys.abelian import (
     snf,
     solve_z,
 )
+from lamsys.record import replace
 from reference import det, matrix_rank, purity_evidence
 
 small_matrices = st.integers(1, 5).flatmap(
@@ -277,16 +277,16 @@ def corrupted_checks_missed() -> list[str]:
     # kernel rows, so only the echelon order fails
     swapped = (1, 0) + tuple(range(2, a.cols))
     cases = {
-        "Hermite form out of echelon order": dataclasses.replace(
+        "Hermite form out of echelon order": replace(
             good,
             hermite=IntMatrix(tuple(good.hermite.entries[i] for i in swapped)),
             transform=IntMatrix(tuple(good.transform.entries[i] for i in swapped)),
         ),
-        "transform without its last row": dataclasses.replace(good, transform=IntMatrix(good.transform.entries[:-1])),
-        "corrupted transform": dataclasses.replace(good, transform=bad_transform),
-        "non-primitive kernel": dataclasses.replace(good, transform=doubled_kernel),
-        "wrong solution": dataclasses.replace(good, solution=(0, 0, 0, 0)),
-        "wrong certificate": dataclasses.replace(good, solution=InfeasibilityCertificate((Fraction(1, 2), 0))),
+        "transform without its last row": replace(good, transform=IntMatrix(good.transform.entries[:-1])),
+        "corrupted transform": replace(good, transform=bad_transform),
+        "non-primitive kernel": replace(good, transform=doubled_kernel),
+        "wrong solution": replace(good, solution=(0, 0, 0, 0)),
+        "wrong certificate": replace(good, solution=InfeasibilityCertificate((Fraction(1, 2), 0))),
     }
     missed = []
     for name, sols in cases.items():
@@ -339,7 +339,7 @@ def _corrupted_smith_missed(a) -> list[str]:
     }
     missed = []
     for name, (m, fields) in cases.items():
-        abelian.SmithDecomposition = lambda *parts, fields=fields: dataclasses.replace(
+        abelian.SmithDecomposition = lambda *parts, fields=fields: replace(
             SmithDecomposition(*parts), **fields
         )
         try:
@@ -384,13 +384,13 @@ def _corrupted_divisibility_missed() -> list[str]:
     spec = NonfreeSpec(r=1, q=(2, 3, 5, 7), d=((1,), (-2,), (1,), (3,)), j_trunc=6)
 
     def bump_relation(step):
-        return dataclasses.replace(step, combination=(step.combination[0] + 1,) + step.combination[1:])
+        return replace(step, combination=(step.combination[0] + 1,) + step.combination[1:])
 
     def bump_head(step):
-        return dataclasses.replace(step, head_coefficients=(step.head_coefficients[0] - 1,))
+        return replace(step, head_coefficients=(step.head_coefficients[0] - 1,))
 
     def bump_product(step):
-        return dataclasses.replace(step, product=step.product * 2)
+        return replace(step, product=step.product * 2)
 
     cases = {"relation coefficient": bump_relation, "head coefficient": bump_head, "product": bump_product}
     missed = []

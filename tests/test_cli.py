@@ -568,6 +568,21 @@ def test_unif_table_mu_takes_only_integers(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: --mu: expected a list of integers, got ")
 
 
+
+def test_python_m_lamsys_runs_the_cli():
+    argv = ["unif-table", "--p", "11", "--r", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lamsys", *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    from helpers import run_dispatch
+
+    assert (proc.returncode, proc.stdout) == run_dispatch(argv)
+
+
 def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
     # W c = -s and the witness equations always solve, so an answer that says otherwise is at fault
     from lamsys import uniformization, whitehead

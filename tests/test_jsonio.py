@@ -55,9 +55,8 @@ def test_system_family_ws_roundtrip():
 
 
 def test_strong_order_roundtrip():
-    from dataclasses import replace
-
     from lamsys.freeness import find_reshuffling
+    from lamsys.record import replace
 
     rng = random.Random(23)
     ws = random_whitehead_system(rng, n=1, r=0, truncation=3)
@@ -119,6 +118,19 @@ def test_dump_writes_ints_past_the_str_digit_limit():
     with pytest.raises(TypeError):
         jsonio.dump({"n": object()})
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+
+def test_decimal_text_matches_str():
+    switch = jsonio._DECIMAL_BITS
+    rng = random.Random(41)
+    values = [0, 1, -1, 7, -(2 ** 64), 10 ** 4299, 10 ** 4300, 10 ** 4999 + 7, -(10 ** 5000 - 1)]
+    for bits in (switch - 1, switch, switch + 1, 2 * switch + 3, 300_000):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)  # exactly `bits` bits
+        values += [n, -n, 1 << (bits - 1), (1 << bits) - 1]
+    with jsonio._unlimited_digits():
+        for n in values:
+            assert jsonio._decimal_text(n) == str(n), n.bit_length()
 
 
 # --- dump against json.dumps --------------------------------------------------

@@ -1,6 +1,5 @@
 """Residue tables against brute-force enumeration; chain simulation end to end."""
 
-import dataclasses
 import itertools
 import random
 import warnings
@@ -25,6 +24,7 @@ from lamsys.uniformization import (
     threshold_exponents,
     validate_instance,
 )
+from lamsys.record import replace
 
 
 # --- interval sets -----------------------------------------------------------
@@ -636,12 +636,12 @@ def _shared_ladder(rng, subcase, r, n_levels, m=None):
 def _repeat_and_skip(inst):
     """A three-level shared ladder relabelled: level 1 repeats its first label, and w ends levels 1 and 3 only."""
     first, second, third = inst.levels
-    return dataclasses.replace(
+    return replace(
         inst,
         levels=(
-            dataclasses.replace(first, g_labels=first.g_labels[:1] + first.g_labels[:-2] + ("w",)),
+            replace(first, g_labels=first.g_labels[:1] + first.g_labels[:-2] + ("w",)),
             second,
-            dataclasses.replace(third, g_labels=third.g_labels[:-1] + ("w",)),
+            replace(third, g_labels=third.g_labels[:-1] + ("w",)),
         ),
     )
 
@@ -761,9 +761,9 @@ def test_particular_solution_satisfies_every_row_of_w(subcase, r):
     from lamsys import uniformization
 
     shared = _shared_ladder(random.Random(f"particular/{subcase}/{r}"), subcase, r, 3, 4)
-    independent = dataclasses.replace(
+    independent = replace(
         shared,
-        levels=tuple(dataclasses.replace(lv, g_labels=tuple(f"{lv.alpha}{g}" for g in lv.g_labels)) for lv in shared.levels),
+        levels=tuple(replace(lv, g_labels=tuple(f"{lv.alpha}{g}" for g in lv.g_labels)) for lv in shared.levels),
     )
     for inst in (independent, shared, _repeat_and_skip(shared)):
         chain = simulate(inst).chain

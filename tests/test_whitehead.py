@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +11,7 @@ from helpers import random_coloring, random_whitehead_system
 from lamsys.abelian import InfeasibilityCertificate, IntMatrix, is_free, is_prime, rank, solve_z
 from lamsys.core import make_family, make_skeleton, transform_disjoint, transform_tree
 from lamsys.freeness import ReshufflingOrder, find_reshuffling
+from lamsys.record import replace
 from lamsys.whitehead import (
     BasisCandidate,
     MissingOrderError,
