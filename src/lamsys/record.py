@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-_MISSING = object()
-
-
 def record(cls=None, /, *, eq: bool = True):
     """Make `cls` a frozen record of its annotated fields; use as `@record` or `@record(eq=False)`.
 
@@ -55,8 +52,17 @@ def _make_record(cls, eq: bool):
     setattr_ = object.__setattr__
     post_init = getattr(cls, "__post_init__", None)
 
+    # after[k]: the fields a call with k positional arguments may pass by
+    # keyword; needed[k]: those of them it must pass
+    after = [frozenset(names[k:]) for k in range(n + 1)]
+    needed = [frozenset(required[k:]) for k in range(n + 1)]
+    every = after[0]
+
     def bind(args: tuple, kwargs: dict) -> tuple:
         """The field values in order, or the TypeError Python raises for a call with this signature."""
+        given = len(args)
+        if given <= n and kwargs.keys() <= after[given] and needed[given] <= kwargs.keys():
+            return args + tuple(map({**defaults, **kwargs}.__getitem__, names[given:]))
         for name in kwargs:
             if name not in names:
                 raise TypeError(f"{qualname}() got an unexpected keyword argument {name!r}")
@@ -65,21 +71,22 @@ def _make_record(cls, eq: bool):
         if len(args) > n:
             takes = f"from {len(required) + 1} to {n + 1}" if defaults else f"{n + 1}"
             raise TypeError(f"{qualname}() takes {takes} positional arguments but {len(args) + 1} were given")
-        values = args + tuple(kwargs.get(name, defaults.get(name, _MISSING)) for name in names[len(args):])
-        missing = [repr(name) for name, value in zip(names, values) if value is _MISSING]
+        missing = [repr(name) for name in required[len(args):] if name not in kwargs]
         if len(missing) == 1:
             raise TypeError(f"{qualname}() missing 1 required positional argument: {missing[0]}")
-        if missing:
-            listed = ", ".join(missing[:-1]) + ("," if len(missing) > 2 else "") + " and " + missing[-1]
-            raise TypeError(f"{qualname}() missing {len(missing)} required positional arguments: {listed}")
-        return values
+        listed = ", ".join(missing[:-1]) + ("," if len(missing) > 2 else "") + " and " + missing[-1]
+        raise TypeError(f"{qualname}() missing {len(missing)} required positional arguments: {listed}")
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != n:
-            args = bind(args, kwargs)
         # one store per field keeps the values inline, where reads are fastest
-        for name, value in zip(names, args):
-            setattr_(self, name, value)
+        if kwargs and not args and len(kwargs) == n and every.issuperset(kwargs):
+            for name in names:  # every field by keyword, the usual keyword call
+                setattr_(self, name, kwargs[name])
+        else:
+            if kwargs or len(args) != n:
+                args = bind(args, kwargs)
+            for name, value in zip(names, args):
+                setattr_(self, name, value)
         if post_init is not None:
             post_init(self)
 
