@@ -66,12 +66,12 @@ def _make_record(cls, eq: bool):
         for name in kwargs:
             if name not in names:
                 raise TypeError(f"{qualname}() got an unexpected keyword argument {name!r}")
-            if names.index(name) < len(args):
+            if names.index(name) < given:
                 raise TypeError(f"{qualname}() got multiple values for argument {name!r}")
-        if len(args) > n:
+        if given > n:
             takes = f"from {len(required) + 1} to {n + 1}" if defaults else f"{n + 1}"
-            raise TypeError(f"{qualname}() takes {takes} positional arguments but {len(args) + 1} were given")
-        missing = [repr(name) for name in required[len(args):] if name not in kwargs]
+            raise TypeError(f"{qualname}() takes {takes} positional arguments but {given + 1} were given")
+        missing = [repr(name) for name in required[given:] if name not in kwargs]
         if len(missing) == 1:
             raise TypeError(f"{qualname}() missing 1 required positional argument: {missing[0]}")
         listed = ", ".join(missing[:-1]) + ("," if len(missing) > 2 else "") + " and " + missing[-1]
