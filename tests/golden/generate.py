@@ -203,6 +203,35 @@ def dense_structure_family():
     return doc
 
 
+def large_family():
+    """Height-2 family of 40 finals, five mids of eight, with ints and awkward strings.
+
+    Every final owns a private int atom, which its siblings' carriers hold
+    too; its level-1 slice draws from a pool shared by all mids, whose names
+    hold characters that JSON escapes or that close a container (`]`, `}`,
+    `,`, `%`, a line break), and its level-2 slice adds two of its mid's
+    four shared atoms to its private one.  It is large enough that the witness
+    lists of `validate --structure`, the `B` map and the renaming of both
+    transforms hold well over 32 entries each.
+    """
+    rng = random.Random("golden/large")
+    pool1 = [f"a{i}" for i in range(10)] + ["x]", "y}", "c,\n", "%s", 'q"]', "é,", "\U0001d538"]
+    mids = [(i,) for i in range(5)]
+    finals = [m + (j,) for m in mids for j in range(8)]
+    own = {m: [f"b{m[0]}_{t}" for t in range(4)] + [100 + 8 * m[0] + j for j in range(8)] for m in mids}
+    sys_ = make_skeleton(
+        nodes=[()] + mids + finals,
+        level={(): 2, **{m: 1 for m in mids}, **{f: 0 for f in finals}},
+        e_map={(): [m[0] for m in mids], **{m: list(range(8)) for m in mids}},
+        b_map={(): [], **{m: pool1 for m in mids}, **{f: own[f[:1]] for f in finals}},
+    )
+    phi = {}
+    for i, f in enumerate(finals):
+        phi[(f, 1)] = rng.sample(pool1, 3)
+        phi[(f, 2)] = [100 + i] + rng.sample(own[f[:1]][:4], 2)
+    return system_to_doc(sys_, make_family(sys_, phi, truncation=3))
+
+
 def corpus():
     """(name, argv, {input file name: document}) for every case."""
     minimal = system_to_doc(
@@ -378,6 +407,13 @@ def corpus():
         ("transform-tree", ["transform", "inputs/random-family.json", "--kind", "tree"], {}),
         ("check-free-escaping", ["check-free", "inputs/escaping.json"], {"escaping.json": escaping_family()}),
         ("transform-tree-escaping", ["transform", "inputs/escaping.json", "--kind", "tree"], {}),
+        (
+            "validate-structure-large",
+            ["validate", "inputs/large-family.json", "--structure"],
+            {"large-family.json": large_family()},
+        ),
+        ("transform-disjoint-large", ["transform", "inputs/large-family.json", "--kind", "disjoint"], {}),
+        ("transform-tree-large", ["transform", "inputs/large-family.json", "--kind", "tree"], {}),
     ]
 
 
