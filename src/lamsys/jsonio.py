@@ -8,14 +8,21 @@ tables serialize residues and moduli as decimal strings since the moduli
 outgrow native word sizes.
 
 `dump` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
-indent=2) + "\n"`.  The standard library writes indented JSON with its
-pure-Python encoder; `dump` instead hands each flat container (one whose
+indent=2) + "\n"`, which the standard library writes with its pure-Python
+encoder, one call per value.  `dump` hands a flat container (one whose
 values are all strings, numbers, bools or null) whole to the C encoder,
-with the item separator set to a line break and that container's indent,
-and adds the line breaks around its brackets itself; only containers that
-hold other containers are walked in Python.  Integers of any length are
-written: every int-to-decimal conversion here lifts Python's 4,300-digit
-limit (`_unlimited_digits`).
+with that container's line break and indent as the item separator, and adds
+the line breaks around its brackets itself.  A container of `_COLUMN_MIN`
+values or more that holds containers is rendered a column at a time: a
+column of scalars or of flat lists is one encoder call, cut apart at its
+separators (an encoded scalar holds no raw line break and never ends in `]`
+or `}`, so a separator that starts with `,\n` falls only between values);
+the items of other lists form the next column down, and dicts that share
+their keys give one column per key; the texts are joined back with one
+`str.join` per container.  So the Python work is per column and per
+record, not per value.  Integers of any length are written: every
+int-to-decimal conversion here lifts Python's 4,300-digit limit
+(`_unlimited_digits`).
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ import sys
 import threading
 from contextlib import contextmanager
 from functools import cache
+from itertools import chain, compress, islice, repeat
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from .abelian import IntMatrix, NonfreeSpec, Presentation
@@ -579,6 +588,21 @@ def basis_to_doc(cand: BasisCandidate) -> dict:
 # --- rendering ----------------------------------------------------------------
 
 _SCALARS = frozenset({str, int, bool, float, type(None)})
+# the kind of a value of exactly this type; other types, subclasses included, are walked
+_KIND = {**dict.fromkeys(_SCALARS, "scalar"), list: "list", tuple: "list", dict: "dict"}
+_STR = frozenset({str})
+# containers of this many values or more that hold containers are rendered a
+# column at a time.  `dump` time on the benchmark workloads' documents (seed
+# 1; CPython 3.11, x86-64), median of 31 interleaved rounds, over no column
+# path: 0.42 on families and 0.93-0.99 on the other three at 16; 1.02 on
+# ladder-shared at 8; 0.44 on families at 32; at 1, twice the time at 16.
+_COLUMN_MIN = 16
+# but a column of flat lists of more than this many values on average is
+# encoded a list at a time: the 128 x 8 independent ladder's 1,024 relation
+# rows of 2,176 ints took 0.43 s as one encoder call and 0.34 s walked; on
+# the ladder-independent documents (rows of up to 141 ints) a cutoff of 64
+# gave 0.98 of the walk's time and 256 gave 0.95
+_ROW_MAX = 256
 
 
 @cache
@@ -620,6 +644,15 @@ def _render(o, level: int, out: list[str]) -> None:
         text = encode(o)
         out += (text[0], first, text[1:-1], last, close) if o else (text,)
         return
+    if len(o) >= _COLUMN_MIN:
+        if close == "]":
+            out += ("[", first, sep.join(_column(list(o), level + 1)), last, "]")
+            return
+        if _STR.issuperset(map(type, o)):
+            keys = sorted(o)
+            texts = _column(list(map(o.__getitem__, keys)), level + 1)
+            out += ("{", first, sep.join(_joined(map(encode_basestring_ascii, keys), ": ", texts)), last, "}")
+            return
     if close == "]":
         out.append("[")
         for v in o:
@@ -635,12 +668,58 @@ def _render(o, level: int, out: list[str]) -> None:
     out += (last, close)
 
 
+def _column(column: list, level: int) -> list[str]:
+    """The `_render` text of each value of `column`, nested `level` deep, rendered a column at a time."""
+    encode, first, sep, last = _layout(level)
+    kinds = list(map(_KIND.get, map(type, column), repeat("other")))
+    kind = kinds[0]
+    if kinds.count(kind) < len(kinds):  # each kind as a column of its own, merged back in order
+        parts = {k: iter(_column(list(compress(column, map(k.__eq__, kinds))), level)) for k in set(kinds)}
+        return list(map(next, map(parts.__getitem__, kinds)))
+    if kind == "scalar":  # an encoded scalar holds no line break, so `sep` falls only between values
+        return encode(column)[1:-1].split(sep)
+    if kind == "list" and _SCALARS.issuperset(map(type, chain.from_iterable(column))):
+        if sum(map(len, column)) > _ROW_MAX * len(column):
+            return [f"[{first}{text[1:-1]}{last}]" if len(text) > 2 else text for text in map(encode, column)]
+        # nor does it end in "]", so `"]" + sep + "["` falls only between lists
+        return [f"[{first}{body}{last}]" if body else "[]" for body in encode(column)[2:-2].split("]" + sep + "[")]
+    if kind == "list":  # their items as the next column down, put back together by length
+        items = iter(_column(list(chain.from_iterable(column)), level + 1))
+        n = len(column[0])
+        if n and all(map(n.__eq__, map(len, column))):
+            return _joined("[" + first, items, *[sep, items] * (n - 1), last + "]")
+        return [f"[{first}{sep.join(islice(items, n))}{last}]" if n else "[]" for n in map(len, column)]
+    if kind == "dict" and column[0] and _STR.issuperset(map(type, column[0])) and len(set(map(len, column))) == 1:
+        keys = sorted(column[0])
+        try:  # records, when every dict holds the keys of the first: one column per key
+            fields = [list(map(itemgetter(k), column)) for k in keys]
+        except KeyError:
+            fields = []
+        if fields:
+            heads = [(sep if i else "{" + first) + encode_basestring_ascii(k) + ": " for i, k in enumerate(keys)]
+            return _joined(*chain.from_iterable(zip(heads, map(_column, fields, repeat(level + 1)))), last + "}")
+    texts = []  # other dicts, subclasses, values the encoder refuses: walked one by one
+    for o in column:
+        out: list[str] = []
+        _render(o, level, out)
+        texts.append("".join(out))
+    return texts
+
+
+def _joined(*parts) -> list[str]:
+    """Texts joined position by position; each part is an iterable of texts or one text for every position."""
+    return list(map("".join, zip(*[repeat(p) if isinstance(p, str) else p for p in parts])))
+
+
 @_unlimited_digits()
 def dump(doc: Mapping) -> str:
     """Canonical byte-stable rendering, with ints of any length.
 
     The text is `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte
-    for byte, written as the module docstring describes.
+    for byte, and a failure is `json`'s own `TypeError`.  Large containers
+    are rendered a column at a time (see the module docstring): a few
+    C-level passes per column and one join per container, not a Python call
+    per value.
     """
     out: list[str] = []
     _render(doc, 0, out)

@@ -5,9 +5,10 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference
 from helpers import random_whitehead_system
@@ -186,13 +187,129 @@ def test_dump_matches_json_dumps(doc):
     assert _outcome(jsonio.dump, doc) == _outcome(_json_dumps, doc)
 
 
+@settings(max_examples=400, deadline=None)
+@given(_DOCS)
+def test_dump_matches_json_dumps_with_every_container_on_the_column_path(doc):
+    with mock.patch.object(jsonio, "_COLUMN_MIN", 1):
+        assert _outcome(jsonio.dump, doc) == _outcome(_json_dumps, doc)
+
+
+# --- dump on long columns -----------------------------------------------------
+
+# strings that hold the brackets and separators the column path splits at, and format marks
+_AWKWARD = st.sampled_from(
+    ["]", "}", ",", '"', "\\", "%", "%s", "%%", "\n", "],\n  [", "},\n  {", "\u00e9", "\U0001d538", ""]
+)
+_LEAVES = st.one_of(
+    _AWKWARD,
+    st.text(max_size=5),
+    st.integers(),
+    st.integers(10 ** 4300, 10 ** 4310),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+# atoms as documents carry them: plain, ragged lists, and pairs holding an empty list like ["a0", []]
+_ATOMS_AS_JSON = st.one_of(
+    _LEAVES, st.lists(_LEAVES, max_size=3), st.tuples(_AWKWARD | st.integers(), st.just([])).map(list)
+)
+_NON_STR_KEYS = st.one_of(st.integers(-9, 9), st.floats(), st.booleans(), st.none())
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def _long(values):
+    """Columns of 40 to 300 values, each a pick from a pool of up to 8 drawn from `values`."""
+    return st.lists(values, min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=40, max_size=300)
+    )
+
+
+_RECORDS = st.lists(_AWKWARD | st.text(max_size=4), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: _long(st.fixed_dictionaries({k: _ATOMS_AS_JSON | st.lists(_ATOMS_AS_JSON, max_size=3) for k in keys}))
+)
+
+
+@st.composite
+def _near_records(draw):
+    """Records that share their keys, but for a few that gain or lose one."""
+    column = [dict(r) for r in draw(_RECORDS)]
+    for i in draw(st.lists(st.integers(0, len(column) - 1), min_size=1, max_size=3)):
+        if len(column[i]) > 1 and draw(st.booleans()):
+            del column[i][next(iter(column[i]))]
+        else:
+            column[i][draw(_AWKWARD | st.text(max_size=4))] = draw(_LEAVES)
+    return column
+
+
+_LONG_COLUMNS = st.one_of(
+    _long(_LEAVES),
+    _long(st.lists(_ATOMS_AS_JSON, max_size=4)),
+    _long(st.lists(st.lists(_LEAVES, max_size=3), max_size=3).map(tuple)),
+    # lists long enough to be encoded one at a time, with an empty one at either end
+    _long(st.lists(st.integers(-9, 99) | _AWKWARD, min_size=jsonio._ROW_MAX + 8, max_size=jsonio._ROW_MAX + 20)).map(
+        lambda c: [[], *c, []]
+    ),
+    _RECORDS,
+    _near_records(),
+    _long(st.dictionaries(_AWKWARD | st.text(max_size=3), st.lists(_ATOMS_AS_JSON, max_size=3), max_size=4)),
+    _long(st.dictionaries(_NON_STR_KEYS, _LEAVES | st.lists(_LEAVES, max_size=2), max_size=3)),
+    _long(st.one_of(_LEAVES, _ATOMS_AS_JSON, _RECORDS.map(lambda c: c[0]), st.sampled_from([_Int(7), _Str("s]")]))),
+)
+# a long column as a list, as the values of a dict with string keys, and as the values of one with int keys
+_LONG_DOCS = st.one_of(
+    _LONG_COLUMNS.map(lambda c: {"column": c}),
+    _LONG_COLUMNS.map(lambda c: {f"k{i}%s]": v for i, v in enumerate(c)}),
+    _LONG_COLUMNS.map(lambda c: {"map": dict(enumerate(c))}),
+)
+
+
+@st.composite
+def _poisoned(draw):
+    """A long column with, in its second half, a value the encoder refuses or a dict whose keys cannot be sorted."""
+    column = list(draw(_LONG_COLUMNS))
+    i = draw(st.integers(len(column) // 2, len(column) - 1))
+    poison = draw(_UNENCODABLE | st.just({1: "a", "b": 2}))
+    v = column[i]
+    column[i] = {**v, "~": poison} if isinstance(v, dict) else [*v, poison] if isinstance(v, list) else poison
+    return {"column": column}
+
+
+_LONG_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]
+)
+
+
+@_LONG_SETTINGS
+@given(_LONG_DOCS)
+def test_dump_matches_json_dumps_on_long_columns(doc):
+    assert _outcome(jsonio.dump, doc) == _outcome(_json_dumps, doc)
+
+
+@_LONG_SETTINGS
+@given(_poisoned())
+def test_dump_fails_as_json_dumps_does_deep_in_a_long_column(doc):
+    assert _outcome(jsonio.dump, doc) is _outcome(_json_dumps, doc) is TypeError
+
+
 def test_dump_without_the_c_encoder(monkeypatch):
+    atoms = [["a%d" % i, []] if i % 3 else ["x]", "%s", i] for i in range(40)]
     doc = {
         "flat": [1, "\u00e9", None, 2.5, True],
         "mixed": [[], {}, [3, [4]], {"b": 1, "a": [2]}, "x"],
         "keys": {1: [1], 2: {"n": 10 ** 4400}},
         "empty": {},
+        "records": [{"atom": a, "levels": [i, i + 1], "n": 10 ** 4400 + i} for i, a in enumerate(atoms)],
+        "map": {f"{i}%": [a, "}"] for i, a in enumerate(atoms)},
+        "rows": [[i, "]"] * jsonio._ROW_MAX for i in range(jsonio._COLUMN_MIN)] + [[]],
     }
+    assert len(doc["records"]) >= jsonio._COLUMN_MIN
     monkeypatch.setattr(jsonio, "c_make_encoder", None)
     jsonio._layout.cache_clear()
     try:
