@@ -597,12 +597,6 @@ _STR = frozenset({str})
 # path: 0.42 on families and 0.93-0.99 on the other three at 16; 1.02 on
 # ladder-shared at 8; 0.44 on families at 32; at 1, twice the time at 16.
 _COLUMN_MIN = 16
-# but a column of flat lists of more than this many values on average is
-# encoded a list at a time: the 128 x 8 independent ladder's 1,024 relation
-# rows of 2,176 ints took 0.43 s as one encoder call and 0.34 s walked; on
-# the ladder-independent documents (rows of up to 141 ints) a cutoff of 64
-# gave 0.98 of the walk's time and 256 gave 0.95
-_ROW_MAX = 256
 
 
 @cache
@@ -679,8 +673,6 @@ def _column(column: list, level: int) -> list[str]:
     if kind == "scalar":  # an encoded scalar holds no line break, so `sep` falls only between values
         return encode(column)[1:-1].split(sep)
     if kind == "list" and _SCALARS.issuperset(map(type, chain.from_iterable(column))):
-        if sum(map(len, column)) > _ROW_MAX * len(column):
-            return [f"[{first}{text[1:-1]}{last}]" if len(text) > 2 else text for text in map(encode, column)]
         # nor does it end in "]", so `"]" + sep + "["` falls only between lists
         return [f"[{first}{body}{last}]" if body else "[]" for body in encode(column)[2:-2].split("]" + sep + "[")]
     if kind == "list":  # their items as the next column down, put back together by length

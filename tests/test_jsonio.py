@@ -181,16 +181,11 @@ def _json_dumps(doc):
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-@settings(max_examples=400, deadline=None)
-@given(_DOCS)
-def test_dump_matches_json_dumps(doc):
-    assert _outcome(jsonio.dump, doc) == _outcome(_json_dumps, doc)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_DOCS)
-def test_dump_matches_json_dumps_with_every_container_on_the_column_path(doc):
-    with mock.patch.object(jsonio, "_COLUMN_MIN", 1):
+@settings(max_examples=800, deadline=None)
+@given(_DOCS, st.sampled_from([jsonio._COLUMN_MIN, 1]))
+def test_dump_matches_json_dumps(doc, column_min):
+    # at a cutoff of 1 every container that holds containers is rendered a column at a time
+    with mock.patch.object(jsonio, "_COLUMN_MIN", column_min):
         assert _outcome(jsonio.dump, doc) == _outcome(_json_dumps, doc)
 
 
@@ -252,10 +247,8 @@ _LONG_COLUMNS = st.one_of(
     _long(_LEAVES),
     _long(st.lists(_ATOMS_AS_JSON, max_size=4)),
     _long(st.lists(st.lists(_LEAVES, max_size=3), max_size=3).map(tuple)),
-    # lists long enough to be encoded one at a time, with an empty one at either end
-    _long(st.lists(st.integers(-9, 99) | _AWKWARD, min_size=jsonio._ROW_MAX + 8, max_size=jsonio._ROW_MAX + 20)).map(
-        lambda c: [[], *c, []]
-    ),
+    # long flat lists, with an empty one at either end
+    _long(st.lists(st.integers(-9, 99) | _AWKWARD, min_size=200, max_size=300)).map(lambda c: [[], *c, []]),
     _RECORDS,
     _near_records(),
     _long(st.dictionaries(_AWKWARD | st.text(max_size=3), st.lists(_ATOMS_AS_JSON, max_size=3), max_size=4)),
@@ -307,7 +300,7 @@ def test_dump_without_the_c_encoder(monkeypatch):
         "empty": {},
         "records": [{"atom": a, "levels": [i, i + 1], "n": 10 ** 4400 + i} for i, a in enumerate(atoms)],
         "map": {f"{i}%": [a, "}"] for i, a in enumerate(atoms)},
-        "rows": [[i, "]"] * jsonio._ROW_MAX for i in range(jsonio._COLUMN_MIN)] + [[]],
+        "rows": [[i, "]"] * 150 for i in range(jsonio._COLUMN_MIN)] + [[]],
     }
     assert len(doc["records"]) >= jsonio._COLUMN_MIN
     monkeypatch.setattr(jsonio, "c_make_encoder", None)
