@@ -7,13 +7,21 @@ other exception, reported as one `internal error: <type>: <message>` line
 without a traceback.  Diagnostics go to stderr
 only; stdout carries a single JSON document embedding the manifest that
 produced it.  Identical inputs produce identical bytes.
+
+`dispatch` runs each operation with CPython's cyclic garbage collector
+paused (`_collector_paused`).  An operation makes no reference cycles, so
+reference counting frees all it allocates, and the collector's passes over
+the many small objects of a large document would find nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+import threading
+from contextlib import contextmanager
 from functools import cache
 
 from . import jsonio
@@ -63,6 +71,8 @@ def _load(path: str) -> dict:
         raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})")
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply ({exc})")
 
 
 def _manifest(subcommand: str, inputs: dict, params: dict) -> dict:
@@ -350,7 +360,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_GC_LOCK = threading.Lock()
+_gc_pauses = 0  # operations running under _collector_paused, in all threads
+_gc_was_enabled = False  # the collector's state when the first of them began
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector disabled, then restore it.
+
+    The collector's switch is process-wide, so overlapping blocks (threads,
+    or a nested dispatch) share one pause: the first to enter records
+    whether it was enabled and the last to leave puts that state back.  A
+    caller that disabled the collector itself finds it still disabled.
+    """
+    global _gc_pauses, _gc_was_enabled
+    with _GC_LOCK:
+        if not _gc_pauses:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
+    try:
+        yield
+    finally:
+        with _GC_LOCK:
+            _gc_pauses -= 1
+            if not _gc_pauses and _gc_was_enabled:
+                gc.enable()
+
+
 def dispatch(argv) -> int:
+    with _collector_paused():
+        return _dispatch(argv)
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     inputs = {

@@ -112,6 +112,27 @@ def _check_schema(doc: Mapping, context: str) -> None:
 # values, and a message built per value would double the load time.
 
 
+_INTS = frozenset({int})
+_STRS = frozenset({str})
+_LISTS = frozenset({list})
+_DICTS = frozenset({dict})
+_PLAIN_ATOMS = frozenset({int, str})
+
+
+def _exact_types(types: frozenset, values) -> bool:
+    """Whether every value's exact type is in `types`: one C-level pass over a whole column.
+
+    Exact types, not isinstance: a bool is an int subclass and is malformed
+    wherever an integer or an atom is expected.
+    """
+    return types.issuperset(map(type, values))
+
+
+def _lists_of(types: frozenset, values) -> bool:
+    """Whether every value is a list of items whose exact types are in `types`."""
+    return _exact_types(_LISTS, values) and _exact_types(types, chain.from_iterable(values))
+
+
 def _malformed(expected: str, v, field: str, keys) -> InputError:
     path = "".join(f" {k!r}" for k in keys)
     return InputError(f"{field}{path}: expected {expected}, got {v!r}")
@@ -131,7 +152,7 @@ def _str(v, field: str, *keys) -> str:
 
 
 def _ints(v, field: str, *keys) -> tuple[int, ...]:
-    if isinstance(v, list) and all(type(x) is int for x in v):
+    if isinstance(v, list) and _exact_types(_INTS, v):
         return tuple(v)
     raise _malformed("a list of integers", v, field, keys)
 
@@ -155,7 +176,7 @@ def _list(v, field: str, *keys) -> list:
 
 
 def _strs(v, field: str, *keys) -> list[str]:
-    if isinstance(v, list) and all(type(x) is str for x in v):
+    if isinstance(v, list) and _exact_types(_STRS, v):
         return v
     raise _malformed("a list of strings", v, field, keys)
 
@@ -176,14 +197,10 @@ def atom_from_jsonable(v) -> Atom:
     raise InputError(f"not an atom: {v!r}")
 
 
-_PLAIN_ATOMS = frozenset({int, str})
-
-
 def _atoms(v, field: str, *keys):
     """The atoms of a B list or phi slice; a list of plain ints and strings is taken as is."""
     v = _list(v, field, *keys)
-    # exact types: a bool is an int subclass, so it still reaches atom_from_jsonable and is refused
-    return v if _PLAIN_ATOMS.issuperset(map(type, v)) else map(atom_from_jsonable, v)
+    return v if _exact_types(_PLAIN_ATOMS, v) else map(atom_from_jsonable, v)
 
 
 class _NodeKeys(dict):
@@ -257,21 +274,39 @@ def system_from_doc(doc: Mapping) -> SystemSkeleton:
 
 
 def _system(doc: Mapping) -> tuple[SystemSkeleton, _NodeKeys]:
-    """The skeleton, and the node keys parsed on the way for the rest of the document."""
+    """The skeleton, and the node keys parsed on the way for the rest of the document.
+
+    Each column (the `level` values, the `E` lists, the `B` lists) has its
+    types checked in one pass.  A column that fails the check (it holds a
+    nested atom or a malformed value) goes value by value through the
+    per-value parsers, which report the first malformed value in document
+    order; a column that passes can fail only on a node key, and its keys
+    are parsed in the same order.
+    """
     _check_schema(doc, "system document")
     _require_keys(doc, _SYSTEM_REQUIRED, _SYSTEM_OPTIONAL, "system document")
-    node = _NodeKeys()
-    nodes = frozenset(node[k] for k in _strs(doc["nodes"], "nodes"))
+    keys = _strs(doc["nodes"], "nodes")
+    node = _NodeKeys(zip(keys, map(parse_node_key, keys)))
+    nodes = frozenset(node.values())  # before the other columns add their keys
     largeness = doc.get("largeness", "nonempty")
     if type(largeness) is not str:
         raise _malformed("a string", largeness, "largeness", ())
-    sys_ = SystemSkeleton(
-        nodes=nodes,
-        level={node[k]: _int(v, "level", k) for k, v in _object(doc["level"], "level").items()},
-        E={node[k]: frozenset(_ints(v, "E", k)) for k, v in _object(doc["E"], "E").items()},
-        B={node[k]: frozenset(_atoms(v, "B", k)) for k, v in _object(doc["B"], "B").items()},
-        largeness=largeness,
-    )
+    level = _object(doc["level"], "level")
+    if _exact_types(_INTS, level.values()):
+        level = dict(zip(map(node.__getitem__, level), level.values()))
+    else:
+        level = {node[k]: _int(v, "level", k) for k, v in level.items()}
+    E = _object(doc["E"], "E")
+    if _lists_of(_INTS, E.values()):
+        E = dict(zip(map(node.__getitem__, E), map(frozenset, E.values())))
+    else:
+        E = {node[k]: frozenset(_ints(v, "E", k)) for k, v in E.items()}
+    B = _object(doc["B"], "B")
+    if _lists_of(_PLAIN_ATOMS, B.values()):
+        B = dict(zip(map(node.__getitem__, B), map(frozenset, B.values())))
+    else:
+        B = {node[k]: frozenset(_atoms(v, "B", k)) for k, v in B.items()}
+    sys_ = SystemSkeleton(nodes=nodes, level=level, E=E, B=B, largeness=largeness)
     return sys_, node
 
 
@@ -279,15 +314,34 @@ def family_from_doc(doc: Mapping) -> BasedFamily:
     return _family(doc)[0]
 
 
+class _LevelKeys(dict):
+    """Phi level-key string -> int, each distinct string converted once per document."""
+
+    def __missing__(self, key: str) -> int:
+        k = self[key] = int(key)
+        return k
+
+
 def _family(doc: Mapping) -> tuple[BasedFamily, _NodeKeys]:
+    """The family, its slices checked as one column as in `_system`."""
     sys_, node = _system(doc)
     if "phi" not in doc or "truncation" not in doc:
         raise InputError("document carries no family (phi and truncation required)")
+    slices = _object(doc["phi"], "phi")
+    per_final = slices.values()
     phi = {}
-    for zk, per_level in _object(doc["phi"], "phi").items():
-        z = node[zk]
-        for k, vals in _object(per_level, "phi", zk).items():
-            phi[(z, int(k))] = tuple(_atoms(vals, "phi", zk, k))
+    level_of = _LevelKeys()
+    if _exact_types(_DICTS, per_final) and _lists_of(
+        _PLAIN_ATOMS, [*chain.from_iterable(map(dict.values, per_final))]
+    ):
+        for z, per_level in zip(map(node.__getitem__, slices), per_final):
+            for k, vals in per_level.items():
+                phi[(z, level_of[k])] = tuple(vals)
+    else:
+        for zk, per_level in slices.items():
+            z = node[zk]
+            for k, vals in _object(per_level, "phi", zk).items():
+                phi[(z, level_of[k])] = tuple(_atoms(vals, "phi", zk, k))
     fam = BasedFamily(
         system=sys_,
         finals=tuple(sys_.finals()),

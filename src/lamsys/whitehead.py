@@ -62,13 +62,14 @@ from .freeness import ReshufflingOrder
 from .record import record
 
 
+def _as_lists(x):
+    # module level: a nested function that calls itself is a reference cycle
+    return list(map(_as_lists, x)) if isinstance(x, tuple) else x
+
+
 def atom_name(a: Atom) -> str:
     """Canonical generator name for an atom (tuples as JSON arrays)."""
-
-    def enc(x):
-        return list(map(enc, x)) if isinstance(x, tuple) else x
-
-    return "a:" + json.dumps(enc(a), sort_keys=True, separators=(",", ":"))
+    return "a:" + json.dumps(_as_lists(a), sort_keys=True, separators=(",", ":"))
 
 
 def z_name(final: Node, j: int) -> str:

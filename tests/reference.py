@@ -13,12 +13,15 @@ of the whole ladder system (before label elimination), one exact solve of
 its coupled core (before the core's kernel was read off its congruence
 lattice), and one Hermite form for every generation check (before unit
 peeling).
+`family_from_doc` parses a family document one value at a time, as
+`jsonio` did before it checked the types of whole columns.
 Nothing under `src/` imports this module.
 """
 
 from functools import cmp_to_key
 from itertools import product
 
+from lamsys import jsonio
 from lamsys.abelian import (
     DimensionError,
     IntMatrix,
@@ -29,7 +32,7 @@ from lamsys.abelian import (
     integer_solutions,
     reduce_mod_lattice,
 )
-from lamsys.core import ROOT, lex_compare, node_key, sorted_atoms
+from lamsys.core import ROOT, BasedFamily, SystemSkeleton, lex_compare, node_key, sorted_atoms
 from lamsys.freeness import ReshufflingOrder
 from lamsys.jsonio import SCHEMA, atom_to_jsonable
 
@@ -257,6 +260,37 @@ def system_to_doc(sys_, fam=None, ws=None) -> dict:
         if ws.strong_order is not None:
             doc["strong"] = ws.strong_order.to_jsonable()
     return doc
+
+
+def family_from_doc(doc) -> BasedFamily:
+    """jsonio.family_from_doc, every value through its own parser in document order."""
+    jsonio._check_schema(doc, "system document")
+    jsonio._require_keys(doc, jsonio._SYSTEM_REQUIRED, jsonio._SYSTEM_OPTIONAL, "system document")
+    node = jsonio._NodeKeys()
+    nodes = frozenset(node[k] for k in jsonio._strs(doc["nodes"], "nodes"))
+    largeness = doc.get("largeness", "nonempty")
+    if type(largeness) is not str:
+        raise jsonio._malformed("a string", largeness, "largeness", ())
+    sys_ = SystemSkeleton(
+        nodes=nodes,
+        level={node[k]: jsonio._int(v, "level", k) for k, v in jsonio._object(doc["level"], "level").items()},
+        E={node[k]: frozenset(jsonio._ints(v, "E", k)) for k, v in jsonio._object(doc["E"], "E").items()},
+        B={node[k]: frozenset(jsonio._atoms(v, "B", k)) for k, v in jsonio._object(doc["B"], "B").items()},
+        largeness=largeness,
+    )
+    if "phi" not in doc or "truncation" not in doc:
+        raise jsonio.InputError("document carries no family (phi and truncation required)")
+    phi = {}
+    for zk, per_level in jsonio._object(doc["phi"], "phi").items():
+        z = node[zk]
+        for k, vals in jsonio._object(per_level, "phi", zk).items():
+            phi[(z, int(k))] = tuple(jsonio._atoms(vals, "phi", zk, k))
+    return BasedFamily(
+        system=sys_,
+        finals=tuple(sys_.finals()),
+        phi=phi,
+        truncation=jsonio._int(doc["truncation"], "truncation"),
+    )
 
 
 def threshold_exponents(p: int, r: int, i_max: int) -> tuple[int, ...]:

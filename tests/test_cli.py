@@ -1,9 +1,12 @@
 """CLI dispatch: exit codes, byte stability, certificate round-trips."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -691,3 +694,122 @@ def test_non_object_documents_exit_2(tmp_path, capsys, argv, doc):
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: ") and "expected a JSON object" in err
+
+
+@pytest.mark.parametrize("argv", _FILE_INPUTS)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    # json.load recurses once per array, and RecursionError is no ValueError
+    from helpers import run_dispatch
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    paths = {
+        "FILE": str(deep),
+        "WS": write(tmp_path, "ws.json", witness_doc()),
+        "C": write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}}),
+    }
+    code, out = run_dispatch([paths.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == f"error: {deep}: JSON nested too deeply (maximum recursion depth exceeded while decoding a JSON array from a unicode string)\n"
+
+
+def _gc_state_cases(tmp_path, monkeypatch):
+    """(argv, expected exit code or SystemExit) for each way dispatch can end."""
+    from lamsys import cli
+
+    def lost(*args):
+        raise KeyError("z:0:7")
+
+    monkeypatch.setattr(cli, "solve_witness", lost)
+    bad = minimal_doc()
+    bad["level"][""] = 0
+    wrong_schema = {**minimal_doc(), "schema": "other/9"}
+    ws = write(tmp_path, "ws.json", witness_doc())
+    c = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}})
+    return [
+        (["validate", write(tmp_path, "ok.json", minimal_doc())], 0),
+        (["validate", write(tmp_path, "bad.json", bad)], 1),
+        (["validate", write(tmp_path, "schema.json", wrong_schema)], 2),
+        (["solve-witness", "--system", ws, "--c", c], 3),
+        (["validate", "nope.json", "--bogus"], SystemExit),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_dispatch_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, enabled):
+    from lamsys import cli
+
+    seen = []
+    paused = cli._dispatch
+
+    def spy(argv):
+        seen.append(gc.isenabled())
+        return paused(argv)
+
+    monkeypatch.setattr(cli, "_dispatch", spy)
+    was = gc.isenabled()
+    try:
+        for argv, expected in _gc_state_cases(tmp_path, monkeypatch):
+            gc.enable() if enabled else gc.disable()
+            if expected is SystemExit:
+                with pytest.raises(SystemExit):
+                    dispatch(argv)
+            else:
+                assert dispatch(argv) == expected
+            assert gc.isenabled() is enabled, argv
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False] * 5
+    capsys.readouterr()
+
+
+def test_overlapping_pauses_restore_the_collector_once():
+    # two threads' operations that overlap: the first to end must not
+    # re-enable the collector under the second, nor the second disable it for good
+    from lamsys.cli import _collector_paused
+
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        first, second = _collector_paused(), _collector_paused()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert not gc.isenabled()
+        second.__exit__(None, None, None)
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_concurrent_pauses_keep_the_collector_off_inside_each():
+    from lamsys.cli import _collector_paused
+
+    seen_enabled = []
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=60)
+        for _ in range(2000):
+            with _collector_paused():
+                time.sleep(0)  # lets another thread in, to end its block under this one
+                if gc.isenabled():
+                    seen_enabled.append(True)
+
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    gc.enable()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        enabled_after = gc.isenabled()
+        gc.enable() if was else gc.disable()
+    assert seen_enabled == []
+    assert enabled_after

@@ -4,6 +4,7 @@ The corpus under `tests/golden/` is written by `tests/golden/generate.py`;
 this test only reads it.
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -21,3 +22,21 @@ def test_golden_case(case, monkeypatch):
     code, out = run_dispatch(case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / "expected" / f"{case['name']}.out").read_text()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_case_leaves_no_cyclic_garbage(case, monkeypatch):
+    # dispatch pauses the cyclic collector, which is safe only while an
+    # operation's objects are all freed by reference counting
+    monkeypatch.chdir(GOLDEN)
+    run_dispatch(case["argv"])  # fills the parser and table caches
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_dispatch(case["argv"])
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert garbage == 0

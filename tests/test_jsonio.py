@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference
 from helpers import random_whitehead_system
@@ -379,3 +379,67 @@ def test_system_to_doc_matches_reference_on_mixed_atoms(sys_fam):
     back = jsonio.family_from_doc(json.loads(jsonio.dump(doc)))
     assert back.system.B == dict(sys_.B)
     assert back.phi == dict(fam.phi)
+
+
+_NOT_INTS = st.sampled_from([True, 1.5, None, {}, "2", [1]])
+_NOT_LISTS = st.sampled_from([True, 3, 1.5, None, {}, "x"])
+_NESTED_OR_NOT_ATOMS = st.sampled_from([[1, "a"], [[2]], [], [True], True, False, 1.5, None, {}, {"a": 1}])
+_BAD_KEYS = st.sampled_from(["x", "0.y", "1..2", "-", " 1", "01"])
+# the map swaps reach -> (what a value becomes, what a list value takes in)
+_DAMAGE = {
+    "level": (_NOT_INTS, None),
+    "E": (_NOT_LISTS, _NOT_INTS),
+    "B": (_NOT_LISTS, _NESTED_OR_NOT_ATOMS),
+    "phi": (_NOT_LISTS, None),
+    "slices": (_NOT_LISTS, _NESTED_OR_NOT_ATOMS),
+}
+
+
+@st.composite
+def _damaged_family_docs(draw):
+    """A family document with up to three values, list items or keys swapped for nested or malformed ones."""
+    sys_, fam = draw(_mixed_families())
+    doc = json.loads(jsonio.dump(jsonio.system_to_doc(sys_, fam)))
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(list(_DAMAGE)))
+        values = doc[target] if target != "slices" else draw(st.sampled_from(list(doc["phi"].values())))
+        if not isinstance(values, dict) or not values:
+            continue  # an earlier swap replaced this final's slices
+        key = draw(st.sampled_from(list(values)))
+        malformed, items = _DAMAGE[target]
+        how = draw(st.sampled_from(["value", "item", "key"]))
+        if how == "key":  # anywhere in the map, so that it may come before another bad key or value
+            items = list(values.items())
+            items.insert(draw(st.integers(0, len(items))), (draw(_BAD_KEYS), values[key]))
+            values.clear()
+            values.update(items)
+        elif how == "item" and items is not None and isinstance(values[key], list):
+            values[key].insert(draw(st.integers(0, len(values[key]))), draw(items))
+        else:
+            values[key] = draw(malformed)
+    return doc
+
+
+def _parsed(parse, doc):
+    try:
+        fam = parse(doc)
+    except ValueError as exc:  # InputError, or int() on a malformed key
+        return type(exc), str(exc)
+    s = fam.system
+    return s.nodes, dict(s.level), dict(s.E), dict(s.B), s.largeness, fam.finals, dict(fam.phi), fam.truncation
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_damaged_family_docs())
+@example(  # a malformed final's key before a malformed level key: the final's is reported
+    {
+        "schema": "lamsys/1", "nodes": ["", "0"], "level": {"": 1, "0": 0}, "E": {"": [0]}, "B": {"": [], "0": []},
+        "phi": {"0.y": {"1": []}, "0": {"z": []}}, "truncation": 1,
+    }
+)
+def test_column_parse_matches_the_per_value_parse(doc):
+    # the first error in document order is still the one reported
+    expected = _parsed(reference.family_from_doc, doc)
+    assert _parsed(jsonio.family_from_doc, doc) == expected
+    if not isinstance(expected[0], type):
+        assert jsonio.system_from_doc(doc).B == expected[3]
