@@ -331,9 +331,7 @@ def _family(doc: Mapping) -> tuple[BasedFamily, _NodeKeys]:
     per_final = slices.values()
     phi = {}
     level_of = _LevelKeys()
-    if _exact_types(_DICTS, per_final) and _lists_of(
-        _PLAIN_ATOMS, [*chain.from_iterable(map(dict.values, per_final))]
-    ):
+    if _exact_types(_DICTS, per_final) and _lists_of(_PLAIN_ATOMS, [*chain.from_iterable(map(dict.values, per_final))]):
         for z, per_level in zip(map(node.__getitem__, slices), per_final):
             for k, vals in per_level.items():
                 phi[(z, level_of[k])] = tuple(vals)

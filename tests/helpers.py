@@ -1,6 +1,7 @@
 """Shared instance builders for tests: random skeletons, families, witness systems."""
 
 import contextlib
+import gc
 import io
 import random
 import traceback
@@ -96,3 +97,14 @@ def run_dispatch(argv):
             traceback.print_exc()
             code = 1
     return code, buf.getvalue()
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the block with the cyclic garbage collector on or off, then put back its state."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()

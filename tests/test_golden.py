@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import run_dispatch
+from helpers import collector, run_dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -31,12 +31,6 @@ def test_golden_case_leaves_no_cyclic_garbage(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     run_dispatch(case["argv"])  # fills the parser and table caches
     gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector(False):
         run_dispatch(case["argv"])
-        garbage = gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
-    assert garbage == 0
+        assert gc.collect() == 0

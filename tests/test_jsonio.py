@@ -409,10 +409,10 @@ def _damaged_family_docs(draw):
         malformed, items = _DAMAGE[target]
         how = draw(st.sampled_from(["value", "item", "key"]))
         if how == "key":  # anywhere in the map, so that it may come before another bad key or value
-            items = list(values.items())
-            items.insert(draw(st.integers(0, len(items))), (draw(_BAD_KEYS), values[key]))
+            entries = list(values.items())
+            entries.insert(draw(st.integers(0, len(entries))), (draw(_BAD_KEYS), values[key]))
             values.clear()
-            values.update(items)
+            values.update(entries)
         elif how == "item" and items is not None and isinstance(values[key], list):
             values[key].insert(draw(st.integers(0, len(values[key]))), draw(items))
         else:
@@ -439,7 +439,4 @@ def _parsed(parse, doc):
 )
 def test_column_parse_matches_the_per_value_parse(doc):
     # the first error in document order is still the one reported
-    expected = _parsed(reference.family_from_doc, doc)
-    assert _parsed(jsonio.family_from_doc, doc) == expected
-    if not isinstance(expected[0], type):
-        assert jsonio.system_from_doc(doc).B == expected[3]
+    assert _parsed(jsonio.family_from_doc, doc) == _parsed(reference.family_from_doc, doc)
