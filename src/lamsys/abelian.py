@@ -98,10 +98,6 @@ class IntMatrix:
         zero = (0,) * n
         return cls(tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -109,9 +105,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
@@ -124,11 +117,6 @@ class IntMatrix:
         for r in self.entries:
             out.append(tuple(sum(r[k] * other.entries[k][j] for k in range(self.cols)) for j in range(cols)))
         return IntMatrix(tuple(out))
-
-    def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if self.cols != len(v):
-            raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
-        return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self.entries)
 
 
 def hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
@@ -214,7 +202,7 @@ class SmithDecomposition:
             return False
         if not _is_diagonal(self.d.entries):
             return False
-        # nonnegative, each factor dividing the next, and only zeros after a zero
+        # nonnegative, each factor dividing the next, and nothing but 0 after a 0
         diag = self.diagonal
         return all(x >= 0 for x in diag) and all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
 

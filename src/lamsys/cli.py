@@ -282,6 +282,10 @@ def cmd_unif_sim(args) -> tuple[dict, int]:
 
 def cmd_transform(args) -> tuple[dict, int]:
     fam = jsonio.family_from_doc(_load(args.file))
+    # the output lists every node's level; `validate` reports a missing one as a violation
+    unleveled = sorted(fam.system.nodes.difference(fam.system.level))
+    if unleveled:
+        raise InputError(f"level-missing at node {node_key(unleveled[0])!r}: no level assigned")
     transform = transform_disjoint if args.kind == "disjoint" else transform_tree
     res = transform(fam.system, fam)
     renaming = [

@@ -38,7 +38,7 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import Any, Callable, Mapping
 
-from .abelian import IntMatrix, NonfreeSpec, Presentation
+from .abelian import NonfreeSpec, Presentation
 from .core import (
     Atom,
     BasedFamily,
@@ -189,9 +189,28 @@ def atom_to_jsonable(a: Atom):
     raise InputError(f"not a serializable atom: {a!r}")
 
 
+# Deepest list nesting an input atom may have.  Atoms are converted, ordered
+# (`atom_sort_key`), named (`whitehead.atom_name`) and written (`dump`) by
+# recursive walks; at this depth each stays far inside Python's default
+# recursion limit of 1,000 frames.
+MAX_ATOM_DEPTH = 100
+
+
 def atom_from_jsonable(v) -> Atom:
+    """The atom of a JSON value; InputError if it is none or nests lists past MAX_ATOM_DEPTH."""
+    # the depth is counted one level of lists at a time, not by recursion
+    lists, depth = [v] if isinstance(v, list) else [], 0
+    while lists:
+        depth += 1
+        if depth > MAX_ATOM_DEPTH:
+            raise InputError(f"atom nests lists more than {MAX_ATOM_DEPTH} deep")
+        lists = [x for item in lists for x in item if isinstance(x, list)]
+    return _atom(v)
+
+
+def _atom(v) -> Atom:
     if isinstance(v, list):
-        return tuple(atom_from_jsonable(x) for x in v)
+        return tuple(map(_atom, v))
     if isinstance(v, (int, str)) and not isinstance(v, bool):
         return v
     raise InputError(f"not an atom: {v!r}")
@@ -387,11 +406,8 @@ def coloring_from_doc(doc: Mapping) -> dict[Node, list[int]]:
 
 def witness_to_doc(w: Witness) -> dict:
     return {
-        "f": {
-            json.dumps(atom_to_jsonable(a), sort_keys=True, separators=(",", ":")): v
-            for a, v in sorted(w.f.items(), key=lambda kv: json.dumps(atom_to_jsonable(kv[0])))
-        },
-        "a": {f"{node_key(z)}:{j}": v for (z, j), v in sorted(w.a.items())},
+        "f": {json.dumps(atom_to_jsonable(a), sort_keys=True, separators=(",", ":")): v for a, v in w.f.items()},
+        "a": {f"{node_key(z)}:{j}": v for (z, j), v in w.a.items()},
     }
 
 
@@ -400,14 +416,6 @@ def witness_to_doc(w: Witness) -> dict:
 
 def presentation_to_doc(p: Presentation) -> dict:
     return {"gens": list(p.generators), "rels": [list(row) for row in p.relations.entries]}
-
-
-def presentation_from_doc(doc: Mapping) -> Presentation:
-    _require_keys(doc, {"gens", "rels"}, set(), "presentation")
-    return Presentation(
-        tuple(doc["gens"]),
-        IntMatrix.from_rows(doc["rels"]),
-    )
 
 
 _CHAIN_REQUIRED = {"schema", "r", "q", "d", "J"}
@@ -431,7 +439,7 @@ def certificate_to_doc(obj) -> dict:
     if isinstance(obj, Transversal):
         return {
             "type": "transversal",
-            "assignment": {str(i): atom_to_jsonable(a) for i, a in sorted(obj.assignment.items())},
+            "assignment": {str(i): atom_to_jsonable(a) for i, a in obj.assignment.items()},
         }
     if isinstance(obj, HallCertificate):
         return {"type": "hall-certificate", "violator": sorted(obj.violator)}
@@ -440,14 +448,6 @@ def certificate_to_doc(obj) -> dict:
     if isinstance(obj, ReshufflingObstruction):
         return {"type": "reshuffling-obstruction", **obj.to_jsonable()}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
-
-
-def hall_certificate_from_doc(doc: Mapping) -> HallCertificate:
-    return HallCertificate(frozenset(int(i) for i in doc["violator"]))
-
-
-def transversal_from_doc(doc: Mapping) -> Transversal:
-    return Transversal({int(i): atom_from_jsonable(a) for i, a in doc["assignment"].items()})
 
 
 # --- ladder instances ---------------------------------------------------------
@@ -481,31 +481,6 @@ def instance_from_doc(doc: Mapping) -> LadderInstance:
         p=_int(doc["p"], "p") if "p" in doc else None,
         i_max=_int(doc["i_max"], "i_max") if "i_max" in doc else None,
     )
-
-
-def instance_to_doc(inst: LadderInstance) -> dict:
-    doc: dict[str, Any] = {
-        "schema": SCHEMA,
-        "subcase": inst.subcase,
-        "r": inst.r,
-        "levels": {},
-    }
-    if inst.p is not None:
-        doc["p"] = inst.p
-    if inst.i_max is not None:
-        doc["i_max"] = inst.i_max
-    for lv in inst.levels:
-        entry: dict[str, Any] = {
-            "ladder": list(lv.ladder),
-            "colors": list(lv.colors),
-            "g": list(lv.g_labels),
-        }
-        if lv.mu:
-            entry["mu"] = [list(row) for row in lv.mu]
-        if lv.primes is not None:
-            entry["primes"] = list(lv.primes)
-        doc["levels"][str(lv.alpha)] = entry
-    return doc
 
 
 # --- residue tables and simulation reports ------------------------------------
@@ -622,7 +597,7 @@ def simulation_to_doc(report: SimulationReport) -> dict:
             }
             for lv in report.levels
         ],
-        "splitting": {g: v for g, v in sorted(report.chain.splitting.items())},
+        "splitting": dict(report.chain.splitting),
         "generators": list(report.chain.generators),
         "relations": [list(row) for row in report.chain.relations.entries],
         "shift_coefficients": list(report.chain.shift_coefficients),

@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
+from itertools import product
 from typing import Mapping, Sequence
 
 from .abelian import (
@@ -201,16 +202,6 @@ class PrimeTable:
         return ("prime", self.p, self.mu)
 
 
-def _tuple_ranges(bound: int, r: int):
-    """All integer r-tuples with entries in [-bound, bound], lexicographic."""
-    if r == 0:
-        yield ()
-        return
-    for head in range(-bound, bound + 1):
-        for tail in _tuple_ranges(bound, r - 1):
-            yield (head,) + tail
-
-
 _prime_cache: dict = {}
 
 
@@ -223,7 +214,7 @@ def prime_table(p: int, mu: Sequence[int] = ()) -> PrimeTable:
         raise TableError(f"{p} is not prime")
     r = len(mu)
     t = max_magnitude_bound(p, r)
-    centers = sorted({sum(c * m for c, m in zip(mu, vec)) for vec in _tuple_ranges(t, r)})
+    centers = sorted({sum(c * m for c, m in zip(mu, vec)) for vec in product(range(-t, t + 1), repeat=r)})
     y = IntervalSet.from_raw([(c - t, c + t) for c in centers], p)
     b = _interval_shift_disjoint(y, 1)
     one = y.shift(b)
@@ -317,7 +308,8 @@ def power_table(
     modulus = p ** t_cur
     big_p = p ** t_prev
     coeffs = [sum(p ** j * row[j] for j in range(t_cur)) % modulus for row in mu_cut]
-    centers = sorted({sum(c * m for c, m in zip(coeffs, vec)) % modulus for vec in _tuple_ranges(big_p, r)})
+    vecs = product(range(-big_p, big_p + 1), repeat=r)
+    centers = sorted({sum(c * m for c, m in zip(coeffs, vec)) % modulus for vec in vecs})
     y = IntervalSet.from_raw([(c - big_p, c + 2 * big_p - 1) for c in centers], modulus)
     b = _interval_shift_disjoint(y, big_p)
     one = y.shift(b)
@@ -344,17 +336,6 @@ def power_table(
     )
     _power_cache[cache_key] = table
     return table
-
-
-def primes_above(threshold: int, count: int) -> tuple[int, ...]:
-    """The `count` smallest primes strictly above `threshold` (experiment setup)."""
-    out = []
-    candidate = max(threshold + 1, 2)
-    while len(out) < count:
-        if is_prime(candidate):
-            out.append(candidate)
-        candidate += 1
-    return tuple(out)
 
 
 def recode_ladder(alpha: int, values: Sequence[int], ladder: Sequence[int], base: int | None = None):
@@ -635,14 +616,14 @@ def _canonical_solution(
     position = {t: k for k, t in enumerate(free)}
     forms = [({position[c]: v for c, v in row.items() if c in position}, abs(row[t])) for row, t in zip(rows, decided)]
     forms = [(f, p) for f, p in forms if p > 1]
-    zeros = [0] * len(rows)
+    no_rhs = [0] * len(rows)
     kernel = []
     diagonal = 1
     for k, b in enumerate(_lattice_basis(forms, len(free))):
         x = [0] * width
         for t, v in zip(free, b):
             x[t] = v
-        _substitute(x, rows, decided, zeros)
+        _substitute(x, rows, decided, no_rhs)
         if any(sum(v * x[c] for c, v in row.items()) for row in rows):
             raise CertificateError(f"lifted lattice basis row {k} is not in the kernel of the ladder core")
         if b[k] <= 0 or any(b[:k]):
@@ -803,7 +784,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
 
     later = [(k, pivot_of[g]) for k, g in enumerate(labels) if pivot_of[g] != k]
     if inst.subcase == "i":
-        # (row, shift, decided column) of each later row less its label's pivot row, zeros dropped
+        # (row, shift, decided column) of each later row less its label's pivot row, zero entries dropped
         core = []
         for k, i in later:
             row = {t: rows[k].get(t, 0) - rows[i].get(t, 0) for t in rows[k].keys() | rows[i].keys()}

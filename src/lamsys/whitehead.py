@@ -50,7 +50,6 @@ from .core import (
     BasedFamily,
     Node,
     SystemSkeleton,
-    TransformResult,
     Violation,
     atom_sort_key,
     node_key,
@@ -216,29 +215,6 @@ def solve_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]]) -> Witne
     if not ok:
         raise CertificateError(f"back-substituted witness fails the witness equation at {where}")
     return w
-
-
-def transport_witness(result: TransformResult, ws_new: WhiteheadSystem, w: Witness) -> Witness:
-    """Carry a witness across a transform: f(new) = f(old), a unchanged."""
-    f = {}
-    for z in ws_new.finals():
-        for k in ws_new.levels(z):
-            for x in ws_new.family.phi[(z, k)]:
-                f[x] = w.f[result.old_of_new[x]]
-    return Witness(f, dict(w.a))
-
-
-def transformed_system(ws: WhiteheadSystem, result: TransformResult) -> WhiteheadSystem:
-    """Same primes and coefficients over the transformed skeleton and family."""
-    return WhiteheadSystem(
-        system=result.system,
-        family=result.family,
-        r=ws.r,
-        q=dict(ws.q),
-        d=dict(ws.d),
-        j_trunc=ws.j_trunc,
-        strong_order=ws.strong_order,
-    )
 
 
 # --- quotient bases ---------------------------------------------------------

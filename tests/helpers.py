@@ -1,4 +1,6 @@
-"""Shared instance builders for tests: random skeletons, families, witness systems."""
+"""Shared test helpers: random skeletons, families and witness systems, and small
+operations that only tests need (a matrix-vector product, carrying a witness
+across a transform)."""
 
 import contextlib
 import gc
@@ -6,9 +8,13 @@ import io
 import random
 import traceback
 
+from lamsys.abelian import IntMatrix
 from lamsys.cli import dispatch
-from lamsys.core import make_family, make_skeleton
-from lamsys.whitehead import WhiteheadSystem
+from lamsys.core import TransformResult, make_family, make_skeleton
+from lamsys.jsonio import SCHEMA
+from lamsys.record import replace
+from lamsys.uniformization import LadderInstance
+from lamsys.whitehead import Witness, WhiteheadSystem
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13)
 
@@ -71,6 +77,44 @@ def random_whitehead_system(
         d=d,
         j_trunc=truncation + r + 2,
     )
+
+
+def transformed_system(ws: WhiteheadSystem, result: TransformResult) -> WhiteheadSystem:
+    """Same primes and coefficients over the transformed skeleton and family."""
+    return replace(ws, system=result.system, family=result.family)
+
+
+def transport_witness(result: TransformResult, ws_new: WhiteheadSystem, w: Witness) -> Witness:
+    """Carry a witness across a transform: f(new) = f(old), a unchanged.
+
+    The paper's fact that a transform keeps every coloring witnessed: each
+    transformed atom takes the value of the atom it came from.
+    """
+    f = {}
+    for z in ws_new.finals():
+        for k in ws_new.levels(z):
+            for x in ws_new.family.phi[(z, k)]:
+                f[x] = w.f[result.old_of_new[x]]
+    return Witness(f, dict(w.a))
+
+
+def mat_vec(a: IntMatrix, v) -> tuple[int, ...]:
+    """The product of `a` and the column vector `v`."""
+    return tuple(sum(x * y for x, y in zip(row, v, strict=True)) for row in a.entries)
+
+
+def instance_to_doc(inst: LadderInstance) -> dict:
+    """The ladder-instance document that `jsonio.instance_from_doc` reads back as `inst`."""
+    doc = {"schema": SCHEMA, "subcase": inst.subcase, "r": inst.r, "levels": {}}
+    doc.update((key, v) for key, v in (("p", inst.p), ("i_max", inst.i_max)) if v is not None)
+    for lv in inst.levels:
+        entry = {"ladder": list(lv.ladder), "colors": list(lv.colors), "g": list(lv.g_labels)}
+        if lv.mu:
+            entry["mu"] = [list(row) for row in lv.mu]
+        if lv.primes is not None:
+            entry["primes"] = list(lv.primes)
+        doc["levels"][str(lv.alpha)] = entry
+    return doc
 
 
 def random_coloring(rng: random.Random, ws: WhiteheadSystem, bound: int = 6):

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import mat_vec
+
 from lamsys import abelian
 from lamsys.abelian import (
     CertificateError,
@@ -154,7 +156,7 @@ def test_solve_z_random_4x6():
         if isinstance(res, InfeasibilityCertificate):
             assert res.verify(a, b)
         else:
-            assert a.mul_vec(res) == tuple(b)
+            assert mat_vec(a, res) == tuple(b)
 
 
 def test_solve_z_planted_solutions():
@@ -164,10 +166,10 @@ def test_solve_z_planted_solutions():
             [[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
         )
         x = [rng.randint(-4, 4) for _ in range(5)]
-        b = a.mul_vec(x)
+        b = mat_vec(a, x)
         res = solve_z(a, b)
         assert not isinstance(res, InfeasibilityCertificate)
-        assert a.mul_vec(res) == b
+        assert mat_vec(a, res) == b
 
 
 @settings(max_examples=80, deadline=None)
@@ -175,7 +177,7 @@ def test_solve_z_planted_solutions():
 def test_kernel_basis_annihilates(a):
     k = kernel_basis(a)
     for row in k.entries:
-        assert a.mul_vec(row) == tuple(0 for _ in range(a.rows))
+        assert mat_vec(a, row) == tuple(0 for _ in range(a.rows))
     assert k.rows == a.cols - matrix_rank(a)
     # primitive: all invariant factors 1, so the rows span every integer
     # kernel vector, not a sublattice of index > 1
@@ -186,21 +188,21 @@ def _snf_path(a, b):
     """(solution or certificate, kernel basis) read off snf(a): the solver that integer_solutions replaced."""
     dec = snf(a)
     diag = dec.diagonal
-    c = dec.u.mul_vec(b) if a.rows else ()
+    c = mat_vec(dec.u, b) if a.rows else ()
     y = [0] * a.cols
     solution = None
     for i in range(a.rows):
         di = diag[i] if i < len(diag) else 0
         if di == 0 and c[i] != 0:
-            solution = InfeasibilityCertificate(tuple(Fraction(x, abs(c[i]) + 1) for x in dec.u.row(i)))
+            solution = InfeasibilityCertificate(tuple(Fraction(x, abs(c[i]) + 1) for x in dec.u.entries[i]))
             break
         if di != 0 and c[i] % di != 0:
-            solution = InfeasibilityCertificate(tuple(Fraction(x, di) for x in dec.u.row(i)))
+            solution = InfeasibilityCertificate(tuple(Fraction(x, di) for x in dec.u.entries[i]))
             break
         if di != 0:
             y[i] = c[i] // di
     if solution is None:
-        solution = dec.v.mul_vec(y) if a.cols else ()
+        solution = mat_vec(dec.v, y) if a.cols else ()
     free = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
     kernel = IntMatrix.from_rows([[dec.v.entries[r][j] for r in range(a.cols)] for j in free])
     return solution, kernel
@@ -219,7 +221,7 @@ def _edge_matrices():
     rng = random.Random(41)
     yield IntMatrix.from_rows([])                        # 0 x 0
     yield IntMatrix(((), (), ()))                        # 3 x 0
-    yield IntMatrix.zeros(2, 4)
+    yield IntMatrix.from_rows([[0] * 4] * 2)
     yield IntMatrix.from_rows([[0, 0, 0], [2, 0, 4], [0, 0, 0]])
     yield IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [-1, -2, -3]])
     yield IntMatrix.from_rows([[6, 0], [0, 0], [0, 10]])
@@ -239,14 +241,14 @@ def test_integer_solutions_agree_with_snf_path():
     rng = random.Random(43)
     for a in _edge_matrices():
         planted = [rng.randint(-4, 4) for _ in range(a.cols)]
-        for b in (list(a.mul_vec(planted)), [rng.randint(-9, 9) for _ in range(a.rows)]):
+        for b in (list(mat_vec(a, planted)), [rng.randint(-9, 9) for _ in range(a.rows)]):
             sols = integer_solutions(a, b)
             old_solution, old_kernel = _snf_path(a, b)
             for solution in (sols.solution, old_solution):
                 if isinstance(solution, InfeasibilityCertificate):
                     assert solution.verify(a, b)
                 else:
-                    assert a.mul_vec(solution) == tuple(b)
+                    assert mat_vec(a, solution) == tuple(b)
             assert isinstance(sols.solution, InfeasibilityCertificate) == isinstance(
                 old_solution, InfeasibilityCertificate
             )
@@ -572,7 +574,7 @@ def _torsion_presentations():
     yield Presentation(("a", "b", "c"), IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 0]]))
     yield Presentation(("a", "b"), IntMatrix.from_rows([]))  # 0 x n
     yield Presentation((), IntMatrix(((), ())))  # n x 0
-    yield Presentation(("a", "b", "c"), IntMatrix.zeros(3, 3))
+    yield Presentation(("a", "b", "c"), IntMatrix.from_rows([[0] * 3] * 3))
     yield Presentation(("a", "b", "c", "d"), IntMatrix.from_rows([[0, 4, 0, 6], [0, 0, 0, 0], [0, 6, 0, 9]]))
     # factors (1, 3): the entry 1 off the pivot columns must stay in the Smith block
     yield Presentation(("a", "b", "c", "d"), IntMatrix.from_rows([[2, 1, 0, 0], [0, 0, 3, 0]]))

@@ -14,7 +14,8 @@ import pytest
 from lamsys import jsonio
 from lamsys.cli import dispatch
 from lamsys.core import make_family, make_skeleton
-from lamsys.jsonio import dump, system_to_doc
+from lamsys.freeness import Transversal
+from lamsys.jsonio import MAX_ATOM_DEPTH, dump, system_to_doc
 from lamsys.whitehead import WhiteheadSystem
 
 
@@ -123,8 +124,7 @@ def test_check_free_twins_certificate(tmp_path, capsys):
     code, out, _ = run(capsys, ["check-free", path])
     assert code == 1
     doc = json.loads(out)
-    cert = jsonio.hall_certificate_from_doc(doc["certificate"])
-    assert cert.violator == frozenset({0, 1})
+    assert doc["certificate"] == {"type": "hall-certificate", "violator": [0, 1]}
 
 
 def test_check_free_transversal_roundtrip(tmp_path, capsys):
@@ -133,7 +133,7 @@ def test_check_free_transversal_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, ["check-free", path])
     assert code == 0
     doc = json.loads(out)
-    t = jsonio.transversal_from_doc(doc["certificate"])
+    t = Transversal({int(i): a for i, a in doc["certificate"]["assignment"].items()})
     assert t.verify([frozenset(sets[0]), frozenset(sets[1])])
 
 
@@ -241,9 +241,8 @@ def test_build_g_and_solve_witness(tmp_path, capsys):
     code, out, _ = run(capsys, ["build-G", "--system", path])
     assert code == 0
     doc = json.loads(out)
-    pres = jsonio.presentation_from_doc(doc["presentation"])
     assert doc["free"] is True
-    assert pres.relations.rows == 2
+    assert len(doc["presentation"]["rels"]) == 2
     c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}})
     code, out, _ = run(capsys, ["solve-witness", "--system", path, "--c", c_path])
     assert code == 0
@@ -365,6 +364,13 @@ def test_unif_table_reaches_t_8():
     assert json.loads(proc.stdout)["thresholds"][-1] == 371093
 
 
+def test_unif_table_takes_more_mu_entries_than_the_recursion_limit():
+    # the table enumerates r-tuples; r comes from the user, so no recursion may follow it
+    proc = run_cli_process(["unif-table", "--p", "5", "--r", "2000", "--mu", json.dumps([0] * 2000)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["table"]["r"] == 2000
+
+
 def test_unif_sim_certificate_reverifies_from_json(tmp_path, capsys):
     inst = {
         "schema": "lamsys/1",
@@ -412,6 +418,51 @@ def test_transform_cli_roundtrip(tmp_path, capsys):
         for vals in per_level.values():
             for v in vals:
                 assert json.dumps(v) in renaming
+
+
+def unleveled_family_doc():
+    doc = family_doc({0: ["a", "b"], 1: ["a", "c"]})
+    del doc["level"]["1"]
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["disjoint", "tree"])
+def test_transform_without_a_level_exits_2(tmp_path, capsys, kind):
+    path = write(tmp_path, "fam.json", unleveled_family_doc())
+    code, out, err = run(capsys, ["transform", path, "--kind", kind])
+    assert (code, out) == (2, "")
+    assert err == "error: level-missing at node '1': no level assigned\n"
+
+
+def test_validate_reports_the_missing_level(tmp_path, capsys):
+    path = write(tmp_path, "fam.json", unleveled_family_doc())
+    code, out, _ = run(capsys, ["validate", path])
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"clause": "level-missing", "detail": "no level assigned", "node": "1"}]
+
+
+def nested_atom(depth):
+    atom = "a"
+    for _ in range(depth):
+        atom = [atom]
+    return atom
+
+
+@pytest.mark.parametrize(
+    "argv", [["check-free"], ["validate"], ["reshuffle"], ["transform", "--kind", "disjoint"], ["transform", "--kind", "tree"]]
+)
+@pytest.mark.parametrize("depth, expected", [(MAX_ATOM_DEPTH, 0), (MAX_ATOM_DEPTH + 1, 2), (500, 2)])
+def test_atoms_nested_past_the_bound_exit_2(tmp_path, capsys, argv, depth, expected):
+    doc = family_doc({0: ["a", "b"], 1: ["b", "c"]})
+    deep = nested_atom(depth)
+    doc["B"] = {k: [deep if v == "a" else v for v in atoms] for k, atoms in doc["B"].items()}
+    doc["phi"]["0"]["1"] = [deep, "b"]
+    code, out, err = run(capsys, [*argv, write(tmp_path, "fam.json", doc)])
+    assert code == expected, err
+    if expected == 2:
+        assert out == "" and err == f"error: atom nests lists more than {MAX_ATOM_DEPTH} deep\n"
+    else:
+        assert err == ""
 
 
 def test_byte_stability(tmp_path, capsys):

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference
-from helpers import random_whitehead_system
+from helpers import instance_to_doc, random_whitehead_system
 
 from lamsys import jsonio
-from lamsys.core import make_family, make_skeleton, transform_disjoint, transform_tree, validate_family
-from lamsys.jsonio import InputError, atom_from_jsonable, atom_to_jsonable
+from lamsys.core import atom_sort_key, make_family, make_skeleton, transform_disjoint, transform_tree, validate_family
+from lamsys.jsonio import MAX_ATOM_DEPTH, InputError, atom_from_jsonable, atom_to_jsonable
 from lamsys.uniformization import LadderInstance, LadderLevel
+from lamsys.whitehead import atom_name
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -80,6 +81,24 @@ def test_transformed_atoms_roundtrip():
         assert validate_family(back) == []
 
 
+def test_every_atom_walk_takes_an_atom_at_the_depth_bound():
+    deep = "x"
+    for _ in range(MAX_ATOM_DEPTH):
+        deep = [deep]
+    atom = atom_from_jsonable(deep)
+    assert atom_to_jsonable(atom) == deep
+    assert atom_sort_key(atom) > atom_sort_key(("x",))
+    assert atom_name(atom) == "a:" + json.dumps(deep, separators=(",", ":"))
+    assert jsonio.dump({"atom": deep}) == json.dumps({"atom": deep}, sort_keys=True, indent=2) + "\n"
+    with pytest.raises(InputError, match=f"more than {MAX_ATOM_DEPTH} deep"):
+        atom_from_jsonable([deep])
+    # the check counts lists level by level, so an atom far past any recursion limit is rejected too
+    for _ in range(100_000):
+        deep = [deep]
+    with pytest.raises(InputError, match=f"more than {MAX_ATOM_DEPTH} deep"):
+        atom_from_jsonable(deep)
+
+
 def test_instance_roundtrip():
     inst = LadderInstance(
         subcase="ii",
@@ -96,7 +115,7 @@ def test_instance_roundtrip():
             ),
         ),
     )
-    doc = json.loads(json.dumps(jsonio.instance_to_doc(inst)))
+    doc = json.loads(json.dumps(instance_to_doc(inst)))
     assert jsonio.instance_from_doc(doc) == inst
 
 

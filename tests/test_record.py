@@ -193,3 +193,17 @@ def test_importing_the_cli_loads_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_core_loads_no_other_domain_module():
+    # the package re-exports nothing, so a user of the core alone loads no abelian, whitehead or table code
+    code = "import sys, lamsys.core; print(sorted(m for m in sys.modules if m.split('.')[0] == 'lamsys'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['lamsys', 'lamsys.core', 'lamsys.record']"

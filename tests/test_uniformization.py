@@ -17,7 +17,6 @@ from lamsys.uniformization import (
     max_magnitude_bound,
     power_table,
     prime_table,
-    primes_above,
     recode_ladder,
     shift_disjoint,
     simulate,
@@ -267,11 +266,6 @@ def test_power_table_key_dependence_on_mu_cut():
 # --- recoding ----------------------------------------------------------------
 
 
-def test_primes_above():
-    assert primes_above(30, 4) == (31, 37, 41, 43)
-    assert primes_above(0, 3) == (2, 3, 5)
-
-
 def test_recode_ladder():
     alpha2, rungs, k = recode_ladder(10, [5, 2, 7], [1, 4, 6])
     assert alpha2 == 10 * k
@@ -337,7 +331,7 @@ def test_simulate_reports_a_splitting_off_the_solution(monkeypatch, tmp_path, ca
 
     from lamsys import uniformization
     from lamsys.cli import dispatch
-    from lamsys.jsonio import instance_to_doc
+    from helpers import instance_to_doc
 
     inst = shared_label_instance()
     assert simulate(inst).checks == {"projection_splitting_identity": True}
@@ -365,7 +359,7 @@ def test_simulate_reports_a_lifted_splitting_off_the_solution(monkeypatch, tmp_p
 
     from lamsys import uniformization
     from lamsys.cli import dispatch
-    from lamsys.jsonio import instance_to_doc
+    from helpers import instance_to_doc
 
     inst = spec_case_i_instance()
     assert simulate(inst).checks == {"projection_splitting_identity": True}

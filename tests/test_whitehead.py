@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_coloring, random_whitehead_system
+from helpers import random_coloring, random_whitehead_system, transformed_system, transport_witness
 
 from lamsys.abelian import InfeasibilityCertificate, IntMatrix, is_free, is_prime, rank, solve_z
 from lamsys.core import make_family, make_skeleton, transform_disjoint, transform_tree
@@ -23,8 +23,6 @@ from lamsys.whitehead import (
     enumerate_basis,
     quotient_presentation,
     solve_witness,
-    transformed_system,
-    transport_witness,
     validate_whitehead,
     verify_basis,
     verify_witness,
