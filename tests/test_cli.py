@@ -441,20 +441,15 @@ def test_validate_reports_the_missing_level(tmp_path, capsys):
     assert json.loads(out)["violations"] == [{"clause": "level-missing", "detail": "no level assigned", "node": "1"}]
 
 
-def nested_atom(depth):
-    atom = "a"
-    for _ in range(depth):
-        atom = [atom]
-    return atom
-
-
 @pytest.mark.parametrize(
     "argv", [["check-free"], ["validate"], ["reshuffle"], ["transform", "--kind", "disjoint"], ["transform", "--kind", "tree"]]
 )
 @pytest.mark.parametrize("depth, expected", [(MAX_ATOM_DEPTH, 0), (MAX_ATOM_DEPTH + 1, 2), (500, 2)])
-def test_atoms_nested_past_the_bound_exit_2(tmp_path, capsys, argv, depth, expected):
+def test_atom_depth_bound_in_every_family_command(tmp_path, capsys, argv, depth, expected):
     doc = family_doc({0: ["a", "b"], 1: ["b", "c"]})
-    deep = nested_atom(depth)
+    deep = "a"
+    for _ in range(depth):
+        deep = [deep]
     doc["B"] = {k: [deep if v == "a" else v for v in atoms] for k, atoms in doc["B"].items()}
     doc["phi"]["0"]["1"] = [deep, "b"]
     code, out, err = run(capsys, [*argv, write(tmp_path, "fam.json", doc)])
