@@ -6,22 +6,6 @@ solving with dual infeasibility certificates, and presentations given by a
 generator list plus an integer relation matrix.  All functions are pure and
 all results carry enough data to be re-verified by direct multiplication.
 
-One exact solver serves `solve_z`, `kernel_basis` and `integer_solutions`:
-a single row Hermite form H = U * A^T, with U^-1 tracked in the same
-elimination.  Forward substitution along the pivots of H gives a particular
-solution of A x = b or an infeasibility certificate; the rows of U against
-the zero rows of H are the kernel basis K.  Before returning, four exact,
-determinant-free checks certify the result and raise CertificateError if
-one fails (they are not asserts, so they run under `python -O` too):
-
-1. U * A^T = H, multiplied over the nonzeros of the sparse A, with H in
-   row echelon form, so its r pivots prove rank A >= r;
-2. A x = b, or the certificate y has y A integral and y b not;
-3. A K^T = 0, the zero rows of check 1;
-4. K L = I for L the matching columns of U^-1, so K spans every integer
-   vector of its rational span; with check 1 that span is all of ker A,
-   and K is a basis of its integer points.
-
 A presentation's invariant factors come from unit peeling, the first step
 of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a
 row or column whose one nonzero entry left is +-1 splits off a factor 1 and
@@ -46,13 +30,13 @@ and no solver run (an independent ladder reaches no `hnf` at all).  The
 other is the fallback of `basis`'s generation check, when peeling the
 stacked rows finds fewer pivots than generators.
 
-So `integer_solutions`, `solve_z`, `kernel_basis` and `snf` have no CLI
-caller left (`invariant_factors` hands `snf` only a block that peeling
-leaves, and every presentation the CLI builds peels completely).  They stay
-here for now, as library functions and as the oracle of the differential
-tests: the benchmark's tracer (`perfbench/tracing.py`) wraps them and
-`tests/test_tracing_targets.py` pins its targets, so they go together with
-a change to the benchmark.
+`solve_z` and `kernel_basis` have no CLI caller.  They read their answers
+off `snf`, which `invariant_factors` keeps anyway: with D = U * A * V,
+A x = b becomes D y = U b for x = V y, and the columns of V past the rank
+of D are a basis of the integer kernel.  `snf`'s self-check proves that
+basis, and `solve_z` checks its solution or certificate against A and b
+before returning it.  The benchmark's tracer (`perfbench/tracing.py`) wraps
+both, and `tests/test_tracing_targets.py` pins its targets.
 """
 
 from __future__ import annotations
@@ -272,65 +256,6 @@ class InfeasibilityCertificate:
         return sum(self.y[i] * b[i] for i in range(a.rows)).denominator != 1
 
 
-@record
-class IntegerSolutions:
-    """Every integer solution of a*x = b, with the echelon data that proves it.
-
-    `hermite` = `transform` * a^T is a row echelon form whose first `rank`
-    rows are nonzero; the other rows of `transform` form `kernel`, and
-    `dual` has one row per kernel row with kernel * dual^T = I.  The integer
-    solutions are exactly `solution` plus the integer combinations of the
-    kernel rows, or there are none and `solution` is an
-    InfeasibilityCertificate.
-    """
-
-    solution: tuple[int, ...] | InfeasibilityCertificate
-    hermite: IntMatrix
-    transform: IntMatrix
-    dual: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for row in self.hermite.entries if any(row))
-
-    @property
-    def kernel(self) -> IntMatrix:
-        return IntMatrix(self.transform.entries[self.rank:])
-
-    def check(self, a: IntMatrix, b: Sequence[int]) -> None:
-        """Re-verify every claim exactly; raise CertificateError on the first that fails.
-
-        1. transform * a^T = hermite, computed over the nonzeros of a, and
-           hermite is a row echelon form, so rank(a) >= `rank`;
-        2. a * solution = b, or the infeasibility certificate verifies;
-        3. a * kernel^T = 0, which is the zero rows of (1);
-        4. kernel * dual^T = I: the kernel rows are independent and every
-           integer vector in their rational span is an integer combination
-           of them.  By (1) and (3) they span the kernel of a over the
-           rationals, so they are a basis of its integer points.
-        """
-        n, m = a.cols, a.rows
-        # every matrix here is sparse: multiply nonzeros only
-        a_cols = _sparse_columns(a.entries, n)
-        h, u = self.hermite.entries, self.transform.entries
-        if len(h) != n or len(u) != n or any(len(row) != m for row in h) or any(len(row) != n for row in u):
-            raise CertificateError("Hermite form or its transform has the wrong shape")
-        pivots = [next(_nonzero(row), m) for row in h]
-        r = self.rank
-        if any(p < m for p in pivots[r:]) or any(p >= q for p, q in zip(pivots[: r - 1], pivots[1:r])):
-            raise CertificateError("Hermite form is not in row echelon form")
-        for urow, hrow in zip(u, h):
-            if tuple(_sparse_row_times(urow, a_cols, m)) != hrow:
-                raise CertificateError("transform * a^T differs from the Hermite form")
-        if not _is_inverse(u[r:], tuple(zip(*self.dual.entries))):
-            raise CertificateError("kernel rows do not span the integer kernel")
-        if isinstance(self.solution, InfeasibilityCertificate):
-            if not self.solution.verify(a, b):
-                raise CertificateError("infeasibility certificate does not verify")
-        elif len(self.solution) != n or _sparse_row_times(self.solution, a_cols, m) != [int(t) for t in b]:
-            raise CertificateError("solution does not satisfy a*x = b")
-
-
 def _nonzero(row: Sequence[int]) -> Iterator[int]:
     """Indices of the nonzero entries of row, in order."""
     return compress(range(len(row)), row)
@@ -383,81 +308,49 @@ def _times(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> tup
     return tuple(tuple(_sparse_row_times(row, right_rows, len(right))) for row in left)
 
 
-def _certificate(
-    h: tuple[tuple[int, ...], ...], pivots: list[int], m: int, target: Sequence[int], free: int | None = None, denom: int = 1
-) -> InfeasibilityCertificate:
-    """y / denom, where y is 1 at column `free` and s on the pivot columns.
+def solve_z(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | InfeasibilityCertificate:
+    """Solve a*x = b over the integers, read off the Smith form D = U * a * V.
 
-    s solves sum_k h[l][pivots[k]] * s[k] = target[l] for every pivot row
-    l; the pivot columns of an echelon form are upper triangular, so this is
-    back substitution.
-    """
-    s = [Fraction(0)] * len(pivots)
-    for k in reversed(range(len(pivots))):
-        row = h[k]
-        rest = Fraction(target[k]) - sum((row[pivots[l]] * s[l] for l in range(k + 1, len(pivots))), Fraction(0))
-        s[k] = rest / row[pivots[k]]
-    y = [Fraction(0)] * m
-    for k, p in enumerate(pivots):
-        y[p] = s[k] / denom
-    if free is not None:
-        y[free] = Fraction(1, denom)
-    return InfeasibilityCertificate(tuple(y))
-
-
-def integer_solutions(a: IntMatrix, b: Sequence[int]) -> IntegerSolutions:
-    """All integer solutions of a*x = b from one Hermite form of a^T, checked before returning.
-
-    With H = U * a^T, the equation x^T a^T = b^T becomes y^T H = b^T for
-    x^T = y^T U, which forward substitution along the pivots of H solves or
-    refutes: a pivot that does not divide, or a nonzero remainder off the
-    pivot columns.  The rows of U against the zero rows of H span the kernel.
+    With c = U * b the system becomes D * y = c for x = V * y.  Where a
+    factor d_i does not divide c_i, row i of U over d_i is a certificate
+    (U * a = D * V^-1, so its product with a is row i of V^-1); where c_i is
+    nonzero past the rank, row i of U over |c_i| + 1 is one (its product with
+    a is 0).  The answer is checked against a and b before it is returned.
     """
     if len(b) != a.rows:
         raise DimensionError(f"matrix has {a.rows} rows, rhs has {len(b)}")
-    n = a.cols
-    h, u, u_inv = hnf(a.transpose(), inverse=True)
-    pivots = [next(_nonzero(row)) for row in h.entries if any(row)]
-    rest = [int(t) for t in b]
-    x = [0] * n
+    b = [int(t) for t in b]
+    dec = snf(a)
+    diag = dec.diagonal
+    y = [0] * a.cols
     solution = None
-    for i, p in enumerate(pivots):
-        q, rem = divmod(rest[p], h.entries[i][p])
-        if rem:
-            # H y = e_i, so y a is integral, while y b = rest[p] / pivot is not
-            solution = _certificate(h.entries, pivots, a.rows, [int(l == i) for l in range(len(pivots))])
+    for i, urow in enumerate(dec.u.entries):
+        c = sum(u * t for u, t in zip(urow, b))
+        d = diag[i] if i < len(diag) else 0
+        if d and c % d == 0:
+            y[i] = c // d
+        elif c:
+            solution = InfeasibilityCertificate(tuple(Fraction(u, d or abs(c) + 1) for u in urow))
             break
-        if q:
-            rest = [v - q * w for v, w in zip(rest, h.entries[i])]
-            urow = u.entries[i]
-            for t in _nonzero(urow):
-                x[t] += q * urow[t]
-    else:
-        j = next(_nonzero(rest), None)
-        if j is None:
-            solution = tuple(x)
-        else:
-            # H y = 0, so y a = 0, while y b = rest[j] / (|rest[j]| + 1)
-            target = [-h.entries[l][j] for l in range(len(pivots))]
-            solution = _certificate(h.entries, pivots, a.rows, target, free=j, denom=abs(rest[j]) + 1)
-    dual = IntMatrix(tuple(zip(*u_inv.entries))[len(pivots):])
-    result = IntegerSolutions(solution, h, u, dual)
-    result.check(a, b)
-    return result
-
-
-def solve_z(a: IntMatrix, b: Sequence[int]):
-    """Solve a*x = b over the integers.
-
-    Returns a solution tuple, or an InfeasibilityCertificate whose dot
-    products prove no integer solution exists.
-    """
-    return integer_solutions(a, b).solution
+    if solution is None:
+        solution = tuple(sum(v * t for v, t in zip(vrow, y)) for vrow in dec.v.entries)
+        if [sum(x * t for x, t in zip(row, solution)) for row in a.entries] != b:
+            raise CertificateError("solution does not satisfy a*x = b")
+    elif not solution.verify(a, b):
+        raise CertificateError("infeasibility certificate does not verify")
+    return solution
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Rows form a basis of the integer kernel {x : a*x = 0}."""
-    return integer_solutions(a, (0,) * a.rows).kernel
+    """Rows form a basis of the integer kernel {x : a*x = 0}: the columns of V past the rank of D = U * a * V.
+
+    `snf` certifies U * a * V = D with V * V^-1 = I, so a * V's columns past
+    the rank are 0 and V is unimodular: those columns span the kernel over
+    the integers.
+    """
+    dec = snf(a)
+    rank = sum(1 for d in dec.diagonal if d)
+    return IntMatrix(tuple(zip(*dec.v.entries))[rank:])
 
 
 def reduce_mod_lattice(v: Sequence[int], h: IntMatrix) -> tuple[int, ...]:
@@ -666,15 +559,6 @@ def invariant_factors(p: Presentation) -> tuple[int, ...]:
     block = _peeled_block(a, pivots)
     rest = tuple(d for d in snf(IntMatrix(block)).diagonal if d) if block else ()
     return (1,) * len(pivots) + rest
-
-
-def is_free(p: Presentation) -> bool:
-    return all(d == 1 for d in invariant_factors(p))
-
-
-def rank(p: Presentation) -> int:
-    """Free rank: generators minus the number of nonzero invariant factors."""
-    return len(p.generators) - len(invariant_factors(p))
 
 
 @record

@@ -46,7 +46,7 @@ from .freeness import (
     find_transversal,
     k_free_check,
 )
-from .jsonio import InputError, SCHEMA, _int_rows, _ints, dump
+from .jsonio import MAX_ATOM_DEPTH, InputError, SCHEMA, _int_rows, _ints, dump
 from .uniformization import (
     power_table,
     prime_table,
@@ -280,12 +280,25 @@ def cmd_unif_sim(args) -> tuple[dict, int]:
     return {"report": jsonio.simulation_to_doc(report)}, 0 if report.ok else 1
 
 
+def _atom_depth(fam) -> int:
+    """List depth of the most deeply nested atom in fam's carriers and slices; 0 when all are plain."""
+    nested = [a for atoms in (*fam.system.B.values(), *fam.phi.values()) for a in atoms if type(a) is tuple]
+    depth = 0
+    while nested:
+        depth += 1
+        nested = [x for a in nested for x in a if type(x) is tuple]
+    return depth
+
+
 def cmd_transform(args) -> tuple[dict, int]:
     fam = jsonio.family_from_doc(_load(args.file))
     # the output lists every node's level; `validate` reports a missing one as a violation
     unleveled = sorted(fam.system.nodes.difference(fam.system.level))
     if unleveled:
         raise InputError(f"level-missing at node {node_key(unleveled[0])!r}: no level assigned")
+    # both kinds wrap every atom in one more list, and the output must parse again
+    if _atom_depth(fam) >= MAX_ATOM_DEPTH:
+        raise InputError(f"atom nests lists {MAX_ATOM_DEPTH} deep, so transform would write it past the bound")
     transform = transform_disjoint if args.kind == "disjoint" else transform_tree
     res = transform(fam.system, fam)
     renaming = [

@@ -41,10 +41,6 @@ def parse_node_key(key: str) -> Node:
     return tuple(map(int, key.split(".")))
 
 
-def is_prefix(a: Node, b: Node) -> bool:
-    return len(a) <= len(b) and b[: len(a)] == a
-
-
 def lex_compare(a: Node, b: Node) -> int:
     """-1, 0, or 1: proper prefixes come first, then first-disagreement order.
 
@@ -218,14 +214,6 @@ def validate_system(sys_: SystemSkeleton) -> list[Violation]:
     return out
 
 
-def height(sys_: SystemSkeleton) -> int | None:
-    """Common length of all final nodes, or None when lengths are mixed."""
-    lengths = {len(f) for f in sys_.finals()}
-    if len(lengths) == 1:
-        return lengths.pop()
-    return None
-
-
 def restrict_to_nodes(sys_: SystemSkeleton, keep: Iterable[Node]) -> SystemSkeleton:
     """Keep only the given nodes, pruning E to kept children and dropping empty E."""
     keep = frozenset(keep)
@@ -241,26 +229,6 @@ def restrict_to_nodes(sys_: SystemSkeleton, keep: Iterable[Node]) -> SystemSkele
         B={k: v for k, v in sys_.B.items() if k in keep},
         largeness=sys_.largeness,
     )
-
-
-def restrict_to_height(sys_: SystemSkeleton, n: int) -> SystemSkeleton:
-    """Keep only nodes below some final of length n, pruning E and B."""
-    return restrict_to_nodes(
-        sys_, {f[:m] for f in sys_.finals() if len(f) == n for m in range(n + 1)}
-    )
-
-
-def candidate_heights(sys_: SystemSkeleton) -> list[int]:
-    """All n whose height-n restriction passes validation (possibly empty)."""
-    lengths = sorted({len(f) for f in sys_.finals()})
-    good = []
-    for n in lengths:
-        if n == 0:
-            continue
-        sub = restrict_to_height(sys_, n)
-        if sub.nodes and not validate_system(sub):
-            good.append(n)
-    return good
 
 
 @record(eq=False)
@@ -325,41 +293,6 @@ def validate_family(fam: BasedFamily) -> list[Violation]:
         if z not in fam.finals or not (1 <= k <= len(z)):
             out.append(Violation("phi-domain", z, f"enumeration key ({node_key(z)}, {k}) out of range"))
     return out
-
-
-class DerivedSystemError(ValueError):
-    pass
-
-
-def derived_system(sys_: SystemSkeleton, fam: BasedFamily, node: Node) -> tuple[SystemSkeleton, BasedFamily]:
-    """Subtree above `node`, re-rooted by stripping the prefix; carrier at the new root emptied.
-
-    Family slices keep only levels beyond len(node), shifted down accordingly.
-    """
-    if node not in sys_.nodes:
-        raise DerivedSystemError(f"node {node_key(node)!r} not in the skeleton")
-    if sys_.is_final(node):
-        raise DerivedSystemError("derived system undefined at final node")
-    ln = len(node)
-    sub = [n for n in sys_.nodes if is_prefix(node, n)]
-    strip = lambda n: n[ln:]
-    new_nodes = frozenset(strip(n) for n in sub)
-    new_level = {strip(n): sys_.level[n] for n in sub}
-    new_e = {strip(n): sys_.E[n] for n in sub if n in sys_.E}
-    new_b = {strip(n): (frozenset() if n == node else sys_.B.get(n, frozenset())) for n in sub}
-    new_sys = SystemSkeleton(new_nodes, new_level, new_e, new_b, sys_.largeness)
-
-    new_phi = {}
-    new_finals = []
-    for z in fam.finals:
-        if not is_prefix(node, z):
-            continue
-        nz = strip(z)
-        new_finals.append(nz)
-        for k in range(ln + 1, len(z) + 1):
-            new_phi[(nz, k - ln)] = fam.phi[(z, k)]
-    new_fam = BasedFamily(new_sys, tuple(sorted(new_finals)), new_phi, fam.truncation)
-    return new_sys, new_fam
 
 
 @record

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -47,14 +46,6 @@ from .abelian import (
     reduce_mod_lattice,
 )
 from .record import record
-
-
-class ShiftDisjointError(ValueError):
-    pass
-
-
-class TableError(ValueError):
-    pass
 
 
 @record
@@ -137,45 +128,19 @@ class IntervalSet:
         return x if x < self.modulus else None
 
 
-def shift_disjoint(y, y_prime, modulus: int) -> int:
-    """Least b in y_prime with Y and b+Y disjoint, i.e. outside {x - y : x, y in Y}.
-
-    The guarantee |Y|^2 < |Y'| is checked; when it fails but a valid b still
-    exists, the b is returned with a warning.
-    """
-    y_set = {v % modulus for v in y}
-    yp = sorted({v % modulus for v in y_prime})
-    hypothesis = len(y_set) ** 2 < len(yp)
-    diffs = {(x - v) % modulus for x in y_set for v in y_set}
-    b = next((v for v in yp if v not in diffs), None)
-    if b is None:
-        raise ShiftDisjointError(
-            f"no valid shift exists (|Y| = {len(y_set)}, |Y'| = {len(yp)}, modulus {modulus})"
-        )
-    if not hypothesis:
-        warnings.warn(
-            f"size guarantee violated (|Y|^2 = {len(y_set) ** 2} >= |Y'| = {len(yp)}) "
-            "but a valid shift exists anyway",
-            stacklevel=2,
-        )
-    if not y_set.isdisjoint({(b + v) % modulus for v in y_set}):
-        raise CertificateError(f"shift {b} does not make the set disjoint from its translate")
-    return b
-
-
 def _interval_shift_disjoint(y: IntervalSet, stride: int) -> int:
     """Least multiple of stride outside the difference set of y (interval path)."""
     diffs = y.difference_set()
     b = diffs.least_uncovered_multiple(stride)
     if b is None:
-        raise ShiftDisjointError("difference set covers every candidate shift")
+        raise ValueError("difference set covers every candidate shift")
     return b
 
 
 def max_magnitude_bound(p: int, r: int) -> int:
     """Largest t with (2t+1)^(2r+2) < p; requires p >= 2 so t = 0 always works."""
     if p < 2:
-        raise TableError(f"modulus base must be at least 2, got {p}")
+        raise ValueError(f"modulus base must be at least 2, got {p}")
     t = 0
     while (2 * (t + 1) + 1) ** (2 * r + 2) < p:
         t += 1
@@ -211,7 +176,7 @@ def prime_table(p: int, mu: Sequence[int] = ()) -> PrimeTable:
     if key in _prime_cache:
         return _prime_cache[key]
     if not is_prime(p):
-        raise TableError(f"{p} is not prime")
+        raise ValueError(f"{p} is not prime")
     r = len(mu)
     t = max_magnitude_bound(p, r)
     centers = sorted({sum(c * m for c, m in zip(mu, vec)) for vec in product(range(-t, t + 1), repeat=r)})
@@ -232,7 +197,7 @@ def threshold_exponents(p: int, r: int, i_max: int) -> tuple[int, ...]:
     (2*p^{t_{i-1}} + 1)^(2r+2) * p^(2*t_{i-1}) < p^d (strict).
     """
     if p < 2:
-        raise TableError(f"base must be at least 2, got {p}")
+        raise ValueError(f"base must be at least 2, got {p}")
     ts = [0]
     for _ in range(i_max):
         prev = ts[-1]
@@ -294,13 +259,13 @@ def power_table(
     else.
     """
     if i < 1 or i >= len(thresholds):
-        raise TableError(f"block index {i} outside supplied thresholds")
+        raise ValueError(f"block index {i} outside supplied thresholds")
     if p < 2:
-        raise TableError(f"base must be at least 2, got {p}")
+        raise ValueError(f"base must be at least 2, got {p}")
     t_prev, t_cur = thresholds[i - 1], thresholds[i]
     mu_cut = tuple(tuple(int(v) for v in row[:t_cur]) for row in mu)
     if any(len(row) < t_cur for row in mu_cut):
-        raise TableError(f"mu rows must supply at least t_{i} = {t_cur} values")
+        raise ValueError(f"mu rows must supply at least t_{i} = {t_cur} values")
     cache_key = ("power", p, i, t_prev, t_cur, mu_cut)
     if cache_key in _power_cache:
         return _power_cache[cache_key]
@@ -336,22 +301,6 @@ def power_table(
     )
     _power_cache[cache_key] = table
     return table
-
-
-def recode_ladder(alpha: int, values: Sequence[int], ladder: Sequence[int], base: int | None = None):
-    """Pure index re-coding: pair auxiliary values with ladder rungs.
-
-    Returns (alpha * base, rungs, base) where rung j = ladder[j] * base +
-    values[j] % base; the new rungs are strictly increasing below the new
-    limit whenever the input ladder was.
-    """
-    if len(values) != len(ladder):
-        raise ValueError("values and ladder must have equal length")
-    if any(l2 <= l1 for l1, l2 in zip(ladder, ladder[1:])) or any(l >= alpha for l in ladder):
-        raise ValueError("ladder must be strictly increasing below its limit")
-    k = base if base is not None else max((abs(v) for v in values), default=0) + 1
-    rungs = tuple(l * k + (v % k) for l, v in zip(ladder, values))
-    return alpha * k, rungs, k
 
 
 # --- chain simulation --------------------------------------------------------

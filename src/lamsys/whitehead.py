@@ -230,10 +230,6 @@ class BasisCandidate:
         return len(self.z_part) + len(self.atom_part)
 
 
-class MissingOrderError(ValueError):
-    pass
-
-
 def _predecessor_slices(ws: WhiteheadSystem, order: Sequence[Node], upto: int, k: int) -> frozenset:
     out: set = set()
     for nu in order[:upto]:
@@ -254,7 +250,7 @@ def enumerate_basis(ws: WhiteheadSystem, order: ReshufflingOrder, alpha: int, be
     window = [z for z in ws.finals() if alpha < z[0] < beta]
     in_i = [z for z in ws.finals() if z[0] < beta]
     if sorted(order.order) != sorted(in_i):
-        raise MissingOrderError(
+        raise ValueError(
             "order must cover exactly the finals with first coordinate below beta"
         )
     pos = {z: i for i, z in enumerate(order.order)}

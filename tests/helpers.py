@@ -1,6 +1,6 @@
 """Shared test helpers: random skeletons, families and witness systems, and small
 operations that only tests need (a matrix-vector product, carrying a witness
-across a transform)."""
+across a transform, freeness and free rank of a presentation)."""
 
 import contextlib
 import gc
@@ -8,7 +8,7 @@ import io
 import random
 import traceback
 
-from lamsys.abelian import IntMatrix
+from lamsys.abelian import IntMatrix, invariant_factors
 from lamsys.cli import dispatch
 from lamsys.core import TransformResult, make_family, make_skeleton
 from lamsys.jsonio import SCHEMA
@@ -101,6 +101,16 @@ def transport_witness(result: TransformResult, ws_new: WhiteheadSystem, w: Witne
 def mat_vec(a: IntMatrix, v) -> tuple[int, ...]:
     """The product of `a` and the column vector `v`."""
     return tuple(sum(x * y for x, y in zip(row, v, strict=True)) for row in a.entries)
+
+
+def is_free(p) -> bool:
+    """Whether the presentation's group is free abelian: every invariant factor is 1."""
+    return all(d == 1 for d in invariant_factors(p))
+
+
+def free_rank(p) -> int:
+    """Generators minus the number of nonzero invariant factors."""
+    return len(p.generators) - len(invariant_factors(p))
 
 
 def instance_to_doc(inst: LadderInstance) -> dict:

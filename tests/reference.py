@@ -4,7 +4,9 @@ The quadratic scans are what the library ran before it indexed atoms, and
 `system_to_doc` is the document builder that converted every atom of every
 carrier on its own and orders nodes by `lex_compare` itself; the
 differential tests run both and require identical results.
-`threshold_exponents` is the step loop that tried every d in turn.  The linear
+`threshold_exponents` is the step loop that tried every d in turn, and
+`shift_disjoint` the set search that the tables' interval search is checked
+against.  The linear
 algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
 brute-force purity search) give the tests an independent second answer.
 `whole_splitting`, `core_splitting` and `basis_generation` are the
@@ -18,6 +20,7 @@ peeling).
 Nothing under `src/` imports this module.
 """
 
+import warnings
 from functools import cmp_to_key
 from itertools import product
 
@@ -29,8 +32,9 @@ from lamsys.abelian import (
     build_chain_group,
     hnf,
     in_lattice,
-    integer_solutions,
+    kernel_basis,
     reduce_mod_lattice,
+    solve_z,
 )
 from lamsys.core import ROOT, BasedFamily, SystemSkeleton, lex_compare, node_key, sorted_atoms
 from lamsys.freeness import ReshufflingOrder
@@ -70,12 +74,11 @@ def matrix_rank(a: IntMatrix) -> int:
 def core_splitting(a: IntMatrix, shifts) -> tuple[IntMatrix, tuple[int, ...]]:
     """The Hermite form of the kernel of a and the balanced solution of a x = -s.
 
-    `integer_solutions` of the system, `hnf` of its kernel, then the
-    balanced reduction of the particular solution against that form.
+    `solve_z` and `kernel_basis` of the system, `hnf` of the kernel, then
+    the balanced reduction of the particular solution against that form.
     """
-    sols = integer_solutions(a, [-s for s in shifts])
-    kh, _ = hnf(sols.kernel)
-    return kh, reduce_mod_lattice(sols.solution, kh)
+    kh, _ = hnf(kernel_basis(a))
+    return kh, reduce_mod_lattice(solve_z(a, [-s for s in shifts]), kh)
 
 
 def whole_splitting(w: IntMatrix, shifts) -> tuple[int, ...]:
@@ -304,3 +307,23 @@ def threshold_exponents(p: int, r: int, i_max: int) -> tuple[int, ...]:
             d += 1
         ts.append(prev + d)
     return tuple(ts)
+
+
+def shift_disjoint(y, y_prime, modulus: int) -> int:
+    """Least b in y_prime with Y and b+Y disjoint, i.e. outside {x - y : x, y in Y}.
+
+    The oracle of `uniformization._interval_shift_disjoint`.  The guarantee |Y|^2 < |Y'| is checked; when it fails but a valid b still
+    exists, the b is returned with a warning.
+    """
+    y_set = {v % modulus for v in y}
+    yp = sorted({v % modulus for v in y_prime})
+    diffs = {(x - v) % modulus for x in y_set for v in y_set}
+    b = next((v for v in yp if v not in diffs), None)
+    if b is None:
+        raise ValueError(f"no valid shift exists (|Y| = {len(y_set)}, |Y'| = {len(yp)}, modulus {modulus})")
+    if len(y_set) ** 2 >= len(yp):
+        warnings.warn(
+            f"size guarantee violated (|Y|^2 = {len(y_set) ** 2} >= |Y'| = {len(yp)}) but a valid shift exists anyway",
+            stacklevel=2,
+        )
+    return b

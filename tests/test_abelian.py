@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import mat_vec
+from helpers import free_rank, is_free, mat_vec
 
 from lamsys import abelian
 from lamsys.abelian import (
@@ -29,12 +29,9 @@ from lamsys.abelian import (
     divisibility_evidence,
     hnf,
     in_lattice,
-    integer_solutions,
     invariant_factors,
-    is_free,
     is_prime,
     kernel_basis,
-    rank,
     snf,
     solve_z,
 )
@@ -184,28 +181,15 @@ def test_kernel_basis_annihilates(a):
     assert k.rows == 0 or snf(k).diagonal == (1,) * k.rows
 
 
-def _snf_path(a, b):
-    """(solution or certificate, kernel basis) read off snf(a): the solver that integer_solutions replaced."""
-    dec = snf(a)
-    diag = dec.diagonal
-    c = mat_vec(dec.u, b) if a.rows else ()
-    y = [0] * a.cols
-    solution = None
-    for i in range(a.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0 and c[i] != 0:
-            solution = InfeasibilityCertificate(tuple(Fraction(x, abs(c[i]) + 1) for x in dec.u.entries[i]))
-            break
-        if di != 0 and c[i] % di != 0:
-            solution = InfeasibilityCertificate(tuple(Fraction(x, di) for x in dec.u.entries[i]))
-            break
-        if di != 0:
-            y[i] = c[i] // di
-    if solution is None:
-        solution = mat_vec(dec.v, y) if a.cols else ()
-    free = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
-    kernel = IntMatrix.from_rows([[dec.v.entries[r][j] for r in range(a.cols)] for j in free])
-    return solution, kernel
+def _hermite_path(a, b):
+    """(whether a*x = b is solvable, kernel basis) from one row Hermite form H = U * a^T, with no Smith form.
+
+    b is reachable exactly when it lies in the row lattice of a^T, and the
+    rows of U against the zero rows of H span the integer kernel of a.
+    """
+    h, u = hnf(a.transpose())
+    rank = sum(1 for row in h.entries if any(row))
+    return in_lattice(h, b), IntMatrix(u.entries[rank:])
 
 
 def _sympy_row_hnf(k):
@@ -233,7 +217,7 @@ def _edge_matrices():
         yield IntMatrix.from_rows(m)
 
 
-def test_integer_solutions_agree_with_snf_path():
+def test_solve_z_and_kernel_basis_agree_with_hermite_path():
     try:
         import sympy  # noqa: F401
     except ImportError:
@@ -241,23 +225,20 @@ def test_integer_solutions_agree_with_snf_path():
     rng = random.Random(43)
     for a in _edge_matrices():
         planted = [rng.randint(-4, 4) for _ in range(a.cols)]
-        for b in (list(mat_vec(a, planted)), [rng.randint(-9, 9) for _ in range(a.rows)]):
-            sols = integer_solutions(a, b)
-            old_solution, old_kernel = _snf_path(a, b)
-            for solution in (sols.solution, old_solution):
-                if isinstance(solution, InfeasibilityCertificate):
-                    assert solution.verify(a, b)
-                else:
-                    assert mat_vec(a, solution) == tuple(b)
-            assert isinstance(sols.solution, InfeasibilityCertificate) == isinstance(
-                old_solution, InfeasibilityCertificate
-            )
-            assert sols.kernel.rows == old_kernel.rows
-            assert hnf(sols.kernel)[0] == hnf(old_kernel)[0]
-            if sympy is not None and sols.kernel.rows:
-                assert _sympy_row_hnf(sols.kernel) == hnf(sols.kernel)[0].entries
-            assert kernel_basis(a) == sols.kernel
-            assert solve_z(a, b) == sols.solution
+        for is_planted, b in ((True, list(mat_vec(a, planted))), (False, [rng.randint(-9, 9) for _ in range(a.rows)])):
+            solution = solve_z(a, b)
+            feasible, hermite_kernel = _hermite_path(a, b)
+            if isinstance(solution, InfeasibilityCertificate):
+                assert solution.verify(a, b)
+            else:
+                assert mat_vec(a, solution) == tuple(b)
+            assert feasible == (not isinstance(solution, InfeasibilityCertificate))
+            assert feasible or not is_planted
+        kernel = kernel_basis(a)
+        assert kernel.rows == hermite_kernel.rows
+        assert hnf(kernel)[0] == hnf(hermite_kernel)[0]
+        if sympy is not None and kernel.rows:
+            assert _sympy_row_hnf(kernel) == hnf(kernel)[0].entries
 
 
 def corrupted_checks_missed() -> list[str]:
@@ -266,53 +247,56 @@ def corrupted_checks_missed() -> list[str]:
     Written without `assert` so that it means the same under `python -O`.
     """
     a = IntMatrix.from_rows([[2, 1, 0, 3], [0, 1, 1, 1]])
-    b = [5, 2]
-    good = integer_solutions(a, b)
-    u = [list(row) for row in good.transform.entries]
-    r = good.rank
-    u[0][1] += 1
-    bad_transform = IntMatrix.from_rows(u)
-    u = [list(row) for row in good.transform.entries]
-    u[r] = [2 * x for x in u[r]]  # still in the kernel, but of index 2
-    doubled_kernel = IntMatrix.from_rows(u)
-    # swapping two nonzero rows of H and of U together keeps U a^T = H and the
-    # kernel rows, so only the echelon order fails
-    swapped = (1, 0) + tuple(range(2, a.cols))
-    cases = {
-        "Hermite form out of echelon order": replace(
-            good,
-            hermite=IntMatrix(tuple(good.hermite.entries[i] for i in swapped)),
-            transform=IntMatrix(tuple(good.transform.entries[i] for i in swapped)),
-        ),
-        "transform without its last row": replace(good, transform=IntMatrix(good.transform.entries[:-1])),
-        "corrupted transform": replace(good, transform=bad_transform),
-        "non-primitive kernel": replace(good, transform=doubled_kernel),
-        "wrong solution": replace(good, solution=(0, 0, 0, 0)),
-        "wrong certificate": replace(good, solution=InfeasibilityCertificate((Fraction(1, 2), 0))),
-    }
-    missed = []
-    for name, sols in cases.items():
-        try:
-            sols.check(a, b)
-        except CertificateError:
-            continue
-        missed.append(name)
-    try:
-        good.check(a, b)
-    except CertificateError:
-        missed.append("rejected the uncorrupted solution set")
+    missed = _corrupted_solver_missed(a)
     missed += _corrupted_pivots_missed()
     missed += _corrupted_divisibility_missed()
     verify = SmithDecomposition.verify
     SmithDecomposition.verify = lambda self, a: False  # a Smith form that fails its self-check
     try:
-        snf(a)
-        missed.append("Smith form self-check")
-    except CertificateError:
-        pass
+        for name, call in (("Smith form self-check", snf), ("kernel basis of a failed Smith form", kernel_basis)):
+            try:
+                call(a)
+                missed.append(name)
+            except CertificateError:
+                pass
     finally:
         SmithDecomposition.verify = verify
     missed += _corrupted_smith_missed(a)
+    return missed
+
+
+def _corrupted_solver_missed(a) -> list[str]:
+    """Corrupted Smith forms whose wrong answer the check in `solve_z` failed to reject.
+
+    `snf` is swapped for a function that returns the corrupted form without
+    its self-check, so only `solve_z`'s own check of a*x = b, or of the
+    certificate, stands between the corruption and the caller.
+    """
+    one = IntMatrix.from_rows([[2]])
+    good = snf(a)
+    v = [list(row) for row in good.v.entries]
+    v[0] = [x + 1 for x in v[0]]
+    cases = {
+        "wrong solution": (a, [5, 2], replace(good, v=IntMatrix.from_rows(v))),
+        # 3 = 2 * 1 + 1, so the true certificate is 1/2; a diagonal of 4 gives 1/4, and 1/4 * 2 is not integral
+        "wrong certificate": (one, [3], replace(snf(one), d=IntMatrix.from_rows([[4]]))),
+    }
+    missed = []
+    smith = abelian.snf
+    try:
+        for name, (m, b, dec) in cases.items():
+            abelian.snf = lambda _, dec=dec: dec
+            try:
+                solve_z(m, b)
+                missed.append(name)
+            except CertificateError:
+                pass
+    finally:
+        abelian.snf = smith
+    try:
+        solve_z(a, [5, 2]), solve_z(one, [3])
+    except CertificateError:
+        missed.append("rejected an uncorrupted solve")
     return missed
 
 
@@ -442,11 +426,11 @@ def test_lattice_membership_roundtrip():
 
 def test_presentation_free_rank():
     free1 = Presentation(("z0",), IntMatrix.from_rows([]))
-    assert is_free(free1) and rank(free1) == 1
+    assert is_free(free1) and free_rank(free1) == 1
     torsion = Presentation(("z0",), IntMatrix.from_rows([[2]]))
     assert invariant_factors(torsion) == (2,)
     assert not is_free(torsion)
-    assert rank(torsion) == 0
+    assert free_rank(torsion) == 0
 
 
 def test_invariant_factors_peel_a_unit_off_the_pivots():
@@ -454,7 +438,7 @@ def test_invariant_factors_peel_a_unit_off_the_pivots():
     a = IntMatrix.from_rows([[2, 1, 0, 0], [0, 0, 3, 0]])
     assert abelian._unit_pivots(a) == [(0, 1)]
     assert invariant_factors(Presentation(("a", "b", "c", "d"), a)) == (1, 3)
-    assert rank(Presentation(("a", "b", "c", "d"), a)) == 2
+    assert free_rank(Presentation(("a", "b", "c", "d"), a)) == 2
 
 
 def test_is_prime_small():
@@ -512,7 +496,7 @@ def test_chain_group_rank_one():
     assert pres.relations.rows == 4
     assert pres.relations.entries[0] == (-1, 2, 0, 0, 0)
     assert is_free(pres)
-    assert rank(pres) == 1
+    assert free_rank(pres) == 1
 
 
 def test_chain_group_divisibility_r0():
@@ -529,7 +513,7 @@ def test_chain_group_r1():
     spec = NonfreeSpec(r=1, q=(2, 3, 5, 7), d=((1,), (1,), (1,), (1,)), j_trunc=6)
     pres = build_chain_group(spec)
     assert is_free(pres)
-    assert rank(pres) == 2
+    assert free_rank(pres) == 2
     report = divisibility_evidence(spec, 2)
     assert report.ok
     assert [s.product for s in report.steps] == [2, 6, 30]
@@ -687,8 +671,7 @@ def test_invariant_factors_agree_with_snf_path():
         for p in source:
             factors = invariant_factors(p)
             assert factors == _full_snf_factors(p)
-            assert rank(p) == len(p.generators) - matrix_rank(p.relations) == len(p.generators) - len(factors)
-            assert is_free(p) == all(d == 1 for d in factors)
+            assert len(factors) == matrix_rank(p.relations)
             non_unit += any(d != 1 for d in factors)
             peeled += bool(abelian._unit_pivots(p.relations))
             witness += source.__name__ == "_witness_presentations"

@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from helpers import mat_vec, random_coloring, random_whitehead_system, transformed_system, transport_witness
+from helpers import is_free, mat_vec, random_coloring, random_whitehead_system, transformed_system, transport_witness
 
 from lamsys.abelian import (
     InfeasibilityCertificate,
@@ -16,7 +16,6 @@ from lamsys.abelian import (
     NonfreeSpec,
     build_chain_group,
     divisibility_evidence,
-    is_free,
     is_prime,
     snf,
     solve_z,

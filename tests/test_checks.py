@@ -2,9 +2,11 @@
 
 import ast
 import contextlib
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from lamsys import freeness, uniformization, whitehead
@@ -13,6 +15,7 @@ from lamsys.core import make_family, make_skeleton
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src" / "lamsys"
+TRACING = HERE.parent / "perfbench" / "tracing.py"
 
 
 def test_no_assert_in_src():
@@ -24,10 +27,11 @@ def test_no_assert_in_src():
     assert found == []
 
 
-# the witness side reads its answers off the unit staircase and the ladder
-# side off its congruence lattice; `hnf` and `in_lattice` stay for the
-# generation check of `basis` where unit peeling does not settle it, and
-# `hnf` for the Hermite form of a ladder core's kernel
+# outside `abelian`, every module reads its answers off structure: the
+# witness side off the unit staircase and the ladder side off its congruence
+# lattice; `hnf` and `in_lattice` stay for the generation check of `basis`
+# where unit peeling does not settle it, and `hnf` for the Hermite form of a
+# ladder core's kernel
 _GENERIC_SOLVERS = frozenset(
     {
         "solve_z",
@@ -43,9 +47,10 @@ _GENERIC_SOLVERS = frozenset(
 
 def test_witness_side_names_no_generic_solver():
     found = []
-    for name in ("whitehead.py", "cli.py", "uniformization.py"):
-        tree = ast.parse((SRC / name).read_text(), filename=name)
-        for node in ast.walk(tree):
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "abelian.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
             if isinstance(node, ast.Name):
                 names = {node.id}
             elif isinstance(node, ast.Attribute):
@@ -54,8 +59,64 @@ def test_witness_side_names_no_generic_solver():
                 names = {node.name, node.asname}
             else:
                 continue
-            found += [f"{name}:{node.lineno}:{x}" for x in sorted(names & _GENERIC_SOLVERS)]
+            found += [f"{path.name}:{node.lineno}:{x}" for x in sorted(names & _GENERIC_SOLVERS)]
     assert found == []
+
+
+# top-level definitions that no code under src/ needs to reach, each with its reason
+_ENTRY_POINTS = {
+    ("cli", "main"): "the console-script entry point",
+    ("core", "lex_compare"): "the definition of the node order that sorting by tuple implements",
+    ("core", "make_skeleton"): "the constructor of skeletons for library callers",
+    ("core", "make_family"): "the constructor of families for library callers",
+    ("record", "replace"): "the copy-with-changes of a record, for library callers",
+    ("abelian", "InfeasibilityCertificate"): "the answer of `solve_z`, which the tracer pins and the CLI does not call",
+}
+
+
+def _traced() -> set:
+    """(module, name) of every top-level definition the benchmark's tracer wraps, or wraps a method of.
+
+    The tracer's source is read and run, as in `test_tracing_targets.py`;
+    nothing is imported from `perfbench/`.
+    """
+    tracing = types.ModuleType("tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing.__dict__)
+    lamsys = {m: importlib.import_module(f"lamsys.{m}") for m in tracing.MODULES}
+    out = set()
+    for owner, attr, _, _ in tracing.targets(lamsys):
+        if isinstance(owner, types.ModuleType):
+            out.add((owner.__name__.rpartition(".")[2], attr))
+        else:
+            out.add((owner.__module__.rpartition(".")[2], owner.__name__))
+    return out
+
+
+def test_every_src_definition_is_reached():
+    """Every top-level function and class under src/ is reached, or the tracer wraps it.
+
+    Module-level statements (they run on import) and `_ENTRY_POINTS` are
+    reached; a definition is reached when a reached one names it, as an AST
+    Name or Attribute (docstrings and imports do not count).  A tracer target
+    reaches nothing: what only a tracer target uses has no caller.
+    """
+    defs, names = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=path.name).body:
+            named = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[(path.stem, stmt.name)] = named
+            else:
+                names |= named
+    assert set(_ENTRY_POINTS) <= defs.keys()
+    reached = set()
+    new = set(_ENTRY_POINTS)
+    while new:
+        reached |= new
+        names = names.union(*(defs[key] for key in new))
+        new = {key for key in defs.keys() - reached if key[1] in names}
+    assert sorted(f"{m}.{n}" for m, n in defs.keys() - reached - _traced()) == []
 
 
 @contextlib.contextmanager
@@ -172,11 +233,6 @@ def self_checks_missed() -> list[str]:
             # each final holds one private atom, so none can go last at theta 2
             _patched(freeness.ReshufflingObstruction, "verify", never),
             lambda: freeness.find_reshuffling(_flat_family(3), theta_fresh=2),
-        ),
-        "set shift": (
-            # a shift search that returns 0 leaves the set on top of itself
-            _patched(uniformization, "next", lambda it, default: 0),
-            lambda: uniformization.shift_disjoint({1, 2}, range(40), 40),
         ),
         "prime table classes": (
             _patched(uniformization.IntervalSet, "disjoint_from", lambda self, other: False),

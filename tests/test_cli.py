@@ -441,23 +441,51 @@ def test_validate_reports_the_missing_level(tmp_path, capsys):
     assert json.loads(out)["violations"] == [{"clause": "level-missing", "detail": "no level assigned", "node": "1"}]
 
 
-@pytest.mark.parametrize(
-    "argv", [["check-free"], ["validate"], ["reshuffle"], ["transform", "--kind", "disjoint"], ["transform", "--kind", "tree"]]
-)
-@pytest.mark.parametrize("depth, expected", [(MAX_ATOM_DEPTH, 0), (MAX_ATOM_DEPTH + 1, 2), (500, 2)])
-def test_atom_depth_bound_in_every_family_command(tmp_path, capsys, argv, depth, expected):
+def deep_family_doc(depth):
+    """A two-final family whose atom a sits `depth` lists deep, in its carrier and in a slice."""
     doc = family_doc({0: ["a", "b"], 1: ["b", "c"]})
     deep = "a"
     for _ in range(depth):
         deep = [deep]
     doc["B"] = {k: [deep if v == "a" else v for v in atoms] for k, atoms in doc["B"].items()}
     doc["phi"]["0"]["1"] = [deep, "b"]
-    code, out, err = run(capsys, [*argv, write(tmp_path, "fam.json", doc)])
+    return doc
+
+
+_FAMILY_COMMANDS = [["check-free"], ["validate"], ["reshuffle"], ["transform", "--kind", "disjoint"], ["transform", "--kind", "tree"]]
+
+
+# transform takes one level less than the bound: see the test after this one
+@pytest.mark.parametrize(
+    "argv, depth, expected",
+    [
+        pytest.param(argv, depth, expected, id=f"{depth}-{expected}-argv{i}")
+        for depth, expected in [(MAX_ATOM_DEPTH, 0), (MAX_ATOM_DEPTH + 1, 2), (500, 2)]
+        for i, argv in enumerate(_FAMILY_COMMANDS)
+        if not (argv[0] == "transform" and depth == MAX_ATOM_DEPTH)
+    ],
+)
+def test_atom_depth_bound_in_every_family_command(tmp_path, capsys, argv, depth, expected):
+    code, out, err = run(capsys, [*argv, write(tmp_path, "fam.json", deep_family_doc(depth))])
     assert code == expected, err
     if expected == 2:
         assert out == "" and err == f"error: atom nests lists more than {MAX_ATOM_DEPTH} deep\n"
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("kind", ["disjoint", "tree"])
+def test_transform_output_stays_within_the_atom_depth_bound(tmp_path, capsys, kind):
+    # transform writes every atom one list deeper, so its output must parse again
+    path = write(tmp_path, "fam.json", deep_family_doc(MAX_ATOM_DEPTH - 1))
+    code, out, err = run(capsys, ["transform", path, "--kind", kind])
+    assert (code, err) == (0, "")
+    written = write(tmp_path, "out.json", json.loads(out)["document"])
+    assert run(capsys, ["check-free", written])[0] == 0
+    path = write(tmp_path, "fam.json", deep_family_doc(MAX_ATOM_DEPTH))
+    code, out, err = run(capsys, ["transform", path, "--kind", kind])
+    assert (code, out) == (2, "")
+    assert err == f"error: atom nests lists {MAX_ATOM_DEPTH} deep, so transform would write it past the bound\n"
 
 
 def test_byte_stability(tmp_path, capsys):

@@ -1,25 +1,19 @@
-"""Skeleton validation, heights, derived systems, ordering, and transforms."""
+"""Skeleton validation, ordering, and transforms."""
 
 import functools
 import itertools
 
-import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 import reference
 from lamsys.core import (
     ROOT,
-    DerivedSystemError,
     check_structure,
-    candidate_heights,
-    derived_system,
-    height,
     lex_compare,
     make_family,
     make_skeleton,
     node_key,
     parse_node_key,
-    restrict_to_height,
     transform_disjoint,
     transform_tree,
     validate_family,
@@ -117,62 +111,15 @@ def test_validate_largeness_predicate():
     assert any(v.clause == "largeness" for v in report)
 
 
-def test_height_and_restriction():
-    sys_ = height2_system()
-    assert height(sys_) == 2
-    mixed = make_skeleton(
-        nodes=[(), (0,), (1,), (1, 0)],
-        level={(): 2, (0,): 0, (1,): 1, (1, 0): 0},
-        e_map={(): [0, 1], (1,): [0]},
-        b_map={(): [], (0,): [], (1,): [], (1, 0): []},
-    )
-    assert height(mixed) is None
-    only1 = restrict_to_height(mixed, 1)
-    assert only1.nodes == frozenset({(), (0,)})
-    assert validate_system(only1) == []
-    assert candidate_heights(mixed) == [1, 2]
-
-
-def test_height_selection_by_largeness():
-    # with the "half" predicate only the height-2 restriction keeps the root E large enough
-    sys_ = make_skeleton(
-        nodes=[(), (0,), (1,), (2,), (0, 0), (1, 0)],
-        level={(): 4, (0,): 1, (1,): 1, (2,): 0, (0, 0): 0, (1, 0): 0},
-        e_map={(): [0, 1, 2], (0,): [0], (1,): [0]},
-        b_map={(): [], (0,): [], (1,): [], (2,): [], (0, 0): [], (1, 0): []},
-        largeness="half",
-    )
-    assert candidate_heights(sys_) == [2]
-
-
-def test_derived_identity_at_root():
-    sys_, fam = height2_family()
-    new_sys, new_fam = derived_system(sys_, fam, ROOT)
-    assert new_sys.nodes == sys_.nodes
-    assert new_sys.B == sys_.B
-    assert new_fam.phi == fam.phi
-
-
-def test_derived_strips_prefix_and_empties_root_carrier():
-    sys_, fam = height2_family()
-    new_sys, new_fam = derived_system(sys_, fam, (0,))
-    assert new_sys.nodes == frozenset({(), (0,), (1,)})
-    assert new_sys.B[ROOT] == frozenset()
-    assert new_sys.B[(0,)] == frozenset({"x"})
-    assert height(new_sys) == 1
-    assert new_fam.phi[((0,), 1)] == ("x",)
-    with pytest.raises(DerivedSystemError):
-        derived_system(sys_, fam, (0, 0))
-
-
 def test_derived_slices_disjoint_from_low_carriers_after_transform():
+    # the derived system above a node eta keeps the slices past level len(eta);
+    # after the transform each slice misses every carrier on the path to eta
     sys_, fam = height2_family()
     res = transform_disjoint(sys_, fam)
-    eta = (0,)
-    _, dfam = derived_system(res.system, res.family, eta)
-    for z in dfam.finals:
-        for m in range(len(eta) + 1):
-            assert dfam.s(z).isdisjoint(res.system.B.get(eta[:m], frozenset()))
+    for z in res.family.finals:
+        for k in range(1, len(z) + 1):
+            for m in range(k):
+                assert res.family.slice_atoms(z, k).isdisjoint(res.system.B.get(z[:m], frozenset()))
 
 
 def test_lex_compare_examples():
