@@ -4,7 +4,7 @@ Everything here runs over arbitrary-precision integers: Hermite and Smith
 normal forms with recorded unimodular transforms, integer linear system
 solving with dual infeasibility certificates, and presentations given by a
 generator list plus an integer relation matrix.  All functions are pure and
-all results carry enough data to be re-verified by direct multiplication.
+all results carry enough data to be checked again by direct multiplication.
 
 A presentation's invariant factors come from unit peeling, the first step
 of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a
@@ -192,7 +192,7 @@ class SmithDecomposition:
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by alternating row and column Hermite forms, verified before returning.
+    """Smith normal form by alternating row and column Hermite forms, checked before returning.
 
     D starts as a; a row Hermite form of D, then one of D^T, until D is
     diagonal (Kannan and Bachem 1979; Cohen, Alg. 2.4.14).  Each `hnf`
@@ -625,19 +625,9 @@ class DivisibilityStep:
     witness_index: int
     combination: tuple[int, ...]
     head_coefficients: tuple[int, ...]
-    verified: bool
 
 
-@record
-class DivisibilityReport:
-    steps: tuple[DivisibilityStep, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.verified for s in self.steps)
-
-
-def divisibility_evidence(spec: NonfreeSpec, m_max: int) -> DivisibilityReport:
+def divisibility_evidence(spec: NonfreeSpec, m_max: int) -> tuple[DivisibilityStep, ...]:
     """Certify that z_r is divisible by q_0*...*q_m modulo <z_0..z_{r-1}>.
 
     For each m <= m_max exhibits integer coefficients expressing
@@ -646,9 +636,8 @@ def divisibility_evidence(spec: NonfreeSpec, m_max: int) -> DivisibilityReport:
     -q_0*...*q_{k-1}, so its -z_{k+r} cancels the q_0*...*q_{k-1} * z_{k+r}
     that row k - 1 leaves, and head l gets -sum_k q_0*...*q_{k-1} * d[k][l].
     The relation rows and the head unit vectors are independent, so this is
-    the only combination.  Each step is multiplied out over `chain_row` and
-    raises CertificateError if it misses its target, so `verified` is True
-    on every step returned.
+    the only combination.  Each step is multiplied out over `chain_row`, and
+    one that misses its target is a CertificateError.
     """
     if m_max > spec.relation_count - 1:
         raise ValueError(
@@ -670,7 +659,6 @@ def divisibility_evidence(spec: NonfreeSpec, m_max: int) -> DivisibilityReport:
             witness_index=m + r + 1,
             combination=tuple(combination),
             head_coefficients=tuple(head),
-            verified=True,
         )
         total = [0] * spec.j_trunc
         for k, t in enumerate(step.combination):
@@ -684,4 +672,4 @@ def divisibility_evidence(spec: NonfreeSpec, m_max: int) -> DivisibilityReport:
         if total != target:
             raise CertificateError(f"the divisibility combination of step {m} does not multiply out to its target")
         steps.append(step)
-    return DivisibilityReport(tuple(steps))
+    return tuple(steps)

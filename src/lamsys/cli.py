@@ -54,6 +54,7 @@ from .uniformization import (
     threshold_exponents,
 )
 from .whitehead import (
+    SHAPE_CLAUSES,
     build_witness_group,
     enumerate_basis,
     solve_witness,
@@ -93,7 +94,7 @@ def cmd_validate(args) -> tuple[dict, int]:
     keys = doc if isinstance(doc, dict) else {}  # system_from_doc rejects a non-object
     if "r" in keys:
         ws = jsonio.whitehead_from_doc(doc)
-        sys_, fam = ws.system, ws.family
+        sys_, fam = ws.family.system, ws.family
         violations = validate_whitehead(ws)
     elif "phi" in keys:
         fam = jsonio.family_from_doc(doc)
@@ -104,7 +105,7 @@ def cmd_validate(args) -> tuple[dict, int]:
         violations = validate_system(sys_)
     payload: dict = {"violations": [v.to_jsonable() for v in violations], "largeness": sys_.largeness}
     if args.structure and fam is not None:
-        rep = check_structure(sys_, fam)
+        rep = check_structure(fam)
         payload["structure"] = {
             "ok": rep.ok,
             "sibling_overlap": list(rep.sibling_overlap),
@@ -164,9 +165,7 @@ def cmd_build_group(args) -> tuple[dict, int]:
     spec = jsonio.chain_spec_from_doc(_load(args.spec))
     payload = _presentation_payload(build_chain_group(spec))
     if args.m_max is not None:
-        report = divisibility_evidence(spec, args.m_max)
         payload["divisibility"] = {
-            "ok": report.ok,
             "steps": [
                 {
                     "m": s.m,
@@ -174,9 +173,8 @@ def cmd_build_group(args) -> tuple[dict, int]:
                     "witness_index": s.witness_index,
                     "relation_coefficients": list(s.combination),
                     "head_coefficients": list(s.head_coefficients),
-                    "verified": s.verified,
                 }
-                for s in report.steps
+                for s in divisibility_evidence(spec, args.m_max)
             ],
         }
     return payload, 0
@@ -193,15 +191,11 @@ def cmd_build_g(args) -> tuple[dict, int]:
     return _presentation_payload(build_witness_group(ws)), 0
 
 
-# violations that leave a witness system too short to index its relation rows
-_SHAPE_CLAUSES = frozenset({"j-trunc", "qd-range", "d-width", "phi-missing", "phi-length"})
-
-
 def _indexable_system(path: str):
     """The witness system at path; InputError if a relation row would index past its data."""
     ws = jsonio.whitehead_from_doc(_load(path))
     for v in validate_whitehead(ws):
-        if v.clause in _SHAPE_CLAUSES:
+        if v.clause in SHAPE_CLAUSES:
             where = "" if v.node is None else f" at final {node_key(v.node)!r}"
             raise InputError(f"{v.clause}{where}: {v.detail}")
     return ws
@@ -245,7 +239,6 @@ def cmd_basis(args) -> tuple[dict, int]:
         "verification": {
             "ok": report.ok,
             "generated": report.generated,
-            "unit_factors": report.unit_factors,
             "count_matches": report.count_matches,
             "free_rank": report.free_rank,
             "candidate_size": report.candidate_size,
@@ -300,13 +293,13 @@ def cmd_transform(args) -> tuple[dict, int]:
     if _atom_depth(fam) >= MAX_ATOM_DEPTH:
         raise InputError(f"atom nests lists {MAX_ATOM_DEPTH} deep, so transform would write it past the bound")
     transform = transform_disjoint if args.kind == "disjoint" else transform_tree
-    res = transform(fam.system, fam)
+    res = transform(fam)
     renaming = [
         [jsonio.atom_to_jsonable(new), jsonio.atom_to_jsonable(old)]
         for new, old in sorted(res.old_of_new.items(), key=lambda kv: str(kv[0]))
     ]
     return {
-        "document": jsonio.system_to_doc(res.system, res.family),
+        "document": jsonio.system_to_doc(res.family),
         "renaming": renaming,
     }, 0
 

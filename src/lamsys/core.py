@@ -339,16 +339,16 @@ def _cross_class_pairs(holder_lists: Iterable[list], class_of: Callable) -> set[
     return pairs
 
 
-def check_structure(sys_: SystemSkeleton, fam: BasedFamily) -> StructureReport:
-    """Check the three finite structure properties, returning witnesses for failures.
+def check_structure(fam: BasedFamily) -> StructureReport:
+    """Check the three finite structure properties of fam, returning witnesses for failures.
 
     Candidates come from indices of atoms to the carriers and slices holding
     them, so the cost follows the incidences and the witnesses rather than
     all pairs of nodes or finals.  Each witness list is sorted into the order
     of a scan over all pairs.
     """
-    nodes = sys_.sorted_nodes()
-    carriers = [sys_.B.get(n, frozenset()) for n in nodes]
+    nodes = fam.system.sorted_nodes()
+    carriers = [fam.system.B.get(n, frozenset()) for n in nodes]
     carrier_holders: dict[Atom, list[int]] = {}
     for i, carrier in enumerate(carriers):
         for a in carrier:
@@ -416,24 +416,24 @@ def check_structure(sys_: SystemSkeleton, fam: BasedFamily) -> StructureReport:
 
 @record
 class TransformResult:
-    """Transformed skeleton and family plus the map back to original atoms.
+    """Transformed family (on its transformed skeleton) plus the map back to original atoms.
 
     old_of_new sends every transformed atom occurring in a carrier or slice to
     the atom it came from, so an integer witness f' on the original family
     transfers to the transformed one by f(new) = f'(old_of_new[new]).
     """
 
-    system: SystemSkeleton
     family: BasedFamily
     old_of_new: Mapping[Atom, Atom]
 
 
-def transform_disjoint(sys_: SystemSkeleton, fam: BasedFamily) -> TransformResult:
+def transform_disjoint(fam: BasedFamily) -> TransformResult:
     """Tag every carrier atom with its parent node, forcing sibling-only overlap.
 
     A level-k slice value x becomes (x, parent-of-(final[:k])); distinct
     levels of one final then have disjoint ranges.
     """
+    sys_ = fam.system
     new_b = {ROOT: frozenset()}
     old_of_new: dict[Atom, Atom] = {}
     for n in sys_.nodes:
@@ -449,10 +449,10 @@ def transform_disjoint(sys_: SystemSkeleton, fam: BasedFamily) -> TransformResul
         for (z, k), vals in fam.phi.items()
     }
     new_fam = BasedFamily(new_sys, fam.finals, new_phi, fam.truncation)
-    return TransformResult(new_sys, new_fam, old_of_new)
+    return TransformResult(new_fam, old_of_new)
 
 
-def transform_tree(sys_: SystemSkeleton, fam: BasedFamily) -> TransformResult:
+def transform_tree(fam: BasedFamily) -> TransformResult:
     """Replace each slice value by the initial segment of its enumeration.
 
     The m-th value of a slice becomes the tuple of values 0..m, so whenever a
@@ -460,6 +460,7 @@ def transform_tree(sys_: SystemSkeleton, fam: BasedFamily) -> TransformResult:
     carriers are the used initial-segment tuples whose entries the old carrier
     contains, which keeps the sibling chains monotone.
     """
+    sys_ = fam.system
     used: set[tuple] = set()
     new_phi = {}
     for (z, k), vals in fam.phi.items():
@@ -477,4 +478,4 @@ def transform_tree(sys_: SystemSkeleton, fam: BasedFamily) -> TransformResult:
     old_of_new = {t: t[-1] for t in used}
     new_sys = SystemSkeleton(sys_.nodes, dict(sys_.level), dict(sys_.E), new_b, sys_.largeness)
     new_fam = BasedFamily(new_sys, fam.finals, new_phi, fam.truncation)
-    return TransformResult(new_sys, new_fam, old_of_new)
+    return TransformResult(new_fam, old_of_new)

@@ -120,7 +120,7 @@ def _reachable_violator(sets, match_of_set, match_of_atom, start: int) -> frozen
 
 
 def find_transversal(family):
-    """A verified Transversal, or a verified HallCertificate when none exists."""
+    """A checked Transversal, or a checked HallCertificate when none exists."""
     sets = _normalize(family)
     match_of_set, match_of_atom = _max_matching(sets)
     if len(match_of_set) == len(sets):
@@ -141,7 +141,7 @@ def k_free_check(family, k: int):
     It takes one maximum matching and, for each index the matching leaves
     unmatched, the indices reachable from it by alternating paths.  Each
     such closure is a Hall violator, so a returned certificate is a true
-    violator of size < k, and it is verified before it is returned.  A
+    violator of size < k, and it is checked before it is returned.  A
     'pass' can be wrong: a minimum violator need not be one of these
     closures.  In [{a}, {a, b}, {b}, {b}] the violator {2, 3} has size 2,
     but the matching 0-a, 1-b leaves the closures {0, 1, 2} and {0, 1, 3},
@@ -239,7 +239,7 @@ def find_reshuffling(
     alpha: int = -1,
     theta_fresh: int = 1,
 ) -> ReshufflingResult:
-    """A verified reshuffling order, or a verified obstruction when none exists.
+    """A checked reshuffling order, or a checked obstruction when none exists.
 
     Reverse peeling fixes the order from its end.  Let R be the finals not
     yet peeled, and its pool the finals of R above alpha, or all of R when

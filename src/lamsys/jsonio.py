@@ -56,7 +56,7 @@ from .uniformization import (
     PrimeTable,
     SimulationReport,
 )
-from .whitehead import BasisCandidate, Witness, WhiteheadSystem
+from .whitehead import BasisCandidate, Witness, WhiteheadSystem, atom_text
 
 SCHEMA = "lamsys/1"
 
@@ -236,11 +236,11 @@ _SYSTEM_REQUIRED = {"schema", "nodes", "level", "E", "B"}
 _SYSTEM_OPTIONAL = {"largeness", "phi", "truncation", "r", "q", "d", "J", "strong"}
 
 
-def system_to_doc(
-    sys_: SystemSkeleton,
-    fam: BasedFamily | None = None,
-    ws: WhiteheadSystem | None = None,
-) -> dict:
+def system_to_doc(x: SystemSkeleton | BasedFamily | WhiteheadSystem) -> dict:
+    """The document of a skeleton, a family with its skeleton, or a witness system with its family."""
+    ws = x if isinstance(x, WhiteheadSystem) else None
+    fam = ws.family if ws is not None else x if isinstance(x, BasedFamily) else None
+    sys_ = fam.system if fam is not None else x
     nodes = sys_.sorted_nodes()
     keys = {n: node_key(n) for n in nodes}
 
@@ -388,7 +388,6 @@ def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
         if z not in q or z not in d:
             raise InputError(f"q and d need an entry for every final; final {node_key(z)!r} has none")
     return WhiteheadSystem(
-        system=fam.system,
         family=fam,
         r=_int(doc["r"], "r"),
         q=q,
@@ -406,7 +405,7 @@ def coloring_from_doc(doc: Mapping) -> dict[Node, list[int]]:
 
 def witness_to_doc(w: Witness) -> dict:
     return {
-        "f": {json.dumps(atom_to_jsonable(a), sort_keys=True, separators=(",", ":")): v for a, v in w.f.items()},
+        "f": {atom_text(a): v for a, v in w.f.items()},
         "a": {f"{node_key(z)}:{j}": v for (z, j), v in w.a.items()},
     }
 

@@ -1,6 +1,6 @@
-"""Witness systems: skeleton + family + primes and coefficients, and their group.
+"""Witness systems: a family (which carries its skeleton) + primes and coefficients, and their group.
 
-A WhiteheadSystem attaches to every final node a prime sequence q and
+A WhiteheadSystem attaches to each final of its family a prime sequence q and
 integer coefficient rows d.  Its group is presented on the family's atoms
 together with per-final generators z, modulo one relation per (final, m):
 
@@ -49,7 +49,6 @@ from .core import (
     Atom,
     BasedFamily,
     Node,
-    SystemSkeleton,
     Violation,
     atom_sort_key,
     node_key,
@@ -66,9 +65,14 @@ def _as_lists(x):
     return list(map(_as_lists, x)) if isinstance(x, tuple) else x
 
 
+def atom_text(a: Atom) -> str:
+    """Compact JSON text of an atom (tuples as arrays): its generator name and its witness key."""
+    return json.dumps(_as_lists(a), sort_keys=True, separators=(",", ":"))
+
+
 def atom_name(a: Atom) -> str:
-    """Canonical generator name for an atom (tuples as JSON arrays)."""
-    return "a:" + json.dumps(_as_lists(a), sort_keys=True, separators=(",", ":"))
+    """Canonical generator name for an atom."""
+    return "a:" + atom_text(a)
 
 
 def z_name(final: Node, j: int) -> str:
@@ -77,7 +81,6 @@ def z_name(final: Node, j: int) -> str:
 
 @record(eq=False)
 class WhiteheadSystem:
-    system: SystemSkeleton
     family: BasedFamily
     r: int
     q: Mapping[Node, tuple[int, ...]]
@@ -97,8 +100,12 @@ class WhiteheadSystem:
         return range(1, len(final) + 1)
 
 
+# violations that leave a witness system too short to index its relation rows
+SHAPE_CLAUSES = frozenset({"j-trunc", "qd-range", "d-width", "phi-missing", "phi-length"})
+
+
 def validate_whitehead(ws: WhiteheadSystem) -> list[Violation]:
-    out = validate_system(ws.system)
+    out = validate_system(ws.family.system)
     out += validate_family(ws.family)
     if ws.j_trunc < ws.r + 2:
         out.append(Violation("j-trunc", None, f"need j_trunc >= r+2 = {ws.r + 2}"))
@@ -298,7 +305,6 @@ def quotient_presentation(ws: WhiteheadSystem, alpha: int, beta: int) -> Present
 @record
 class BasisReport:
     generated: bool
-    unit_factors: bool
     count_matches: bool
     free_rank: int
     candidate_size: int
@@ -306,7 +312,7 @@ class BasisReport:
 
     @property
     def ok(self) -> bool:
-        return self.generated and self.unit_factors and self.count_matches
+        return self.generated and self.count_matches
 
 
 def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, beta: int) -> BasisReport:
@@ -321,7 +327,9 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
     Hermite form of the stacked rows names the generators outside the
     lattice.  Independence: the quotient has unit invariant factors with
     free rank equal to the candidate size, and a surjection of a free group
-    onto a free group of the same rank is an isomorphism.
+    onto a free group of the same rank is an isomorphism.  The chain rows'
+    unit staircase and the unit kill rows peel to unit pivots, so a factor
+    other than 1 is a CertificateError.
     """
     pres = quotient_presentation(ws, alpha, beta)
     index = {g: i for i, g in enumerate(pres.generators)}
@@ -331,12 +339,7 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
     stray = tuple(g for g in cand_names if g not in index)
     if stray:
         return BasisReport(
-            generated=False,
-            unit_factors=False,
-            count_matches=False,
-            free_rank=-1,
-            candidate_size=candidate.size,
-            failing_generators=stray,
+            generated=False, count_matches=False, free_rank=-1, candidate_size=candidate.size, failing_generators=stray
         )
     cand_rows = []
     for g in cand_names:
@@ -345,7 +348,8 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
         cand_rows.append(tuple(row))
 
     factors = invariant_factors(pres)
-    unit = all(d == 1 for d in factors)
+    if any(d != 1 for d in factors):
+        raise CertificateError(f"quotient presentation has invariant factor {max(factors)}, not 1")
     # one factor per independent relation
     free_rank = n - len(factors)
     stacked = IntMatrix(pres.relations.entries + tuple(cand_rows))
@@ -361,7 +365,6 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
                 failing.append(g)
     return BasisReport(
         generated=not failing,
-        unit_factors=unit,
         count_matches=candidate.size == free_rank,
         free_rank=free_rank,
         candidate_size=candidate.size,
@@ -376,9 +379,9 @@ def variant_filter(ws: WhiteheadSystem, allowed_first: frozenset[int]) -> Whiteh
     made beyond relabeling.
     """
     keep_nodes = frozenset(
-        n for n in ws.system.nodes if n == () or n[0] in allowed_first
+        n for n in ws.family.system.nodes if n == () or n[0] in allowed_first
     )
-    sys_ = restrict_to_nodes(ws.system, keep_nodes)
+    sys_ = restrict_to_nodes(ws.family.system, keep_nodes)
     finals = tuple(z for z in ws.family.finals if z in keep_nodes)
     fam = BasedFamily(
         system=sys_,
@@ -387,7 +390,6 @@ def variant_filter(ws: WhiteheadSystem, allowed_first: frozenset[int]) -> Whiteh
         truncation=ws.family.truncation,
     )
     return WhiteheadSystem(
-        system=sys_,
         family=fam,
         r=ws.r,
         q={z: v for z, v in ws.q.items() if z in keep_nodes},

@@ -48,7 +48,7 @@ def flat_family(sets_by_first):
     )
     trunc = max(len(s) for s in sets_by_first.values())
     phi = {(f, 1): sorted_atoms(sets_by_first[f[0]]) for f in finals}
-    return system_to_doc(sys_, make_family(sys_, phi, truncation=trunc))
+    return system_to_doc(make_family(sys_, phi, truncation=trunc))
 
 
 def escaping_family():
@@ -73,7 +73,6 @@ def single_final_system(trunc, r=0, j_trunc=None):
     )
     fam = make_family(sys_, {((0,), 1): atoms}, truncation=trunc)
     return WhiteheadSystem(
-        system=sys_,
         family=fam,
         r=r,
         q={(0,): tuple(2 for _ in range(trunc))},
@@ -92,7 +91,6 @@ def coupled_chains_system():
     )
     fam = make_family(sys_, {((0,), 1): ["x"], ((1,), 1): ["x"]}, truncation=1)
     return WhiteheadSystem(
-        system=sys_,
         family=fam,
         r=0,
         q={(0,): (2,), (1,): (2,)},
@@ -102,7 +100,7 @@ def coupled_chains_system():
 
 
 def ws_doc(ws):
-    return system_to_doc(ws.system, ws.family, ws)
+    return system_to_doc(ws)
 
 
 def coloring_doc(c):
@@ -197,7 +195,7 @@ def dense_structure_family():
     )
     phi = {(z, k): rng.sample(pool1 if k == 1 else pool2, 3) for z in finals for k in (1, 2)}
     phi[((1, 2), 2)] = [phi[((1, 2), 2)][0]] * 2 + [phi[((1, 2), 2)][1]]
-    doc = system_to_doc(sys_, make_family(sys_, phi, truncation=3))
+    doc = system_to_doc(make_family(sys_, phi, truncation=3))
     doc["phi"]["0.0"]["3"] = ["u0", "u1", "u2"]
     doc["phi"]["1"] = {"1": ["u3", "u4", "u5"]}
     return doc
@@ -229,7 +227,7 @@ def large_family():
     for i, f in enumerate(finals):
         phi[(f, 1)] = rng.sample(pool1, 3)
         phi[(f, 2)] = [100 + i] + rng.sample(own[f[:1]][:4], 2)
-    return system_to_doc(sys_, make_family(sys_, phi, truncation=3))
+    return system_to_doc(make_family(sys_, phi, truncation=3))
 
 
 def corpus():
@@ -417,13 +415,18 @@ def corpus():
     ]
 
 
+def input_text(doc) -> str:
+    """The text of an input file."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> None:
     cases = corpus()
     (HERE / "inputs").mkdir(exist_ok=True)
     (HERE / "expected").mkdir(exist_ok=True)
     for _, _, docs in cases:
         for fname, doc in docs.items():
-            (HERE / "inputs" / fname).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            (HERE / "inputs" / fname).write_text(input_text(doc))
     manifest = []
     os.chdir(HERE)
     for name, argv, _ in cases:

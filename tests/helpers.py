@@ -70,7 +70,6 @@ def random_whitehead_system(
         for z in finals
     }
     return WhiteheadSystem(
-        system=sys_,
         family=fam,
         r=r,
         q=q,
@@ -80,8 +79,8 @@ def random_whitehead_system(
 
 
 def transformed_system(ws: WhiteheadSystem, result: TransformResult) -> WhiteheadSystem:
-    """Same primes and coefficients over the transformed skeleton and family."""
-    return replace(ws, system=result.system, family=result.family)
+    """Same primes and coefficients over the transformed family and its skeleton."""
+    return replace(ws, family=result.family)
 
 
 def transport_witness(result: TransformResult, ws_new: WhiteheadSystem, w: Witness) -> Witness:

@@ -17,6 +17,9 @@ lattice), and one Hermite form for every generation check (before unit
 peeling).
 `family_from_doc` parses a family document one value at a time, as
 `jsonio` did before it checked the types of whole columns.
+The oracles take the skeleton, the family and the witness system as
+separate arguments, as the library once did; the differential tests pass
+them the parts of one value.
 Nothing under `src/` imports this module.
 """
 

@@ -159,7 +159,7 @@ def _flat_family(n):
 def _witness_system():
     fam = _flat_family(1)
     return whitehead.WhiteheadSystem(
-        system=fam.system, family=fam, r=0, q={(0,): (2, 3)}, d={(0,): ((), ())}, j_trunc=4
+        family=fam, r=0, q={(0,): (2, 3)}, d={(0,): ((), ())}, j_trunc=4
     )
 
 
@@ -249,6 +249,11 @@ def self_checks_missed() -> list[str]:
         "basis generation pivots": (
             # a pivot per generator, all on row 0, so every pivot after the first is on a row peeled before
             _patched(whitehead, "_unit_pivots", lambda a: [(0, j) for j in range(a.cols)]),
+            lambda: whitehead.verify_basis(_witness_system(), whitehead.BasisCandidate((), ()), -1, 1),
+        ),
+        "quotient invariant factors": (
+            # every quotient presentation peels to unit pivots, so a factor 2 is the program's fault
+            _patched(whitehead, "invariant_factors", lambda p: (1, 2)),
             lambda: whitehead.verify_basis(_witness_system(), whitehead.BasisCandidate((), ()), -1, 1),
         ),
         "lattice basis triangular": (

@@ -47,7 +47,7 @@ def family_doc(sets_by_first):
     trunc = max(len(s) for s in sets_by_first.values())
     phi = {(f, 1): sorted(sets_by_first[f[0]]) for f in finals}
     fam = make_family(sys_, phi, truncation=trunc)
-    return system_to_doc(sys_, fam)
+    return system_to_doc(fam)
 
 
 def witness_doc(trunc=2):
@@ -59,14 +59,13 @@ def witness_doc(trunc=2):
     )
     fam = make_family(sys_, {((0,), 1): [f"x{m}" for m in range(trunc)]}, truncation=trunc)
     ws = WhiteheadSystem(
-        system=sys_,
         family=fam,
         r=0,
         q={(0,): tuple(2 for _ in range(trunc))},
         d={(0,): tuple(() for _ in range(trunc))},
         j_trunc=trunc + 2,
     )
-    return system_to_doc(sys_, fam, ws)
+    return system_to_doc(ws)
 
 
 def write(tmp_path, name, doc):
@@ -193,7 +192,7 @@ def test_build_group_cli(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["free"] is True and doc["rank"] == 1
-    assert doc["divisibility"]["ok"] is True
+    assert list(doc["divisibility"]) == ["steps"]
     assert doc["divisibility"]["steps"][-1]["product"] == 16
 
 
@@ -205,7 +204,6 @@ def test_build_group_cli_writes_products_past_the_str_digit_limit(tmp_path, caps
     assert (code, err) == (0, "")
     # parse_int keeps each number as its digits, so reading back needs no limit either
     steps = json.loads(out, parse_int=str)["divisibility"]["steps"]
-    assert all(s["verified"] for s in steps)
     assert len(steps[-1]["product"]) == 4643
 
 
@@ -705,6 +703,30 @@ def test_certificate_error_exits_3(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["check-free", path])
     assert (code, out) == (3, "")
     assert err == "internal error: transversal fails its own check\n"
+
+
+# `basis` with `invariant_factors` giving the factor 2, which no quotient presentation has
+_NONUNIT_BASIS = (
+    "import sys\n"
+    "from lamsys import cli, whitehead\n"
+    "whitehead.invariant_factors = lambda p: (1, 2)\n"
+    "sys.exit(cli.dispatch(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_basis_with_a_nonunit_factor_exits_3(tmp_path, flags):
+    # the check is an `if`, not an `assert`, so it holds under python -O too
+    path = write(tmp_path, "ws.json", witness_doc())
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _NONUNIT_BASIS, "basis", "--system", path, "--alpha", "-1", "--beta", "1"],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "internal error: quotient presentation has invariant factor 2, not 1\n"
 
 
 def test_other_exceptions_exit_3_without_traceback(tmp_path, capsys, monkeypatch):

@@ -114,12 +114,12 @@ def test_validate_largeness_predicate():
 def test_derived_slices_disjoint_from_low_carriers_after_transform():
     # the derived system above a node eta keeps the slices past level len(eta);
     # after the transform each slice misses every carrier on the path to eta
-    sys_, fam = height2_family()
-    res = transform_disjoint(sys_, fam)
+    _, fam = height2_family()
+    res = transform_disjoint(fam)
     for z in res.family.finals:
         for k in range(1, len(z) + 1):
             for m in range(k):
-                assert res.family.slice_atoms(z, k).isdisjoint(res.system.B.get(z[:m], frozenset()))
+                assert res.family.slice_atoms(z, k).isdisjoint(res.family.system.B.get(z[:m], frozenset()))
 
 
 def test_lex_compare_examples():
@@ -162,7 +162,7 @@ def test_structure_disjoint_carriers_pass():
         b_map={(): [], (0,): ["a"], (1,): ["a", "b"]},
     )
     fam = make_family(sys_, {((0,), 1): ["a"], ((1,), 1): ["b"]}, truncation=1)
-    report = check_structure(sys_, fam)
+    report = check_structure(fam)
     assert not report.sibling_overlap and not report.slice_alignment
 
 
@@ -178,7 +178,7 @@ def test_structure_cross_level_sharing_fails():
         b_map={**{k: set(v) for k, v in sys_.B.items()}, (1, 0): {"w", "u"}},
     )
     bad = make_family(sys2, phi, truncation=1)
-    report = check_structure(sys2, bad)
+    report = check_structure(bad)
     assert any(w["levels"] != (1, 1) or w["levels"][0] != w["levels"][1] for w in report.slice_alignment)
     assert report.slice_alignment
 
@@ -193,19 +193,19 @@ def test_structure_enumeration_tree_violation():
     fam = make_family(
         sys_, {((0,), 1): ["a", "b"], ((1,), 1): ["b"]}, truncation=2
     )
-    report = check_structure(sys_, fam)
+    report = check_structure(fam)
     # b follows a in the first enumeration but appears alone in the second slice
     assert any(w["position"] == 1 for w in report.enumeration_tree)
 
 
 def test_transform_disjoint_fixes_shared_atom():
-    sys_, fam = height2_family()
-    before = check_structure(sys_, fam)
+    _, fam = height2_family()
+    before = check_structure(fam)
     assert before.sibling_overlap or before.slice_alignment
-    res = transform_disjoint(sys_, fam)
-    assert validate_system(res.system) == []
+    res = transform_disjoint(fam)
+    assert validate_system(res.family.system) == []
     assert validate_family(res.family) == []
-    after = check_structure(res.system, res.family)
+    after = check_structure(res.family)
     assert not after.sibling_overlap
     # per-final level ranges are now pairwise disjoint
     for z in res.family.finals:
@@ -219,20 +219,20 @@ def test_transform_disjoint_fixes_shared_atom():
 
 
 def test_transform_disjoint_idempotent_up_to_relabeling():
-    sys_, fam = height2_family()
-    once = transform_disjoint(sys_, fam)
-    twice = transform_disjoint(once.system, once.family)
+    _, fam = height2_family()
+    once = transform_disjoint(fam)
+    twice = transform_disjoint(once.family)
     for (z, k), vals in twice.family.phi.items():
         # stripping the second tag recovers the first transform exactly
         assert tuple(twice.old_of_new[v] for v in vals) == once.family.phi[(z, k)]
 
 
 def test_transform_tree_gives_enumeration_property():
-    sys_, fam = height2_family()
-    res = transform_tree(sys_, fam)
-    assert validate_system(res.system) == []
+    _, fam = height2_family()
+    res = transform_tree(fam)
+    assert validate_system(res.family.system) == []
     assert validate_family(res.family) == []
-    report = check_structure(res.system, res.family)
+    report = check_structure(res.family)
     assert not report.enumeration_tree
     for (z, k), vals in res.family.phi.items():
         for new, old in zip(vals, fam.phi[(z, k)]):
@@ -253,9 +253,9 @@ def test_transform_tree_property_random():
             truncation=rng.randint(2, 4),
             cross_level_atoms=rng.random() < 0.5,
         )
-        res = transform_tree(ws.system, ws.family)
-        assert validate_system(res.system) == []
-        assert check_structure(res.system, res.family).enumeration_tree == ()
+        res = transform_tree(ws.family)
+        assert validate_system(res.family.system) == []
+        assert check_structure(res.family).enumeration_tree == ()
 
 
 def test_transform_tree_on_longer_slices():
@@ -268,8 +268,8 @@ def test_transform_tree_on_longer_slices():
     fam = make_family(
         sys_, {((0,), 1): ["a", "b"], ((1,), 1): ["b", "a"]}, truncation=2
     )
-    res = transform_tree(sys_, fam)
-    assert check_structure(res.system, res.family).enumeration_tree == ()
+    res = transform_tree(fam)
+    assert check_structure(res.family).enumeration_tree == ()
     assert res.family.phi[((0,), 1)] == (("a",), ("a", "b"))
 
 
@@ -308,7 +308,7 @@ def structured_families(draw):
 @given(structured_families())
 def test_structure_agrees_with_quadratic_reference(case):
     sys_, fam = case
-    report = check_structure(sys_, fam)
+    report = check_structure(fam)
     got = (report.sibling_overlap, report.slice_alignment, report.enumeration_tree)
     assert got == reference.check_structure(sys_, fam)
 
@@ -317,7 +317,7 @@ def test_structure_agrees_with_quadratic_reference(case):
 @given(structured_families())
 def test_tree_carriers_agree_with_quadratic_reference(case):
     sys_, fam = case
-    assert transform_tree(sys_, fam).system.B == reference.tree_carriers(sys_, fam)
+    assert transform_tree(fam).family.system.B == reference.tree_carriers(sys_, fam)
 
 
 def test_structure_strategy_reaches_every_witness_kind():

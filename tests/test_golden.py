@@ -1,10 +1,12 @@
 """Golden CLI corpus: every case's stdout and exit code, byte for byte.
 
 The corpus under `tests/golden/` is written by `tests/golden/generate.py`;
-this test only reads it.
+this test only reads it, and checks that the generator would write the
+committed inputs and argv lists again.
 """
 
 import gc
+import importlib.util
 import json
 from pathlib import Path
 
@@ -34,3 +36,17 @@ def test_golden_case_leaves_no_cyclic_garbage(case, monkeypatch):
     with collector(False):
         run_dispatch(case["argv"])
         assert gc.collect() == 0
+
+
+def test_generator_writes_the_committed_inputs_and_cases():
+    spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    cases = generate.corpus()  # builds the documents and writes nothing
+    docs = {name: doc for _, _, per_case in cases for name, doc in per_case.items()}
+    assert len(docs) == 29
+    # ws-basis-stall.json is committed once and never generated
+    assert sorted(p.name for p in (GOLDEN / "inputs").iterdir()) == sorted([*docs, "ws-basis-stall.json"])
+    for name, doc in docs.items():
+        assert generate.input_text(doc) == (GOLDEN / "inputs" / name).read_text(), name
+    assert [(name, argv) for name, argv, _ in cases] == [(c["name"], c["argv"]) for c in CASES]

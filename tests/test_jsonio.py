@@ -45,11 +45,11 @@ def test_atom_rejects_bool_and_float():
 def test_system_family_ws_roundtrip():
     rng = random.Random(21)
     ws = random_whitehead_system(rng, n=2, r=1, truncation=3)
-    doc = json.loads(json.dumps(jsonio.system_to_doc(ws.system, ws.family, ws)))
+    doc = json.loads(json.dumps(jsonio.system_to_doc(ws)))
     back = jsonio.whitehead_from_doc(doc)
-    assert back.system.nodes == ws.system.nodes
-    assert back.system.level == dict(ws.system.level)
-    assert back.system.B == dict(ws.system.B)
+    assert back.family.system.nodes == ws.family.system.nodes
+    assert back.family.system.level == dict(ws.family.system.level)
+    assert back.family.system.B == dict(ws.family.system.B)
     assert back.family.phi == dict(ws.family.phi)
     assert back.q == dict(ws.q)
     assert back.d == dict(ws.d)
@@ -65,7 +65,7 @@ def test_strong_order_roundtrip():
     res = find_reshuffling(ws.family, alpha=-1, theta_fresh=1)
     assert res.status == "found"
     strong = replace(ws, strong_order=res.order)
-    doc = json.loads(json.dumps(jsonio.system_to_doc(strong.system, strong.family, strong)))
+    doc = json.loads(json.dumps(jsonio.system_to_doc(strong)))
     back = jsonio.whitehead_from_doc(doc)
     assert back.strong_order == res.order
 
@@ -74,8 +74,8 @@ def test_transformed_atoms_roundtrip():
     rng = random.Random(22)
     ws = random_whitehead_system(rng, n=2, r=0, truncation=3)
     for transform in (transform_disjoint, transform_tree):
-        res = transform(ws.system, ws.family)
-        doc = json.loads(json.dumps(jsonio.system_to_doc(res.system, res.family)))
+        res = transform(ws.family)
+        doc = json.loads(json.dumps(jsonio.system_to_doc(res.family)))
         back = jsonio.family_from_doc(doc)
         assert back.phi == dict(res.family.phi)
         assert validate_family(back) == []
@@ -346,7 +346,8 @@ _GOLDEN_SYSTEMS = [
 def test_system_to_doc_matches_reference_on_golden_inputs(doc):
     if "r" in doc:
         ws = jsonio.whitehead_from_doc(doc)
-        args = [(ws.system, ws.family, ws), (ws.system, ws.family), (ws.system,)]
+        sys_ = ws.family.system
+        args = [(sys_, ws.family, ws), (sys_, ws.family), (sys_,)]
     elif "phi" in doc:
         fam = jsonio.family_from_doc(doc)
         args = [(fam.system, fam), (fam.system,)]
@@ -354,10 +355,10 @@ def test_system_to_doc_matches_reference_on_golden_inputs(doc):
         args = [(jsonio.system_from_doc(doc),)]
     if len(args[0]) > 1:
         for transform in (transform_disjoint, transform_tree):
-            res = transform(args[0][0], args[0][1])
-            args.append((res.system, res.family))
-    for a in args:
-        assert jsonio.system_to_doc(*a) == reference.system_to_doc(*a)
+            res = transform(args[0][1])
+            args.append((res.family.system, res.family))
+    for a in args:  # the reference takes every part, system_to_doc the richest
+        assert jsonio.system_to_doc(a[-1]) == reference.system_to_doc(*a)
 
 
 _ATOMS = st.recursive(
@@ -392,7 +393,7 @@ def _mixed_families(draw):
 @given(_mixed_families())
 def test_system_to_doc_matches_reference_on_mixed_atoms(sys_fam):
     sys_, fam = sys_fam
-    doc = jsonio.system_to_doc(sys_, fam)
+    doc = jsonio.system_to_doc(fam)
     assert doc == reference.system_to_doc(sys_, fam)
     assert jsonio.system_to_doc(sys_) == reference.system_to_doc(sys_)
     back = jsonio.family_from_doc(json.loads(jsonio.dump(doc)))
@@ -417,8 +418,8 @@ _DAMAGE = {
 @st.composite
 def _damaged_family_docs(draw):
     """A family document with up to three values, list items or keys swapped for nested or malformed ones."""
-    sys_, fam = draw(_mixed_families())
-    doc = json.loads(jsonio.dump(jsonio.system_to_doc(sys_, fam)))
+    _, fam = draw(_mixed_families())
+    doc = json.loads(jsonio.dump(jsonio.system_to_doc(fam)))
     for _ in range(draw(st.integers(0, 3))):
         target = draw(st.sampled_from(list(_DAMAGE)))
         values = doc[target] if target != "slices" else draw(st.sampled_from(list(doc["phi"].values())))

@@ -39,7 +39,6 @@ def single_final_system(trunc=3, r=0, q_val=2):
     )
     fam = make_family(sys_, {((0,), 1): [f"x{m}" for m in range(trunc)]}, truncation=trunc)
     return WhiteheadSystem(
-        system=sys_,
         family=fam,
         r=r,
         q={(0,): tuple(q_val for _ in range(trunc))},
@@ -74,7 +73,7 @@ def test_build_group_no_finals_is_trivial():
         b_map={(): [], (0,): ["b0"]},
     )
     fam = make_family(sys_, {((0,), 1): []}, truncation=0)
-    ws = WhiteheadSystem(sys_, fam, r=0, q={(0,): ()}, d={(0,): ()}, j_trunc=2)
+    ws = WhiteheadSystem(fam, r=0, q={(0,): ()}, d={(0,): ()}, j_trunc=2)
     pres = build_witness_group(ws)
     assert pres.relations.rows == 0 or all(not any(r) for r in pres.relations.entries)
     assert is_free(pres)
@@ -266,7 +265,7 @@ def test_infeasible_two_equation_instance():
 def test_witness_feasibility_agrees_with_box_oracle():
     # tiny instance: brute force over all (f, a) with entries in [-5, 5]
     ws = single_final_system(trunc=1, r=0, q_val=3)
-    ws = WhiteheadSystem(ws.system, ws.family, ws.r, ws.q, ws.d, j_trunc=2)
+    ws = WhiteheadSystem(ws.family, ws.r, ws.q, ws.d, j_trunc=2)
     assert ws.m_range == 1
     rng = random.Random(31)
     for _ in range(20):
@@ -294,7 +293,7 @@ def test_feasibility_invariant_under_transforms():
         w = solve_witness(ws, c)
         assert isinstance(w, Witness)
         for transform in (transform_disjoint, transform_tree):
-            res = transform(ws.system, ws.family)
+            res = transform(ws.family)
             ws2 = transformed_system(ws, res)
             assert validate_whitehead(ws2) == []
             moved = transport_witness(res, ws2, w)
@@ -358,7 +357,6 @@ def shared_two_final_system():
         sys_, {((0,), 1): ["a", "b"], ((1,), 1): ["b", "c"]}, truncation=2
     )
     return WhiteheadSystem(
-        system=sys_,
         family=fam,
         r=0,
         q={(0,): (2, 3), (1,): (5, 7)},
@@ -431,7 +429,7 @@ def test_basis_truncation_beyond_relations():
     # truncation 3 but only one relation row: the unbound slice values must
     # all survive into the basis for generation to hold
     ws = single_final_system(trunc=3)
-    ws = WhiteheadSystem(ws.system, ws.family, ws.r, ws.q, ws.d, j_trunc=2)
+    ws = WhiteheadSystem(ws.family, ws.r, ws.q, ws.d, j_trunc=2)
     assert ws.m_range == 1
     order = ReshufflingOrder(order=((0,),), alpha=-1, theta_fresh=1)
     cand = enumerate_basis(ws, order, alpha=-1, beta=1)
