@@ -412,6 +412,8 @@ def corpus():
         ),
         ("transform-disjoint-large", ["transform", "inputs/large-family.json", "--kind", "disjoint"], {}),
         ("transform-tree-large", ["transform", "inputs/large-family.json", "--kind", "tree"], {}),
+        ("check-free-large", ["check-free", "inputs/large-family.json"], {}),
+        ("check-free-k-large", ["check-free", "inputs/large-family.json", "--k", "5"], {}),
     ]
 
 
