@@ -32,7 +32,7 @@ ROOT: Node = ()
 
 def node_key(node: Node) -> str:
     """Dot-joined digit string; the root is the empty string."""
-    return ".".join(str(i) for i in node)
+    return ".".join(map(str, node))
 
 
 def parse_node_key(key: str) -> Node:
@@ -323,19 +323,27 @@ class StructureReport:
         return not (self.sibling_overlap or self.slice_alignment or self.enumeration_tree)
 
 
-def _cross_class_pairs(holder_lists: Iterable[list], class_of: Callable) -> set[tuple]:
-    """Every pair (h1, h2), h1 < h2, of holders of one atom that lie in different classes."""
-    pairs = set()
-    for holders in holder_lists:
+def _cross_class_pairs(holders: Mapping[Atom, list], class_of: Callable) -> dict[tuple, Atom]:
+    """Every pair (h1, h2), h1 < h2, of holders of one atom that lie in different classes, with its witness atom.
+
+    The atoms are walked in canonical order and each pair keeps the first
+    atom that records it.  Whether a pair crosses classes depends only on
+    its two holders, so every atom they share records it, and the first is
+    the least atom of their intersection.
+    """
+    pairs: dict[tuple, Atom] = {}
+    for atom in sorted_atoms(holders):
         groups: dict = {}
-        for h in holders:
+        for h in holders[atom]:
             groups.setdefault(class_of(h), []).append(h)
         if len(groups) < 2:
             continue
         parts = list(groups.values())
         for x, part in enumerate(parts):
             for other in parts[x + 1:]:
-                pairs.update((a, b) if a < b else (b, a) for a in part for b in other)
+                for a in part:
+                    for b in other:
+                        pairs.setdefault((a, b) if a < b else (b, a), atom)
     return pairs
 
 
@@ -345,7 +353,9 @@ def check_structure(fam: BasedFamily) -> StructureReport:
     Candidates come from indices of atoms to the carriers and slices holding
     them, so the cost follows the incidences and the witnesses rather than
     all pairs of nodes or finals.  Each witness list is sorted into the order
-    of a scan over all pairs.
+    of a scan over all pairs.  A witness's atom is the first shared atom in
+    canonical order, found by walking the atoms in that order once rather
+    than by intersecting the two sets of every witness.
     """
     nodes = fam.system.sorted_nodes()
     carriers = [fam.system.B.get(n, frozenset()) for n in nodes]
@@ -355,14 +365,10 @@ def check_structure(fam: BasedFamily) -> StructureReport:
             carrier_holders.setdefault(a, []).append(i)
     # carriers may meet only between siblings, so the class of a node is its
     # parent; the root is alone in its class
+    overlap_atom = _cross_class_pairs(carrier_holders, lambda i: nodes[i][:-1] if nodes[i] else None)
     overlap = [
-        {
-            "nodes": (node_key(nodes[i]), node_key(nodes[j])),
-            "atom": min(carriers[i] & carriers[j], key=atom_sort_key),
-        }
-        for i, j in sorted(
-            _cross_class_pairs(carrier_holders.values(), lambda i: nodes[i][:-1] if nodes[i] else None)
-        )
+        {"nodes": (node_key(nodes[i]), node_key(nodes[j])), "atom": overlap_atom[i, j]}
+        for i, j in sorted(overlap_atom)
     ]
 
     finals = list(fam.finals)
@@ -384,17 +390,14 @@ def check_structure(fam: BasedFamily) -> StructureReport:
         z = finals[zi]
         return k, z[: k - 1], z[k:]
 
-    quads = set()
-    for (zi, k), (vi, i) in _cross_class_pairs(slice_holders.values(), aligned_class):
-        quads.add((zi, vi, k, i))
+    # a pair of slices of one final is reported at both level orders, with one atom
+    quads: dict[tuple, Atom] = {}
+    for ((zi, k), (vi, i)), atom in _cross_class_pairs(slice_holders, aligned_class).items():
+        quads[zi, vi, k, i] = atom
         if zi == vi:
-            quads.add((zi, vi, i, k))
+            quads[zi, vi, i, k] = atom
     alignment = [
-        {
-            "finals": (keys[zi], keys[vi]),
-            "levels": (k, i),
-            "atom": min(slices[zi, k] & slices[vi, i], key=atom_sort_key),
-        }
+        {"finals": (keys[zi], keys[vi]), "levels": (k, i), "atom": quads[zi, vi, k, i]}
         for zi, vi, k, i in sorted(quads)
     ]
 
@@ -431,18 +434,23 @@ def transform_disjoint(fam: BasedFamily) -> TransformResult:
     """Tag every carrier atom with its parent node, forcing sibling-only overlap.
 
     A level-k slice value x becomes (x, parent-of-(final[:k])); distinct
-    levels of one final then have disjoint ranges.
+    levels of one final then have disjoint ranges.  Siblings often share
+    their carrier, so each distinct (carrier, parent) pair is tagged once
+    and its result is shared.
     """
     sys_ = fam.system
     new_b = {ROOT: frozenset()}
     old_of_new: dict[Atom, Atom] = {}
+    tagged: dict[tuple, frozenset] = {}
     for n in sys_.nodes:
         if n == ROOT:
             continue
-        tagged = frozenset((x, n[:-1]) for x in sys_.B.get(n, frozenset()))
-        new_b[n] = tagged
-        for x in sys_.B.get(n, frozenset()):
-            old_of_new[(x, n[:-1])] = x
+        pair = (sys_.B.get(n, frozenset()), n[:-1])
+        if pair not in tagged:
+            carrier, parent = pair
+            tagged[pair] = frozenset((x, parent) for x in carrier)
+            old_of_new.update(((x, parent), x) for x in carrier)
+        new_b[n] = tagged[pair]
     new_sys = SystemSkeleton(sys_.nodes, dict(sys_.level), dict(sys_.E), new_b, sys_.largeness)
     new_phi = {
         (z, k): tuple((x, z[: k - 1]) for x in vals)
@@ -458,7 +466,8 @@ def transform_tree(fam: BasedFamily) -> TransformResult:
     The m-th value of a slice becomes the tuple of values 0..m, so whenever a
     transformed value lies in another slice, so do all its predecessors.  New
     carriers are the used initial-segment tuples whose entries the old carrier
-    contains, which keeps the sibling chains monotone.
+    contains, which keeps the sibling chains monotone.  Each distinct carrier
+    is fitted once, and the nodes that carry it share the result.
     """
     sys_ = fam.system
     used: set[tuple] = set()
@@ -471,10 +480,13 @@ def transform_tree(fam: BasedFamily) -> TransformResult:
     by_last: dict[Atom, list[tuple]] = {}
     for t in used:
         by_last.setdefault(t[-1], []).append(t)
+    fitted: dict[frozenset, frozenset] = {}
     new_b = {}
     for n in sys_.nodes:
         carrier = sys_.B.get(n, frozenset())
-        new_b[n] = frozenset(t for a in carrier for t in by_last.get(a, ()) if carrier.issuperset(t))
+        if carrier not in fitted:
+            fitted[carrier] = frozenset(t for a in carrier for t in by_last.get(a, ()) if carrier.issuperset(t))
+        new_b[n] = fitted[carrier]
     old_of_new = {t: t[-1] for t in used}
     new_sys = SystemSkeleton(sys_.nodes, dict(sys_.level), dict(sys_.E), new_b, sys_.largeness)
     new_fam = BasedFamily(new_sys, fam.finals, new_phi, fam.truncation)

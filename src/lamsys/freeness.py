@@ -62,19 +62,29 @@ def _normalize(family) -> list[frozenset]:
 def _max_matching(sets: list[frozenset]):
     """Deterministic augmenting-path matching; returns (match_of_set, match_of_atom).
 
-    Each augmenting search is a depth-first search over an explicit stack, so
+    Each set is searched from in index order, trying its atoms in canonical
+    order.  The search's first step takes the set's lowest-ranked atom when
+    no set holds it yet; that step needs no search, so it is taken directly,
+    and a set's atoms are sorted only when a search first enters it.  Each
+    augmenting search is a depth-first search over an explicit stack, so
     path length is not bounded by the recursion limit.
     """
     # rank each distinct atom once; atom_sort_key gives distinct atoms
     # distinct keys, so sorting by rank is sorting by atom_sort_key
     rank = {a: i for i, a in enumerate(sorted(set().union(*sets), key=atom_sort_key))}
-    adj = [sorted(s, key=rank.__getitem__) for s in sets]
+    by_rank = rank.__getitem__
+    adj: list[list | None] = [None] * len(sets)  # a set's atoms by rank, once a search enters it
     match_of_atom: dict[Atom, int] = {}
     match_of_set: dict[int, Atom] = {}
 
+    def atoms(i: int):
+        if adj[i] is None:
+            adj[i] = sorted(sets[i], key=by_rank)
+        return iter(adj[i])
+
     def augment(root: int) -> None:
         seen: set = set()
-        stack = [(root, iter(adj[root]))]
+        stack = [(root, atoms(root))]
         path: list[Atom] = []  # path[k]: the atom tried from the set stack[k][0]
         while stack:
             a = next((x for x in stack[-1][1] if x not in seen), None)
@@ -91,10 +101,15 @@ def _max_matching(sets: list[frozenset]):
                     match_of_atom[b] = i
                     match_of_set[i] = b
                 return
-            stack.append((j, iter(adj[j])))
+            stack.append((j, atoms(j)))
 
-    for i in range(len(sets)):
-        augment(i)
+    for i, s in enumerate(sets):
+        first = min(s, key=by_rank, default=None)
+        if first is not None and first not in match_of_atom:
+            match_of_atom[first] = i
+            match_of_set[i] = first
+        else:
+            augment(i)
     return match_of_set, match_of_atom
 
 

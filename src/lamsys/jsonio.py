@@ -261,15 +261,18 @@ def system_to_doc(x: SystemSkeleton | BasedFamily | WhiteheadSystem) -> dict:
         a: atom_to_jsonable(a)
         for a in carrier_atoms.union(*(vals for per_level in slices.values() for vals in per_level.values()))
     }
+    # siblings often share a carrier: sort and write each distinct one once,
+    # and give every node its own copy of the list
+    written: dict[frozenset, list] = {}
+    for carrier in carriers:
+        if carrier not in written:
+            written[carrier] = [as_json[a] for a in sorted(carrier, key=rank.__getitem__)]
     doc: dict[str, Any] = {
         "schema": SCHEMA,
         "nodes": list(keys.values()),
         "level": {k: sys_.level[n] for n, k in keys.items()},
         "E": {k: sorted(sys_.E[n]) for n, k in keys.items() if n in sys_.E},
-        "B": {
-            k: [as_json[a] for a in sorted(carrier, key=rank.__getitem__)]
-            for k, carrier in zip(keys.values(), carriers)
-        },
+        "B": {k: written[carrier].copy() for k, carrier in zip(keys.values(), carriers)},
         "largeness": sys_.largeness,
     }
     if fam is not None:

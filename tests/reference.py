@@ -17,6 +17,9 @@ lattice), and one Hermite form for every generation check (before unit
 peeling).
 `family_from_doc` parses a family document one value at a time, as
 `jsonio` did before it checked the types of whole columns.
+`max_matching` is the matching that sorted every set and ran a depth-first
+search from each one, before a set whose lowest-ranked atom was still free
+took it without a search.
 The oracles take the skeleton, the family and the witness system as
 separate arguments, as the library once did; the differential tests pass
 them the parts of one value.
@@ -39,7 +42,7 @@ from lamsys.abelian import (
     reduce_mod_lattice,
     solve_z,
 )
-from lamsys.core import ROOT, BasedFamily, SystemSkeleton, lex_compare, node_key, sorted_atoms
+from lamsys.core import ROOT, BasedFamily, SystemSkeleton, atom_sort_key, lex_compare, node_key, sorted_atoms
 from lamsys.freeness import ReshufflingOrder
 from lamsys.jsonio import SCHEMA, atom_to_jsonable
 
@@ -133,6 +136,39 @@ def purity_evidence(spec: NonfreeSpec, box: int = 2, k_max: int = 4):
             if in_lattice(h, kx) and not in_lattice(h, x):
                 return False, tuple(x)
     return True, None
+
+
+def max_matching(sets):
+    """Augmenting-path matching with a search from every set; returns (match_of_set, match_of_atom)."""
+    rank = {a: i for i, a in enumerate(sorted(set().union(*sets), key=atom_sort_key))}
+    adj = [sorted(s, key=rank.__getitem__) for s in sets]
+    match_of_atom = {}
+    match_of_set = {}
+
+    def augment(root):
+        seen = set()
+        stack = [(root, iter(adj[root]))]
+        path = []  # path[k]: the atom tried from the set stack[k][0]
+        while stack:
+            a = next((x for x in stack[-1][1] if x not in seen), None)
+            if a is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            seen.add(a)
+            path.append(a)
+            j = match_of_atom.get(a)
+            if j is None:
+                for (i, _), b in zip(stack, path):
+                    match_of_atom[b] = i
+                    match_of_set[i] = b
+                return
+            stack.append((j, iter(adj[j])))
+
+    for i in range(len(sets)):
+        augment(i)
+    return match_of_set, match_of_atom
 
 
 def verify_order(order: ReshufflingOrder, fam) -> bool:

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from lamsys.core import make_family, make_skeleton, node_key
@@ -13,6 +13,7 @@ from lamsys.freeness import (
     ReshufflingObstruction,
     ReshufflingOrder,
     Transversal,
+    _max_matching,
     find_reshuffling,
     find_transversal,
     k_free_check,
@@ -74,6 +75,29 @@ def test_matching_agrees_with_exhaustive_oracle(fam):
     else:
         assert not has_sdr(sets)
         assert res.verify(sets)
+
+
+_MIXED_ATOMS = st.sampled_from([0, 1, 2, 3, "a", "b", "c", (0,), ("a", 1), ((1, "b"),)])
+
+
+@st.composite
+def _shared_first_families(draw):
+    """Sets of int, str and tuple atoms, some of which share the lowest-ranked atom -1."""
+    sets = draw(st.lists(st.frozensets(_MIXED_ATOMS, max_size=4), min_size=1, max_size=10))
+    # -1 sorts before every other atom, so each set that takes it starts
+    # with an atom that an earlier set may hold, and the search must run
+    takes = draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
+    return [s | {-1} if t else s for s, t in zip(sets, takes)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_first_families())
+@example([frozenset({-1, 1}), frozenset({-1, 2}), frozenset({-1})])
+@example([frozenset({-1}), frozenset({-1}), frozenset(), frozenset({"a", (0,)})])
+def test_matching_agrees_with_a_search_from_every_set(sets):
+    got = _max_matching(sets)
+    want = reference.max_matching(sets)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
 
 
 def test_k_free_examples():

@@ -361,6 +361,16 @@ def test_system_to_doc_matches_reference_on_golden_inputs(doc):
         assert jsonio.system_to_doc(a[-1]) == reference.system_to_doc(*a)
 
 
+def test_system_to_doc_gives_every_node_its_own_b_list():
+    # the large family's finals share their carriers mid by mid, and each
+    # distinct carrier is written once
+    fam = jsonio.family_from_doc(json.loads((GOLDEN_INPUTS / "large-family.json").read_text()))
+    for x in (fam, transform_disjoint(fam).family, transform_tree(fam).family):
+        lists = list(jsonio.system_to_doc(x)["B"].values())
+        assert len(set(x.system.B.values())) < len(lists)
+        assert len({id(b) for b in lists}) == len(lists)
+
+
 _ATOMS = st.recursive(
     st.integers(-3, 40) | st.text(max_size=3),
     lambda c: st.tuples(c) | st.tuples(c, c) | st.tuples(c, c, c),
