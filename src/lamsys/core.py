@@ -353,9 +353,9 @@ def check_structure(fam: BasedFamily) -> StructureReport:
     Candidates come from indices of atoms to the carriers and slices holding
     them, so the cost follows the incidences and the witnesses rather than
     all pairs of nodes or finals.  Each witness list is sorted into the order
-    of a scan over all pairs.  A witness's atom is the first shared atom in
-    canonical order, found by walking the atoms in that order once rather
-    than by intersecting the two sets of every witness.
+    of a scan over all pairs.  A witness's atom is the first atom in
+    canonical order that its two sets share; one walk over the atoms in that
+    order finds the atoms of all witnesses.
     """
     nodes = fam.system.sorted_nodes()
     carriers = [fam.system.B.get(n, frozenset()) for n in nodes]
