@@ -3,21 +3,26 @@
 Everything here runs over arbitrary-precision integers: Hermite and Smith
 normal forms with recorded unimodular transforms, integer linear system
 solving with dual infeasibility certificates, and presentations given by a
-generator list plus an integer relation matrix.  All functions are pure and
+generator list plus integer relation rows.  All functions are pure and
 all results carry enough data to be checked again by direct multiplication.
+
+A relation row is a sparse map {column: nonzero entry}, from the builders
+(`build_chain_group`, the witness side, `simulate`) through peeling to the
+writers.  `dense` is the one place relation rows become a dense matrix: for
+output, and for the `hnf` and `snf` fallbacks.
 
 A presentation's invariant factors come from unit peeling, the first step
 of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a
 row or column whose one nonzero entry left is +-1 splits off a factor 1 and
 leaves the original submatrix on the other rows and columns, so no
-transform is needed.  The pivot list is re-checked against the original
-rows before it is used.  Every relation matrix the CLI builds peels
-completely: each chain row has -1 on z_{m+r} and q_m on z_{m+r+1}, a unit
-staircase, and kill rows are unit vectors.  Whatever is left goes to `snf`,
-which alternates row Hermite forms of D and of D^T until D is diagonal,
-composing their transforms and inverses, and certifies D = U * A * V by
-U * U^-1 = I and V * V^-1 = I.  Unimodularity is never proved by a
-determinant.
+transform is needed.  Peeling reads the maps and touches nonzeros only.
+The pivot list is re-checked against the original rows before it is used.
+Every relation matrix the CLI builds peels completely: each chain row has
+-1 on z_{m+r} and q_m on z_{m+r+1}, a unit staircase, and kill rows are
+unit vectors.  Whatever is left goes to `snf`, which alternates row
+Hermite forms of D and of D^T until D is diagonal, composing their
+transforms and inverses, and certifies D = U * A * V by U * U^-1 = I and
+V * V^-1 = I.  Unimodularity is never proved by a determinant.
 
 `hnf` is the only elimination loop.  Its pivoting is deterministic (the
 smallest absolute value in the column, the first such row on ties), so
@@ -45,7 +50,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .record import record
 
@@ -72,10 +77,6 @@ class IntMatrix:
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise DimensionError(f"ragged rows: widths {sorted(widths)}")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -160,7 +161,6 @@ def hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
             pr += 1
             if pr == rows:
                 break
-    # every entry is already an int, so skip the conversion in from_rows
     out = IntMatrix(tuple(map(tuple, h))), IntMatrix(tuple(map(tuple, u)))
     return out if vt is None else (*out, IntMatrix(tuple(zip(*vt))))
 
@@ -266,17 +266,8 @@ def _sparse_rows(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
     return [[(j, row[j]) for j in _nonzero(row)] for row in rows]
 
 
-def _sparse_columns(rows: Sequence[Sequence[int]], width: int) -> list[list[tuple[int, int]]]:
-    """For each column t, the (row index, value) pairs of its nonzero entries."""
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(width)]
-    for i, row in enumerate(rows):
-        for t in _nonzero(row):
-            cols[t].append((i, row[t]))
-    return cols
-
-
 def _sparse_row_times(row: Sequence[int], cols: list[list[tuple[int, int]]], width: int) -> list[int]:
-    """row * M for M given by `_sparse_rows(M)` or `_sparse_columns(M^T)`, touching nonzero products only."""
+    """row * M for M given by `_sparse_rows(M)`, touching nonzero products only."""
     out = [0] * width
     for t in _nonzero(row):
         x = row[t]
@@ -471,23 +462,46 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+Row = Mapping[int, int]  # a relation row: its nonzero entries by column
+
+
 @record
 class Presentation:
-    """Finitely generated abelian group given by named generators and relation rows."""
+    """Finitely generated abelian group given by named generators and sparse relation rows."""
 
     generators: tuple[str, ...]
-    relations: IntMatrix
+    relations: tuple[Row, ...]
 
     def __post_init__(self):
-        if self.relations.rows and self.relations.cols != len(self.generators):
-            raise DimensionError(
-                f"relation width {self.relations.cols} != generator count {len(self.generators)}"
-            )
-        if len(set(self.generators)) != len(self.generators):
+        n = len(self.generators)
+        for i, row in enumerate(self.relations):
+            if not all(0 <= t < n and v for t, v in row.items()):
+                raise DimensionError(f"relation row {i} stores a zero or a column outside the {n} generators")
+        if len(set(self.generators)) != n:
             raise DimensionError("duplicate generator names")
 
 
-def _unit_pivots(a: IntMatrix) -> list[tuple[int, int]]:
+def dense(rows: Sequence[Row], width: int) -> IntMatrix:
+    """The relation rows as a dense matrix of `width` columns; the only dense builder of relation rows."""
+    out = []
+    for row in rows:
+        cells = [0] * width
+        for t, v in row.items():
+            cells[t] = v
+        out.append(tuple(cells))
+    return IntMatrix(tuple(out))
+
+
+def _column_rows(rows: Sequence[Row], width: int) -> list[list[int]]:
+    """For each of `width` columns, the indices of the rows with a nonzero there, in order."""
+    cols: list[list[int]] = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        for t in row:
+            cols[t].append(i)
+    return cols
+
+
+def _unit_pivots(rows: Sequence[Row], width: int) -> list[tuple[int, int]]:
     """(row, column) pivots of singleton +-1 rows and columns, peeled one after another.
 
     Rows and columns are the two sides of a bipartite graph whose edges are
@@ -495,11 +509,13 @@ def _unit_pivots(a: IntMatrix) -> list[tuple[int, int]]:
     entry is +-1 is peeled together with the line at the other end: a unit
     row drops its column from every row, a unit column drops its row.  Each
     peel lowers the edge counts of the lines next to it, and a count that
-    falls to 1 queues that line, so the whole costs O(nonzeros).
+    falls to 1 queues that line, so the whole costs O(nonzeros).  A row's
+    edges are taken in column order, so the pivots do not depend on the
+    order of a map's keys.
     """
-    m = a.rows
-    lines = [[m + j for j in _nonzero(row)] for row in a.entries]
-    lines += [[i for i, _ in col] for col in _sparse_columns(a.entries, a.cols)]
+    m = len(rows)
+    lines = [[m + j for j in sorted(row)] for row in rows]
+    lines += _column_rows(rows, width)
     left = [len(line) for line in lines]
     done = [False] * len(lines)
     queue = deque(k for k, n in enumerate(left) if n == 1)
@@ -510,7 +526,7 @@ def _unit_pivots(a: IntMatrix) -> list[tuple[int, int]]:
             continue
         t = next(t for t in lines[k] if not done[t])
         i, j = (k, t - m) if k < m else (t, k - m)
-        if abs(a.entries[i][j]) != 1:
+        if abs(rows[i][j]) != 1:
             continue
         pivots.append((i, j))
         done[k] = done[t] = True
@@ -522,28 +538,30 @@ def _unit_pivots(a: IntMatrix) -> list[tuple[int, int]]:
     return pivots
 
 
-def _peeled_block(a: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """The nonzero rows of a on the rows and columns that `pivots` leave, once they are re-checked.
+def _peeled_block(rows: Sequence[Row], width: int, pivots: Sequence[tuple[int, int]]) -> tuple[Row, ...]:
+    """The nonzero rows on the rows and columns that `pivots` leave, once they are re-checked.
 
-    Raises CertificateError unless every pivot, in order, is +-1 on a row
-    and a column not peeled before it, and is alone in its column among the
-    rows left or alone in its row among the columns left.  Clearing its
-    column by row operations, or its row by column operations, then touches
-    no other entry, so it splits off an invariant factor 1 and leaves the
-    original submatrix on the other rows and columns.
+    The block's columns are renumbered 0, 1, ... in the order of the columns
+    left, so it has `width - len(pivots)` of them.  Raises CertificateError
+    unless every pivot, in order, is +-1 on a row and a column not peeled
+    before it, and is alone in its column among the rows left or alone in
+    its row among the columns left.  Clearing its column by row operations,
+    or its row by column operations, then touches no other entry, so it
+    splits off an invariant factor 1 and leaves the original submatrix on
+    the other rows and columns.
     """
-    rows_left, cols_left = set(range(a.rows)), set(range(a.cols))
-    cols = _sparse_columns(a.entries, a.cols)
+    rows_left, cols_left = set(range(len(rows))), set(range(width))
+    cols = _column_rows(rows, width)
     for i, j in pivots:
-        if i not in rows_left or j not in cols_left or abs(a.entries[i][j]) != 1:
+        if i not in rows_left or j not in cols_left or abs(rows[i].get(j, 0)) != 1:
             raise CertificateError(f"pivot ({i}, {j}) is not a unit on a row and a column left")
         rows_left.remove(i)
         cols_left.remove(j)
-        if any(t in cols_left for t in _nonzero(a.entries[i])) and any(t in rows_left for t, _ in cols[j]):
+        if any(t in cols_left for t in rows[i]) and any(t in rows_left for t in cols[j]):
             raise CertificateError(f"pivot ({i}, {j}) is alone neither in its row nor in its column")
-    keep = sorted(cols_left)
-    block = (tuple(a.entries[i][j] for j in keep) for i in sorted(rows_left))
-    return tuple(row for row in block if any(row))
+    keep = {t: k for k, t in enumerate(sorted(cols_left))}
+    block = ({keep[t]: v for t, v in rows[i].items() if t in keep} for i in sorted(rows_left))
+    return tuple(row for row in block if row)
 
 
 def invariant_factors(p: Presentation) -> tuple[int, ...]:
@@ -554,10 +572,10 @@ def invariant_factors(p: Presentation) -> tuple[int, ...]:
     certifies itself.  There is one factor per independent relation, so the
     free rank of the group is `len(p.generators) - len(invariant_factors(p))`.
     """
-    a = p.relations
-    pivots = _unit_pivots(a)
-    block = _peeled_block(a, pivots)
-    rest = tuple(d for d in snf(IntMatrix(block)).diagonal if d) if block else ()
+    n = len(p.generators)
+    pivots = _unit_pivots(p.relations, n)
+    block = _peeled_block(p.relations, n, pivots)
+    rest = tuple(d for d in snf(dense(block, n - len(pivots))).diagonal if d) if block else ()
     return (1,) * len(pivots) + rest
 
 
@@ -609,13 +627,10 @@ def build_chain_group(spec: NonfreeSpec) -> Presentation:
     """Presentation of the truncated divisibility-chain group."""
     j = spec.j_trunc
     gens = tuple(f"z{i}" for i in range(j))
-    rows = []
-    for m in range(spec.relation_count):
-        row = [0] * j
-        for i, coeff in chain_row(spec.r, spec.q, spec.d, m):
-            row[i] = coeff
-        rows.append(row)
-    return Presentation(gens, IntMatrix.from_rows(rows))
+    rows = tuple(
+        {i: coeff for i, coeff in chain_row(spec.r, spec.q, spec.d, m) if coeff} for m in range(spec.relation_count)
+    )
+    return Presentation(gens, rows)
 
 
 @record

@@ -289,7 +289,7 @@ def validate_family(fam: BasedFamily) -> list[Violation]:
                 out.append(
                     Violation("phi-based-on", z, f"level {k} value {stray[0]!r} outside carrier of {node_key(z[:k])!r}")
                 )
-    for (z, k) in fam.phi:
+    for (z, k) in sorted(fam.phi):  # in node order, whatever the input's key order
         if z not in fam.finals or not (1 <= k <= len(z)):
             out.append(Violation("phi-domain", z, f"enumeration key ({node_key(z)}, {k}) out of range"))
     return out

@@ -38,7 +38,7 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import Any, Callable, Mapping
 
-from .abelian import NonfreeSpec, Presentation
+from .abelian import NonfreeSpec, Presentation, dense
 from .core import (
     Atom,
     BasedFamily,
@@ -417,7 +417,7 @@ def witness_to_doc(w: Witness) -> dict:
 
 
 def presentation_to_doc(p: Presentation) -> dict:
-    return {"gens": list(p.generators), "rels": [list(row) for row in p.relations.entries]}
+    return {"gens": list(p.generators), "rels": [list(row) for row in dense(p.relations, len(p.generators)).entries]}
 
 
 _CHAIN_REQUIRED = {"schema", "r", "q", "d", "J"}
@@ -601,7 +601,7 @@ def simulation_to_doc(report: SimulationReport) -> dict:
         ],
         "splitting": dict(report.chain.splitting),
         "generators": list(report.chain.generators),
-        "relations": [list(row) for row in report.chain.relations.entries],
+        "relations": [list(row) for row in dense(report.chain.relations, len(report.chain.generators)).entries],
         "shift_coefficients": list(report.chain.shift_coefficients),
         "table_keys": [list(map(str, key)) for key in report.table_keys],
     }

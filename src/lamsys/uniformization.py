@@ -89,10 +89,6 @@ class IntervalSet:
     def size(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self.segments)
 
-    def residues(self):
-        for lo, hi in self.segments:
-            yield from range(lo, hi + 1)
-
     def shift(self, b: int) -> "IntervalSet":
         return IntervalSet.from_raw([(lo + b, hi + b) for lo, hi in self.segments], self.modulus)
 
@@ -397,7 +393,7 @@ class ChainState:
     """Presentation data for the chain stage and its primed extension."""
 
     generators: tuple[str, ...]
-    relations: IntMatrix
+    relations: tuple[dict[int, int], ...]  # W's rows as {column: nonzero entry}, densified only for output
     shift_coefficients: tuple[int, ...]   # e-coefficient removed from each primed relation
     splitting: Mapping[str, int]          # c_x with rho(x) = x' + c_x * e
 
@@ -819,14 +815,9 @@ def simulate(inst: LadderInstance) -> SimulationReport:
             LevelReport(alpha=lv.alpha, n0=n0, queries=tuple(queries), delta_y0=d_y0, delta_z=d_z)
         )
 
-    dense = [[0] * len(index) for _ in rows]
-    for out, row in zip(dense, rows):
-        for t, v in row.items():
-            out[t] = v
     chain = ChainState(
         generators=tuple(names),
-        # every entry is already an int, so skip the conversion in from_rows
-        relations=IntMatrix(tuple(map(tuple, dense))),
+        relations=tuple(rows),
         shift_coefficients=tuple(shifts),
         splitting={g: c_vec[index[g]] for g in names},
     )

@@ -26,6 +26,10 @@ linear system is solved.
 construction: a reshuffling order picks the "fresh" generators, and the
 verifier checks generation plus unit invariant factors in the truncated
 quotient presentation.
+
+Relation rows, kill rows and candidate rows are sparse maps {column:
+nonzero entry}, as `abelian` reads them; only the `hnf` fallback of
+`verify_basis` makes them dense, through `abelian.dense`.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from typing import Mapping, Sequence
 
 from .abelian import (
     CertificateError,
-    IntMatrix,
     Presentation,
+    Row,
     _peeled_block,
     _unit_pivots,
     chain_row,
+    dense,
     hnf,
     in_lattice,
     invariant_factors,
@@ -150,15 +155,14 @@ def generator_names(
     return names, {g: i for i, g in enumerate(names)}
 
 
-def _relation_row(ws: WhiteheadSystem, index: dict[str, int], z: Node, m: int) -> list[int]:
-    """The chain row of (z, m) in z's block of columns, less one per level atom."""
-    row = [0] * len(index)
+def _relation_row(ws: WhiteheadSystem, index: dict[str, int], z: Node, m: int) -> Row:
+    """The chain row of (z, m) in z's block of columns, less one per level atom, as {column: nonzero entry}."""
     # generator_names lists a final's z generators in one run of columns
     z_column = index[z_name(z, 0)]
-    for j, coeff in chain_row(ws.r, ws.q[z], ws.d[z], m):
-        row[z_column + j] = coeff
+    row = {z_column + j: coeff for j, coeff in chain_row(ws.r, ws.q[z], ws.d[z], m) if coeff}
     for k in ws.levels(z):
-        row[index[atom_name(ws.family.phi[(z, k)][m])]] -= 1
+        t = index[atom_name(ws.family.phi[(z, k)][m])]
+        row[t] = row.get(t, 0) - 1  # atom columns hold no chain entry, so this stays nonzero
     return row
 
 
@@ -167,12 +171,8 @@ def build_witness_group(ws: WhiteheadSystem) -> Presentation:
     if ws.j_trunc < ws.r + 2:
         raise ValueError(f"need j_trunc >= r+2 = {ws.r + 2}")
     names, index = generator_names(ws)
-    rows = [
-        _relation_row(ws, index, z, m)
-        for z in ws.finals()
-        for m in range(ws.m_range)
-    ]
-    return Presentation(tuple(names), IntMatrix.from_rows(rows))
+    rows = tuple(_relation_row(ws, index, z, m) for z in ws.finals() for m in range(ws.m_range))
+    return Presentation(tuple(names), rows)
 
 
 @record
@@ -295,11 +295,8 @@ def quotient_presentation(ws: WhiteheadSystem, alpha: int, beta: int) -> Present
     rows = [_relation_row(ws, index, z, m) for z in in_i for m in range(ws.m_range)]
     killed = [atom_name(a) for a in sorted(_atoms_of(ws, low), key=atom_sort_key)]
     killed += [z_name(z, j) for z in low for j in range(ws.j_trunc)]
-    for g in killed:
-        row = [0] * len(names)
-        row[index[g]] = 1
-        rows.append(row)
-    return Presentation(tuple(names), IntMatrix.from_rows(rows))
+    rows += [{index[g]: 1} for g in killed]
+    return Presentation(tuple(names), tuple(rows))
 
 
 @record
@@ -341,23 +338,17 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
         return BasisReport(
             generated=False, count_matches=False, free_rank=-1, candidate_size=candidate.size, failing_generators=stray
         )
-    cand_rows = []
-    for g in cand_names:
-        row = [0] * n
-        row[index[g]] = 1
-        cand_rows.append(tuple(row))
-
     factors = invariant_factors(pres)
     if any(d != 1 for d in factors):
         raise CertificateError(f"quotient presentation has invariant factor {max(factors)}, not 1")
     # one factor per independent relation
     free_rank = n - len(factors)
-    stacked = IntMatrix(pres.relations.entries + tuple(cand_rows))
-    pivots = _unit_pivots(stacked)
+    stacked = pres.relations + tuple({index[g]: 1} for g in cand_names)
+    pivots = _unit_pivots(stacked, n)
     failing = []
     # n checked unit pivots leave nothing and prove that the rows span Z^n
-    if len(pivots) < n or _peeled_block(stacked, pivots):
-        h, _ = hnf(stacked)
+    if len(pivots) < n or _peeled_block(stacked, n, pivots):
+        h, _ = hnf(dense(stacked, n))
         for g in pres.generators:
             e = [0] * n
             e[index[g]] = 1

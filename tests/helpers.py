@@ -1,6 +1,7 @@
 """Shared test helpers: random skeletons, families and witness systems, and small
 operations that only tests need (a matrix-vector product, carrying a witness
-across a transform, freeness and free rank of a presentation)."""
+across a transform, freeness and free rank of a presentation, dense matrices
+from lists and relation rows in both forms, the residues of an interval set)."""
 
 import contextlib
 import gc
@@ -8,12 +9,12 @@ import io
 import random
 import traceback
 
-from lamsys.abelian import IntMatrix, invariant_factors
+from lamsys.abelian import IntMatrix, dense, invariant_factors
 from lamsys.cli import dispatch
 from lamsys.core import TransformResult, make_family, make_skeleton
 from lamsys.jsonio import SCHEMA
 from lamsys.record import replace
-from lamsys.uniformization import LadderInstance
+from lamsys.uniformization import IntervalSet, LadderInstance
 from lamsys.whitehead import Witness, WhiteheadSystem
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13)
@@ -95,6 +96,27 @@ def transport_witness(result: TransformResult, ws_new: WhiteheadSystem, w: Witne
             for x in ws_new.family.phi[(z, k)]:
                 f[x] = w.f[result.old_of_new[x]]
     return Witness(f, dict(w.a))
+
+
+def from_rows(rows) -> IntMatrix:
+    """The dense matrix with these rows, each entry converted by `int`."""
+    return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+
+
+def sparse(rows) -> tuple[dict[int, int], ...]:
+    """Dense rows as relation rows {column: nonzero entry}."""
+    return tuple({j: int(x) for j, x in enumerate(row) if x} for row in rows)
+
+
+def relation_matrix(p) -> IntMatrix:
+    """The dense relation matrix of a presentation or a chain state, one column per generator."""
+    return dense(p.relations, len(p.generators))
+
+
+def residues(s: IntervalSet):
+    """Every residue in the interval set, in increasing order."""
+    for lo, hi in s.segments:
+        yield from range(lo, hi + 1)
 
 
 def mat_vec(a: IntMatrix, v) -> tuple[int, ...]:

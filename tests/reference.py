@@ -15,6 +15,9 @@ of the whole ladder system (before label elimination), one exact solve of
 its coupled core (before the core's kernel was read off its congruence
 lattice), and one Hermite form for every generation check (before unit
 peeling).
+`unit_pivots` and `peeled_block` are unit peeling as it ran on dense
+matrices, reading each row's nonzeros off the dense row and each column's
+off a column scan, before relation rows became sparse maps.
 `family_from_doc` parses a family document one value at a time, as
 `jsonio` did before it checked the types of whole columns.
 `max_matching` is the matching that sorted every set and ran a depth-first
@@ -27,15 +30,18 @@ Nothing under `src/` imports this module.
 """
 
 import warnings
+from collections import deque
 from functools import cmp_to_key
-from itertools import product
+from itertools import compress, product
 
 from lamsys import jsonio
 from lamsys.abelian import (
+    CertificateError,
     DimensionError,
     IntMatrix,
     NonfreeSpec,
     build_chain_group,
+    dense,
     hnf,
     in_lattice,
     kernel_basis,
@@ -101,12 +107,12 @@ def basis_generation(pres, candidate_names) -> tuple[bool, tuple[str, ...]]:
     """
     index = {g: i for i, g in enumerate(pres.generators)}
     n = len(pres.generators)
-    rows = list(pres.relations.entries)
+    rows = list(dense(pres.relations, n).entries)
     for g in candidate_names:
         row = [0] * n
         row[index[g]] = 1
-        rows.append(row)
-    h, _ = hnf(IntMatrix.from_rows(rows))
+        rows.append(tuple(row))
+    h, _ = hnf(IntMatrix(tuple(rows)))
     failing = []
     for g in pres.generators:
         e = [0] * n
@@ -125,8 +131,8 @@ def purity_evidence(spec: NonfreeSpec, box: int = 2, k_max: int = 4):
     """
     pres = build_chain_group(spec)
     j = spec.j_trunc
-    head = [tuple(1 if k == l else 0 for k in range(j)) for l in range(spec.r)]
-    lattice = IntMatrix.from_rows(list(pres.relations.entries) + head)
+    head = tuple(tuple(1 if k == l else 0 for k in range(j)) for l in range(spec.r))
+    lattice = IntMatrix(dense(pres.relations, j).entries + head)
     h, _ = hnf(lattice)
     for x in product(range(-box, box + 1), repeat=j):
         if all(v == 0 for v in x):
@@ -366,3 +372,57 @@ def shift_disjoint(y, y_prime, modulus: int) -> int:
             stacklevel=2,
         )
     return b
+
+
+def _columns(a: IntMatrix) -> list[list[tuple[int, int]]]:
+    """For each column t, the (row index, value) pairs of its nonzero entries."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(a.cols)]
+    for i, row in enumerate(a.entries):
+        for t in compress(range(len(row)), row):
+            cols[t].append((i, row[t]))
+    return cols
+
+
+def unit_pivots(a: IntMatrix) -> list[tuple[int, int]]:
+    """(row, column) pivots of singleton +-1 rows and columns of a dense matrix, peeled one after another."""
+    m = a.rows
+    lines = [[m + j for j in compress(range(len(row)), row)] for row in a.entries]
+    lines += [[i for i, _ in col] for col in _columns(a)]
+    left = [len(line) for line in lines]
+    done = [False] * len(lines)
+    queue = deque(k for k, n in enumerate(left) if n == 1)
+    pivots = []
+    while queue:
+        k = queue.popleft()
+        if done[k] or left[k] != 1:
+            continue
+        t = next(t for t in lines[k] if not done[t])
+        i, j = (k, t - m) if k < m else (t, k - m)
+        if abs(a.entries[i][j]) != 1:
+            continue
+        pivots.append((i, j))
+        done[k] = done[t] = True
+        for s in lines[k] + lines[t]:
+            if not done[s]:
+                left[s] -= 1
+                if left[s] == 1:
+                    queue.append(s)
+    return pivots
+
+
+def peeled_block(a: IntMatrix, pivots) -> tuple[tuple[int, ...], ...]:
+    """The nonzero dense rows of a on the rows and columns that `pivots` leave, once they are re-checked."""
+    rows_left, cols_left = set(range(a.rows)), set(range(a.cols))
+    cols = _columns(a)
+    for i, j in pivots:
+        if i not in rows_left or j not in cols_left or abs(a.entries[i][j]) != 1:
+            raise CertificateError(f"pivot ({i}, {j}) is not a unit on a row and a column left")
+        rows_left.remove(i)
+        cols_left.remove(j)
+        if any(t in cols_left for t in compress(range(a.cols), a.entries[i])) and any(
+            t in rows_left for t, _ in cols[j]
+        ):
+            raise CertificateError(f"pivot ({i}, {j}) is alone neither in its row nor in its column")
+    keep = sorted(cols_left)
+    block = (tuple(a.entries[i][j] for j in keep) for i in sorted(rows_left))
+    return tuple(row for row in block if any(row))

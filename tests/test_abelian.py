@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import free_rank, is_free, mat_vec
+from helpers import free_rank, from_rows, is_free, mat_vec, relation_matrix, sparse
 
 from lamsys import abelian
 from lamsys.abelian import (
@@ -25,6 +25,7 @@ from lamsys.abelian import (
     Presentation,
     SmithDecomposition,
     build_chain_group,
+    dense,
     divisibility_evidence,
     hnf,
     in_lattice,
@@ -35,6 +36,7 @@ from lamsys.abelian import (
     solve_z,
 )
 from lamsys.record import replace
+import reference
 from reference import det, matrix_rank, purity_evidence
 
 small_matrices = st.integers(1, 5).flatmap(
@@ -45,7 +47,7 @@ small_matrices = st.integers(1, 5).flatmap(
             max_size=r,
         )
     )
-).map(IntMatrix.from_rows)
+).map(from_rows)
 
 
 def test_snf_identity():
@@ -56,22 +58,22 @@ def test_snf_identity():
 
 def test_snf_diag_2_3():
     # gcd of entries is 1 and d1*d2 = |det| = 6
-    dec = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    dec = snf(from_rows([[2, 0], [0, 3]]))
     assert dec.diagonal == (1, 6)
 
 
 def test_snf_2x2_dense():
     # gcd = 2 and product of factors = |det| = 8
-    a = IntMatrix.from_rows([[2, 4], [6, 8]])
+    a = from_rows([[2, 4], [6, 8]])
     dec = snf(a)
     assert dec.diagonal == (2, 4)
     assert dec.verify(a)
 
 
 # adding row j to row i, not column j to column i, never leaves diag(1, 2, 1, 0)
-HANG = IntMatrix.from_rows([[0, 0, 6, -1], [-1, 0, 2, 0], [4, 0, 0, 1], [0, 0, 6, 0]])
+HANG = from_rows([[0, 0, 6, -1], [-1, 0, 2, 0], [4, 0, 0, 1], [0, 0, 6, 0]])
 # Hermite form on both sides already, but 2 does not divide 1
-DIAG_2_1 = IntMatrix.from_rows([[2, 0], [0, 1]])
+DIAG_2_1 = from_rows([[2, 0], [0, 1]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,7 +92,7 @@ def test_snf_diagonal_agrees_with_sympy():
     from sympy.matrices.normalforms import smith_normal_form
 
     # the edge shapes (n x 0, zero rows and columns) and relation matrices with factors above 1
-    for a in (HANG, DIAG_2_1, *_edge_matrices(), *(p.relations for p in _torsion_presentations())):
+    for a in (HANG, DIAG_2_1, *_edge_matrices(), *(relation_matrix(p) for p in _torsion_presentations())):
         dec = snf(a)
         size = min(a.rows, a.cols)
         if size == 0:
@@ -122,18 +124,18 @@ def test_hnf_properties(a):
 
 
 def test_solve_z_exact():
-    assert solve_z(IntMatrix.from_rows([[2]]), [4]) == (2,)
+    assert solve_z(from_rows([[2]]), [4]) == (2,)
 
 
 def test_solve_z_parity_certificate():
-    cert = solve_z(IntMatrix.from_rows([[2]]), [3])
+    cert = solve_z(from_rows([[2]]), [3])
     assert isinstance(cert, InfeasibilityCertificate)
     assert cert.y == (Fraction(1, 2),)
-    assert cert.verify(IntMatrix.from_rows([[2]]), [3])
+    assert cert.verify(from_rows([[2]]), [3])
 
 
 def test_solve_z_empty_shapes():
-    assert solve_z(IntMatrix.from_rows([]), []) == ()
+    assert solve_z(from_rows([]), []) == ()
     a = IntMatrix(((), (), ()))
     assert solve_z(a, [0, 0, 0]) == ()
     cert = solve_z(a, [0, 1, 0])
@@ -144,7 +146,7 @@ def test_solve_z_empty_shapes():
 def test_solve_z_random_4x6():
     rng = random.Random(7)
     for _ in range(60):
-        a = IntMatrix.from_rows(
+        a = from_rows(
             [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
         )
         b = [rng.randint(-9, 9) for _ in range(4)]
@@ -158,7 +160,7 @@ def test_solve_z_random_4x6():
 def test_solve_z_planted_solutions():
     rng = random.Random(11)
     for _ in range(60):
-        a = IntMatrix.from_rows(
+        a = from_rows(
             [[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
         )
         x = [rng.randint(-4, 4) for _ in range(5)]
@@ -202,18 +204,18 @@ def _sympy_row_hnf(k):
 
 def _edge_matrices():
     rng = random.Random(41)
-    yield IntMatrix.from_rows([])                        # 0 x 0
-    yield IntMatrix(((), (), ()))                        # 3 x 0
-    yield IntMatrix.from_rows([[0] * 4] * 2)
-    yield IntMatrix.from_rows([[0, 0, 0], [2, 0, 4], [0, 0, 0]])
-    yield IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [-1, -2, -3]])
-    yield IntMatrix.from_rows([[6, 0], [0, 0], [0, 10]])
+    yield from_rows([])            # 0 x 0
+    yield IntMatrix(((), (), ()))  # 3 x 0
+    yield from_rows([[0] * 4] * 2)
+    yield from_rows([[0, 0, 0], [2, 0, 4], [0, 0, 0]])
+    yield from_rows([[1, 2, 3], [2, 4, 6], [-1, -2, -3]])
+    yield from_rows([[6, 0], [0, 0], [0, 10]])
     for _ in range(150):
         rows, cols = rng.randint(1, 6), rng.randint(1, 7)
         m = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(cols)] for _ in range(rows)]
         if rng.random() < 0.4:  # rank-deficient: one row a combination of two others
             m.append([rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(m[0], m[-1])])
-        yield IntMatrix.from_rows(m)
+        yield from_rows(m)
 
 
 def test_solve_z_and_kernel_basis_agree_with_hermite_path():
@@ -245,7 +247,7 @@ def corrupted_checks_missed() -> list[str]:
 
     Written without `assert` so that it means the same under `python -O`.
     """
-    a = IntMatrix.from_rows([[2, 1, 0, 3], [0, 1, 1, 1]])
+    a = from_rows([[2, 1, 0, 3], [0, 1, 1, 1]])
     missed = _corrupted_solver_missed(a)
     missed += _corrupted_pivots_missed()
     missed += _corrupted_divisibility_missed()
@@ -271,14 +273,14 @@ def _corrupted_solver_missed(a) -> list[str]:
     its self-check, so only `solve_z`'s own check of a*x = b, or of the
     certificate, stands between the corruption and the caller.
     """
-    one = IntMatrix.from_rows([[2]])
+    one = from_rows([[2]])
     good = snf(a)
     v = [list(row) for row in good.v.entries]
     v[0] = [x + 1 for x in v[0]]
     cases = {
-        "wrong solution": (a, [5, 2], replace(good, v=IntMatrix.from_rows(v))),
+        "wrong solution": (a, [5, 2], replace(good, v=from_rows(v))),
         # 3 = 2 * 1 + 1, so the true certificate is 1/2; a diagonal of 4 gives 1/4, and 1/4 * 2 is not integral
-        "wrong certificate": (one, [3], replace(snf(one), d=IntMatrix.from_rows([[4]]))),
+        "wrong certificate": (one, [3], replace(snf(one), d=from_rows([[4]]))),
     }
     missed = []
     smith = abelian.snf
@@ -307,19 +309,19 @@ def _corrupted_smith_missed(a) -> list[str]:
     eye1, eye2 = IntMatrix.identity(1), IntMatrix.identity(2)
     # in each case U * A * V = D holds and only the named claim fails
     cases = {
-        "Smith transform V not unimodular": (IntMatrix.from_rows([[0]]), {"v": IntMatrix.from_rows([[2]])}),
-        "wrong Smith inverse of U": (a, {"u_inv": IntMatrix.from_rows(u_inv)}),
+        "Smith transform V not unimodular": (from_rows([[0]]), {"v": from_rows([[2]])}),
+        "wrong Smith inverse of U": (a, {"u_inv": from_rows(u_inv)}),
         "Smith form off the diagonal": (
-            IntMatrix.from_rows([[1, 1]]), {"d": IntMatrix.from_rows([[1, 1]]), "v": eye2, "v_inv": eye2}
+            from_rows([[1, 1]]), {"d": from_rows([[1, 1]]), "v": eye2, "v_inv": eye2}
         ),
-        "negative Smith factor": (IntMatrix.from_rows([[-2]]), {"u": eye1, "u_inv": eye1, "d": IntMatrix.from_rows([[-2]])}),
+        "negative Smith factor": (from_rows([[-2]]), {"u": eye1, "u_inv": eye1, "d": from_rows([[-2]])}),
         "Smith factors out of divisibility order": (
-            IntMatrix.from_rows([[2, 0], [0, 3]]),
-            {"u": eye2, "u_inv": eye2, "d": IntMatrix.from_rows([[2, 0], [0, 3]]), "v": eye2, "v_inv": eye2},
+            from_rows([[2, 0], [0, 3]]),
+            {"u": eye2, "u_inv": eye2, "d": from_rows([[2, 0], [0, 3]]), "v": eye2, "v_inv": eye2},
         ),
         "Smith factor after a zero": (
-            IntMatrix.from_rows([[0, 0], [0, 1]]),
-            {"u": eye2, "u_inv": eye2, "d": IntMatrix.from_rows([[0, 0], [0, 1]]), "v": eye2, "v_inv": eye2},
+            from_rows([[0, 0], [0, 1]]),
+            {"u": eye2, "u_inv": eye2, "d": from_rows([[0, 0], [0, 1]]), "v": eye2, "v_inv": eye2},
         ),
     }
     missed = []
@@ -337,21 +339,24 @@ def _corrupted_smith_missed(a) -> list[str]:
     return missed
 
 
+# column 3 is a unit column; the block it leaves has factors (1, 2)
+_PEELED = sparse([[1, 0, 0, 1], [2, 1, 0, 0], [0, 3, 2, 0]])
+_CORRUPTED_PIVOTS = {
+    "non-unit pivot": [(2, 2)],
+    # row 1 keeps column 0 and column 1 keeps row 2
+    "pivot alone neither in its row nor in its column": [(1, 1)],
+    "repeated row": [(0, 3), (0, 0)],
+}
+
+
 def _corrupted_pivots_missed() -> list[str]:
     """Corrupted unit-pivot lists that the re-check in `invariant_factors` failed to reject."""
-    # column 3 is a unit column; the block it leaves has factors (1, 2)
-    a = IntMatrix.from_rows([[1, 0, 0, 1], [2, 1, 0, 0], [0, 3, 2, 0]])
-    cases = {
-        "non-unit pivot": [(2, 2)],
-        # row 1 keeps column 0 and column 1 keeps row 2
-        "pivot alone neither in its row nor in its column": [(1, 1)],
-        "repeated row": [(0, 3), (0, 0)],
-    }
+    a = _PEELED
     missed = []
     peel = abelian._unit_pivots
     try:
-        for name, pivots in cases.items():
-            abelian._unit_pivots = lambda m, pivots=pivots: pivots
+        for name, pivots in _CORRUPTED_PIVOTS.items():
+            abelian._unit_pivots = lambda rows, width, pivots=pivots: pivots
             try:
                 invariant_factors(Presentation(("a", "b", "c", "d"), a))
                 missed.append(name)
@@ -409,7 +414,7 @@ def test_certificate_checks_raise_under_optimize():
 
 
 def test_lattice_membership_roundtrip():
-    a = IntMatrix.from_rows([[2, 0, 1], [0, 3, 1]])
+    a = from_rows([[2, 0, 1], [0, 3, 1]])
     v = [4, 3, 3]  # 2*row0 + row1
     # coefficients t with t a = v solve a^T t = v
     coeffs = solve_z(a.transpose(), v)
@@ -424,9 +429,9 @@ def test_lattice_membership_roundtrip():
 
 
 def test_presentation_free_rank():
-    free1 = Presentation(("z0",), IntMatrix.from_rows([]))
+    free1 = Presentation(("z0",), sparse([]))
     assert is_free(free1) and free_rank(free1) == 1
-    torsion = Presentation(("z0",), IntMatrix.from_rows([[2]]))
+    torsion = Presentation(("z0",), sparse([[2]]))
     assert invariant_factors(torsion) == (2,)
     assert not is_free(torsion)
     assert free_rank(torsion) == 0
@@ -434,8 +439,8 @@ def test_presentation_free_rank():
 
 def test_invariant_factors_peel_a_unit_off_the_pivots():
     # column 1 holds a lone 1 that is no Hermite pivot; peeling it leaves the block (3)
-    a = IntMatrix.from_rows([[2, 1, 0, 0], [0, 0, 3, 0]])
-    assert abelian._unit_pivots(a) == [(0, 1)]
+    a = sparse([[2, 1, 0, 0], [0, 0, 3, 0]])
+    assert abelian._unit_pivots(a, 4) == [(0, 1)]
     assert invariant_factors(Presentation(("a", "b", "c", "d"), a)) == (1, 3)
     assert free_rank(Presentation(("a", "b", "c", "d"), a)) == 2
 
@@ -492,8 +497,8 @@ def test_chain_group_rank_one():
     # q_m = 2 throughout, four relations: 2 z1 = z0, ..., 2 z4 = z3
     spec = NonfreeSpec(r=0, q=(2, 2, 2, 2), d=((), (), (), ()), j_trunc=5)
     pres = build_chain_group(spec)
-    assert pres.relations.rows == 4
-    assert pres.relations.entries[0] == (-1, 2, 0, 0, 0)
+    assert len(pres.relations) == 4
+    assert pres.relations[0] == {0: -1, 1: 2}
     assert is_free(pres)
     assert free_rank(pres) == 1
 
@@ -546,19 +551,19 @@ def test_chain_truncations_always_free(qs, r, coeff):
 
 def _full_snf_factors(p):
     """The nonzero Smith diagonal of the whole relation matrix, without peeling."""
-    rows = [r for r in p.relations.entries if any(r)]
-    return tuple(d for d in snf(IntMatrix.from_rows(rows)).diagonal if d) if rows else ()
+    rows = [r for r in relation_matrix(p).entries if any(r)]
+    return tuple(d for d in snf(from_rows(rows)).diagonal if d) if rows else ()
 
 
 def _torsion_presentations():
     rng = random.Random(47)
-    yield Presentation(("a", "b", "c"), IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 0]]))
-    yield Presentation(("a", "b"), IntMatrix.from_rows([]))  # 0 x n
-    yield Presentation((), IntMatrix(((), ())))  # n x 0
-    yield Presentation(("a", "b", "c"), IntMatrix.from_rows([[0] * 3] * 3))
-    yield Presentation(("a", "b", "c", "d"), IntMatrix.from_rows([[0, 4, 0, 6], [0, 0, 0, 0], [0, 6, 0, 9]]))
+    yield Presentation(("a", "b", "c"), sparse([[2, 0, 0], [0, 6, 0], [0, 0, 0]]))
+    yield Presentation(("a", "b"), ())  # 0 x n
+    yield Presentation((), ({}, {}))  # n x 0
+    yield Presentation(("a", "b", "c"), sparse([[0] * 3] * 3))
+    yield Presentation(("a", "b", "c", "d"), sparse([[0, 4, 0, 6], [0, 0, 0, 0], [0, 6, 0, 9]]))
     # factors (1, 3): the entry 1 off the pivot columns must stay in the Smith block
-    yield Presentation(("a", "b", "c", "d"), IntMatrix.from_rows([[2, 1, 0, 0], [0, 0, 3, 0]]))
+    yield Presentation(("a", "b", "c", "d"), sparse([[2, 1, 0, 0], [0, 0, 3, 0]]))
     for spec in (
         NonfreeSpec(r=0, q=(2, 2, 2, 2), d=((), (), (), ()), j_trunc=5),
         NonfreeSpec(r=1, q=(3, 5, 7), d=((1,), (-2,), (1,)), j_trunc=5),
@@ -567,7 +572,7 @@ def _torsion_presentations():
         yield chain
         # the quotient by the head z_0..z_{r-1} and the anchor z_r is a divisibility chain
         kill = [[int(j == k) for j in range(spec.j_trunc)] for k in range(spec.r + 1)]
-        yield Presentation(chain.generators, IntMatrix.from_rows(list(chain.relations.entries) + kill))
+        yield Presentation(chain.generators, chain.relations + sparse(kill))
     for _ in range(120):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = [[rng.randint(-6, 6) if rng.random() < 0.5 else 0 for _ in range(cols)] for _ in range(rows)]
@@ -580,7 +585,7 @@ def _torsion_presentations():
             j = rng.randrange(cols)
             for row in m:
                 row[j] = 0
-        yield Presentation(tuple(f"g{j}" for j in range(cols)), IntMatrix.from_rows(m))
+        yield Presentation(tuple(f"g{j}" for j in range(cols)), sparse(m))
 
 
 def _mixed_presentations():
@@ -612,7 +617,7 @@ def _mixed_presentations():
         order = list(range(len(m[0])))
         rng.shuffle(order)
         m = [[row[j] for j in order] for row in m]
-        yield Presentation(tuple(f"g{j}" for j in range(len(order))), IntMatrix.from_rows(m))
+        yield Presentation(tuple(f"g{j}" for j in range(len(order))), sparse(m))
 
 
 def _chain_presentations():
@@ -627,7 +632,7 @@ def _chain_presentations():
         chain = build_chain_group(spec)
         yield chain
         kill = [[int(j == k) for j in range(spec.j_trunc)] for k in range(spec.r + 1)]
-        yield Presentation(chain.generators, IntMatrix.from_rows(list(chain.relations.entries) + kill))
+        yield Presentation(chain.generators, chain.relations + sparse(kill))
 
 
 def _witness_presentations():
@@ -666,14 +671,15 @@ def test_invariant_factors_agree_with_snf_path():
     non_unit = peeled = witness = 0
     for source in (_torsion_presentations(), _mixed_presentations(), _chain_presentations(), _witness_presentations()):
         for p in source:
+            a = relation_matrix(p)
             factors = invariant_factors(p)
             assert factors == _full_snf_factors(p)
-            assert len(factors) == matrix_rank(p.relations)
+            assert len(factors) == matrix_rank(a)
             non_unit += any(d != 1 for d in factors)
-            peeled += bool(abelian._unit_pivots(p.relations))
+            peeled += bool(abelian._unit_pivots(p.relations, len(p.generators)))
             witness += source.__name__ == "_witness_presentations"
-            if smith_normal_form is not None and p.relations.rows and p.relations.cols:
-                s = smith_normal_form(Matrix(p.relations.entries), domain=ZZ)
+            if smith_normal_form is not None and a.rows and a.cols:
+                s = smith_normal_form(Matrix(a.entries), domain=ZZ)
                 assert sorted(factors) == sorted(abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i] != 0)
     assert non_unit > 80  # the Smith block left after peeling is exercised
     assert peeled > 300
@@ -683,10 +689,60 @@ def test_invariant_factors_agree_with_snf_path():
 def test_witness_presentations_peel_completely():
     # the unit staircase of every final and the unit kill rows leave nothing for snf
     for p in _witness_presentations():
-        a = p.relations
-        pivots = abelian._unit_pivots(a)
-        assert abelian._peeled_block(a, pivots) == ()
+        n = len(p.generators)
+        pivots = abelian._unit_pivots(p.relations, n)
+        assert abelian._peeled_block(p.relations, n, pivots) == ()
         assert invariant_factors(p) == (1,) * len(pivots)
+
+
+def _peeling_disagreements(rows, width, pivot_lists=()) -> list[str]:
+    """Where sparse peeling of the rows differs from the dense reference on their dense matrix.
+
+    Compares the pivot lists, then for those pivots and each of
+    `pivot_lists` the block left (densified over the columns left) or the
+    CertificateError raised.
+    """
+    a = dense(rows, width)
+    pivots = abelian._unit_pivots(rows, width)
+    out = [] if pivots == reference.unit_pivots(a) else [f"pivots {pivots} != {reference.unit_pivots(a)}"]
+    for given in (pivots, *pivot_lists):
+        try:
+            got = dense(abelian._peeled_block(rows, width, given), width - len(given)).entries
+        except CertificateError as exc:
+            got = str(exc)
+        try:
+            want = reference.peeled_block(a, given)
+        except CertificateError as exc:
+            want = str(exc)
+        if got != want:
+            out.append(f"pivots {given}: block {got!r} != {want!r}")
+    return out
+
+
+_sparse_matrices = st.integers(1, 6).flatmap(
+    lambda width: st.tuples(
+        st.lists(
+            st.dictionaries(st.integers(0, width - 1), st.sampled_from((1, -1, 1, -1, 2, -3, 5)), max_size=width),
+            max_size=7,
+        ),
+        st.just(width),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices, st.lists(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6)), max_size=4), max_size=3))
+def test_sparse_peeling_agrees_with_dense_reference(matrix, pivot_lists):
+    rows, width = matrix
+    assert _peeling_disagreements(rows, width, pivot_lists) == []
+
+
+def test_sparse_peeling_agrees_with_dense_reference_on_presentations():
+    # the shuffled torsion blocks, chain groups with kill rows, and the corrupted pivot lists
+    for source in (_torsion_presentations(), _mixed_presentations(), _chain_presentations()):
+        for p in source:
+            assert _peeling_disagreements(p.relations, len(p.generators)) == []
+    assert _peeling_disagreements(_PEELED, 4, _CORRUPTED_PIVOTS.values()) == []
 
 
 def test_telescoped_combination_is_the_solvers():
@@ -699,7 +755,7 @@ def test_telescoped_combination_is_the_solvers():
         spec = NonfreeSpec(r=r, q=q, d=d, j_trunc=n + r + 1)
         j = spec.j_trunc
         head = [[int(k == l) for k in range(j)] for l in range(r)]
-        stacked = IntMatrix.from_rows(list(build_chain_group(spec).relations.entries) + head)
+        stacked = from_rows(list(relation_matrix(build_chain_group(spec)).entries) + head)
         for step in divisibility_evidence(spec, n - 1):
             target = [0] * j
             target[r] += 1

@@ -8,11 +8,19 @@ import itertools
 import random
 import time
 
-from helpers import is_free, mat_vec, random_coloring, random_whitehead_system, transformed_system, transport_witness
+from helpers import (
+    from_rows,
+    is_free,
+    mat_vec,
+    random_coloring,
+    random_whitehead_system,
+    residues,
+    transformed_system,
+    transport_witness,
+)
 
 from lamsys.abelian import (
     InfeasibilityCertificate,
-    IntMatrix,
     NonfreeSpec,
     build_chain_group,
     divisibility_evidence,
@@ -114,13 +122,13 @@ def test_criterion_2_power_tables_exhaustive():
                     tab = power_table(p, i, ts, mu)
                     n = p ** ts[i]
                     expected = _admissible_base_set(p, i, ts, mu)
-                    got = set(tab.zero_class.residues())
+                    got = set(residues(tab.zero_class))
                     ok &= expected == got
                     shift1 = tab.shift[1]
                     ok &= shift1 == sum(
                         p ** (ts[i - 1] + k) * d for k, d in enumerate(tab.digits[1])
                     )
-                    one = set(tab.one_class.residues())
+                    one = set(residues(tab.one_class))
                     ok &= one == {(x + shift1) % n for x in expected}
                     ok &= not (got & one)
                     # spot congruence checks on random admissible tuples
@@ -251,14 +259,14 @@ def test_criterion_5_normal_forms_and_solver():
     for _ in range(500):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        a = IntMatrix.from_rows(
+        a = from_rows(
             [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
         )
         ok &= snf(a).verify(a)
     box = 5
     for trial in range(100):
         rows = rng.randint(1, 4)
-        a = IntMatrix.from_rows(
+        a = from_rows(
             [[rng.randint(-6, 6) for _ in range(3)] for _ in range(rows)]
         )
         if trial % 2 == 0:

@@ -75,7 +75,7 @@ _ENTRY_POINTS = {
 
 
 def _traced() -> set:
-    """(module, name) of every top-level definition the benchmark's tracer wraps, or wraps a method of.
+    """(module, name) of every definition the benchmark's tracer wraps: a function, or a method and its class.
 
     The tracer's source is read and run, as in `test_tracing_targets.py`;
     nothing is imported from `perfbench/`.
@@ -88,34 +88,52 @@ def _traced() -> set:
         if isinstance(owner, types.ModuleType):
             out.add((owner.__name__.rpartition(".")[2], attr))
         else:
-            out.add((owner.__module__.rpartition(".")[2], owner.__name__))
+            module = owner.__module__.rpartition(".")[2]
+            out |= {(module, owner.__name__), (module, f"{owner.__name__}.{attr}")}
     return out
 
 
+def _named(nodes) -> set:
+    """Every name the nodes use, as an AST Name or the attribute of an Attribute."""
+    walked = [n for node in nodes for n in ast.walk(node)]
+    return {n.id for n in walked if isinstance(n, ast.Name)} | {n.attr for n in walked if isinstance(n, ast.Attribute)}
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def test_every_src_definition_is_reached():
-    """Every top-level function and class under src/ is reached, or the tracer wraps it.
+    """Every top-level function and class under src/, and every method that is no dunder, is reached.
 
     Module-level statements (they run on import) and `_ENTRY_POINTS` are
     reached; a definition is reached when a reached one names it, as an AST
-    Name or Attribute (docstrings and imports do not count).  A tracer target
-    reaches nothing: what only a tracer target uses has no caller.
+    Name or Attribute (docstrings and imports do not count).  A method is
+    named by its own name, and a class reaches what its body names outside
+    those methods; a dunder method counts as part of its class, since Python
+    calls it.  A tracer target reaches nothing: what only a tracer target
+    uses has no caller.
     """
     defs, names = {}, set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=path.name).body:
-            named = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-            named |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs[(path.stem, stmt.name)] = named
+            if isinstance(stmt, _FUNCTIONS):
+                defs[(path.stem, stmt.name)] = _named([stmt])
+            elif isinstance(stmt, ast.ClassDef):
+                methods = [
+                    m for m in stmt.body if isinstance(m, _FUNCTIONS) and not (m.name[:2] == m.name[-2:] == "__")
+                ]
+                rest = [s for s in stmt.body if s not in methods]
+                defs[(path.stem, stmt.name)] = _named([*stmt.decorator_list, *stmt.bases, *stmt.keywords, *rest])
+                defs.update(((path.stem, f"{stmt.name}.{m.name}"), _named([m])) for m in methods)
             else:
-                names |= named
+                names |= _named([stmt])
     assert set(_ENTRY_POINTS) <= defs.keys()
     reached = set()
     new = set(_ENTRY_POINTS)
     while new:
         reached |= new
         names = names.union(*(defs[key] for key in new))
-        new = {key for key in defs.keys() - reached if key[1] in names}
+        new = {key for key in defs.keys() - reached if key[1].rpartition(".")[2] in names}
     assert sorted(f"{m}.{n}" for m, n in defs.keys() - reached - _traced()) == []
 
 
@@ -248,7 +266,7 @@ def self_checks_missed() -> list[str]:
         ),
         "basis generation pivots": (
             # a pivot per generator, all on row 0, so every pivot after the first is on a row peeled before
-            _patched(whitehead, "_unit_pivots", lambda a: [(0, j) for j in range(a.cols)]),
+            _patched(whitehead, "_unit_pivots", lambda rows, width: [(0, j) for j in range(width)]),
             lambda: whitehead.verify_basis(_witness_system(), whitehead.BasisCandidate((), ()), -1, 1),
         ),
         "quotient invariant factors": (

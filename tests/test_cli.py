@@ -693,7 +693,7 @@ def test_certificate_error_exits_3(tmp_path, capsys, monkeypatch):
     from lamsys import abelian, freeness
 
     # row 0 is 2 z_1 - z_0 - x_0 on the columns x_0, x_1, z_0, ..., so its pivot 2 on z_1 is no unit
-    monkeypatch.setattr(abelian, "_unit_pivots", lambda a: [(0, 3)])
+    monkeypatch.setattr(abelian, "_unit_pivots", lambda rows, width: [(0, 3)])
     path = write(tmp_path, "ws.json", witness_doc())
     code, out, err = run(capsys, ["build-G", "--system", path])
     assert (code, out) == (3, "")
@@ -746,11 +746,13 @@ def test_other_exceptions_exit_3_without_traceback(tmp_path, capsys, monkeypatch
 def test_shape_faults_exit_3_not_2(tmp_path, capsys, monkeypatch):
     # the CLI builds every matrix and name list itself, so a shape fault is the program's, not the input's
     from lamsys import cli
-    from lamsys.abelian import IntMatrix, Presentation
+    from lamsys.abelian import Presentation
 
     builders = {
-        "ragged rows: widths [1, 2]": lambda spec: Presentation(("x", "y"), IntMatrix(((1,), (1, 2)))),
-        "duplicate generator names": lambda spec: Presentation(("x", "x"), IntMatrix(((1, 0),))),
+        "relation row 1 stores a zero or a column outside the 2 generators": lambda spec: Presentation(
+            ("x", "y"), ({0: 1}, {0: 1, 2: 2})
+        ),
+        "duplicate generator names": lambda spec: Presentation(("x", "x"), ({0: 1},)),
     }
     spec = {"schema": "lamsys/1", "r": 0, "q": [2, 2, 2, 2], "d": [[], [], [], []], "J": 5}
     path = write(tmp_path, "spec.json", spec)

@@ -128,6 +128,17 @@ def test_k_free_agrees_with_subset_enumeration(fam, k):
         assert res.verify(sets)
 
 
+@settings(max_examples=300, deadline=None)
+@given(families, st.integers(0, 7))
+@example([{"a"}, {"a", "b"}, {"b"}, {"b"}], 4)
+def test_hall_violators_are_inclusion_minimal(fam, k):
+    # dropping any one set of a returned violator leaves sets that have a transversal
+    sets = [frozenset(s) for s in fam]
+    for res in (find_transversal(sets), k_free_check(sets, min(k, len(sets) + 1))):
+        if isinstance(res, HallCertificate):
+            assert all(has_sdr([sets[j] for j in res.violator - {i}]) for i in res.violator)
+
+
 @settings(max_examples=150, deadline=None)
 @given(families)
 def test_k_free_monotone(fam):
