@@ -328,6 +328,8 @@ def corpus():
             ["build-G", "--system", "inputs/ws-h2.json", "--variant", str(ws_h2.finals()[0][0])],
             {},
         ),
+        # no final of ws-h1 has first index 99, so the variant keeps the root alone
+        ("build-G-variant-none", ["build-G", "--system", "inputs/ws-h1.json", "--variant", "99"], {}),
         ("build-G-low-j", ["build-G", "--system", "inputs/low-j.json"], {}),
         (
             "solve-witness-h2",
