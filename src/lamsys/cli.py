@@ -23,6 +23,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from functools import cache
+from itertools import chain
 
 from . import jsonio
 from .abelian import (
@@ -32,6 +33,9 @@ from .abelian import (
     invariant_factors,
 )
 from .core import (
+    MAX_ATOM_DEPTH,
+    atom_depth,
+    atom_to_jsonable,
     check_structure,
     node_key,
     transform_disjoint,
@@ -46,7 +50,7 @@ from .freeness import (
     find_transversal,
     k_free_check,
 )
-from .jsonio import MAX_ATOM_DEPTH, InputError, SCHEMA, _int_rows, _ints, dump
+from .jsonio import InputError, SCHEMA, _int_rows, _ints, dump
 from .uniformization import (
     power_table,
     prime_table,
@@ -76,10 +80,19 @@ def _load(path: str) -> dict:
         raise InputError(f"{path}: JSON nested too deeply ({exc})")
 
 
-def _manifest(subcommand: str, inputs: dict, params: dict) -> dict:
+# the options that name input files; every other parsed option is a parameter
+_INPUTS = frozenset({"file", "spec", "system", "c", "instance"})
+
+
+def _manifest(args: argparse.Namespace) -> dict:
+    """What produced an output: the subcommand, its input paths and every other option it was given."""
+    inputs, params = {}, {}
+    for key, value in vars(args).items():
+        if key not in ("subcommand", "func"):
+            (inputs if key in _INPUTS else params)[key] = value
     return {
         "schema": SCHEMA,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "inputs": inputs,
         "params": params,
         "seed": None,
@@ -273,16 +286,6 @@ def cmd_unif_sim(args) -> tuple[dict, int]:
     return {"report": jsonio.simulation_to_doc(report)}, 0 if report.ok else 1
 
 
-def _atom_depth(fam) -> int:
-    """List depth of the most deeply nested atom in fam's carriers and slices; 0 when all are plain."""
-    nested = [a for atoms in (*fam.system.B.values(), *fam.phi.values()) for a in atoms if type(a) is tuple]
-    depth = 0
-    while nested:
-        depth += 1
-        nested = [x for a in nested for x in a if type(x) is tuple]
-    return depth
-
-
 def cmd_transform(args) -> tuple[dict, int]:
     fam = jsonio.family_from_doc(_load(args.file))
     # the output lists every node's level; `validate` reports a missing one as a violation
@@ -290,12 +293,12 @@ def cmd_transform(args) -> tuple[dict, int]:
     if unleveled:
         raise InputError(f"level-missing at node {node_key(unleveled[0])!r}: no level assigned")
     # both kinds wrap every atom in one more list, and the output must parse again
-    if _atom_depth(fam) >= MAX_ATOM_DEPTH:
+    if atom_depth(chain(*fam.system.B.values(), *fam.phi.values())) >= MAX_ATOM_DEPTH:
         raise InputError(f"atom nests lists {MAX_ATOM_DEPTH} deep, so transform would write it past the bound")
     transform = transform_disjoint if args.kind == "disjoint" else transform_tree
     res = transform(fam)
     renaming = [
-        [jsonio.atom_to_jsonable(new), jsonio.atom_to_jsonable(old)]
+        [atom_to_jsonable(new), atom_to_jsonable(old)]
         for new, old in sorted(res.old_of_new.items(), key=lambda kv: str(kv[0]))
     ]
     return {
@@ -407,16 +410,6 @@ def dispatch(argv) -> int:
 def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    inputs = {
-        key: getattr(args, key)
-        for key in ("file", "spec", "system", "c", "instance")
-        if hasattr(args, key)
-    }
-    params = {
-        key: getattr(args, key)
-        for key in ("k", "alpha", "beta", "fresh", "m_max", "variant", "p", "r", "i", "mu", "kind", "structure")
-        if hasattr(args, key)
-    }
     try:
         payload, code = args.func(args)
     except ValueError as exc:  # InputError is a ValueError
@@ -428,7 +421,7 @@ def _dispatch(argv) -> int:
     except Exception as exc:  # a fault of the program, not of the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    doc = {"manifest": _manifest(args.subcommand, inputs, params), **payload}
+    doc = {"manifest": _manifest(args), **payload}
     sys.stdout.write(dump(doc))
     return code
 

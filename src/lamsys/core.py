@@ -14,7 +14,10 @@ needs no synchronization.
 
 Atoms are ints, strings, or (recursively) tuples of atoms; tuples are what
 the two normalizing transforms below produce.  Equality is structural and
-survives the JSON round-trip in `jsonio`.
+survives the JSON round-trip in `jsonio`.  The rules about atoms live here
+and nowhere else: their canonical order (`atom_sort_key`, `atom_ranks`),
+their JSON form (`atom_to_jsonable`) and the bound on their nesting
+(`MAX_ATOM_DEPTH`, `atom_depth`).
 """
 
 from __future__ import annotations
@@ -41,20 +44,6 @@ def parse_node_key(key: str) -> Node:
     return tuple(map(int, key.split(".")))
 
 
-def lex_compare(a: Node, b: Node) -> int:
-    """-1, 0, or 1: proper prefixes come first, then first-disagreement order.
-
-    This is Python's own comparison of int tuples, so nodes are sorted with
-    plain `sorted`; this function is the definition that tests compare with.
-    """
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) < len(b) else 1
-
-
 def atom_sort_key(a: Atom):
     if isinstance(a, bool):
         raise TypeError("bool is not an atom")
@@ -67,8 +56,44 @@ def atom_sort_key(a: Atom):
     raise TypeError(f"not an atom: {a!r}")
 
 
-def sorted_atoms(atoms: Iterable[Atom]) -> list[Atom]:
-    return sorted(atoms, key=atom_sort_key)
+def atom_ranks(atoms: Iterable[Atom]) -> dict[Atom, int]:
+    """Each of the distinct atoms given, mapped to its position in canonical order.
+
+    `atom_sort_key` gives distinct atoms distinct keys, so sorting by rank
+    is sorting by `atom_sort_key`, with one key built per distinct atom
+    rather than one per comparison or occurrence.
+    """
+    return {a: i for i, a in enumerate(sorted(atoms, key=atom_sort_key))}
+
+
+def atom_to_jsonable(a: Atom):
+    """The JSON form of an atom, tuples as lists; TypeError on a non-atom, as `atom_sort_key` raises."""
+    if isinstance(a, tuple):
+        return list(map(atom_to_jsonable, a))
+    if isinstance(a, (int, str)) and not isinstance(a, bool):
+        return a
+    raise TypeError(f"not an atom: {a!r}")
+
+
+# Deepest list nesting an input atom may have.  Atoms are converted
+# (`atom_to_jsonable`), ordered (`atom_sort_key`), named
+# (`whitehead.atom_name`) and written (`jsonio.dump`) by recursive walks; at
+# this depth each stays far inside Python's default recursion limit of 1,000
+# frames.
+MAX_ATOM_DEPTH = 100
+
+
+def atom_depth(values: Iterable) -> int:
+    """Deepest nesting of lists or tuples among values (atoms or their JSON forms); 0 when all are plain.
+
+    The depth is counted one level at a time, not by recursion.
+    """
+    nested = [v for v in values if isinstance(v, (list, tuple))]
+    depth = 0
+    while nested:
+        depth += 1
+        nested = [x for v in nested for x in v if isinstance(x, (list, tuple))]
+    return depth
 
 
 # Largeness predicates: finite stand-ins used wherever the source notion
@@ -203,7 +228,7 @@ def validate_system(sys_: SystemSkeleton) -> list[Violation]:
             lo = sys_.B.get(n + (b1,), frozenset())
             hi = sys_.B.get(n + (b2,), frozenset())
             if not lo <= hi:
-                missing = sorted_atoms(lo - hi)[0]
+                missing = min(lo - hi, key=atom_sort_key)
                 out.append(
                     Violation(
                         "B-chain",
@@ -236,9 +261,13 @@ class BasedFamily:
     """Per-final enumerations phi[(final, k)] with ranges inside B(final[:k])."""
 
     system: SystemSkeleton
-    finals: tuple[Node, ...]
     phi: Mapping[tuple[Node, int], tuple[Atom, ...]]
     truncation: int
+
+    @cached_property
+    def finals(self) -> tuple[Node, ...]:
+        """The skeleton's final nodes (its leaves) in node order."""
+        return tuple(self.system.finals())
 
     def slice_atoms(self, final: Node, k: int) -> frozenset[Atom]:
         return frozenset(self.phi.get((final, k), ()))
@@ -260,7 +289,6 @@ def make_family(
 ) -> BasedFamily:
     return BasedFamily(
         system=system,
-        finals=tuple(system.finals()),
         phi={(tuple(z), int(k)): tuple(v) for (z, k), v in phi.items()},
         truncation=int(truncation),
     )
@@ -269,8 +297,6 @@ def make_family(
 def validate_family(fam: BasedFamily) -> list[Violation]:
     out: list[Violation] = []
     sys_ = fam.system
-    if set(fam.finals) != set(sys_.finals()):
-        out.append(Violation("finals-mismatch", None, "family finals differ from skeleton finals"))
     for z in fam.finals:
         for k in range(1, len(z) + 1):
             vals = fam.phi.get((z, k))
@@ -289,8 +315,9 @@ def validate_family(fam: BasedFamily) -> list[Violation]:
                 out.append(
                     Violation("phi-based-on", z, f"level {k} value {stray[0]!r} outside carrier of {node_key(z[:k])!r}")
                 )
+    finals = set(fam.finals)
     for (z, k) in sorted(fam.phi):  # in node order, whatever the input's key order
-        if z not in fam.finals or not (1 <= k <= len(z)):
+        if z not in finals or not (1 <= k <= len(z)):
             out.append(Violation("phi-domain", z, f"enumeration key ({node_key(z)}, {k}) out of range"))
     return out
 
@@ -332,7 +359,7 @@ def _cross_class_pairs(holders: Mapping[Atom, list], class_of: Callable) -> dict
     the least atom of their intersection.
     """
     pairs: dict[tuple, Atom] = {}
-    for atom in sorted_atoms(holders):
+    for atom in sorted(holders, key=atom_sort_key):
         groups: dict = {}
         for h in holders[atom]:
             groups.setdefault(class_of(h), []).append(h)
@@ -456,7 +483,7 @@ def transform_disjoint(fam: BasedFamily) -> TransformResult:
         (z, k): tuple((x, z[: k - 1]) for x in vals)
         for (z, k), vals in fam.phi.items()
     }
-    new_fam = BasedFamily(new_sys, fam.finals, new_phi, fam.truncation)
+    new_fam = BasedFamily(new_sys, new_phi, fam.truncation)
     return TransformResult(new_fam, old_of_new)
 
 
@@ -489,5 +516,5 @@ def transform_tree(fam: BasedFamily) -> TransformResult:
         new_b[n] = fitted[carrier]
     old_of_new = {t: t[-1] for t in used}
     new_sys = SystemSkeleton(sys_.nodes, dict(sys_.level), dict(sys_.E), new_b, sys_.largeness)
-    new_fam = BasedFamily(new_sys, fam.finals, new_phi, fam.truncation)
+    new_fam = BasedFamily(new_sys, new_phi, fam.truncation)
     return TransformResult(new_fam, old_of_new)

@@ -26,7 +26,7 @@ from collections import Counter
 from typing import Mapping, Sequence
 
 from .abelian import CertificateError
-from .core import Atom, BasedFamily, Node, atom_sort_key, node_key
+from .core import Atom, BasedFamily, Node, atom_ranks, node_key
 from .record import record
 
 
@@ -69,10 +69,7 @@ def _max_matching(sets: list[frozenset]):
     augmenting search is a depth-first search over an explicit stack, so
     path length is not bounded by the recursion limit.
     """
-    # rank each distinct atom once; atom_sort_key gives distinct atoms
-    # distinct keys, so sorting by rank is sorting by atom_sort_key
-    rank = {a: i for i, a in enumerate(sorted(set().union(*sets), key=atom_sort_key))}
-    by_rank = rank.__getitem__
+    by_rank = atom_ranks(set().union(*sets)).__getitem__
     adj: list[list | None] = [None] * len(sets)  # a set's atoms by rank, once a search enters it
     match_of_atom: dict[Atom, int] = {}
     match_of_set: dict[int, Atom] = {}

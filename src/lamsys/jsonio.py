@@ -40,11 +40,14 @@ from typing import Any, Callable, Mapping
 
 from .abelian import NonfreeSpec, Presentation, dense
 from .core import (
+    MAX_ATOM_DEPTH,
     Atom,
     BasedFamily,
     Node,
     SystemSkeleton,
-    atom_sort_key,
+    atom_depth,
+    atom_ranks,
+    atom_to_jsonable,
     node_key,
     parse_node_key,
 )
@@ -181,30 +184,10 @@ def _strs(v, field: str, *keys) -> list[str]:
     raise _malformed("a list of strings", v, field, keys)
 
 
-def atom_to_jsonable(a: Atom):
-    if isinstance(a, tuple):
-        return [atom_to_jsonable(x) for x in a]
-    if isinstance(a, (int, str)) and not isinstance(a, bool):
-        return a
-    raise InputError(f"not a serializable atom: {a!r}")
-
-
-# Deepest list nesting an input atom may have.  Atoms are converted, ordered
-# (`atom_sort_key`), named (`whitehead.atom_name`) and written (`dump`) by
-# recursive walks; at this depth each stays far inside Python's default
-# recursion limit of 1,000 frames.
-MAX_ATOM_DEPTH = 100
-
-
 def atom_from_jsonable(v) -> Atom:
     """The atom of a JSON value; InputError if it is none or nests lists past MAX_ATOM_DEPTH."""
-    # the depth is counted one level of lists at a time, not by recursion
-    lists, depth = [v] if isinstance(v, list) else [], 0
-    while lists:
-        depth += 1
-        if depth > MAX_ATOM_DEPTH:
-            raise InputError(f"atom nests lists more than {MAX_ATOM_DEPTH} deep")
-        lists = [x for item in lists for x in item if isinstance(x, list)]
+    if atom_depth((v,)) > MAX_ATOM_DEPTH:
+        raise InputError(f"atom nests lists more than {MAX_ATOM_DEPTH} deep")
     return _atom(v)
 
 
@@ -243,20 +226,13 @@ def system_to_doc(x: SystemSkeleton | BasedFamily | WhiteheadSystem) -> dict:
     sys_ = fam.system if fam is not None else x
     nodes = sys_.sorted_nodes()
     keys = {n: node_key(n) for n in nodes}
-
-    def key(n: Node) -> str:
-        # a final the skeleton does not list is keyed on its own; the root's "" is falsy but the same
-        return keys.get(n) or node_key(n)
-
     carriers = [sys_.B.get(n, frozenset()) for n in nodes]
     slices = {}
     if fam is not None:
-        slices = {key(z): {str(k): fam.phi.get((z, k), ()) for k in range(1, len(z) + 1)} for z in fam.finals}
-    # rank and JSON form once per distinct atom, not once per occurrence;
-    # atom_sort_key gives distinct atoms distinct keys, so sorting by rank
-    # is sorting by atom_sort_key
+        slices = {keys[z]: {str(k): fam.phi.get((z, k), ()) for k in range(1, len(z) + 1)} for z in fam.finals}
+    # rank and JSON form once per distinct atom, not once per occurrence
     carrier_atoms = set().union(*carriers)
-    rank = {a: i for i, a in enumerate(sorted(carrier_atoms, key=atom_sort_key))}
+    rank = atom_ranks(carrier_atoms)
     as_json = {
         a: atom_to_jsonable(a)
         for a in carrier_atoms.union(*(vals for per_level in slices.values() for vals in per_level.values()))
@@ -283,8 +259,8 @@ def system_to_doc(x: SystemSkeleton | BasedFamily | WhiteheadSystem) -> dict:
         doc["truncation"] = fam.truncation
     if ws is not None:
         doc["r"] = ws.r
-        doc["q"] = {key(z): list(ws.q[z]) for z in ws.finals()}
-        doc["d"] = {key(z): [list(row) for row in ws.d[z]] for z in ws.finals()}
+        doc["q"] = {keys[z]: list(ws.q[z]) for z in ws.finals()}
+        doc["d"] = {keys[z]: [list(row) for row in ws.d[z]] for z in ws.finals()}
         doc["J"] = ws.j_trunc
         if ws.strong_order is not None:
             doc["strong"] = ws.strong_order.to_jsonable()
@@ -364,7 +340,6 @@ def _family(doc: Mapping) -> tuple[BasedFamily, _NodeKeys]:
                 phi[(z, level_of[k])] = tuple(_atoms(vals, "phi", zk, k))
     fam = BasedFamily(
         system=sys_,
-        finals=tuple(sys_.finals()),
         phi=phi,
         truncation=_int(doc["truncation"], "truncation"),
     )

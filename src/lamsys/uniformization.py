@@ -86,9 +86,6 @@ class IntervalSet:
         idx = bisect.bisect_right(self.segments, (x, self.modulus)) - 1
         return idx >= 0 and self.segments[idx][0] <= x <= self.segments[idx][1]
 
-    def size(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self.segments)
-
     def shift(self, b: int) -> "IntervalSet":
         return IntervalSet.from_raw([(lo + b, hi + b) for lo, hi in self.segments], self.modulus)
 

@@ -56,6 +56,7 @@ from .core import (
     Node,
     Violation,
     atom_sort_key,
+    atom_to_jsonable,
     node_key,
     restrict_to_nodes,
     validate_family,
@@ -65,14 +66,9 @@ from .freeness import ReshufflingOrder
 from .record import record
 
 
-def _as_lists(x):
-    # module level: a nested function that calls itself is a reference cycle
-    return list(map(_as_lists, x)) if isinstance(x, tuple) else x
-
-
 def atom_text(a: Atom) -> str:
     """Compact JSON text of an atom (tuples as arrays): its generator name and its witness key."""
-    return json.dumps(_as_lists(a), sort_keys=True, separators=(",", ":"))
+    return json.dumps(atom_to_jsonable(a), sort_keys=True, separators=(",", ":"))
 
 
 def atom_name(a: Atom) -> str:
@@ -372,11 +368,8 @@ def variant_filter(ws: WhiteheadSystem, allowed_first: frozenset[int]) -> Whiteh
     keep_nodes = frozenset(
         n for n in ws.family.system.nodes if n == () or n[0] in allowed_first
     )
-    sys_ = restrict_to_nodes(ws.family.system, keep_nodes)
-    finals = tuple(z for z in ws.family.finals if z in keep_nodes)
     fam = BasedFamily(
-        system=sys_,
-        finals=finals,
+        system=restrict_to_nodes(ws.family.system, keep_nodes),
         phi={(z, k): v for (z, k), v in ws.family.phi.items() if z in keep_nodes},
         truncation=ws.family.truncation,
     )

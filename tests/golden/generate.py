@@ -31,7 +31,7 @@ sys.path.insert(0, str(HERE.parent))
 
 from helpers import random_coloring, random_whitehead_system, run_dispatch  # noqa: E402
 
-from lamsys.core import make_family, make_skeleton, node_key, sorted_atoms  # noqa: E402
+from lamsys.core import atom_sort_key, make_family, make_skeleton, node_key  # noqa: E402
 from lamsys.jsonio import SCHEMA, system_to_doc  # noqa: E402
 from lamsys.whitehead import WhiteheadSystem  # noqa: E402
 
@@ -39,7 +39,7 @@ from lamsys.whitehead import WhiteheadSystem  # noqa: E402
 def flat_family(sets_by_first):
     """Height-1 family document with one final per key."""
     finals = [(i,) for i in sorted(sets_by_first)]
-    atoms = sorted_atoms({a for s in sets_by_first.values() for a in s})
+    atoms = sorted({a for s in sets_by_first.values() for a in s}, key=atom_sort_key)
     sys_ = make_skeleton(
         nodes=[()] + finals,
         level={(): 1, **{f: 0 for f in finals}},
@@ -47,7 +47,7 @@ def flat_family(sets_by_first):
         b_map={(): [], **{f: atoms for f in finals}},
     )
     trunc = max(len(s) for s in sets_by_first.values())
-    phi = {(f, 1): sorted_atoms(sets_by_first[f[0]]) for f in finals}
+    phi = {(f, 1): sorted(sets_by_first[f[0]], key=atom_sort_key) for f in finals}
     return system_to_doc(make_family(sys_, phi, truncation=trunc))
 
 

@@ -1,7 +1,7 @@
 """Shared test helpers: random skeletons, families and witness systems, and small
 operations that only tests need (a matrix-vector product, carrying a witness
 across a transform, freeness and free rank of a presentation, dense matrices
-from lists and relation rows in both forms, the residues of an interval set)."""
+from lists and relation rows in both forms, the residues and size of an interval set)."""
 
 import contextlib
 import gc
@@ -117,6 +117,11 @@ def residues(s: IntervalSet):
     """Every residue in the interval set, in increasing order."""
     for lo, hi in s.segments:
         yield from range(lo, hi + 1)
+
+
+def interval_size(s: IntervalSet) -> int:
+    """The number of residues in the interval set."""
+    return sum(hi - lo + 1 for lo, hi in s.segments)
 
 
 def mat_vec(a: IntMatrix, v) -> tuple[int, ...]:

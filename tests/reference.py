@@ -48,9 +48,23 @@ from lamsys.abelian import (
     reduce_mod_lattice,
     solve_z,
 )
-from lamsys.core import ROOT, BasedFamily, SystemSkeleton, atom_sort_key, lex_compare, node_key, sorted_atoms
+from lamsys.core import ROOT, BasedFamily, SystemSkeleton, atom_sort_key, atom_to_jsonable, node_key
 from lamsys.freeness import ReshufflingOrder
-from lamsys.jsonio import SCHEMA, atom_to_jsonable
+from lamsys.jsonio import SCHEMA
+
+
+def lex_compare(a, b) -> int:
+    """-1, 0, or 1: proper prefixes come first, then first-disagreement order.
+
+    This is the definition of the node order.  It is Python's own comparison
+    of int tuples, so the library sorts nodes with plain `sorted`.
+    """
+    for x, y in zip(a, b):
+        if x != y:
+            return -1 if x < y else 1
+    if len(a) == len(b):
+        return 0
+    return -1 if len(a) < len(b) else 1
 
 
 def det(a: IntMatrix) -> int:
@@ -218,7 +232,7 @@ def check_structure(sys_, fam):
             shared = sys_.B.get(n1, frozenset()) & sys_.B.get(n2, frozenset())
             if shared and (len(n1) != len(n2) or n1[:-1] != n2[:-1] or n1 == ROOT or n2 == ROOT):
                 overlap.append(
-                    {"nodes": (node_key(n1), node_key(n2)), "atom": sorted_atoms(shared)[0]}
+                    {"nodes": (node_key(n1), node_key(n2)), "atom": min(shared, key=atom_sort_key)}
                 )
 
     alignment = []
@@ -242,7 +256,7 @@ def check_structure(sys_, fam):
                             {
                                 "finals": (node_key(z), node_key(v)),
                                 "levels": (k, i),
-                                "atom": sorted_atoms(shared)[0],
+                                "atom": min(shared, key=atom_sort_key),
                             }
                         )
 
@@ -286,7 +300,7 @@ def system_to_doc(sys_, fam=None, ws=None) -> dict:
         "level": {node_key(n): sys_.level[n] for n in nodes},
         "E": {node_key(n): sorted(sys_.E[n]) for n in nodes if n in sys_.E},
         "B": {
-            node_key(n): [atom_to_jsonable(a) for a in sorted_atoms(sys_.B.get(n, frozenset()))]
+            node_key(n): [atom_to_jsonable(a) for a in sorted(sys_.B.get(n, frozenset()), key=atom_sort_key)]
             for n in nodes
         },
         "largeness": sys_.largeness,
@@ -335,7 +349,6 @@ def family_from_doc(doc) -> BasedFamily:
             phi[(z, int(k))] = tuple(jsonio._atoms(vals, "phi", zk, k))
     return BasedFamily(
         system=sys_,
-        finals=tuple(sys_.finals()),
         phi=phi,
         truncation=jsonio._int(doc["truncation"], "truncation"),
     )

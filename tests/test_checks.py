@@ -66,7 +66,6 @@ def test_witness_side_names_no_generic_solver():
 # top-level definitions that no code under src/ needs to reach, each with its reason
 _ENTRY_POINTS = {
     ("cli", "main"): "the console-script entry point",
-    ("core", "lex_compare"): "the definition of the node order that sorting by tuple implements",
     ("core", "make_skeleton"): "the constructor of skeletons for library callers",
     ("core", "make_family"): "the constructor of families for library callers",
     ("record", "replace"): "the copy-with-changes of a record, for library callers",

@@ -1,5 +1,6 @@
 """CLI dispatch: exit codes, byte stability, certificate round-trips."""
 
+import argparse
 import gc
 import json
 import os
@@ -11,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from lamsys import jsonio
+from lamsys import cli, jsonio
 from lamsys.cli import dispatch
-from lamsys.core import make_family, make_skeleton
+from lamsys.core import MAX_ATOM_DEPTH, make_family, make_skeleton
 from lamsys.freeness import Transversal
-from lamsys.jsonio import MAX_ATOM_DEPTH, dump, system_to_doc
+from lamsys.jsonio import dump, system_to_doc
 from lamsys.whitehead import WhiteheadSystem
 
 
@@ -83,6 +84,22 @@ def test_validate_pass_and_manifest(tmp_path, capsys):
     assert doc["manifest"]["subcommand"] == "validate"
     assert doc["manifest"]["schema"] == "lamsys/1"
     assert doc["manifest"]["seed"] is None
+
+
+_SUBPARSERS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", sorted(_SUBPARSERS))
+def test_every_option_reaches_the_manifest(name):
+    options = [a for a in _SUBPARSERS[name]._actions if a.dest != "help"]
+    argv = [name]
+    for a in options:
+        if a.required or not a.option_strings:
+            argv += [*a.option_strings[:1], a.choices[0] if a.choices else "1"]
+    manifest = cli._manifest(cli.build_parser().parse_args(argv))
+    assert manifest["subcommand"] == name
+    assert manifest["inputs"].keys().isdisjoint(manifest["params"])
+    assert manifest["inputs"].keys() | manifest["params"].keys() == {a.dest for a in options}
 
 
 def test_validate_reports_violations(tmp_path, capsys):

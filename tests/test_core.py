@@ -6,10 +6,10 @@ import itertools
 from hypothesis import Phase, find, given, settings, strategies as st
 
 import reference
+from reference import lex_compare
 from lamsys.core import (
     ROOT,
     check_structure,
-    lex_compare,
     make_family,
     make_skeleton,
     node_key,

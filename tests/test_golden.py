@@ -2,9 +2,10 @@
 
 The corpus under `tests/golden/` is written by `tests/golden/generate.py`;
 this test only reads it, and checks that the generator would write the
-committed inputs and argv lists again.  A metamorphic test replays each
-case on its inputs rewritten in another layout, which must not change a
-byte of the output.
+committed inputs and argv lists again.  Metamorphic tests replay the
+cases on rewritten inputs: another layout must not change a byte of the
+output, and an order-preserving renaming of the atoms must change only the
+atoms that the output names.
 """
 
 import contextlib
@@ -65,6 +66,18 @@ class _Reversed(random.Random):
         x.reverse()
 
 
+def _replay(case, rewrite):
+    """The exit code and stdout of case, run on its input documents as rewrite(doc) gives them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "inputs").mkdir()
+        for arg in case["argv"]:
+            if arg.startswith("inputs/"):
+                doc = json.loads((GOLDEN / arg).read_text())
+                (Path(tmp) / arg).write_text(json.dumps(rewrite(doc)))
+        with contextlib.chdir(tmp):
+            return run_dispatch(case["argv"])
+
+
 def _relaid(o, rng: random.Random, key=None):
     """o with every object's keys, and the sets listed under `nodes` and in `B` and `E`, in the order rng gives."""
     if isinstance(o, dict):
@@ -84,13 +97,43 @@ def _relaid(o, rng: random.Random, key=None):
 # reversed, structure-dense lists the phi key "1" before "0.0", and so its two phi-domain violations
 @example(next(c for c in CASES if c["name"] == "validate-structure-dense"), _Reversed())
 def test_golden_output_does_not_depend_on_input_layout(case, rng):
-    with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "inputs").mkdir()
-        for arg in case["argv"]:
-            if arg.startswith("inputs/"):
-                doc = json.loads((GOLDEN / arg).read_text())
-                (Path(tmp) / arg).write_text(json.dumps(_relaid(doc, rng)))
-        with contextlib.chdir(tmp):
-            code, out = run_dispatch(case["argv"])
+    code, out = _replay(case, lambda doc: _relaid(doc, rng))
     assert code == case["exit"]
     assert out == (GOLDEN / "expected" / f"{case['name']}.out").read_text()
+
+
+def _renamed(atom):
+    """The JSON form of an atom under the renaming int x -> 3x + 7, str s -> "~" + s, applied through lists.
+
+    Each map keeps the order within its kind, and lists compare item by
+    item, so the renaming keeps the canonical atom order.
+    """
+    if isinstance(atom, list):
+        return list(map(_renamed, atom))
+    return 3 * atom + 7 if isinstance(atom, int) else "~" + atom
+
+
+def _renamed_family(doc):
+    """doc with every atom of its carriers and slices renamed."""
+    doc["B"] = {k: list(map(_renamed, v)) for k, v in doc["B"].items()}
+    if "phi" in doc:
+        doc["phi"] = {z: {k: list(map(_renamed, v)) for k, v in per_level.items()} for z, per_level in doc["phi"].items()}
+    return doc
+
+
+# the transform cases are left out: their renaming list is sorted by the atoms' text, which a renaming reorders
+_ATOM_BLIND = [c for c in CASES if c["argv"][0] in ("check-free", "reshuffle", "validate")]
+
+
+@pytest.mark.parametrize("case", _ATOM_BLIND, ids=[c["name"] for c in _ATOM_BLIND])
+def test_golden_output_follows_an_order_preserving_atom_renaming(case):
+    expected = json.loads((GOLDEN / "expected" / f"{case['name']}.out").read_text())
+    assignment = expected.get("certificate", {}).get("assignment")
+    if assignment is not None:
+        expected["certificate"]["assignment"] = {i: _renamed(a) for i, a in assignment.items()}
+    for witnesses in ("sibling_overlap", "slice_alignment"):
+        for w in expected.get("structure", {}).get(witnesses, ()):
+            w["atom"] = _renamed(w["atom"])
+    code, out = _replay(case, _renamed_family)
+    assert code == case["exit"]
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"

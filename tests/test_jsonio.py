@@ -14,8 +14,17 @@ import reference
 from helpers import instance_to_doc, random_whitehead_system
 
 from lamsys import jsonio
-from lamsys.core import atom_sort_key, make_family, make_skeleton, transform_disjoint, transform_tree, validate_family
-from lamsys.jsonio import MAX_ATOM_DEPTH, InputError, atom_from_jsonable, atom_to_jsonable
+from lamsys.core import (
+    MAX_ATOM_DEPTH,
+    atom_sort_key,
+    atom_to_jsonable,
+    make_family,
+    make_skeleton,
+    transform_disjoint,
+    transform_tree,
+    validate_family,
+)
+from lamsys.jsonio import InputError, atom_from_jsonable
 from lamsys.uniformization import LadderInstance, LadderLevel
 from lamsys.whitehead import atom_name
 
@@ -36,7 +45,7 @@ def test_atom_roundtrip():
 
 
 def test_atom_rejects_bool_and_float():
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError):
         atom_to_jsonable(True)
     with pytest.raises(InputError):
         atom_from_jsonable(1.5)

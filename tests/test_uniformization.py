@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from helpers import relation_matrix, residues
+from helpers import interval_size, relation_matrix, residues
 from lamsys.uniformization import (
     IntervalSet,
     LadderInstance,
@@ -32,7 +32,7 @@ def test_interval_set_wraps_and_merges():
     s = IntervalSet.from_raw([(-1, 1), (5, 6)], 11)
     assert s.segments == ((0, 1), (5, 6), (10, 10))
     assert s.contains(10) and s.contains(0) and not s.contains(2)
-    assert s.size() == 5
+    assert interval_size(s) == 5
 
 
 def test_interval_difference_matches_bruteforce():
