@@ -122,10 +122,10 @@ def _renamed_family(doc):
 
 
 # the transform cases are left out: their renaming list is sorted by the atoms' text, which a renaming reorders
-_ATOM_BLIND = [c for c in CASES if c["argv"][0] in ("check-free", "reshuffle", "validate")]
+_RENAMABLE = [c for c in CASES if c["argv"][0] in ("check-free", "reshuffle", "validate")]
 
 
-@pytest.mark.parametrize("case", _ATOM_BLIND, ids=[c["name"] for c in _ATOM_BLIND])
+@pytest.mark.parametrize("case", _RENAMABLE, ids=[c["name"] for c in _RENAMABLE])
 def test_golden_output_follows_an_order_preserving_atom_renaming(case):
     expected = json.loads((GOLDEN / "expected" / f"{case['name']}.out").read_text())
     assignment = expected.get("certificate", {}).get("assignment")
