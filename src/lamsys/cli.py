@@ -1,8 +1,7 @@
 """Command-line entry point: every operation behind stable JSON on stdout.
 
-Exit codes: 0 success or pass, 1 checked failure carrying a certificate
-(or `check-free --k` whose search ran out of budget, with result
-"unknown" and no certificate), 2 malformed input or usage (a ValueError), 3 internal error: a computed
+Exit codes: 0 success or pass, 1 checked failure carrying a certificate,
+2 malformed input or usage (a ValueError), 3 internal error: a computed
 result failed its own exact re-verification (CertificateError), or any
 other exception, reported as one `internal error: <type>: <message>` line
 without a traceback.  Diagnostics go to stderr
@@ -46,7 +45,6 @@ from .core import (
 )
 from .freeness import (
     HallCertificate,
-    K_FREE_BUDGET,
     ReshufflingOrder,
     find_reshuffling,
     find_transversal,
@@ -145,11 +143,6 @@ def cmd_check_free(args) -> tuple[dict, int]:
             payload["result"] = "pass"
             payload["k"] = args.k
             return payload, 0
-        if res == "unknown":
-            payload["result"] = "unknown"
-            payload["k"] = args.k
-            payload["budget"] = K_FREE_BUDGET
-            return payload, 1
         payload["result"] = "fail"
         payload["k"] = args.k
         payload["certificate"] = jsonio.certificate_to_doc(res)

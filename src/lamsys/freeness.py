@@ -4,10 +4,9 @@ A family is free when it has a transversal (an injective choice of one
 element per set).  `find_transversal` decides this by augmenting-path
 matching and, on failure, extracts a violating index set whose union is
 smaller than itself, which by Hall's theorem is the exact dual witness.
-`k_free_check` asks the same of every subfamily below a size bound: the
-alternating closures of one maximum matching answer most cases, and a
-budgeted search over connected subfamilies settles the rest or says it
-could not.  `find_reshuffling` decides whether the finals have a well-order
+`k_free_check` asks the same of every subfamily below a size bound, using
+the deficiency structure of one maximum matching instead of enumerating
+subsets.  `find_reshuffling` decides whether the finals have a well-order
 that keeps every set "fresh" relative to its predecessors and puts the
 finals at or below a cutoff on the first coordinate first.  It peels the
 order off from its end, as in the core peeling of a hypergraph whose
@@ -148,126 +147,35 @@ def find_transversal(family):
     return cert
 
 
-# subfamilies `k_free_check` may visit before it answers "unknown"
-K_FREE_BUDGET = 200_000
-
-
-def _violator_candidates(sets, closures) -> list[int]:
-    """The sets that can lie in an inclusion-minimal violator, in index order.
-
-    Let S be such a violator and i one of its sets.  S - {i} has a
-    transversal onto the union of S; following the matching's edges and
-    that transversal's from i leads to a set of S the matching leaves
-    unmatched, so i lies in that set's alternating closure.  Each atom of
-    S's union is held by two sets of S (were it held by one, dropping that
-    set would leave a violator), so a set holding an atom that no other
-    candidate holds is dropped, until none is left.
-    """
-    alive = set().union(*closures)
-    holders: dict = {}
-    for i in alive:
-        for a in sets[i]:
-            holders.setdefault(a, set()).add(i)
-    lone = [a for a, hs in holders.items() if len(hs) == 1]
-    while lone:
-        for i in list(holders[lone.pop()]):  # empty once its one holder is dropped
-            alive.discard(i)
-            for a in sets[i]:
-                holders[a].discard(i)
-                if len(holders[a]) == 1:
-                    lone.append(a)
-    return sorted(alive)
-
-
-def _violator_search(sets, candidates: list[int], limit: int, budget: int):
-    """Indices of at most `limit` candidates whose union is smaller than they are.
-
-    None when there is no such subfamily, "unknown" when more than `budget`
-    subfamilies were visited first.  The candidates are not empty sets,
-    which are violators of their own.  An inclusion-minimal violator is
-    connected (two sets meet when they share an atom), or one of its parts
-    would be a violator, so the search enumerates the connected
-    subfamilies, each once, from its least index (the ESU enumeration of
-    Wernicke, "Efficient detection of network motifs", IEEE/ACM TCBB 3
-    (2006) 347-359), over an explicit stack.  A subfamily whose union holds
-    `limit` atoms is not extended: no subfamily of at most `limit` sets
-    that contains it is a violator.
-    """
-    holders: dict = {}
-    for i in candidates:
-        for a in sets[i]:
-            holders.setdefault(a, []).append(i)
-    neighbours: dict[int, list[int]] = {}
-
-    def meets(i: int) -> list[int]:
-        if i not in neighbours:
-            neighbours[i] = sorted({j for a in sets[i] for j in holders[a]} - {i})
-        return neighbours[i]
-
-    visited = 0
-    for seed in candidates:
-        visited += 1
-        if len(sets[seed]) >= limit:
-            continue
-        stack = [((seed,), sets[seed], {seed, *meets(seed)}, [j for j in meets(seed) if j > seed])]
-        while stack:
-            members, union, closed, ext = stack[-1]
-            if not ext:
-                stack.pop()
-                continue
-            w = ext.pop()
-            visited += 1
-            if visited > budget:
-                return "unknown"
-            grown, grown_union = members + (w,), union | sets[w]
-            if len(grown_union) < len(grown):
-                return grown
-            if len(grown) < limit and len(grown_union) < limit:
-                fresh = [j for j in meets(w) if j > seed and j not in closed]
-                stack.append((grown, grown_union, closed.union(fresh), ext + fresh))
-    return None
-
-
-def k_free_check(family, k: int, budget: int = K_FREE_BUDGET):
-    """A checked Hall certificate of fewer than k sets, 'pass' when none exists.
+def k_free_check(family, k: int):
+    """The smallest alternating closure of size < k as a Hall certificate, else 'pass'.
 
     It takes one maximum matching and, for each index the matching leaves
     unmatched, the indices reachable from it by alternating paths.  Each
-    such closure is an inclusion-minimal violator, and the smallest is
-    returned when it has fewer than k sets.  A smallest violator need not
-    be a closure: in [{a}, {a, b}, {b}, {b}] the matching 0-a, 1-b leaves
-    the closures {0, 1, 2} and {0, 1, 3}, while {2, 3} is a violator.  So
-    when every closure has k sets or more, the sets that can lie in an
-    inclusion-minimal violator are searched for one of fewer than k sets;
-    a violator found there is cut down to an alternating closure of its
-    own sets.  Finding a smallest violator is NP-hard (Chlamtac, Dinitz
-    and Makarychev, "Minimizing the union", SODA 2017), so the search
-    visits at most `budget` subfamilies and answers 'unknown' past that.
+    such closure is a Hall violator, so a returned certificate is a true
+    violator of size < k, and it is checked before it is returned.  A
+    'pass' can be wrong: a minimum violator need not be one of these
+    closures.  In [{a}, {a, b}, {b}, {b}] the violator {2, 3} has size 2,
+    but the matching 0-a, 1-b leaves the closures {0, 1, 2} and {0, 1, 3},
+    so k = 3 gives 'pass'.  An exact search for a minimum violator is still
+    to be written.
     """
     sets = _normalize(family)
     if not (0 <= k <= len(sets) + 1):
         raise ValueError(f"k must be at most family size + 1 = {len(sets) + 1}")
     match_of_set, match_of_atom = _max_matching(sets)
-    closures = [
-        _reachable_violator(sets, match_of_set, match_of_atom, i) for i in range(len(sets)) if i not in match_of_set
-    ]
-    best = min(closures, key=len, default=None)
-    if best is None or k < 2:  # no violator, or none of fewer than one set
+    best: HallCertificate | None = None
+    for i in range(len(sets)):
+        if i in match_of_set:
+            continue
+        violator = _reachable_violator(sets, match_of_set, match_of_atom, i)
+        if best is None or len(violator) < len(best.violator):
+            best = HallCertificate(violator)
+    if best is None or len(best.violator) >= k:
         return "pass"
-    if len(best) >= k:
-        found = _violator_search(sets, _violator_candidates(sets, closures), k - 1, budget)
-        if found is None:
-            return "pass"
-        if found == "unknown":
-            return "unknown"
-        sub = [sets[i] for i in found]
-        sub_match, sub_atoms = _max_matching(sub)
-        start = min(j for j in range(len(sub)) if j not in sub_match)
-        best = frozenset(found[j] for j in _reachable_violator(sub, sub_match, sub_atoms, start))
-    cert = HallCertificate(best)
-    if not cert.verify(sets):
+    if not best.verify(sets):
         raise CertificateError("Hall certificate fails its own check")
-    return cert
+    return best
 
 
 @record
