@@ -35,6 +35,7 @@ from .abelian import (
 from .core import (
     MAX_ATOM_DEPTH,
     atom_depth,
+    atom_sort_key,
     atom_to_jsonable,
     check_structure,
     node_key,
@@ -299,7 +300,7 @@ def cmd_transform(args) -> tuple[dict, int]:
     res = transform(fam)
     renaming = [
         [atom_to_jsonable(new), atom_to_jsonable(old)]
-        for new, old in sorted(res.old_of_new.items(), key=lambda kv: str(kv[0]))
+        for new, old in sorted(res.old_of_new.items(), key=lambda kv: atom_sort_key(kv[0]))
     ]
     return {
         "document": jsonio.system_to_doc(res.family),
