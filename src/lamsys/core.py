@@ -16,13 +16,15 @@ Atoms are ints, strings, or (recursively) tuples of atoms; tuples are what
 the two normalizing transforms below produce.  Equality is structural and
 survives the JSON round-trip in `jsonio`.  The rules about atoms live here
 and nowhere else: their canonical order (`atom_sort_key`, `atom_ranks`),
-their JSON form (`atom_to_jsonable`) and the bound on their nesting
-(`MAX_ATOM_DEPTH`, `atom_depth`).
+their JSON form (`atom_to_jsonable`) and its compact text (`atom_text`),
+and the bound on their nesting (`MAX_ATOM_DEPTH`, `atom_depth`).
 """
 
 from __future__ import annotations
 
+import json
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .record import record
@@ -61,9 +63,16 @@ def atom_ranks(atoms: Iterable[Atom]) -> dict[Atom, int]:
 
     `atom_sort_key` gives distinct atoms distinct keys, so sorting by rank
     is sorting by `atom_sort_key`, with one key built per distinct atom
-    rather than one per comparison or occurrence.
+    rather than one per comparison or occurrence.  When every atom is a
+    plain int or str, the ints sorted and then the strs sorted are already
+    that order, and no key is built at all.
     """
-    return {a: i for i, a in enumerate(sorted(atoms, key=atom_sort_key))}
+    atoms = list(atoms)
+    ints = sorted([a for a in atoms if type(a) is int])
+    strs = sorted([a for a in atoms if type(a) is str])
+    # a bool, or any atom neither plain int nor str, takes the key sort, which rejects a non-atom
+    ordered = ints + strs if len(ints) + len(strs) == len(atoms) else sorted(atoms, key=atom_sort_key)
+    return dict(zip(ordered, range(len(ordered))))
 
 
 def atom_to_jsonable(a: Atom):
@@ -75,9 +84,22 @@ def atom_to_jsonable(a: Atom):
     raise TypeError(f"not an atom: {a!r}")
 
 
+def atom_text(a: Atom) -> str:
+    """Compact JSON text of an atom (tuples as arrays): its generator name and its witness key.
+
+    A plain int or str is written by the very call `json.dumps` makes for
+    its type, so only a tuple goes through `json.dumps`.
+    """
+    if type(a) is int:
+        return int.__repr__(a)
+    if type(a) is str:
+        return encode_basestring_ascii(a)
+    return json.dumps(atom_to_jsonable(a), sort_keys=True, separators=(",", ":"))
+
+
 # Deepest list nesting an input atom may have.  Atoms are converted
 # (`atom_to_jsonable`), ordered (`atom_sort_key`), named
-# (`whitehead.atom_name`) and written (`jsonio.dump`) by recursive walks; at
+# (`atom_text`) and written (`jsonio.dump`) by recursive walks; at
 # this depth each stays far inside Python's default recursion limit of 1,000
 # frames.
 MAX_ATOM_DEPTH = 100

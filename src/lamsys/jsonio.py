@@ -47,6 +47,7 @@ from .core import (
     SystemSkeleton,
     atom_depth,
     atom_ranks,
+    atom_text,
     atom_to_jsonable,
     node_key,
     parse_node_key,
@@ -59,7 +60,7 @@ from .uniformization import (
     PrimeTable,
     SimulationReport,
 )
-from .whitehead import BasisCandidate, Witness, WhiteheadSystem, atom_text
+from .whitehead import BasisCandidate, Witness, WhiteheadSystem
 
 SCHEMA = "lamsys/1"
 

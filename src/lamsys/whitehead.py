@@ -34,7 +34,7 @@ nonzero entry}, as `abelian` reads them; only the `hnf` fallback of
 
 from __future__ import annotations
 
-import json
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .abelian import (
@@ -55,8 +55,8 @@ from .core import (
     BasedFamily,
     Node,
     Violation,
-    atom_sort_key,
-    atom_to_jsonable,
+    atom_ranks,
+    atom_text,
     node_key,
     restrict_to_nodes,
     validate_family,
@@ -64,11 +64,6 @@ from .core import (
 )
 from .freeness import ReshufflingOrder
 from .record import record
-
-
-def atom_text(a: Atom) -> str:
-    """Compact JSON text of an atom (tuples as arrays): its generator name and its witness key."""
-    return json.dumps(atom_to_jsonable(a), sort_keys=True, separators=(",", ":"))
 
 
 def atom_name(a: Atom) -> str:
@@ -89,7 +84,7 @@ class WhiteheadSystem:
     j_trunc: int
     strong_order: ReshufflingOrder | None = None
 
-    @property
+    @cached_property
     def m_range(self) -> int:
         """Number of relation rows per final."""
         return min(self.family.truncation, self.j_trunc - self.r - 1)
@@ -140,24 +135,30 @@ def _atoms_of(ws: WhiteheadSystem, finals: Sequence[Node]) -> set:
     return set().union(*(ws.family.s(z) for z in finals))
 
 
-def generator_names(
-    ws: WhiteheadSystem, finals: Sequence[Node] | None = None
-) -> tuple[list[str], dict[str, int]]:
-    """Atoms of the finals' sets first, then per-final z generators (default: all finals)."""
+def generator_names(ws: WhiteheadSystem, finals: Sequence[Node] | None = None) -> tuple[list[str], dict]:
+    """Atoms of the finals' sets first, then per-final z generators (default: all finals), and their columns.
+
+    The column map takes ("a", atom) to the atom's column and a final to
+    the column of its z generator 0; its z generators fill one run of
+    j_trunc columns from there.  The tag keeps a tuple atom apart from a
+    final, which it may equal.
+    """
     finals = ws.finals() if finals is None else finals
-    names = [atom_name(a) for a in sorted(_atoms_of(ws, finals), key=atom_sort_key)]
+    rank = atom_ranks(_atoms_of(ws, finals))
+    names = [atom_name(a) for a in rank]
+    columns: dict = {("a", a): i for a, i in rank.items()}
     for z in finals:
+        columns[z] = len(names)
         names += [z_name(z, j) for j in range(ws.j_trunc)]
-    return names, {g: i for i, g in enumerate(names)}
+    return names, columns
 
 
-def _relation_row(ws: WhiteheadSystem, index: dict[str, int], z: Node, m: int) -> Row:
+def _relation_row(ws: WhiteheadSystem, columns: dict, z: Node, m: int) -> Row:
     """The chain row of (z, m) in z's block of columns, less one per level atom, as {column: nonzero entry}."""
-    # generator_names lists a final's z generators in one run of columns
-    z_column = index[z_name(z, 0)]
+    z_column = columns[z]
     row = {z_column + j: coeff for j, coeff in chain_row(ws.r, ws.q[z], ws.d[z], m) if coeff}
     for k in ws.levels(z):
-        t = index[atom_name(ws.family.phi[(z, k)][m])]
+        t = columns[("a", ws.family.phi[(z, k)][m])]
         row[t] = row.get(t, 0) - 1  # atom columns hold no chain entry, so this stays nonzero
     return row
 
@@ -166,8 +167,8 @@ def build_witness_group(ws: WhiteheadSystem) -> Presentation:
     """Presentation on the family atoms and z generators with one row per (final, m)."""
     if ws.j_trunc < ws.r + 2:
         raise ValueError(f"need j_trunc >= r+2 = {ws.r + 2}")
-    names, index = generator_names(ws)
-    rows = tuple(_relation_row(ws, index, z, m) for z in ws.finals() for m in range(ws.m_range))
+    names, columns = generator_names(ws)
+    rows = tuple(_relation_row(ws, columns, z, m) for z in ws.finals() for m in range(ws.m_range))
     return Presentation(tuple(names), rows)
 
 
@@ -206,7 +207,7 @@ def solve_witness(ws: WhiteheadSystem, c: Mapping[Node, Sequence[int]]) -> Witne
     m = M-1 down to 0.  The finals share no z column, so each is solved on
     its own.  A witness that fails the equation is a CertificateError.
     """
-    f = {x: 0 for x in sorted(ws.family.union_s(), key=atom_sort_key)}
+    f = dict.fromkeys(atom_ranks(ws.family.union_s()), 0)
     a: dict[tuple[Node, int], int] = {}
     for z in ws.finals():
         values = [0] * ws.j_trunc
@@ -276,23 +277,22 @@ def enumerate_basis(ws: WhiteheadSystem, order: ReshufflingOrder, alpha: int, be
             keep = fresh_levels if m >= ws.m_range else fresh_levels[1:]
             for k in keep:
                 atom_part.add(ws.family.phi[(z, k)][m])
-    return BasisCandidate(tuple(z_part), tuple(sorted(atom_part, key=atom_sort_key)))
+    return BasisCandidate(tuple(z_part), tuple(atom_ranks(atom_part)))
 
 
-def quotient_presentation(ws: WhiteheadSystem, alpha: int, beta: int) -> Presentation:
-    """Presentation of the slice between the alpha+1 and beta stages.
+def quotient_presentation(ws: WhiteheadSystem, alpha: int, beta: int) -> tuple[Presentation, dict]:
+    """Presentation of the slice between the alpha+1 and beta stages, and its `generator_names` column map.
 
     Generators and relation rows of finals with first coordinate below beta,
     with kill rows for every generator already present at stage alpha+1.
     """
     in_i = [z for z in ws.finals() if z[0] < beta]
     low = [z for z in in_i if z[0] <= alpha]
-    names, index = generator_names(ws, in_i)
-    rows = [_relation_row(ws, index, z, m) for z in in_i for m in range(ws.m_range)]
-    killed = [atom_name(a) for a in sorted(_atoms_of(ws, low), key=atom_sort_key)]
-    killed += [z_name(z, j) for z in low for j in range(ws.j_trunc)]
-    rows += [{index[g]: 1} for g in killed]
-    return Presentation(tuple(names), tuple(rows))
+    names, columns = generator_names(ws, in_i)
+    rows = [_relation_row(ws, columns, z, m) for z in in_i for m in range(ws.m_range)]
+    rows += [{columns[("a", a)]: 1} for a in atom_ranks(_atoms_of(ws, low))]
+    rows += [{columns[z] + j: 1} for z in low for j in range(ws.j_trunc)]
+    return Presentation(tuple(names), tuple(rows)), columns
 
 
 @record
@@ -324,12 +324,11 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
     unit staircase and the unit kill rows peel to unit pivots, so a factor
     other than 1 is a CertificateError.
     """
-    pres = quotient_presentation(ws, alpha, beta)
-    index = {g: i for i, g in enumerate(pres.generators)}
+    pres, columns = quotient_presentation(ws, alpha, beta)
     n = len(pres.generators)
-    cand_names = [z_name(z, j) for z, j in candidate.z_part]
-    cand_names += [atom_name(a) for a in candidate.atom_part]
-    stray = tuple(g for g in cand_names if g not in index)
+    # a candidate generator the quotient lacks is named, in candidate order
+    stray = tuple(z_name(z, j) for z, j in candidate.z_part if z not in columns or not 0 <= j < ws.j_trunc)
+    stray += tuple(atom_name(a) for a in candidate.atom_part if ("a", a) not in columns)
     if stray:
         return BasisReport(
             generated=False, count_matches=False, free_rank=-1, candidate_size=candidate.size, failing_generators=stray
@@ -339,15 +338,17 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
         raise CertificateError(f"quotient presentation has invariant factor {max(factors)}, not 1")
     # one factor per independent relation
     free_rank = n - len(factors)
-    stacked = pres.relations + tuple({index[g]: 1} for g in cand_names)
+    cand_columns = [columns[z] + j for z, j in candidate.z_part]
+    cand_columns += [columns[("a", a)] for a in candidate.atom_part]
+    stacked = pres.relations + tuple({t: 1} for t in cand_columns)
     pivots = _unit_pivots(stacked, n)
     failing = []
     # n checked unit pivots leave nothing and prove that the rows span Z^n
     if len(pivots) < n or _peeled_block(stacked, n, pivots):
         h, _ = hnf(dense(stacked, n))
-        for g in pres.generators:
+        for t, g in enumerate(pres.generators):
             e = [0] * n
-            e[index[g]] = 1
+            e[t] = 1
             if not in_lattice(h, e):
                 failing.append(g)
     return BasisReport(

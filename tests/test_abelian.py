@@ -659,7 +659,7 @@ def _witness_presentations():
                 yield build_witness_group(variant_filter(ws, frozenset(keep)))
         for beta in (x + 1 for x in firsts):
             for alpha in [-1] + [x for x in firsts if x < beta]:
-                yield quotient_presentation(ws, alpha, beta)
+                yield quotient_presentation(ws, alpha, beta)[0]
 
 
 def test_invariant_factors_agree_with_snf_path():

@@ -2,13 +2,19 @@
 
 import functools
 import itertools
+import json
 
-from hypothesis import Phase, find, given, settings, strategies as st
+import pytest
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 import reference
 from reference import lex_compare
 from lamsys.core import (
     ROOT,
+    atom_ranks,
+    atom_sort_key,
+    atom_text,
+    atom_to_jsonable,
     check_structure,
     make_family,
     make_skeleton,
@@ -324,3 +330,28 @@ def test_structure_strategy_reaches_every_witness_kind():
     # find raises NoSuchExample when no drawn case has all three kinds
     quick = settings(database=None, phases=[Phase.generate])
     find(structured_families(), lambda case: all(reference.check_structure(*case)), settings=quick)
+
+
+# every code point, lone surrogates included, and ints of many machine words
+_PLAIN_ATOMS = st.integers() | st.integers(-(2**200), 2**200) | st.text(st.characters(blacklist_categories=()))
+_NESTED_ATOMS = st.recursive(_PLAIN_ATOMS, lambda c: st.lists(c, max_size=3).map(tuple), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NESTED_ATOMS)
+@example('q"uote\\back\x00\x1f\x7f\ud800\udfff\u00e9\U0001f600')
+@example(-(2**64) - 1)
+@example((("x", (0,)), (-3, "\ud83d")))
+def test_atom_text_is_the_compact_json_dumps_text(a):
+    assert atom_text(a) == json.dumps(atom_to_jsonable(a), sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers() | st.text(max_size=3), max_size=12) | st.lists(_NESTED_ATOMS, max_size=6))
+def test_atom_ranks_agree_with_the_key_sort(atoms):
+    assert atom_ranks(atoms) == {a: i for i, a in enumerate(sorted(atoms, key=atom_sort_key))}
+
+
+def test_atom_ranks_reject_a_bool_among_plain_atoms():
+    with pytest.raises(TypeError, match="bool"):
+        atom_ranks([1, "a", True])

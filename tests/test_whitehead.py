@@ -28,6 +28,7 @@ from lamsys.whitehead import (
     atom_name,
     build_witness_group,
     enumerate_basis,
+    generator_names,
     quotient_presentation,
     solve_witness,
     validate_whitehead,
@@ -308,12 +309,52 @@ def test_feasibility_invariant_under_transforms():
             assert isinstance(direct, Witness)
 
 
+def _columns_follow_the_names(ws, finals):
+    """generator_names' column map agrees with the columns that its generator names take."""
+    names, columns = generator_names(ws, finals)
+    index = {g: i for i, g in enumerate(names)}
+    atoms = set().union(*(ws.family.s(z) for z in finals))
+    assert len(columns) == len(atoms) + len(finals)
+    for a in atoms:
+        assert columns[("a", a)] == index[atom_name(a)]
+    for z in finals:
+        assert [columns[z] + j for j in range(ws.j_trunc)] == [index[z_name(z, j)] for j in range(ws.j_trunc)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1, 2)),
+    st.integers(0, 2),
+    st.integers(1, 4),
+    st.booleans(),
+    st.sampled_from((None, transform_disjoint, transform_tree)),
+)
+def test_generator_columns_are_the_columns_of_the_names(seed, n, r, truncation, cross, transform):
+    ws = random_whitehead_system(random.Random(seed), n=n, r=r, truncation=truncation, cross_level_atoms=cross)
+    if transform is not None:
+        ws = transformed_system(ws, transform(ws.family))
+    _columns_follow_the_names(ws, ws.finals())
+    _columns_follow_the_names(ws, ws.finals()[1::2])
+
+
+def test_generator_columns_keep_a_tuple_atom_apart_from_an_equal_final():
+    # the tree transform turns the atoms 0, 1 into (0,) and (0, 1), and (0,) is also the final
+    sys_ = make_skeleton(nodes=[(), (0,)], level={(): 1, (0,): 0}, e_map={(): [0]}, b_map={(): [], (0,): [0, 1]})
+    fam = transform_tree(make_family(sys_, {((0,), 1): [0, 1]}, truncation=2)).family
+    ws = WhiteheadSystem(family=fam, r=0, q={(0,): (2, 2)}, d={(0,): ((), ())}, j_trunc=3)
+    assert (0,) in fam.s((0,)) and ws.finals() == ((0,),)
+    _columns_follow_the_names(ws, ws.finals())
+    # columns: a:[0], a:[0,1], z:0:0, z:0:1, z:0:2; row m = 0 is 2 z1 - z0 - (0,)
+    assert build_witness_group(ws).relations[0] == {0: -1, 2: -1, 3: 2}
+
+
 def test_quotient_presentation_kills_low_stage():
     rng = random.Random(6)
     ws = random_whitehead_system(rng, n=1, r=0, truncation=2, width=2)
     alpha = ws.finals()[0][0]
     beta = ws.finals()[-1][0] + 1
-    pres = quotient_presentation(ws, alpha, beta)
+    pres, _ = quotient_presentation(ws, alpha, beta)
     killed = z_name(ws.finals()[0], 0)
     idx = {g: i for i, g in enumerate(pres.generators)}
     assert {idx[killed]: 1} in pres.relations
@@ -375,7 +416,7 @@ def test_basis_two_final_overlap():
     report = verify_basis(ws, cand, alpha=-1, beta=2)
     assert report.ok, report
     # the dropped generator is an explicit combination of relations and basis
-    pres = quotient_presentation(ws, -1, 2)
+    pres, _ = quotient_presentation(ws, -1, 2)
     idx = {g: i for i, g in enumerate(pres.generators)}
     dropped = [
         g
@@ -453,10 +494,12 @@ def test_verify_basis_reports_stray_generator():
     ws = single_final_system(trunc=2)
     order = ReshufflingOrder(order=((0,),), alpha=-1, theta_fresh=1)
     cand = enumerate_basis(ws, order, alpha=-1, beta=1)
-    stray = BasisCandidate(cand.z_part, cand.atom_part + ("not-a-generator",))
+    # z indices past either end of a final's run, a final outside the window, and an unknown atom
+    outside = (((0,), -1), ((0,), ws.j_trunc), ((9,), 0))
+    stray = BasisCandidate(cand.z_part + outside, cand.atom_part + ("not-a-generator",))
     report = verify_basis(ws, stray, alpha=-1, beta=1)
     assert not report.ok
-    assert report.failing_generators
+    assert report.failing_generators == (*(z_name(z, j) for z, j in outside), atom_name("not-a-generator"))
 
 
 def _candidates(ws, alpha, beta):
@@ -485,7 +528,7 @@ def test_basis_generation_by_peeling_agrees_with_hermite_form():
         firsts = sorted({z[0] for z in ws.finals()})
         for beta in [f + 1 for f in firsts]:
             for alpha in [-1] + [f for f in firsts if f < beta]:
-                pres = quotient_presentation(ws, alpha, beta)
+                pres, _ = quotient_presentation(ws, alpha, beta)
                 for cand in _candidates(ws, alpha, beta):
                     names = [z_name(z, j) for z, j in cand.z_part] + [atom_name(a) for a in cand.atom_part]
                     report = verify_basis(ws, cand, alpha, beta)
