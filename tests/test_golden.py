@@ -113,12 +113,12 @@ def _renamed(atom):
     return 3 * atom + 7 if isinstance(atom, int) else "~" + atom
 
 
-def _renamed_family(doc):
+def _renamed_family(doc, rename=_renamed):
     """doc with every atom of its carriers and slices renamed; a coloring names no atom."""
     if "B" in doc:
-        doc["B"] = {k: list(map(_renamed, v)) for k, v in doc["B"].items()}
+        doc["B"] = {k: list(map(rename, v)) for k, v in doc["B"].items()}
     if "phi" in doc:
-        doc["phi"] = {z: {k: list(map(_renamed, v)) for k, v in per_level.items()} for z, per_level in doc["phi"].items()}
+        doc["phi"] = {z: {k: list(map(rename, v)) for k, v in per_level.items()} for z, per_level in doc["phi"].items()}
     return doc
 
 
@@ -156,9 +156,7 @@ def _renamed_output(argv, expected):
     if "renaming" in expected:
         new_atom = _renamed_tag if argv[argv.index("--kind") + 1] == "disjoint" else _renamed
         expected["renaming"] = [[new_atom(new), _renamed(old)] for new, old in expected["renaming"]]
-        doc = expected["document"]
-        doc["B"] = {k: list(map(new_atom, v)) for k, v in doc["B"].items()}
-        doc["phi"] = {z: {k: list(map(new_atom, v)) for k, v in per_level.items()} for z, per_level in doc["phi"].items()}
+        _renamed_family(expected["document"], new_atom)
     return expected
 
 
