@@ -8,8 +8,10 @@ all results carry enough data to be checked again by direct multiplication.
 
 A relation row is a sparse map {column: nonzero entry}, from the builders
 (`build_chain_group`, the witness side, `simulate`) through peeling to the
-writers.  `dense` is the one place relation rows become a dense matrix: for
-output, and for the `hnf` and `snf` fallbacks.
+writers, which write the dense text straight from the maps.  `dense` is
+the one place relation rows become a dense matrix: for the `snf` of the
+block that peeling leaves, and for the `hnf` fallback of
+`whitehead.verify_basis`.
 
 A presentation's invariant factors come from unit peeling, the first step
 of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a
@@ -482,7 +484,12 @@ class Presentation:
 
 
 def dense(rows: Sequence[Row], width: int) -> IntMatrix:
-    """The relation rows as a dense matrix of `width` columns; the only dense builder of relation rows."""
+    """The relation rows as a dense matrix of `width` columns, for `snf` and the `hnf` fallback only.
+
+    These are its two callers: `invariant_factors` on the block left after
+    peeling, and `whitehead.verify_basis`.  The writers in `jsonio` write
+    the dense text from the rows themselves.
+    """
     out = []
     for row in rows:
         cells = [0] * width

@@ -35,7 +35,7 @@ from .abelian import (
 from .core import (
     MAX_ATOM_DEPTH,
     atom_depth,
-    atom_sort_key,
+    atom_ranks,
     atom_to_jsonable,
     check_structure,
     node_key,
@@ -298,10 +298,7 @@ def cmd_transform(args) -> tuple[dict, int]:
         raise InputError(f"atom nests lists {MAX_ATOM_DEPTH} deep, so transform would write it past the bound")
     transform = transform_disjoint if args.kind == "disjoint" else transform_tree
     res = transform(fam)
-    renaming = [
-        [atom_to_jsonable(new), atom_to_jsonable(old)]
-        for new, old in sorted(res.old_of_new.items(), key=lambda kv: atom_sort_key(kv[0]))
-    ]
+    renaming = [[atom_to_jsonable(new), atom_to_jsonable(res.old_of_new[new])] for new in atom_ranks(res.old_of_new)]
     return {
         "document": jsonio.system_to_doc(res.family),
         "renaming": renaming,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -61,17 +62,25 @@ def atom_sort_key(a: Atom):
 def atom_ranks(atoms: Iterable[Atom]) -> dict[Atom, int]:
     """Each of the distinct atoms given, mapped to its position in canonical order.
 
-    `atom_sort_key` gives distinct atoms distinct keys, so sorting by rank
-    is sorting by `atom_sort_key`, with one key built per distinct atom
-    rather than one per comparison or occurrence.  When every atom is a
-    plain int or str, the ints sorted and then the strs sorted are already
-    that order, and no key is built at all.
+    The order is that of `atom_sort_key`, built without its nested keys:
+    the ints sorted, then the strs sorted, then the tuples sorted by the
+    ranks of their components, which are ranked the same way, one call
+    per level of nesting (atoms nest at most `MAX_ATOM_DEPTH` deep).  So a
+    tuple's key is one flat tuple of ints, and a plain atom needs no key.
     """
     atoms = list(atoms)
     ints = sorted([a for a in atoms if type(a) is int])
     strs = sorted([a for a in atoms if type(a) is str])
-    # a bool, or any atom neither plain int nor str, takes the key sort, which rejects a non-atom
-    ordered = ints + strs if len(ints) + len(strs) == len(atoms) else sorted(atoms, key=atom_sort_key)
+    tuples = [a for a in atoms if type(a) is tuple]
+    if len(ints) + len(strs) + len(tuples) < len(atoms):
+        # a bool, or any atom of another type, takes the key sort, which rejects a non-atom
+        ordered = sorted(atoms, key=atom_sort_key)
+    else:
+        if tuples:
+            # the components as a list, not a set: a set would merge a bool with its equal int
+            rank = atom_ranks(list(chain.from_iterable(tuples))).__getitem__
+            tuples.sort(key=lambda t: tuple(map(rank, t)))
+        ordered = ints + strs + tuples
     return dict(zip(ordered, range(len(ordered))))
 
 

@@ -12,17 +12,20 @@ indent=2) + "\n"`, which the standard library writes with its pure-Python
 encoder, one call per value.  `dump` hands a flat container (one whose
 values are all strings, numbers, bools or null) whole to the C encoder,
 with that container's line break and indent as the item separator, and adds
-the line breaks around its brackets itself.  A container of `_COLUMN_MIN`
-values or more that holds containers is rendered a column at a time: a
-column of scalars or of flat lists is one encoder call, cut apart at its
-separators (an encoded scalar holds no raw line break and never ends in `]`
-or `}`, so a separator that starts with `,\n` falls only between values);
-the items of other lists form the next column down, and dicts that share
-their keys give one column per key; the texts are joined back with one
-`str.join` per container.  So the Python work is per column and per
-record, not per value.  Integers of any length are written: every
-int-to-decimal conversion here lifts Python's 4,300-digit limit
-(`_unlimited_digits`).
+the line breaks around its brackets itself.  A list of two values or more,
+or a dict of `_COLUMN_MIN` values or more, that holds containers is
+rendered a column at a time: a column of scalars or of flat lists is one
+encoder call, cut apart at its separators (an encoded scalar holds no raw
+line break and never ends in `]` or `}`, so a separator that starts with
+`,\n` falls only between values); the items of other lists form the next
+column down, and dicts that share their keys give one column per key; the
+texts are joined back with one `str.join` per container.  So the Python
+work is per column and per record, not per value.  A relation matrix goes
+into a document as its sparse rows (`_SparseRows`) and is written as its
+dense rows, each cut from one row of zeros with its nonzeros spliced in, so
+that the Python work is per nonzero, not per cell.  Integers of any length
+are written: every int-to-decimal conversion here lifts Python's
+4,300-digit limit (`_unlimited_digits`).
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from functools import cache
 from itertools import chain, compress, islice, repeat
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
-from .abelian import NonfreeSpec, Presentation, dense
+from .abelian import DimensionError, NonfreeSpec, Presentation, Row
 from .core import (
     MAX_ATOM_DEPTH,
     Atom,
@@ -393,7 +396,7 @@ def witness_to_doc(w: Witness) -> dict:
 
 
 def presentation_to_doc(p: Presentation) -> dict:
-    return {"gens": list(p.generators), "rels": [list(row) for row in dense(p.relations, len(p.generators)).entries]}
+    return {"gens": list(p.generators), "rels": _SparseRows(p.relations, len(p.generators))}
 
 
 _CHAIN_REQUIRED = {"schema", "r", "q", "d", "J"}
@@ -577,7 +580,7 @@ def simulation_to_doc(report: SimulationReport) -> dict:
         ],
         "splitting": dict(report.chain.splitting),
         "generators": list(report.chain.generators),
-        "relations": [list(row) for row in dense(report.chain.relations, len(report.chain.generators)).entries],
+        "relations": _SparseRows(report.chain.relations, len(report.chain.generators)),
         "shift_coefficients": list(report.chain.shift_coefficients),
         "table_keys": [list(map(str, key)) for key in report.table_keys],
     }
@@ -596,11 +599,13 @@ _SCALARS = frozenset({str, int, bool, float, type(None)})
 # the kind of a value of exactly this type; other types, subclasses included, are walked
 _KIND = {**dict.fromkeys(_SCALARS, "scalar"), list: "list", tuple: "list", dict: "dict"}
 _STR = frozenset({str})
-# containers of this many values or more that hold containers are rendered a
-# column at a time.  `dump` time on the benchmark workloads' documents (seed
-# 1; CPython 3.11, x86-64), median of 31 interleaved rounds, over no column
-# path: 0.42 on families and 0.93-0.99 on the other three at 16; 1.02 on
-# ladder-shared at 8; 0.44 on families at 32; at 1, twice the time at 16.
+# dicts of this many values or more that hold containers are rendered a
+# column at a time (lists of two or more always are).  `dump` time on the
+# benchmark workloads' documents (seed 1; CPython 3.11, x86-64), median of 31
+# interleaved rounds, over that at 16: at 8, 1.24-1.25 on the ladder
+# workloads, 1.09 on families and 1.01 on witness; at 4, 1.3-1.9; at 32 and
+# 64, within 1%; with no column path for dicts, 1.23 on families and within
+# 1% on the other three.
 _COLUMN_MIN = 16
 
 
@@ -636,6 +641,9 @@ def _render(o, level: int, out: list[str]) -> None:
         values, close = o.values(), "}"
     elif isinstance(o, (list, tuple)):
         values, close = o, "]"
+    elif type(o) is _SparseRows:
+        out.append(o.text(level))
+        return
     else:  # a scalar, or a value the encoder refuses with json's own TypeError
         out.append(encode(o))
         return
@@ -643,15 +651,15 @@ def _render(o, level: int, out: list[str]) -> None:
         text = encode(o)
         out += (text[0], first, text[1:-1], last, close) if o else (text,)
         return
-    if len(o) >= _COLUMN_MIN:
-        if close == "]":
+    if close == "]":
+        if len(o) > 1:
             out += ("[", first, sep.join(_column(list(o), level + 1)), last, "]")
             return
-        if _STR.issuperset(map(type, o)):
-            keys = sorted(o)
-            texts = _column(list(map(o.__getitem__, keys)), level + 1)
-            out += ("{", first, sep.join(_joined(map(encode_basestring_ascii, keys), ": ", texts)), last, "}")
-            return
+    elif len(o) >= _COLUMN_MIN and _STR.issuperset(map(type, o)):
+        keys = sorted(o)
+        texts = _column(list(map(o.__getitem__, keys)), level + 1)
+        out += ("{", first, sep.join(_joined(map(encode_basestring_ascii, keys), ": ", texts)), last, "}")
+        return
     if close == "]":
         out.append("[")
         for v in o:
@@ -703,6 +711,51 @@ def _column(column: list, level: int) -> list[str]:
     return texts
 
 
+class _SparseRows:
+    """A relation matrix as its sparse rows {column: entry} and its width, written as the dense matrix.
+
+    `dump` writes it as `json.dumps` writes the list of `width`-cell rows
+    that `abelian.dense(rows, width)` holds: each row is cut out of one
+    row of zeros, with its nonzeros spliced in at their columns, so the
+    Python work is per nonzero.  A column outside `0..width-1` is a fault
+    of the program that built the rows: it raises `DimensionError` where
+    the value is made, inside the command, so that the CLI reports it as an
+    internal error and `dump` never meets it.
+    """
+
+    __slots__ = ("rows", "width")
+
+    def __init__(self, rows: Sequence[Row], width: int):
+        columns = [*chain.from_iterable(rows)]
+        if columns and not 0 <= min(columns) <= max(columns) < width:
+            i, c = next((i, c) for i, row in enumerate(rows) for c in row if not 0 <= c < width)
+            raise DimensionError(f"relation row {i} stores column {c}, outside the {width} generators")
+        self.rows, self.width = rows, width
+
+    def text(self, level: int) -> str:
+        """The `json.dumps(indent=2)` text of the dense rows, nested `level` deep."""
+        if not self.rows:
+            return "[]"
+        _, first, sep, last = _layout(level)
+        if not self.width:
+            return "[" + first + sep.join(repeat("[]", len(self.rows))) + last + "]"
+        _, cell_first, cell_sep, cell_last = _layout(level + 1)
+        zeros = cell_sep.join(repeat("0", self.width))
+        step = 1 + len(cell_sep)  # a zero cell and the separator after it
+        columns = [sorted(row) for row in self.rows]
+        entries = [row[c] for row, cols in zip(self.rows, columns) for c in cols]
+        texts = iter(_column(entries, level + 2) if entries else ())
+        out = ["[", first, "[", cell_first]
+        for cols in columns:
+            at = 0
+            for c in cols:
+                out += (zeros[at : c * step], next(texts))
+                at = c * step + 1
+            out += (zeros[at:], cell_last, "]", sep, "[", cell_first)
+        out[-3:] = (last, "]")
+        return "".join(out)
+
+
 def _joined(*parts) -> list[str]:
     """Texts joined position by position; each part is an iterable of texts or one text for every position."""
     return list(map("".join, zip(*[repeat(p) if isinstance(p, str) else p for p in parts])))
@@ -713,10 +766,11 @@ def dump(doc: Mapping) -> str:
     """Canonical byte-stable rendering, with ints of any length.
 
     The text is `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte
-    for byte, and a failure is `json`'s own `TypeError`.  Large containers
-    are rendered a column at a time (see the module docstring): a few
-    C-level passes per column and one join per container, not a Python call
-    per value.
+    for byte, of `doc` with each `_SparseRows(rows, width)` in it replaced
+    by the list of lists of `abelian.dense(rows, width)`, and a failure is
+    `json`'s own `TypeError`.  Containers that hold containers are rendered
+    a column at a time (see the module docstring): a few C-level passes per
+    column and one join per container, not a Python call per value.
     """
     out: list[str] = []
     _render(doc, 0, out)

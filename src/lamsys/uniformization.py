@@ -390,7 +390,7 @@ class ChainState:
     """Presentation data for the chain stage and its primed extension."""
 
     generators: tuple[str, ...]
-    relations: tuple[dict[int, int], ...]  # W's rows as {column: nonzero entry}, densified only for output
+    relations: tuple[dict[int, int], ...]  # W's rows as {column: nonzero entry}, never made dense
     shift_coefficients: tuple[int, ...]   # e-coefficient removed from each primed relation
     splitting: Mapping[str, int]          # c_x with rho(x) = x' + c_x * e
 

@@ -760,6 +760,27 @@ def test_other_exceptions_exit_3_without_traceback(tmp_path, capsys, monkeypatch
     assert err == "internal error: KeyError: 'z:0:7'\n"
 
 
+@pytest.mark.parametrize("column", [-1, 1000])
+def test_a_relation_row_outside_the_generators_exits_3_before_output(column, capsys, monkeypatch):
+    # ChainState takes its rows unchecked, so the written matrix checks them while the command runs
+    from lamsys import cli
+    from lamsys.record import replace
+    from lamsys.uniformization import simulate
+
+    def corrupted(inst):
+        report = simulate(inst)
+        rows = report.chain.relations
+        chain = replace(report.chain, relations=(*rows[:-1], {**rows[-1], column: 7}))
+        return replace(report, chain=chain)
+
+    monkeypatch.setattr(cli, "simulate", corrupted)
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    code, out, err = run(capsys, ["unif-sim", "--instance", "inputs/ladder-independent.json"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: DimensionError: relation row ") and err.count("\n") == 1
+    assert f"stores column {column}, outside the " in err
+
+
 def test_shape_faults_exit_3_not_2(tmp_path, capsys, monkeypatch):
     # the CLI builds every matrix and name list itself, so a shape fault is the program's, not the input's
     from lamsys import cli

@@ -352,6 +352,31 @@ def test_atom_ranks_agree_with_the_key_sort(atoms):
     assert atom_ranks(atoms) == {a: i for i, a in enumerate(sorted(atoms, key=atom_sort_key))}
 
 
+# tuples over a small pool of components, so that many tuples share components and prefixes, nested up to 4 deep
+_SHARED_PARTS = st.sampled_from([0, 1, -1, 2**70, "", "a", "b", "ab"])
+_DEEP_ATOMS = st.recursive(_SHARED_PARTS, lambda c: st.lists(c, max_size=3).map(tuple), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_DEEP_ATOMS, max_size=25))
+@example({(), ((),), (0,), (0, 0), ((0,),), ("a",), (("a", 0), 1), (("a",), 1), (("a", 0),)})
+def test_atom_ranks_rank_tuples_by_their_parts_in_key_order(atoms):
+    assert list(atom_ranks(atoms)) == sorted(atoms, key=atom_sort_key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(_DEEP_ATOMS, max_size=10), st.sampled_from([True, False, 1.0]), st.integers(1, 3))
+def test_atom_ranks_reject_a_non_atom_inside_a_tuple(atoms, bad, depth):
+    # the bool or float sits beside the int it equals, which a set of parts would merge it into
+    wrapped, plain = bad, int(bad)
+    for _ in range(depth):
+        wrapped, plain = (wrapped, "x"), (plain, "x")
+    with pytest.raises(TypeError):
+        atom_ranks([*atoms, plain, wrapped])
+    with pytest.raises(TypeError):
+        atom_ranks([wrapped, *atoms, plain])
+
+
 def test_atom_ranks_reject_a_bool_among_plain_atoms():
     with pytest.raises(TypeError, match="bool"):
         atom_ranks([1, "a", True])

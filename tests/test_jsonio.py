@@ -14,6 +14,7 @@ import reference
 from helpers import instance_to_doc, random_whitehead_system
 
 from lamsys import jsonio
+from lamsys.abelian import DimensionError, dense
 from lamsys.core import (
     MAX_ATOM_DEPTH,
     atom_sort_key,
@@ -182,6 +183,8 @@ _KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=5),
+        # lists of exactly 0, 1 and 2 containers: a list of two or more that holds containers takes the column path
+        st.lists(st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children, max_size=3), max_size=2),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=4), children, max_size=5),
         st.dictionaries(st.integers(-9, 9), children, max_size=4),
@@ -339,6 +342,72 @@ def test_dump_without_the_c_encoder(monkeypatch):
             jsonio.dump({"a": [Fraction(1, 2)]})
     finally:
         jsonio._layout.cache_clear()
+
+
+# --- relation matrices from sparse rows against their dense lists ---------------
+
+
+@st.composite
+def _sparse_rows(draw):
+    """(rows, width): rows of {column: entry} in unsorted key order, all-zero rows, and widths down to 0."""
+    width = draw(st.integers(0, 12))
+    entries = st.integers() | st.integers(10 ** 4300, 10 ** 4310) | st.integers(-(10 ** 4310), -(10 ** 4300))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        columns = draw(st.permutations(range(width)))[: draw(st.integers(0, width))]
+        rows.append({c: draw(entries) for c in columns})
+    return rows, width
+
+
+_MATRIX = object()  # where the relation matrix goes in a drawn document
+_NEIGHBOURS = st.integers(-5, 5) | st.lists(st.integers(-5, 5), max_size=3) | st.just(_MATRIX)
+
+
+@st.composite
+def _placed(draw):
+    """The matrix under 0 to 3 levels: a dict value, a list of 1 or 2, or a column of `_COLUMN_MIN` values or more."""
+    value = _MATRIX
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["dict", "short list", "list column", "dict column"]))
+        if where == "dict":
+            value = {draw(st.text(max_size=3)): value, "~": draw(_NEIGHBOURS)}
+        elif where == "short list":
+            value = [value] if draw(st.booleans()) else draw(st.permutations([value, draw(_NEIGHBOURS)]))
+        else:
+            column = draw(st.lists(_NEIGHBOURS, min_size=jsonio._COLUMN_MIN, max_size=jsonio._COLUMN_MIN + 4))
+            column.insert(draw(st.integers(0, len(column))), value)
+            value = column if where == "list column" else {f"k{i:02d}": v for i, v in enumerate(column)}
+    return value
+
+
+def _with_matrix(o, matrix):
+    if o is _MATRIX:
+        return matrix
+    if isinstance(o, dict):
+        return {k: _with_matrix(v, matrix) for k, v in o.items()}
+    if isinstance(o, list):
+        return [_with_matrix(v, matrix) for v in o]
+    return o
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_sparse_rows(), _placed())
+@example(([], 0), _MATRIX)
+@example(([], 3), {"rels": _MATRIX})
+@example(([{}, {}], 0), [_MATRIX, 1])
+@example(([{}, {2: -1, 0: 5}, {}], 3), [[_MATRIX, _MATRIX], {"a": _MATRIX}])
+@example(([{1: -(10 ** 4305)}], 2), {"x": {"y": [_MATRIX]}})
+def test_dump_writes_sparse_rows_as_json_dumps_writes_their_dense_lists(rows_width, doc):
+    rows, width = rows_width
+    dense_lists = [list(row) for row in dense(rows, width).entries]
+    sparse = _with_matrix(doc, jsonio._SparseRows(rows, width))
+    assert jsonio.dump(sparse) == _json_dumps(_with_matrix(doc, dense_lists))
+
+
+@pytest.mark.parametrize("column", [-1, 3])
+def test_sparse_rows_reject_a_column_outside_the_width(column):
+    with pytest.raises(DimensionError, match=f"relation row 1 stores column {column}, outside the 3 generators"):
+        jsonio._SparseRows([{0: 1}, {2: 1, column: 4}], 3)
 
 
 # --- system_to_doc against the per-occurrence reference ------------------------
