@@ -10,8 +10,7 @@ A relation row is a sparse map {column: nonzero entry}, from the builders
 (`build_chain_group`, the witness side, `simulate`) through peeling to the
 writers, which write the dense text straight from the maps.  `dense` is
 the one place relation rows become a dense matrix: for the `snf` of the
-block that peeling leaves, and for the `hnf` fallback of
-`whitehead.verify_basis`.
+block that peeling leaves, and for the `hnf` fallback of `outside_lattice`.
 
 A presentation's invariant factors come from unit peeling, the first step
 of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a
@@ -34,8 +33,8 @@ kernel basis of a ladder system's coupled core: `uniformization.simulate`
 eliminates the label columns, reads the core's kernel off its congruence
 lattice, and takes the Hermite form of that basis, with no transform read
 and no solver run (an independent ladder reaches no `hnf` at all).  The
-other is the fallback of `basis`'s generation check, when peeling the
-stacked rows finds fewer pivots than generators.
+other is `outside_lattice`, the generation check of `basis`, when peeling
+the stacked rows does not settle generation.
 
 `solve_z` and `kernel_basis` have no CLI caller.  They read their answers
 off `snf`, which `invariant_factors` keeps anyway: with D = U * A * V,
@@ -487,8 +486,8 @@ def dense(rows: Sequence[Row], width: int) -> IntMatrix:
     """The relation rows as a dense matrix of `width` columns, for `snf` and the `hnf` fallback only.
 
     These are its two callers: `invariant_factors` on the block left after
-    peeling, and `whitehead.verify_basis`.  The writers in `jsonio` write
-    the dense text from the rows themselves.
+    peeling, and `outside_lattice`.  The writers in `jsonio` write the dense
+    text from the rows themselves.
     """
     out = []
     for row in rows:
@@ -586,6 +585,21 @@ def invariant_factors(p: Presentation) -> tuple[int, ...]:
     return (1,) * len(pivots) + rest
 
 
+def outside_lattice(rows: Sequence[Row], width: int) -> list[int]:
+    """The columns whose unit vector lies outside the row lattice of `rows`, in order.
+
+    One re-checked unit pivot per column settles it with no normal form: each
+    pivot is alone in its row or its column among what is left, so expanding
+    the determinant along it shows that the pivot rows form a minor of
+    determinant +-1, and they span Z^width.  Otherwise a Hermite form does.
+    """
+    pivots = _unit_pivots(rows, width)
+    if len(pivots) == width and not _peeled_block(rows, width, pivots):
+        return []
+    h, _ = hnf(dense(rows, width))
+    return [t for t in range(width) if not in_lattice(h, [0] * t + [1] + [0] * (width - t - 1))]
+
+
 @record
 class NonfreeSpec:
     """Data for a divisibility-chain group on generators z_0..z_{j_trunc-1}.
@@ -603,18 +617,9 @@ class NonfreeSpec:
 
     def __post_init__(self):
         if self.j_trunc < self.r + 2:
-            raise ValueError(f"truncation {self.j_trunc} too small, need at least r+2 = {self.r + 2}")
-        need = self.relation_count
-        if len(self.q) < need:
-            raise ValueError(f"need {need} primes for truncation {self.j_trunc}, got {len(self.q)}")
-        if len(self.d) < need:
-            raise ValueError(f"need {need} coefficient rows, got {len(self.d)}")
-        for m in range(need):
-            # a repeated modulus was already tested at its first index
-            if self.q[m] not in self.q[:m] and not is_prime(self.q[m]):
-                raise ValueError(f"q[{m}] = {self.q[m]} is not prime")
-            if len(self.d[m]) != self.r:
-                raise ValueError(f"coefficient row {m} has length {len(self.d[m])}, expected r = {self.r}")
+            raise ValueError(f"need j_trunc >= r+2 = {self.r + 2}")
+        for _, detail in chain_faults(self.r, self.q, self.d, self.relation_count, {}):
+            raise ValueError(detail)
 
     @property
     def relation_count(self) -> int:
@@ -628,6 +633,20 @@ def chain_row(r: int, q: Sequence[int], d: Sequence[Sequence[int]], m: int) -> t
     The indices are distinct: the head indices l < r sit below m + r.
     """
     return ((m + r + 1, q[m]), (m + r, -1), *((l, -d[m][l]) for l in range(r)))
+
+
+def chain_faults(r: int, q: Sequence[int], d: Sequence[Sequence[int]], count: int, prime: dict) -> Iterator:
+    """(clause, detail) per fault of the chain data of `count` rows, in row order; `prime` caches primality."""
+    if len(q) < count or len(d) < count:
+        yield "qd-range", f"need {count} primes and coefficient rows"
+        return
+    for m in range(count):
+        if q[m] not in prime:
+            prime[q[m]] = is_prime(q[m])
+        if not prime[q[m]]:
+            yield "q-prime", f"q[{m}] = {q[m]} is not prime"
+        if len(d[m]) != r:
+            yield "d-width", f"d[{m}] has width {len(d[m])}, expected {r}"
 
 
 def build_chain_group(spec: NonfreeSpec) -> Presentation:

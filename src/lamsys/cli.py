@@ -51,7 +51,7 @@ from .freeness import (
     find_transversal,
     k_free_check,
 )
-from .jsonio import InputError, SCHEMA, _int_rows, _ints, dump
+from .jsonio import InputError, SCHEMA, dump, int_rows, ints
 from .uniformization import (
     power_table,
     prime_table,
@@ -265,12 +265,12 @@ def cmd_basis(args) -> tuple[dict, int]:
 def cmd_unif_table(args) -> tuple[dict, int]:
     mu = json.loads(args.mu) if args.mu else []
     if args.i is None:
-        flat = _ints(mu, "--mu")
+        flat = ints(mu, "--mu")
         if len(flat) != args.r:
             raise InputError(f"subcase needs {args.r} mu entries, got {len(flat)}")
         tab = prime_table(args.p, flat)
         return {"table": jsonio.table_to_doc(tab)}, 0
-    rows = _int_rows(mu, "--mu")
+    rows = int_rows(mu, "--mu")
     if len(rows) != args.r:
         raise InputError(f"need {args.r} mu rows, got {len(rows)}")
     thresholds = threshold_exponents(args.p, args.r, args.i)

@@ -158,15 +158,15 @@ def _str(v, field: str, *keys) -> str:
     raise _malformed("a string", v, field, keys)
 
 
-def _ints(v, field: str, *keys) -> tuple[int, ...]:
+def ints(v, field: str, *keys) -> tuple[int, ...]:
     if isinstance(v, list) and _exact_types(_INTS, v):
         return tuple(v)
     raise _malformed("a list of integers", v, field, keys)
 
 
-def _int_rows(v, field: str, *keys) -> tuple[tuple[int, ...], ...]:
+def int_rows(v, field: str, *keys) -> tuple[tuple[int, ...], ...]:
     if isinstance(v, list):
-        return tuple(_ints(row, field, *keys) for row in v)
+        return tuple(ints(row, field, *keys) for row in v)
     raise _malformed("a list of integer lists", v, field, keys)
 
 
@@ -302,7 +302,7 @@ def _system(doc: Mapping) -> tuple[SystemSkeleton, _NodeKeys]:
     if _lists_of(_INTS, E.values()):
         E = dict(zip(map(node.__getitem__, E), map(frozenset, E.values())))
     else:
-        E = {node[k]: frozenset(_ints(v, "E", k)) for k, v in E.items()}
+        E = {node[k]: frozenset(ints(v, "E", k)) for k, v in E.items()}
     B = _object(doc["B"], "B")
     if _lists_of(_PLAIN_ATOMS, B.values()):
         B = dict(zip(map(node.__getitem__, B), map(frozenset, B.values())))
@@ -364,8 +364,8 @@ def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
             alpha=_int(s["alpha"], "strong", "alpha"),
             theta_fresh=_int(s["theta_fresh"], "strong", "theta_fresh"),
         )
-    q = {node[k]: _ints(v, "q", k) for k, v in _object(doc["q"], "q").items()}
-    d = {node[k]: _int_rows(v, "d", k) for k, v in _object(doc["d"], "d").items()}
+    q = {node[k]: ints(v, "q", k) for k, v in _object(doc["q"], "q").items()}
+    d = {node[k]: int_rows(v, "d", k) for k, v in _object(doc["d"], "d").items()}
     for z in fam.finals:
         if z not in q or z not in d:
             raise InputError(f"q and d need an entry for every final; final {node_key(z)!r} has none")
@@ -382,7 +382,7 @@ def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
 def coloring_from_doc(doc: Mapping) -> dict[Node, list[int]]:
     _check_schema(doc, "coloring document")
     _require_keys(doc, {"schema", "c"}, set(), "coloring document")
-    return {parse_node_key(k): list(_ints(v, "c", k)) for k, v in _object(doc["c"], "c").items()}
+    return {parse_node_key(k): list(ints(v, "c", k)) for k, v in _object(doc["c"], "c").items()}
 
 
 def witness_to_doc(w: Witness) -> dict:
@@ -407,8 +407,8 @@ def chain_spec_from_doc(doc: Mapping) -> NonfreeSpec:
     _require_keys(doc, _CHAIN_REQUIRED, set(), "chain spec")
     return NonfreeSpec(
         r=_int(doc["r"], "r"),
-        q=_ints(doc["q"], "q"),
-        d=_int_rows(doc["d"], "d"),
+        q=ints(doc["q"], "q"),
+        d=int_rows(doc["d"], "d"),
         j_trunc=_int(doc["J"], "J"),
     )
 
@@ -448,11 +448,11 @@ def instance_from_doc(doc: Mapping) -> LadderInstance:
         levels.append(
             LadderLevel(
                 alpha=int(alpha_key),
-                ladder=_ints(lv["ladder"], "levels", alpha_key, "ladder"),
-                colors=_ints(lv["colors"], "levels", alpha_key, "colors"),
+                ladder=ints(lv["ladder"], "levels", alpha_key, "ladder"),
+                colors=ints(lv["colors"], "levels", alpha_key, "colors"),
                 g_labels=tuple(_strs(lv["g"], "levels", alpha_key, "g")),
-                mu=_int_rows(lv.get("mu", []), "levels", alpha_key, "mu"),
-                primes=_ints(lv["primes"], "levels", alpha_key, "primes") if "primes" in lv else None,
+                mu=int_rows(lv.get("mu", []), "levels", alpha_key, "mu"),
+                primes=ints(lv["primes"], "levels", alpha_key, "primes") if "primes" in lv else None,
             )
         )
     return LadderInstance(

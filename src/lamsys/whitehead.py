@@ -7,7 +7,8 @@ together with per-final generators z, modulo one relation per (final, m):
     q[m] * z[m+r+1] - z[m+r] - sum_{l<r} d[m][l] * z[l] - sum_k phi_k(m),
 
 the chain row `abelian.chain_row` (the one `build_chain_group` presents)
-less the final's level atoms.  The group, the quotient presentations and
+less the final's level atoms; `abelian.chain_faults` checks the chain
+data of both.  The group, the quotient presentations and
 `verify_witness` all read it from there.
 
 A coloring c of the finals is "witnessed" by integers f on the atoms and a
@@ -24,12 +25,10 @@ linear system is solved.
 
 `enumerate_basis` and `verify_basis` realize the quotient-basis
 construction: a reshuffling order picks the "fresh" generators, and the
-verifier checks generation plus unit invariant factors in the truncated
-quotient presentation.
-
-Relation rows, kill rows and candidate rows are sparse maps {column:
-nonzero entry}, as `abelian` reads them; only the `hnf` fallback of
-`verify_basis` makes them dense, through `abelian.dense`.
+verifier checks generation (`abelian.outside_lattice`) plus unit invariant
+factors in the truncated quotient presentation.  Relation rows, kill rows
+and candidate rows are sparse maps {column: nonzero entry}, as `abelian`
+reads them.
 """
 
 from __future__ import annotations
@@ -41,14 +40,10 @@ from .abelian import (
     CertificateError,
     Presentation,
     Row,
-    _peeled_block,
-    _unit_pivots,
+    chain_faults,
     chain_row,
-    dense,
-    hnf,
-    in_lattice,
     invariant_factors,
-    is_prime,
+    outside_lattice,
 )
 from .core import (
     Atom,
@@ -106,20 +101,10 @@ def validate_whitehead(ws: WhiteheadSystem) -> list[Violation]:
     if ws.j_trunc < ws.r + 2:
         out.append(Violation("j-trunc", None, f"need j_trunc >= r+2 = {ws.r + 2}"))
         return out
-    prime: dict[int, bool] = {}  # finals repeat moduli, and a large one is slow to test
+    prime: dict[int, bool] = {}  # shared by the finals, which repeat moduli
     for z in ws.finals():
-        qs = ws.q.get(z, ())
-        ds = ws.d.get(z, ())
-        if len(qs) < ws.m_range or len(ds) < ws.m_range:
-            out.append(Violation("qd-range", z, f"need {ws.m_range} primes and coefficient rows"))
-            continue
-        for m in range(ws.m_range):
-            if qs[m] not in prime:
-                prime[qs[m]] = is_prime(qs[m])
-            if not prime[qs[m]]:
-                out.append(Violation("q-prime", z, f"q[{m}] = {qs[m]} is not prime"))
-            if len(ds[m]) != ws.r:
-                out.append(Violation("d-width", z, f"d[{m}] has width {len(ds[m])}, expected {ws.r}"))
+        faults = chain_faults(ws.r, ws.q.get(z, ()), ws.d.get(z, ()), ws.m_range, prime)
+        out += [Violation(clause, z, detail) for clause, detail in faults]
     if ws.strong_order is not None:
         for z in ws.finals():
             for k1 in ws.levels(z):
@@ -135,15 +120,14 @@ def _atoms_of(ws: WhiteheadSystem, finals: Sequence[Node]) -> set:
     return set().union(*(ws.family.s(z) for z in finals))
 
 
-def generator_names(ws: WhiteheadSystem, finals: Sequence[Node] | None = None) -> tuple[list[str], dict]:
-    """Atoms of the finals' sets first, then per-final z generators (default: all finals), and their columns.
+def generator_names(ws: WhiteheadSystem, finals: Sequence[Node]) -> tuple[list[str], dict]:
+    """Atoms of the finals' sets first, then per-final z generators, and their columns.
 
     The column map takes ("a", atom) to the atom's column and a final to
     the column of its z generator 0; its z generators fill one run of
     j_trunc columns from there.  The tag keeps a tuple atom apart from a
     final, which it may equal.
     """
-    finals = ws.finals() if finals is None else finals
     rank = atom_ranks(_atoms_of(ws, finals))
     names = [atom_name(a) for a in rank]
     columns: dict = {("a", a): i for a, i in rank.items()}
@@ -153,23 +137,30 @@ def generator_names(ws: WhiteheadSystem, finals: Sequence[Node] | None = None) -
     return names, columns
 
 
-def _relation_row(ws: WhiteheadSystem, columns: dict, z: Node, m: int) -> Row:
-    """The chain row of (z, m) in z's block of columns, less one per level atom, as {column: nonzero entry}."""
-    z_column = columns[z]
-    row = {z_column + j: coeff for j, coeff in chain_row(ws.r, ws.q[z], ws.d[z], m) if coeff}
-    for k in ws.levels(z):
-        t = columns[("a", ws.family.phi[(z, k)][m])]
-        row[t] = row.get(t, 0) - 1  # atom columns hold no chain entry, so this stays nonzero
-    return row
+def _presentation(ws: WhiteheadSystem, finals: Sequence[Node], low: Sequence[Node] = ()) -> tuple[Presentation, dict]:
+    """The finals' generators and relation rows, a kill row per generator of `low`, and the column map.
+
+    Row (z, m) is its chain row in z's block of columns, less one per level atom.
+    """
+    names, columns = generator_names(ws, finals)
+    rows: list[Row] = []
+    for z in finals:
+        for m in range(ws.m_range):
+            row = {columns[z] + j: coeff for j, coeff in chain_row(ws.r, ws.q[z], ws.d[z], m) if coeff}
+            for k in ws.levels(z):
+                t = columns[("a", ws.family.phi[(z, k)][m])]
+                row[t] = row.get(t, 0) - 1  # atom columns hold no chain entry, so this stays nonzero
+            rows.append(row)
+    rows += [{columns[("a", a)]: 1} for a in atom_ranks(_atoms_of(ws, low))]
+    rows += [{columns[z] + j: 1} for z in low for j in range(ws.j_trunc)]
+    return Presentation(tuple(names), tuple(rows)), columns
 
 
 def build_witness_group(ws: WhiteheadSystem) -> Presentation:
     """Presentation on the family atoms and z generators with one row per (final, m)."""
     if ws.j_trunc < ws.r + 2:
         raise ValueError(f"need j_trunc >= r+2 = {ws.r + 2}")
-    names, columns = generator_names(ws)
-    rows = tuple(_relation_row(ws, columns, z, m) for z in ws.finals() for m in range(ws.m_range))
-    return Presentation(tuple(names), rows)
+    return _presentation(ws, ws.finals())[0]
 
 
 @record
@@ -287,12 +278,7 @@ def quotient_presentation(ws: WhiteheadSystem, alpha: int, beta: int) -> tuple[P
     with kill rows for every generator already present at stage alpha+1.
     """
     in_i = [z for z in ws.finals() if z[0] < beta]
-    low = [z for z in in_i if z[0] <= alpha]
-    names, columns = generator_names(ws, in_i)
-    rows = [_relation_row(ws, columns, z, m) for z in in_i for m in range(ws.m_range)]
-    rows += [{columns[("a", a)]: 1} for a in atom_ranks(_atoms_of(ws, low))]
-    rows += [{columns[z] + j: 1} for z in low for j in range(ws.j_trunc)]
-    return Presentation(tuple(names), tuple(rows)), columns
+    return _presentation(ws, in_i, [z for z in in_i if z[0] <= alpha])
 
 
 @record
@@ -311,18 +297,12 @@ class BasisReport:
 def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, beta: int) -> BasisReport:
     """Generation and independence of the candidate in the truncated quotient.
 
-    Generation: every generator lies in the lattice spanned by the relation
-    rows plus the candidate's unit vectors.  Unit peeling of those stacked
-    rows proves it without a normal form when it finds one checked pivot per
-    generator: each pivot is alone in its row or its column among what is
-    left, so expanding the determinant along it shows that the pivot rows
-    form a minor of determinant +-1, and they span Z^n.  Otherwise one
-    Hermite form of the stacked rows names the generators outside the
-    lattice.  Independence: the quotient has unit invariant factors with
-    free rank equal to the candidate size, and a surjection of a free group
-    onto a free group of the same rank is an isomorphism.  The chain rows'
-    unit staircase and the unit kill rows peel to unit pivots, so a factor
-    other than 1 is a CertificateError.
+    Generation: the relation rows and the candidate's unit vectors span Z^n
+    (`abelian.outside_lattice`).  Independence: the quotient has unit
+    invariant factors with free rank equal to the candidate size, and a
+    surjection of a free group onto a free group of the same rank is an
+    isomorphism.  The chain rows' unit staircase and the unit kill rows peel
+    to unit pivots, so a factor other than 1 is a CertificateError.
     """
     pres, columns = quotient_presentation(ws, alpha, beta)
     n = len(pres.generators)
@@ -341,16 +321,7 @@ def verify_basis(ws: WhiteheadSystem, candidate: BasisCandidate, alpha: int, bet
     cand_columns = [columns[z] + j for z, j in candidate.z_part]
     cand_columns += [columns[("a", a)] for a in candidate.atom_part]
     stacked = pres.relations + tuple({t: 1} for t in cand_columns)
-    pivots = _unit_pivots(stacked, n)
-    failing = []
-    # n checked unit pivots leave nothing and prove that the rows span Z^n
-    if len(pivots) < n or _peeled_block(stacked, n, pivots):
-        h, _ = hnf(dense(stacked, n))
-        for t, g in enumerate(pres.generators):
-            e = [0] * n
-            e[t] = 1
-            if not in_lattice(h, e):
-                failing.append(g)
+    failing = [pres.generators[t] for t in outside_lattice(stacked, n)]
     return BasisReport(
         generated=not failing,
         count_matches=candidate.size == free_rank,

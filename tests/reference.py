@@ -336,7 +336,7 @@ def family_from_doc(doc) -> BasedFamily:
     sys_ = SystemSkeleton(
         nodes=nodes,
         level={node[k]: jsonio._int(v, "level", k) for k, v in jsonio._object(doc["level"], "level").items()},
-        E={node[k]: frozenset(jsonio._ints(v, "E", k)) for k, v in jsonio._object(doc["E"], "E").items()},
+        E={node[k]: frozenset(jsonio.ints(v, "E", k)) for k, v in jsonio._object(doc["E"], "E").items()},
         B={node[k]: frozenset(jsonio._atoms(v, "B", k)) for k, v in jsonio._object(doc["B"], "B").items()},
         largeness=largeness,
     )

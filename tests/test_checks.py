@@ -9,7 +9,7 @@ import sys
 import types
 from pathlib import Path
 
-from lamsys import freeness, uniformization, whitehead
+from lamsys import abelian, freeness, uniformization, whitehead
 from lamsys.abelian import CertificateError
 from lamsys.core import make_family, make_skeleton
 
@@ -29,9 +29,8 @@ def test_no_assert_in_src():
 
 # outside `abelian`, every module reads its answers off structure: the
 # witness side off the unit staircase and the ladder side off its congruence
-# lattice; `hnf` and `in_lattice` stay for the generation check of `basis`
-# where unit peeling does not settle it, and `hnf` for the Hermite form of a
-# ladder core's kernel
+# lattice; the generation check of `basis` is `abelian.outside_lattice`, and
+# `hnf` stays for the Hermite form of a ladder core's kernel
 _GENERIC_SOLVERS = frozenset(
     {
         "solve_z",
@@ -43,6 +42,27 @@ _GENERIC_SOLVERS = frozenset(
         "InfeasibilityCertificate",
     }
 )
+
+
+def test_no_module_reaches_a_private_name_of_another():
+    # a module's underscore names are its own: another lamsys module reaches
+    # none of them, by `from .x import _name` or by `x._name` after `from . import x`
+    found = []
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=path.name)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("lamsys")):
+                if node.module is None or node.module == "lamsys":
+                    modules |= {a.asname or a.name for a in node.names}
+                found += [f"{path.name}:{node.lineno}:{a.name}" for a in node.names if a.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                if node.attr.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno}:{node.value.id}.{node.attr}")
+    assert found == []
 
 
 def test_witness_side_names_no_generic_solver():
@@ -264,9 +284,10 @@ def self_checks_missed() -> list[str]:
             lambda: uniformization.power_table(2, 1, uniformization.threshold_exponents(2, 0, 1), ()),
         ),
         "basis generation pivots": (
-            # a pivot per generator, all on row 0, so every pivot after the first is on a row peeled before
-            _patched(whitehead, "_unit_pivots", lambda rows, width: [(0, j) for j in range(width)]),
-            lambda: whitehead.verify_basis(_witness_system(), whitehead.BasisCandidate((), ()), -1, 1),
+            # a pivot per column, all on row 0, so every pivot after the first is on a row peeled before;
+            # through `verify_basis`, `invariant_factors` would re-check these pivots first
+            _patched(abelian, "_unit_pivots", lambda rows, width: [(0, j) for j in range(width)]),
+            lambda: abelian.outside_lattice(({0: 1}, {1: 1}), 2),
         ),
         "quotient invariant factors": (
             # every quotient presentation peels to unit pivots, so a factor 2 is the program's fault

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     from_rows,
@@ -16,7 +16,7 @@ from helpers import (
     transport_witness,
 )
 
-from lamsys.abelian import InfeasibilityCertificate, is_prime, solve_z
+from lamsys.abelian import InfeasibilityCertificate, NonfreeSpec, is_prime, solve_z
 from lamsys.core import make_family, make_skeleton, transform_disjoint, transform_tree
 from lamsys.freeness import ReshufflingOrder, find_reshuffling
 from lamsys.record import replace
@@ -136,7 +136,7 @@ def test_verify_witness_checks_the_chain_row():
 
 
 def test_validate_whitehead_tests_each_modulus_once(monkeypatch):
-    from lamsys import whitehead
+    from lamsys import abelian
 
     calls = []
 
@@ -144,7 +144,7 @@ def test_validate_whitehead_tests_each_modulus_once(monkeypatch):
         calls.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(whitehead, "is_prime", counting)
+    monkeypatch.setattr(abelian, "is_prime", counting)
     ws = random_whitehead_system(random.Random(5), n=2, truncation=4)
     assert validate_whitehead(ws) == []
     moduli = [q for z in ws.finals() for q in ws.q[z][: ws.m_range]]
@@ -158,6 +158,53 @@ def test_validate_whitehead_tests_each_modulus_once(monkeypatch):
         ("q-prime", "q[1] = 4 is not prime"),
     ]
     assert calls == [4, 3]
+    # NonfreeSpec tests each distinct modulus once as well
+    calls.clear()
+    NonfreeSpec(r=1, q=(3, 2, 3, 5, 2, 3), d=((1,),) * 6, j_trunc=8)
+    assert calls == [3, 2, 5]
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^q\[1\] = 9 is not prime$"):
+        NonfreeSpec(r=0, q=(3, 9, 9, 3), d=((),) * 4, j_trunc=5)
+    assert calls == [3, 9]
+
+
+_CHAIN_CLAUSES = ("j-trunc", "qd-range", "q-prime", "d-width")
+
+
+@settings(max_examples=150, deadline=None)
+@example(1, 4, [2, 3], [[1], [0]])  # no fault
+@example(1, 5, [2, 3, 5], [[1], [0]])  # d too short
+@example(0, 4, [4, 4, 3], [[], [1], []])  # a repeated composite, then a wide row
+@given(
+    st.integers(0, 2),
+    st.integers(0, 7),
+    st.lists(st.sampled_from([2, 3, 5, 7, 0, 1, 4, 9, -3]), max_size=6),
+    st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=6),
+)
+def test_chain_spec_and_witness_system_report_the_same_first_fault(r, j, q, d):
+    """NonfreeSpec raises exactly the detail that a one-final witness system on its chain data reports first.
+
+    The witness system's truncation is the spec's relation count, so that
+    its m_range is the same count of rows.
+    """
+    count = max(j - r - 1, 0)
+    sys_ = make_skeleton(
+        nodes=[(), (0,)],
+        level={(): 1, (0,): 0},
+        e_map={(): [0]},
+        b_map={(): [], (0,): [f"x{m}" for m in range(count + 1)]},
+    )
+    fam = make_family(sys_, {((0,), 1): [f"x{m}" for m in range(count)]}, truncation=count)
+    ws = WhiteheadSystem(fam, r=r, q={(0,): tuple(q)}, d={(0,): tuple(map(tuple, d))}, j_trunc=j)
+    violations = validate_whitehead(ws)
+    assert [v for v in violations if v.clause not in _CHAIN_CLAUSES] == []
+    faults = [v.detail for v in violations]
+    try:
+        NonfreeSpec(r=r, q=tuple(q), d=tuple(map(tuple, d)), j_trunc=j)
+    except ValueError as exc:
+        assert faults[:1] == [str(exc)]
+    else:
+        assert faults == []
 
 
 def test_verify_witness_missing_value():
