@@ -73,26 +73,37 @@ def _checker(case: dict):
     return checks.basis(doc, int(_option(argv, "--alpha")), int(_option(argv, "--beta")))
 
 
+def _edit(*path, to):
+    """The corruption that replaces the value at path in an output by `to` of it."""
+
+    def corrupt(out: dict) -> None:
+        for key in path[:-1]:
+            out = out[key]
+        out[path[-1]] = to(out[path[-1]])
+
+    return corrupt
+
+
 def _corruptions(case: dict, out: dict) -> dict:
     """Single-field corruptions of a checked output, each of which the checker must report."""
     argv = case["argv"]
     doc = _doc(_option(argv, "--system"))
     found = {}
+    plus_one = lambda v: v + 1
     if argv[0] == "build-G":
-        found["a factor 2"] = lambda o: o["invariant_factors"].__setitem__(0, 2)
-        found["rank + 1"] = lambda o: o.__setitem__("rank", o["rank"] + 1)
-        found["free flipped"] = lambda o: o.__setitem__("free", not o["free"])
+        found["a factor 2"] = _edit("invariant_factors", 0, to=lambda v: 2)
+        found["rank + 1"] = _edit("rank", to=plus_one)
+        found["free flipped"] = _edit("free", to=lambda v: not v)
     elif argv[0] == "solve-witness":
-        found["status infeasible"] = lambda o: o.__setitem__("status", "infeasible")
+        found["status infeasible"] = _edit("status", to=lambda v: "infeasible")
         found["f dropped"] = lambda o: o["witness"].pop("f")
         zk = sorted(doc["q"])[0]
         if _checks().m_range(doc) > 0:
-            atom = json.dumps(doc["phi"][zk]["1"][0])  # read by row (zk, 0)
-            found["f + 1 on a read atom"] = lambda o: o["witness"]["f"].__setitem__(atom, o["witness"]["f"][atom] + 1)
-            key = f"{zk}:{doc['r']}"  # a[r], read by row (zk, 0)
-            found["a[r] + 1"] = lambda o: o["witness"]["a"].__setitem__(key, o["witness"]["a"][key] + 1)
+            # row (zk, 0) reads the atom phi_1(0) and a[r]
+            found["f + 1 on a read atom"] = _edit("witness", "f", json.dumps(doc["phi"][zk]["1"][0]), to=plus_one)
+            found["a[r] + 1"] = _edit("witness", "a", f"{zk}:{doc['r']}", to=plus_one)
     else:
-        found["not ok"] = lambda o: o["verification"].__setitem__("ok", False)
+        found["not ok"] = _edit("verification", "ok", to=lambda v: False)
         found["a dropped z generator"] = lambda o: o["basis"]["z_part"].pop()
         if out["basis"]["atom_part"]:
             found["a dropped atom"] = lambda o: o["basis"]["atom_part"].pop()
@@ -100,7 +111,7 @@ def _corruptions(case: dict, out: dict) -> dict:
         z_part = out["basis"]["z_part"]
         free = [i for i, (z, j) in enumerate(z_part) if [z, j + 1] not in z_part]
         i = min(free, key=lambda i: z_part[i][1] + 1 >= doc["J"])
-        found["a shifted z index"] = lambda o: o["basis"]["z_part"][i].__setitem__(1, z_part[i][1] + 1)
+        found["a shifted z index"] = _edit("basis", "z_part", i, 1, to=plus_one)
     return found
 
 

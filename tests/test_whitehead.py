@@ -187,20 +187,13 @@ def test_chain_spec_and_witness_system_report_the_same_first_fault(r, j, q, d):
     The witness system's truncation is the spec's relation count, so that
     its m_range is the same count of rows.
     """
-    count = max(j - r - 1, 0)
-    sys_ = make_skeleton(
-        nodes=[(), (0,)],
-        level={(): 1, (0,): 0},
-        e_map={(): [0]},
-        b_map={(): [], (0,): [f"x{m}" for m in range(count + 1)]},
-    )
-    fam = make_family(sys_, {((0,), 1): [f"x{m}" for m in range(count)]}, truncation=count)
-    ws = WhiteheadSystem(fam, r=r, q={(0,): tuple(q)}, d={(0,): tuple(map(tuple, d))}, j_trunc=j)
+    q, d = tuple(q), tuple(map(tuple, d))
+    ws = replace(single_final_system(trunc=max(j - r - 1, 0)), r=r, q={(0,): q}, d={(0,): d}, j_trunc=j)
     violations = validate_whitehead(ws)
     assert [v for v in violations if v.clause not in _CHAIN_CLAUSES] == []
     faults = [v.detail for v in violations]
     try:
-        NonfreeSpec(r=r, q=tuple(q), d=tuple(map(tuple, d)), j_trunc=j)
+        NonfreeSpec(r=r, q=q, d=d, j_trunc=j)
     except ValueError as exc:
         assert faults[:1] == [str(exc)]
     else:
