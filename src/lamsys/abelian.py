@@ -616,8 +616,9 @@ class NonfreeSpec:
     j_trunc: int
 
     def __post_init__(self):
-        if self.j_trunc < self.r + 2:
-            raise ValueError(f"need j_trunc >= r+2 = {self.r + 2}")
+        short = truncation_fault(self.r, self.j_trunc)
+        if short is not None:
+            raise ValueError(short)
         for _, detail in chain_faults(self.r, self.q, self.d, self.relation_count, {}):
             raise ValueError(detail)
 
@@ -635,16 +636,29 @@ def chain_row(r: int, q: Sequence[int], d: Sequence[Sequence[int]], m: int) -> t
     return ((m + r + 1, q[m]), (m + r, -1), *((l, -d[m][l]) for l in range(r)))
 
 
-def chain_faults(r: int, q: Sequence[int], d: Sequence[Sequence[int]], count: int, prime: dict) -> Iterator:
-    """(clause, detail) per fault of the chain data of `count` rows, in row order; `prime` caches primality."""
+def truncation_fault(r: int, j_trunc: int) -> str | None:
+    """The fault of a chain with head r cut at j_trunc generators, too few for one relation row, or None."""
+    return f"need j_trunc >= r+2 = {r + 2}" if j_trunc < r + 2 else None
+
+
+def chain_faults(
+    r: int, q: Sequence[int], d: Sequence[Sequence[int]], count: int, prime: dict | None = None
+) -> Iterator:
+    """(clause, detail) per fault of the chain data of `count` rows, in row order.
+
+    `prime` caches primality; without it the moduli go untested, and only
+    the faults that leave a row unable to index its data (qd-range and
+    d-width) are reported.
+    """
     if len(q) < count or len(d) < count:
         yield "qd-range", f"need {count} primes and coefficient rows"
         return
     for m in range(count):
-        if q[m] not in prime:
-            prime[q[m]] = is_prime(q[m])
-        if not prime[q[m]]:
-            yield "q-prime", f"q[{m}] = {q[m]} is not prime"
+        if prime is not None:
+            if q[m] not in prime:
+                prime[q[m]] = is_prime(q[m])
+            if not prime[q[m]]:
+                yield "q-prime", f"q[{m}] = {q[m]} is not prime"
         if len(d[m]) != r:
             yield "d-width", f"d[{m}] has width {len(d[m])}, expected {r}"
 

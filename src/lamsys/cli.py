@@ -59,9 +59,9 @@ from .uniformization import (
     threshold_exponents,
 )
 from .whitehead import (
-    SHAPE_CLAUSES,
     build_witness_group,
     enumerate_basis,
+    shape_violation,
     solve_witness,
     validate_whitehead,
     variant_filter,
@@ -206,12 +206,15 @@ def cmd_build_g(args) -> tuple[dict, int]:
 
 
 def _indexable_system(path: str):
-    """The witness system at path; InputError if a relation row would index past its data."""
+    """The witness system at path; InputError if a relation row would index past its data.
+
+    Only the shape rules run (`shape_violation`); `validate` reports the rest.
+    """
     ws = jsonio.whitehead_from_doc(_load(path))
-    for v in validate_whitehead(ws):
-        if v.clause in SHAPE_CLAUSES:
-            where = "" if v.node is None else f" at final {node_key(v.node)!r}"
-            raise InputError(f"{v.clause}{where}: {v.detail}")
+    v = shape_violation(ws)
+    if v is not None:
+        where = "" if v.node is None else f" at final {node_key(v.node)!r}"
+        raise InputError(f"{v.clause}{where}: {v.detail}")
     return ws
 
 
@@ -409,18 +412,20 @@ def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, code = args.func(args)
-    except ValueError as exc:  # InputError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            payload, code = args.func(args)
+        except ValueError as exc:  # InputError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # rendered before a byte is written, so a render fault leaves stdout empty
+        text = dump({"manifest": _manifest(args), **payload})
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a fault of the program, not of the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    doc = {"manifest": _manifest(args), **payload}
-    sys.stdout.write(dump(doc))
+    sys.stdout.write(text)
     return code
 
 

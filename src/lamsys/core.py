@@ -325,19 +325,27 @@ def make_family(
     )
 
 
+def slice_shape_violation(fam: BasedFamily, z: Node, k: int) -> Violation | None:
+    """phi-missing or phi-length if final z's level-k enumeration is absent or not `truncation` long, else None."""
+    vals = fam.phi.get((z, k))
+    if vals is None:
+        return Violation("phi-missing", z, f"no enumeration at level {k}")
+    if len(vals) != fam.truncation:
+        return Violation("phi-length", z, f"level {k} enumeration has {len(vals)} values, truncation {fam.truncation}")
+    return None
+
+
 def validate_family(fam: BasedFamily) -> list[Violation]:
     out: list[Violation] = []
     sys_ = fam.system
     for z in fam.finals:
         for k in range(1, len(z) + 1):
-            vals = fam.phi.get((z, k))
-            if vals is None:
-                out.append(Violation("phi-missing", z, f"no enumeration at level {k}"))
-                continue
-            if len(vals) != fam.truncation:
-                out.append(
-                    Violation("phi-length", z, f"level {k} enumeration has {len(vals)} values, truncation {fam.truncation}")
-                )
+            shape = slice_shape_violation(fam, z, k)
+            if shape is not None:
+                out.append(shape)
+                if shape.clause == "phi-missing":
+                    continue
+            vals = fam.phi[(z, k)]
             if len(set(vals)) != len(vals):
                 out.append(Violation("phi-injective", z, f"level {k} enumeration repeats a value"))
             carrier = sys_.B.get(z[:k], frozenset())

@@ -351,6 +351,7 @@ def _family(doc: Mapping) -> tuple[BasedFamily, _NodeKeys]:
 
 
 def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
+    """The witness system, its `q` and `d` columns checked as in `_system`."""
     fam, node = _family(doc)
     for key in ("r", "q", "d", "J"):
         if key not in doc:
@@ -364,8 +365,16 @@ def whitehead_from_doc(doc: Mapping) -> WhiteheadSystem:
             alpha=_int(s["alpha"], "strong", "alpha"),
             theta_fresh=_int(s["theta_fresh"], "strong", "theta_fresh"),
         )
-    q = {node[k]: ints(v, "q", k) for k, v in _object(doc["q"], "q").items()}
-    d = {node[k]: int_rows(v, "d", k) for k, v in _object(doc["d"], "d").items()}
+    q = _object(doc["q"], "q")
+    if _lists_of(_INTS, q.values()):
+        q = dict(zip(map(node.__getitem__, q), map(tuple, q.values())))
+    else:
+        q = {node[k]: ints(v, "q", k) for k, v in q.items()}
+    d = _object(doc["d"], "d")
+    if _exact_types(_LISTS, d.values()) and _lists_of(_INTS, [*chain.from_iterable(d.values())]):
+        d = dict(zip(map(node.__getitem__, d), (tuple(map(tuple, rows)) for rows in d.values())))
+    else:
+        d = {node[k]: int_rows(v, "d", k) for k, v in d.items()}
     for z in fam.finals:
         if z not in q or z not in d:
             raise InputError(f"q and d need an entry for every final; final {node_key(z)!r} has none")

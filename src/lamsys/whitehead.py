@@ -34,7 +34,7 @@ reads them.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .abelian import (
     CertificateError,
@@ -44,6 +44,7 @@ from .abelian import (
     chain_row,
     invariant_factors,
     outside_lattice,
+    truncation_fault,
 )
 from .core import (
     Atom,
@@ -54,6 +55,7 @@ from .core import (
     atom_text,
     node_key,
     restrict_to_nodes,
+    slice_shape_violation,
     validate_family,
     validate_system,
 )
@@ -98,14 +100,8 @@ SHAPE_CLAUSES = frozenset({"j-trunc", "qd-range", "d-width", "phi-missing", "phi
 def validate_whitehead(ws: WhiteheadSystem) -> list[Violation]:
     out = validate_system(ws.family.system)
     out += validate_family(ws.family)
-    if ws.j_trunc < ws.r + 2:
-        out.append(Violation("j-trunc", None, f"need j_trunc >= r+2 = {ws.r + 2}"))
-        return out
-    prime: dict[int, bool] = {}  # shared by the finals, which repeat moduli
-    for z in ws.finals():
-        faults = chain_faults(ws.r, ws.q.get(z, ()), ws.d.get(z, ()), ws.m_range, prime)
-        out += [Violation(clause, z, detail) for clause, detail in faults]
-    if ws.strong_order is not None:
+    out += _chain_violations(ws, {})  # one primality cache for the finals, which repeat moduli
+    if ws.strong_order is not None and truncation_fault(ws.r, ws.j_trunc) is None:
         for z in ws.finals():
             for k1 in ws.levels(z):
                 for k2 in ws.levels(z):
@@ -114,6 +110,32 @@ def validate_whitehead(ws: WhiteheadSystem) -> list[Violation]:
         if not ws.strong_order.verify(ws.family):
             out.append(Violation("strong-order", None, "attached order fails its invariants"))
     return out
+
+
+def shape_violation(ws: WhiteheadSystem) -> Violation | None:
+    """The first violation of `validate_whitehead(ws)` whose clause is in SHAPE_CLAUSES, or None.
+
+    Only the shape rules run, in `validate_whitehead`'s order: each final's
+    slices, then the truncation, then each final's chain data.  No system,
+    carrier or primality check is made; `validate` reports those.
+    """
+    for z in ws.finals():
+        for k in ws.levels(z):
+            v = slice_shape_violation(ws.family, z, k)
+            if v is not None:
+                return v
+    return next(_chain_violations(ws), None)
+
+
+def _chain_violations(ws: WhiteheadSystem, prime: dict | None = None) -> Iterator[Violation]:
+    """j-trunc alone, else each final's `chain_faults` at that final; q-prime only with a `prime` cache."""
+    short = truncation_fault(ws.r, ws.j_trunc)
+    if short is not None:
+        yield Violation("j-trunc", None, short)
+        return
+    for z in ws.finals():
+        for clause, detail in chain_faults(ws.r, ws.q.get(z, ()), ws.d.get(z, ()), ws.m_range, prime):
+            yield Violation(clause, z, detail)
 
 
 def _atoms_of(ws: WhiteheadSystem, finals: Sequence[Node]) -> set:
@@ -158,8 +180,9 @@ def _presentation(ws: WhiteheadSystem, finals: Sequence[Node], low: Sequence[Nod
 
 def build_witness_group(ws: WhiteheadSystem) -> Presentation:
     """Presentation on the family atoms and z generators with one row per (final, m)."""
-    if ws.j_trunc < ws.r + 2:
-        raise ValueError(f"need j_trunc >= r+2 = {ws.r + 2}")
+    short = truncation_fault(ws.r, ws.j_trunc)
+    if short is not None:
+        raise ValueError(short)
     return _presentation(ws, ws.finals())[0]
 
 
