@@ -1,23 +1,28 @@
 """CLI dispatch: exit codes, byte stability, certificate round-trips."""
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamsys import cli, jsonio
 from lamsys.cli import dispatch
-from lamsys.core import MAX_ATOM_DEPTH, make_family, make_skeleton
+from lamsys.core import MAX_ATOM_DEPTH, make_family, make_skeleton, node_key
 from lamsys.freeness import Transversal
 from lamsys.jsonio import dump, system_to_doc
-from lamsys.whitehead import WhiteheadSystem
+from lamsys.whitehead import SHAPE_CLAUSES, WhiteheadSystem, shape_violation, validate_whitehead
 
 
 def run(capsys, argv):
@@ -547,6 +552,171 @@ def test_solve_witness_rejects_short_j(tmp_path, capsys):
     assert err.count("\n") == 1 and "j_trunc" in err
 
 
+def test_solve_witness_and_basis_skip_the_non_shape_checks(tmp_path, capsys):
+    # a composite modulus, a slice value outside its carrier and a slice for a
+    # node that is no final leave every relation row indexable: validate
+    # lists them, and the witness commands run on
+    doc = witness_doc(trunc=2)
+    doc["q"]["0"] = [4, 2]
+    doc["phi"]["0"]["1"] = ["x0", "y"]
+    doc["phi"][""] = {"1": ["x1"]}
+    path = write(tmp_path, "ws.json", doc)
+    code, out, _ = run(capsys, ["validate", path])
+    assert code == 1
+    assert [(v["clause"], v["node"]) for v in json.loads(out)["violations"]] == [
+        ("phi-based-on", "0"),
+        ("phi-domain", ""),
+        ("q-prime", "0"),
+    ]
+    c_path = write(tmp_path, "c.json", {"schema": "lamsys/1", "c": {"0": [3, -1]}})
+    code, out, err = run(capsys, ["solve-witness", "--system", path, "--c", c_path])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "witness"
+    code, out, err = run(capsys, ["basis", "--system", path, "--alpha", "-1", "--beta", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"]["ok"] is True
+
+
+def _witness_edits(rng: random.Random, doc: dict, count: int) -> None:
+    """Apply `count` random edits to a witness document: shape faults (slice,
+    modulus and row counts, row widths, truncation, J, r) and faults of other
+    clauses (a composite modulus, a value outside its carrier, a slice of a node
+    that is no final)."""
+    finals = sorted(doc["q"])
+    for _ in range(count):
+        z = rng.choice(finals)
+        edit = rng.randrange(11)
+        if edit == 0:
+            doc["truncation"] = rng.randint(-1, 6)
+        elif edit == 1:
+            doc["J"] = rng.randint(0, 9)
+        elif edit == 2:
+            doc["r"] = rng.randint(0, 3)
+        elif edit == 3 and doc["phi"][z]:
+            del doc["phi"][z][rng.choice(sorted(doc["phi"][z]))]
+        elif edit == 4 and doc["phi"][z]:
+            vals = doc["phi"][z][rng.choice(sorted(doc["phi"][z]))]
+            n = rng.randint(0, 6)
+            vals[n:] = []
+            vals += [f"w{i}" for i in range(len(vals), n)]
+        elif edit == 5:
+            n = rng.randint(0, 6)
+            doc["q"][z] = (doc["q"][z] + [2] * n)[:n]
+        elif edit == 6:
+            n = rng.randint(0, 6)
+            doc["d"][z] = (doc["d"][z] + [[0] * doc["r"]] * n)[:n]
+        elif edit == 7 and doc["d"][z]:
+            doc["d"][z][rng.randrange(len(doc["d"][z]))] = [1] * rng.randint(0, 3)
+        elif edit == 8 and doc["q"][z]:
+            doc["q"][z][rng.randrange(len(doc["q"][z]))] = rng.choice([1, 4, 9, 0, -3])
+        elif edit == 9 and doc["phi"][z]:
+            vals = doc["phi"][z][rng.choice(sorted(doc["phi"][z]))]
+            if vals:
+                vals[rng.randrange(len(vals))] = "stray"
+        elif edit == 10:
+            inner = rng.choice([n for n in doc["nodes"] if n not in doc["q"]])
+            doc["phi"][inner] = {"1": ["stray"]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 2), st.integers(0, 2), st.integers(1, 4), st.integers(1, 4))
+def test_witness_commands_refuse_exactly_the_first_shape_violation(seed, n, r, truncation, count):
+    # solve-witness and basis run only the shape rules; what they refuse, and
+    # the text, must be what the first SHAPE_CLAUSES violation of the full
+    # validate_whitehead gives, and with none they must not refuse the input
+    from helpers import random_whitehead_system, run_dispatch
+
+    rng = random.Random(seed)
+    doc = system_to_doc(random_whitehead_system(rng, n=n, r=r, truncation=truncation, width=rng.randint(1, 3)))
+    _witness_edits(rng, doc, count)
+    ws = jsonio.whitehead_from_doc(doc)
+    first = next((v for v in validate_whitehead(ws) if v.clause in SHAPE_CLAUSES), None)
+    expected = ""
+    if first is not None:
+        where = "" if first.node is None else f" at final {node_key(first.node)!r}"
+        expected = f"error: {first.clause}{where}: {first.detail}\n"
+    coloring = {node_key(z): [1] * max(ws.m_range, 0) for z in ws.finals()}
+    beta = 1 + max(z[0] for z in ws.finals())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp), "ws.json", doc)
+        c_path = write(Path(tmp), "c.json", {"schema": "lamsys/1", "c": coloring})
+        for argv, passing in (
+            (["solve-witness", "--system", path, "--c", c_path], (0,)),
+            (["basis", "--system", path, "--alpha", "-1", "--beta", str(beta)], (0, 1)),
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run_dispatch(argv)
+            if first is not None:
+                assert (code, out, err.getvalue()) == (2, "", expected), argv
+            else:
+                assert code in passing and err.getvalue() == "", (argv, err.getvalue())
+
+
+def _reshuffle_and_full_window_basis(path: str, ws: WhiteheadSystem, alpha: int, fresh: int) -> tuple[dict, dict]:
+    """The outputs of `reshuffle` and of `basis` on a window that holds every final, with one alpha and fresh."""
+    from helpers import run_dispatch
+
+    beta = 1 + max(z[0] for z in ws.finals())
+    flags = ["--alpha", str(alpha), "--fresh", str(fresh)]
+    r_code, r_out = run_dispatch(["reshuffle", path, *flags])
+    b_code, b_out = run_dispatch(["basis", "--system", path, "--beta", str(beta), *flags])
+    assert r_code in (0, 1) and b_code in (0, 1)
+    return json.loads(r_out) | {"exit": r_code}, json.loads(b_out) | {"exit": b_code}
+
+
+def _assert_basis_obstructed_as_reshuffle(reshuffle: dict, basis: dict) -> None:
+    obstructed = basis["exit"] == 1 and basis.get("certificate", {}).get("type") == "reshuffling-obstruction"
+    assert obstructed == (reshuffle["exit"] == 1)
+    if obstructed:
+        assert basis["certificate"]["remaining"] == reshuffle["certificate"]["remaining"]
+        assert (basis["status"], basis["certificate"]) == (reshuffle["status"], reshuffle["certificate"])
+    else:
+        assert basis["order"] == reshuffle["certificate"]
+
+
+def _golden_witness_systems() -> dict:
+    """The golden witness systems that carry no strong order and that basis reads, by input path."""
+    out = {}
+    for path in sorted((Path(__file__).resolve().parent / "golden" / "inputs").glob("*.json")):
+        doc = json.loads(path.read_text())
+        if {"phi", "r"} <= doc.keys() and "strong" not in doc:
+            ws = jsonio.whitehead_from_doc(doc)
+            if shape_violation(ws) is None:
+                out[str(path)] = ws
+    return out
+
+
+_GOLDEN_WITNESS = _golden_witness_systems()
+
+
+@pytest.mark.parametrize("path", sorted(_GOLDEN_WITNESS), ids=lambda path: Path(path).name)
+def test_full_window_basis_is_obstructed_exactly_when_reshuffle_is_on_golden_inputs(path):
+    ws = _GOLDEN_WITNESS[path]
+    for alpha in sorted({-1, *(z[0] for z in ws.finals())}):
+        for fresh in (1, 2, 3):
+            _assert_basis_obstructed_as_reshuffle(*_reshuffle_and_full_window_basis(path, ws, alpha, fresh))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32), st.integers(1, 2), st.integers(1, 4), st.integers(1, 4),
+    st.booleans(), st.integers(0, 2), st.integers(-1, 6), st.integers(1, 3),
+)
+def test_full_window_basis_is_obstructed_exactly_when_reshuffle_is(
+    seed, n, truncation, width, cross, slack, alpha, fresh
+):
+    from helpers import random_whitehead_system
+
+    ws = random_whitehead_system(
+        random.Random(seed), n=n, r=1, truncation=truncation, width=width, cross_level_atoms=cross, pool_slack=slack
+    )
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        path = write(Path(tmp), "ws.json", system_to_doc(ws))
+        _assert_basis_obstructed_as_reshuffle(*_reshuffle_and_full_window_basis(path, ws, alpha, fresh))
+    assert err.getvalue() == ""
+
+
 _MALFORMED_WITNESS_INPUTS = [
     # (system fields to replace, coloring values)
     pytest.param({"q": {}}, [3, 1], id="q-empty"),
@@ -744,6 +914,18 @@ def test_basis_with_a_nonunit_factor_exits_3(tmp_path, flags):
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "internal error: quotient presentation has invariant factor 2, not 1\n"
+
+
+def test_a_payload_json_refuses_exits_3_with_nothing_on_stdout(tmp_path, capsys, monkeypatch):
+    # the document is rendered before a byte is written, inside the handler that reports internal errors
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: ({"violations": {"a set"}}, 0))
+    cli.build_parser.cache_clear()  # the parser binds each command when it is built
+    try:
+        code, out, err = run(capsys, ["validate", write(tmp_path, "sys.json", minimal_doc())])
+    finally:
+        cli.build_parser.cache_clear()
+    assert (code, out) == (3, "")
+    assert err == "internal error: TypeError: Object of type set is not JSON serializable\n"
 
 
 def test_other_exceptions_exit_3_without_traceback(tmp_path, capsys, monkeypatch):
