@@ -10,7 +10,8 @@ A relation row is a sparse map {column: nonzero entry}, from the builders
 (`build_chain_group`, the witness side, `simulate`) through peeling to the
 writers, which write the dense text straight from the maps.  `dense` is
 the one place relation rows become a dense matrix: for the `snf` of the
-block that peeling leaves, and for the `hnf` fallback of `outside_lattice`.
+block that peeling leaves, for the `hnf` fallback of `outside_lattice`, and
+for the matrices `hnf` returns.
 
 A presentation's invariant factors come from unit peeling, the first step
 of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a
@@ -27,8 +28,10 @@ V * V^-1 = I.  Unimodularity is never proved by a determinant.
 
 `hnf` is the only elimination loop.  Its pivoting is deterministic (the
 smallest absolute value in the column, the first such row on ties), so
-every normal form and certificate is reproducible bit for bit.  On the CLI
-it serves two callers, both after structural elimination.  One is the
+every normal form and certificate is reproducible bit for bit.  It takes
+and returns dense matrices but eliminates on sparse rows, as the kernels
+it meets are sparse: a row operation costs the nonzeros of one row.  On
+the CLI it serves two callers, both after structural elimination.  One is the
 kernel basis of a ladder system's coupled core: `uniformization.simulate`
 eliminates the label columns, reads the core's kernel off its congruence
 lattice, and takes the Hermite form of that basis, with no transform read
@@ -112,58 +115,71 @@ def hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
     increasing column indices, and entries above each pivot reduced into
     [0, pivot).  With inverse=True returns (H, U, U^-1), the inverse built
     by the inverse of each row operation in the same elimination.
+
+    The elimination runs on sparse {column: entry} rows of H, U and the
+    transposed inverse, so a row operation touches the nonzeros of the row
+    it subtracts.  Rows stay where they are; a swap exchanges two entries of
+    `at`, the row at each position, which orders the result.  The rows from
+    position pr on are zero left of the column c being cleared, so those
+    nonzero at c are those whose first column, `lead`, is c, and the next
+    column with a pivot is the least lead among them.
     """
-    rows, cols = a.rows, a.cols
-    h = [list(row) for row in a.entries]
-    u = [list(row) for row in IntMatrix.identity(rows).entries]
+    n, cols = a.rows, a.cols
+    h = [dict(compress(enumerate(row), row)) for row in a.entries]
+    u = [{i: 1} for i in range(n)]
     # rows of the transposed inverse: U <- E*U makes U^-1 <- U^-1 * E^-1,
     # a column operation on U^-1 and so a row operation here
-    vt = [list(row) for row in IntMatrix.identity(rows).entries] if inverse else None
+    vt = [{i: 1} for i in range(n)] if inverse else None
     tracked = (h, u, vt) if inverse else (h, u)
+    at = list(range(n))
+    lead = [min(row, default=cols) for row in h]  # by position, as `at`; cols for a zero row
 
     def row_sub(i: int, j: int, q: int) -> None:
         if q == 0:
             return
-        h[i] = [x - q * y for x, y in zip(h[i], h[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        add_multiple(h[i], h[j], -q)
+        add_multiple(u[i], u[j], -q)
         if vt is not None:
-            vt[j] = [x + q * y for x, y in zip(vt[j], vt[i])]
+            add_multiple(vt[j], vt[i], q)
 
-    def swap(i: int, j: int) -> None:
-        for m in tracked:
-            m[i], m[j] = m[j], m[i]
+    def swap(k: int, t: int) -> None:
+        at[k], at[t] = at[t], at[k]
+        lead[k], lead[t] = lead[t], lead[k]
 
-    pr = 0
-    for c in range(cols):
-        while True:
-            best = None
-            for i in range(pr, rows):
-                v = h[i][c]
-                if v != 0 and (best is None or abs(v) < abs(h[best][c])):
-                    best = i
-            if best is None:
-                break
-            if best != pr:
-                swap(pr, best)
-            done = True
-            for i in range(pr + 1, rows):
-                if h[i][c] != 0:
-                    row_sub(i, pr, h[i][c] // h[pr][c])
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if pr < rows and h[pr][c] != 0:
-            if h[pr][c] < 0:
-                for m in tracked:
-                    m[pr] = [-x for x in m[pr]]
-            for i in range(pr):
-                row_sub(i, pr, h[i][c] // h[pr][c])
-            pr += 1
-            if pr == rows:
-                break
-    out = IntMatrix(tuple(map(tuple, h))), IntMatrix(tuple(map(tuple, u)))
-    return out if vt is None else (*out, IntMatrix(tuple(zip(*vt))))
+    for pr in range(n):
+        c = min(lead[pr:])
+        if c == cols:
+            break
+        while lead[pr:].count(c) > 1:
+            # the smallest absolute value at c, the first position on ties, goes to position pr
+            swap(pr, min((k for k in range(pr, n) if lead[k] == c), key=lambda k: abs(h[at[k]][c])))
+            j = at[pr]
+            for k in range(pr + 1, n):
+                if lead[k] == c:
+                    i = at[k]
+                    row_sub(i, j, h[i][c] // h[j][c])
+                    if c not in h[i]:
+                        lead[k] = min(h[i], default=cols)
+        swap(pr, lead.index(c, pr))
+        j = at[pr]
+        if h[j][c] < 0:
+            for m in tracked:
+                m[j] = {t: -v for t, v in m[j].items()}
+        for i in at[:pr]:
+            if c in h[i]:
+                row_sub(i, j, h[i][c] // h[j][c])
+    out = dense([h[i] for i in at], cols), dense([u[i] for i in at], n)
+    return out if vt is None else (*out, dense([vt[i] for i in at], n).transpose())
+
+
+def add_multiple(target: dict, source: Mapping[int, int], q: int) -> None:
+    """target += q * source on sparse {index: nonzero entry} maps, over source's entries, dropping zeros."""
+    for t, v in source.items():
+        x = target.get(t, 0) + q * v
+        if x:
+            target[t] = x
+        else:
+            del target[t]
 
 
 @record
@@ -483,11 +499,12 @@ class Presentation:
 
 
 def dense(rows: Sequence[Row], width: int) -> IntMatrix:
-    """The relation rows as a dense matrix of `width` columns, for `snf` and the `hnf` fallback only.
+    """Sparse rows as a dense matrix of `width` columns, for `snf`, the `hnf` fallback and `hnf`'s results only.
 
-    These are its two callers: `invariant_factors` on the block left after
-    peeling, and `outside_lattice`.  The writers in `jsonio` write the dense
-    text from the rows themselves.
+    These are its callers: `invariant_factors` on the block left after
+    peeling, `outside_lattice`, and `hnf` for the H, U and U^-1 it
+    returns.  The writers in `jsonio` write the dense text from the rows
+    themselves.
     """
     out = []
     for row in rows:

@@ -41,6 +41,7 @@ from typing import Mapping, Sequence
 from .abelian import (
     CertificateError,
     IntMatrix,
+    add_multiple,
     hnf,
     is_prime,
     reduce_mod_lattice,
@@ -131,13 +132,20 @@ def _interval_shift_disjoint(y: IntervalSet, stride: int) -> int:
 
 
 def max_magnitude_bound(p: int, r: int) -> int:
-    """Largest t with (2t+1)^(2r+2) < p; requires p >= 2 so t = 0 always works."""
+    """Largest t with (2t+1)^(2r+2) < p; requires p >= 2 so t = 0 always works.
+
+    That is t = (s - 1) // 2 for s the largest integer with s^k <= p - 1,
+    k = 2r + 2: the largest odd number up to s is 2t + 1.  Newton's method
+    on integers, started above the root, descends to s and stops there, in
+    a number of steps that grows with the bit length of p, not with t.
+    """
     if p < 2:
         raise ValueError(f"modulus base must be at least 2, got {p}")
-    t = 0
-    while (2 * (t + 1) + 1) ** (2 * r + 2) < p:
-        t += 1
-    return t
+    k, n = 2 * r + 2, p - 1
+    s = 1 << -(-n.bit_length() // k)  # 2^ceil(bits / k) > n^(1/k)
+    while (below := ((k - 1) * s + n // s ** (k - 1)) // k) < s:
+        s = below
+    return (s - 1) // 2
 
 
 @record
@@ -446,6 +454,31 @@ def _substitute(x: list[int], rows: Sequence[Mapping[int, int]], decided: Sequen
         x[t] = (b - sum(v * x[c] for c, v in row.items() if c != t)) // row[t]
 
 
+def _lift(
+    basis: Sequence[Mapping[int, int]],
+    free: Sequence[int],
+    rows: Sequence[Mapping[int, int]],
+    decided: Sequence[int],
+    width: int,
+) -> list[list[int]]:
+    """Each basis vector set on the `free` columns, then its decided coordinates by substitution with right side 0.
+
+    The substitution of `_substitute`, with each row's decided entry and
+    other (column, entry) pairs listed once for all the vectors, not once
+    per vector.
+    """
+    terms = [(row[t], [(c, v) for c, v in row.items() if c != t]) for row, t in zip(rows, decided)]
+    lifted = []
+    for b in basis:
+        x = [0] * width
+        for i, v in b.items():
+            x[free[i]] = v
+        for (d, others), t in zip(terms, decided):
+            x[t] = -sum(v * x[c] for c, v in others) // d
+        lifted.append(x)
+    return lifted
+
+
 def _particular(inst: LadderInstance, levels, index: Mapping[str, int], rows, decided, shifts: Sequence[int]) -> list[int]:
     """A solution of W c = -s with every z and g coordinate 0, by substitution along each row's decided y column.
 
@@ -511,29 +544,40 @@ def _lattice_index(rows: Sequence[Mapping[int, int]], decided: Sequence[int]) ->
     return index
 
 
-def _lattice_basis(forms: Sequence[tuple[Mapping[int, int], int]], size: int) -> list[list[int]]:
-    """Upper triangular basis of L = {x in Z^size : f . x = 0 mod p for every (f, p) in forms}.
+def _lattice_basis(forms: Sequence[tuple[Mapping[int, int], int]], size: int) -> list[dict[int, int]]:
+    """Upper triangular basis of L = {x in Z^size : f . x = 0 mod p for every (f, p) in forms}, as sparse vectors.
 
-    One step per form, each of index p or 1: the pivot is the last basis
-    vector whose value f . b is nonzero mod p; the earlier vectors lose
-    their values by subtracting multiples of it, and it is multiplied by p.
-    Only earlier vectors change, by a multiple of a later one, so the basis
-    stays upper triangular, and each pivot step multiplies one diagonal
-    entry by p.
+    Vector k is a {position: nonzero entry} map.  One step per form, each of
+    index p or 1: the pivot is the last basis vector whose value f . b is
+    nonzero mod p; the earlier vectors lose their values by subtracting
+    multiples of it, and it is multiplied by p.  Only earlier vectors change,
+    by a multiple of a later one, so the basis stays upper triangular, and
+    each pivot step multiplies one diagonal entry by p.  A position -> vectors
+    index gives the vectors that meet a form, the only ones whose value can
+    be nonzero, and a subtraction touches the pivot's support alone.
     """
-    basis = [[int(i == k) for i in range(size)] for k in range(size)]
+    basis = [{k: 1} for k in range(size)]
+    holders = [{k} for k in range(size)]  # position -> the vectors nonzero there
     for form, p in forms:
-        values = [sum(v * b[i] for i, v in form.items()) % p for b in basis]
-        piv = next((k for k in reversed(range(size)) if values[k]), None)
-        if piv is None:
+        values: dict[int, int] = {}
+        for i, v in form.items():
+            for k in holders[i]:
+                values[k] = values.get(k, 0) + v * basis[k][i]
+        values = {k: x % p for k, x in values.items() if x % p}
+        if not values:
             continue
-        inv = pow(values[piv], -1, p)
+        piv = max(values)
+        inv = pow(values.pop(piv), -1, p)
         bp = basis[piv]
-        for k in range(piv):
-            if values[k]:
-                q = values[k] * inv % p
-                basis[k] = [x - q * y for x, y in zip(basis[k], bp)]
-        basis[piv] = [p * y for y in bp]
+        for k, x in values.items():
+            b = basis[k]
+            add_multiple(b, bp, -(x * inv % p))
+            for i in bp:
+                if i in b:
+                    holders[i].add(k)
+                else:
+                    holders[i].discard(k)
+        basis[piv] = {i: p * y for i, y in bp.items()}
     return basis
 
 
@@ -558,27 +602,23 @@ def _canonical_solution(
     position = {t: k for k, t in enumerate(free)}
     forms = [({position[c]: v for c, v in row.items() if c in position}, abs(row[t])) for row, t in zip(rows, decided)]
     forms = [(f, p) for f, p in forms if p > 1]
-    no_rhs = [0] * len(rows)
+    basis = _lattice_basis(forms, len(free))
     kernel = []
     diagonal = 1
-    for k, b in enumerate(_lattice_basis(forms, len(free))):
-        x = [0] * width
-        for t, v in zip(free, b):
-            x[t] = v
-        _substitute(x, rows, decided, no_rhs)
+    for k, (b, x) in enumerate(zip(basis, _lift(basis, free, rows, decided, width))):
         if any(sum(v * x[c] for c, v in row.items()) for row in rows):
             raise CertificateError(f"lifted lattice basis row {k} is not in the kernel of the ladder core")
-        if b[k] <= 0 or any(b[:k]):
+        if b.get(k, 0) <= 0 or any(v for i, v in b.items() if i < k):
             raise CertificateError("the lattice basis is not upper triangular with a positive diagonal")
         diagonal *= b[k]
-        kernel.append(x)
+        kernel.append(tuple(x))
     index = _lattice_index(rows, decided)
     if diagonal != index:
         raise CertificateError(f"the lattice basis has index {diagonal}, the congruences {index}")
     for j, (row, s) in enumerate(zip(rows, shifts)):
         if sum(v * particular[c] for c, v in row.items()) != -s:
             raise CertificateError(f"the particular solution fails ladder core row {j}")
-    h, _ = hnf(IntMatrix(tuple(map(tuple, kernel))))
+    h, _ = hnf(IntMatrix(tuple(kernel)))
     return reduce_mod_lattice(particular, h)
 
 
@@ -603,7 +643,9 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     y_n; and each label's pivot row (below) holds +1 on its label column.
     The particular solution, the kernel lift and the label lift are
     substitution along those columns: `_substitute` takes rows in order and
-    sets each one's decided coordinate from the others by one division.
+    sets each one's decided coordinate from the others by one division, and
+    `_lift` does the same for every kernel basis vector, with the rows'
+    entries listed once for all of them.
 
     W c = -s always has an integer solution, even with every z and g
     coordinate 0, because each level solves its own rows on its own y

@@ -4,11 +4,14 @@ The quadratic scans are what the library ran before it indexed atoms, and
 `system_to_doc` is the document builder that converted every atom of every
 carrier on its own and orders nodes by `lex_compare` itself; the
 differential tests run both and require identical results.
-`threshold_exponents` is the step loop that tried every d in turn, and
-`shift_disjoint` the set search that the tables' interval search is checked
-against.  The linear
-algebra helpers (a Bareiss determinant, a rank read off `hnf`, a
-brute-force purity search) give the tests an independent second answer.
+`threshold_exponents` is the step loop that tried every d in turn,
+`max_magnitude_bound` the loop that tried every t, and `shift_disjoint`
+the set search that the tables' interval search is checked against.
+`lattice_basis` and `dense_hnf` are a ladder core's lattice basis and the
+Hermite form as they ran on dense vectors and rows, before both kept only
+nonzeros.  The linear algebra helpers (a Bareiss determinant, a rank read
+off `hnf`, a brute-force purity search) give the tests an independent
+second answer.
 `whole_splitting`, `core_splitting` and `basis_generation` are the
 generic paths that `simulate` and `verify_basis` replaced: one exact solve
 of the whole ladder system (before label elimination), one exact solve of
@@ -365,6 +368,85 @@ def threshold_exponents(p: int, r: int, i_max: int) -> tuple[int, ...]:
             d += 1
         ts.append(prev + d)
     return tuple(ts)
+
+
+def max_magnitude_bound(p: int, r: int) -> int:
+    """uniformization.max_magnitude_bound, counting t up one at a time (time grows as p^(1/(2r+2)))."""
+    t = 0
+    while (2 * (t + 1) + 1) ** (2 * r + 2) < p:
+        t += 1
+    return t
+
+
+def lattice_basis(forms, size: int) -> list[list[int]]:
+    """uniformization._lattice_basis on dense vectors: each form's value on every vector, each update full width."""
+    basis = [[int(i == k) for i in range(size)] for k in range(size)]
+    for form, p in forms:
+        values = [sum(v * b[i] for i, v in form.items()) % p for b in basis]
+        piv = next((k for k in reversed(range(size)) if values[k]), None)
+        if piv is None:
+            continue
+        inv = pow(values[piv], -1, p)
+        bp = basis[piv]
+        for k in range(piv):
+            if values[k]:
+                q = values[k] * inv % p
+                basis[k] = [x - q * y for x, y in zip(basis[k], bp)]
+        basis[piv] = [p * y for y in bp]
+    return basis
+
+
+def dense_hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
+    """abelian.hnf on dense rows: the same pivots and row operations, each over the full row width."""
+    rows, cols = a.rows, a.cols
+    h = [list(row) for row in a.entries]
+    u = [list(row) for row in IntMatrix.identity(rows).entries]
+    vt = [list(row) for row in IntMatrix.identity(rows).entries] if inverse else None
+    tracked = (h, u, vt) if inverse else (h, u)
+
+    def row_sub(i: int, j: int, q: int) -> None:
+        if q == 0:
+            return
+        h[i] = [x - q * y for x, y in zip(h[i], h[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        if vt is not None:
+            vt[j] = [x + q * y for x, y in zip(vt[j], vt[i])]
+
+    def swap(i: int, j: int) -> None:
+        for m in tracked:
+            m[i], m[j] = m[j], m[i]
+
+    pr = 0
+    for c in range(cols):
+        while True:
+            best = None
+            for i in range(pr, rows):
+                v = h[i][c]
+                if v != 0 and (best is None or abs(v) < abs(h[best][c])):
+                    best = i
+            if best is None:
+                break
+            if best != pr:
+                swap(pr, best)
+            done = True
+            for i in range(pr + 1, rows):
+                if h[i][c] != 0:
+                    row_sub(i, pr, h[i][c] // h[pr][c])
+                    if h[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if pr < rows and h[pr][c] != 0:
+            if h[pr][c] < 0:
+                for m in tracked:
+                    m[pr] = [-x for x in m[pr]]
+            for i in range(pr):
+                row_sub(i, pr, h[i][c] // h[pr][c])
+            pr += 1
+            if pr == rows:
+                break
+    out = IntMatrix(tuple(map(tuple, h))), IntMatrix(tuple(map(tuple, u)))
+    return out if vt is None else (*out, IntMatrix(tuple(zip(*vt))))
 
 
 def shift_disjoint(y, y_prime, modulus: int) -> int:

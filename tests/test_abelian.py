@@ -123,6 +123,25 @@ def test_hnf_properties(a):
         last = piv
 
 
+# shapes from 0 x 0 to 6 x 8, about half the entries 0: the kernels `hnf` meets are sparse
+sparse_matrices = st.integers(0, 6).flatmap(
+    lambda r: st.integers(0, 8).flatmap(
+        lambda c: st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(-30, 30)), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+).map(from_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices | sparse_matrices)
+def test_hnf_agrees_with_the_dense_reference(a):
+    assert hnf(a) == reference.dense_hnf(a)
+    assert hnf(a, inverse=True) == reference.dense_hnf(a, inverse=True)
+
+
 def test_solve_z_exact():
     assert solve_z(from_rows([[2]]), [4]) == (2,)
 

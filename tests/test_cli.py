@@ -5,6 +5,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -343,6 +344,18 @@ def run_cli_process(argv):
         text=True,
         timeout=20,
     )
+
+
+def test_a_prime_table_mod_a_large_prime_is_built_at_once(tmp_path):
+    # t_p was once counted up one at a time, in time growing as sqrt(p) at r = 0
+    prime = 2 ** 127 - 1
+    proc = run_cli_process(["unif-table", "--p", str(prime)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["table"]["magnitude_bound"] == (math.isqrt(prime - 1) - 1) // 2
+    inst = json.loads((Path(__file__).resolve().parent / "golden" / "inputs" / "ladder-shared.json").read_text())
+    inst["levels"]["100"]["primes"][0] = prime
+    proc = run_cli_process(["unif-sim", "--instance", write(tmp_path, "inst.json", inst)])
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -851,7 +864,7 @@ def test_infeasible_solves_exit_3(tmp_path, capsys, monkeypatch):
 
     # a lattice basis that skips every index-p step does not lift into the kernel
     def identity(forms, size):
-        return [[int(i == k) for i in range(size)] for k in range(size)]
+        return [{k: 1} for k in range(size)]
 
     monkeypatch.setattr(uniformization, "_lattice_basis", identity)
     # the levels share the label a0, so its rows stay in the core that reaches the lattice solve

@@ -145,6 +145,18 @@ def test_magnitude_bounds():
     assert max_magnitude_bound(101, 1) == 1   # 3^4 < 101 but 5^4 >= 101
 
 
+def test_magnitude_bound_agrees_with_the_counting_loop():
+    for r in range(4):
+        for p in range(2, 5000):
+            assert max_magnitude_bound(p, r) == reference.max_magnitude_bound(p, r)
+    # past the loop's reach: t is largest with (2t+1)^k < p, at and beside exact powers too
+    for r in range(4):
+        k = 2 * r + 2
+        for p in (2 ** 61 - 1, 2 ** 127 - 1, 10 ** 40, 3 ** (5 * k), 3 ** (5 * k) + 1, 7 ** (9 * k) - 1):
+            t = max_magnitude_bound(p, r)
+            assert (2 * t + 1) ** k < p <= (2 * t + 3) ** k
+
+
 def test_prime_table_general_r_exhaustive():
     mu = (1,)
     tab = prime_table(101, mu)
@@ -715,6 +727,31 @@ def _kernel_agrees(monkeypatch, inst):
     kh, expected = core_splitting(a, shifts)
     assert h == kh
     assert uniformization._canonical_solution(rows, decided, shifts, particular) == expected
+
+
+def test_lattice_basis_and_kernel_form_agree_with_the_dense_reference(monkeypatch):
+    """`_lattice_basis` and `hnf` on ladder cores give the dense oracles' basis and H, U and U^-1."""
+    from lamsys import uniformization
+
+    bases, kernels = [], []
+    lattice_basis, hnf = uniformization._lattice_basis, uniformization.hnf
+    monkeypatch.setattr(uniformization, "_lattice_basis", lambda *args: bases.append(args) or lattice_basis(*args))
+    monkeypatch.setattr(uniformization, "hnf", lambda a: kernels.append(a) or hnf(a))
+    rng = random.Random(3201)
+    for r in (0, 1):
+        for n_levels, m in SHARED_SHAPES:
+            assert simulate(_shared_ladder(rng, "i", r, n_levels, m)).ok
+        for subcase in ("i", "ii"):
+            for _ in range(10):
+                assert simulate(_draw_ladder(rng.randint, rng.sample, subcase, r, 3)).ok
+    monkeypatch.undo()
+    assert len(bases) == len(kernels) > len(SHARED_SHAPES)
+    for forms, size in bases:
+        basis = lattice_basis(forms, size)
+        assert all(all(b.values()) for b in basis)
+        assert [[b.get(i, 0) for i in range(size)] for b in basis] == reference.lattice_basis(forms, size)
+    for a in kernels:
+        assert hnf(a, inverse=True) == reference.dense_hnf(a, inverse=True)
 
 
 def test_core_kernel_agrees_with_the_generic_solve(monkeypatch):
