@@ -730,6 +730,29 @@ def test_full_window_basis_is_obstructed_exactly_when_reshuffle_is(
     assert err.getvalue() == ""
 
 
+_GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("kind", ("tree", "disjoint"))
+def test_a_transform_keeps_a_free_golden_family_free(tmp_path, kind):
+    # both kinds only split atoms, and a transversal's distinct atoms map to
+    # distinct new atoms, so a family `check-free` certifies stays free; the
+    # converse fails: `tree` can make a non-free family free
+    from helpers import run_dispatch
+
+    free = []
+    with contextlib.redirect_stderr(io.StringIO()):
+        for path in sorted(_GOLDEN_INPUTS.glob("*.json")):
+            if run_dispatch(["check-free", str(path)])[0] != 0:
+                continue
+            free.append(path.name)
+            code, out = run_dispatch(["transform", str(path), "--kind", kind])
+            assert code == 0, path.name
+            moved = write(tmp_path, path.name, json.loads(out)["document"])
+            assert run_dispatch(["check-free", moved])[0] == 0, path.name
+    assert {"free-family.json", "large-family.json", "ws-h2.json"} <= set(free)
+
+
 _MALFORMED_WITNESS_INPUTS = [
     # (system fields to replace, coloring values)
     pytest.param({"q": {}}, [3, 1], id="q-empty"),

@@ -8,8 +8,11 @@ changes reach inputs that pass the first check they meet and fail a later
 one, such as witness systems that `solve-witness` and `basis` check only
 for the faults that stop them indexing a relation row.  Whatever the input, the run must exit 0, 1 or 2 with at most
 one line on stderr and no traceback: exit 3 is an internal error, which no
-input may cause.  `unif-table` reads no file, and the `*-large` cases only
-make each run slower, so both are left out.
+input may cause.  The `*-large` cases only make each run slower, so they
+are left out.  `unif-table` reads no file, so its arguments are drawn
+instead: primes, non-primes, negatives and two large primes for `--p`, and
+`--mu` of the right shape, of a wrong type or shape, or too short.  Its
+sizes are capped in the strategy, not by a timeout.
 """
 
 import contextlib
@@ -122,3 +125,39 @@ def test_mutated_golden_inputs_keep_the_exit_contract(mutation):
     code, err = _run(*mutation)
     assert code in (0, 1, 2), err
     assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+# JSON texts of a wrong type or shape for --mu, and one that does not parse
+MU_TEXTS = ("7", "1.5", "true", "null", '"1"', '{"0": 1}', "[1.5]", '[[1, "2"]]', "[[[1]]]", "[1,")
+
+
+@st.composite
+def unif_table_argv(draw):
+    """A `unif-table` argv whose table, if the arguments are valid, takes well under a second.
+
+    2^61 - 1 and 2^127 - 1 come only at r = 0, where the prime table has one
+    center and the power tables one vector, and the second power block only
+    for p < 20.  A row of 60 values is long enough for t_2 at each such p.
+    """
+    r = draw(st.integers(-1, 1))
+    i = draw(st.sampled_from((None, -1, 0, 1, 2)))
+    p = st.integers(-3, 19 if i == 2 else 40)
+    if r == 0 and i != 2:
+        p |= st.sampled_from((2 ** 61 - 1, 2 ** 127 - 1))
+    argv = ["unif-table", "--p", str(draw(p)), "--r", str(r)]
+    if i is not None:
+        argv += ["--i", str(i)]
+    values = st.integers(-3, 3)
+    rows = st.lists(st.sampled_from((0, 1, 5, 60)).flatmap(lambda n: st.lists(values, min_size=n, max_size=n)), max_size=2)
+    mu = draw(st.none() | st.sampled_from(MU_TEXTS) | st.lists(values, max_size=2).map(json.dumps) | rows.map(json.dumps))
+    return argv if mu is None else argv + ["--mu", mu]
+
+
+@settings(max_examples=300, deadline=10_000)
+@given(unif_table_argv())
+def test_unif_table_keeps_the_exit_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_dispatch(argv)
+    assert code in (0, 2), err.getvalue()
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
