@@ -454,31 +454,6 @@ def _substitute(x: list[int], rows: Sequence[Mapping[int, int]], decided: Sequen
         x[t] = (b - sum(v * x[c] for c, v in row.items() if c != t)) // row[t]
 
 
-def _lift(
-    basis: Sequence[Mapping[int, int]],
-    free: Sequence[int],
-    rows: Sequence[Mapping[int, int]],
-    decided: Sequence[int],
-    width: int,
-) -> list[list[int]]:
-    """Each basis vector set on the `free` columns, then its decided coordinates by substitution with right side 0.
-
-    The substitution of `_substitute`, with each row's decided entry and
-    other (column, entry) pairs listed once for all the vectors, not once
-    per vector.
-    """
-    terms = [(row[t], [(c, v) for c, v in row.items() if c != t]) for row, t in zip(rows, decided)]
-    lifted = []
-    for b in basis:
-        x = [0] * width
-        for i, v in b.items():
-            x[free[i]] = v
-        for (d, others), t in zip(terms, decided):
-            x[t] = -sum(v * x[c] for c, v in others) // d
-        lifted.append(x)
-    return lifted
-
-
 def _particular(inst: LadderInstance, levels, index: Mapping[str, int], rows, decided, shifts: Sequence[int]) -> list[int]:
     """A solution of W c = -s with every z and g coordinate 0, by substitution along each row's decided y column.
 
@@ -602,10 +577,14 @@ def _canonical_solution(
     position = {t: k for k, t in enumerate(free)}
     forms = [({position[c]: v for c, v in row.items() if c in position}, abs(row[t])) for row, t in zip(rows, decided)]
     forms = [(f, p) for f, p in forms if p > 1]
-    basis = _lattice_basis(forms, len(free))
+    no_rhs = [0] * len(rows)
     kernel = []
     diagonal = 1
-    for k, (b, x) in enumerate(zip(basis, _lift(basis, free, rows, decided, width))):
+    for k, b in enumerate(_lattice_basis(forms, len(free))):
+        x = [0] * width
+        for i, v in b.items():
+            x[free[i]] = v
+        _substitute(x, rows, decided, no_rhs)
         if any(sum(v * x[c] for c, v in row.items()) for row in rows):
             raise CertificateError(f"lifted lattice basis row {k} is not in the kernel of the ladder core")
         if b.get(k, 0) <= 0 or any(v for i, v in b.items() if i < k):
@@ -643,9 +622,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     y_n; and each label's pivot row (below) holds +1 on its label column.
     The particular solution, the kernel lift and the label lift are
     substitution along those columns: `_substitute` takes rows in order and
-    sets each one's decided coordinate from the others by one division, and
-    `_lift` does the same for every kernel basis vector, with the rows'
-    entries listed once for all of them.
+    sets each one's decided coordinate from the others by one division.
 
     W c = -s always has an integer solution, even with every z and g
     coordinate 0, because each level solves its own rows on its own y

@@ -228,7 +228,7 @@ def self_checks_missed() -> list[str]:
         return power_shift(y, stride) + y.modulus
 
     lattice_basis = uniformization._lattice_basis
-    lift = uniformization._lift
+    substitute = uniformization._substitute
     particular = uniformization._particular
 
     def half_index_basis(forms, size):
@@ -236,11 +236,12 @@ def self_checks_missed() -> list[str]:
         basis = lattice_basis(forms, size)
         return basis[:-1] + [{i: 2 * x for i, x in basis[-1].items()}]
 
-    def off_kernel_lift(basis, free, rows, decided, width):
-        # the first lifted vector's first decided coordinate moves off its core row
-        lifted = lift(basis, free, rows, decided, width)
-        lifted[0][decided[0]] += 1
-        return lifted
+    def off_kernel_lift(x, rows, decided, rhs):
+        # on this ladder the particular solution and the label lift each have
+        # a nonzero right side, so only the kernel lift is moved off its rows
+        substitute(x, rows, decided, rhs)
+        if not any(rhs):
+            x[decided[0]] += 1
 
     def off_particular(*args):
         # y:40:0 holds +1 on the core row, so this moves its value
@@ -302,7 +303,7 @@ def self_checks_missed() -> list[str]:
             lambda: uniformization.simulate(_shared_ladder()),
         ),
         "lifted lattice basis": (
-            _patched(uniformization, "_lift", off_kernel_lift),
+            _patched(uniformization, "_substitute", off_kernel_lift),
             lambda: uniformization.simulate(_shared_ladder()),
         ),
         "particular solution": (
