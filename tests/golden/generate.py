@@ -167,6 +167,31 @@ def shared_ladder_ii():
     return doc
 
 
+def shared_ladder_r2():
+    """Subcase i at r = 2, three levels of 4, 3 and 5 rungs that share s0 and s1.
+
+    Level 200 lists s1 after a label of its own, and level 300 lists s1
+    before s0, so the shared labels sit on different rungs in each level.
+    """
+    rng = random.Random("golden-shared-r2")
+    primes = [p for p in range(1009, 1500) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    labels = {
+        100: ["s0", "s1", "u2", "u3"],
+        200: ["s0", "v1", "s1"],
+        300: ["s1", "w1", "s0", "w3", "w4"],
+    }
+    doc = {"schema": SCHEMA, "subcase": "i", "r": 2, "levels": {}}
+    for alpha, g in labels.items():
+        doc["levels"][str(alpha)] = {
+            "ladder": sorted(rng.sample(range(1, alpha), len(g))),
+            "colors": [rng.randint(0, 1) for _ in g],
+            "g": g,
+            "primes": rng.sample(primes, len(g)),
+            "mu": [[rng.randint(-3, 3) for _ in g] for _ in range(2)],
+        }
+    return doc
+
+
 def greedy_family():
     """16 finals, each with a private atom and up to four of twelve shared ones."""
     rng = random.Random("golden/greedy")
@@ -402,6 +427,11 @@ def corpus():
             "unif-sim-shared-ii",
             ["unif-sim", "--instance", "inputs/ladder-shared-ii.json"],
             {"ladder-shared-ii.json": shared_ladder_ii()},
+        ),
+        (
+            "unif-sim-shared-r2",
+            ["unif-sim", "--instance", "inputs/ladder-shared-r2.json"],
+            {"ladder-shared-r2.json": shared_ladder_r2()},
         ),
         ("transform-disjoint", ["transform", "inputs/ws-h2.json", "--kind", "disjoint"], {}),
         ("transform-tree", ["transform", "inputs/random-family.json", "--kind", "tree"], {}),

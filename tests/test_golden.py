@@ -51,7 +51,7 @@ def test_generator_writes_the_committed_inputs_and_cases():
     spec.loader.exec_module(generate)
     cases = generate.corpus()  # builds the documents and writes nothing
     docs = {name: doc for _, _, per_case in cases for name, doc in per_case.items()}
-    assert len(docs) == 29
+    assert len(docs) == 30
     # ws-basis-stall.json is committed once and never generated
     assert sorted(p.name for p in (GOLDEN / "inputs").iterdir()) == sorted([*docs, "ws-basis-stall.json"])
     for name, doc in docs.items():
