@@ -13,9 +13,11 @@ Two table builders apply this with structured Y:
   |m_k| <= p^{t_{i-1}}, and the class-1 shift is a multiple of p^{t_{i-1}}
   whose base-p digits live in [t_{i-1}, t_i).
 
-Y is always a union of length-3P (or 2t_p+1) arithmetic intervals, so both
-builders and the exhaustive checks run on interval sets rather than element
-enumeration; moduli like 2^23 and 3^54 stay cheap.
+Y is the interval sum [-t, t] + sum_k mu_k [-t, t] (or [-P, 2P-1] + ...,
+P = p^{t_{i-1}}), built one coefficient at a time on merged segments, so
+both builders and the exhaustive checks run on interval sets, by segments
+rather than by elements or coefficient vectors; moduli like 2^23, 3^54 and
+2^127 - 1 stay cheap.
 
 `simulate` realizes the chain construction at finite truncation: a base
 presentation A from the ladder relations, a primed copy A' whose relations
@@ -29,13 +31,20 @@ along those columns.  The kernel of the coupled core is the graph of a
 congruence lattice, whose Hermite form picks the canonical splitting.  The
 recovered bits H(w) then match the input coloring at every index past the
 reported magnitude threshold n0.
+
+The generators are laid out level by level in increasing alpha, each
+level as z_1..z_r then y_0..y_top, and then the labels g, sorted.  The z
+and y columns come first because the kernel of W projects onto their
+coordinates: the balanced reduction of the splitting zeroes them whenever
+the base elements leave enough freedom, which keeps the reported
+thresholds small.  Every column is computed from the level sizes; the
+names are written once, for the output.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from itertools import product
 from typing import Mapping, Sequence
 
 from .abelian import (
@@ -73,14 +82,7 @@ class IntervalSet:
             else:
                 pieces.append((lo_m, modulus - 1))
                 pieces.append((0, hi_m))
-        pieces.sort()
-        merged: list[list[int]] = []
-        for lo, hi in pieces:
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(modulus, tuple((a, b) for a, b in merged))
+        return cls(modulus, tuple(_merged(pieces)))
 
     def contains(self, x: int) -> bool:
         x %= self.modulus
@@ -129,6 +131,39 @@ def _interval_shift_disjoint(y: IntervalSet, stride: int) -> int:
     if b is None:
         raise ValueError("difference set covers every candidate shift")
     return b
+
+
+def _merged(pieces) -> list[tuple[int, int]]:
+    """The integer segments [lo, hi] of `pieces` in order, those that overlap or touch joined."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted(pieces):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(a, b) for a, b in merged]
+
+
+def _interval_sum(base: tuple[int, int], t: int, coeffs: Sequence[int], modulus: int) -> list[tuple[int, int]]:
+    """Integer segments whose residues mod modulus are those of base + sum_k coeffs[k] * [-t, t].
+
+    One coefficient at a time, as its balanced residue s' mod modulus, with
+    s = |s'|: the copies of a segment of L integers translated by m s, m in
+    [-t, t], overlap or touch when s <= L, and so make one segment; else
+    they stay 2t+1 segments.  So the work grows with the segments, not with
+    the (2t+1)^r coefficient vectors.
+    """
+    segments = [base]
+    for c in coeffs:
+        s = abs((c + modulus // 2) % modulus - modulus // 2)
+        pieces = []
+        for lo, hi in segments:
+            if s <= hi - lo + 1:
+                pieces.append((lo - t * s, hi + t * s))
+            else:
+                pieces += [(lo + m * s, hi + m * s) for m in range(-t, t + 1)]
+        segments = _merged(pieces)
+    return segments
 
 
 def max_magnitude_bound(p: int, r: int) -> int:
@@ -180,8 +215,7 @@ def prime_table(p: int, mu: Sequence[int] = ()) -> PrimeTable:
         raise ValueError(f"{p} is not prime")
     r = len(mu)
     t = max_magnitude_bound(p, r)
-    centers = sorted({sum(c * m for c, m in zip(mu, vec)) for vec in product(range(-t, t + 1), repeat=r)})
-    y = IntervalSet.from_raw([(c - t, c + t) for c in centers], p)
+    y = IntervalSet.from_raw(_interval_sum((-t, t), t, key[1], p), p)
     b = _interval_shift_disjoint(y, 1)
     one = y.shift(b)
     if not y.disjoint_from(one):
@@ -273,10 +307,8 @@ def power_table(
     r = len(mu_cut)
     modulus = p ** t_cur
     big_p = p ** t_prev
-    coeffs = [sum(p ** j * row[j] for j in range(t_cur)) % modulus for row in mu_cut]
-    vecs = product(range(-big_p, big_p + 1), repeat=r)
-    centers = sorted({sum(c * m for c, m in zip(coeffs, vec)) % modulus for vec in vecs})
-    y = IntervalSet.from_raw([(c - big_p, c + 2 * big_p - 1) for c in centers], modulus)
+    coeffs = [sum(p ** j * row[j] for j in range(t_cur)) for row in mu_cut]
+    y = IntervalSet.from_raw(_interval_sum((-big_p, 2 * big_p - 1), big_p, coeffs, modulus), modulus)
     b = _interval_shift_disjoint(y, big_p)
     one = y.shift(b)
     if not y.disjoint_from(one) or b % big_p:
@@ -429,18 +461,52 @@ class SimulationReport:
         return all(self.checks.values()) and all(lv.matches_from_n0 for lv in self.levels)
 
 
-def _gen_names(inst: LadderInstance, n_rel_of) -> list[str]:
-    # z and y generators first: the kernel of the relation matrix projects
-    # onto their coordinates, so the balanced reduction of the splitting
-    # zeroes them whenever the base elements leave enough freedom, keeping
-    # the reported thresholds small
-    names = []
-    for lv in sorted(inst.levels, key=lambda l: l.alpha):
-        names += [f"z:{lv.alpha}:{k}" for k in range(1, inst.r + 1)]
-        names += [f"y:{lv.alpha}:{n}" for n in range(n_rel_of(lv) + 1)]
-    labels = sorted({g for lv in inst.levels for g in lv.g_labels})
-    names += [f"g:{g}" for g in labels]
-    return names
+def _ladder_rows(inst: LadderInstance, levels: Sequence[LadderLevel], thresholds: Sequence[int]):
+    """W's rows on the generator layout of the module docstring, and what each row carries besides.
+
+    `levels` is sorted by alpha.  Returns (names, rows, shifts, decided,
+    labels, row_tables, y0s): the generator names; per row its {column:
+    nonzero entry}, its shift, the y column it decides (p_n on y_{n+1} in
+    subcase i, -1 on y_n in ii), its label column and its table; and each
+    level's y_0 column, which its z_1..z_r columns precede.  Subcase ii
+    fetches each level's power table once per block, not once per row.
+    """
+    r = inst.r
+    n_rels = [len(lv.primes) if inst.subcase == "i" else thresholds[-1] for lv in levels]
+    y0s, width = [], 0
+    for n_rel in n_rels:
+        y0s.append(width + r)
+        width += r + n_rel + 1
+    label_names = sorted({g for lv in levels for g in lv.g_labels})
+    label_col = {g: width + k for k, g in enumerate(label_names)}
+    names, rows, shifts, decided, labels, row_tables = [], [], [], [], [], []
+    for lv, n_rel, y0 in zip(levels, n_rels, y0s):
+        names += [f"z:{lv.alpha}:{k}" for k in range(1, r + 1)]
+        names += [f"y:{lv.alpha}:{n}" for n in range(n_rel + 1)]
+        mu_at = list(zip(*lv.mu)) if r else [()] * n_rel  # mu_at[n]: (mu_1(n), ..., mu_r(n))
+        if inst.subcase == "i":
+            tables = [prime_table(prime, mu_at[n]) for n, prime in enumerate(lv.primes)]
+            shifts += [tab.shift[color] for tab, color in zip(tables, lv.colors)]
+            level_rows = [{y0 + n + 1: prime, y0: -1} for n, prime in enumerate(lv.primes)]
+            decided += range(y0 + 1, y0 + n_rel + 1)
+        else:
+            tables = []
+            for block in range(1, len(thresholds)):
+                tab = power_table(inst.p, block, thresholds, lv.mu)
+                tables += [tab] * (thresholds[block] - thresholds[block - 1])
+                shifts += tab.digits[lv.colors[block - 1]]
+            level_rows = [{y0 + n + 1: inst.p, y0 + n: -1} for n in range(n_rel)]
+            decided += range(y0, y0 + n_rel)
+        for row, mu_n, g in zip(level_rows, mu_at, lv.g_labels):
+            for k, v in enumerate(mu_n):
+                if v:
+                    row[y0 - r + k] = -v
+            row[label_col[g]] = 1
+            labels.append(label_col[g])
+        rows += level_rows
+        row_tables += tables
+    names += [f"g:{g}" for g in label_names]
+    return names, rows, shifts, decided, labels, row_tables, y0s
 
 
 def _substitute(x: list[int], rows: Sequence[Mapping[int, int]], decided: Sequence[int], rhs: Sequence[int]) -> None:
@@ -454,7 +520,7 @@ def _substitute(x: list[int], rows: Sequence[Mapping[int, int]], decided: Sequen
         x[t] = (b - sum(v * x[c] for c, v in row.items() if c != t)) // row[t]
 
 
-def _particular(inst: LadderInstance, levels, index: Mapping[str, int], rows, decided, shifts: Sequence[int]) -> list[int]:
+def _particular(inst: LadderInstance, levels, y0s: Sequence[int], width: int, rows, decided, shifts: Sequence[int]) -> list[int]:
     """A solution of W c = -s with every z and g coordinate 0, by substitution along each row's decided y column.
 
     Subcase i: y_0 is s_n mod p_n for every n (Chinese remainder theorem over
@@ -462,16 +528,16 @@ def _particular(inst: LadderInstance, levels, index: Mapping[str, int], rows, de
     Subcase ii: y_top = 0, then the rows from the top down decide
     y_n = p y_{n+1} + s_n.
     """
-    c = [0] * len(index)
+    c = [0] * width
     order = slice(None) if inst.subcase == "i" else slice(None, None, -1)  # subcase ii: from the top row down
     if inst.subcase == "i":
         rest = iter(shifts)  # zip takes one shift per prime, so each level takes its own rows' shifts
-        for lv in levels:
+        for lv, column in zip(levels, y0s):
             y0, modulus = 0, 1
             for p, sn in zip(lv.primes, rest):
                 y0 += modulus * ((sn - y0) * pow(modulus, -1, p) % p)
                 modulus *= p
-            c[index[f"y:{lv.alpha}:0"]] = y0
+            c[column] = y0
     _substitute(c, rows[order], decided[order], [-s for s in shifts[order]])
     return c
 
@@ -634,6 +700,20 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     `_particular` builds this solution, so no solver is asked whether one
     exists.
 
+    Once W c = -s holds, no query from n0 on can miss, so `ok` is false only
+    when that check fails, a fault of this program, which `unif-sim` reports
+    with exit 1 and the splitting that failed.  In subcase i row n reads
+    delta(g_n) = s_n + x mod p_n, x = delta(y_0) + sum_k mu_k(n) delta(z_k).
+    From n0 on, |delta(y_0)| and every |delta(z_k)| are within the row
+    table's t_bound, so x is in its Y (m_0 = delta(y_0), m_k = delta(z_k)),
+    and delta(g_n) is in shift[c_n] + Y, which the table keeps apart from
+    the other class.  In subcase ii the block identity gives the block sum
+    as delta(y_0) + sum_k M_k delta(z_k) + sum_{n < t_i} p^n s_n mod
+    p^{t_i}, M_k the table's coefficient.  The rows of block i add
+    shift[c_i]; the earlier rows' shifts are digits, so they add a value in
+    [0, p^{t_{i-1}}), the digit part of Y.  With every magnitude within
+    p^{t_{i-1}}, the block sum is in shift[c_i] + Y.
+
     Only the coupled core of W is solved: the label columns are eliminated
     first and lifted after, the step of structured Gaussian elimination
     (LaMacchia and Odlyzko, CRYPTO '90) that needs no pivot search here,
@@ -705,48 +785,12 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
-    if inst.subcase == "ii":
-        thresholds = _reachable_thresholds(inst)
-        n_rel_of = lambda lv: thresholds[-1]
-        # block_of[n]: the power block i with t_{i-1} <= n < t_i
-        block_of = [i for i in range(1, len(thresholds)) for _ in range(thresholds[i - 1], thresholds[i])]
-    else:
-        n_rel_of = lambda lv: len(lv.primes)
-
-    names = _gen_names(inst, n_rel_of)
-    index = {g: i for i, g in enumerate(names)}
     levels = sorted(inst.levels, key=lambda l: l.alpha)
-    row_tables = []  # the table of each row, read again by that row's query
-    rows: list[dict[int, int]] = []  # each row's nonzero entries by column
-    shifts: list[int] = []
-    decides: list[int] = []  # the y column each row decides: p_n on y_{n+1} in subcase i, -1 on y_n in ii
-    labels: list[int] = []
+    thresholds = _reachable_thresholds(inst) if inst.subcase == "ii" else ()
+    names, rows, shifts, decides, labels, row_tables, y0s = _ladder_rows(inst, levels, thresholds)
     pivot_of: dict[int, int] = {}  # label column -> its pivot row, the first row with that label
-    for lv in levels:
-        n_rel = n_rel_of(lv)
-        for n in range(n_rel):
-            if inst.subcase == "i":
-                prime = lv.primes[n]
-                decides.append(index[f"y:{lv.alpha}:{n + 1}"])
-                row = {decides[-1]: prime, index[f"y:{lv.alpha}:0"]: -1}
-                tab = prime_table(prime, tuple(lv.mu[k][n] for k in range(inst.r)))
-                shift = tab.shift[lv.colors[n]]
-            else:
-                decides.append(index[f"y:{lv.alpha}:{n}"])
-                row = {index[f"y:{lv.alpha}:{n + 1}"]: inst.p, decides[-1]: -1}
-                block = block_of[n]
-                tab = power_table(inst.p, block, thresholds, lv.mu)
-                shift = tab.digits[lv.colors[block - 1]][n - thresholds[block - 1]]
-            row_tables.append(tab)
-            for k in range(inst.r):
-                if lv.mu[k][n]:
-                    row[index[f"z:{lv.alpha}:{k + 1}"]] = -lv.mu[k][n]
-            g = index[f"g:{lv.g_labels[n]}"]
-            row[g] = 1
-            labels.append(g)
-            pivot_of.setdefault(g, len(rows))
-            rows.append(row)
-            shifts.append(shift)
+    for k, g in enumerate(labels):
+        pivot_of.setdefault(g, k)
 
     later = [(k, pivot_of[g]) for k, g in enumerate(labels) if pivot_of[g] != k]
     if inst.subcase == "i":
@@ -759,11 +803,11 @@ def simulate(inst: LadderInstance) -> SimulationReport:
         # every row whose label another row shares, each level's top row first
         shared = {labels[k] for k, _ in later}
         core = [(rows[k], shifts[k], decides[k]) for k in reversed(range(len(rows))) if labels[k] in shared]
-    c_vec = [0] * len(index)
+    c_vec = [0] * len(names)
     if core:
         cols = sorted({t for row, _, _ in core for t in row})
         position = {t: j for j, t in enumerate(cols)}
-        particular = _particular(inst, levels, index, rows, decides, shifts)
+        particular = _particular(inst, levels, y0s, len(names), rows, decides, shifts)
         solution = _canonical_solution(
             [{position[t]: v for t, v in row.items()} for row, _, _ in core],
             [position[t] for _, _, t in core],
@@ -777,27 +821,23 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     _substitute(c_vec, [rows[i] for i in pivots], list(pivot_of), [-shifts[i] for i in pivots])
     splitting_ok = all(sum(v * c_vec[t] for t, v in row.items()) == -s for row, s in zip(rows, shifts))
 
-    delta = {g: -c_vec[index[g]] for g in names}
-
     level_reports = []
-    start = 0
-    for lv in levels:
-        n_rel = n_rel_of(lv)
-        lv_tables = row_tables[start:start + n_rel]
-        start += n_rel
-        d_y0 = delta[f"y:{lv.alpha}:0"]
-        d_z = tuple(delta[f"z:{lv.alpha}:{k + 1}"] for k in range(inst.r))
+    first = 0  # the level's first row
+    for lv, y0 in zip(levels, y0s):
+        d_y0 = -c_vec[y0]
+        d_z = tuple(-c_vec[t] for t in range(y0 - inst.r, y0))
         magnitude = max(map(abs, (d_y0, *d_z)))
         queries = []
         if inst.subcase == "i":
             oks = []
-            for n, tab in enumerate(lv_tables):
-                h_bit = tab.value(delta[f"g:{lv.g_labels[n]}"])
+            for n, g in enumerate(lv.g_labels):
+                tab = row_tables[first + n]
+                h_bit = tab.value(-c_vec[labels[first + n]])
                 oks.append(magnitude <= tab.t_bound)
                 queries.append(
                     {
                         "n": n,
-                        "w": {"mu": list(tab.mu), "p": tab.p, "g": lv.g_labels[n]},
+                        "w": {"mu": list(tab.mu), "p": tab.p, "g": g},
                         "H": h_bit,
                         "c": lv.colors[n],
                         "match": h_bit == lv.colors[n],
@@ -805,11 +845,14 @@ def simulate(inst: LadderInstance) -> SimulationReport:
                 )
         else:
             # each block reads its table at the block sum of delta over its g labels
+            block_sum, power = 0, 1
             for i_blk in range(1, inst.i_max + 1):
                 t_i = thresholds[i_blk]
-                block_sum = sum(inst.p ** n * delta[f"g:{lv.g_labels[n]}"] for n in range(t_i))
+                for n in range(thresholds[i_blk - 1], t_i):
+                    block_sum -= power * c_vec[labels[first + n]]
+                    power *= inst.p
                 # row t_i - 1 is the last of block i_blk
-                h_bit = lv_tables[t_i - 1].value(block_sum)
+                h_bit = row_tables[first + t_i - 1].value(block_sum)
                 queries.append(
                     {
                         "n": i_blk - 1,
@@ -823,6 +866,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
                     }
                 )
             oks = [magnitude <= inst.p ** thresholds[m] for m in range(inst.i_max)]
+        first += len(lv.g_labels)
         # n0: the start of the final run of queries whose magnitudes are in bounds
         n0 = len(oks)
         while n0 and oks[n0 - 1]:
@@ -835,7 +879,7 @@ def simulate(inst: LadderInstance) -> SimulationReport:
         generators=tuple(names),
         relations=tuple(rows),
         shift_coefficients=tuple(shifts),
-        splitting={g: c_vec[index[g]] for g in names},
+        splitting=dict(zip(names, c_vec)),
     )
     return SimulationReport(
         subcase=inst.subcase,

@@ -7,6 +7,13 @@ differential tests run both and require identical results.
 `threshold_exponents` is the step loop that tried every d in turn,
 `max_magnitude_bound` the loop that tried every t, and `shift_disjoint`
 the set search that the tables' interval search is checked against.
+`prime_zero_class` and `power_zero_class` build a table's Y from every
+coefficient vector, as the tables did before they summed intervals one
+coefficient at a time.
+`gen_names` and `ladder_rows` are `simulate`'s row assembly as it ran
+before it laid its columns out by arithmetic: a name -> column map over
+the generator names, one formatted name per lookup, and one table fetch
+per row.
 `lattice_basis` and `dense_hnf` are a ladder core's lattice basis and the
 Hermite form as they ran on dense vectors and rows, before both kept only
 nonzeros.  The linear algebra helpers (a Bareiss determinant, a rank read
@@ -37,7 +44,7 @@ from collections import deque
 from functools import cmp_to_key
 from itertools import compress, product
 
-from lamsys import jsonio
+from lamsys import jsonio, uniformization
 from lamsys.abelian import (
     CertificateError,
     DimensionError,
@@ -376,6 +383,76 @@ def max_magnitude_bound(p: int, r: int) -> int:
     while (2 * (t + 1) + 1) ** (2 * r + 2) < p:
         t += 1
     return t
+
+
+def prime_zero_class(p: int, mu) -> uniformization.IntervalSet:
+    """uniformization.prime_table's Y, from every one of the (2t+1)^r coefficient vectors."""
+    t = uniformization.max_magnitude_bound(p, len(mu))
+    centers = sorted({sum(c * m for c, m in zip(mu, vec)) for vec in product(range(-t, t + 1), repeat=len(mu))})
+    return uniformization.IntervalSet.from_raw([(c - t, c + t) for c in centers], p)
+
+
+def power_zero_class(p: int, i: int, thresholds, mu) -> uniformization.IntervalSet:
+    """uniformization.power_table's Y, from every one of the (2p^{t_{i-1}}+1)^r coefficient vectors."""
+    t_prev, t_cur = thresholds[i - 1], thresholds[i]
+    modulus, big_p = p ** t_cur, p ** t_prev
+    coeffs = [sum(p ** j * row[j] for j in range(t_cur)) % modulus for row in mu]
+    vecs = product(range(-big_p, big_p + 1), repeat=len(mu))
+    centers = sorted({sum(c * m for c, m in zip(coeffs, vec)) % modulus for vec in vecs})
+    return uniformization.IntervalSet.from_raw([(c - big_p, c + 2 * big_p - 1) for c in centers], modulus)
+
+
+def gen_names(inst, n_rel_of) -> list[str]:
+    """The generator names of a ladder instance, level by level, then the labels."""
+    names = []
+    for lv in sorted(inst.levels, key=lambda l: l.alpha):
+        names += [f"z:{lv.alpha}:{k}" for k in range(1, inst.r + 1)]
+        names += [f"y:{lv.alpha}:{n}" for n in range(n_rel_of(lv) + 1)]
+    labels = sorted({g for lv in inst.levels for g in lv.g_labels})
+    names += [f"g:{g}" for g in labels]
+    return names
+
+
+def ladder_rows(inst):
+    """(names, rows, shifts, decided, labels, table keys) of `simulate`'s rows, found by generator name.
+
+    Each row looks its columns up in a name -> column map, by the names
+    `gen_names` writes, and fetches its table on its own.  `inst` must be
+    valid, so that its thresholds are not cut short.
+    """
+    if inst.subcase == "ii":
+        thresholds = uniformization.threshold_exponents(inst.p, inst.r, inst.i_max)
+        n_rel_of = lambda lv: thresholds[-1]
+        block_of = [i for i in range(1, len(thresholds)) for _ in range(thresholds[i - 1], thresholds[i])]
+    else:
+        n_rel_of = lambda lv: len(lv.primes)
+    names = gen_names(inst, n_rel_of)
+    index = {g: i for i, g in enumerate(names)}
+    rows, shifts, decides, labels, keys = [], [], [], [], []
+    for lv in sorted(inst.levels, key=lambda l: l.alpha):
+        for n in range(n_rel_of(lv)):
+            if inst.subcase == "i":
+                prime = lv.primes[n]
+                decides.append(index[f"y:{lv.alpha}:{n + 1}"])
+                row = {decides[-1]: prime, index[f"y:{lv.alpha}:0"]: -1}
+                tab = uniformization.prime_table(prime, tuple(lv.mu[k][n] for k in range(inst.r)))
+                shift = tab.shift[lv.colors[n]]
+            else:
+                decides.append(index[f"y:{lv.alpha}:{n}"])
+                row = {index[f"y:{lv.alpha}:{n + 1}"]: inst.p, decides[-1]: -1}
+                block = block_of[n]
+                tab = uniformization.power_table(inst.p, block, thresholds, lv.mu)
+                shift = tab.digits[lv.colors[block - 1]][n - thresholds[block - 1]]
+            for k in range(inst.r):
+                if lv.mu[k][n]:
+                    row[index[f"z:{lv.alpha}:{k + 1}"]] = -lv.mu[k][n]
+            g = index[f"g:{lv.g_labels[n]}"]
+            row[g] = 1
+            labels.append(g)
+            rows.append(row)
+            shifts.append(shift)
+            keys.append(tab.key)
+    return names, rows, shifts, decides, labels, keys
 
 
 def lattice_basis(forms, size: int) -> list[list[int]]:

@@ -358,6 +358,18 @@ def test_a_prime_table_mod_a_large_prime_is_built_at_once(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_prime_table_with_mu_mod_a_large_prime_sums_intervals():
+    # Y was once built from all 2t + 1 = 3,611,622,601 coefficient vectors
+    prime = 2 ** 127 - 1
+    proc = run_cli_process(["unif-table", "--p", str(prime), "--r", "1", "--mu", "[1]"])
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout)["table"]
+    t = table["magnitude_bound"]
+    assert t == 1_805_811_300
+    # mu = 1 makes Y the one interval [-2t, 2t], so the shift is 4t + 1
+    assert table["one_class"] == [[str(2 * t + 1), str(6 * t + 1)]]
+
+
 @pytest.mark.parametrize(
     "levels,code",
     [

@@ -135,14 +135,17 @@ MU_TEXTS = ("7", "1.5", "true", "null", '"1"', '{"0": 1}', "[1.5]", '[[1, "2"]]'
 def unif_table_argv(draw):
     """A `unif-table` argv whose table, if the arguments are valid, takes well under a second.
 
-    2^61 - 1 and 2^127 - 1 come only at r = 0, where the prime table has one
-    center and the power tables one vector, and the second power block only
-    for p < 20.  A row of 60 values is long enough for t_2 at each such p.
+    2^61 - 1 and 2^127 - 1 come at r = 0 and r = 1, but not with the second
+    power block, whose modulus is p^{t_2}.  At r = 1, mu stays within
+    [-3, 3], so the prime table's Y, [-t, t] + mu_1 [-t, t], is one
+    interval however large t is; the first power block, at t_0 = 0, sums
+    three translates.  The second power block comes only for p < 20.  A
+    row of 60 values is long enough for t_2 at each such p.
     """
     r = draw(st.integers(-1, 1))
     i = draw(st.sampled_from((None, -1, 0, 1, 2)))
     p = st.integers(-3, 19 if i == 2 else 40)
-    if r == 0 and i != 2:
+    if r >= 0 and i != 2:
         p |= st.sampled_from((2 ** 61 - 1, 2 ** 127 - 1))
     argv = ["unif-table", "--p", str(draw(p)), "--r", str(r)]
     if i is not None:

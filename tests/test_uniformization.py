@@ -1,11 +1,12 @@
 """Residue tables against brute-force enumeration; chain simulation end to end."""
 
 import itertools
+import math
 import random
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from helpers import interval_size, relation_matrix, residues
@@ -155,6 +156,32 @@ def test_magnitude_bound_agrees_with_the_counting_loop():
         for p in (2 ** 61 - 1, 2 ** 127 - 1, 10 ** 40, 3 ** (5 * k), 3 ** (5 * k) + 1, 7 ** (9 * k) - 1):
             t = max_magnitude_bound(p, r)
             assert (2 * t + 1) ** k < p <= (2 * t + 3) ** k
+
+
+PRIMES_20K = tuple(p for p in range(2, 20_000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES_20K).flatmap(lambda p: st.tuples(st.just(p), st.lists(st.integers(-p, p), max_size=3))))
+def test_prime_table_agrees_with_the_coefficient_enumeration(case):
+    p, mu = case
+    assert prime_table(p, mu).zero_class == reference.prime_zero_class(p, mu)
+
+
+@st.composite
+def power_cases(draw):
+    """(p, i, thresholds, mu) for a power table with at most 5,000 coefficient vectors."""
+    p, r, i = draw(st.sampled_from((2, 3, 5))), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    thresholds = threshold_exponents(p, r, i)
+    assume((2 * p ** thresholds[i - 1] + 1) ** r <= 5000)
+    mu = draw(st.lists(st.lists(st.integers(-5, 5), min_size=thresholds[i], max_size=thresholds[i]), min_size=r, max_size=r))
+    return p, i, thresholds, mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_cases())
+def test_power_table_agrees_with_the_coefficient_enumeration(case):
+    assert power_table(*case).zero_class == reference.power_zero_class(*case)
 
 
 def test_prime_table_general_r_exhaustive():
@@ -602,6 +629,55 @@ def test_peeled_splitting_agrees_with_whole_solve(data, subcase, r, n_levels):
     _splitting_agrees(_draw_ladder(draw_int, draw_sample, subcase, r, n_levels))
 
 
+@st.composite
+def ladders(draw):
+    """A valid ladder of 1 to 3 levels at r = 0..2, on independent, shared or mixed labels.
+
+    Subcase i levels hold 1 to 3 rungs each, so their lengths differ; in
+    subcase ii every level holds t_{i_max} labels.  Shared labels are s0,
+    s1, ..., so levels of unequal length share a prefix of them.
+    """
+    subcase = draw(st.sampled_from(("i", "ii")))
+    inst = _draw_ladder(
+        lambda lo, hi: draw(st.integers(lo, hi)),
+        lambda seq, k: draw(st.permutations(seq))[:k],
+        subcase,
+        draw(st.integers(0, 2)),
+        draw(st.integers(1, 3)),
+    )
+    labels = draw(st.sampled_from(("independent", "shared", "mixed")))
+    if labels == "mixed":  # _draw_ladder's small label pool
+        return inst
+    name = "{alpha}:{n}" if labels == "independent" else "s{n}"
+    levels = [
+        replace(lv, g_labels=tuple(name.format(alpha=lv.alpha, n=n) for n in range(len(lv.g_labels))))
+        for lv in inst.levels
+    ]
+    return replace(inst, levels=tuple(levels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladders())
+def test_ladder_rows_agree_with_the_name_keyed_assembly(inst):
+    """The column layout by arithmetic gives the rows that looking each generator up by name gave."""
+    from lamsys import uniformization
+
+    levels = sorted(inst.levels, key=lambda lv: lv.alpha)
+    thresholds = uniformization._reachable_thresholds(inst) if inst.subcase == "ii" else ()
+    names, rows, shifts, decided, labels, row_tables, y0s = uniformization._ladder_rows(inst, levels, thresholds)
+    assert (names, rows, shifts, decided, labels, [tab.key for tab in row_tables]) == reference.ladder_rows(inst)
+    assert y0s == [names.index(f"y:{lv.alpha}:0") for lv in levels]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladders())
+def test_every_valid_ladder_passes_its_queries(inst):
+    """No valid instance fails a query from n0 on (the argument is in `simulate`'s docstring)."""
+    assert validate_instance(inst) == []
+    report = simulate(inst)
+    assert report.ok, [lv.queries for lv in report.levels if not lv.matches_from_n0]
+
+
 def _shared_ladder(rng, subcase, r, n_levels, m=None):
     """Every level on the same g labels, so each label's column has one +1 per level."""
     if subcase == "ii":
@@ -790,8 +866,8 @@ def test_particular_solution_satisfies_every_row_of_w(subcase, r):
         # the y column each row decides: p_n on y_{n+1} in subcase i, -1 on y_n in subcase ii
         decided = [next(t for t, v in row.items() if names[t].startswith("y:") and (v == -1) == (subcase == "ii")) for row in rows]
         levels = sorted(inst.levels, key=lambda lv: lv.alpha)
-        index = {g: t for t, g in enumerate(names)}
-        c = uniformization._particular(inst, levels, index, rows, decided, chain.shift_coefficients)
+        y0s = [names.index(f"y:{lv.alpha}:0") for lv in levels]
+        c = uniformization._particular(inst, levels, y0s, len(names), rows, decided, chain.shift_coefficients)
         assert [sum(v * c[t] for t, v in row.items()) for row in rows] == [-s for s in chain.shift_coefficients]
         assert all(c[t] == 0 for t, g in enumerate(names) if not g.startswith("y:"))
 
