@@ -534,40 +534,30 @@ def _intervals_to_doc(segments) -> list[list[str]]:
 @_unlimited_digits()
 def table_to_doc(tab) -> dict:
     if isinstance(tab, PrimeTable):
-        doc = {
-            "kind": "prime",
-            "p": str(tab.p),
-            "r": tab.r,
-            "mu": list(tab.mu),
-            "magnitude_bound": tab.t_bound,
-            "modulus": str(tab.p),
-            "shift": [str(s) for s in tab.shift],
-            "zero_class": _intervals_to_doc(tab.zero_class.segments),
-            "one_class": _intervals_to_doc(tab.one_class.segments),
-            "default": 0,
-        }
-        if tab.p <= 4096:
-            doc["values"] = {str(x): tab.value(x) for x in range(tab.p)}
-        return doc
-    if isinstance(tab, PowerTable):
+        doc = {"kind": "prime", "mu": list(tab.mu), "magnitude_bound": tab.t_bound}
+    elif isinstance(tab, PowerTable):
         doc = {
             "kind": "power",
-            "p": str(tab.p),
-            "r": tab.r,
             "block": tab.i,
             "exponents": [tab.t_prev, tab.t_cur],
             "mu": [list(row) for row in tab.mu],
-            "modulus": _decimal_text(tab.modulus),
-            "shift": [_decimal_text(s) for s in tab.shift],
             "digits": [list(d) for d in tab.digits],
-            "zero_class": _intervals_to_doc(tab.zero_class.segments),
-            "one_class": _intervals_to_doc(tab.one_class.segments),
-            "default": 0,
         }
-        if tab.modulus <= 4096:
-            doc["values"] = {str(x): tab.value(x) for x in range(tab.modulus)}
-        return doc
-    raise TypeError(f"no JSON form for {type(tab).__name__}")
+    else:
+        raise TypeError(f"no JSON form for {type(tab).__name__}")
+    modulus = tab.zero_class.modulus
+    doc |= {
+        "p": _decimal_text(tab.p),
+        "r": tab.r,
+        "modulus": _decimal_text(modulus),
+        "shift": [_decimal_text(s) for s in tab.shift],
+        "zero_class": _intervals_to_doc(tab.zero_class.segments),
+        "one_class": _intervals_to_doc(tab.one_class.segments),
+        "default": 0,
+    }
+    if modulus <= 4096:
+        doc["values"] = {str(x): tab.value(x) for x in range(modulus)}
+    return doc
 
 
 @_unlimited_digits()

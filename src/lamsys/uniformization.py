@@ -17,7 +17,11 @@ Y is the interval sum [-t, t] + sum_k mu_k [-t, t] (or [-P, 2P-1] + ...,
 P = p^{t_{i-1}}), built one coefficient at a time on merged segments, so
 both builders and the exhaustive checks run on interval sets, by segments
 rather than by elements or coefficient vectors; moduli like 2^23, 3^54 and
-2^127 - 1 stay cheap.
+2^127 - 1 stay cheap.  Y - Y is an interval sum of the same shape, the
+base's difference set plus sum_k mu_k [-2t, 2t] (a sumset identity), so
+one step, `_separation`, builds Y, Y - Y and b for both builders.  Y - Y
+has at most (4t+1)^r segments where Y has (2t+1)^r, and costs about what
+Y costs; listing every pair of Y's segments cost the square of Y's count.
 
 `simulate` realizes the chain construction at finite truncation: a base
 presentation A from the ladder relations, a primed copy A' whose relations
@@ -92,15 +96,6 @@ class IntervalSet:
     def shift(self, b: int) -> "IntervalSet":
         return IntervalSet.from_raw([(lo + b, hi + b) for lo, hi in self.segments], self.modulus)
 
-    def difference_set(self) -> "IntervalSet":
-        """The set {x - y : x, y in self} as intervals."""
-        raw = [
-            (lo1 - hi2, hi1 - lo2)
-            for lo1, hi1 in self.segments
-            for lo2, hi2 in self.segments
-        ]
-        return IntervalSet.from_raw(raw, self.modulus)
-
     def disjoint_from(self, other: "IntervalSet") -> bool:
         i = j = 0
         a, b = self.segments, other.segments
@@ -122,15 +117,6 @@ class IntervalSet:
             if x <= hi:
                 x = ((hi // stride) + 1) * stride
         return x if x < self.modulus else None
-
-
-def _interval_shift_disjoint(y: IntervalSet, stride: int) -> int:
-    """Least multiple of stride outside the difference set of y (interval path)."""
-    diffs = y.difference_set()
-    b = diffs.least_uncovered_multiple(stride)
-    if b is None:
-        raise ValueError("difference set covers every candidate shift")
-    return b
 
 
 def _merged(pieces) -> list[tuple[int, int]]:
@@ -164,6 +150,28 @@ def _interval_sum(base: tuple[int, int], t: int, coeffs: Sequence[int], modulus:
                 pieces += [(lo + m * s, hi + m * s) for m in range(-t, t + 1)]
         segments = _merged(pieces)
     return segments
+
+
+def _separation(
+    base: tuple[int, int], t: int, coeffs: Sequence[int], modulus: int, stride: int, what: str
+) -> tuple[IntervalSet, int, IntervalSet]:
+    """(Y, b, b + Y) for Y = base + sum_k coeffs[k] * [-t, t] mod modulus and b the least multiple of stride outside Y - Y.
+
+    Y - Y is the interval sum (base - base) + sum_k coeffs[k] * [-2t, 2t],
+    built as Y is, so it costs about what Y costs, not a pass over every
+    pair of Y's segments.  The certificate reads Y and b + Y alone: it raises
+    CertificateError unless they are disjoint and stride divides b.
+    """
+    lo, hi = base
+    y = IntervalSet.from_raw(_interval_sum(base, t, coeffs, modulus), modulus)
+    diffs = IntervalSet.from_raw(_interval_sum((lo - hi, hi - lo), 2 * t, coeffs, modulus), modulus)
+    b = diffs.least_uncovered_multiple(stride)
+    if b is None:
+        raise ValueError("difference set covers every candidate shift")
+    one = y.shift(b)
+    if not y.disjoint_from(one) or b % stride:
+        raise CertificateError(f"{what}: shift {b} is not a disjoint multiple of {stride}")
+    return y, b, one
 
 
 def max_magnitude_bound(p: int, r: int) -> int:
@@ -215,11 +223,7 @@ def prime_table(p: int, mu: Sequence[int] = ()) -> PrimeTable:
         raise ValueError(f"{p} is not prime")
     r = len(mu)
     t = max_magnitude_bound(p, r)
-    y = IntervalSet.from_raw(_interval_sum((-t, t), t, key[1], p), p)
-    b = _interval_shift_disjoint(y, 1)
-    one = y.shift(b)
-    if not y.disjoint_from(one):
-        raise CertificateError(f"prime table mod {p}: the two classes overlap")
+    y, b, one = _separation((-t, t), t, key[1], p, 1, f"prime table mod {p}")
     table = PrimeTable(p=p, r=r, mu=key[1], t_bound=t, shift=(0, b), zero_class=y, one_class=one)
     _prime_cache[key] = table
     return table
@@ -308,11 +312,7 @@ def power_table(
     modulus = p ** t_cur
     big_p = p ** t_prev
     coeffs = [sum(p ** j * row[j] for j in range(t_cur)) for row in mu_cut]
-    y = IntervalSet.from_raw(_interval_sum((-big_p, 2 * big_p - 1), big_p, coeffs, modulus), modulus)
-    b = _interval_shift_disjoint(y, big_p)
-    one = y.shift(b)
-    if not y.disjoint_from(one) or b % big_p:
-        raise CertificateError(f"power table mod {p}^{t_cur}: shift {b} is not a disjoint multiple of {p}^{t_prev}")
+    y, b, one = _separation((-big_p, 2 * big_p - 1), big_p, coeffs, modulus, big_p, f"power table mod {p}^{t_cur}")
     v = b // big_p
     digits1 = []
     for _ in range(t_cur - t_prev):

@@ -529,8 +529,9 @@ def dense_hnf(a: IntMatrix, inverse: bool = False) -> tuple[IntMatrix, ...]:
 def shift_disjoint(y, y_prime, modulus: int) -> int:
     """Least b in y_prime with Y and b+Y disjoint, i.e. outside {x - y : x, y in Y}.
 
-    The oracle of `uniformization._interval_shift_disjoint`.  The guarantee |Y|^2 < |Y'| is checked; when it fails but a valid b still
-    exists, the b is returned with a warning.
+    The oracle of the shift that the tables' separation step reads off Y - Y
+    built as an interval sum.  The guarantee |Y|^2 < |Y'| is checked; when
+    it fails but a valid b still exists, the b is returned with a warning.
     """
     y_set = {v % modulus for v in y}
     yp = sorted({v % modulus for v in y_prime})

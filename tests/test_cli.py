@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -334,8 +335,8 @@ def test_unif_sim_cli(tmp_path, capsys):
     assert doc["report"]["checks"] == {"projection_splitting_identity": True}
 
 
-def run_cli_process(argv):
-    """The CLI in its own process, so that a hang fails the test after 20 s."""
+def run_cli_process(argv, preexec_fn=None):
+    """The CLI in its own process, so that a hang fails the test after 20 s; `preexec_fn` runs in the child first."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
         [sys.executable, "-m", "lamsys.cli", *argv],
@@ -343,6 +344,7 @@ def run_cli_process(argv):
         capture_output=True,
         text=True,
         timeout=20,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -368,6 +370,18 @@ def test_a_prime_table_with_mu_mod_a_large_prime_sums_intervals():
     assert t == 1_805_811_300
     # mu = 1 makes Y the one interval [-2t, 2t], so the shift is 4t + 1
     assert table["one_class"] == [[str(2 * t + 1), str(6 * t + 1)]]
+
+
+def test_a_prime_table_with_a_wide_mu_separates_in_bounded_memory():
+    # Y - Y was once listed pair by pair of Y's 3,161 segments, ten million
+    # intervals, which took 2.6 GB and so met MemoryError under a 1 GiB limit
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["unif-table", "--p", "100000000000031", "--r", "1", "--mu", "[10000]"]
+    proc = run_cli_process(argv, preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["table"]["shift"] == ["0", "3161"]
 
 
 @pytest.mark.parametrize(

@@ -4,17 +4,18 @@ import itertools
 import math
 import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from helpers import interval_size, relation_matrix, residues
+from lamsys import uniformization
 from lamsys.uniformization import (
     IntervalSet,
     LadderInstance,
     LadderLevel,
-    _interval_shift_disjoint,
     max_magnitude_bound,
     power_table,
     prime_table,
@@ -34,18 +35,6 @@ def test_interval_set_wraps_and_merges():
     assert s.segments == ((0, 1), (5, 6), (10, 10))
     assert s.contains(10) and s.contains(0) and not s.contains(2)
     assert interval_size(s) == 5
-
-
-def test_interval_difference_matches_bruteforce():
-    rng = random.Random(12)
-    for _ in range(50):
-        n = rng.randint(5, 40)
-        raw = [(rng.randint(-n, n), 0) for _ in range(rng.randint(1, 4))]
-        raw = [(lo, lo + rng.randint(0, 4)) for lo, _ in raw]
-        s = IntervalSet.from_raw(raw, n)
-        expected = {(x - y) % n for x in residues(s) for y in residues(s)}
-        got = s.difference_set()
-        assert set(residues(got)) == expected
 
 
 def test_interval_least_uncovered_multiple():
@@ -84,32 +73,6 @@ def test_shift_disjoint_warning_and_error():
         assert b == 2
     with pytest.raises(ValueError, match="no valid shift exists"):
         shift_disjoint({0, 1, 2}, range(4), 4)
-
-
-def test_interval_shift_matches_set_reference():
-    # the interval path the table builders use against the set-based search
-    rng = random.Random(21)
-    for _ in range(300):
-        p, k_max = rng.choice(((2, 6), (3, 4), (5, 3), (7, 3)))
-        modulus = p ** rng.randint(1, k_max)
-        raw = []
-        for _ in range(rng.randint(1, 4)):
-            lo = rng.randint(-modulus, modulus)
-            raw.append((lo, lo + rng.randint(0, modulus // 4)))
-        y = IntervalSet.from_raw(raw, modulus)
-        for stride in (1, p):
-            candidates = range(0, modulus, stride)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    expected = shift_disjoint(set(residues(y)), candidates, modulus)
-                except ValueError:
-                    expected = None
-            try:
-                got = _interval_shift_disjoint(y, stride)
-            except ValueError:
-                got = None
-            assert got == expected, (raw, modulus, stride)
 
 
 # --- prime tables ------------------------------------------------------------
@@ -159,10 +122,11 @@ def test_magnitude_bound_agrees_with_the_counting_loop():
 
 
 PRIMES_20K = tuple(p for p in range(2, 20_000) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+PRIME_CASES = st.sampled_from(PRIMES_20K).flatmap(lambda p: st.tuples(st.just(p), st.lists(st.integers(-p, p), max_size=3)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(PRIMES_20K).flatmap(lambda p: st.tuples(st.just(p), st.lists(st.integers(-p, p), max_size=3))))
+@given(PRIME_CASES)
 def test_prime_table_agrees_with_the_coefficient_enumeration(case):
     p, mu = case
     assert prime_table(p, mu).zero_class == reference.prime_zero_class(p, mu)
@@ -182,6 +146,43 @@ def power_cases(draw):
 @given(power_cases())
 def test_power_table_agrees_with_the_coefficient_enumeration(case):
     assert power_table(*case).zero_class == reference.power_zero_class(*case)
+
+
+def _built_with_its_difference_set(build, *args):
+    """A table built afresh, with the Y - Y in which its separation step searched for the shift."""
+    searched = []
+    search = IntervalSet.least_uncovered_multiple
+
+    def spy(self, stride):
+        searched.append(self)
+        return search(self, stride)
+
+    with (
+        mock.patch.object(IntervalSet, "least_uncovered_multiple", spy),
+        mock.patch.dict(uniformization._prime_cache, clear=True),
+        mock.patch.dict(uniformization._power_cache, clear=True),
+    ):
+        tab = build(*args)
+    (diffs,) = searched
+    return tab, diffs
+
+
+# the set search lists every candidate shift, so the power tables stop at 2^20 of them: block 2 comes at p = 2, r = 0
+SMALL_POWER_CASES = power_cases().filter(lambda case: case[0] ** (case[2][case[1]] - case[2][case[1] - 1]) <= 2 ** 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(PRIME_CASES.map(lambda case: (prime_table, case)), SMALL_POWER_CASES.map(lambda case: (power_table, case))))
+def test_separation_matches_the_pairwise_difference_set_and_the_set_search(built):
+    # Y - Y is built as an interval sum; here it is every difference of two
+    # points of Y, and the shift is the set search's least one outside it
+    build, case = built
+    tab, diffs = _built_with_its_difference_set(build, *case)
+    y = set(residues(tab.zero_class))
+    n = tab.zero_class.modulus
+    stride = 1 if build is prime_table else case[0] ** case[2][case[1] - 1]
+    assert set(residues(diffs)) == {(x - v) % n for x in y for v in y}
+    assert tab.shift[1] == shift_disjoint(y, range(0, n, stride), n)
 
 
 def test_prime_table_general_r_exhaustive():
