@@ -541,7 +541,6 @@ def table_to_doc(tab) -> dict:
             "block": tab.i,
             "exponents": [tab.t_prev, tab.t_cur],
             "mu": [list(row) for row in tab.mu],
-            "digits": [list(d) for d in tab.digits],
         }
     else:
         raise TypeError(f"no JSON form for {type(tab).__name__}")

@@ -307,7 +307,9 @@ def test_unif_table_power(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["thresholds"] == [0, 4]
-    assert doc["table"]["digits"] == [[0, 0, 0, 0], [1, 1, 0, 0]]
+    # the shift 3 = 0b11 is all the class-1 digits held, so they are not written
+    assert doc["table"]["shift"] == ["0", "3"]
+    assert "digits" not in doc["table"]
     assert doc["table"]["modulus"] == "16"
 
 
