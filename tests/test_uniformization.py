@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import warnings
 from unittest import mock
 
 import pytest
