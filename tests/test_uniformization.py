@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from unittest import mock
 
 import pytest
@@ -43,6 +44,67 @@ def test_interval_least_uncovered_multiple():
     assert s.least_uncovered_multiple(6) == 6
     full = IntervalSet.from_raw([(0, 11)], 12)
     assert full.least_uncovered_multiple(1) is None
+
+
+def _separated(base, t, coeffs, modulus, stride):
+    """(b, Y - Y) from the separation step, b None where Y - Y holds every multiple of stride."""
+    searched = []
+    search = IntervalSet.least_uncovered_multiple
+
+    def spy(self, step):
+        searched.append(self)
+        return search(self, step)
+
+    with mock.patch.object(IntervalSet, "least_uncovered_multiple", spy):
+        try:
+            _, b, _ = uniformization._separation(base, t, coeffs, modulus, stride, "test")
+        except ValueError:
+            b = None
+    (diffs,) = searched
+    return b, diffs
+
+
+def _random_sum(rng, modulus):
+    """A random (base, t, coeffs) and the residues of base + sum_k coeffs[k] * [-t, t], listed point by point."""
+    lo = rng.randint(-modulus, modulus)
+    base = (lo, lo + rng.randint(0, 4))
+    t = rng.randint(0, 2)
+    coeffs = [rng.randint(-modulus, modulus) for _ in range(rng.randint(0, 2))]
+    y = {
+        (x + sum(c * m for c, m in zip(coeffs, ms))) % modulus
+        for x in range(base[0], base[1] + 1)
+        for ms in itertools.product(range(-t, t + 1), repeat=len(coeffs))
+    }
+    return base, t, coeffs, y
+
+
+def test_interval_difference_matches_bruteforce():
+    # the Y - Y that the separation step builds as an interval sum, against
+    # every difference of two points of Y
+    rng = random.Random(12)
+    for _ in range(50):
+        n = rng.randint(5, 40)
+        base, t, coeffs, y = _random_sum(rng, n)
+        _, diffs = _separated(base, t, coeffs, n, 1)
+        assert set(residues(diffs)) == {(x - v) % n for x in y for v in y}, (base, t, coeffs, n)
+
+
+def test_interval_shift_matches_set_reference():
+    # the shift the table builders use against the set-based search
+    rng = random.Random(21)
+    for _ in range(300):
+        p, k_max = rng.choice(((2, 6), (3, 4), (5, 3), (7, 3)))
+        modulus = p ** rng.randint(1, k_max)
+        base, t, coeffs, y = _random_sum(rng, modulus)
+        for stride in (1, p):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    expected = shift_disjoint(y, range(0, modulus, stride), modulus)
+                except ValueError:
+                    expected = None
+            got, _ = _separated(base, t, coeffs, modulus, stride)
+            assert got == expected, (base, t, coeffs, modulus, stride)
 
 
 # --- shift choice ------------------------------------------------------------
