@@ -486,7 +486,7 @@ def _decimal_text(n: int) -> str:
     """`str(n)`, in time below quadratic in the digits for large `n`.
 
     CPython before 3.12 writes an int in decimal in time quadratic in its
-    length, and the moduli and interval ends of a power table have millions
+    length, and the shifts and interval ends of a power table have millions
     of bits.  Above `_DECIMAL_BITS` bits, `n` is split at half its bit length,
     both halves are converted the same way, and they are joined as
     hi * 2^half + lo in exact `decimal` arithmetic, whose multiplication is
@@ -527,8 +527,19 @@ def _decimal_text(n: int) -> str:
     return "-" + text if n < 0 else text
 
 
-def _intervals_to_doc(segments) -> list[list[str]]:
-    return [[_decimal_text(lo), _decimal_text(hi)] for lo, hi in segments]
+def _class_to_doc(cls) -> list[list[str]]:
+    """A class as integer segments [lo, hi], lo its balanced residue in (-n/2, n/2], sorted.
+
+    The segments that hold 0 and n - 1 are one segment that wraps round, so
+    they are written as one.  Its residues, and those of every other
+    segment, are the same as the class's.
+    """
+    n, segments = cls.modulus, list(cls.segments)
+    if len(segments) > 1 and segments[0][0] == 0 and segments[-1][1] == n - 1:
+        first = segments.pop(0)
+        segments[-1] = (segments[-1][0], first[1] + n)
+    balanced = sorted((lo - n, hi - n) if lo > n // 2 else (lo, hi) for lo, hi in segments)
+    return [[_decimal_text(lo), _decimal_text(hi)] for lo, hi in balanced]
 
 
 @_unlimited_digits()
@@ -544,19 +555,14 @@ def table_to_doc(tab) -> dict:
         }
     else:
         raise TypeError(f"no JSON form for {type(tab).__name__}")
-    modulus = tab.zero_class.modulus
-    doc |= {
+    return doc | {
         "p": _decimal_text(tab.p),
         "r": tab.r,
-        "modulus": _decimal_text(modulus),
         "shift": [_decimal_text(s) for s in tab.shift],
-        "zero_class": _intervals_to_doc(tab.zero_class.segments),
-        "one_class": _intervals_to_doc(tab.one_class.segments),
+        "zero_class": _class_to_doc(tab.zero_class),
+        "one_class": _class_to_doc(tab.one_class),
         "default": 0,
     }
-    if modulus <= 4096:
-        doc["values"] = {str(x): tab.value(x) for x in range(modulus)}
-    return doc
 
 
 @_unlimited_digits()

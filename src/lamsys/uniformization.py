@@ -204,7 +204,7 @@ class PrimeTable:
     one_class: IntervalSet
 
     def value(self, residue: int) -> int:
-        return 1 if self.one_class.contains(residue % self.p) else 0
+        return 1 if self.one_class.contains(residue) else 0
 
     @property
     def key(self):
@@ -265,16 +265,11 @@ class PowerTable:
     t_cur: int
     mu: tuple[tuple[int, ...], ...]
     shift: tuple[int, int]
-    digits: tuple[tuple[int, ...], tuple[int, ...]]
     zero_class: IntervalSet
     one_class: IntervalSet
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.t_cur
-
     def value(self, residue: int) -> int:
-        return 1 if self.one_class.contains(residue % self.modulus) else 0
+        return 1 if self.one_class.contains(residue) else 0
 
     @property
     def key(self):
@@ -313,25 +308,10 @@ def power_table(
     big_p = p ** t_prev
     coeffs = [sum(p ** j * row[j] for j in range(t_cur)) for row in mu_cut]
     y, b, one = _separation((-big_p, 2 * big_p - 1), big_p, coeffs, modulus, big_p, f"power table mod {p}^{t_cur}")
-    v = b // big_p
-    digits1 = []
-    for _ in range(t_cur - t_prev):
-        digits1.append(v % p)
-        v //= p
-    if v:
+    # b is a multiple of p^{t_{i-1}}, so below p^{t_i} its digits lie in [t_{i-1}, t_i)
+    if b >= modulus:
         raise CertificateError(f"power table mod {p}^{t_cur}: shift {b} has more than {t_cur - t_prev} digits")
-    table = PowerTable(
-        p=p,
-        r=r,
-        i=i,
-        t_prev=t_prev,
-        t_cur=t_cur,
-        mu=mu_cut,
-        shift=(0, b),
-        digits=(tuple(0 for _ in digits1), tuple(digits1)),
-        zero_class=y,
-        one_class=one,
-    )
+    table = PowerTable(p=p, r=r, i=i, t_prev=t_prev, t_cur=t_cur, mu=mu_cut, shift=(0, b), zero_class=y, one_class=one)
     _power_cache[cache_key] = table
     return table
 
@@ -469,7 +449,9 @@ def _ladder_rows(inst: LadderInstance, levels: Sequence[LadderLevel], thresholds
     nonzero entry}, its shift, the y column it decides (p_n on y_{n+1} in
     subcase i, -1 on y_n in ii), its label column and its table; and each
     level's y_0 column, which its z_1..z_r columns precede.  Subcase ii
-    fetches each level's power table once per block, not once per row.
+    fetches each level's power table once per block, not once per row, and
+    gives the block's rows the base-p digits of the block's shift over
+    p^{t_{i-1}}, lowest first.
     """
     r = inst.r
     n_rels = [len(lv.primes) if inst.subcase == "i" else thresholds[-1] for lv in levels]
@@ -493,8 +475,11 @@ def _ladder_rows(inst: LadderInstance, levels: Sequence[LadderLevel], thresholds
             tables = []
             for block in range(1, len(thresholds)):
                 tab = power_table(inst.p, block, thresholds, lv.mu)
-                tables += [tab] * (thresholds[block] - thresholds[block - 1])
-                shifts += tab.digits[lv.colors[block - 1]]
+                tables += [tab] * (tab.t_cur - tab.t_prev)
+                v = tab.shift[lv.colors[block - 1]] // inst.p ** tab.t_prev
+                for _ in range(tab.t_cur - tab.t_prev):
+                    v, digit = divmod(v, inst.p)
+                    shifts.append(digit)
             level_rows = [{y0 + n + 1: inst.p, y0 + n: -1} for n in range(n_rel)]
             decided += range(y0, y0 + n_rel)
         for row, mu_n, g in zip(level_rows, mu_at, lv.g_labels):

@@ -442,7 +442,8 @@ def ladder_rows(inst):
                 row = {index[f"y:{lv.alpha}:{n + 1}"]: inst.p, decides[-1]: -1}
                 block = block_of[n]
                 tab = uniformization.power_table(inst.p, block, thresholds, lv.mu)
-                shift = tab.digits[lv.colors[block - 1]][n - thresholds[block - 1]]
+                # base-p digit n of the block's shift, a multiple of p^{t_{block-1}}
+                shift = tab.shift[lv.colors[block - 1]] // inst.p ** n % inst.p
             for k in range(inst.r):
                 if lv.mu[k][n]:
                     row[index[f"z:{lv.alpha}:{k + 1}"]] = -lv.mu[k][n]

@@ -245,17 +245,17 @@ def test_build_group_cli_rejects_strong_pseudoprimes(tmp_path, capsys, q0):
     assert err == f"error: q[0] = {q0} is not prime\n"
 
 
-def test_unif_table_writes_moduli_past_the_str_digit_limit(capsys):
+def test_unif_table_writes_shifts_past_the_str_digit_limit(capsys):
     from lamsys.uniformization import power_table, threshold_exponents
 
-    # block 6 at p = 2 has modulus 2^14843, a 4,469-digit number
-    code, out, err = run(capsys, ["unif-table", "--p", "2", "--i", "6"])
+    # block 7 at p = 2 has the shift 3 * 2^14843, a 4,469-digit number
+    code, out, err = run(capsys, ["unif-table", "--p", "2", "--i", "7"])
     assert (code, err) == (0, "")
-    modulus = json.loads(out)["table"]["modulus"]
-    assert len(modulus) == 4469
-    tab = power_table(2, 6, threshold_exponents(2, 0, 6), [])
+    shift = json.loads(out)["table"]["shift"][1]
+    assert len(shift) == 4469
+    tab = power_table(2, 7, threshold_exponents(2, 0, 7), [])
     with jsonio._unlimited_digits():
-        assert int(modulus) == tab.modulus
+        assert int(shift) == tab.shift[1] == 3 * 2 ** 14843
 
 
 def test_build_g_and_solve_witness(tmp_path, capsys):
@@ -298,8 +298,10 @@ def test_unif_table_spec_example(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["table"]["shift"] == ["0", "3"]
-    assert doc["table"]["values"]["2"] == 1
-    assert doc["table"]["values"]["5"] == 0
+    # Y = [-1, 1] wraps round mod 11, and is written as one segment
+    assert doc["table"]["zero_class"] == [["-1", "1"]]
+    assert doc["table"]["one_class"] == [["2", "4"]]
+    assert "values" not in doc["table"] and "modulus" not in doc["table"]
 
 
 def test_unif_table_power(tmp_path, capsys):
@@ -307,10 +309,12 @@ def test_unif_table_power(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["thresholds"] == [0, 4]
-    # the shift 3 = 0b11 is all the class-1 digits held, so they are not written
+    # the shift 3 = 0b11 is all the class-1 digits held, and the modulus is
+    # 2^4 from the exponents, so neither digits nor modulus is written
     assert doc["table"]["shift"] == ["0", "3"]
-    assert "digits" not in doc["table"]
-    assert doc["table"]["modulus"] == "16"
+    assert doc["table"]["exponents"] == [0, 4]
+    assert doc["table"]["zero_class"] == [["-1", "1"]]
+    assert not {"digits", "modulus", "values"} & doc["table"].keys()
 
 
 def test_unif_sim_cli(tmp_path, capsys):
@@ -386,6 +390,22 @@ def test_a_prime_table_with_a_wide_mu_separates_in_bounded_memory():
     assert json.loads(proc.stdout)["table"]["shift"] == ["0", "3161"]
 
 
+def test_a_power_table_deep_in_its_blocks_is_built_and_written_in_bounded_memory():
+    # block 10 at p = 2 is mod 2^9277343; the table once kept the shift's
+    # 7,421,875 digits twice over and wrote its modulus and a wrap-round
+    # segment with two ends near it, 10.6 MB of JSON, which met MemoryError
+    # under a 160 MiB limit
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
+
+    proc = run_cli_process(["unif-table", "--p", "2", "--r", "0", "--i", "10"], preexec_fn=limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout) < 3_000_000
+    doc = json.loads(proc.stdout, parse_int=str)
+    assert doc["thresholds"][-2:] == ["1855468", "9277343"]
+    assert len(doc["table"]["zero_class"]) == 1
+
+
 @pytest.mark.parametrize(
     "levels,code",
     [
@@ -419,7 +439,7 @@ def test_unif_sim_counts_mu_rows_before_any_threshold(tmp_path):
 
 
 def test_unif_table_reaches_t_8():
-    # t_8 = 371093 at p = 2; the table is about 7 MB of JSON
+    # t_8 = 371093 at p = 2; the table is about 0.11 MB of JSON
     proc = run_cli_process(["unif-table", "--p", "2", "--r", "0", "--i", "8"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["thresholds"][-1] == 371093

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from helpers import interval_size, relation_matrix, residues
-from lamsys import uniformization
+from lamsys import jsonio, uniformization
 from lamsys.uniformization import (
     IntervalSet,
     LadderInstance,
@@ -246,6 +246,24 @@ def test_separation_matches_the_pairwise_difference_set_and_the_set_search(built
     assert tab.shift[1] == shift_disjoint(y, range(0, n, stride), n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(PRIME_CASES.map(lambda case: (prime_table, case)), power_cases().map(lambda case: (power_table, case))))
+def test_written_classes_read_back_as_the_table_classes(built):
+    # the writer balances each segment's ends and joins the wrap-round pair;
+    # the residues it writes are the class's
+    build, case = built
+    tab = build(*case)
+    doc = jsonio.table_to_doc(tab)
+    n = tab.zero_class.modulus
+    for name in ("zero_class", "one_class"):
+        ends = [(int(lo), int(hi)) for lo, hi in doc[name]]
+        assert all(-n < 2 * lo <= n for lo, _ in ends)
+        # sorted, and no two segments touch round the circle, so none could be joined
+        assert all(hi + 1 < next_lo for (_, hi), (next_lo, _) in zip(ends, ends[1:]))
+        assert len(ends) < 2 or ends[-1][1] + 1 < ends[0][0] + n
+        assert IntervalSet.from_raw(ends, n) == getattr(tab, name)
+
+
 def test_prime_table_general_r_exhaustive():
     mu = (1,)
     tab = prime_table(101, mu)
@@ -294,8 +312,7 @@ def test_threshold_exponents_agree_with_the_step_loop(p):
 def test_power_table_base2_block1():
     ts = threshold_exponents(2, 0, 2)
     tab = power_table(2, 1, ts)
-    assert tab.shift[1] == 3
-    assert tab.digits == ((0, 0, 0, 0), (1, 1, 0, 0))
+    assert tab.shift == (0, 3)  # base-2 digits 1, 1, 0, 0 from the lowest
     assert set(residues(tab.zero_class)) == {15, 0, 1}
     assert tab.value(0) == 0
 
@@ -308,7 +325,8 @@ def test_power_table_exhaustive_base2_and_3():
             t_prev, t_cur = ts[i - 1], ts[i]
             mod = p ** t_cur
             shift1 = tab.shift[1]
-            assert shift1 == sum(p ** (t_prev + k) * d for k, d in enumerate(tab.digits[1]))
+            # the shift's base-p digits lie in [t_{i-1}, t_i)
+            assert shift1 % p ** t_prev == 0 and shift1 < mod
             # full enumeration of admissible arguments via the digit part
             for m0 in range(-(p ** t_prev), p ** t_prev + 1):
                 for digit_val in range(p ** t_prev):
