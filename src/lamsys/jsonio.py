@@ -81,7 +81,7 @@ def _unlimited_digits():
 
     Python (3.10.7 on) refuses to write an int of more than 4,300 digits as
     text, a guard for parsing untrusted input; results such as the products
-    of `build-group --m-max` or the moduli of `unif-table` outgrow it.  The
+    of `build-group --m-max` or the shifts of `unif-table` outgrow it.  The
     limit is lifted for the block only and put back afterwards; it is
     interpreter-wide, so concurrent blocks take turns (a nested block finds
     it lifted already and leaves it alone).

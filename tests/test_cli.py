@@ -301,7 +301,6 @@ def test_unif_table_spec_example(tmp_path, capsys):
     # Y = [-1, 1] wraps round mod 11, and is written as one segment
     assert doc["table"]["zero_class"] == [["-1", "1"]]
     assert doc["table"]["one_class"] == [["2", "4"]]
-    assert "values" not in doc["table"] and "modulus" not in doc["table"]
 
 
 def test_unif_table_power(tmp_path, capsys):
