@@ -69,16 +69,23 @@ from .whitehead import (
 )
 
 
-def _load(path: str) -> dict:
+def _load(source: str, text: str | None = None):
+    """The JSON value of the file at path `source`, or of `text` given as option `source`.
+
+    A file that cannot be read, text that is not JSON and text nested past
+    json's recursion limit (a RecursionError is no ValueError) are InputError.
+    """
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
+        if text is None:
+            with open(source) as fh:
+                text = fh.read()
+        return json.loads(text)
+    except OSError as exc:
+        raise InputError(f"{source}: cannot read ({exc.strerror or exc})")
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})")
+        raise InputError(f"{source}: not valid JSON ({exc})")
     except RecursionError as exc:
-        raise InputError(f"{path}: JSON nested too deeply ({exc})")
+        raise InputError(f"{source}: JSON nested too deeply ({exc})")
 
 
 # the options that name input files; every other parsed option is a parameter
@@ -266,7 +273,7 @@ def cmd_basis(args) -> tuple[dict, int]:
 
 
 def cmd_unif_table(args) -> tuple[dict, int]:
-    mu = json.loads(args.mu) if args.mu else []
+    mu = _load("--mu", args.mu) if args.mu else []
     if args.i is None:
         flat = ints(mu, "--mu")
         if len(flat) != args.r:

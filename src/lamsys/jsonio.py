@@ -7,39 +7,23 @@ are dot-joined digit strings with the empty string for the root.  Residue
 tables serialize residues and moduli as decimal strings since the moduli
 outgrow native word sizes.
 
-`dump` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
-indent=2) + "\n"`, which the standard library writes with its pure-Python
-encoder, one call per value.  `dump` hands a flat container (one whose
-values are all strings, numbers, bools or null) whole to the C encoder,
-with that container's line break and indent as the item separator, and adds
-the line breaks around its brackets itself.  A list of two values or more,
-or a dict of `_COLUMN_MIN` values or more, that holds containers is
-rendered a column at a time: a column of scalars or of flat lists is one
-encoder call, cut apart at its separators (an encoded scalar holds no raw
-line break and never ends in `]` or `}`, so a separator that starts with
-`,\n` falls only between values); the items of other lists form the next
-column down, and dicts that share their keys give one column per key; the
-texts are joined back with one `str.join` per container.  So the Python
-work is per column and per record, not per value.  A relation matrix goes
-into a document as its sparse rows (`_SparseRows`) and is written as its
-dense rows, each cut from one row of zeros with its nonzeros spliced in, so
-that the Python work is per nonzero, not per cell.  Integers of any length
-are written: every int-to-decimal conversion here lifts Python's
-4,300-digit limit (`_unlimited_digits`).
+`dump` writes a document on one line as compact canonical JSON (sorted
+keys, no whitespace) in one call to the standard library's encoder.  A
+relation matrix goes in as its sparse rows (`_SparseRows`) and comes out as
+its dense rows, cut from one row of zeros with the nonzeros spliced in.
+Every int-to-decimal conversion here lifts Python's 4,300-digit limit
+(`_unlimited_digits`), so integers of any length are written.
 """
 
 from __future__ import annotations
 
 import decimal
-import json
 import sys
 import threading
 from contextlib import contextmanager
-from functools import cache
-from itertools import chain, compress, islice, repeat
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from operator import itemgetter
-from typing import Any, Callable, Mapping, Sequence
+from itertools import chain
+from json.encoder import JSONEncoder
+from typing import Any, Mapping, Sequence
 
 from .abelian import DimensionError, NonfreeSpec, Presentation, Row
 from .core import (
@@ -599,132 +583,16 @@ def basis_to_doc(cand: BasisCandidate) -> dict:
 
 # --- rendering ----------------------------------------------------------------
 
-_SCALARS = frozenset({str, int, bool, float, type(None)})
-# the kind of a value of exactly this type; other types, subclasses included, are walked
-_KIND = {**dict.fromkeys(_SCALARS, "scalar"), list: "list", tuple: "list", dict: "dict"}
-_STR = frozenset({str})
-# dicts of this many values or more that hold containers are rendered a
-# column at a time (lists of two or more always are).  `dump` time on the
-# benchmark workloads' documents (seed 1; CPython 3.11, x86-64), median of 31
-# interleaved rounds, over that at 16: at 8, 1.24-1.25 on the ladder
-# workloads, 1.09 on families and 1.01 on witness; at 4, 1.3-1.9; at 32 and
-# 64, within 1%; with no column path for dicts, 1.23 on families and within
-# 1% on the other three.
-_COLUMN_MIN = 16
-
-
-@cache
-def _layout(level: int) -> tuple[Callable[[Any], str], str, str, str]:
-    """(encode, first, sep, last) for a container nested `level` deep.
-
-    `encode` writes compact JSON whose items are separated by `sep`, a line
-    break and `level + 1` indents, so a flat container comes out as
-    `json.dumps(indent=2)` writes it, short of `first` after its opening and
-    `last` before its closing bracket.
-    """
-    first = "\n" + "  " * (level + 1)
-    sep, last = "," + first, "\n" + "  " * level
-    public = JSONEncoder(sort_keys=True, separators=(sep, ": "))
-    if c_make_encoder is None:  # no _json accelerator: the same text, from a new encoder per call
-        return public.encode, first, sep, last
-    c_encode = c_make_encoder(None, public.default, encode_basestring_ascii, None, ": ", sep, True, False, True)
-    return (lambda o: "".join(c_encode(o, 0))), first, sep, last
-
-
-def _key(k, level: int) -> str:
-    """A dict key that is not a string, as `json` writes it: an int, float, bool or null as its quoted text."""
-    if k is None or isinstance(k, (int, float)):
-        return '"' + _layout(level)[0](k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _render(o, level: int, out: list[str]) -> None:
-    """Append the `json.dumps(o, sort_keys=True, indent=2)` text of `o`, nested `level` deep."""
-    encode, first, sep, last = _layout(level)
-    if isinstance(o, dict):
-        values, close = o.values(), "}"
-    elif isinstance(o, (list, tuple)):
-        values, close = o, "]"
-    elif type(o) is _SparseRows:
-        out.append(o.text(level))
-        return
-    else:  # a scalar, or a value the encoder refuses with json's own TypeError
-        out.append(encode(o))
-        return
-    if _SCALARS.issuperset(map(type, values)):
-        text = encode(o)
-        out += (text[0], first, text[1:-1], last, close) if o else (text,)
-        return
-    if close == "]":
-        if len(o) > 1:
-            out += ("[", first, sep.join(_column(list(o), level + 1)), last, "]")
-            return
-    elif len(o) >= _COLUMN_MIN and _STR.issuperset(map(type, o)):
-        keys = sorted(o)
-        texts = _column(list(map(o.__getitem__, keys)), level + 1)
-        out += ("{", first, sep.join(_joined(map(encode_basestring_ascii, keys), ": ", texts)), last, "}")
-        return
-    if close == "]":
-        out.append("[")
-        for v in o:
-            out.append(first)
-            _render(v, level + 1, out)
-            first = sep
-    else:
-        out.append("{")
-        for k, v in sorted(o.items()):
-            out += (first, encode_basestring_ascii(k) if isinstance(k, str) else _key(k, level), ": ")
-            _render(v, level + 1, out)
-            first = sep
-    out += (last, close)
-
-
-def _column(column: list, level: int) -> list[str]:
-    """The `_render` text of each value of `column`, nested `level` deep, rendered a column at a time."""
-    encode, first, sep, last = _layout(level)
-    kinds = list(map(_KIND.get, map(type, column), repeat("other")))
-    kind = kinds[0]
-    if kinds.count(kind) < len(kinds):  # each kind as a column of its own, merged back in order
-        parts = {k: iter(_column(list(compress(column, map(k.__eq__, kinds))), level)) for k in set(kinds)}
-        return list(map(next, map(parts.__getitem__, kinds)))
-    if kind == "scalar":  # an encoded scalar holds no line break, so `sep` falls only between values
-        return encode(column)[1:-1].split(sep)
-    if kind == "list" and _SCALARS.issuperset(map(type, chain.from_iterable(column))):
-        # nor does it end in "]", so `"]" + sep + "["` falls only between lists
-        return [f"[{first}{body}{last}]" if body else "[]" for body in encode(column)[2:-2].split("]" + sep + "[")]
-    if kind == "list":  # their items as the next column down, put back together by length
-        items = iter(_column(list(chain.from_iterable(column)), level + 1))
-        n = len(column[0])
-        if n and all(map(n.__eq__, map(len, column))):
-            return _joined("[" + first, items, *[sep, items] * (n - 1), last + "]")
-        return [f"[{first}{sep.join(islice(items, n))}{last}]" if n else "[]" for n in map(len, column)]
-    if kind == "dict" and column[0] and _STR.issuperset(map(type, column[0])) and len(set(map(len, column))) == 1:
-        keys = sorted(column[0])
-        try:  # records, when every dict holds the keys of the first: one column per key
-            fields = [list(map(itemgetter(k), column)) for k in keys]
-        except KeyError:
-            fields = []
-        if fields:
-            heads = [(sep if i else "{" + first) + encode_basestring_ascii(k) + ": " for i, k in enumerate(keys)]
-            return _joined(*chain.from_iterable(zip(heads, map(_column, fields, repeat(level + 1)))), last + "}")
-    texts = []  # other dicts, subclasses, values the encoder refuses: walked one by one
-    for o in column:
-        out: list[str] = []
-        _render(o, level, out)
-        texts.append("".join(out))
-    return texts
+# with no C accelerator (`json.encoder.c_make_encoder` None) it writes the same text in Python
+_ENCODE = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class _SparseRows:
     """A relation matrix as its sparse rows {column: entry} and its width, written as the dense matrix.
 
-    `dump` writes it as `json.dumps` writes the list of `width`-cell rows
-    that `abelian.dense(rows, width)` holds: each row is cut out of one
-    row of zeros, with its nonzeros spliced in at their columns, so the
-    Python work is per nonzero.  A column outside `0..width-1` is a fault
-    of the program that built the rows: it raises `DimensionError` where
-    the value is made, inside the command, so that the CLI reports it as an
-    internal error and `dump` never meets it.
+    A column outside `0..width-1` is a fault of the program that built the
+    rows: it raises `DimensionError` here, inside the command, so that the
+    CLI reports it as an internal error and `dump` never meets it.
     """
 
     __slots__ = ("rows", "width")
@@ -736,47 +604,49 @@ class _SparseRows:
             raise DimensionError(f"relation row {i} stores column {c}, outside the {width} generators")
         self.rows, self.width = rows, width
 
-    def text(self, level: int) -> str:
-        """The `json.dumps(indent=2)` text of the dense rows, nested `level` deep."""
-        if not self.rows:
-            return "[]"
-        _, first, sep, last = _layout(level)
-        if not self.width:
-            return "[" + first + sep.join(repeat("[]", len(self.rows))) + last + "]"
-        _, cell_first, cell_sep, cell_last = _layout(level + 1)
-        zeros = cell_sep.join(repeat("0", self.width))
-        step = 1 + len(cell_sep)  # a zero cell and the separator after it
+    def text(self) -> str:
+        """The text of the dense rows, with Python work per nonzero, not per cell."""
+        zeros = "0," * self.width  # cell c is zeros[2c], the comma after it zeros[2c + 1]
         columns = [sorted(row) for row in self.rows]
         entries = [row[c] for row, cols in zip(self.rows, columns) for c in cols]
-        texts = iter(_column(entries, level + 2) if entries else ())
-        out = ["[", first, "[", cell_first]
+        texts = iter(_ENCODE(entries)[1:-1].split(","))  # an encoded int holds no comma
+        out = ["["]
         for cols in columns:
+            out.append("[")
             at = 0
             for c in cols:
-                out += (zeros[at : c * step], next(texts))
-                at = c * step + 1
-            out += (zeros[at:], cell_last, "]", sep, "[", cell_first)
-        out[-3:] = (last, "]")
+                out += (zeros[at : 2 * c], next(texts))
+                at = 2 * c + 1
+            out += (zeros[at:-1], "],")
+        out[-1] = "]]" if columns else "[]"
         return "".join(out)
 
 
-def _joined(*parts) -> list[str]:
-    """Texts joined position by position; each part is an iterable of texts or one text for every position."""
-    return list(map("".join, zip(*[repeat(p) if isinstance(p, str) else p for p in parts])))
+def _holds_rows(o: dict) -> bool:
+    """Whether a `_SparseRows` is a value of `o`, or of a dict among its values, at any depth."""
+    return any(type(v) is _SparseRows or isinstance(v, dict) and _holds_rows(v) for v in o.values())
+
+
+def _write(o, out: list[str]) -> None:
+    if type(o) is _SparseRows:
+        out.append(o.text())
+    elif isinstance(o, dict) and _holds_rows(o):  # key by key; a key that is no string as json writes it
+        for i, (k, v) in enumerate(sorted(o.items())):
+            out += ("," if i else "{", _ENCODE(k) if isinstance(k, str) else _ENCODE({k: 0})[1:-3], ":")
+            _write(v, out)
+        out.append("}")
+    else:  # one encoder call; a matrix in a list is json's own TypeError
+        out.append(_ENCODE(o))
 
 
 @_unlimited_digits()
 def dump(doc: Mapping) -> str:
-    """Canonical byte-stable rendering, with ints of any length.
+    """`json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`, with each matrix as its dense rows.
 
-    The text is `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, byte
-    for byte, of `doc` with each `_SparseRows(rows, width)` in it replaced
-    by the list of lists of `abelian.dense(rows, width)`, and a failure is
-    `json`'s own `TypeError`.  Containers that hold containers are rendered
-    a column at a time (see the module docstring): a few C-level passes per
-    column and one join per container, not a Python call per value.
+    A matrix (`_SparseRows`) goes at the top level or as a dict value at any
+    depth, never in a list.  A failure is `json`'s own `TypeError`.
     """
     out: list[str] = []
-    _render(doc, 0, out)
+    _write(doc, out)
     out.append("\n")
     return "".join(out)

@@ -1115,6 +1115,25 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and err.startswith(f"error: {deep}: JSON nested too deeply")
 
 
+def test_a_directory_as_input_file_exits_2(tmp_path, capsys):
+    from helpers import run_dispatch
+
+    code, out = run_dispatch(["check-free", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {tmp_path}: cannot read")
+
+
+def test_deeply_nested_mu_exits_2(capsys):
+    # --mu is parsed by the reader of input files, with its RecursionError handler
+    from helpers import run_dispatch
+
+    code, out = run_dispatch(["unif-table", "--p", "7", "--r", "1", "--mu", "[" * 20_000])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: --mu: JSON nested too deeply")
+
+
 def _ways_to_end(tmp_path, monkeypatch):
     """(argv, exit code or SystemExit) for each way dispatch can end."""
     from lamsys import cli

@@ -5,7 +5,6 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -99,7 +98,7 @@ def test_every_atom_walk_takes_an_atom_at_the_depth_bound():
     assert atom_to_jsonable(atom) == deep
     assert atom_sort_key(atom) > atom_sort_key(("x",))
     assert atom_name(atom) == "a:" + json.dumps(deep, separators=(",", ":"))
-    assert jsonio.dump({"atom": deep}) == json.dumps({"atom": deep}, sort_keys=True, indent=2) + "\n"
+    assert jsonio.dump({"atom": deep}) == json.dumps({"atom": deep}, sort_keys=True, separators=(",", ":")) + "\n"
     with pytest.raises(InputError, match=f"more than {MAX_ATOM_DEPTH} deep"):
         atom_from_jsonable([deep])
     # the check counts lists level by level, so an atom far past any recursion limit is rejected too
@@ -143,7 +142,7 @@ def test_instance_strict_fields():
 def test_dump_writes_ints_past_the_str_digit_limit():
     # 10^4999 + 7 has 5,000 digits, above Python's default limit of 4,300
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    assert jsonio.dump({"n": 10 ** 4999 + 7}) == '{\n  "n": 1' + "0" * 4998 + '7\n}\n'
+    assert jsonio.dump({"n": 10 ** 4999 + 7}) == '{"n":1' + "0" * 4998 + '7}\n'
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
     with pytest.raises(TypeError):
         jsonio.dump({"n": object()})
@@ -183,7 +182,7 @@ _KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=5),
-        # lists of exactly 0, 1 and 2 containers: a list of two or more that holds containers takes the column path
+        # lists of exactly 0, 1 and 2 containers
         st.lists(st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children), max_size=2),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=4), children, max_size=5),
@@ -209,20 +208,18 @@ def _outcome(render, doc):
 
 def _json_dumps(doc):
     with jsonio._unlimited_digits():
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @settings(max_examples=800, deadline=None)
-@given(_DOCS, st.sampled_from([jsonio._COLUMN_MIN, 1]))
-def test_dump_matches_json_dumps(doc, column_min):
-    # at a cutoff of 1 every container that holds containers is rendered a column at a time
-    with mock.patch.object(jsonio, "_COLUMN_MIN", column_min):
-        assert _outcome(jsonio.dump, doc) == _outcome(_json_dumps, doc)
+@given(_DOCS)
+def test_dump_matches_json_dumps(doc):
+    assert _outcome(jsonio.dump, doc) == _outcome(_json_dumps, doc)
 
 
 # --- dump on long columns -----------------------------------------------------
 
-# strings that hold the brackets and separators the column path splits at, and format marks
+# strings that hold brackets, separators, escapes and format marks
 _AWKWARD = st.sampled_from(
     ["]", "}", ",", '"', "\\", "%", "%s", "%%", "\n", "],\n  [", "},\n  {", "\u00e9", "\U0001d538", ""]
 )
@@ -331,17 +328,14 @@ def test_dump_without_the_c_encoder(monkeypatch):
         "empty": {},
         "records": [{"atom": a, "levels": [i, i + 1], "n": 10 ** 4400 + i} for i, a in enumerate(atoms)],
         "map": {f"{i}%": [a, "}"] for i, a in enumerate(atoms)},
-        "rows": [[i, "]"] * 150 for i in range(jsonio._COLUMN_MIN)] + [[]],
+        "rows": [[i, "]"] * 150 for i in range(16)] + [[]],
     }
-    assert len(doc["records"]) >= jsonio._COLUMN_MIN
-    monkeypatch.setattr(jsonio, "c_make_encoder", None)
-    jsonio._layout.cache_clear()
-    try:
-        assert jsonio.dump(doc) == _json_dumps(doc)
-        with pytest.raises(TypeError):
-            jsonio.dump({"a": [Fraction(1, 2)]})
-    finally:
-        jsonio._layout.cache_clear()
+    matrix = {"rels": jsonio._SparseRows([{2: -1, 0: 10 ** 4400}, {}], 3)}
+    expected = _json_dumps({**doc, "rels": [[10 ** 4400, 0, -1], [0, 0, 0]]})  # by the C encoder
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert jsonio.dump({**doc, **matrix}) == expected
+    with pytest.raises(TypeError):
+        jsonio.dump({"a": [Fraction(1, 2)]})
 
 
 # --- relation matrices from sparse rows against their dense lists ---------------
@@ -365,28 +359,21 @@ _NEIGHBOURS = st.integers(-5, 5) | st.lists(st.integers(-5, 5), max_size=3) | st
 
 @st.composite
 def _placed(draw):
-    """The matrix under 0 to 3 levels: a dict value, a list of 1 or 2, or a column of `_COLUMN_MIN` values or more."""
+    """The matrix at the top level or as a dict value under 1 to 3 dicts, whose other values may be matrices too."""
     value = _MATRIX
     for _ in range(draw(st.integers(0, 3))):
-        where = draw(st.sampled_from(["dict", "short list", "list column", "dict column"]))
-        if where == "dict":
-            value = {draw(st.text(max_size=3)): value, "~": draw(_NEIGHBOURS)}
-        elif where == "short list":
-            value = [value] if draw(st.booleans()) else draw(st.permutations([value, draw(_NEIGHBOURS)]))
-        else:
-            column = draw(st.lists(_NEIGHBOURS, min_size=jsonio._COLUMN_MIN, max_size=jsonio._COLUMN_MIN + 4))
-            column.insert(draw(st.integers(0, len(column))), value)
-            value = column if where == "list column" else {f"k{i:02d}": v for i, v in enumerate(column)}
+        value = {**draw(st.dictionaries(st.text(max_size=3), _NEIGHBOURS, max_size=3)), draw(st.text(max_size=3)): value}
     return value
 
 
-def _with_matrix(o, matrix):
+def _with_matrix(o, in_dict, in_list):
+    """`o` with `in_dict` for each matrix at the top level or under dicts only, and `in_list` for each under a list."""
     if o is _MATRIX:
-        return matrix
+        return in_dict
     if isinstance(o, dict):
-        return {k: _with_matrix(v, matrix) for k, v in o.items()}
+        return {k: _with_matrix(v, in_dict, in_list) for k, v in o.items()}
     if isinstance(o, list):
-        return [_with_matrix(v, matrix) for v in o]
+        return [_with_matrix(v, in_list, in_list) for v in o]
     return o
 
 
@@ -394,14 +381,18 @@ def _with_matrix(o, matrix):
 @given(_sparse_rows(), _placed())
 @example(([], 0), _MATRIX)
 @example(([], 3), {"rels": _MATRIX})
+@example(([{}, {2: -1, 0: 5}, {}], 3), {"b": {"a": _MATRIX, "c": _MATRIX}, "~": [1]})
+@example(([{1: -(10 ** 4305)}], 2), {"x": {"y": _MATRIX}})
+# a matrix in a list, at any depth, is refused as json refuses any value it cannot encode
 @example(([{}, {}], 0), [_MATRIX, 1])
-@example(([{}, {2: -1, 0: 5}, {}], 3), [[_MATRIX, _MATRIX], {"a": _MATRIX}])
 @example(([{1: -(10 ** 4305)}], 2), {"x": {"y": [_MATRIX]}})
+@example(([{0: 1}], 1), {"x": [{"y": _MATRIX}]})
 def test_dump_writes_sparse_rows_as_json_dumps_writes_their_dense_lists(rows_width, doc):
     rows, width = rows_width
     dense_lists = [list(row) for row in dense(rows, width).entries]
-    sparse = _with_matrix(doc, jsonio._SparseRows(rows, width))
-    assert jsonio.dump(sparse) == _json_dumps(_with_matrix(doc, dense_lists))
+    sparse = jsonio._SparseRows(rows, width)
+    expected = _outcome(_json_dumps, _with_matrix(doc, dense_lists, sparse))
+    assert _outcome(jsonio.dump, _with_matrix(doc, sparse, sparse)) == expected
 
 
 # --- system_to_doc against the per-occurrence reference ------------------------
