@@ -383,6 +383,7 @@ def _with_matrix(o, in_dict, in_list):
 @example(([], 3), {"rels": _MATRIX})
 @example(([{}, {2: -1, 0: 5}, {}], 3), {"b": {"a": _MATRIX, "c": _MATRIX}, "~": [1]})
 @example(([{1: -(10 ** 4305)}], 2), {"x": {"y": _MATRIX}})
+@example(([{0: 1}], 1), {1.5: {True: _MATRIX}, 2: [1]})  # keys that are no strings, as json writes them
 # a matrix in a list, at any depth, is refused as json refuses any value it cannot encode
 @example(([{}, {}], 0), [_MATRIX, 1])
 @example(([{1: -(10 ** 4305)}], 2), {"x": {"y": [_MATRIX]}})
