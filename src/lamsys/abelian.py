@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator, Mapping, Sequence
 
 from .record import record
@@ -490,10 +490,13 @@ class Presentation:
     relations: tuple[Row, ...]
 
     def __post_init__(self):
-        n = len(self.generators)
-        for i, row in enumerate(self.relations):
-            if not all(0 <= t < n and v for t, v in row.items()):
-                raise DimensionError(f"relation row {i} stores a zero or a column outside the {n} generators")
+        # the one relation-row check, at C speed; only a failing matrix is searched for its first fault
+        n, rows = len(self.generators), self.relations
+        columns, entries = [*chain.from_iterable(rows)], chain.from_iterable(row.values() for row in rows)
+        if columns and not 0 <= min(columns) <= max(columns) < n or not all(entries):
+            i, c = next((i, c) for i, row in enumerate(rows) for c, v in row.items() if not (0 <= c < n and v))
+            fault = f"a zero at column {c}" if 0 <= c < n else f"column {c}, outside the {n} generators"
+            raise DimensionError(f"relation row {i} stores {fault}")
         if len(set(self.generators)) != n:
             raise DimensionError("duplicate generator names")
 

@@ -9,8 +9,9 @@ outgrow native word sizes.
 
 `dump` writes a document on one line as compact canonical JSON (sorted
 keys, no whitespace) in one call to the standard library's encoder.  A
-relation matrix goes in as its sparse rows (`_SparseRows`) and comes out as
-its dense rows, cut from one row of zeros with the nonzeros spliced in.
+relation matrix goes in as its `Presentation`, checked where it was built,
+and comes out as its dense rows, `len(generators)` cells each, cut from one
+row of zeros with the nonzeros spliced in.
 Every int-to-decimal conversion here lifts Python's 4,300-digit limit
 (`_unlimited_digits`), so integers of any length are written.
 """
@@ -23,9 +24,9 @@ import threading
 from contextlib import contextmanager
 from itertools import chain
 from json.encoder import JSONEncoder
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from .abelian import DimensionError, NonfreeSpec, Presentation, Row
+from .abelian import NonfreeSpec, Presentation
 from .core import (
     MAX_ATOM_DEPTH,
     Atom,
@@ -389,7 +390,7 @@ def witness_to_doc(w: Witness) -> dict:
 
 
 def presentation_to_doc(p: Presentation) -> dict:
-    return {"gens": list(p.generators), "rels": _SparseRows(p.relations, len(p.generators))}
+    return {"gens": list(p.generators), "rels": p}
 
 
 _CHAIN_REQUIRED = {"schema", "r", "q", "d", "J"}
@@ -566,10 +567,10 @@ def simulation_to_doc(report: SimulationReport) -> dict:
             }
             for lv in report.levels
         ],
-        "splitting": dict(report.chain.splitting),
+        "splitting": dict(report.splitting),
         "generators": list(report.chain.generators),
-        "relations": _SparseRows(report.chain.relations, len(report.chain.generators)),
-        "shift_coefficients": list(report.chain.shift_coefficients),
+        "relations": report.chain,
+        "shift_coefficients": list(report.shift_coefficients),
         "table_keys": [list(map(str, key)) for key in report.table_keys],
     }
 
@@ -587,49 +588,32 @@ def basis_to_doc(cand: BasisCandidate) -> dict:
 _ENCODE = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class _SparseRows:
-    """A relation matrix as its sparse rows {column: entry} and its width, written as the dense matrix.
-
-    A column outside `0..width-1` is a fault of the program that built the
-    rows: it raises `DimensionError` here, inside the command, so that the
-    CLI reports it as an internal error and `dump` never meets it.
-    """
-
-    __slots__ = ("rows", "width")
-
-    def __init__(self, rows: Sequence[Row], width: int):
-        columns = [*chain.from_iterable(rows)]
-        if columns and not 0 <= min(columns) <= max(columns) < width:
-            i, c = next((i, c) for i, row in enumerate(rows) for c in row if not 0 <= c < width)
-            raise DimensionError(f"relation row {i} stores column {c}, outside the {width} generators")
-        self.rows, self.width = rows, width
-
-    def text(self) -> str:
-        """The text of the dense rows, with Python work per nonzero, not per cell."""
-        zeros = "0," * self.width  # cell c is zeros[2c], the comma after it zeros[2c + 1]
-        columns = [sorted(row) for row in self.rows]
-        entries = [row[c] for row, cols in zip(self.rows, columns) for c in cols]
-        texts = iter(_ENCODE(entries)[1:-1].split(","))  # an encoded int holds no comma
-        out = ["["]
-        for cols in columns:
-            out.append("[")
-            at = 0
-            for c in cols:
-                out += (zeros[at : 2 * c], next(texts))
-                at = 2 * c + 1
-            out += (zeros[at:-1], "],")
-        out[-1] = "]]" if columns else "[]"
-        return "".join(out)
+def _dense_text(p: Presentation) -> str:
+    """The text of `p`'s relations as dense rows, with Python work per nonzero, not per cell."""
+    zeros = "0," * len(p.generators)  # cell c is zeros[2c], the comma after it zeros[2c + 1]
+    columns = [sorted(row) for row in p.relations]
+    entries = [row[c] for row, cols in zip(p.relations, columns) for c in cols]
+    texts = iter(_ENCODE(entries)[1:-1].split(","))  # an encoded int holds no comma
+    out = ["["]
+    for cols in columns:
+        out.append("[")
+        at = 0
+        for c in cols:
+            out += (zeros[at : 2 * c], next(texts))
+            at = 2 * c + 1
+        out += (zeros[at:-1], "],")
+    out[-1] = "]]" if columns else "[]"
+    return "".join(out)
 
 
 def _holds_rows(o: dict) -> bool:
-    """Whether a `_SparseRows` is a value of `o`, or of a dict among its values, at any depth."""
-    return any(type(v) is _SparseRows or isinstance(v, dict) and _holds_rows(v) for v in o.values())
+    """Whether a `Presentation` is a value of `o`, or of a dict among its values, at any depth."""
+    return any(type(v) is Presentation or isinstance(v, dict) and _holds_rows(v) for v in o.values())
 
 
 def _write(o, out: list[str]) -> None:
-    if type(o) is _SparseRows:
-        out.append(o.text())
+    if type(o) is Presentation:
+        out.append(_dense_text(o))
     elif isinstance(o, dict) and _holds_rows(o):  # key by key; a key that is no string as json writes it
         for i, (k, v) in enumerate(sorted(o.items())):
             out += ("," if i else "{", _ENCODE(k) if isinstance(k, str) else _ENCODE({k: 0})[1:-3], ":")
@@ -643,8 +627,9 @@ def _write(o, out: list[str]) -> None:
 def dump(doc: Mapping) -> str:
     """`json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`, with each matrix as its dense rows.
 
-    A matrix (`_SparseRows`) goes at the top level or as a dict value at any
-    depth, never in a list.  A failure is `json`'s own `TypeError`.
+    A matrix (a `Presentation`, written as its relations) goes at the top
+    level or as a dict value at any depth, never in a list.  A failure is
+    `json`'s own `TypeError`.
     """
     out: list[str] = []
     _write(doc, out)

@@ -34,7 +34,8 @@ particular solution, the kernel lift and the label lift are substitution
 along those columns.  The kernel of the coupled core is the graph of a
 congruence lattice, whose Hermite form picks the canonical splitting.  The
 recovered bits H(w) then match the input coloring at every index past the
-reported magnitude threshold n0.
+reported magnitude threshold n0.  The report holds A as one
+`abelian.Presentation`, checked where it is built, beside a and c.
 
 The generators are laid out level by level in increasing alpha, each
 level as z_1..z_r then y_0..y_top, and then the labels g, sorted.  The z
@@ -54,6 +55,7 @@ from typing import Mapping, Sequence
 from .abelian import (
     CertificateError,
     IntMatrix,
+    Presentation,
     add_multiple,
     hnf,
     is_prime,
@@ -406,16 +408,6 @@ def validate_instance(inst: LadderInstance) -> list[str]:
 
 
 @record
-class ChainState:
-    """Presentation data for the chain stage and its primed extension."""
-
-    generators: tuple[str, ...]
-    relations: tuple[dict[int, int], ...]  # W's rows as {column: nonzero entry}, never made dense
-    shift_coefficients: tuple[int, ...]   # e-coefficient removed from each primed relation
-    splitting: Mapping[str, int]          # c_x with rho(x) = x' + c_x * e
-
-
-@record
 class LevelReport:
     alpha: int
     n0: int
@@ -432,7 +424,9 @@ class LevelReport:
 class SimulationReport:
     subcase: str
     levels: tuple[LevelReport, ...]
-    chain: ChainState
+    chain: Presentation                  # A: the generators and W's rows
+    shift_coefficients: tuple[int, ...]  # e-coefficient removed from each primed relation
+    splitting: Mapping[str, int]         # c_x with rho(x) = x' + c_x * e
     checks: Mapping[str, bool]
     table_keys: tuple[tuple, ...]
 
@@ -860,16 +854,12 @@ def simulate(inst: LadderInstance) -> SimulationReport:
             LevelReport(alpha=lv.alpha, n0=n0, queries=tuple(queries), delta_y0=d_y0, delta_z=d_z)
         )
 
-    chain = ChainState(
-        generators=tuple(names),
-        relations=tuple(rows),
-        shift_coefficients=tuple(shifts),
-        splitting=dict(zip(names, c_vec)),
-    )
     return SimulationReport(
         subcase=inst.subcase,
         levels=tuple(level_reports),
-        chain=chain,
+        chain=Presentation(tuple(names), tuple(rows)),
+        shift_coefficients=tuple(shifts),
+        splitting=dict(zip(names, c_vec)),
         checks={"projection_splitting_identity": splitting_ok},
         table_keys=tuple(sorted({tab.key for tab in row_tables})),
     )

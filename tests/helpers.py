@@ -109,7 +109,7 @@ def sparse(rows) -> tuple[dict[int, int], ...]:
 
 
 def relation_matrix(p) -> IntMatrix:
-    """The dense relation matrix of a presentation or a chain state, one column per generator."""
+    """The dense relation matrix of a presentation, one column per generator."""
     return dense(p.relations, len(p.generators))
 
 

@@ -1027,7 +1027,7 @@ def test_other_exceptions_exit_3_without_traceback(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("column", [-1, 1000])
 def test_a_relation_row_outside_the_generators_exits_3_before_output(column, capsys, monkeypatch):
-    # ChainState takes its rows unchecked, so the written matrix checks them while the command runs
+    # the report's Presentation checks its rows where it is built, inside the command
     from lamsys import cli
     from lamsys.record import replace
     from lamsys.uniformization import simulate
@@ -1052,9 +1052,10 @@ def test_shape_faults_exit_3_not_2(tmp_path, capsys, monkeypatch):
     from lamsys.abelian import Presentation
 
     builders = {
-        "relation row 1 stores a zero or a column outside the 2 generators": lambda spec: Presentation(
+        "relation row 1 stores column 2, outside the 2 generators": lambda spec: Presentation(
             ("x", "y"), ({0: 1}, {0: 1, 2: 2})
         ),
+        "relation row 0 stores a zero at column 1": lambda spec: Presentation(("x", "y"), ({0: 1, 1: 0},)),
         "duplicate generator names": lambda spec: Presentation(("x", "x"), ({0: 1},)),
     }
     spec = {"schema": "lamsys/1", "r": 0, "q": [2, 2, 2, 2], "d": [[], [], [], []], "J": 5}

@@ -13,7 +13,7 @@ import reference
 from helpers import instance_to_doc, random_whitehead_system
 
 from lamsys import jsonio
-from lamsys.abelian import dense
+from lamsys.abelian import Presentation, dense
 from lamsys.core import (
     MAX_ATOM_DEPTH,
     atom_sort_key,
@@ -330,7 +330,7 @@ def test_dump_without_the_c_encoder(monkeypatch):
         "map": {f"{i}%": [a, "}"] for i, a in enumerate(atoms)},
         "rows": [[i, "]"] * 150 for i in range(16)] + [[]],
     }
-    matrix = {"rels": jsonio._SparseRows([{2: -1, 0: 10 ** 4400}, {}], 3)}
+    matrix = {"rels": Presentation(("a", "b", "c"), ({2: -1, 0: 10 ** 4400}, {}))}
     expected = _json_dumps({**doc, "rels": [[10 ** 4400, 0, -1], [0, 0, 0]]})  # by the C encoder
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     assert jsonio.dump({**doc, **matrix}) == expected
@@ -338,14 +338,14 @@ def test_dump_without_the_c_encoder(monkeypatch):
         jsonio.dump({"a": [Fraction(1, 2)]})
 
 
-# --- relation matrices from sparse rows against their dense lists ---------------
+# --- relation matrices of presentations against their dense lists ---------------
 
 
 @st.composite
 def _sparse_rows(draw):
-    """(rows, width): rows of {column: entry} in unsorted key order, all-zero rows, and widths down to 0."""
+    """(rows, width): rows of {column: nonzero entry} in unsorted key order, empty rows, and widths down to 0."""
     width = draw(st.integers(0, 12))
-    entries = st.integers() | st.integers(10 ** 4300, 10 ** 4310) | st.integers(-(10 ** 4310), -(10 ** 4300))
+    entries = st.integers().filter(bool) | st.integers(10 ** 4300, 10 ** 4310) | st.integers(-(10 ** 4310), -(10 ** 4300))
     rows = []
     for _ in range(draw(st.integers(0, 5))):
         columns = draw(st.permutations(range(width)))[: draw(st.integers(0, width))]
@@ -391,7 +391,7 @@ def _with_matrix(o, in_dict, in_list):
 def test_dump_writes_sparse_rows_as_json_dumps_writes_their_dense_lists(rows_width, doc):
     rows, width = rows_width
     dense_lists = [list(row) for row in dense(rows, width).entries]
-    sparse = jsonio._SparseRows(rows, width)
+    sparse = Presentation(tuple(map(str, range(width))), tuple(rows))
     expected = _outcome(_json_dumps, _with_matrix(doc, dense_lists, sparse))
     assert _outcome(jsonio.dump, _with_matrix(doc, sparse, sparse)) == expected
 

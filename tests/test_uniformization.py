@@ -407,7 +407,7 @@ def test_simulate_case_i_spec_example():
     assert lv.n0 == 0
     assert all(q["match"] for q in lv.queries)
     # independent recomputation of the recovered bits from the splitting
-    c_map = report.chain.splitting
+    c_map = report.splitting
     idx = {g: i for i, g in enumerate(report.chain.generators)}
     primes = (11, 13, 17, 19, 23, 29)
     colors = (1, 0, 1, 1, 0, 1)
@@ -511,7 +511,7 @@ def test_simulate_case_i_zero_colors():
     lv = report.levels[0]
     assert lv.n0 == 0 and lv.delta_y0 == 0
     assert all(q["H"] == 0 for q in lv.queries)
-    assert all(v == 0 for v in report.chain.splitting.values())
+    assert all(v == 0 for v in report.splitting.values())
 
 
 def test_simulate_case_i_general_r():
@@ -587,7 +587,7 @@ def test_simulate_case_ii_base2():
     assert [q["c"] for q in lv.queries] == [1, 0]
     assert all(q["match"] for q in lv.queries)
     # independent residue recomputation for block 1 (modulus 16)
-    c_map = report.chain.splitting
+    c_map = report.splitting
     tab1 = power_table(2, 1, ts)
     arg = sum(2 ** n * (-c_map[f"g:d{n}"]) for n in range(ts[1]))
     assert tab1.value(arg % 16) == 1
@@ -683,8 +683,8 @@ def _splitting_agrees(inst):
 
     report = simulate(inst)
     chain = report.chain
-    expected = whole_splitting(relation_matrix(chain), chain.shift_coefficients)
-    assert tuple(chain.splitting[g] for g in chain.generators) == expected
+    expected = whole_splitting(relation_matrix(chain), report.shift_coefficients)
+    assert tuple(report.splitting[g] for g in chain.generators) == expected
     assert report.checks == {"projection_splitting_identity": True}
 
 
@@ -940,15 +940,16 @@ def test_particular_solution_satisfies_every_row_of_w(subcase, r):
         levels=tuple(replace(lv, g_labels=tuple(f"{lv.alpha}{g}" for g in lv.g_labels)) for lv in shared.levels),
     )
     for inst in (independent, shared, _repeat_and_skip(shared)):
-        chain = simulate(inst).chain
+        report = simulate(inst)
+        chain = report.chain
         names = chain.generators
         rows = list(chain.relations)
         # the y column each row decides: p_n on y_{n+1} in subcase i, -1 on y_n in subcase ii
         decided = [next(t for t, v in row.items() if names[t].startswith("y:") and (v == -1) == (subcase == "ii")) for row in rows]
         levels = sorted(inst.levels, key=lambda lv: lv.alpha)
         y0s = [names.index(f"y:{lv.alpha}:0") for lv in levels]
-        c = uniformization._particular(inst, levels, y0s, len(names), rows, decided, chain.shift_coefficients)
-        assert [sum(v * c[t] for t, v in row.items()) for row in rows] == [-s for s in chain.shift_coefficients]
+        c = uniformization._particular(inst, levels, y0s, len(names), rows, decided, report.shift_coefficients)
+        assert [sum(v * c[t] for t, v in row.items()) for row in rows] == [-s for s in report.shift_coefficients]
         assert all(c[t] == 0 for t, g in enumerate(names) if not g.startswith("y:"))
 
 
@@ -987,9 +988,9 @@ def test_independent_ladders_run_no_solver(monkeypatch):
     for inst in (spec_case_i_instance(), _independent_ii()):
         report = simulate(inst)
         assert report.ok
-        c = report.chain.splitting
+        c = report.splitting
         # c(g_n) = -s_n, and 0 on every y and z column
         g_rows = [g for lv in sorted(inst.levels, key=lambda l: l.alpha) for g in lv.g_labels]
-        assert [c[f"g:{g}"] for g in g_rows] == [-s for s in report.chain.shift_coefficients]
+        assert [c[f"g:{g}"] for g in g_rows] == [-s for s in report.shift_coefficients]
         assert all(v == 0 for g, v in c.items() if not g.startswith("g:"))
 
