@@ -69,23 +69,31 @@ from .whitehead import (
 )
 
 
+MAX_INPUT_DIGITS = 100_000  # reading an int is quadratic in its digits before CPython 3.12: 0.1 s at the bound
+
+
 def _load(source: str, text: str | None = None):
     """The JSON value of the file at path `source`, or of `text` given as option `source`.
 
-    A file that cannot be read, text that is not JSON and text nested past
-    json's recursion limit (a RecursionError is no ValueError) are InputError.
+    A file that cannot be read, text that is not JSON, text nested past
+    json's recursion limit (a RecursionError is no ValueError) and an
+    integer of more than MAX_INPUT_DIGITS digits are InputError.
     """
     try:
         if text is None:
             with open(source) as fh:
                 text = fh.read()
-        return json.loads(text)
     except OSError as exc:
         raise InputError(f"{source}: cannot read ({exc.strerror or exc})")
+    try:
+        with jsonio.digit_limit(MAX_INPUT_DIGITS):
+            return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}: not valid JSON ({exc})")
     except RecursionError as exc:
         raise InputError(f"{source}: JSON nested too deeply ({exc})")
+    except ValueError:  # the digit limit
+        raise InputError(f"{source}: an integer of more than {MAX_INPUT_DIGITS:,} digits, the bound of this reader")
 
 
 # the options that name input files; every other parsed option is a parameter

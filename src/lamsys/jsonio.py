@@ -13,7 +13,7 @@ relation matrix goes in as its `Presentation`, checked where it was built,
 and comes out as its dense rows, `len(generators)` cells each, cut from one
 row of zeros with the nonzeros spliced in.
 Every int-to-decimal conversion here lifts Python's 4,300-digit limit
-(`_unlimited_digits`), so integers of any length are written.
+(`digit_limit(0)`), so integers of any length are written.
 """
 
 from __future__ import annotations
@@ -61,25 +61,25 @@ _DIGITS_LOCK = threading.RLock()
 
 
 @contextmanager
-def _unlimited_digits():
-    """Write ints of any length as decimal text while the block runs.
+def digit_limit(limit: int):
+    """Convert ints of up to `limit` digits (0: any length) to and from decimal text while the block runs.
 
-    Python (3.10.7 on) refuses to write an int of more than 4,300 digits as
-    text, a guard for parsing untrusted input; results such as the products
-    of `build-group --m-max` or the shifts of `unif-table` outgrow it.  The
-    limit is lifted for the block only and put back afterwards; it is
-    interpreter-wide, so concurrent blocks take turns (a nested block finds
-    it lifted already and leaves it alone).
+    Python (3.10.7 on) refuses to write or read an int of more than 4,300
+    digits as decimal text, a guard for parsing untrusted input; results
+    such as the products of `build-group --m-max` or the shifts of
+    `unif-table` outgrow it, and so may an input.  The limit is set for the
+    block only and put back afterwards; it is interpreter-wide, so
+    concurrent blocks take turns.
     """
     with _DIGITS_LOCK:
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        if limit:
-            sys.set_int_max_str_digits(0)
+        old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if old is not None:
+            sys.set_int_max_str_digits(limit)
         try:
             yield
         finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+            if old is not None:
+                sys.set_int_max_str_digits(old)
 
 
 def _require_keys(doc: Mapping, required: set[str], optional: set[str], context: str) -> None:
@@ -527,7 +527,7 @@ def _class_to_doc(cls) -> list[list[str]]:
     return [[_decimal_text(lo), _decimal_text(hi)] for lo, hi in balanced]
 
 
-@_unlimited_digits()
+@digit_limit(0)
 def table_to_doc(tab) -> dict:
     if isinstance(tab, PrimeTable):
         doc = {"kind": "prime", "mu": list(tab.mu), "magnitude_bound": tab.t_bound}
@@ -550,7 +550,7 @@ def table_to_doc(tab) -> dict:
     }
 
 
-@_unlimited_digits()
+@digit_limit(0)
 def simulation_to_doc(report: SimulationReport) -> dict:
     return {
         "subcase": report.subcase,
@@ -623,7 +623,7 @@ def _write(o, out: list[str]) -> None:
         out.append(_ENCODE(o))
 
 
-@_unlimited_digits()
+@digit_limit(0)
 def dump(doc: Mapping) -> str:
     """`json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`, with each matrix as its dense rows.
 

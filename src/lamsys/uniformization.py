@@ -132,6 +132,9 @@ def _merged(pieces) -> list[tuple[int, int]]:
     return [(a, b) for a, b in merged]
 
 
+MAX_PIECES = 2 ** 18  # per coefficient of an interval sum; the tests and golden cases need at most 77,933
+
+
 def _interval_sum(base: tuple[int, int], t: int, coeffs: Sequence[int], modulus: int) -> list[tuple[int, int]]:
     """Integer segments whose residues mod modulus are those of base + sum_k coeffs[k] * [-t, t].
 
@@ -139,11 +142,14 @@ def _interval_sum(base: tuple[int, int], t: int, coeffs: Sequence[int], modulus:
     s = |s'|: the copies of a segment of L integers translated by m s, m in
     [-t, t], overlap or touch when s <= L, and so make one segment; else
     they stay 2t+1 segments.  So the work grows with the segments, not with
-    the (2t+1)^r coefficient vectors.
+    the (2t+1)^r coefficient vectors; more than MAX_PIECES pieces is a ValueError.
     """
     segments = [base]
     for c in coeffs:
         s = abs((c + modulus // 2) % modulus - modulus // 2)
+        count = sum(1 if s <= hi - lo + 1 else 2 * t + 1 for lo, hi in segments)
+        if count > MAX_PIECES:
+            raise ValueError(f"the residue table needs {count:,} interval pieces, over the bound of {MAX_PIECES:,}")
         pieces = []
         for lo, hi in segments:
             if s <= hi - lo + 1:

@@ -254,7 +254,7 @@ def test_unif_table_writes_shifts_past_the_str_digit_limit(capsys):
     shift = json.loads(out)["table"]["shift"][1]
     assert len(shift) == 4469
     tab = power_table(2, 7, threshold_exponents(2, 0, 7), [])
-    with jsonio._unlimited_digits():
+    with jsonio.digit_limit(0):
         assert int(shift) == tab.shift[1] == 3 * 2 ** 14843
 
 
@@ -1133,6 +1133,46 @@ def test_deeply_nested_mu_exits_2(capsys):
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: --mu: JSON nested too deeply")
+
+
+def test_mu_past_the_str_digit_limit_is_read(capsys):
+    # a 5,001-digit --mu once met Python's 4,300-digit limit on int parsing and exited 2 with its message
+    from helpers import run_dispatch
+
+    mu = 10 ** 5000
+    code, out = run_dispatch(["unif-table", "--p", "7", "--r", "1", "--mu", f"[{'1' + '0' * 5000}]"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    with jsonio.digit_limit(0):
+        assert json.loads(out)["table"]["mu"] == [mu]
+
+
+def test_an_input_integer_past_the_digit_bound_exits_2_at_once(tmp_path, capsys):
+    # reading a decimal int is quadratic in its digits, so the reader refuses one past its bound before reading it
+    from helpers import run_dispatch
+    from lamsys.cli import MAX_INPUT_DIGITS
+
+    path = tmp_path / "c.json"
+    path.write_text('{"schema": "lamsys/1", "c": {"0": [1' + "0" * MAX_INPUT_DIGITS + "]}}")
+    start = time.perf_counter()
+    code, out = run_dispatch(["solve-witness", "--system", write(tmp_path, "ws.json", witness_doc()), "--c", str(path)])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: an integer of more than {MAX_INPUT_DIGITS:,} digits, the bound of this reader\n"
+
+
+def test_a_residue_table_past_the_piece_bound_exits_2_in_bounded_memory():
+    # Y at p = 2^127 - 1 and mu = 10^11 is 2t + 1 = 3,611,622,601 segments, and
+    # building them once ran out of memory (exit 3, MemoryError, under 512 MiB)
+    from lamsys.uniformization import MAX_PIECES
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    argv = ["unif-table", "--p", str(2 ** 127 - 1), "--r", "1", "--mu", "[100000000000]"]
+    proc = run_cli_process(argv, preexec_fn=limit_address_space)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"error: the residue table needs 3,611,622,601 interval pieces, over the bound of {MAX_PIECES:,}\n"
 
 
 def _ways_to_end(tmp_path, monkeypatch):

@@ -136,14 +136,15 @@ def unif_table_argv(draw):
     """A `unif-table` argv whose table, if the arguments are valid, takes well under a second.
 
     2^61 - 1 and 2^127 - 1 come at r = 0 and r = 1, but not with the second
-    power block, whose modulus is p^{t_2}.  At r = 1 and 2^61 - 1, mu
-    ranges over [-p, p]: t is 19,483, so Y has at most 2t + 1 segments and
-    Y - Y at most 4t + 1.  At 2^127 - 1, t is 1,805,811,300, and Y alone
-    has 2t + 1, about 3.6 * 10^9, segments once |mu| > 2t + 1, so there mu
-    stays within [-3, 3], where Y, [-t, t] + mu_1 [-t, t], is one
-    interval.  The first power block, at t_0 = 0, sums three translates.
-    The second power block comes only for p < 20.  A row of 60 values is
-    long enough for t_2 at each such p.
+    power block, whose modulus is p^{t_2}.  At r = 1 mu ranges over [-p, p]
+    at both.  At 2^61 - 1, t is 19,483, so Y has at most 2t + 1 segments
+    and Y - Y at most 4t + 1.  At 2^127 - 1, t is 1,805,811,300: Y is one
+    interval while |mu| <= 2t + 1, and past that its 2t + 1, about 3.6 *
+    10^9, segments are more than `uniformization.MAX_PIECES`, so the table
+    is refused with exit 2 before a segment is built.  The first power
+    block, at t_0 = 0, sums three translates.  The second power block comes
+    only for p < 20.  A row of 60 values is long enough for t_2 at each
+    such p.
     """
     r = draw(st.integers(-1, 1))
     i = draw(st.sampled_from((None, -1, 0, 1, 2)))
@@ -154,7 +155,7 @@ def unif_table_argv(draw):
     argv = ["unif-table", "--p", str(prime), "--r", str(r)]
     if i is not None:
         argv += ["--i", str(i)]
-    values = st.integers(-prime, prime) if r == 1 and prime == 2 ** 61 - 1 else st.integers(-3, 3)
+    values = st.integers(-prime, prime) if r == 1 and prime in (2 ** 61 - 1, 2 ** 127 - 1) else st.integers(-3, 3)
     rows = st.lists(st.sampled_from((0, 1, 5, 60)).flatmap(lambda n: st.lists(values, min_size=n, max_size=n)), max_size=2)
     mu = draw(st.none() | st.sampled_from(MU_TEXTS) | st.lists(values, max_size=2).map(json.dumps) | rows.map(json.dumps))
     return argv if mu is None else argv + ["--mu", mu]
@@ -164,6 +165,8 @@ def unif_table_argv(draw):
 @given(unif_table_argv())
 # Y - Y, once listed pair by pair of Y's 38,967 segments, ran out of memory
 @example(["unif-table", "--p", str(2 ** 61 - 1), "--r", "1", "--mu", "[1000000]"])
+# Y of 3,611,622,601 segments, once built one by one until memory ran out
+@example(["unif-table", "--p", str(2 ** 127 - 1), "--r", "1", "--mu", "[100000000000]"])
 def test_unif_table_keeps_the_exit_contract(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

@@ -143,3 +143,32 @@ def test_golden_witness_certificate_rechecks(name):
         if not check(bad, case["exit"]):
             missed.append(what)
     assert missed == []
+
+
+SOLVED = sorted(name for name, c in CASES.items() if c["argv"][0] == "solve-witness" and c["exit"] == 0)
+
+
+@pytest.mark.parametrize("kind", ("tree", "disjoint"))
+@pytest.mark.parametrize("name", SOLVED)
+def test_a_transform_keeps_solve_witness_feasible(tmp_path, capsys, name, kind):
+    # both kinds keep every node key and the length of every slice, so the
+    # transformed family with the original r, q, d and J is a witness system
+    # again, and the coloring the golden case solves stays feasible: the CLI
+    # must find a witness that the checker re-verifies on the new document
+    from helpers import run_dispatch
+
+    argv = CASES[name]["argv"]
+    system, colors = _doc(_option(argv, "--system")), _doc(_option(argv, "--c"))["c"]
+    code, out = run_dispatch(["transform", str(GOLDEN / _option(argv, "--system")), "--kind", kind])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(out)["document"] | {key: system[key] for key in ("r", "q", "d", "J")}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_dispatch(["solve-witness", "--system", str(path), "--c", str(GOLDEN / _option(argv, "--c"))])
+    assert code == 0, capsys.readouterr().err
+    result = json.loads(out)
+    # the checker keys f by json.dumps(atom), which writes a list atom with ", "; the CLI writes it compact
+    result["witness"]["f"] = {json.dumps(json.loads(k)): v for k, v in result["witness"]["f"].items()}
+    checks = _checks()
+    coloring = {zk: colors[zk][: checks.m_range(doc)] for zk in doc["q"]}
+    assert checks.solve_witness(doc, coloring, planted=True)(result, code) == []

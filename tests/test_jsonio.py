@@ -157,7 +157,7 @@ def test_decimal_text_matches_str():
     for bits in (switch - 1, switch, switch + 1, 2 * switch + 3, 300_000):
         n = rng.getrandbits(bits) | 1 << (bits - 1)  # exactly `bits` bits
         values += [n, -n, 1 << (bits - 1), (1 << bits) - 1]
-    with jsonio._unlimited_digits():
+    with jsonio.digit_limit(0):
         for n in values:
             assert jsonio._decimal_text(n) == str(n), n.bit_length()
 
@@ -207,7 +207,7 @@ def _outcome(render, doc):
 
 
 def _json_dumps(doc):
-    with jsonio._unlimited_digits():
+    with jsonio.digit_limit(0):
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
