@@ -68,16 +68,14 @@ from .whitehead import (
     verify_basis,
 )
 
-
 MAX_INPUT_DIGITS = 100_000  # reading an int is quadratic in its digits before CPython 3.12: 0.1 s at the bound
 
 
 def _load(source: str, text: str | None = None):
     """The JSON value of the file at path `source`, or of `text` given as option `source`.
 
-    A file that cannot be read, text that is not JSON, text nested past
-    json's recursion limit (a RecursionError is no ValueError) and an
-    integer of more than MAX_INPUT_DIGITS digits are InputError.
+    Unreadable files, text that is not JSON or nests past json's recursion
+    limit, and integers of more than MAX_INPUT_DIGITS digits are InputError.
     """
     try:
         if text is None:
@@ -86,8 +84,13 @@ def _load(source: str, text: str | None = None):
     except OSError as exc:
         raise InputError(f"{source}: cannot read ({exc.strerror or exc})")
     try:
-        with jsonio.digit_limit(MAX_INPUT_DIGITS):
+        try:
             return json.loads(text)
+        except ValueError as exc:  # an integer past Python's limit: read again, up to the bound
+            if isinstance(exc, json.JSONDecodeError):
+                raise
+            with jsonio.digit_limit(MAX_INPUT_DIGITS):
+                return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{source}: not valid JSON ({exc})")
     except RecursionError as exc:

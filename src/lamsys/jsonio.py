@@ -9,9 +9,8 @@ outgrow native word sizes.
 
 `dump` writes a document on one line as compact canonical JSON (sorted
 keys, no whitespace) in one call to the standard library's encoder.  A
-relation matrix goes in as its `Presentation`, checked where it was built,
-and comes out as its dense rows, `len(generators)` cells each, cut from one
-row of zeros with the nonzeros spliced in.
+relation matrix goes in as its `Presentation` and comes out as its dense
+rows, cut from one row of zeros with the nonzeros spliced in.
 Every int-to-decimal conversion here lifts Python's 4,300-digit limit
 (`digit_limit(0)`), so integers of any length are written.
 """
@@ -627,9 +626,8 @@ def _write(o, out: list[str]) -> None:
 def dump(doc: Mapping) -> str:
     """`json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`, with each matrix as its dense rows.
 
-    A matrix (a `Presentation`, written as its relations) goes at the top
-    level or as a dict value at any depth, never in a list.  A failure is
-    `json`'s own `TypeError`.
+    A matrix (a `Presentation`) goes at the top level or as a dict value at
+    any depth, never in a list.  A failure is `json`'s own `TypeError`.
     """
     out: list[str] = []
     _write(doc, out)

@@ -34,8 +34,8 @@ particular solution, the kernel lift and the label lift are substitution
 along those columns.  The kernel of the coupled core is the graph of a
 congruence lattice, whose Hermite form picks the canonical splitting.  The
 recovered bits H(w) then match the input coloring at every index past the
-reported magnitude threshold n0.  The report holds A as one
-`abelian.Presentation`, checked where it is built, beside a and c.
+reported magnitude threshold n0.  The report holds A as a checked
+`abelian.Presentation`.
 
 The generators are laid out level by level in increasing alpha, each
 level as z_1..z_r then y_0..y_top, and then the labels g, sorted.  The z
@@ -62,6 +62,8 @@ from .abelian import (
     reduce_mod_lattice,
 )
 from .record import record
+
+MAX_PIECES = 2 ** 18  # per coefficient of an interval sum; the tests and golden cases need at most 77,933
 
 
 @record
@@ -130,9 +132,6 @@ def _merged(pieces) -> list[tuple[int, int]]:
         else:
             merged.append([lo, hi])
     return [(a, b) for a, b in merged]
-
-
-MAX_PIECES = 2 ** 18  # per coefficient of an interval sum; the tests and golden cases need at most 77,933
 
 
 def _interval_sum(base: tuple[int, int], t: int, coeffs: Sequence[int], modulus: int) -> list[tuple[int, int]]:
