@@ -192,6 +192,21 @@ def shared_ladder_r2():
     return doc
 
 
+def diagonal_ladder_ii():
+    """Subcase ii at p = 2, r = 0, two levels that share only a1.
+
+    Each core row decides its y_n by the -1 there, which no other row holds,
+    so the decided block is diagonal; but it also reads y_{n+1} and a1,
+    which come after y_n.  The lifted kernel is then not in row echelon
+    form, and its Hermite form is not the lifted basis reduced above the
+    free columns.
+    """
+    doc = {"schema": SCHEMA, "subcase": "ii", "r": 0, "p": 2, "i_max": 1, "levels": {}}
+    for alpha, g, color in ((10, ["a0", "a1", "d1", "c0"], 1), (20, ["d0", "f1", "c1", "a1"], 0)):
+        doc["levels"][str(alpha)] = {"ladder": [1], "colors": [color], "g": g}
+    return doc
+
+
 def greedy_family():
     """16 finals, each with a private atom and up to four of twelve shared ones."""
     rng = random.Random("golden/greedy")
@@ -432,6 +447,11 @@ def corpus():
             "unif-sim-shared-r2",
             ["unif-sim", "--instance", "inputs/ladder-shared-r2.json"],
             {"ladder-shared-r2.json": shared_ladder_r2()},
+        ),
+        (
+            "unif-sim-ii-diagonal",
+            ["unif-sim", "--instance", "inputs/ladder-ii-diagonal.json"],
+            {"ladder-ii-diagonal.json": diagonal_ladder_ii()},
         ),
         ("transform-disjoint", ["transform", "inputs/ws-h2.json", "--kind", "disjoint"], {}),
         ("transform-tree", ["transform", "inputs/random-family.json", "--kind", "tree"], {}),
