@@ -10,8 +10,8 @@ A relation row is a sparse map {column: nonzero entry}, from the builders
 (`build_chain_group`, the witness side, `simulate`) through peeling to the
 writers, which write the dense text straight from the maps.  `dense` is
 the one place relation rows become a dense matrix: for the `snf` of the
-block that peeling leaves, for the `hnf` fallback of `outside_lattice`, and
-for the matrices `hnf` returns.
+block that peeling leaves, for the `hnf` fallback of `outside_lattice` and
+of a subcase-ii ladder core, and for the matrices `hnf` returns.
 
 A presentation's invariant factors come from unit peeling, the first step
 of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90): a
@@ -32,11 +32,12 @@ every normal form and certificate is reproducible bit for bit.  It takes
 and returns dense matrices but eliminates on sparse rows, as the kernels
 it meets are sparse: a row operation costs the nonzeros of one row.  On
 the CLI it serves two callers, both after structural elimination.  One is the
-kernel basis of a ladder system's coupled core: `uniformization.simulate`
-eliminates the label columns, reads the core's kernel off its congruence
-lattice, and takes the Hermite form of that basis, with no transform read
-and no solver run (an independent ladder reaches no `hnf` at all).  The
-other is `outside_lattice`, the generation check of `basis`, when peeling
+kernel basis of a subcase-ii ladder core: `uniformization.simulate`
+eliminates the label columns and reads the core's kernel off its congruence
+lattice; a subcase-i core's lifted basis is already in row echelon form,
+which is all `reduce_mod_lattice` needs, and an independent ladder solves
+nothing.  `reduce_mod_lattice` reads sparse rows.  The other is
+`outside_lattice`, the generation check of `basis`, when peeling
 the stacked rows does not settle generation.
 
 `solve_z` and `kernel_basis` have no CLI caller.  They read their answers
@@ -361,29 +362,29 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(zip(*dec.v.entries))[rank:])
 
 
-def reduce_mod_lattice(v: Sequence[int], h: IntMatrix) -> tuple[int, ...]:
-    """Balanced representative of v modulo the row lattice of an HNF matrix h.
+def reduce_mod_lattice(v: Sequence[int], h: Sequence[Row]) -> tuple[int, ...]:
+    """Balanced representative of v modulo the row lattice of h: sparse rows in echelon form, pivots positive.
 
-    Rows are taken in order, and each moves the coordinate at its pivot p
-    into [-(p // 2), p - 1 - p // 2], that is [-p/2, p/2).  The result is 0
-    exactly when v is in the lattice: a member stays a member and holds a
-    multiple of p at each pivot in turn, and a non-member stays outside.
+    Rows are taken in order, and each moves the coordinate at its pivot p,
+    its first column, into [-(p // 2), p - 1 - p // 2].  Later rows are 0
+    there, so the result is the one vector of v + L with each pivot
+    coordinate in range, whatever the entries above the pivots (a Hermite
+    form or not), and it is 0 exactly when v is in the lattice.
     """
-    x = list(int(t) for t in v)
-    for row in h.entries:
-        j = next(_nonzero(row), None)
-        if j is None:
-            continue
+    x = [int(t) for t in v]
+    for row in filter(None, h):
+        j = min(row)
         p = row[j]
         q = (x[j] + p // 2) // p if p > 0 else 0
         if q:
-            x = [xi - q * ri for xi, ri in zip(x, row)]
+            for t, r in row.items():
+                x[t] -= q * r
     return tuple(x)
 
 
-def in_lattice(h: IntMatrix, v: Sequence[int]) -> bool:
-    """Membership of v in the row lattice, h already in HNF."""
-    return all(t == 0 for t in reduce_mod_lattice(v, h))
+def in_lattice(h: Sequence[Row], v: Sequence[int]) -> bool:
+    """Membership of v in the row lattice of h, sparse rows in echelon form with positive pivots."""
+    return not any(reduce_mod_lattice(v, h))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -502,11 +503,11 @@ class Presentation:
 
 
 def dense(rows: Sequence[Row], width: int) -> IntMatrix:
-    """Sparse rows as a dense matrix of `width` columns, for `snf`, the `hnf` fallback and `hnf`'s results only.
+    """Sparse rows as a dense matrix of `width` columns, for `snf`, the `hnf` fallbacks and `hnf`'s results only.
 
     These are its callers: `invariant_factors` on the block left after
-    peeling, `outside_lattice`, and `hnf` for the H, U and U^-1 it
-    returns.  The writers in `jsonio` write the dense text from the rows
+    peeling, `outside_lattice`, `uniformization` for a kernel not in
+    echelon form, and `hnf` for the H, U and U^-1 it returns.  The writers in `jsonio` write the dense text from the rows
     themselves.
     """
     out = []
@@ -616,7 +617,7 @@ def outside_lattice(rows: Sequence[Row], width: int) -> list[int]:
     pivots = _unit_pivots(rows, width)
     if len(pivots) == width and not _peeled_block(rows, width, pivots):
         return []
-    h, _ = hnf(dense(rows, width))
+    h = [dict(compress(enumerate(row), row)) for row in hnf(dense(rows, width))[0].entries]
     return [t for t in range(width) if not in_lattice(h, [0] * t + [1] + [0] * (width - t - 1))]
 
 

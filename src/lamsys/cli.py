@@ -74,15 +74,17 @@ MAX_INPUT_DIGITS = 100_000  # reading an int is quadratic in its digits before C
 def _load(source: str, text: str | None = None):
     """The JSON value of the file at path `source`, or of `text` given as option `source`.
 
-    Unreadable files, text that is not JSON or nests past json's recursion
-    limit, and integers of more than MAX_INPUT_DIGITS digits are InputError.
+    Unreadable or non-UTF-8 files, text that is not JSON or nests past json's
+    recursion limit, and integers past MAX_INPUT_DIGITS digits are InputError.
     """
     try:
         if text is None:
-            with open(source) as fh:
+            with open(source, encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
         raise InputError(f"{source}: cannot read ({exc.strerror or exc})")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{source}: not UTF-8 text ({exc})")
     try:
         try:
             return json.loads(text)

@@ -95,7 +95,7 @@ def _check_schema(doc: Mapping, context: str) -> None:
     if not isinstance(doc, dict):
         raise InputError(f"{context}: expected a JSON object")
     if doc.get("schema") != SCHEMA:
-        raise InputError(f"{context}: schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
+        raise InputError(f"{context}: schema must be {SCHEMA!r}, got {_echo(doc.get('schema'))}")
 
 
 # The helpers below take the field name and the keys that lead to the value
@@ -124,9 +124,20 @@ def _lists_of(types: frozenset, values) -> bool:
     return _exact_types(_LISTS, values) and _exact_types(types, chain.from_iterable(values))
 
 
+def _echo(v) -> str:
+    """repr(v), with each run of digits past Python's int-to-str limit given by its length."""
+    try:
+        return repr(v)
+    except ValueError:  # an int past the limit, which `cli` reads up to its own bound
+        import re  # loaded with json already
+        limit = sys.get_int_max_str_digits()
+        with digit_limit(0):
+            return re.sub(rf"\d{{{limit + 1},}}", lambda m: f"<{len(m[0]):,} digits>", repr(v))
+
+
 def _malformed(expected: str, v, field: str, keys) -> InputError:
     path = "".join(f" {k!r}" for k in keys)
-    return InputError(f"{field}{path}: expected {expected}, got {v!r}")
+    return InputError(f"{field}{path}: expected {expected}, got {_echo(v)}")
 
 
 def _int(v, field: str, *keys) -> int:
@@ -184,7 +195,7 @@ def _atom(v) -> Atom:
         return tuple(map(_atom, v))
     if isinstance(v, (int, str)) and not isinstance(v, bool):
         return v
-    raise InputError(f"not an atom: {v!r}")
+    raise InputError(f"not an atom: {_echo(v)}")
 
 
 def _atoms(v, field: str, *keys):

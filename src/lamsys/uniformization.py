@@ -32,7 +32,8 @@ system W c = -a over the relation matrix W.  Its solutions are read off its
 structure, with no general solver: each row decides one column; the
 particular solution, the kernel lift and the label lift are substitution
 along those columns.  The kernel of the coupled core is the graph of a
-congruence lattice, whose Hermite form picks the canonical splitting.  The
+congruence lattice, whose Hermite form picks the canonical splitting (in
+subcase i the lifted basis is in echelon form and serves, with no `hnf`).  The
 recovered bits H(w) then match the input coloring at every index past the
 reported magnitude threshold n0.  The report holds A as a checked
 `abelian.Presentation`.
@@ -54,9 +55,9 @@ from typing import Mapping, Sequence
 
 from .abelian import (
     CertificateError,
-    IntMatrix,
     Presentation,
     add_multiple,
+    dense,
     hnf,
     is_prime,
     reduce_mod_lattice,
@@ -493,7 +494,7 @@ def _ladder_rows(inst: LadderInstance, levels: Sequence[LadderLevel], thresholds
     return names, rows, shifts, decided, labels, row_tables, y0s
 
 
-def _substitute(x: list[int], rows: Sequence[Mapping[int, int]], decided: Sequence[int], rhs: Sequence[int]) -> None:
+def _substitute(x: list[int] | dict[int, int], rows: Sequence[Mapping[int, int]], decided: Sequence[int], rhs: Sequence[int]) -> None:
     """Set x[t] = (b - sum of v x[c] over the row's other entries v at c) // row[t], row by row in order.
 
     Row j decides column t = decided[j] with right side b = rhs[j].  The
@@ -526,22 +527,18 @@ def _particular(inst: LadderInstance, levels, y0s: Sequence[int], width: int, ro
     return c
 
 
-def _lattice_index(rows: Sequence[Mapping[int, int]], decided: Sequence[int]) -> int:
+def _lattice_index(rows: Sequence[Mapping[int, int]], decided: Sequence[int], holders: Mapping[int, Sequence[int]]) -> int:
     """[Z^F : L] for L the projection of the kernel of `rows` on the F columns no row decides.
 
-    Row j decides column decided[j].  Raises CertificateError unless the
-    decided block is unit triangular (each decided entry +-1 and zero on
-    every earlier row), where every x on the other columns lifts and L =
-    Z^F, or diagonal (each decided column zero on every other row), where L
-    = {x : row_j . x = 0 mod p_j} for p_j the prime row j holds on its
-    decided column.  For each prime p, L contains p Z^F on the rows with
-    that prime, with quotient the null space mod p of their forms, so the
-    index is the product over p of p^(rank mod p of those forms).
+    Row j decides column decided[j]; holders[t] lists the rows nonzero at t.
+    Raises CertificateError unless the decided block is unit triangular
+    (each decided entry +-1 and zero on every earlier row), where every x on
+    the other columns lifts and L = Z^F, or diagonal (each decided column
+    zero on every other row), where L = {x : row_j . x = 0 mod p_j} for p_j
+    the prime row j holds on its decided column.  For each prime p, L holds
+    p Z^F on the rows with that prime, with quotient the null space mod p of
+    their forms, so the index is the product over p of p^(rank mod p).
     """
-    holders: dict[int, list[int]] = {}
-    for j, row in enumerate(rows):
-        for t in row:
-            holders.setdefault(t, []).append(j)
     if all(abs(row[t]) == 1 and holders[t][0] == j for j, (row, t) in enumerate(zip(rows, decided))):
         return 1
     if any(holders[t] != [j] for j, t in enumerate(decided)):
@@ -552,10 +549,10 @@ def _lattice_index(rows: Sequence[Mapping[int, int]], decided: Sequence[int]) ->
         forms.setdefault(p, []).append({c: v % p for c, v in row.items() if c != t and v % p})
     index = 1
     for p, fs in forms.items():
-        reduced: dict[int, dict[int, int]] = {}  # pivot column -> a form that is 1 there and 0 left of it
+        reduced: dict[int, dict[int, int]] = {}  # pivot column -> a form that is 1 there and 0 right of it
         for f in fs:
             while f:
-                c = min(f)
+                c = max(f)
                 if c not in reduced:
                     inv = pow(f[c], -1, p)
                     reduced[c] = {k: v * inv % p for k, v in f.items()}
@@ -616,39 +613,52 @@ def _canonical_solution(
     one solution.  The kernel is the graph of the lattice L on the other
     columns: each vector of `_lattice_basis`, set on those columns, gets its
     decided coordinates by substitution with right side 0, and the Hermite
-    form of these rows reduces `particular`.  Raises CertificateError unless
-    the lifted rows are in the kernel, their free part B is upper triangular
-    with a positive diagonal whose product is [Z^F : L], and `particular`
-    solves every row.
+    form of these rows reduces `particular`.  Where each decided column is
+    its row's alone and last (subcase i), a row that misses a vector decides
+    0, and the lifted rows are in row echelon form, which is all the
+    reduction needs, so no `hnf` runs.  Raises CertificateError unless the lifted
+    rows are in the kernel, their free part B is upper triangular with a
+    positive diagonal whose product is [Z^F : L], and `particular` solves
+    every row.
     """
     width = len(particular)
+    holders: dict[int, list[int]] = {}  # column -> the rows nonzero there, in order
+    for j, row in enumerate(rows):
+        for t in row:
+            holders.setdefault(t, []).append(j)
+    echelon = all(holders[t] == [j] and t == max(row) for j, (row, t) in enumerate(zip(rows, decided)))
     decided_set = set(decided)
     free = [t for t in range(width) if t not in decided_set]
     position = {t: k for k, t in enumerate(free)}
     forms = [({position[c]: v for c, v in row.items() if c in position}, abs(row[t])) for row, t in zip(rows, decided)]
     forms = [(f, p) for f, p in forms if p > 1]
-    no_rhs = [0] * len(rows)
     kernel = []
     diagonal = 1
     for k, b in enumerate(_lattice_basis(forms, len(free))):
         x = [0] * width
         for i, v in b.items():
             x[free[i]] = v
-        _substitute(x, rows, decided, no_rhs)
-        if any(sum(v * x[c] for c, v in row.items()) for row in rows):
+        # on an echelon core a row that does not meet b decides 0
+        lift = sorted(set().union(*[holders.get(free[i], ()) for i in b])) if echelon else range(len(rows))
+        lifted, columns = (rows, decided) if len(lift) == len(rows) else ([rows[j] for j in lift], [decided[j] for j in lift])
+        _substitute(x, lifted, columns, [0] * len(lift))
+        # x changes only on `columns`, so it is nonzero on b's columns and those alone, which no row outside `lift` meets
+        if any(sum(v * x[t] for t, v in row.items()) for row in lifted):
             raise CertificateError(f"lifted lattice basis row {k} is not in the kernel of the ladder core")
-        if b.get(k, 0) <= 0 or any(v for i, v in b.items() if i < k):
+        x = {t: x[t] for t in [*(free[i] for i in b), *columns] if x[t]}
+        if min(b, default=-1) != k or x.get(free[k], 0) <= 0:
             raise CertificateError("the lattice basis is not upper triangular with a positive diagonal")
-        diagonal *= b[k]
-        kernel.append(tuple(x))
-    index = _lattice_index(rows, decided)
+        diagonal *= x[free[k]]
+        kernel.append(x)
+    index = _lattice_index(rows, decided, holders)
     if diagonal != index:
         raise CertificateError(f"the lattice basis has index {diagonal}, the congruences {index}")
     for j, (row, s) in enumerate(zip(rows, shifts)):
         if sum(v * particular[c] for c, v in row.items()) != -s:
             raise CertificateError(f"the particular solution fails ladder core row {j}")
-    h, _ = hnf(IntMatrix(tuple(kernel)))
-    return reduce_mod_lattice(particular, h)
+    if not echelon:  # the reduction needs an echelon basis: the Hermite form
+        kernel = [{t: v for t, v in enumerate(row) if v} for row in hnf(dense(kernel, width))[0].entries]
+    return reduce_mod_lattice(particular, kernel)
 
 
 def simulate(inst: LadderInstance) -> SimulationReport:
@@ -711,28 +721,29 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     independent ladder none.  The core also drops its zero columns, such as
     the y and z columns of levels whose rows are all pivot rows.
 
-    Each core row decides one column of its own too, so the core's kernel
-    is the graph of a lattice and needs no general solver either (Cohen,
-    GTM 138, 2.4, for Hermite forms of Z-modules).  In subcase i the core
-    row W_k - W_i still decides the top column y_{n+1} of row k, which no
-    other row of W holds, since a core row is never a pivot row.  The
-    kernel is then the graph of L = {x : row_j . x = 0 mod p_j} on the F
-    other columns: each x in L takes one integer value on the decided
-    columns.  `_lattice_basis` builds an upper triangular basis B of L by
-    one index-p step per core row, and substitution with right side 0
-    lifts it.  In subcase ii a core row can hold -(1 + p) on y_n, when the
-    label's pivot row is the row just below it, so there the label columns
-    are eliminated only where no other row holds them.  The rows whose label
-    another row shares are solved as they stand, each level's top row
-    first, each deciding its y_n by the -1 there; their decided block is
-    unit triangular, so L = Z^F and B = I.  Solving all of W instead would
-    carry every label that only one row holds into the kernel basis and its
-    Hermite form.  Subcase i subtracts pivot rows for speed alone: solving
-    its shared-label rows as they stand, as subcase ii does, leaves their
-    label columns in the core, and gave the same golden bytes in 0.233 s,
-    not 0.011 s, on shared 16 x 8 at r = 0; 2.6 s, not 0.033 s, on 32 x 8;
-    66 s, not 0.115 s, on 64 x 8; 39 ms, not 21 ms, on the benchmark's 48
-    `ladder-shared` ladders (2-core x86-64, CPython 3.11, one run each).
+    Each core row decides one column of its own too, so the core's kernel is
+    the graph of a lattice and needs no general solver either (Cohen, GTM
+    138, 2.4, for Hermite forms of Z-modules).  In subcase i the core row
+    W_k - W_i still decides the top column y_{n+1} of row k, which no other
+    row of W holds, since a core row is never a pivot row.  The kernel is
+    then the graph of L = {x : row_j . x = 0 mod p_j} on the F other
+    columns: each x in L takes one integer value on the decided columns.
+    `_lattice_basis` builds an upper triangular basis B of L by one index-p
+    step per core row, and substitution with right side 0 lifts it on the
+    rows that meet each vector (Davis, Direct Methods for Sparse Linear
+    Systems, ch. 3).  Rows go by level and i comes first, so y_{n+1} is the
+    last column of W_k - W_i and the lifted rows are in row echelon form,
+    which is all the balanced reduction needs.  In subcase ii a core row
+    can hold -(1 + p) on y_n, when the label's pivot row is the row just
+    below it, so there the label columns are eliminated only where no other
+    row holds them.  The rows whose label another row shares are solved as
+    they stand, each level's top row first, each deciding its y_n by the -1
+    there; their decided block is unit triangular, so L = Z^F and B = I.
+    Solving all of W instead would carry every label that only one row holds
+    into the kernel basis and its Hermite form.  Subcase i subtracts pivot
+    rows for speed alone: solving its shared-label rows as they stand leaves
+    their label columns in the core, and took 66 s, not 0.115 s, on shared
+    64 x 8 at r = 0 (2-core x86-64, CPython 3.11).
 
     The lifted rows K span the whole kernel, which `_canonical_solution`
     certifies before it uses them (each check raises CertificateError, also
@@ -744,9 +755,9 @@ def simulate(inst: LadderInstance) -> SimulationReport:
     that the decided block is diagonal or unit triangular; so B spans L.
     The kernel projects onto the free columns injectively with image L, so
     K spans the kernel.  The particular solution is checked against the
-    core rows.  `hnf` of K is the kernel's Hermite form, and the balanced
-    reduction of the particular solution against it is the core's
-    canonical solution.
+    core rows.  The balanced reduction of the particular solution against an
+    echelon basis of the kernel (K in subcase i, `hnf` of K in subcase ii)
+    is the core's canonical solution, the same for every such basis.
 
     The canonical splitting is the one the whole W gives.  The kernel
     lattice of W is the lift of that of the core: the map c_core -> c is

@@ -44,6 +44,7 @@ from collections import deque
 from functools import cmp_to_key
 from itertools import compress, product
 
+from helpers import sparse
 from lamsys import jsonio, uniformization
 from lamsys.abelian import (
     CertificateError,
@@ -114,7 +115,7 @@ def core_splitting(a: IntMatrix, shifts) -> tuple[IntMatrix, tuple[int, ...]]:
     the balanced reduction of the particular solution against that form.
     """
     kh, _ = hnf(kernel_basis(a))
-    return kh, reduce_mod_lattice(solve_z(a, [-s for s in shifts]), kh)
+    return kh, reduce_mod_lattice(solve_z(a, [-s for s in shifts]), sparse(kh.entries))
 
 
 def whole_splitting(w: IntMatrix, shifts) -> tuple[int, ...]:
@@ -136,7 +137,7 @@ def basis_generation(pres, candidate_names) -> tuple[bool, tuple[str, ...]]:
         row = [0] * n
         row[index[g]] = 1
         rows.append(tuple(row))
-    h, _ = hnf(IntMatrix(tuple(rows)))
+    h = sparse(hnf(IntMatrix(tuple(rows)))[0].entries)
     failing = []
     for g in pres.generators:
         e = [0] * n
@@ -157,7 +158,7 @@ def purity_evidence(spec: NonfreeSpec, box: int = 2, k_max: int = 4):
     j = spec.j_trunc
     head = tuple(tuple(1 if k == l else 0 for k in range(j)) for l in range(spec.r))
     lattice = IntMatrix(dense(pres.relations, j).entries + head)
-    h, _ = hnf(lattice)
+    h = sparse(hnf(lattice)[0].entries)
     for x in product(range(-box, box + 1), repeat=j):
         if all(v == 0 for v in x):
             continue

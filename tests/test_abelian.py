@@ -209,7 +209,7 @@ def _hermite_path(a, b):
     """
     h, u = hnf(a.transpose())
     rank = sum(1 for row in h.entries if any(row))
-    return in_lattice(h, b), IntMatrix(u.entries[rank:])
+    return in_lattice(sparse(h.entries), b), IntMatrix(u.entries[rank:])
 
 
 def _sympy_row_hnf(k):
@@ -442,7 +442,7 @@ def test_lattice_membership_roundtrip():
         sum(coeffs[i] * a.entries[i][j] for i in range(a.rows)) for j in range(a.cols)
     ]
     assert recombined == v
-    h, _ = hnf(a)
+    h = sparse(hnf(a)[0].entries)
     assert in_lattice(h, v)
     assert not in_lattice(h, [1, 0, 0])
 

@@ -1146,6 +1146,26 @@ def test_mu_past_the_str_digit_limit_is_read(capsys):
         assert json.loads(out)["table"]["mu"] == [mu]
 
 
+def test_a_malformed_value_past_the_str_digit_limit_is_described_by_its_digits(tmp_path, capsys):
+    # the message once formatted the value itself, and Python's int-to-str limit replaced it with its own
+    wide = "1" + "0" * 5000
+    code, out, err = run(capsys, ["unif-table", "--p", "7", "--r", "1", "--mu", f"[[{wide}], [-{wide}, 5]]"])
+    assert (code, out) == (2, "")
+    assert err == "error: --mu: expected a list of integers, got [[<5,001 digits>], [-<5,001 digits>, 5]]\n"
+    path = tmp_path / "schema.json"
+    path.write_text(f'{{"schema": {wide}}}')
+    assert run(capsys, ["validate", str(path)]) == (2, "", "error: system document: schema must be 'lamsys/1', got <5,001 digits>\n")
+
+
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert err == f"error: {path}: not UTF-8 text ({reason})\n"
+
+
 def test_an_input_integer_past_the_digit_bound_exits_2_at_once(tmp_path, capsys):
     # reading a decimal int is quadratic in its digits, so the reader refuses one past its bound before reading it
     from helpers import run_dispatch

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference
-from helpers import interval_size, relation_matrix, residues
+from helpers import interval_size, relation_matrix, residues, sparse
 from lamsys import jsonio, uniformization
 from lamsys.uniformization import (
     IntervalSet,
@@ -863,36 +863,113 @@ def test_shared_ladder_core_drops_a_level_and_every_zero_column(monkeypatch, r):
                 assert {t for row in rows for t in row} == set(range(len(particular)))
 
 
-def _kernel_agrees(monkeypatch, inst):
-    """The core's kernel Hermite form and balanced solution equal those of `solve_z` and `kernel_basis`."""
-    from reference import core_splitting
+def _traced_solves(monkeypatch):
+    """Record each `_canonical_solution` call: its arguments, its kernel lifts and the rows it reduces against.
 
+    A kernel lift is (x before, rows, decided columns, x after) of a
+    `_substitute` call made inside the solve, x as a list; the reduction
+    rows are the echelon basis that `reduce_mod_lattice` receives from it.
+    """
     from lamsys import uniformization
+
+    solve, substitute, reduce = uniformization._canonical_solution, uniformization._substitute, uniformization.reduce_mod_lattice
+    calls, active = [], []
+
+    def solving(*args):
+        calls.append({"args": args, "lifts": [], "basis": None})
+        active.append(True)
+        try:
+            return solve(*args)
+        finally:
+            active.pop()
+
+    def lifting(x, rows, decided, rhs):
+        before = list(x) if active else None
+        substitute(x, rows, decided, rhs)
+        if active:
+            calls[-1]["lifts"].append((before, list(rows), list(decided), list(x)))
+
+    def reducing(v, h):
+        if active:
+            calls[-1]["basis"] = [dict(row) for row in h]
+        return reduce(v, h)
+
+    monkeypatch.setattr(uniformization, "_canonical_solution", solving)
+    monkeypatch.setattr(uniformization, "_substitute", lifting)
+    monkeypatch.setattr(uniformization, "reduce_mod_lattice", reducing)
+    return calls
+
+
+def _lifted_kernel(call):
+    """The lifted kernel rows of a traced solve as a dense matrix, one row per lift."""
     from lamsys.abelian import IntMatrix
 
-    calls = _recording(monkeypatch)
-    hnf = uniformization.hnf
-    forms = []
-    monkeypatch.setattr(uniformization, "hnf", lambda a: forms.append(hnf(a)) or forms[-1])
+    return IntMatrix(tuple(tuple(after) for _, _, _, after in call["lifts"]))
+
+
+def _is_echelon(rows, decided):
+    """Each decided column is held by its own row alone and is that row's last column."""
+    return all(sum(t in row for row in rows) == 1 and t == max(row) for row, t in zip(rows, decided))
+
+
+def _kernel_agrees(monkeypatch, inst):
+    """The core's kernel lattice and balanced solution equal those of `solve_z` and `kernel_basis`."""
+    from reference import core_splitting
+
+    from lamsys.abelian import IntMatrix, dense, hnf
+
+    calls = _traced_solves(monkeypatch)
     report = simulate(inst)
     monkeypatch.undo()
     assert report.ok
-    [(rows, decided, shifts, particular)] = calls
-    [(h, _)] = forms
+    [call] = calls
+    rows, decided, shifts, particular = call["args"]
     a = IntMatrix(tuple(tuple(row.get(t, 0) for t in range(len(particular))) for row in rows))
     kh, expected = core_splitting(a, shifts)
-    assert h == kh
+    assert hnf(dense(call["basis"], len(particular)))[0] == kh
     assert uniformization._canonical_solution(rows, decided, shifts, particular) == expected
+
+
+def _diagonal_ii():
+    """The golden case unif-sim-ii-diagonal: a diagonal decided block whose y_n come before the y_{n+1} their rows read."""
+    levels = ((10, ("a0", "a1", "d1", "c0"), 1), (20, ("d0", "f1", "c1", "a1"), 0))
+    return LadderInstance(
+        subcase="ii",
+        r=0,
+        p=2,
+        i_max=1,
+        levels=tuple(LadderLevel(alpha=a, ladder=(1,), colors=(c,), g_labels=g, mu=()) for a, g, c in levels),
+    )
+
+
+def _seeded_cores():
+    """The ladders whose cores `test_core_kernel_agrees_with_the_generic_solve` checks, then `_diagonal_ii`."""
+    rng = random.Random(1601)
+    for r in (0, 1):
+        for n_levels, m in SHARED_SHAPES:
+            yield _shared_ladder(rng, "i", r, n_levels, m)
+        for n_levels in (2, 3):
+            yield _shared_ladder(rng, "ii", r, n_levels)
+        for subcase in ("i", "ii"):
+            yield _repeat_and_skip(_shared_ladder(rng, subcase, r, 3, 4))
+            drawn = 0
+            while drawn < 6:
+                inst = _draw_ladder(rng.randint, rng.sample, subcase, r, 3)
+                labels = [g for lv in inst.levels for g in lv.g_labels]
+                if len(set(labels)) < len(labels):
+                    yield inst
+                    drawn += 1
+    yield _diagonal_ii()
 
 
 def test_lattice_basis_and_kernel_form_agree_with_the_dense_reference(monkeypatch):
     """`_lattice_basis` and `hnf` on ladder cores give the dense oracles' basis and H, U and U^-1."""
-    from lamsys import uniformization
+    from lamsys.abelian import hnf
 
-    bases, kernels = [], []
-    lattice_basis, hnf = uniformization._lattice_basis, uniformization.hnf
+    bases = []
+    lattice_basis = uniformization._lattice_basis
+    calls = _traced_solves(monkeypatch)
     monkeypatch.setattr(uniformization, "_lattice_basis", lambda *args: bases.append(args) or lattice_basis(*args))
-    monkeypatch.setattr(uniformization, "hnf", lambda a: kernels.append(a) or hnf(a))
     rng = random.Random(3201)
     for r in (0, 1):
         for n_levels, m in SHARED_SHAPES:
@@ -901,31 +978,93 @@ def test_lattice_basis_and_kernel_form_agree_with_the_dense_reference(monkeypatc
             for _ in range(10):
                 assert simulate(_draw_ladder(rng.randint, rng.sample, subcase, r, 3)).ok
     monkeypatch.undo()
-    assert len(bases) == len(kernels) > len(SHARED_SHAPES)
+    assert len(bases) == len(calls) > len(SHARED_SHAPES)
     for forms, size in bases:
         basis = lattice_basis(forms, size)
         assert all(all(b.values()) for b in basis)
         assert [[b.get(i, 0) for i in range(size)] for b in basis] == reference.lattice_basis(forms, size)
-    for a in kernels:
+    for call in calls:
+        a = _lifted_kernel(call)
         assert hnf(a, inverse=True) == reference.dense_hnf(a, inverse=True)
 
 
 def test_core_kernel_agrees_with_the_generic_solve(monkeypatch):
-    rng = random.Random(1601)
-    for r in (0, 1):
+    for inst in _seeded_cores():
+        _kernel_agrees(monkeypatch, inst)
+
+
+def test_echelon_cores_reduce_against_their_local_lift_as_against_hnf(monkeypatch):
+    """On each seeded core the local lift equals a full `_substitute` pass, and the reduction equals `hnf`'s.
+
+    A core whose decided columns are each their row's alone and last is
+    lifted on the rows that meet each basis vector, and the lifted rows,
+    an echelon basis of the kernel, reduce the particular solution as the
+    Hermite form of `hnf` and of the dense oracle do; every other core is
+    lifted on all its rows and reduced against `hnf`'s rows.
+    """
+    from lamsys.abelian import dense, hnf, reduce_mod_lattice
+
+    substitute = uniformization._substitute
+    calls = _traced_solves(monkeypatch)
+    for inst in _seeded_cores():
+        assert simulate(inst).ok
+    monkeypatch.undo()
+    echelon = [_is_echelon(*call["args"][:2]) for call in calls]
+    assert echelon[-1] is False  # the diagonal subcase-ii core
+    assert 0 < sum(echelon) < len(calls)
+    for call, local in zip(calls, echelon):
+        rows, decided, _, particular = call["args"]
+        for before, lifted_rows, _, after in call["lifts"]:
+            full = list(before)
+            substitute(full, rows, decided, [0] * len(rows))
+            assert after == full
+            if local:
+                assert lifted_rows == [row for row in rows if any(before[t] for t in row)]
+        a = _lifted_kernel(call)
+        h, dense_h = hnf(a)[0], reference.dense_hnf(a)[0]
+        assert h == dense_h
+        basis = dense(call["basis"], len(particular))
+        assert basis == (a if local else h)
+        assert hnf(basis)[0] == h
+        expected = reduce_mod_lattice(particular, sparse(h.entries))
+        assert reduce_mod_lattice(particular, call["basis"]) == expected == reduce_mod_lattice(particular, sparse(dense_h.entries))
+
+
+def test_subcase_i_shared_ladders_reach_no_hnf_and_build_no_matrix(monkeypatch):
+    from lamsys import abelian
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a subcase-i ladder core reached a dense matrix")
+
+    calls = _recording(monkeypatch)
+    for owner in (abelian, uniformization):
+        monkeypatch.setattr(owner, "hnf", unreachable)
+    monkeypatch.setattr(abelian, "IntMatrix", unreachable)
+    rng = random.Random("no-hnf")
+    for r in (0, 1, 2):
         for n_levels, m in SHARED_SHAPES:
-            _kernel_agrees(monkeypatch, _shared_ladder(rng, "i", r, n_levels, m))
-        for n_levels in (2, 3):
-            _kernel_agrees(monkeypatch, _shared_ladder(rng, "ii", r, n_levels))
-        for subcase in ("i", "ii"):
-            _kernel_agrees(monkeypatch, _repeat_and_skip(_shared_ladder(rng, subcase, r, 3, 4)))
-            drawn = 0
-            while drawn < 6:
-                inst = _draw_ladder(rng.randint, rng.sample, subcase, r, 3)
-                labels = [g for lv in inst.levels for g in lv.g_labels]
-                if len(set(labels)) < len(labels):
-                    _kernel_agrees(monkeypatch, inst)
-                    drawn += 1
+            assert simulate(_shared_ladder(rng, "i", r, n_levels, m)).ok
+        assert simulate(_repeat_and_skip(_shared_ladder(rng, "i", r, 3, 4))).ok
+        for _ in range(10):
+            assert simulate(_draw_ladder(rng.randint, rng.sample, "i", r, 3)).ok
+    assert len(calls) > 3 * len(SHARED_SHAPES)
+    assert all(_is_echelon(rows, decided) for rows, decided, _, _ in calls)
+
+
+def test_kernel_lift_rows_grow_linearly_with_the_ladder(monkeypatch):
+    """The rows the kernel lift hands `_substitute` at most 2.2x from shared 32 x 8 to 64 x 8, r = 0.
+
+    Lifting every basis vector over every core row grew 3.6x; an exact
+    count, so no timing noise enters.
+    """
+    counts = []
+    for n_levels in (32, 64):
+        calls = _traced_solves(monkeypatch)
+        assert simulate(_shared_ladder(random.Random(f"scale/{n_levels}x8"), "i", 0, n_levels, 8)).ok
+        monkeypatch.undo()
+        [call] = calls
+        counts.append(sum(len(rows) for _, rows, _, _ in call["lifts"]))
+    assert counts[1] <= 2.2 * counts[0]
 
 
 @pytest.mark.parametrize("subcase", ("i", "ii"))
