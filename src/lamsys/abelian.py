@@ -31,14 +31,15 @@ smallest absolute value in the column, the first such row on ties), so
 every normal form and certificate is reproducible bit for bit.  It takes
 and returns dense matrices but eliminates on sparse rows, as the kernels
 it meets are sparse: a row operation costs the nonzeros of one row.  On
-the CLI it serves two callers, both after structural elimination.  One is the
-kernel basis of a subcase-ii ladder core: `uniformization.simulate`
-eliminates the label columns and reads the core's kernel off its congruence
-lattice; a subcase-i core's lifted basis is already in row echelon form,
-which is all `reduce_mod_lattice` needs, and an independent ladder solves
-nothing.  `reduce_mod_lattice` reads sparse rows.  The other is
-`outside_lattice`, the generation check of `basis`, when peeling
-the stacked rows does not settle generation.
+the CLI it serves two callers, both after structural elimination.  One is
+the kernel basis of a subcase-ii ladder core: `uniformization.simulate`
+eliminates the label columns and reads the core's kernel off its
+congruence lattice; a subcase-i core's lifted basis is already in row
+echelon form, which is all `reduce_mod_lattice` needs, and an independent
+ladder solves nothing.  The other is `outside_lattice`, the generation
+check of `basis`, when peeling the stacked rows does not settle
+generation.  `reduce_mod_lattice` and `in_lattice` read sparse rows, so
+both pass `hnf`'s rows as maps.
 
 `solve_z` and `kernel_basis` have no CLI caller.  They read their answers
 off `snf`, which `invariant_factors` keeps anyway: with D = U * A * V,
@@ -507,8 +508,8 @@ def dense(rows: Sequence[Row], width: int) -> IntMatrix:
 
     These are its callers: `invariant_factors` on the block left after
     peeling, `outside_lattice`, `uniformization` for a kernel not in
-    echelon form, and `hnf` for the H, U and U^-1 it returns.  The writers in `jsonio` write the dense text from the rows
-    themselves.
+    echelon form, and `hnf` for the H, U and U^-1 it returns.  The writers
+    in `jsonio` write the dense text from the rows themselves.
     """
     out = []
     for row in rows:

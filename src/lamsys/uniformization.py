@@ -33,9 +33,9 @@ structure, with no general solver: each row decides one column; the
 particular solution, the kernel lift and the label lift are substitution
 along those columns.  The kernel of the coupled core is the graph of a
 congruence lattice, whose Hermite form picks the canonical splitting (in
-subcase i the lifted basis is in echelon form and serves, with no `hnf`).  The
-recovered bits H(w) then match the input coloring at every index past the
-reported magnitude threshold n0.  The report holds A as a checked
+subcase i the lifted basis is in echelon form and serves, with no `hnf`).
+The recovered bits H(w) then match the input coloring at every index past
+the reported magnitude threshold n0.  The report holds A as a checked
 `abelian.Presentation`.
 
 The generators are laid out level by level in increasing alpha, each
@@ -494,7 +494,7 @@ def _ladder_rows(inst: LadderInstance, levels: Sequence[LadderLevel], thresholds
     return names, rows, shifts, decided, labels, row_tables, y0s
 
 
-def _substitute(x: list[int] | dict[int, int], rows: Sequence[Mapping[int, int]], decided: Sequence[int], rhs: Sequence[int]) -> None:
+def _substitute(x: list[int], rows: Sequence[Mapping[int, int]], decided: Sequence[int], rhs: Sequence[int]) -> None:
     """Set x[t] = (b - sum of v x[c] over the row's other entries v at c) // row[t], row by row in order.
 
     Row j decides column t = decided[j] with right side b = rhs[j].  The
@@ -612,14 +612,15 @@ def _canonical_solution(
     j decides column decided[j] (see `_lattice_index`), and `particular` is
     one solution.  The kernel is the graph of the lattice L on the other
     columns: each vector of `_lattice_basis`, set on those columns, gets its
-    decided coordinates by substitution with right side 0, and the Hermite
-    form of these rows reduces `particular`.  Where each decided column is
+    decided coordinates by substitution with right side 0, and an echelon
+    basis of these rows reduces `particular`.  Where each decided column is
     its row's alone and last (subcase i), a row that misses a vector decides
-    0, and the lifted rows are in row echelon form, which is all the
-    reduction needs, so no `hnf` runs.  Raises CertificateError unless the lifted
-    rows are in the kernel, their free part B is upper triangular with a
-    positive diagonal whose product is [Z^F : L], and `particular` solves
-    every row.
+    0, so a vector is lifted on the rows that meet it, and the lifted rows
+    are in row echelon form already; other cores are lifted on every row,
+    and `hnf` gives their Hermite form.  Raises CertificateError unless the
+    lifted rows are in the kernel (read on the rows that meet their
+    nonzeros), their free part B is upper triangular with a positive
+    diagonal whose product is [Z^F : L], and `particular` solves every row.
     """
     width = len(particular)
     holders: dict[int, list[int]] = {}  # column -> the rows nonzero there, in order
@@ -638,18 +639,18 @@ def _canonical_solution(
         x = [0] * width
         for i, v in b.items():
             x[free[i]] = v
-        # on an echelon core a row that does not meet b decides 0
-        lift = sorted(set().union(*[holders.get(free[i], ()) for i in b])) if echelon else range(len(rows))
+        # on an echelon core a row that does not meet b decides 0, and a decided column meets its own row alone
+        lift = sorted({j for i in b for j in holders.get(free[i], ())}) if echelon else range(len(rows))
         lifted, columns = (rows, decided) if len(lift) == len(rows) else ([rows[j] for j in lift], [decided[j] for j in lift])
         _substitute(x, lifted, columns, [0] * len(lift))
-        # x changes only on `columns`, so it is nonzero on b's columns and those alone, which no row outside `lift` meets
-        if any(sum(v * x[t] for t, v in row.items()) for row in lifted):
+        nonzero = {t: x[t] for t in [*(free[i] for i in b), *columns] if x[t]}
+        # every row that meets these columns is in `lifted`; a nonzero elsewhere, counted in x itself, meets another row alone
+        if len(nonzero) != width - x.count(0) or any(sum(v * x[t] for t, v in row.items()) for row in lifted):
             raise CertificateError(f"lifted lattice basis row {k} is not in the kernel of the ladder core")
-        x = {t: x[t] for t in [*(free[i] for i in b), *columns] if x[t]}
-        if min(b, default=-1) != k or x.get(free[k], 0) <= 0:
+        if min(b, default=-1) != k or nonzero.get(free[k], 0) <= 0:
             raise CertificateError("the lattice basis is not upper triangular with a positive diagonal")
-        diagonal *= x[free[k]]
-        kernel.append(x)
+        diagonal *= nonzero[free[k]]
+        kernel.append(nonzero)
     index = _lattice_index(rows, decided, holders)
     if diagonal != index:
         raise CertificateError(f"the lattice basis has index {diagonal}, the congruences {index}")

@@ -30,7 +30,7 @@ def test_no_assert_in_src():
 # outside `abelian`, every module reads its answers off structure: the
 # witness side off the unit staircase and the ladder side off its congruence
 # lattice; the generation check of `basis` is `abelian.outside_lattice`, and
-# `hnf` stays for the Hermite form of a ladder core's kernel
+# `hnf` stays for the Hermite form of a subcase-ii ladder core's kernel
 _GENERIC_SOLVERS = frozenset(
     {
         "solve_z",
@@ -200,8 +200,8 @@ def _witness_system():
     )
 
 
-def _shared_ladder():
-    """Two levels sharing the label a0, so one core row reaches the lattice solve."""
+def _shared_ladder(*extra):
+    """Two levels sharing the label a0, so one core row reaches the lattice solve, then the levels `extra`."""
     level = uniformization.LadderLevel
     return uniformization.LadderInstance(
         subcase="i",
@@ -209,6 +209,7 @@ def _shared_ladder():
         levels=(
             level(alpha=40, ladder=(3, 8), colors=(1, 0), g_labels=("a0", "a1"), primes=(31, 37)),
             level(alpha=50, ladder=(4, 9), colors=(1, 1), g_labels=("a0", "b1"), primes=(31, 41)),
+            *extra,
         ),
     )
 
@@ -242,6 +243,13 @@ def self_checks_missed() -> list[str]:
         substitute(x, rows, decided, rhs)
         if not any(rhs):
             x[decided[0]] += 1
+
+    def off_rows_lift(x, rows, decided, rhs):
+        # a kernel lift also sets a column that none of its rows holds, so only a row it skipped meets it
+        substitute(x, rows, decided, rhs)
+        outside = [t for t in range(len(x)) if all(t not in row for row in rows)]
+        if outside and not any(rhs):
+            x[outside[0]] = 1
 
     def off_particular(*args):
         # y:40:0 holds +1 on the core row, so this moves its value
@@ -306,6 +314,13 @@ def self_checks_missed() -> list[str]:
             _patched(uniformization, "_substitute", off_kernel_lift),
             lambda: uniformization.simulate(_shared_ladder()),
         ),
+        "lifted lattice basis support": (
+            # b1, now shared too, makes a second core row, which the lift of basis row 1 is not run on
+            _patched(uniformization, "_substitute", off_rows_lift),
+            lambda: uniformization.simulate(
+                _shared_ladder(uniformization.LadderLevel(alpha=60, ladder=(5, 10), colors=(0, 1), g_labels=("c0", "b1"), primes=(43, 41)))
+            ),
+        ),
         "particular solution": (
             _patched(uniformization, "_particular", off_particular),
             lambda: uniformization.simulate(_shared_ladder()),
@@ -318,6 +333,7 @@ def self_checks_missed() -> list[str]:
     # a case here counts only with this message, so that no other check catches it first
     messages = {
         "lifted lattice basis": "lifted lattice basis row 0 is not in the kernel of the ladder core",
+        "lifted lattice basis support": "lifted lattice basis row 1 is not in the kernel of the ladder core",
         "power table digits": "power table mod 2^4: shift 19 has more than 4 digits",
     }
     missed = []

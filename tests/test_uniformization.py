@@ -998,9 +998,10 @@ def test_echelon_cores_reduce_against_their_local_lift_as_against_hnf(monkeypatc
 
     A core whose decided columns are each their row's alone and last is
     lifted on the rows that meet each basis vector, and the lifted rows,
-    an echelon basis of the kernel, reduce the particular solution as the
-    Hermite form of `hnf` and of the dense oracle do; every other core is
-    lifted on all its rows and reduced against `hnf`'s rows.
+    an echelon basis of the kernel with the pivots of its Hermite form,
+    reduce the particular solution and random vectors as the Hermite form
+    of `hnf` and of the dense oracle do; every other core is lifted on all
+    its rows and reduced against `hnf`'s rows.
     """
     from lamsys.abelian import dense, hnf, reduce_mod_lattice
 
@@ -1026,8 +1027,13 @@ def test_echelon_cores_reduce_against_their_local_lift_as_against_hnf(monkeypatc
         basis = dense(call["basis"], len(particular))
         assert basis == (a if local else h)
         assert hnf(basis)[0] == h
-        expected = reduce_mod_lattice(particular, sparse(h.entries))
-        assert reduce_mod_lattice(particular, call["basis"]) == expected == reduce_mod_lattice(particular, sparse(dense_h.entries))
+        # the same pivot, column and entry, on each row: the Hermite form differs only above the pivots
+        pivots = lambda rows: [(min(row), row[min(row)]) for row in rows if row]
+        assert pivots(call["basis"]) == pivots(sparse(h.entries))
+        rng = random.Random(len(particular))
+        for v in [particular] + [[rng.randint(-50, 50) for _ in particular] for _ in range(3)]:
+            expected = reduce_mod_lattice(v, sparse(h.entries))
+            assert reduce_mod_lattice(v, call["basis"]) == expected == reduce_mod_lattice(v, sparse(dense_h.entries))
 
 
 def test_subcase_i_shared_ladders_reach_no_hnf_and_build_no_matrix(monkeypatch):
